@@ -1,4 +1,5 @@
-# Convenience targets; CI runs `make ci`.
+# Convenience targets.  CI (.github/workflows/ci.yml) runs its steps
+# directly, not through `make ci`.
 
 .PHONY: all build test bench bench-perf ci clean
 
@@ -13,7 +14,7 @@ test:
 bench:
 	dune exec bench/main.exe
 
-# Run the S1/V1 substrate meters and fail on a >30 % speedup-ratio
+# Run the S1/V1/T1/T2/F5 meters and fail on a >30 % speedup-ratio
 # regression against bench/baselines/ (see EXPERIMENTS.md, "Reading
 # S1/V1").
 bench-perf:

@@ -1588,7 +1588,7 @@ let m1 () =
     (ns_i10k < 4.0 *. ns_i1k +. 50.0)
 
 (* ================================================================== *)
-(* S1 / V1: the simulation-core and VM fast-path meters                *)
+(* S1 / V1: the simulation-core and VM meters                         *)
 (*                                                                     *)
 (* S1 drives a many-process ping-pong through Simnet/Cluster and       *)
 (* reports scheduler events (quanta) per wall-clock second, once with  *)
@@ -1596,15 +1596,15 @@ let m1 () =
 (* ([legacy_scan_sched = true]) and once with the indexed per-node     *)
 (* resident lists — both from this build, so the before/after rows in  *)
 (* BENCH_s1.json come from one commit.  V1 runs compute/branch/memory  *)
-(* kernels to completion on the MASM emulator in [Baseline] and [Fast] *)
-(* modes (plus the FIR interpreter for scale) and reports MIPS into    *)
-(* BENCH_v1.json.  Both files are one JSON object per line.            *)
+(* kernels to completion on the MASM emulator in [Baseline] and        *)
+(* [Compiled] modes (plus the FIR interpreter for scale) and reports   *)
+(* MIPS into BENCH_v1.json.  Both files are one JSON object per line.  *)
 (*                                                                     *)
 (* [perfcheck] re-runs both meters and compares the SPEEDUP RATIOS     *)
-(* (indexed/scan, fast/baseline) against bench/baselines/*.json: the   *)
-(* ratio is what the optimization owns, and unlike absolute throughput *)
-(* it transfers across machines.  A ratio below 70 % of the committed  *)
-(* one fails the check (exit 1).                                       *)
+(* (indexed/scan, compiled/baseline) against bench/baselines/*.json:   *)
+(* the ratio is what the optimization owns, and unlike absolute        *)
+(* throughput it transfers across machines.  A ratio below 70 % of the *)
+(* committed one fails the check (exit 1).                             *)
 (* ================================================================== *)
 
 (* minimal reader for our own one-object-per-line JSON output *)
@@ -1886,7 +1886,7 @@ let v1_exit = function
 (* one-time translation per kernel, timed once so the translate row can
    report it: codegen -> link -> closure-compile.  Link and compile are
    deliberately OUTSIDE the timed emulation loop below — they are paid
-   once per image (and memoized in Migrate.Codecache on the migration
+   once per image (and cached in Migrate.Codecache on the migration
    path), so folding them into per-run wall time would misattribute a
    setup cost to steady-state MIPS. *)
 let v1_translate fir =
@@ -1894,20 +1894,15 @@ let v1_translate fir =
   let masm = Vm.Codegen.compile ~arch fir in
   let linked, link_s = wall (fun () -> Vm.Link.link masm) in
   let compiled, compile_s = wall (fun () -> Vm.Compile.compile linked) in
-  masm, linked, compiled, link_s *. 1000., compile_s *. 1000.
+  masm, compiled, link_s *. 1000., compile_s *. 1000.
 
 (* median-of-[iters] wall time for one emulator mode; returns
    (instrs, wall_s, exit, cycles) *)
-let v1_emulate ?(iters = 3) ~masm ~linked ~compiled fir mode =
+let v1_emulate ?(iters = 3) ~masm ~compiled fir mode =
   let arch = Vm.Arch.cisc32 in
   let sample () =
     let proc = Vm.Process.create ~arch ~seed:11 fir in
-    let emu =
-      match mode with
-      | Vm.Emulator.Compiled -> Vm.Emulator.create ~mode ~compiled masm proc
-      | Vm.Emulator.Fast | Vm.Emulator.Baseline ->
-        Vm.Emulator.create ~mode ~linked masm proc
-    in
+    let emu = Vm.Emulator.create ~mode ~compiled masm proc in
     let status, w = wall (fun () -> Vm.Emulator.run emu) in
     Vm.Emulator.instructions emu, w, v1_exit status, proc.Vm.Process.cycles
   in
@@ -1947,34 +1942,30 @@ let v1_results () =
   List.map
     (fun (case, src) ->
       let fir = v1_compile src in
-      let masm, linked, compiled, link_ms, compile_ms = v1_translate fir in
-      let run = v1_emulate ~masm ~linked ~compiled fir in
+      let masm, compiled, link_ms, compile_ms = v1_translate fir in
+      let run = v1_emulate ~masm ~compiled fir in
       let i_base, w_base, x_base, c_base = run Vm.Emulator.Baseline in
-      let i_fast, w_fast, x_fast, c_fast = run Vm.Emulator.Fast in
       let i_comp, w_comp, x_comp, c_comp = run Vm.Emulator.Compiled in
-      if i_base <> i_fast || x_base <> x_fast || c_base <> c_fast then
-        failwith ("v1: Baseline and Fast diverged on " ^ case);
-      if i_comp <> i_fast || x_comp <> x_fast || c_comp <> c_fast then
-        failwith ("v1: Compiled and Fast diverged on " ^ case);
+      if i_comp <> i_base || x_comp <> x_base || c_comp <> c_base then
+        failwith ("v1: Compiled and Baseline diverged on " ^ case);
       let w_interp, x_interp = v1_interp fir in
-      if x_interp <> x_fast then
+      if x_interp <> x_base then
         failwith ("v1: interpreter diverged on " ^ case);
       let rows =
-        [ v1_row ~case ~mode:"interp" ~instrs:i_fast ~wall_s:w_interp;
+        [ v1_row ~case ~mode:"interp" ~instrs:i_base ~wall_s:w_interp;
           v1_row ~case ~mode:"baseline" ~instrs:i_base ~wall_s:w_base;
-          v1_row ~case ~mode:"fast" ~instrs:i_fast ~wall_s:w_fast;
           v1_row ~case ~mode:"compiled" ~instrs:i_comp ~wall_s:w_comp;
           v1_translate_row ~case ~link_ms ~compile_ms ]
       in
-      case, rows, i_fast, w_interp, w_base, w_fast, w_comp)
+      case, rows, i_base, w_interp, w_base, w_comp)
     v1_kernels
 
 let v1 () =
-  section "V1: emulator MIPS (baseline vs pre-resolved vs closure-compiled)";
+  section "V1: emulator MIPS (baseline vs closure-compiled)";
   Printf.printf
     "compute/branch/memory kernels run to completion; instrs is the \
      retired\nMASM instruction count (the interpreter row reuses it for \
-     scale).\nBaseline, Fast and Compiled are checked to produce \
+     scale).\nBaseline and Compiled are checked to produce \
      identical exits,\ninstruction counts and cycle counts.  Link and \
      closure-compile run once,\noutside the timed loop; the translate \
      row records that one-time cost.\n\n";
@@ -1983,7 +1974,7 @@ let v1 () =
     "instrs" "wall(s)" "MIPS";
   let all_rows =
     List.concat_map
-      (fun (case, rows, instrs, w_i, w_b, w_f, w_c) ->
+      (fun (case, rows, instrs, w_i, w_b, w_c) ->
         let mips w = float_of_int instrs /. w /. 1e6 in
         let line mode w =
           Printf.printf "  %-10s %-10s %-11d %-10.4f %.2f\n" case mode
@@ -1991,29 +1982,16 @@ let v1 () =
         in
         line "interp" w_i;
         line "baseline" w_b;
-        line "fast" w_f;
         line "compiled" w_c;
-        Printf.printf
-          "    speedup fast/baseline %.2fx, compiled/fast %.2fx\n"
-          (w_b /. w_f) (w_f /. w_c);
+        Printf.printf "    speedup compiled/baseline %.2fx\n" (w_b /. w_c);
         rows)
       results
   in
   write_lines "BENCH_v1.json" all_rows;
   Printf.printf "\n  wrote BENCH_v1.json\n";
   print_newline ();
-  let fast_ok =
-    List.for_all (fun (_, _, _, _, w_b, w_f, _) -> w_f <= w_b) results
-  in
-  let compiled_ok =
-    List.length
-      (List.filter (fun (_, _, _, _, _, w_f, w_c) -> w_f /. w_c >= 1.5)
-         results)
-    >= 2
-  in
-  verdict
-    "fast no slower than baseline; compiled >= 1.5x fast on >= 2 kernels"
-    (fast_ok && compiled_ok)
+  verdict "compiled >= 1.5x baseline on every kernel"
+    (List.for_all (fun (_, _, _, _, w_b, w_c) -> w_b /. w_c >= 1.5) results)
 
 (* --- T1 ----------------------------------------------------------- *)
 
@@ -2556,8 +2534,8 @@ let f5_cmd () = ignore (f5 ())
 
 (* --- perfcheck ----------------------------------------------------- *)
 
-(* speedup ratio per (bench, case) from a row list: fast mode
-   events-per-unit-wall over slow mode *)
+(* speedup ratio per (bench, case) from a row list: slow-mode cost over
+   fast-mode cost *)
 let ratios_of_rows rows =
   let field line name =
     match json_field line name with
@@ -2614,12 +2592,10 @@ let ratios_of_rows rows =
            on-row sim time up and the ratio below the gate *)
         pair case (get "off") (get "on")
       else
-        (* v1 gates two tiers: the pre-resolved fast path over the
-           baseline loop, and the closure-compiled tier over fast (the
-           superinstruction win; a fusion regression drags it below the
-           gate) *)
-        pair case (get "baseline") (get "fast")
-        @ pair (case ^ ":compiled") (get "fast") (get "compiled"))
+        (* ratio = wall_baseline / wall_compiled: the closure-compiled
+           tier's win over the reference loop; a fusion regression drags
+           it below the gate *)
+        pair case (get "baseline") (get "compiled"))
     (List.sort compare pairs)
 
 let perfcheck () =
@@ -2652,7 +2628,7 @@ let perfcheck () =
   let s1_rows, _ = s1_results () in
   write_lines "BENCH_s1.json" s1_rows;
   let v1_rows =
-    List.concat_map (fun (_, rows, _, _, _, _, _) -> rows) (v1_results ())
+    List.concat_map (fun (_, rows, _, _, _, _) -> rows) (v1_results ())
   in
   write_lines "BENCH_v1.json" v1_rows;
   let t1_samples = t1_results () in

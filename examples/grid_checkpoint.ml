@@ -5,7 +5,7 @@
    Deploys the generated mini-C stencil ranks onto the simulated cluster,
    kills a node mid-run, resurrects the victim rank from its checkpoint
    on a spare node, and verifies the final answer bit-exactly against a
-   sequential golden model.  The cluster event log shows the recovery
+   sequential golden model.  The cluster's trace shows the recovery
    protocol of Figure 2 happening. *)
 
 let config =
@@ -59,24 +59,22 @@ let () =
      failure\n"
     t_clean t_faulty;
 
-  print_endline "\nCluster events around the failure:";
-  let interesting e =
-    let has sub =
-      let n = String.length sub and m = String.length e in
-      let rec go i = i + n <= m && (String.sub e i n = sub || go (i + 1)) in
-      go 0
-    in
-    has "FAILED" || has "resurrected" || has "forced rollback"
-    || has "checkpoint"
+  print_endline "\nCluster trace around the failure:";
+  let interesting (e : Obs.Trace.event) =
+    match e.Obs.Trace.kind with
+    | Obs.Trace.Node_fail | Obs.Trace.Checkpoint _ -> true
+    | Obs.Trace.Resurrect { ok; _ } -> ok
+    | Obs.Trace.Forced_rollback { level } -> level >= 0
+    | _ -> false
   in
   let shown = ref 0 in
   List.iter
     (fun e ->
       if interesting e && !shown < 14 then begin
         incr shown;
-        Printf.printf "  %s\n" e
+        Printf.printf "  %s\n" (Obs.Trace.event_to_json e)
       end)
-    (Net.Cluster.events cluster);
+    (Obs.Trace.timeline (Net.Cluster.trace cluster));
 
   let ok =
     Array.for_all2

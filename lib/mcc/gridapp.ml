@@ -554,6 +554,9 @@ module Serve = struct
     done;
     !total
 
+  let spec_mode cfg =
+    if cfg.speculative then ", speculative exactly-once mode" else ""
+
   let client_source cfg rank =
     (* the skewed stream redirects 4 of 5 requests to the phase's hot
        service; the remainder stays round-robin so every service sees
@@ -568,155 +571,95 @@ module Serve = struct
           \    if ((seq + r) %% 5 < 4) { laddr = 1 + ((seq / %d) %% %d); }"
           cfg.services phase_len cfg.services
     in
-    if not cfg.speculative then
-      Printf.sprintf
-        {|
-// serving client, rank %d (generated)
-int main() {
-  int r = %d;
-  float *buf = alloc_float(4);
-  float *rbuf = alloc_float(4);
-  int seq; int rc; int got; int rs; int viol; int t0; int fin;
-  viol = 0;
-  for (seq = 0; seq < %d; seq = seq + 1) {
-    %s
-    t0 = sim_now_us();
-    buf[0] = (float)r;
-    buf[1] = (float)seq;
-    buf[2] = (float)t0;
-    rc = svc_send(laddr, %d, buf, 3);
-    while (rc == 0 - 3) { rc = svc_send(laddr, %d, buf, 3); }
-    if (rc < 0) { return 0 - 100; }
-    fin = 0;
-    while (fin == 0) {
-      got = msg_try_recv_any(%d + r, rbuf, 4);
-      if (got >= 0) {
-        rs = (int)rbuf[1];
-        if (rs == seq) {
-          lat_us(sim_now_us() - t0);
-          fin = 1;
-        }
-        if (rs > seq) { viol = viol + 1; fin = 1; }
-      }
-    }
-  }
-  return viol;
-}
-|}
-        rank rank cfg.requests_per_client laddr_choice request_tag request_tag
-        reply_tag_base
-    else
-      (* Speculative mode.  The request is sent BEFORE entering the
-         speculation so it travels unstamped (the service must not join
-         the CLIENT's region — the dependency is one-way, reply-borne).
-         Consuming a stamped reply joins the service's transaction; the
-         spec_pending() barrier then holds the client until the service's
-         durable commit clears the dependency — or the distributed abort
-         force-rolls this level, re-entering at speculate() with a
-         negative id to wait for the replayed reply.  lat_us fires after
-         commit(cs), so an aborted attempt never records a latency. *)
-      Printf.sprintf
-        {|
-// serving client, rank %d (generated, speculative exactly-once mode)
-int main() {
-  int r = %d;
-  float *buf = alloc_float(4);
-  float *rbuf = alloc_float(4);
-  int seq; int rc; int got; int rs; int viol; int t0; int fin; int cs;
-  viol = 0;
-  for (seq = 0; seq < %d; seq = seq + 1) {
-    %s
-    t0 = sim_now_us();
-    buf[0] = (float)r;
-    buf[1] = (float)seq;
-    buf[2] = (float)t0;
-    rc = svc_send(laddr, %d, buf, 3);
-    while (rc == 0 - 3) { rc = svc_send(laddr, %d, buf, 3); }
-    if (rc < 0) { return 0 - 100; }
+    (* Speculative mode.  The request is sent BEFORE entering the
+       speculation so it travels unstamped (the service must not join
+       the CLIENT's region — the dependency is one-way, reply-borne).
+       Consuming a stamped reply joins the service's transaction; the
+       spec_pending() barrier then holds the client until the service's
+       durable commit clears the dependency — or the distributed abort
+       force-rolls this level, re-entering at speculate() with a
+       negative id to wait for the replayed reply.  lat_us fires after
+       commit(cs), so an aborted attempt never records a latency. *)
+    let decls, enter, on_reply, settle =
+      if cfg.speculative then
+        ( " int cs;",
+          {|
     cs = speculate();
-    if (cs < 0) { cs = 0 - cs; }
-    fin = 0;
-    while (fin == 0) {
-      got = msg_try_recv_any(%d + r, rbuf, 4);
-      if (got >= 0) {
-        rs = (int)rbuf[1];
-        if (rs == seq) { fin = 1; }
-        if (rs > seq) { viol = viol + 1; fin = 1; }
-      }
-    }
+    if (cs < 0) { cs = 0 - cs; }|},
+          "{ fin = 1; }",
+          {|
     fin = spec_pending();
     while (fin == 1) { fin = spec_pending(); }
     commit(cs);
-    lat_us(sim_now_us() - t0);
+    lat_us(sim_now_us() - t0);|} )
+      else
+        ( "",
+          "",
+          {|{
+          lat_us(sim_now_us() - t0);
+          fin = 1;
+        }|},
+          "" )
+    in
+    Printf.sprintf
+      {|
+// serving client, rank %d (generated%s)
+int main() {
+  int r = %d;
+  float *buf = alloc_float(4);
+  float *rbuf = alloc_float(4);
+  int seq; int rc; int got; int rs; int viol; int t0; int fin;%s
+  viol = 0;
+  for (seq = 0; seq < %d; seq = seq + 1) {
+    %s
+    t0 = sim_now_us();
+    buf[0] = (float)r;
+    buf[1] = (float)seq;
+    buf[2] = (float)t0;
+    rc = svc_send(laddr, %d, buf, 3);
+    while (rc == 0 - 3) { rc = svc_send(laddr, %d, buf, 3); }
+    if (rc < 0) { return 0 - 100; }%s
+    fin = 0;
+    while (fin == 0) {
+      got = msg_try_recv_any(%d + r, rbuf, 4);
+      if (got >= 0) {
+        rs = (int)rbuf[1];
+        if (rs == seq) %s
+        if (rs > seq) { viol = viol + 1; fin = 1; }
+      }
+    }%s
   }
   return viol;
 }
 |}
-        rank rank cfg.requests_per_client laddr_choice request_tag request_tag
-        reply_tag_base
+      rank (spec_mode cfg) rank decls cfg.requests_per_client laddr_choice
+      request_tag request_tag enter reply_tag_base on_reply settle
 
   let service_source cfg k =
     let total = expected_served cfg k in
-    if not cfg.speculative then
-      Printf.sprintf
-        {|
-// serving worker %d (generated): %d unique requests, then exit
-int main() {
-  float *rbuf = alloc_float(4);
-  int *last = alloc_int(%d);
-  int i; int got; int cl; int s; int served;
-  for (i = 0; i < %d; i = i + 1) { last[i] = 0 - 1; }
-  served = 0;
-  while (served < %d) {
-    got = msg_try_recv_any(%d, rbuf, 4);
-    if (got >= 0) {
-      cl = (int)rbuf[0];
-      s = (int)rbuf[1];
-      if (s > last[cl]) {
-        last[cl] = s;
-        %smsg_send(cl, %d + cl, rbuf, 3);
-        served = served + 1;
-      }
-    }
-  }
-  return served;
-}
-|}
-        k total cfg.clients cfg.clients total request_tag
-        (if cfg.work_us > 0 then
-           Printf.sprintf "work_us(%d);\n        " cfg.work_us
-         else "")
-        reply_tag_base
-    else
-      (* Speculative mode: the dedup write and the reply happen inside a
-         speculation, so the reply leaves BEFORE the dedup state is
-         durable — the fast path the distributed commit protocol has to
-         make safe.  dspec_open() roots the transaction at this level;
-         the stamped reply enrolls its consumer; dspec_commit() runs the
-         epoch-fenced prepare round.  On success the level commits
-         durably (releasing the client's spec_pending barrier) and only
-         then does the served count advance.  On abort (fence,
-         crash_in_commit, dead participant) the level rolls back —
-         un-sending the reply, un-writing last[cl], force-rolling any
-         consumer — and control re-enters at speculate() with a negative
-         id to replay the request.  The recv stays OUTSIDE the
-         speculation: replay must not un-consume the request itself. *)
-      Printf.sprintf
-        {|
-// serving worker %d (generated, speculative exactly-once mode): %d unique requests, then exit
-int main() {
-  float *rbuf = alloc_float(4);
-  int *last = alloc_int(%d);
-  int i; int got; int cl; int s; int served; int specid; int txn; int rc;
-  for (i = 0; i < %d; i = i + 1) { last[i] = 0 - 1; }
-  served = 0;
-  while (served < %d) {
-    got = msg_try_recv_any(%d, rbuf, 4);
-    if (got >= 0) {
-      cl = (int)rbuf[0];
-      s = (int)rbuf[1];
-      if (s > last[cl]) {
-        specid = speculate();
+    let work =
+      if cfg.work_us > 0 then
+        Printf.sprintf "work_us(%d);\n        " cfg.work_us
+      else ""
+    in
+    (* Speculative mode: the dedup write and the reply happen inside a
+       speculation, so the reply leaves BEFORE the dedup state is
+       durable — the fast path the distributed commit protocol has to
+       make safe.  dspec_open() roots the transaction at this level; the
+       stamped reply enrolls its consumer; dspec_commit() runs the
+       epoch-fenced prepare round.  On success the level commits durably
+       (releasing the client's spec_pending barrier) and only then does
+       the served count advance.  On abort (fence, crash_in_commit, dead
+       participant) the level rolls back — un-sending the reply,
+       un-writing last[cl], force-rolling any consumer — and control
+       re-enters at speculate() with a negative id to replay the
+       request.  The recv stays OUTSIDE the speculation: replay must not
+       un-consume the request itself. *)
+    let decls, handle =
+      if cfg.speculative then
+        ( " int specid; int txn; int rc;",
+          Printf.sprintf
+            {|specid = speculate();
         if (specid < 0) { specid = 0 - specid; }
         %slast[cl] = s;
         txn = dspec_open();
@@ -726,18 +669,40 @@ int main() {
           commit(specid);
           served = served + 1;
         }
-        if (rc < 0) { abort(specid); }
+        if (rc < 0) { abort(specid); }|}
+            work reply_tag_base )
+      else
+        ( "",
+          Printf.sprintf
+            {|last[cl] = s;
+        %smsg_send(cl, %d + cl, rbuf, 3);
+        served = served + 1;|}
+            work reply_tag_base )
+    in
+    Printf.sprintf
+      {|
+// serving worker %d (generated%s): %d unique requests, then exit
+int main() {
+  float *rbuf = alloc_float(4);
+  int *last = alloc_int(%d);
+  int i; int got; int cl; int s; int served;%s
+  for (i = 0; i < %d; i = i + 1) { last[i] = 0 - 1; }
+  served = 0;
+  while (served < %d) {
+    got = msg_try_recv_any(%d, rbuf, 4);
+    if (got >= 0) {
+      cl = (int)rbuf[0];
+      s = (int)rbuf[1];
+      if (s > last[cl]) {
+        %s
       }
     }
   }
   return served;
 }
 |}
-        k total cfg.clients cfg.clients total request_tag
-        (if cfg.work_us > 0 then
-           Printf.sprintf "work_us(%d);\n        " cfg.work_us
-         else "")
-        reply_tag_base
+      k (spec_mode cfg) total cfg.clients decls cfg.clients total request_tag
+      handle
 
   let compile source_text =
     match Minic.Driver.compile source_text with

@@ -36,18 +36,14 @@ type verify_mode = Verified | Trusted
 
 let mode_of_trusted trusted = if trusted then Trusted else Verified
 
+type code = { masm : Masm.image; compiled : Compile.image }
+
 type entry = {
   e_program : Fir.Ast.program; (* decoded once, shared read-only *)
-  e_verdict : (unit, string) result; (* typecheck verdict at admission *)
-  e_masm : Masm.image option; (* None exactly when e_verdict is Error *)
-  mutable e_linked : Link.image option;
-      (* pre-resolved form of [e_masm], built at admission or memoized on
-         first use ([linked_of]); linking is a pure function of the MASM
-         image, so sharing it across hits is safe *)
-  mutable e_compiled : Compile.image option;
-      (* closure-compiled form of [e_linked], same memoization contract
-         ([compiled_of]); the compiled image is process-independent, so
-         a warm migration hop resumes straight into compiled code *)
+  e_code : (code, string) result;
+      (* the typecheck verdict at admission, carrying the code when it
+         passed; the compiled image is process-independent, so a warm
+         migration hop resumes straight into compiled code *)
   e_instrs : int;
   mutable e_tick : int; (* last-use stamp (LRU) *)
 }
@@ -163,55 +159,17 @@ let over_budget t =
   | Some budget -> t.total_instrs > budget
   | None -> false
 
-(* The pre-resolved image for a positive entry, linked at most once and
-   shared by every subsequent hit.  [None] for negative entries. *)
-let linked_of (e : entry) =
-  match e.e_linked with
-  | Some _ as l -> l
-  | None -> (
-    match e.e_masm with
-    | None -> None
-    | Some masm ->
-      let l = Link.link masm in
-      e.e_linked <- Some l;
-      Some l)
-
-(* The closure-compiled image for a positive entry, compiled at most
-   once over the (also memoized) linked form. *)
-let compiled_of (e : entry) =
-  match e.e_compiled with
-  | Some _ as c -> c
-  | None -> (
-    match linked_of e with
-    | None -> None
-    | Some linked ->
-      let c = Compile.compile linked in
-      e.e_compiled <- Some c;
-      Some c)
-
-let add t ?linked ?compiled ~digest ~arch ~trusted ~program ~verdict ~masm () =
+let add t ~digest ~arch ~trusted ~program ~code =
   if enabled t then begin
     let key = digest, arch, mode_of_trusted trusted in
     let instrs =
-      match masm with Some image -> Masm.instr_count image | None -> 0
+      match code with Ok c -> Masm.instr_count c.masm | Error _ -> 0
     in
     remove_key t key;
     t.tick <- t.tick + 1;
     Hashtbl.replace t.table key
-      {
-        e_program = program;
-        e_verdict = verdict;
-        e_masm = masm;
-        (* a supplied compiled image embeds its linked form; keep the
-           two fields consistent so hits share one resolution *)
-        e_linked =
-          (match compiled with
-          | Some c -> Some c.Compile.c_linked
-          | None -> linked);
-        e_compiled = compiled;
-        e_instrs = instrs;
-        e_tick = t.tick;
-      };
+      { e_program = program; e_code = code; e_instrs = instrs;
+        e_tick = t.tick };
     t.total_instrs <- t.total_instrs + instrs;
     Obs.Metrics.incr t.c_insertions;
     (* the just-added entry carries the freshest tick, so it survives

@@ -1,9 +1,10 @@
 (** Destination-side, content-addressed recompilation cache.
 
     Keyed by [(FIR digest, architecture name, verify mode)]; stores the
-    locally-compiled {!Vm.Masm.image}, the decoded program, and the
-    typecheck verdict, so a repeated migration of the same program costs
-    transfer + stub link instead of transfer + typecheck + codegen.
+    locally-compiled {!Vm.Masm.image} and its closure-compiled form, the
+    decoded program, and the typecheck verdict, so a repeated migration
+    of the same program costs transfer + stub link instead of transfer +
+    typecheck + codegen.
 
     The digest is integrity metadata, not a trust shortcut: the wire
     layer recomputes it over the received bytes before the cache is ever
@@ -20,17 +21,19 @@ open Vm
 
 type verify_mode = Verified | Trusted
 
+type code = {
+  masm : Masm.image;
+  compiled : Compile.image;
+      (** closure-compiled form of [masm].  The compiled image is
+          process-independent, so warm migration hops resume straight
+          into it without re-linking or re-compiling *)
+}
+
 type entry = {
   e_program : Fir.Ast.program;
-  e_verdict : (unit, string) result;
-  e_masm : Masm.image option;  (** [None] exactly when the verdict is an error *)
-  mutable e_linked : Link.image option;
-      (** pre-resolved form of [e_masm]; use {!linked_of}, which links at
-          most once and shares the result across hits *)
-  mutable e_compiled : Compile.image option;
-      (** closure-compiled form of [e_linked]; use {!compiled_of}.  The
-          compiled image is process-independent, so warm migration hops
-          resume straight into compiled code without re-compiling *)
+  e_code : (code, string) result;
+      (** the typecheck verdict at admission: the program's code when it
+          passed, the rejection message for a negative entry *)
   e_instrs : int;
   mutable e_tick : int;
 }
@@ -56,27 +59,12 @@ val find : t -> digest:string -> arch:string -> trusted:bool -> entry option
 
 val add :
   t ->
-  ?linked:Link.image ->
-  ?compiled:Compile.image ->
   digest:string -> arch:string -> trusted:bool ->
   program:Fir.Ast.program ->
-  verdict:(unit, string) result ->
-  masm:Masm.image option ->
-  unit ->
+  code:(code, string) result ->
   unit
 (** Admit (or replace) an entry, then evict least-recently-used entries
-    until the bounds hold again.  [linked] (resp. [compiled]), when the
-    admitter already paid for the translation pass, is stored so hits
-    never re-link (resp. re-compile); a supplied [compiled] also
-    provides the linked form it embeds. *)
-
-val linked_of : entry -> Link.image option
-(** The entry's pre-resolved image, linking (and memoizing) on first
-    use.  [None] exactly when the verdict is an error. *)
-
-val compiled_of : entry -> Compile.image option
-(** The entry's closure-compiled image, compiling (and memoizing) on
-    first use.  [None] exactly when the verdict is an error. *)
+    until the bounds hold again. *)
 
 val invalidate : t -> digest:string -> unit
 (** Drop every entry for the digest, across architectures and modes. *)

@@ -216,25 +216,18 @@ let unpack_image ?(pid = 0) ?(seed = 42) ?(trusted = false)
     in
     let program, masm, compiled, recompiled, cache_hit, compile_cycles =
       match cached with
-      | Some { Codecache.e_verdict = Error msg; _ } ->
+      | Some { Codecache.e_code = Error msg; _ } ->
         (* negative entry: this exact payload already failed the
            typecheck here — reject without re-running it *)
         raise (Unpack_error ("FIR rejected: " ^ msg))
-      | Some ({ Codecache.e_verdict = Ok (); _ } as e) ->
-        let masm =
-          match e.Codecache.e_masm with
-          | Some m -> m
-          | None -> assert false (* Ok verdict always carries code *)
-        in
-        let compiled =
-          match Codecache.compiled_of e with
-          | Some c -> c
-          | None -> assert false (* Ok verdict always carries code *)
-        in
+      | Some
+          { Codecache.e_code = Ok { Codecache.masm; compiled };
+            e_program;
+            _ } ->
         (* typecheck + codegen elided; the stub must still be linked.
-           [compiled_of] memoizes, so a warm hop resumes straight into
-           the cached closure-compiled image without re-compiling. *)
-        ( e.Codecache.e_program,
+           The warm hop resumes straight into the cached closure-compiled
+           image without re-compiling. *)
+        ( e_program,
           masm,
           compiled,
           false,
@@ -257,8 +250,7 @@ let unpack_image ?(pid = 0) ?(seed = 42) ?(trusted = false)
             (match cache with
             | Some c ->
               Codecache.add c ~digest:image.Wire.i_digest
-                ~arch:arch.Arch.name ~trusted ~program
-                ~verdict:(Error msg) ~masm:None ()
+                ~arch:arch.Arch.name ~trusted ~program ~code:(Error msg)
             | None -> ());
             raise (Unpack_error ("FIR rejected: " ^ msg))
         end;
@@ -289,9 +281,8 @@ let unpack_image ?(pid = 0) ?(seed = 42) ?(trusted = false)
         let compiled = Compile.compile_masm masm in
         (match cache with
         | Some c ->
-          Codecache.add c ~compiled ~digest:image.Wire.i_digest
-            ~arch:arch.Arch.name ~trusted ~program ~verdict:(Ok ())
-            ~masm:(Some masm) ()
+          Codecache.add c ~digest:image.Wire.i_digest ~arch:arch.Arch.name
+            ~trusted ~program ~code:(Ok { Codecache.masm; compiled })
         | None -> ());
         program, masm, compiled, recompiled, false, compile_cycles
     in

@@ -87,7 +87,7 @@ val unpack :
     full pipeline and populates the cache.  The returned
     {!Compile.image} is the closure-compiled form of the returned code
     (embedding its pre-resolved {!Link.image}) — on a cache hit it is
-    the entry's memoized one, so repeated migrations of the same program
+    the entry's cached one, so repeated migrations of the same program
     never re-link or re-compile: warm hops resume straight into compiled
     code. *)
 

@@ -3280,156 +3280,6 @@ let statuses t =
         e.proc.Process.status ))
     t.entries
 
-(* The legacy stringly event log, now a rendered view over the typed
-   trace (deprecated: read Obs.Trace directly).  The wording keeps the
-   phrases long-time consumers grep for ("FAILED", "resurrected",
-   "forced rollback", "checkpoint"). *)
-let render_event t (e : Obs.Trace.event) =
-  let name_of id =
-    if id >= 0 && id < Array.length t.nodes then t.nodes.(id).node_name
-    else Printf.sprintf "node%d" id
-  in
-  let text =
-    match e.Obs.Trace.kind with
-    | Obs.Trace.Spawn ->
-      Printf.sprintf "spawned pid %d (rank %s) on %s" e.Obs.Trace.pid
-        (if e.Obs.Trace.rank >= 0 then string_of_int e.Obs.Trace.rank
-         else "-")
-        (name_of e.Obs.Trace.node)
-    | Obs.Trace.Migrate_start { target; bytes } ->
-      Printf.sprintf "pid %d: migrating to %s (%d bytes)" e.Obs.Trace.pid
-        target bytes
-    | Obs.Trace.Migrate_done { ok; bytes; cache_hit; _ } ->
-      if ok then
-        Printf.sprintf "pid %d migrated to %s (%d bytes%s)" e.Obs.Trace.pid
-          (name_of e.Obs.Trace.node) bytes
-          (if cache_hit then ", cache hit" else "")
-      else Printf.sprintf "pid %d migration failed" e.Obs.Trace.pid
-    | Obs.Trace.Migrate_retry { target; attempt; backoff_s; reason } ->
-      Printf.sprintf
-        "pid %d: hop to %s %s (attempt %d), backing off %gs"
-        e.Obs.Trace.pid target reason attempt backoff_s
-    | Obs.Trace.Dup_delivery { target } ->
-      Printf.sprintf "pid %d: duplicate hop to %s deduplicated"
-        e.Obs.Trace.pid target
-    | Obs.Trace.Cache_hit ->
-      Printf.sprintf "pid %d: recompilation cache hit" e.Obs.Trace.pid
-    | Obs.Trace.Cache_miss ->
-      Printf.sprintf "pid %d: recompilation cache miss" e.Obs.Trace.pid
-    | Obs.Trace.Spec_enter { uid; depth } ->
-      Printf.sprintf "pid %d: speculation enter (uid %d, depth %d)"
-        e.Obs.Trace.pid uid depth
-    | Obs.Trace.Spec_commit { uid; durable } ->
-      Printf.sprintf "pid %d: speculation commit (uid %d%s)"
-        e.Obs.Trace.pid uid (if durable then ", durable" else "")
-    | Obs.Trace.Spec_rollback { uids } ->
-      Printf.sprintf "pid %d: speculation rollback (uids %s)"
-        e.Obs.Trace.pid
-        (String.concat "," (List.map string_of_int uids))
-    | Obs.Trace.Forced_rollback { level } ->
-      if level < 0 then
-        Printf.sprintf "pid %d: unrecoverable speculative dependency"
-          e.Obs.Trace.pid
-      else
-        Printf.sprintf "pid %d: forced rollback to level %d"
-          e.Obs.Trace.pid level
-    | Obs.Trace.Node_fail ->
-      Printf.sprintf "%s FAILED" (name_of e.Obs.Trace.node)
-    | Obs.Trace.Node_stall { stall_s } ->
-      Printf.sprintf "%s stalled for %gs" (name_of e.Obs.Trace.node)
-        stall_s
-    | Obs.Trace.Link_partition { peer_a; peer_b; until_s } ->
-      Printf.sprintf "link %s-%s partitioned%s" (name_of peer_a)
-        (name_of peer_b)
-        (if until_s = infinity then " (never heals)"
-         else Printf.sprintf " until %g" until_s)
-    | Obs.Trace.Checkpoint { path; bytes } ->
-      Printf.sprintf "pid %d wrote checkpoint image %s (%d bytes)"
-        e.Obs.Trace.pid path bytes
-    | Obs.Trace.Resurrect { path; ok } ->
-      if ok then
-        Printf.sprintf "resurrected %s as pid %d (rank %s) on %s" path
-          e.Obs.Trace.pid
-          (if e.Obs.Trace.rank >= 0 then string_of_int e.Obs.Trace.rank
-           else "-")
-          (name_of e.Obs.Trace.node)
-      else Printf.sprintf "resurrection from %s failed" path
-    | Obs.Trace.Gc { gc_kind; live; collected } ->
-      Printf.sprintf "pid %d: %s gc (%d live, %d collected)"
-        e.Obs.Trace.pid
-        (match gc_kind with Obs.Trace.Minor -> "minor" | _ -> "major")
-        live collected
-    | Obs.Trace.Msg_send { dst; tag; cells } ->
-      Printf.sprintf "pid %d sent %d cells to rank %d (tag %d)"
-        e.Obs.Trace.pid cells dst tag
-    | Obs.Trace.Msg_recv { src; tag; cells } ->
-      Printf.sprintf "pid %d received %d cells from rank %d (tag %d)"
-        e.Obs.Trace.pid cells src tag
-    | Obs.Trace.Msg_roll { src } ->
-      Printf.sprintf "pid %d observed MSG_ROLL from rank %d"
-        e.Obs.Trace.pid src
-    | Obs.Trace.Msg_drop { dst; tag } ->
-      Printf.sprintf "pid %d: message to rank %d dropped (tag %d)"
-        e.Obs.Trace.pid dst tag
-    | Obs.Trace.Msg_dup { dst; tag } ->
-      Printf.sprintf "pid %d: message to rank %d duplicated (tag %d)"
-        e.Obs.Trace.pid dst tag
-    | Obs.Trace.Suspect { subject; false_positive } ->
-      Printf.sprintf "detector suspects %s%s" (name_of subject)
-        (if false_positive then " (false positive)" else "")
-    | Obs.Trace.Fenced { stale_epoch; current_epoch; what } ->
-      Printf.sprintf "pid %d fenced at %s: epoch %d superseded by %d"
-        e.Obs.Trace.pid what stale_epoch current_epoch
-    | Obs.Trace.Storage_repair { path; replicas } ->
-      Printf.sprintf "storage read-repaired %d replica(s) of %s" replicas
-        path
-    | Obs.Trace.Service_bind { laddr; new_rank; old_rank } ->
-      if old_rank < 0 then
-        Printf.sprintf "pid %d registered as service laddr %d (rank %d)"
-          e.Obs.Trace.pid laddr new_rank
-      else
-        Printf.sprintf
-          "service laddr %d re-homed to rank %d (rank %d forwards)" laddr
-          new_rank old_rank
-    | Obs.Trace.Msg_forward { laddr; from_rank; to_rank; hops } ->
-      Printf.sprintf
-        "laddr %d: message relayed from rank %d to rank %d (%d hop%s)"
-        laddr from_rank to_rank hops (if hops = 1 then "" else "s")
-    | Obs.Trace.Recipient_moved { laddr; new_rank } ->
-      Printf.sprintf "pid %d rebound laddr %d to rank %d" e.Obs.Trace.pid
-        laddr new_rank
-    | Obs.Trace.Forward_expired { laddr; rank } ->
-      Printf.sprintf
-        "pid %d: forwarder for laddr %d at rank %d expired (MSG_MOVED)"
-        e.Obs.Trace.pid laddr rank
-    | Obs.Trace.Balance_tick { spread; proposed; moved } ->
-      Printf.sprintf
-        "balance tick: spread %.6f, proposed %d, moved %d" spread proposed
-        moved
-    | Obs.Trace.Dspec_open { txn; uid } ->
-      Printf.sprintf "dspec txn %d opened by pid %d at level uid %d" txn
-        e.Obs.Trace.pid uid
-    | Obs.Trace.Dspec_prepare { txn; parts } ->
-      Printf.sprintf "dspec txn %d prepare over pids [%s]" txn
-        (String.concat "," (List.map string_of_int parts))
-    | Obs.Trace.Dspec_fence { txn; part_rank; stale_epoch; current_epoch } ->
-      Printf.sprintf
-        "dspec txn %d fenced participant rank %d (epoch %d, current %d)"
-        txn part_rank stale_epoch current_epoch
-    | Obs.Trace.Dspec_commit { txn; parts } ->
-      Printf.sprintf "dspec txn %d committed over pids [%s]" txn
-        (String.concat "," (List.map string_of_int parts))
-    | Obs.Trace.Dspec_abort { txn; parts; reason } ->
-      Printf.sprintf "dspec txn %d aborted (%s) over pids [%s]" txn reason
-        (String.concat "," (List.map string_of_int parts))
-    | Obs.Trace.Dspec_compensate { txn; discarded } ->
-      Printf.sprintf "dspec txn %d compensated: %d message(s) un-delivered"
-        txn discarded
-  in
-  Printf.sprintf "[%10.6f] %s" e.Obs.Trace.time text
-
-let events t = List.map (render_event t) (Obs.Trace.timeline t.tracer)
-
 let migrations t = List.rev t.migrations
 let storage t = t.storage
 let net t = t.net

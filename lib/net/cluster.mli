@@ -368,11 +368,6 @@ val move : t -> Move.request -> (Move.outcome, migration_error) result
 val statuses : t -> (int * int option * int * Process.status) list
 (** (pid, rank, node, status) for every process ever placed. *)
 
-val events : t -> string list
-(** Deprecated view: the typed trace ({!trace}) rendered as the
-    historical stringly log, simulated-time order.  Bounded by the trace
-    ring's capacity; read {!Obs.Trace.timeline} directly instead. *)
-
 val migrations : t -> migration_record list
 val storage : t -> Storage.t
 val net : t -> Simnet.t

@@ -1,4 +1,4 @@
-(* Closure compilation of linked MASM: the third execution tier.
+(* Closure compilation of linked MASM: the optimized execution tier.
 
    The linked form (see Link) already paid for name resolution, switch
    tables, immediates and static cycle costs, but the emulator's inner
@@ -49,26 +49,25 @@
      closure checkpoints inclusively {e before} executing, the
      per-instruction loops' order).
 
-   - {b Frame-clear elision.}  Block entry in [Fast] clears the
-     registers and spills the function can touch.  A forward
+   - {b Frame-clear elision.}  Block entry must clear the registers
+     and spills the function can touch ([l_regs_used], [l_spills]).  A forward
      definite-assignment analysis proves most of them are written before
      any read on every path, so the compiled entry clears only the
      remainder ([cf_clear_regs]/[cf_clear_spills]); skipped clears are
      unobservable because every read still sees either the same [Vunit]
      or a value the function itself stored.
 
-   Observational equivalence with [Fast]/[Baseline] is load-bearing:
-   same status, output, retired-instruction count, cycle charges at
-   every flush boundary, and same traps with the same messages — the
-   three-way equivalence suite holds all modes to it.
+   Observational equivalence with [Baseline] is load-bearing: same
+   status, output, retired-instruction count, cycle charges at every
+   flush boundary, and same traps with the same messages — the
+   equivalence suite holds both modes to it.
 
    A compiled image captures only static data — all per-process state
    (registers, spills, scratch arrays, the process, its heap and
    function table, the extern handler and the accounting counters)
    travels in the [state] record passed to every closure — so it is
-   process-independent and is memoized in [Migrate.Codecache] next to
-   the linked image: a warm migration hop resumes straight into compiled
-   code. *)
+   process-independent and is cached in [Migrate.Codecache]: a warm
+   migration hop resumes straight into compiled code. *)
 
 open Runtime
 
@@ -256,8 +255,8 @@ let iconst nregs (av : avail option array) = function
   | _ -> None
 
 (* Argument lists (tail calls, externs, tuple fields): built right to
-   left exactly like the Fast loop's [rop_values], so a raising fetch
-   (an unresolvable function immediate) fires in the same order. *)
+   left in one pass, so a raising fetch (an unresolvable function
+   immediate) fires in a fixed order. *)
 let args_fn linked nregs av (a : Link.rop array) : state -> Value.t list =
   let gs = Array.map (gget linked nregs av) a in
   match gs with
@@ -724,8 +723,9 @@ let compile_fn (linked : Link.image) (fn : Link.lfn) : cfn * int =
   done;
   (* --- forward definite assignment: is slot [s] written on EVERY path
      before pc [p]?  Entry facts: parameters, plus every slot outside
-     the windows Fast clears (stale in both modes, so "assigned" here
-     just means "no clear needed").  Greatest fixpoint from all-true. *)
+     the windows [l_regs_used]/[l_spills] (the function never reads
+     them, so "assigned" here just means "no clear needed").  Greatest
+     fixpoint from all-true. *)
   let a_in = Array.init (max len 1) (fun _ -> Array.make nslots true) in
   if len > 0 then begin
     let e = a_in.(0) in

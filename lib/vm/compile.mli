@@ -28,8 +28,8 @@
       per-call register/spill clears to the slots that may actually be
       read before being written.
 
-    Compiled code is observationally identical to the [Fast] and
-    [Baseline] modes: same results, same retired-instruction counts,
+    Compiled code is observationally identical to the [Baseline]
+    reference mode: same results, same retired-instruction counts,
     same cycle charges at the same observation boundaries, same traps.
     Runs never fuse across observation points ([Lext], the
     migration/speculation pseudo-instructions, block exits), and every
@@ -38,8 +38,8 @@
 
     A compiled image captures only static data; all per-process state
     travels in the {!state} record.  It is therefore process-independent
-    and is memoized in [Migrate.Codecache] next to the linked image, so
-    warm migration hops resume straight into compiled code. *)
+    and is cached in [Migrate.Codecache], so warm migration hops resume
+    straight into compiled code. *)
 
 open Runtime
 

@@ -13,34 +13,28 @@
 
    Two execution modes share the semantics:
 
-   - [Fast] (the default) runs the pre-resolved image (see Link):
-     dense function indices instead of String_map lookups per tail
-     call, binary-search switch tables, pre-built immediates, and
-     static per-instruction cycle costs accumulated in a local and
-     flushed in bulk.  The flush discipline preserves the exact cycle
-     counts of per-instruction charging at every point where they are
-     observable: before each extern call (externs read the cycle
-     counter to compute simulated time), before each pseudo-instruction
-     (they charge their own traps), and at block exit — including the
-     exceptional exits, where the handler flushes whatever the partial
-     block accumulated.
-
-   - [Baseline] is the pre-optimization interpreter loop, kept
-     executable so the V1 bench can measure before/after from the same
-     build and the equivalence tests can assert the two modes produce
-     identical results AND identical cycle counts.
-
    - [Compiled] (the default) executes the closure-compiled image (see
      Compile): one partial-evaluated closure per fused instruction
-     segment, dispatch loop [st.pc <- code.(st.pc) st].  Same flush
-     discipline, same accounting, same traps — the three-way equivalence
-     suite holds all three modes to identical observable behaviour. *)
+     segment, dispatch loop [st.pc <- code.(st.pc) st].  Static
+     per-instruction cycle costs accumulate in a local and are flushed
+     in bulk.  The flush discipline preserves the exact cycle counts of
+     per-instruction charging at every point where they are observable:
+     before each extern call (externs read the cycle counter to compute
+     simulated time), before each pseudo-instruction (they charge their
+     own traps), and at block exit — including the exceptional exits,
+     where the handler flushes whatever the partial block accumulated.
+
+   - [Baseline] is the per-instruction interpreter loop over the
+     unlinked image, kept as the reference: the V1 bench measures
+     before/after from the same build, and the equivalence tests assert
+     the two modes produce identical results AND identical cycle
+     counts. *)
 
 open Runtime
 
 exception Emulator_error = Compile.Emulator_error
 
-type mode = Fast | Baseline | Compiled
+type mode = Baseline | Compiled
 
 type frame = {
   mutable regs : Value.t array;
@@ -49,17 +43,10 @@ type frame = {
 
 type t = {
   image : Masm.image;
-  linked : Link.image;
-  compiled : Compile.image option;  (* Some exactly when mode = Compiled *)
+  compiled : Compile.image option;  (* None exactly in Baseline mode *)
   cstate : Compile.state;
   proc : Process.t;
   frame : frame;
-  mode : mode;
-  (* per-process resolution of the linked image's function names:
-     [Some (Vfun i)] when the name is in the process's function table,
-     [None] otherwise (resolving then raises Invalid_function at USE
-     time, as the unlinked lookup did) *)
-  fun_values : Value.t option array;
   (* one-entry resolution cache for the dispatch loop, keyed by
      PHYSICAL string equality: a static tail call re-installs the
      linked image's own name into the continuation, so the next step
@@ -73,29 +60,29 @@ type t = {
   mutable instrs : int;
 }
 
-let create ?(mode = Compiled) ?linked ?compiled image proc =
+let create ?(mode = Compiled) ?compiled image proc =
   if not (String.equal image.Masm.im_arch proc.Process.arch.Arch.name) then
     raise
       (Emulator_error
          (Printf.sprintf "image compiled for %s, process runs on %s"
             image.Masm.im_arch proc.Process.arch.Arch.name));
-  (* a supplied compiled image wins (its embedded linked image is the
-     one its closures index into); otherwise compile on demand exactly
-     when the mode needs it *)
+  (* a supplied compiled image is shared as is; otherwise compile on
+     demand exactly when the mode needs it *)
   let compiled =
-    match compiled, mode with
-    | (Some _ as c), _ -> c
-    | None, Compiled ->
-      let linked = match linked with Some l -> l | None -> Link.link image in
-      Some (Compile.compile linked)
-    | None, (Fast | Baseline) -> None
+    match mode, compiled with
+    | Baseline, _ -> None
+    | Compiled, (Some _ as c) -> c
+    | Compiled, None -> Some (Compile.compile_masm image)
   in
   let linked =
-    match compiled, linked with
-    | Some c, _ -> c.Compile.c_linked
-    | None, Some l -> l
-    | None, None -> Link.link image
+    match compiled with
+    | Some c -> c.Compile.c_linked
+    | None -> Link.link image
   in
+  (* per-process resolution of the linked image's function names:
+     [Some (Vfun i)] when the name is in the process's function table,
+     [None] otherwise (resolving then raises Invalid_function at USE
+     time, as the unlinked lookup did) *)
   let fun_values =
     Array.map
       (fun (fn : Link.lfn) ->
@@ -117,7 +104,6 @@ let create ?(mode = Compiled) ?linked ?compiled image proc =
   in
   {
     image;
-    linked;
     compiled;
     (* the compiled state shares the frame's arrays: modes never mix
        within one emulator, and only Baseline re-allocates spills *)
@@ -137,8 +123,6 @@ let create ?(mode = Compiled) ?linked ?compiled image proc =
       };
     proc;
     frame;
-    mode;
-    fun_values;
     last_name = "";
     last_idx = -1;
     instrs = 0;
@@ -308,46 +292,21 @@ let exec_baseline t extern nins =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Fast mode: the pre-resolved loop                                    *)
+(* Compiled mode: the closure-threaded loop                            *)
 (* ------------------------------------------------------------------ *)
 
 (* Resolve a continuation name to its linked function.  The hot case —
    a static tail call that installed the image's own (physically
    shared) name — is one pointer comparison. *)
-let resolve_idx t fname =
+let resolve_idx t (cimg : Compile.image) fname =
   if fname == t.last_name && t.last_idx >= 0 then t.last_idx
   else
-    match Hashtbl.find_opt t.linked.Link.l_index fname with
+    match Hashtbl.find_opt cimg.Compile.c_linked.Link.l_index fname with
     | Some i ->
       t.last_name <- fname;
       t.last_idx <- i;
       i
     | None -> raise (Emulator_error ("no compiled code for " ^ fname))
-
-let resolve t fname = t.linked.Link.l_fns.(resolve_idx t fname)
-
-(* Fetch a resolved operand; the spill cost is in the static cost
-   table, so this is charge-free. *)
-let rop_value t regs spills = function
-  | Link.Rreg r -> (regs : Value.t array).(r)
-  | Link.Rspill s -> (spills : Value.t array).(s)
-  | Link.Rval v -> v
-  | Link.Rfun i -> (
-    match t.fun_values.(i) with
-    | Some v -> v
-    | None ->
-      (* not in the process's function table: raise the same
-         Invalid_function the per-use lookup raised *)
-      Process.fun_value t.proc t.linked.Link.l_fns.(i).Link.l_name)
-  | Link.Rfunname name -> Process.fun_value t.proc name
-
-(* Values of an operand array as a list (continuation arguments, extern
-   arguments, tuple fields): one result list, no intermediate. *)
-let rop_values t regs spills (a : Link.rop array) =
-  let rec go i acc =
-    if i < 0 then acc else go (i - 1) (rop_value t regs spills a.(i) :: acc)
-  in
-  go (Array.length a - 1) []
 
 let flush proc acc =
   if !acc <> 0 then begin
@@ -355,192 +314,18 @@ let flush proc acc =
     acc := 0
   end
 
-(* Execute one basic block against the linked image.  [acc] holds the
-   pending static cycle charges; the caller flushes it on ANY exit. *)
-let exec_fast t extern acc nins =
-  let proc = t.proc in
-  let heap = proc.Process.heap in
-  let fname, args = proc.Process.cont in
-  let fn = resolve t fname in
-  let params = fn.Link.l_params in
-  let nparams = Array.length params in
-  (* single-pass arity check against the parameter array *)
-  let rec count_is l n =
-    match l with
-    | [] -> n = 0
-    | _ :: rest -> n > 0 && count_is rest (n - 1)
-  in
-  if not (count_is args nparams) then
-    raise (Emulator_error (Printf.sprintf "arity mismatch calling %s" fname));
-  let regs = t.frame.regs and spills = t.frame.spills in
-  (* clear only the slots this function can read *)
-  if fn.Link.l_regs_used > 0 then Array.fill regs 0 fn.Link.l_regs_used Value.Vunit;
-  if fn.Link.l_spills > 0 then Array.fill spills 0 fn.Link.l_spills Value.Vunit;
-  (* install parameters (spill traffic pre-folded into l_entry_cost) *)
-  let rec install i = function
-    | [] -> ()
-    | v :: rest ->
-      (match params.(i) with
-      | Masm.Reg r -> regs.(r) <- v
-      | Masm.Spill s -> spills.(s) <- v);
-      install (i + 1) rest
-  in
-  install 0 args;
-  acc := !acc + fn.Link.l_entry_cost;
-  let code = fn.Link.l_code and cost = fn.Link.l_cost in
-  let len = Array.length code in
-  let pc = ref 0 in
-  let running = ref true in
-  while !running do
-    let p = !pc in
-    if p < 0 || p >= len then
-      raise (Emulator_error "program counter out of range");
-    pc := p + 1;
-    incr nins;
-    acc := !acc + cost.(p);
-    match code.(p) with
-    | Link.Lmov (d, a) -> (
-      let v = rop_value t regs spills a in
-      match d with
-      | Masm.Reg r -> regs.(r) <- v
-      | Masm.Spill s -> spills.(s) <- v)
-    | Link.Lbinop (o, d, a, b) -> (
-      let v =
-        Interp.eval_binop o
-          (rop_value t regs spills a)
-          (rop_value t regs spills b)
-      in
-      match d with
-      | Masm.Reg r -> regs.(r) <- v
-      | Masm.Spill s -> spills.(s) <- v)
-    | Link.Lunop (o, d, a) -> (
-      let v = Interp.eval_unop o (rop_value t regs spills a) in
-      match d with
-      | Masm.Reg r -> regs.(r) <- v
-      | Masm.Spill s -> spills.(s) <- v)
-    | Link.Lcast (d, ty, a) -> (
-      let v = Interp.cast_check ty (rop_value t regs spills a) in
-      match d with
-      | Masm.Reg r -> regs.(r) <- v
-      | Masm.Spill s -> spills.(s) <- v)
-    | Link.Ljz (c, target) ->
-      if not (Interp.as_bool (rop_value t regs spills c)) then pc := target
-    | Link.Ljmp target -> pc := target
-    | Link.Lswitch (v, keys, targets, default) ->
-      let n =
-        match rop_value t regs spills v with
-        | Value.Vint n | Value.Venum (_, n) -> n
-        | v ->
-          raise (Interp.Trap ("switch on non-integer " ^ Value.to_string v))
-      in
-      (* binary search over the sorted case keys *)
-      let lo = ref 0 and hi = ref (Array.length keys - 1) in
-      let target = ref default in
-      while !lo <= !hi do
-        let mid = (!lo + !hi) / 2 in
-        let k = Array.unsafe_get keys mid in
-        if k = n then begin
-          target := Array.unsafe_get targets mid;
-          lo := !hi + 1
-        end
-        else if k < n then lo := mid + 1
-        else hi := mid - 1
-      done;
-      pc := !target
-    | Link.Lload (d, p, dyn, k) -> (
-      let idx, off = Interp.as_ptr (rop_value t regs spills p) in
-      let dyn = Interp.as_int (rop_value t regs spills dyn) in
-      let v = Heap.read heap idx (off + dyn + k) in
-      match d with
-      | Masm.Reg r -> regs.(r) <- v
-      | Masm.Spill s -> spills.(s) <- v)
-    | Link.Lstore (p, dyn, k, v) ->
-      let idx, off = Interp.as_ptr (rop_value t regs spills p) in
-      let dyn = Interp.as_int (rop_value t regs spills dyn) in
-      Heap.write heap idx (off + dyn + k) (rop_value t regs spills v)
-    | Link.Lalloc_tuple (d, fields) -> (
-      let idx = Heap.alloc_tuple heap (rop_values t regs spills fields) in
-      match d with
-      | Masm.Reg r -> regs.(r) <- Value.Vptr (idx, 0)
-      | Masm.Spill s -> spills.(s) <- Value.Vptr (idx, 0))
-    | Link.Lalloc_array (d, n, init) -> (
-      let size = Interp.as_int (rop_value t regs spills n) in
-      if size < 0 then raise (Interp.Trap "negative array size");
-      let idx =
-        Heap.alloc heap ~tag:Heap.Array ~size
-          ~init:(rop_value t regs spills init)
-      in
-      match d with
-      | Masm.Reg r -> regs.(r) <- Value.Vptr (idx, 0)
-      | Masm.Spill s -> spills.(s) <- Value.Vptr (idx, 0))
-    | Link.Lalloc_string (d, s) -> (
-      let idx = Heap.alloc_raw heap s in
-      match d with
-      | Masm.Reg r -> regs.(r) <- Value.Vptr (idx, 0)
-      | Masm.Spill s -> spills.(s) <- Value.Vptr (idx, 0))
-    | Link.Lext (d, name, args, post) -> (
-      let args = rop_values t regs spills args in
-      (* the extern observes proc.cycles (simulated time, message
-         stamps): everything charged so far must be visible *)
-      flush proc acc;
-      let v = extern proc name args in
-      acc := !acc + post;
-      match d with
-      | Masm.Reg r -> regs.(r) <- v
-      | Masm.Spill s -> spills.(s) <- v)
-    | Link.Ltail (f, args) ->
-      let callee = rop_value t regs spills f in
-      let args = rop_values t regs spills args in
-      let name = Process.fun_name proc callee in
-      proc.Process.cont <- name, args;
-      running := false
-    | Link.Lexit v ->
-      proc.Process.status <-
-        Process.Exited (Interp.as_int (rop_value t regs spills v));
-      running := false
-    | Link.Lmigrate (label, dst, f, args) ->
-      let target = Interp.target_string proc (rop_value t regs spills dst) in
-      let entry = Process.fun_name proc (rop_value t regs spills f) in
-      let args = rop_values t regs spills args in
-      flush proc acc;
-      Process.do_migrate proc ~label ~target ~entry ~args;
-      running := false
-    | Link.Lspeculate (f, args) ->
-      let entry = Process.fun_name proc (rop_value t regs spills f) in
-      let args = rop_values t regs spills args in
-      flush proc acc;
-      Process.do_speculate proc ~entry ~args;
-      running := false
-    | Link.Lcommit (l, f, args) ->
-      let level = Interp.as_int (rop_value t regs spills l) in
-      let entry = Process.fun_name proc (rop_value t regs spills f) in
-      let args = rop_values t regs spills args in
-      flush proc acc;
-      Process.do_commit proc ~level ~entry ~args;
-      running := false
-    | Link.Lrollback (l, c) ->
-      let level = Interp.as_int (rop_value t regs spills l) in
-      let code = Interp.as_int (rop_value t regs spills c) in
-      flush proc acc;
-      Process.do_rollback proc ~level ~code;
-      running := false
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Compiled mode: the closure-threaded loop                            *)
-(* ------------------------------------------------------------------ *)
-
 (* Execute one basic block of the closure-compiled image.  Block entry
-   (resolve, arity check, frame clear, parameter install, entry cost)
-   mirrors [exec_fast]; the instruction loop is pure dispatch.  The
+   resolves the continuation, checks its arity, clears the frame,
+   installs the parameters and charges the entry cost; the instruction
+   loop is pure dispatch.  The
    [unsafe_get] is safe by construction: Compile only ever emits next
    pcs inside [0, len] (out-of-range static targets are remapped to the
    raising sentinel at [len]), and negative returns exit the loop. *)
 let exec_compiled t (cimg : Compile.image) extern acc nins =
   let proc = t.proc in
   let fname, args = proc.Process.cont in
-  let idx = resolve_idx t fname in
-  let fn = t.linked.Link.l_fns.(idx) in
+  let idx = resolve_idx t cimg fname in
+  let fn = cimg.Compile.c_linked.Link.l_fns.(idx) in
   let params = fn.Link.l_params in
   let nparams = Array.length params in
   let rec count_is l n =
@@ -553,8 +338,8 @@ let exec_compiled t (cimg : Compile.image) extern acc nins =
   let st = t.cstate in
   let regs = st.Compile.regs and spills = st.Compile.spills in
   let cfn = cimg.Compile.c_fns.(idx) in
-  (* definite-assignment analysis shrank the Fast-mode window fills to
-     the slots that may actually be read before being written *)
+  (* definite-assignment analysis shrank the frame clear to the slots
+     that may actually be read before being written *)
   let clr = cfn.Compile.cf_clear_regs in
   for i = 0 to Array.length clr - 1 do
     regs.(Array.unsafe_get clr i) <- Value.Vunit
@@ -605,13 +390,9 @@ let step ?(extern = Extern.base) t =
     let acc = ref 0 in
     let nins = ref 0 in
     match
-      match t.mode with
-      | Compiled -> (
-        match t.compiled with
-        | Some c -> exec_compiled t c extern acc nins
-        | None -> assert false (* create establishes the invariant *))
-      | Fast -> exec_fast t extern acc nins
-      | Baseline -> exec_baseline t extern nins
+      match t.compiled with
+      | Some c -> exec_compiled t c extern acc nins
+      | None -> exec_baseline t extern nins
     with
     | () ->
       flush proc acc;

@@ -10,27 +10,20 @@ exception Emulator_error of string
 (** [Compiled] (the default) executes the closure-compiled image (see
     {!Compile}): one partial-evaluated closure per fused instruction
     segment, dispatch loop [st.pc <- code.(st.pc) st].
-    [Fast] executes the pre-resolved image (see {!Link}).
-    [Baseline] keeps the pre-optimization per-instruction loop
-    executable, so the V1 bench measures the whole ladder from one
-    build and the equivalence tests can assert all three modes produce
-    identical results and identical cycle counts. *)
-type mode = Fast | Baseline | Compiled
+    [Baseline] is the per-instruction reference loop over the unlinked
+    image, so the V1 bench measures before/after from one build and the
+    equivalence tests can assert both modes produce identical results
+    and identical cycle counts. *)
+type mode = Baseline | Compiled
 
 type t
 
 val create :
-  ?mode:mode ->
-  ?linked:Link.image ->
-  ?compiled:Compile.image ->
-  Masm.image ->
-  Process.t ->
-  t
-(** [linked] (resp. [compiled]) shares a pre-resolved (resp.
-    closure-compiled) image — e.g. from the recompilation cache —
-    instead of translating [image] here.  A supplied [compiled] image
-    also provides the linked form it embeds; [Compiled] mode compiles on
-    demand when none is given.
+  ?mode:mode -> ?compiled:Compile.image -> Masm.image -> Process.t -> t
+(** [compiled] shares a closure-compiled image of [image] — e.g. from
+    the recompilation cache — instead of compiling it here; [Compiled]
+    mode compiles on demand when none is given, and [Baseline] ignores
+    it.
     @raise Emulator_error if the image's architecture does not match the
     process's (cross-architecture execution requires recompilation). *)
 

@@ -1,4 +1,5 @@
-(** Pre-resolved MASM images: the emulator's fast execution format.
+(** Pre-resolved MASM images: the form {!Compile} translates into
+    closures.
 
     [link] runs a one-time resolution pass over a {!Masm.image} and
     produces a shareable, process-independent representation in which
@@ -17,9 +18,9 @@
       [l_cost], so the emulator charges a block with one addition per
       instruction and a single {!Process.charge_cycles} flush.
 
-    A linked image is immutable and carries no process state, so it can
-    be cached alongside the compiled image (see [Migrate.Codecache]) and
-    shared by every emulator instance executing that program on that
+    A linked image is immutable and carries no process state, so the
+    compiled image that embeds it (see [Migrate.Codecache]) is shared by
+    every emulator instance executing that program on that
     architecture. *)
 
 open Runtime

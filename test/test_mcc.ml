@@ -152,21 +152,19 @@ let test_grid_recovers_from_failure () =
     "post-recovery result matches the golden model" golden
     (all_checksums d failure_config);
   (* the recovery machinery actually fired *)
-  let events = Net.Cluster.events cluster in
-  let has sub =
+  let has p =
     List.exists
-      (fun e ->
-        let rec find i =
-          i + String.length sub <= String.length e
-          && (String.equal (String.sub e i (String.length sub)) sub
-             || find (i + 1))
-        in
-        find 0)
-      events
+      (fun e -> p e.Obs.Trace.kind)
+      (Obs.Trace.timeline (Net.Cluster.trace cluster))
   in
-  check "node failure logged" true (has "FAILED");
-  check "resurrection logged" true (has "resurrected");
-  check "survivors rolled back" true (has "forced rollback")
+  check "node failure logged" true
+    (has (function Obs.Trace.Node_fail -> true | _ -> false));
+  check "resurrection logged" true
+    (has (function Obs.Trace.Resurrect { ok; _ } -> ok | _ -> false));
+  check "survivors rolled back" true
+    (has (function
+      | Obs.Trace.Forced_rollback { level } -> level >= 0
+      | _ -> false))
 
 let test_grid_failure_without_checkpoints_is_fatal () =
   (* without the primitives there is no recovery: the survivors see

@@ -415,8 +415,8 @@ let test_emulator_traps_match () =
           ]);
     ]
 
-(* The Fast (pre-resolved) and Compiled (closure-compiled) modes must be
-   OBSERVABLY identical to the Baseline per-instruction loop: same
+(* The Compiled (closure-compiled) mode must be OBSERVABLY identical to
+   the Baseline per-instruction loop: same
    status (including trap messages and migration targets), same output,
    same retired-instruction count, and — because externs read cycles
    mid-block — the same final cycle count, on every program and both
@@ -510,23 +510,19 @@ let test_emulator_modes_equivalent () =
           status, proc, Vm.Emulator.instructions emu
         in
         let st_b, proc_b, instrs_b = run Vm.Emulator.Baseline in
-        List.iter
-          (fun (mname, mode) ->
-            let label what =
-              Printf.sprintf "%s on %s (%s): %s" name arch.Vm.Arch.name
-                mname what
-            in
-            let st_m, proc_m, instrs_m = run mode in
-            check_str (label "status") (status_repr st_b) (status_repr st_m);
-            check_str (label "output")
-              (Vm.Process.output proc_b)
-              (Vm.Process.output proc_m);
-            check_int (label "instructions") instrs_b instrs_m;
-            check_int (label "steps") proc_b.Vm.Process.steps
-              proc_m.Vm.Process.steps;
-            check_int (label "cycles") proc_b.Vm.Process.cycles
-              proc_m.Vm.Process.cycles)
-          [ "fast", Vm.Emulator.Fast; "compiled", Vm.Emulator.Compiled ])
+        let st_c, proc_c, instrs_c = run Vm.Emulator.Compiled in
+        let label what =
+          Printf.sprintf "%s on %s: %s" name arch.Vm.Arch.name what
+        in
+        check_str (label "status") (status_repr st_b) (status_repr st_c);
+        check_str (label "output")
+          (Vm.Process.output proc_b)
+          (Vm.Process.output proc_c);
+        check_int (label "instructions") instrs_b instrs_c;
+        check_int (label "steps") proc_b.Vm.Process.steps
+          proc_c.Vm.Process.steps;
+        check_int (label "cycles") proc_b.Vm.Process.cycles
+          proc_c.Vm.Process.cycles)
       Vm.Arch.all
   in
   List.iter (fun (name, p, _) -> check_program name p) all_programs;
@@ -667,7 +663,7 @@ let suites =
         Alcotest.test_case "output matches" `Quick
           test_emulator_output_matches;
         Alcotest.test_case "traps match" `Quick test_emulator_traps_match;
-        Alcotest.test_case "fast mode = baseline mode" `Quick
+        Alcotest.test_case "compiled mode = baseline mode" `Quick
           test_emulator_modes_equivalent;
         Alcotest.test_case "migration from compiled code" `Quick
           test_emulator_migration;
