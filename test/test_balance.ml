@@ -15,24 +15,7 @@
    Fault-plan scenarios take their seed from MCC_FAULT_SEED when set,
    so CI can run the suite under several seeds. *)
 
-
-let check = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
-
-let env_seed =
-  match Sys.getenv_opt "MCC_FAULT_SEED" with
-  | Some s -> ( try int_of_string (String.trim s) with Failure _ -> 11)
-  | None -> 11
-
-let compile_c src =
-  match Minic.Driver.compile src with
-  | Ok fir -> fir
-  | Error e -> Alcotest.failf "C compile: %s" (Minic.Driver.error_to_string e)
-
-let status_of cluster pid =
-  match Net.Cluster.entry_of_pid cluster pid with
-  | Some e -> e.Net.Cluster.proc.Vm.Process.status
-  | None -> Alcotest.failf "pid %d lost" pid
+open Kit
 
 (* ------------------------------------------------------------------ *)
 (* Planner units                                                       *)
@@ -361,14 +344,7 @@ int main() {
 (* One mid-run migration of a compute worker under a loss/dup plan,
    driven with a given reason; returns the full event trace. *)
 let running_trace ~seed reason =
-  let cluster =
-    Net.Cluster.create_cfg
-      { Net.Cluster.Config.default with
-        node_count = 2;
-        seed;
-        net = Some (Net.Simnet.create ~latency_us:5.0 ());
-        faults = lossy_plan seed }
-  in
+  let cluster = mk_cluster ~nodes:2 ~seed (lossy_plan seed) in
   let pid = Net.Cluster.spawn cluster ~node_id:0 crunch_worker in
   let _ = Net.Cluster.run cluster ~max_rounds:25 in
   (match
@@ -468,15 +444,7 @@ let test_equivalence_image () =
    with reason Rehome vs Explicit under a loss/dup plan: byte-identical
    traces and a completed run either way. *)
 let serve_trace ~seed reason =
-  let cluster =
-    Net.Cluster.create_cfg
-      { Net.Cluster.Config.default with
-        node_count = 3;
-        seed;
-        net = Some (Net.Simnet.create ~latency_us:5.0 ());
-        faults = lossy_plan seed;
-        forward_ttl_s = 0.25 }
-  in
+  let cluster = mk_cluster ~seed (lossy_plan seed) in
   let cfg =
     { Mcc.Gridapp.Serve.clients = 3; services = 2; requests_per_client = 30;
       work_us = 20; skew = false; speculative = false }

@@ -5,9 +5,7 @@
 
 open Fir
 
-let check = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
-let check_str = Alcotest.(check string)
+open Kit
 
 (* the migrating workload and driver from the migration tests *)
 let migrating_sum = Test_migrate.migrating_sum

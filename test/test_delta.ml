@@ -8,13 +8,7 @@
 
 open Runtime
 
-let check = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
-
-let compile_c src =
-  match Minic.Driver.compile src with
-  | Ok fir -> fir
-  | Error e -> Alcotest.failf "C compile: %s" (Minic.Driver.error_to_string e)
+open Kit
 
 (* ------------------------------------------------------------------ *)
 (* Compact value codec: varint / float-bits edges                      *)
@@ -389,14 +383,7 @@ let faulty_delta_bounce seed =
       f_dup = 0.25;
       f_retransmit_s = 0.002 }
   in
-  let cluster =
-    Net.Cluster.create_cfg
-      { Net.Cluster.Config.default with
-        node_count = 2;
-        seed;
-        net = Some (Net.Simnet.create ~latency_us:5.0 ());
-        faults = plan }
-  in
+  let cluster = mk_cluster ~nodes:2 ~seed plan in
   let pid =
     Net.Cluster.spawn cluster ~node_id:0 (compile_c bouncing_worker)
   in

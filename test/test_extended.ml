@@ -6,32 +6,7 @@
 
 open Runtime
 
-let check = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
-
-let compile_c src =
-  match Minic.Driver.compile src with
-  | Ok fir -> fir
-  | Error e -> Alcotest.failf "C compile: %s" (Minic.Driver.error_to_string e)
-
-let status_of cluster pid =
-  match Net.Cluster.entry_of_pid cluster pid with
-  | Some e -> e.Net.Cluster.proc.Vm.Process.status
-  | None -> Alcotest.failf "pid %d lost" pid
-
-(* Explicit test migrations go through the unified move API; unwrap the
-   outcome back to the report shape the assertions read. *)
-let move_running cluster ~pid ~node_id =
-  match
-    Net.Cluster.move cluster
-      (Net.Cluster.Move.request ~reason:Net.Cluster.Move.Explicit
-         (Net.Cluster.Move.Running pid) ~dest:node_id)
-  with
-  | Ok { Net.Cluster.Move.mv_report = Some rep; _ } -> Ok rep
-  | Ok { Net.Cluster.Move.mv_report = None; _ } ->
-    Alcotest.fail "Running-subject move returned no report"
-  | Error e -> Error e
-
+open Kit
 
 (* ------------------------------------------------------------------ *)
 (* Discrete-event scheduling                                           *)
@@ -504,12 +479,7 @@ let prop_grid_matches_golden =
           interval = (if timesteps > 2 then 2 else 0); work_us_per_step = 0 }
       in
       let golden = Mcc.Gridapp.golden_checksums config in
-      let cluster =
-        Net.Cluster.create_cfg
-          { Net.Cluster.Config.default with
-            node_count = ranks;
-            net = Some (Net.Simnet.create ~latency_us:5.0 ()) }
-      in
+      let cluster = mk_cluster ~nodes:ranks Net.Faults.none in
       let d = Mcc.Gridapp.deploy cluster config in
       let _ = Mcc.Gridapp.run d in
       Array.for_all2

@@ -3,9 +3,7 @@
 
 open Fir
 
-let check = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
-let check_str = Alcotest.(check string)
+open Kit
 
 (* ------------------------------------------------------------------ *)
 (* Types                                                               *)

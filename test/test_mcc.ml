@@ -1,7 +1,6 @@
 (* Tests for the MCC facade and the Figure 2 grid application. *)
 
-let check = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
+open Kit
 
 (* ------------------------------------------------------------------ *)
 (* Api                                                                 *)

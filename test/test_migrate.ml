@@ -6,9 +6,7 @@
 open Fir
 open Runtime
 
-let check = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
-let check_str = Alcotest.(check string)
+open Kit
 
 let exit_code = function
   | Vm.Process.Exited n -> n

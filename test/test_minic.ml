@@ -2,9 +2,7 @@
    lowering, execution on both engines, the speculation/migration
    builtins, and interop with the simulated cluster. *)
 
-let check = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
-let check_str = Alcotest.(check string)
+open Kit
 
 let compile src =
   match Minic.Driver.compile src with

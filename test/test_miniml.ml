@@ -3,9 +3,7 @@
    language-neutrality of the FIR (ML images serialize and migrate
    exactly like C ones). *)
 
-let check = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
-let check_str = Alcotest.(check string)
+open Kit
 
 let compile src =
   match Miniml.Driver.compile src with

@@ -6,8 +6,7 @@
 open Fir
 open Runtime
 
-let check = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
+open Kit
 
 (* ------------------------------------------------------------------ *)
 (* Simnet                                                              *)
@@ -178,11 +177,6 @@ let test_mailbox_fifo_burst () =
 let exit_program n =
   Builder.(prog [ func "main" [] (fun _ -> exit_ (int n)) ])
 
-let status_of_pid cluster pid =
-  match Net.Cluster.entry_of_pid cluster pid with
-  | Some e -> e.Net.Cluster.proc.Vm.Process.status
-  | None -> Alcotest.failf "no pid %d" pid
-
 let test_cluster_runs_to_exit () =
   let cluster = Net.Cluster.create_cfg { Net.Cluster.Config.default with node_count = 2 } in
   let pid1 = Net.Cluster.spawn cluster ~node_id:0 (exit_program 7) in
@@ -191,9 +185,9 @@ let test_cluster_runs_to_exit () =
   in
   let _ = Net.Cluster.run cluster in
   check "interp process exited" true
-    (status_of_pid cluster pid1 = Vm.Process.Exited 7);
+    (status_of cluster pid1 = Vm.Process.Exited 7);
   check "emulated process exited" true
-    (status_of_pid cluster pid2 = Vm.Process.Exited 8);
+    (status_of cluster pid2 = Vm.Process.Exited 8);
   check "time advanced" true (Net.Cluster.now cluster > 0.0)
 
 (* rank 0 sends [10;20;30] to rank 1; rank 1 polls, sums, exits 60 *)
@@ -240,9 +234,9 @@ let test_cluster_message_passing () =
   in
   let send_pid = Net.Cluster.spawn cluster ~rank:0 ~node_id:0 sender_program in
   let _ = Net.Cluster.run cluster in
-  check "sender ok" true (status_of_pid cluster send_pid = Vm.Process.Exited 0);
+  check "sender ok" true (status_of cluster send_pid = Vm.Process.Exited 0);
   check "receiver summed the payload" true
-    (status_of_pid cluster recv_pid = Vm.Process.Exited 60)
+    (status_of cluster recv_pid = Vm.Process.Exited 60)
 
 let test_cluster_send_to_nowhere () =
   let cluster = Net.Cluster.create_cfg { Net.Cluster.Config.default with node_count = 1 } in
@@ -250,7 +244,7 @@ let test_cluster_send_to_nowhere () =
   let pid = Net.Cluster.spawn cluster ~rank:0 ~node_id:0 sender_program in
   let _ = Net.Cluster.run cluster in
   check "send to unknown rank fails" true
-    (status_of_pid cluster pid = Vm.Process.Exited (-1))
+    (status_of cluster pid = Vm.Process.Exited (-1))
 
 let test_cluster_typechecks_against_externs () =
   check "cluster programs typecheck against the extern registry" true
@@ -308,7 +302,7 @@ let test_cluster_migrate () =
   let _ = Net.Cluster.run cluster in
   (* the source process terminated by migration *)
   check "source exited" true
-    (status_of_pid cluster pid = Vm.Process.Exited 0);
+    (status_of cluster pid = Vm.Process.Exited 0);
   (* its successor finished the computation on node1 under the same rank *)
   (match Net.Cluster.entry_of_rank cluster 3 with
   | Some e ->
@@ -334,7 +328,7 @@ let test_cluster_migrate_to_dead_node () =
   let _ = Net.Cluster.run cluster in
   (* failed migration is invisible: the process continued locally *)
   check "continued locally" true
-    (status_of_pid cluster pid = Vm.Process.Exited 105)
+    (status_of cluster pid = Vm.Process.Exited 105)
 
 let test_cluster_checkpoint_and_resurrect () =
   let cluster = Net.Cluster.create_cfg { Net.Cluster.Config.default with node_count = 3 } in
@@ -367,14 +361,14 @@ let test_cluster_checkpoint_and_resurrect () =
   check "checkpoint file exists" true
     (Net.Storage.exists (Net.Cluster.storage cluster) "ck");
   check "process kept running after checkpoint" true
-    (match status_of_pid cluster pid with
+    (match status_of cluster pid with
     | Vm.Process.Running -> true
     | Vm.Process.Exited 41 -> true (* if it got far *)
     | _ -> false);
   (* kill the node, resurrect from the checkpoint elsewhere *)
   Net.Cluster.fail_node cluster 0;
   check "victim trapped" true
-    (match status_of_pid cluster pid with
+    (match status_of cluster pid with
     | Vm.Process.Trapped _ -> true
     | _ -> false);
   (match Net.Cluster.resurrect cluster ~rank:0 ~node_id:2 ~path:"ck" with
@@ -382,7 +376,7 @@ let test_cluster_checkpoint_and_resurrect () =
   | Ok new_pid ->
     let _ = Net.Cluster.run cluster in
     check "resurrected process completed" true
-      (status_of_pid cluster new_pid = Vm.Process.Exited 41));
+      (status_of cluster new_pid = Vm.Process.Exited 41));
   (* resurrection on a dead node is refused *)
   match Net.Cluster.resurrect cluster ~node_id:0 ~path:"ck" with
   | Error _ -> ()
@@ -396,7 +390,7 @@ let test_cluster_suspend () =
   in
   let _ = Net.Cluster.run cluster in
   check "suspend terminates the process" true
-    (status_of_pid cluster pid = Vm.Process.Exited 0);
+    (status_of cluster pid = Vm.Process.Exited 0);
   check "suspend image written" true
     (Net.Storage.exists (Net.Cluster.storage cluster) "s1");
   (* the suspended image is resumable *)
@@ -405,7 +399,7 @@ let test_cluster_suspend () =
   | Ok new_pid ->
     let _ = Net.Cluster.run cluster in
     check "suspended process resumed and finished" true
-      (status_of_pid cluster new_pid = Vm.Process.Exited 105)
+      (status_of cluster new_pid = Vm.Process.Exited 105)
 
 (* ------------------------------------------------------------------ *)
 (* Failure + MSG_ROLL                                                  *)
@@ -483,7 +477,7 @@ let test_fail_node_wakes_only_related_parked () =
     (entry unrelated).Net.Cluster.proc.Vm.Process.waiting;
   Net.Cluster.fail_node cluster 0;
   check "victim trapped" true
-    (match status_of_pid cluster victim with
+    (match status_of cluster victim with
     | Vm.Process.Trapped _ -> true
     | _ -> false);
   (* the related watcher was woken by the roll notice ... *)
@@ -496,10 +490,10 @@ let test_fail_node_wakes_only_related_parked () =
     ((entry unrelated).Net.Cluster.parked_on = Some (2, 0));
   let _ = Net.Cluster.run cluster ~max_rounds:50 in
   check "related watcher observed MSG_ROLL" true
-    (status_of_pid cluster related = Vm.Process.Exited 222);
+    (status_of cluster related = Vm.Process.Exited 222);
   (* the unrelated watcher's source is alive: still polling, no roll *)
   check "unrelated watcher never saw a roll" true
-    (match status_of_pid cluster unrelated with
+    (match status_of cluster unrelated with
     | Vm.Process.Running -> true
     | _ -> false)
 
@@ -515,7 +509,7 @@ let test_migration_to_dead_target_single_copy () =
   in
   let _ = Net.Cluster.run cluster in
   check "source observed migration_failed and continued locally" true
-    (status_of_pid cluster pid = Vm.Process.Exited 105);
+    (status_of cluster pid = Vm.Process.Exited 105);
   (* no successor entry was ever created: one process, not two *)
   check_int "exactly one process entry" 1
     (List.length (Net.Cluster.statuses cluster));
@@ -539,7 +533,7 @@ let test_migration_leaves_single_live_copy () =
   in
   let _ = Net.Cluster.run cluster in
   check "source terminated" true
-    (status_of_pid cluster pid = Vm.Process.Exited 0);
+    (status_of cluster pid = Vm.Process.Exited 0);
   let live =
     List.filter
       (fun (_, _, _, status) ->
@@ -560,11 +554,11 @@ let test_msg_roll_on_failure () =
   Net.Cluster.fail_node cluster 0;
   let _ = Net.Cluster.run cluster ~max_rounds:50 in
   check "victim trapped" true
-    (match status_of_pid cluster victim with
+    (match status_of cluster victim with
     | Vm.Process.Trapped _ -> true
     | _ -> false);
   check "watcher observed MSG_ROLL" true
-    (status_of_pid cluster watcher = Vm.Process.Exited 222)
+    (status_of cluster watcher = Vm.Process.Exited 222)
 
 (* ------------------------------------------------------------------ *)
 (* Distributed speculation join                                        *)
@@ -668,11 +662,11 @@ let test_speculation_join_cascade () =
   let _ = Net.Cluster.run cluster ~max_rounds:5000 in
   (* sender retried and saw its own write undone *)
   check "sender rolled back and retried" true
-    (status_of_pid cluster sender = Vm.Process.Exited 100);
+    (status_of cluster sender = Vm.Process.Exited 100);
   (* receiver was cascaded: its own speculative write was undone and it
      re-entered its speculation with a rollback code *)
   check "receiver rolled back with the sender" true
-    (status_of_pid cluster receiver = Vm.Process.Exited 300)
+    (status_of cluster receiver = Vm.Process.Exited 300)
 
 (* ------------------------------------------------------------------ *)
 (* Observability: the cluster trace                                    *)
@@ -693,7 +687,7 @@ let test_cluster_trace () =
   let _ = Net.Cluster.run cluster ~max_rounds:100 in
   ignore victim;
   check "watcher rolled" true
-    (status_of_pid cluster watcher = Vm.Process.Exited 222);
+    (status_of cluster watcher = Vm.Process.Exited 222);
   let tr = Net.Cluster.trace cluster in
   let timeline = Obs.Trace.timeline tr in
   check "trace non-empty" true (timeline <> []);

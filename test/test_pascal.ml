@@ -2,9 +2,7 @@
    Pascal's implicit real promotion and result-variable functions),
    rejection, both engines, the MCC primitives, and migration. *)
 
-let check = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
-let check_str = Alcotest.(check string)
+open Kit
 
 let compile src =
   match Pascal.Driver.compile src with

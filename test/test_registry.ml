@@ -12,27 +12,7 @@
 
 open Runtime
 
-let check = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
-
-(* Explicit test migrations go through the unified move API; unwrap the
-   outcome back to the report shape the assertions read. *)
-let move_running cluster ~pid ~node_id =
-  match
-    Net.Cluster.move cluster
-      (Net.Cluster.Move.request ~reason:Net.Cluster.Move.Explicit
-         (Net.Cluster.Move.Running pid) ~dest:node_id)
-  with
-  | Ok { Net.Cluster.Move.mv_report = Some rep; _ } -> Ok rep
-  | Ok { Net.Cluster.Move.mv_report = None; _ } ->
-    Alcotest.fail "Running-subject move returned no report"
-  | Error e -> Error e
-
-
-let env_seed =
-  match Sys.getenv_opt "MCC_FAULT_SEED" with
-  | Some s -> ( try int_of_string (String.trim s) with Failure _ -> 11)
-  | None -> 11
+open Kit
 
 (* ------------------------------------------------------------------ *)
 (* Mailbox: two-list FIFO discipline                                   *)

@@ -2,8 +2,7 @@
 
 open Runtime
 
-let check = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
+open Kit
 
 (* ------------------------------------------------------------------ *)
 (* Pointer table                                                       *)

@@ -4,8 +4,7 @@
 
 open Runtime
 
-let check = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
+open Kit
 
 let cont0 = { Spec.Engine.entry = "body"; args = [] }
 

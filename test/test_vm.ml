@@ -7,9 +7,7 @@ open Runtime
 
 module Masm = Vm.Masm
 
-let check = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
-let check_str = Alcotest.(check string)
+open Kit
 
 let exit_code = function
   | Vm.Process.Exited n -> n
