@@ -2070,6 +2070,29 @@ let t1_results () =
       [ t1_run ~seed ~migrate:false; t1_run ~seed ~migrate:true ])
     t1_seeds
 
+(* correctness gates: every run exactly-once; every migrate run landed
+   its moves, relayed through forwarders and rebound its senders (a
+   run whose moves stopped landing would degenerate to the static row
+   and still pass the ratio gate) *)
+let t1_gate samples =
+  let migrates =
+    List.filter (fun s -> String.equal s.t1_mode "migrate") samples
+  in
+  let exact_ok = List.for_all (fun s -> s.t1_exact) samples in
+  let moves_ok =
+    List.for_all
+      (fun s -> s.t1_report.Mcc.Gridapp.Serve.rp_migrations > 0)
+      migrates
+  in
+  let rebind_ok =
+    List.for_all
+      (fun s ->
+        s.t1_report.Mcc.Gridapp.Serve.rp_forwarded > 0
+        && s.t1_report.Mcc.Gridapp.Serve.rp_rebinds > 0)
+      migrates
+  in
+  (exact_ok, moves_ok, rebind_ok)
+
 let t1 () =
   section "T1: request serving under live-traffic migration (registry)";
   Printf.printf
@@ -2101,22 +2124,7 @@ let t1 () =
   write_lines "BENCH_t1.json" rows;
   Printf.printf "\n  wrote BENCH_t1.json\n";
   print_newline ();
-  let migrates =
-    List.filter (fun s -> String.equal s.t1_mode "migrate") samples
-  in
-  let exact_ok = List.for_all (fun s -> s.t1_exact) samples in
-  let moves_ok =
-    List.for_all
-      (fun s -> s.t1_report.Mcc.Gridapp.Serve.rp_migrations > 0)
-      migrates
-  in
-  let rebind_ok =
-    List.for_all
-      (fun s ->
-        s.t1_report.Mcc.Gridapp.Serve.rp_forwarded > 0
-        && s.t1_report.Mcc.Gridapp.Serve.rp_rebinds > 0)
-      migrates
-  in
+  let exact_ok, moves_ok, rebind_ok = t1_gate samples in
   verdict
     (Printf.sprintf "every request served exactly once (%d runs, 2 seeds)"
        (List.length samples))
@@ -2358,52 +2366,6 @@ type f5_sample = {
   f5_audit_ok : bool;
 }
 
-(* Zero-partial-commit audit over the trace window: no transaction both
-   commits and aborts; every abort decided by a live coordinator is
-   followed by that coordinator's own region rollback and by mailbox
-   compensation for the transaction.  (The ring keeps the newest
-   window; an abort whose evidence predates the window is dropped with
-   the abort itself, so the audit stays sound under truncation.) *)
-let f5_audit events =
-  let committed = Hashtbl.create 64 and aborted = Hashtbl.create 64 in
-  List.iter
-    (fun (ev : Obs.Trace.event) ->
-      match ev.Obs.Trace.kind with
-      | Obs.Trace.Dspec_commit { txn; _ } -> Hashtbl.replace committed txn ()
-      | Obs.Trace.Dspec_abort { txn; _ } -> Hashtbl.replace aborted txn ()
-      | _ -> ())
-    events;
-  let disjoint =
-    Hashtbl.fold
-      (fun txn () ok -> ok && not (Hashtbl.mem committed txn))
-      aborted true
-  in
-  let aborts_resolved =
-    List.for_all
-      (fun (ev : Obs.Trace.event) ->
-        match ev.Obs.Trace.kind with
-        | Obs.Trace.Dspec_abort { txn; reason; _ }
-          when reason = "fence" || reason = "crash_in_commit" ->
-          List.exists
-            (fun (e2 : Obs.Trace.event) ->
-              e2.Obs.Trace.pid = ev.Obs.Trace.pid
-              && e2.Obs.Trace.time >= ev.Obs.Trace.time
-              &&
-              match e2.Obs.Trace.kind with
-              | Obs.Trace.Spec_rollback _ -> true
-              | _ -> false)
-            events
-          && List.exists
-               (fun (e2 : Obs.Trace.event) ->
-                 match e2.Obs.Trace.kind with
-                 | Obs.Trace.Dspec_compensate { txn = x; _ } -> x = txn
-                 | _ -> false)
-               events
-        | _ -> true)
-      events
-  in
-  disjoint && aborts_resolved
-
 let f5_run ~seed ~speculative =
   let cluster =
     Net.Cluster.create_cfg
@@ -2435,7 +2397,11 @@ let f5_run ~seed ~speculative =
     f5_aborts = c "dspec.aborts";
     f5_fences = c "dspec.fence_rejections";
     f5_compensated = c "dspec.compensated";
-    f5_audit_ok = f5_audit (Obs.Trace.events (Net.Cluster.trace cluster)) }
+    (* zero partial commits over the trace window (see Obs.Audit) *)
+    f5_audit_ok =
+      Result.is_ok
+        (Obs.Audit.partial_commits
+           (Obs.Trace.events (Net.Cluster.trace cluster))) }
 
 let f5_row s =
   let r = s.f5_report in
@@ -2631,29 +2597,28 @@ let perfcheck () =
     List.concat_map (fun (_, rows, _, _, _, _) -> rows) (v1_results ())
   in
   write_lines "BENCH_v1.json" v1_rows;
+  (* every correctness gate of the standalone t1/t2/f5 runs holds on
+     the fresh samples before any ratio is compared *)
+  let require name ok =
+    if not ok then begin
+      Printf.printf "  %s: correctness gate violated in fresh run [FAIL]\n"
+        name;
+      exit 1
+    end
+  in
   let t1_samples = t1_results () in
-  if not (List.for_all (fun s -> s.t1_exact) t1_samples) then begin
-    Printf.printf "  t1: exactly-once violated in fresh run [FAIL]\n";
-    exit 1
-  end;
+  let t1_exact, t1_moved, t1_rebound = t1_gate t1_samples in
+  require "t1" (t1_exact && t1_moved && t1_rebound);
   let t1_rows = List.map t1_row t1_samples in
   write_lines "BENCH_t1.json" t1_rows;
   let t2_samples = t2_results () in
   let t2_exact, t2_moved, t2_off, t2_conv = t2_gate t2_samples in
-  if not (t2_exact && t2_moved && t2_off && t2_conv) then begin
-    Printf.printf
-      "  t2: correctness/convergence gate violated in fresh run [FAIL]\n";
-    exit 1
-  end;
+  require "t2" (t2_exact && t2_moved && t2_off && t2_conv);
   let t2_rows = List.map t2_row t2_samples in
   write_lines "BENCH_t2.json" t2_rows;
   let f5_samples = f5_results () in
   let f5_exact, f5_moved, f5_counters, f5_auditok = f5_gate f5_samples in
-  if not (f5_exact && f5_moved && f5_counters && f5_auditok) then begin
-    Printf.printf
-      "  f5: exactly-once/counter/audit gate violated in fresh run [FAIL]\n";
-    exit 1
-  end;
+  require "f5" (f5_exact && f5_moved && f5_counters && f5_auditok);
   let f5_rows = List.map f5_row f5_samples in
   write_lines "BENCH_f5.json" f5_rows;
   let ok_s1 = check "s1" s1_rows "bench/baselines/BENCH_s1.json" in

@@ -138,15 +138,14 @@ let migration_error_to_string = function
   | Resurrect_failed msg -> msg
 
 (* Typed cluster configuration: one record instead of the optional-
-   argument pile that kept growing on [create].  [retry] is the
-   migration protocol's resilience policy; [faults] the injection plan
-   the whole cluster (delivery, scheduler, storage faults) draws from. *)
+   argument pile that kept growing on [create].  The fields are
+   documented in cluster.mli. *)
 module Config = struct
   type retry = {
-    max_attempts : int; (* total transmissions per migration hop *)
-    hop_timeout_s : float; (* wait before declaring an attempt lost *)
+    max_attempts : int;
+    hop_timeout_s : float;
     backoff_base_s : float;
-    backoff_factor : float; (* base * factor^(attempt-1) between tries *)
+    backoff_factor : float;
   }
 
   let default_retry =
@@ -161,42 +160,17 @@ module Config = struct
     node_count : int;
     arches : Arch.t array;
     trusted : bool;
-    quantum : int;
     seed : int;
     code_cache : int;
     net : Simnet.t option;
-    trace_capacity : int option;
-    retry : retry;
     faults : Faults.plan;
     delta : bool;
-        (* ship deltas over negotiated baselines on repeated migrations,
-           and append incremental checkpoints to an existing chain *)
-    baseline_cache : int; (* retained baselines per daemon; 0 disables *)
+    baseline_cache : int;
     detector : Detector.config option;
-        (* heartbeat failure detection; None (the default) runs the
-           legacy omniscient mode: no beats, no suspicion, no extra RNG
-           draws, traces byte-identical to pre-detector builds *)
     replication : int;
-        (* checkpoint replication factor: 0 (default) = the reliable
-           shared "NFS" store; k >= 1 = k-way replication across
-           node-local stores that die with their node *)
     legacy_scan_sched : bool;
-        (* run the scheduler's pre-index linear scans (every entry
-           visited per node per round) instead of the per-node resident
-           lists.  Semantically identical — the equivalence suite
-           asserts byte-identical traces — and kept executable so the
-           S1 bench measures before/after from one build *)
     forward_ttl_s : float;
-        (* how long a vacated rank keeps forwarding after a registered
-           service migrates away.  Long enough for every active sender
-           to learn the new rank from a Recipient_moved notice; a send
-           arriving later gets the typed MSG_MOVED error and must
-           re-resolve through the registry *)
     balance : Balance.Config.t;
-        (* the load-aware placement policy engine (disabled by
-           default): samples per-node load gauges every period and
-           migrates hot registered services through [move] with reason
-           [Policy] *)
   }
 
   let default =
@@ -204,12 +178,9 @@ module Config = struct
       node_count = 4;
       arches = [| Arch.cisc32 |];
       trusted = false;
-      quantum = 64;
       seed = 1;
       code_cache = 16;
       net = None;
-      trace_capacity = None;
-      retry = default_retry;
       faults = Faults.none;
       delta = true;
       baseline_cache = 4;
@@ -241,7 +212,6 @@ module Move = struct
     mv_subject : subject;
     mv_dest : int; (* destination node id *)
     mv_reason : reason;
-    mv_retry : Config.retry option; (* None = the cluster's policy *)
   }
 
   type outcome = {
@@ -249,9 +219,8 @@ module Move = struct
     mv_report : migration_report option; (* None for [Image] subjects *)
   }
 
-  let request ?retry ~reason subject ~dest =
-    { mv_subject = subject; mv_dest = dest; mv_reason = reason;
-      mv_retry = retry }
+  let request ~reason subject ~dest =
+    { mv_subject = subject; mv_dest = dest; mv_reason = reason }
 end
 
 (* Incremental-checkpoint chain state for one storage path: the image the
@@ -267,6 +236,9 @@ type ckpt_chain = {
    every segment, so unbounded chains would trade write bytes for
    unbounded recovery time. *)
 let max_chain_len = 8
+
+(* Interpreter/emulator steps a process runs per scheduling turn. *)
+let quantum = 64
 
 type t = {
   nodes : node array;
@@ -287,7 +259,7 @@ type t = {
      forwarding stubs).  Unranked processes get private mailboxes. *)
   rank_mailboxes : (int, Mpi.mailbox) Hashtbl.t;
   (* the process registry: laddr -> current rank, plus the bounded-TTL
-     forwarders left on vacated ranks (ROADMAP item 1) *)
+     forwarders left on vacated ranks *)
   registry : Registry.t;
   (* fresh ranks for re-homed services, far above user-assigned ones *)
   mutable next_dyn_rank : int;
@@ -300,9 +272,7 @@ type t = {
   dspec : Dspec.t;
   mutable next_pid : int;
   trusted : bool;
-  quantum : int;
   scan_sched : bool; (* legacy linear-scan scheduler (see Config) *)
-  retry : Config.retry;
   faults : Faults.t;
   mutable hop_seq : int; (* envelope id generator for migration hops *)
   obj_store : (int, Bytes.t) Hashtbl.t; (* Figure 1's account objects *)
@@ -319,8 +289,7 @@ type t = {
   mutable migrations : migration_record list;
   (* observability: the typed event trace and the metrics registry.
      Events carry SIMULATED time; counters aggregate what the trace
-     itemises.  The legacy [events] string log is a rendered view over
-     the trace (see [events]). *)
+     itemises. *)
   tracer : Obs.Trace.t;
   metrics : Obs.Metrics.t;
   c_rounds : Obs.Metrics.counter;
@@ -563,7 +532,7 @@ let create_cfg (cfg : Config.t) =
       cfg.Config.detector
   in
   let dspec = Dspec.create ~metrics () in
-  let tracer = Obs.Trace.create ?capacity:cfg.Config.trace_capacity () in
+  let tracer = Obs.Trace.create () in
   (* scripted partition windows are part of the run's story: put them in
      the trace up front, stamped with their opening times *)
   List.iter
@@ -593,9 +562,7 @@ let create_cfg (cfg : Config.t) =
     dspec;
     next_pid = 1;
     trusted = cfg.Config.trusted;
-    quantum = cfg.Config.quantum;
     scan_sched = cfg.Config.legacy_scan_sched;
-    retry = cfg.Config.retry;
     faults;
     hop_seq = 0;
     obj_store = Hashtbl.create 8;
@@ -671,10 +638,6 @@ let node t id =
     invalid_arg (Printf.sprintf "Cluster.node: no node %d" id)
   else t.nodes.(id)
 
-let node_by_name t name =
-  Array.to_list t.nodes
-  |> List.find_opt (fun n -> String.equal n.node_name name)
-
 let entry_of_pid t pid = Hashtbl.find_opt t.by_pid pid
 
 let entry_of_rank t rank =
@@ -746,22 +709,47 @@ let fence t (e : entry) ~what =
            e.epoch current));
   e.proc.Process.waiting <- false
 
+(* Decisions on a distributed transaction: the [Dspec] transition
+   (state and counter) plus the trace event naming it, stamped at [e]. *)
+let abort_txn t (e : entry) txn reason =
+  Dspec.abort t.dspec txn reason;
+  emit_entry t e
+    (Obs.Trace.Dspec_abort
+       { txn = txn.Dspec.x_id; parts = Dspec.part_pids txn; reason })
+
+let compensate_txn t (e : entry) txn ~discarded =
+  Dspec.compensate t.dspec txn ~discarded;
+  emit_entry t e
+    (Obs.Trace.Dspec_compensate { txn = txn.Dspec.x_id; discarded })
+
 (* ------------------------------------------------------------------ *)
 (* Externs                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The list stored under [key] in one of the (pid, uid)-keyed logs
+   (dependents, object and file undo), created empty on first use. *)
+let log_for tbl key =
+  match Hashtbl.find_opt tbl key with
+  | Some l -> l
+  | None ->
+    let l = ref [] in
+    Hashtbl.add tbl key l;
+    l
+
+(* Before [proc]'s first write to [key] inside its current speculation
+   level, save the old contents ([old ()]) in that level's undo log, so
+   a rollback can restore them ([cascade]). *)
+let note_undo table (proc : Process.t) key ~old =
+  match Spec.Engine.current_unique proc.Process.spec with
+  | None -> ()
+  | Some uid ->
+    let log = log_for table (proc.Process.pid, uid) in
+    if not (List.mem_assoc key !log) then log := (key, old ()) :: !log
 
 (* Record that [receiver] consumed a message sent from inside [sender]'s
    speculation: the receiver joins that speculation. *)
 let add_dependency t ~sender ~receiver =
-  let deps =
-    match Hashtbl.find_opt t.deps sender with
-    | Some l -> l
-    | None ->
-      let l = ref [] in
-      Hashtbl.add t.deps sender l;
-      l
-  in
+  let deps = log_for t.deps sender in
   if not (List.mem receiver !deps) then deps := receiver :: !deps;
   (* if the joined level is an open distributed transaction's root
      region, the receiver is now a participant: record it at its
@@ -777,7 +765,7 @@ let add_dependency t ~sender ~receiver =
     | None -> ()
     | Some e ->
       Dspec.register txn ~pid:(fst receiver)
-        ~rank:(match e.rank with Some r -> r | None -> -1)
+        ~rank:(entry_rank e)
         ~epoch:e.epoch)
   | Some _ -> ()
 
@@ -820,30 +808,27 @@ let rec force_rollback t ~pid ~uid ~code =
    discard un-delivered — the mailbox-compensation count a distributed
    abort reports. *)
 and cascade t ~sender_pid ~uids ~code =
-  (* undo the rolled-back levels' external object writes (newest level
-     first, so the oldest saved contents win) *)
+  (* undo the rolled-back levels' external object and file writes
+     (newest level first, so the oldest saved contents win) *)
+  let undo table restore uid =
+    match Hashtbl.find_opt table (sender_pid, uid) with
+    | None -> ()
+    | Some log ->
+      Hashtbl.remove table (sender_pid, uid);
+      List.iter (fun (k, old) -> restore k old) (List.rev !log)
+  in
   List.iter
     (fun uid ->
-      (match Hashtbl.find_opt t.obj_undo (sender_pid, uid) with
-      | None -> ()
-      | Some log ->
-        Hashtbl.remove t.obj_undo (sender_pid, uid);
-        List.iter
-          (fun (obj, old) ->
-            match old with
-            | Some bytes -> Hashtbl.replace t.obj_store obj bytes
-            | None -> Hashtbl.remove t.obj_store obj)
-          (List.rev !log));
-      match Hashtbl.find_opt t.fs_undo (sender_pid, uid) with
-      | None -> ()
-      | Some log ->
-        Hashtbl.remove t.fs_undo (sender_pid, uid);
-        List.iter
-          (fun (path, old) ->
-            match old with
-            | Some data -> ignore (Storage.write t.storage path data)
-            | None -> Storage.remove t.storage path)
-          (List.rev !log))
+      undo t.obj_undo
+        (fun obj -> function
+          | Some bytes -> Hashtbl.replace t.obj_store obj bytes
+          | None -> Hashtbl.remove t.obj_store obj)
+        uid;
+      undo t.fs_undo
+        (fun path -> function
+          | Some data -> ignore (Storage.write t.storage path data)
+          | None -> Storage.remove t.storage path)
+        uid)
     uids;
   let discarded =
     List.fold_left
@@ -917,7 +902,7 @@ let send_payload t (entry : entry) (proc : Process.t) ~dst_rank ~tag
     in
     let msg =
       {
-        Mpi.msg_src_rank = (match entry.rank with Some r -> r | None -> -1);
+        Mpi.msg_src_rank = entry_rank entry;
         msg_src_pid = proc.Process.pid;
         msg_tag = tag;
         msg_payload = payload;
@@ -997,6 +982,65 @@ let purge_stale_traffic t (entry : entry) =
     end
   end
 
+(* A zombie incarnation's interaction is rejected and the process
+   halted; [act] runs for a current one. *)
+let unless_stale t (entry : entry) ~what act =
+  if is_stale t entry then begin
+    fence t entry ~what;
+    Value.Vint msg_roll
+  end
+  else act ()
+
+let write_cells heap ptr payload n =
+  let idx, off = Vm.Interp.as_ptr ptr in
+  for k = 0 to n - 1 do
+    Heap.write heap idx (off + k) payload.(k)
+  done
+
+(* One receive for both externs: [src] is [Some rank] for a directed
+   poll, [None] for the wildcard.  Parking records the polled source
+   (-1 for the wildcard, which the scheduler wakes for any delivery
+   with the tag), and so does a roll notice's trace event. *)
+let recv t (entry : entry) (proc : Process.t) ~src ~tag ptr maxlen =
+  unless_stale t entry ~what:"recv" @@ fun () ->
+    purge_stale_traffic t entry;
+    let now = effective_now t proc in
+    let polled_src, polled =
+      match src with
+      | Some src_rank ->
+        src_rank, Mpi.try_recv entry.mailbox ~now ~src_rank ~tag
+      | None -> -1, Mpi.try_recv_any entry.mailbox ~now ~tag
+    in
+    match polled with
+    | Mpi.Roll ->
+      entry.parked_on <- None;
+      emit_entry t entry (Obs.Trace.Msg_roll { src = polled_src });
+      Value.Vint msg_roll
+    | Mpi.None_yet ->
+      proc.Process.waiting <- true;
+      entry.parked_on <- Some (polled_src, tag);
+      Value.Vint msg_none
+    | Mpi.Received m ->
+      entry.parked_on <- None;
+      let n = min maxlen (Array.length m.Mpi.msg_payload) in
+      (* a directed poll only matches its own (src, tag) bucket, so the
+         message's source is the polled one there too *)
+      emit_entry t entry
+        (Obs.Trace.Msg_recv { src = m.Mpi.msg_src_rank; tag; cells = n });
+      write_cells proc.Process.heap ptr m.Mpi.msg_payload n;
+      (match m.Mpi.msg_spec with
+      | Some (spid, uid) when spid <> proc.Process.pid ->
+        (* join the sender's speculation *)
+        let ruid =
+          match Spec.Engine.current_unique proc.Process.spec with
+          | Some u -> u
+          | None -> -1
+        in
+        add_dependency t ~sender:(spid, uid)
+          ~receiver:(proc.Process.pid, ruid)
+      | Some _ | None -> ());
+      Value.Vint n
+
 let cluster_extern t (entry : entry) : Process.handler =
  fun proc name args ->
   let heap = proc.Process.heap in
@@ -1004,36 +1048,21 @@ let cluster_extern t (entry : entry) : Process.handler =
     let idx, off = Vm.Interp.as_ptr ptr in
     Array.init len (fun k -> Heap.read heap idx (off + k))
   in
-  let write_cells ptr payload n =
-    let idx, off = Vm.Interp.as_ptr ptr in
-    for k = 0 to n - 1 do
-      Heap.write heap idx (off + k) payload.(k)
-    done
-  in
   match name, args with
   | ("msg_send" | "msg_send_int"), [ Value.Vint dst_rank; Value.Vint tag;
                                      (Value.Vptr _ as ptr); Value.Vint len ]
     ->
     if len < 0 then raise (Process.Extern_failure "msg_send: negative length");
-    if is_stale t entry then begin
-      (* zombie incarnation: reject the send and halt the process *)
-      fence t entry ~what:"send";
-      Value.Vint msg_roll
-    end
-    else
+    unless_stale t entry ~what:"send" @@ fun () ->
       send_payload t entry proc ~dst_rank ~tag
         ~read_payload:(fun () -> read_cells ptr len)
         ~extra_delay_s:0.0
   | "svc_send", [ Value.Vint laddr; Value.Vint tag; (Value.Vptr _ as ptr);
                   Value.Vint len ] -> (
     if len < 0 then raise (Process.Extern_failure "svc_send: negative length");
-    if is_stale t entry then begin
-      (* the registry never weakens fencing: a zombie's sends are
-         rejected exactly as rank-addressed ones are *)
-      fence t entry ~what:"send";
-      Value.Vint msg_roll
-    end
-    else begin
+    (* the registry never weakens fencing: a zombie's sends are rejected
+       exactly as rank-addressed ones are *)
+    unless_stale t entry ~what:"send" @@ fun () ->
       let now_s = effective_now t proc in
       (* due moved notices first: rebind before resolving, so a sender
          that was told about the move goes direct from this call on *)
@@ -1081,8 +1110,7 @@ let cluster_extern t (entry : entry) : Process.handler =
           Hashtbl.remove entry.bindings laddr;
           Obs.Metrics.incr t.c_svc_expired;
           emit_entry t entry (Obs.Trace.Forward_expired { laddr; rank });
-          Value.Vint msg_moved)
-    end)
+          Value.Vint msg_moved))
   | "svc_resolve", [ Value.Vint laddr ] -> (
     (* authoritative resolve: refreshes the caller's cached binding *)
     match Registry.lookup t.registry laddr with
@@ -1095,106 +1123,24 @@ let cluster_extern t (entry : entry) : Process.handler =
     Value.Vunit
   | ("msg_try_recv" | "msg_try_recv_int"),
     [ Value.Vint src_rank; Value.Vint tag; (Value.Vptr _ as ptr);
-      Value.Vint maxlen ] -> (
-    if is_stale t entry then begin
-      fence t entry ~what:"recv";
-      Value.Vint msg_roll
-    end
-    else begin
-    purge_stale_traffic t entry;
-    match
-      Mpi.try_recv entry.mailbox ~now:(effective_now t proc) ~src_rank ~tag
-    with
-    | Mpi.Roll ->
-      entry.parked_on <- None;
-      emit_entry t entry (Obs.Trace.Msg_roll { src = src_rank });
-      Value.Vint msg_roll
-    | Mpi.None_yet ->
-      proc.Process.waiting <- true;
-      entry.parked_on <- Some (src_rank, tag);
-      Value.Vint msg_none
-    | Mpi.Received m ->
-      entry.parked_on <- None;
-      let n = min maxlen (Array.length m.Mpi.msg_payload) in
-      emit_entry t entry
-        (Obs.Trace.Msg_recv { src = src_rank; tag; cells = n });
-      write_cells ptr m.Mpi.msg_payload n;
-      (match m.Mpi.msg_spec with
-      | Some (spid, uid) when spid <> proc.Process.pid ->
-        (* join the sender's speculation *)
-        let ruid =
-          match Spec.Engine.current_unique proc.Process.spec with
-          | Some u -> u
-          | None -> -1
-        in
-        add_dependency t ~sender:(spid, uid)
-          ~receiver:(proc.Process.pid, ruid)
-      | Some _ | None -> ());
-      Value.Vint n
-    end)
+      Value.Vint maxlen ] ->
+    recv t entry proc ~src:(Some src_rank) ~tag ptr maxlen
   | "msg_try_recv_any", [ Value.Vint tag; (Value.Vptr _ as ptr);
-                          Value.Vint maxlen ] -> (
-    if is_stale t entry then begin
-      fence t entry ~what:"recv";
-      Value.Vint msg_roll
-    end
-    else begin
-    purge_stale_traffic t entry;
+                          Value.Vint maxlen ] ->
     (* wildcard receive: a mobile service cannot know its clients'
        ranks ahead of time (and a client cannot know which rank its
        reply comes from after the service moved), so it matches on tag
-       alone.  Parking records src -1: the scheduler wakes it for any
-       delivery with this tag. *)
-    match Mpi.try_recv_any entry.mailbox ~now:(effective_now t proc) ~tag with
-    | Mpi.Roll ->
-      entry.parked_on <- None;
-      emit_entry t entry (Obs.Trace.Msg_roll { src = -1 });
-      Value.Vint msg_roll
-    | Mpi.None_yet ->
-      proc.Process.waiting <- true;
-      entry.parked_on <- Some (-1, tag);
-      Value.Vint msg_none
-    | Mpi.Received m ->
-      entry.parked_on <- None;
-      let n = min maxlen (Array.length m.Mpi.msg_payload) in
-      emit_entry t entry
-        (Obs.Trace.Msg_recv { src = m.Mpi.msg_src_rank; tag; cells = n });
-      write_cells ptr m.Mpi.msg_payload n;
-      (match m.Mpi.msg_spec with
-      | Some (spid, uid) when spid <> proc.Process.pid ->
-        let ruid =
-          match Spec.Engine.current_unique proc.Process.spec with
-          | Some u -> u
-          | None -> -1
-        in
-        add_dependency t ~sender:(spid, uid)
-          ~receiver:(proc.Process.pid, ruid)
-      | Some _ | None -> ());
-      Value.Vint n
-    end)
+       alone *)
+    recv t entry proc ~src:None ~tag ptr maxlen
   | "rank", [] ->
-    Value.Vint (match entry.rank with Some r -> r | None -> -1)
+    Value.Vint (entry_rank entry)
   | "sim_now_us", [] ->
     Value.Vint (int_of_float (effective_now t proc *. 1e6))
   | "fs_write", [ (Value.Vptr _ as pathp); (Value.Vptr _ as ptr);
                   Value.Vint k ] ->
     let path = Heap.raw_to_string heap (fst (Vm.Interp.as_ptr pathp)) in
-    (* a write from inside a speculation is undoable *)
-    (match Spec.Engine.current_unique proc.Process.spec with
-    | Some uid ->
-      let key = proc.Process.pid, uid in
-      let log =
-        match Hashtbl.find_opt t.fs_undo key with
-        | Some l -> l
-        | None ->
-          let l = ref [] in
-          Hashtbl.add t.fs_undo key l;
-          l
-      in
-      if not (List.mem_assoc path !log) then
-        log :=
-          (path, Option.map fst (Storage.read t.storage path)) :: !log
-    | None -> ());
+    note_undo t.fs_undo proc path ~old:(fun () ->
+        Option.map fst (Storage.read t.storage path));
     let cells = read_cells ptr k in
     let data =
       String.init k (fun i ->
@@ -1215,7 +1161,7 @@ let cluster_extern t (entry : entry) : Process.handler =
       let payload =
         Array.init n (fun i -> Value.Vint (Char.code data.[i]))
       in
-      write_cells ptr payload n;
+      write_cells heap ptr payload n;
       Value.Vint n)
   | "fs_size", [ (Value.Vptr _ as pathp) ] -> (
     let path = Heap.raw_to_string heap (fst (Vm.Interp.as_ptr pathp)) in
@@ -1235,30 +1181,15 @@ let cluster_extern t (entry : entry) : Process.handler =
         let payload =
           Array.init n (fun i -> Value.Vint (Char.code (Bytes.get data i)))
         in
-        write_cells ptr payload n;
+        write_cells heap ptr payload n;
         Value.Vint n
     end
   | "obj_write", [ Value.Vint obj; (Value.Vptr _ as ptr); Value.Vint k ] ->
     if Random.State.float (Faults.rng t.faults) 1.0 < t.obj_fail_prob then
       Value.Vint (-1)
     else begin
-      (* a write from inside a speculation is undoable *)
-      (match Spec.Engine.current_unique proc.Process.spec with
-      | Some uid ->
-        let key = proc.Process.pid, uid in
-        let log =
-          match Hashtbl.find_opt t.obj_undo key with
-          | Some l -> l
-          | None ->
-            let l = ref [] in
-            Hashtbl.add t.obj_undo key l;
-            l
-        in
-        if not (List.mem_assoc obj !log) then
-          log :=
-            (obj, Option.map Bytes.copy (Hashtbl.find_opt t.obj_store obj))
-            :: !log
-      | None -> ());
+      note_undo t.obj_undo proc obj ~old:(fun () ->
+          Option.map Bytes.copy (Hashtbl.find_opt t.obj_store obj));
       let cells = read_cells ptr k in
       let data =
         match Hashtbl.find_opt t.obj_store obj with
@@ -1275,11 +1206,7 @@ let cluster_extern t (entry : entry) : Process.handler =
       Value.Vint k
     end
   | "dspec_open", [] -> (
-    if is_stale t entry then begin
-      fence t entry ~what:"dspec";
-      Value.Vint msg_roll
-    end
-    else
+    unless_stale t entry ~what:"dspec" @@ fun () ->
       match Spec.Engine.current_unique proc.Process.spec with
       | None ->
         raise
@@ -1301,11 +1228,7 @@ let cluster_extern t (entry : entry) : Process.handler =
           (Obs.Trace.Dspec_open { txn = txn.Dspec.x_id; uid });
         Value.Vint txn.Dspec.x_id)
   | "dspec_commit", [ Value.Vint txn_id ] -> (
-    if is_stale t entry then begin
-      fence t entry ~what:"dspec";
-      Value.Vint msg_roll
-    end
-    else
+    unless_stale t entry ~what:"dspec" @@ fun () ->
       match Dspec.find t.dspec txn_id with
       | None ->
         raise
@@ -1325,7 +1248,7 @@ let cluster_extern t (entry : entry) : Process.handler =
              quantum) and charged as one RTT per participant plus the
              decision broadcast. *)
           let parts = List.rev txn.Dspec.x_parts in
-          let part_pids = List.map (fun p -> p.Dspec.p_pid) parts in
+          let part_pids = Dspec.part_pids txn in
           Obs.Metrics.incr (Dspec.c_prepares t.dspec);
           emit_entry t entry
             (Obs.Trace.Dspec_prepare { txn = txn_id; parts = part_pids });
@@ -1334,11 +1257,7 @@ let cluster_extern t (entry : entry) : Process.handler =
             *. Simnet.message_seconds t.net 64
             *. float_of_int (max 1 (List.length parts)));
           let abort reason =
-            txn.Dspec.x_state <- Dspec.Aborted reason;
-            Obs.Metrics.incr (Dspec.c_aborts t.dspec);
-            emit_entry t entry
-              (Obs.Trace.Dspec_abort
-                 { txn = txn_id; parts = part_pids; reason });
+            abort_txn t entry txn reason;
             (* the coordinator's own abort(level) follows in the program:
                its rollback cascade un-delivers the region's in-flight
                messages and rolls every joined participant back *)
@@ -1347,6 +1266,14 @@ let cluster_extern t (entry : entry) : Process.handler =
           (* epoch fencing: an ack is valid only while the participant's
              rank still runs the incarnation that joined — a resurrected
              zombie can never speak for a dead one *)
+          let reject (p : Dspec.part) ~current_epoch reason =
+            Obs.Metrics.incr (Dspec.c_fence_rejections t.dspec);
+            emit_entry t entry
+              (Obs.Trace.Dspec_fence
+                 { txn = txn_id; part_rank = p.Dspec.p_rank;
+                   stale_epoch = p.Dspec.p_epoch; current_epoch });
+            abort reason
+          in
           let stale =
             List.find_opt
               (fun p ->
@@ -1356,16 +1283,7 @@ let cluster_extern t (entry : entry) : Process.handler =
           in
           match stale with
           | Some p ->
-            Obs.Metrics.incr (Dspec.c_fence_rejections t.dspec);
-            emit_entry t entry
-              (Obs.Trace.Dspec_fence
-                 {
-                   txn = txn_id;
-                   part_rank = p.Dspec.p_rank;
-                   stale_epoch = p.Dspec.p_epoch;
-                   current_epoch = rank_epoch t p.Dspec.p_rank;
-                 });
-            abort "fence"
+            reject p ~current_epoch:(rank_epoch t p.Dspec.p_rank) "fence"
           | None ->
             (* a dead participant never acks (epochs only move on
                resurrection, so liveness is checked directly) *)
@@ -1397,7 +1315,6 @@ let cluster_extern t (entry : entry) : Process.handler =
                     (Random.State.int (Faults.rng t.faults)
                        (List.length parts))
                 in
-                let stale_epoch = victim.Dspec.p_epoch in
                 if victim.Dspec.p_rank >= 0 then
                   Hashtbl.replace t.epochs victim.Dspec.p_rank
                     (rank_epoch t victim.Dspec.p_rank + 1);
@@ -1407,27 +1324,18 @@ let cluster_extern t (entry : entry) : Process.handler =
                   | Some r -> e.epoch <- rank_epoch t r
                   | None -> ())
                 | None -> ());
-                Obs.Metrics.incr (Dspec.c_fence_rejections t.dspec);
-                emit_entry t entry
-                  (Obs.Trace.Dspec_fence
-                     {
-                       txn = txn_id;
-                       part_rank = victim.Dspec.p_rank;
-                       stale_epoch;
-                       current_epoch =
-                         (if victim.Dspec.p_rank >= 0 then
-                            rank_epoch t victim.Dspec.p_rank
-                          else stale_epoch + 1);
-                     });
-                abort "crash_in_commit"
+                reject victim "crash_in_commit"
+                  ~current_epoch:
+                    (if victim.Dspec.p_rank >= 0 then
+                       rank_epoch t victim.Dspec.p_rank
+                     else victim.Dspec.p_epoch + 1)
               end
               else begin
                 (* decision: COMMIT.  The region's in-flight messages
                    stop carrying a join obligation — a receiver that
                    consumes one later must not join a level the commit
                    is about to dissolve. *)
-                txn.Dspec.x_state <- Dspec.Committed;
-                Obs.Metrics.incr (Dspec.c_commits t.dspec);
+                Dspec.commit t.dspec txn;
                 emit_entry t entry
                   (Obs.Trace.Dspec_commit { txn = txn_id; parts = part_pids });
                 let uids = [ txn.Dspec.x_root_uid ] in
@@ -1461,12 +1369,7 @@ let cluster_extern t (entry : entry) : Process.handler =
           t.deps false
     in
     Value.Vint (if pending then 1 else 0)
-  | ( ( "msg_send" | "msg_send_int" | "msg_try_recv" | "msg_try_recv_int"
-      | "msg_try_recv_any" | "svc_send" | "svc_resolve" | "lat_us"
-      | "rank" | "sim_now_us" | "obj_read" | "obj_write" | "fs_write"
-      | "fs_read" | "fs_size" | "dspec_open" | "dspec_commit"
-      | "spec_pending" ),
-      _ ) ->
+  | _ when List.mem_assoc name extern_signatures_list ->
     raise
       (Process.Extern_failure
          (Printf.sprintf "extern %s: bad arguments" name))
@@ -1561,17 +1464,7 @@ let register_entry t (entry : entry) =
         (fun uid ->
           match Dspec.open_with_root t.dspec ~coord_pid:pid ~root_uid:uid with
           | None -> ()
-          | Some txn ->
-            txn.Dspec.x_state <- Dspec.Aborted "coordinator_rolled_back";
-            Obs.Metrics.incr (Dspec.c_aborts t.dspec);
-            emit_entry t entry
-              (Obs.Trace.Dspec_abort
-                 {
-                   txn = txn.Dspec.x_id;
-                   parts =
-                     List.rev_map (fun p -> p.Dspec.p_pid) txn.Dspec.x_parts;
-                   reason = "coordinator_rolled_back";
-                 }))
+          | Some txn -> abort_txn t entry txn "coordinator_rolled_back")
         uids;
       let discarded = cascade t ~sender_pid:pid ~uids ~code:msg_roll in
       (* mailbox compensation for a distributed abort is accounted once,
@@ -1582,12 +1475,7 @@ let register_entry t (entry : entry) =
             Dspec.aborted_with_root t.dspec ~coord_pid:pid ~root_uid:uid
           with
           | None -> ()
-          | Some txn ->
-            txn.Dspec.x_compensated <- true;
-            Obs.Metrics.incr ~by:discarded (Dspec.c_compensated t.dspec);
-            emit_entry t entry
-              (Obs.Trace.Dspec_compensate
-                 { txn = txn.Dspec.x_id; discarded }))
+          | Some txn -> compensate_txn t entry txn ~discarded)
         uids)
     ~on_commit:(fun ~uid ~parent ->
       emit_entry t entry
@@ -1784,39 +1672,39 @@ let record_migration t mr =
   Obs.Metrics.observe t.h_compile_s mr.mr_compile_s
 
 (* One migration hop under the fault plan: per-hop timeout, bounded
-   retry, exponential backoff — all in simulated time.  Every attempt
-   (lost or not) puts the bytes on the wire; a lost attempt costs the
-   hop timeout plus the backoff before the next transmission.  Returns
-   the total link-level delay from initiation to the image landing, or
-   the exhausted-attempt count for the caller's degradation policy. *)
-type hop_success = {
+   retry, exponential backoff ({!Config.default_retry}) — all in
+   simulated time.  Every attempt (lost or not) puts the bytes on the
+   wire; a lost attempt costs the hop timeout plus the backoff before
+   the next transmission.  Either way the result carries what the hop
+   cost: the link-level delay from initiation to the image landing (or
+   to giving up), the attempts made and the backoff waited. *)
+type hop = {
   hx_delay_s : float;
   hx_attempts : int;
   hx_backoff_s : float;
 }
 
-let transmit_hop t ~retry ~send_at ~src_node ~dst_node ~target_name ~bytes
-    ~pid ~rank =
+let transmit_hop t ~send_at ~src_node ~dst_node ~target_name ~bytes ~pid
+    ~rank =
+  let retry = Config.default_retry in
   let transfer_s = Simnet.transfer_seconds t.net bytes in
   let rec go attempt elapsed backoff_total =
+    let hop delay_s =
+      { hx_delay_s = delay_s; hx_attempts = attempt;
+        hx_backoff_s = backoff_total }
+    in
     Simnet.record_transfer t.net bytes;
     match
       Faults.on_hop t.faults ~now:(send_at +. elapsed) ~src:src_node
         ~dst:dst_node
     with
-    | `Deliver ->
-      Ok
-        {
-          hx_delay_s = elapsed +. transfer_s;
-          hx_attempts = attempt;
-          hx_backoff_s = backoff_total;
-        }
+    | `Deliver -> Ok (hop (elapsed +. transfer_s))
     | (`Lost | `Partitioned) as fate ->
       let reason =
         match fate with `Lost -> "lost" | `Partitioned -> "partitioned"
       in
       if attempt >= retry.Config.max_attempts then
-        Error (attempt, elapsed +. retry.Config.hop_timeout_s, reason)
+        Error (hop (elapsed +. retry.Config.hop_timeout_s), reason)
       else begin
         let backoff =
           retry.Config.backoff_base_s
@@ -1936,96 +1824,74 @@ type ship_failure = {
   sf_reason : string;
 }
 
-let ship_shipment t ~retry (entry : entry) (src : node) (target : node)
-    packed sh =
+let ship_shipment t (entry : entry) (src : node) (target : node) packed sh
+    =
   let pid = entry.proc.Process.pid and rank = entry_rank entry in
-  let attempt (sh : shipment) ~send_at =
+  (* one leg: a shipment transmitted and, if it landed, delivered *)
+  let leg (sh : shipment) ~send_at =
     let bytes = String.length sh.sh_bytes in
     note_shipment t ~as_delta:sh.sh_delta ~bytes;
     match
-      transmit_hop t ~retry ~send_at ~src_node:src.node_id
-        ~dst_node:target.node_id ~target_name:target.node_name ~bytes ~pid
-        ~rank
+      transmit_hop t ~send_at ~src_node:src.node_id ~dst_node:target.node_id
+        ~target_name:target.node_name ~bytes ~pid ~rank
     with
-    | Error (attempts, elapsed, reason) ->
-      Error (`Unreachable (attempts, elapsed, reason))
+    | Error (hx, reason) -> sh, hx, Error (`Unreachable, reason)
     | Ok hx -> (
       match
         deliver_hop t target ~bytes:sh.sh_bytes ~pid ~rank
           ~arrive_at:(send_at +. hx.hx_delay_s)
       with
-      | Ok outcome -> Ok (hx, outcome)
-      | Error msg -> Error (`Rejected (hx, msg)))
+      | Ok outcome -> sh, hx, Ok outcome
+      | Error msg -> sh, hx, Error (`Rejected, msg))
   in
-  match attempt sh ~send_at:(src.clock +. sh.sh_pack_s) with
-  | Ok (hx, outcome) ->
+  let first = leg sh ~send_at:(src.clock +. sh.sh_pack_s) in
+  let legs =
+    match first with
+    | _, hx, Error (`Rejected, msg)
+      when sh.sh_delta && Migrate.Server.is_unknown_baseline msg ->
+      (* the negotiated baseline evaporated before delivery: pay for the
+         wasted delta hop and re-ship the full image *)
+      Obs.Metrics.incr t.c_delta_fallbacks;
+      let full = full_shipment entry packed in
+      [
+        first;
+        leg full
+          ~send_at:
+            (src.clock +. sh.sh_pack_s +. hx.hx_delay_s +. full.sh_pack_s);
+      ]
+    | _ -> [ first ]
+  in
+  (* the last leg decides; the costs add up over every leg *)
+  let last_sh, _, fate = List.nth legs (List.length legs - 1) in
+  let sum f = List.fold_left (fun acc (sh, hx, _) -> acc +. f sh hx) 0.0 legs in
+  let pack_s = sum (fun sh _ -> sh.sh_pack_s)
+  and delay_s = sum (fun _ hx -> hx.hx_delay_s)
+  and attempts =
+    List.fold_left (fun acc (_, hx, _) -> acc + hx.hx_attempts) 0 legs
+  in
+  match fate with
+  | Ok outcome ->
     Ok
       {
         sr_outcome = outcome;
-        sr_bytes = String.length sh.sh_bytes;
-        sr_pack_s = sh.sh_pack_s;
-        sr_transfer_s = hx.hx_delay_s;
-        sr_attempts = hx.hx_attempts;
-        sr_backoff_s = hx.hx_backoff_s;
-        sr_delta = sh.sh_delta;
+        sr_bytes =
+          List.fold_left
+            (fun acc (sh, _, _) -> acc + String.length sh.sh_bytes)
+            0 legs;
+        sr_pack_s = pack_s;
+        sr_transfer_s = delay_s;
+        sr_attempts = attempts;
+        sr_backoff_s = sum (fun _ hx -> hx.hx_backoff_s);
+        sr_delta = last_sh.sh_delta;
       }
-  | Error (`Rejected (hx, msg))
-    when sh.sh_delta && Migrate.Server.is_unknown_baseline msg -> (
-    (* the negotiated baseline evaporated before delivery: pay for the
-       wasted delta hop and re-ship the full image *)
-    Obs.Metrics.incr t.c_delta_fallbacks;
-    let fullsh = full_shipment entry packed in
-    let resend_at =
-      src.clock +. sh.sh_pack_s +. hx.hx_delay_s +. fullsh.sh_pack_s
-    in
-    match attempt fullsh ~send_at:resend_at with
-    | Ok (hx2, outcome) ->
-      Ok
-        {
-          sr_outcome = outcome;
-          sr_bytes =
-            String.length sh.sh_bytes + String.length fullsh.sh_bytes;
-          sr_pack_s = sh.sh_pack_s +. fullsh.sh_pack_s;
-          sr_transfer_s = hx.hx_delay_s +. hx2.hx_delay_s;
-          sr_attempts = hx.hx_attempts + hx2.hx_attempts;
-          sr_backoff_s = hx.hx_backoff_s +. hx2.hx_backoff_s;
-          sr_delta = false;
-        }
-    | Error (`Unreachable (attempts, elapsed, reason)) ->
-      Error
-        {
-          sf_kind = `Unreachable;
-          sf_attempts = hx.hx_attempts + attempts;
-          sf_pack_s = sh.sh_pack_s +. fullsh.sh_pack_s;
-          sf_elapsed_s = hx.hx_delay_s +. elapsed;
-          sf_reason = reason;
-        }
-    | Error (`Rejected (hx2, msg)) ->
-      Error
-        {
-          sf_kind = `Rejected;
-          sf_attempts = hx.hx_attempts + hx2.hx_attempts;
-          sf_pack_s = sh.sh_pack_s +. fullsh.sh_pack_s;
-          sf_elapsed_s = hx.hx_delay_s +. hx2.hx_delay_s;
-          sf_reason = msg;
-        })
-  | Error (`Unreachable (attempts, elapsed, reason)) ->
+  | Error (kind, reason) ->
     Error
       {
-        sf_kind = `Unreachable;
+        sf_kind = kind;
         sf_attempts = attempts;
-        sf_pack_s = sh.sh_pack_s;
-        sf_elapsed_s = elapsed;
+        sf_pack_s = pack_s;
+        sf_elapsed_s = delay_s;
         sf_reason = reason;
-      }
-  | Error (`Rejected (hx, msg)) ->
-    Error
-      {
-        sf_kind = `Rejected;
-        sf_attempts = hx.hx_attempts;
-        sf_pack_s = sh.sh_pack_s;
-        sf_elapsed_s = hx.hx_delay_s;
-        sf_reason = msg;
       }
 
 (* Every pack rebases the process's dirty tracking: record the fresh
@@ -2106,9 +1972,11 @@ let complete_rehome t (old_entry : entry) (new_entry : entry) =
       Registry.rebind t.registry ~laddr ~new_rank ~now:at
         ~ttl:t.forward_ttl_s;
       Obs.Metrics.incr t.c_svc_moves;
-      emit t ~time:at ~node:new_entry.node_id
-        ~pid:new_entry.proc.Process.pid ~rank:new_rank
-        (Obs.Trace.Service_bind { laddr; new_rank; old_rank });
+      let emit_new =
+        emit t ~time:at ~node:new_entry.node_id
+          ~pid:new_entry.proc.Process.pid ~rank:new_rank
+      in
+      emit_new (Obs.Trace.Service_bind { laddr; new_rank; old_rank });
       let new_mbox = new_entry.mailbox in
       List.iter
         (fun (m : Mpi.message) ->
@@ -2120,8 +1988,7 @@ let complete_rehome t (old_entry : entry) (new_entry : entry) =
             { m with
               Mpi.msg_deliver_at = max m.Mpi.msg_deliver_at at +. hop };
           Obs.Metrics.incr t.c_svc_forwarded;
-          emit t ~time:at ~node:new_entry.node_id
-            ~pid:new_entry.proc.Process.pid ~rank:new_rank
+          emit_new
             (Obs.Trace.Msg_forward
                { laddr; from_rank = old_rank; to_rank = new_rank; hops = 1 });
           match entry_of_rank t m.Mpi.msg_src_rank with
@@ -2195,7 +2062,7 @@ let install_successor t (entry : entry) (src : node) (target : node) packed
   Dspec.rebind_pid t.dspec ~old_pid:proc.Process.pid ~new_pid
     ~uid_map:
       (List.combine old_uids (Spec.Engine.unique_ids new_proc.Process.spec))
-    ~rank:(match new_entry.rank with Some r -> r | None -> -1)
+    ~rank:(entry_rank new_entry)
     ~epoch:new_entry.epoch;
   src.busy_seconds <- src.busy_seconds +. pack_s;
   target.busy_seconds <- target.busy_seconds +. compile_s;
@@ -2212,91 +2079,106 @@ let install_successor t (entry : entry) (src : node) (target : node) packed
       mr_delta = sr.sr_delta;
       mr_ok = true;
     };
-  emit t
-    ~time:(max target.clock (src.clock +. pack_s +. transfer_s))
-    ~node:target.node_id ~pid:new_pid ~rank:(entry_rank new_entry)
+  let emit_new time =
+    emit t ~time ~node:target.node_id ~pid:new_pid ~rank:(entry_rank new_entry)
+  in
+  emit_new (max target.clock (src.clock +. pack_s +. transfer_s))
     (if cache_hit then Obs.Trace.Cache_hit else Obs.Trace.Cache_miss);
-  emit t ~time:new_entry.start_at ~node:target.node_id ~pid:new_pid
-    ~rank:(entry_rank new_entry)
+  emit_new new_entry.start_at
     (Obs.Trace.Migrate_done
        { ok = true; cache_hit; bytes = sr.sr_bytes; pack_s; transfer_s;
          compile_s });
   new_entry, cache_hit
 
-let handle_migrate t (entry : entry) _req host =
-  let proc = entry.proc in
+(* A hop that never left: the target is down, is the process's own
+   node, or does not parse.  The attempt and its failure are traced, and
+   the process resumes where it was. *)
+let refuse_hop t (entry : entry) ~target =
+  emit_entry t entry (Obs.Trace.Migrate_start { target; bytes = 0 });
+  emit_entry t entry
+    (Obs.Trace.Migrate_done
+       { ok = false; cache_hit = false; bytes = 0; pack_s = 0.0;
+         transfer_s = 0.0; compile_s = 0.0 });
+  Process.migration_failed entry.proc
+
+type packer =
+  ?with_binary:bool ->
+  ?epoch:int ->
+  ?dspec:Migrate.Wire.dspec_ctx ->
+  Process.t ->
+  Migrate.Pack.packed
+
+(* The one ship-and-install path behind both live-migration initiators
+   (the program's [migrate] and a [Move.Running] request): pack, rebase
+   the baseline, choose full or delta, ship under the retry policy, then
+   either commit through [install_successor] or record the failed hop.
+   The initiators differ only in [pack] (at a migration point or
+   mid-execution), [terminate] (how the source retires) and [charge]: a
+   process that asked to migrate pays for the pack and the timed-out
+   attempts before the failure is traced (the charge moves the event's
+   timestamp), while a host-initiated move is invisible to its subject. *)
+let ship_and_install t (entry : entry) (target : node) ~(pack : packer)
+    ~terminate ~charge =
   let src = node t entry.node_id in
-  if is_stale t entry then fence t entry ~what:"migrate"
-  else
-  match node_by_name t host with
-  | Some target when target.alive && target.node_id <> entry.node_id ->
-    let with_binary =
-      t.trusted && Arch.equal src.node_arch target.node_arch
+  let prev_baseline = entry.baseline in
+  let packed =
+    pack
+      ~with_binary:(t.trusted && Arch.equal src.node_arch target.node_arch)
+      ~epoch:entry.epoch ?dspec:(dspec_ctx_of t entry) entry.proc
+  in
+  let baseline_digest = rebase_baseline src entry packed in
+  let sh = choose_shipment t ~baseline:prev_baseline entry target packed in
+  let bytes = String.length sh.sh_bytes in
+  emit_entry t entry
+    (Obs.Trace.Migrate_start { target = target.node_name; bytes });
+  match ship_shipment t entry src target packed sh with
+  | Ok sr ->
+    let new_entry, cache_hit =
+      install_successor t entry src target packed ~baseline_digest sr
+        ~terminate
     in
-    let prev_baseline = entry.baseline in
-    let packed =
-      Migrate.Pack.pack_request ~with_binary ~epoch:entry.epoch
-        ?dspec:(dspec_ctx_of t entry) proc
-    in
-    let baseline_digest = rebase_baseline src entry packed in
-    let sh = choose_shipment t ~baseline:prev_baseline entry target packed in
-    let bytes = String.length sh.sh_bytes in
-    emit_entry t entry (Obs.Trace.Migrate_start { target = host; bytes });
-    (match ship_shipment t ~retry:t.retry entry src target packed sh with
-    | Ok sr ->
-      let (_ : entry), (_ : bool) =
-        install_successor t entry src target packed ~baseline_digest sr
-          ~terminate:(fun () -> Process.migration_completed proc)
-      in
-      ()
-    | Error sf ->
-      (* graceful degradation: the target stayed unreachable (or its
-         daemon rejected the image) — the process resumes locally
-         instead of wedging, having paid for the pack and the timed-out
-         attempts *)
-      charge_seconds proc (sf.sf_pack_s +. sf.sf_elapsed_s);
-      record_migration t
-        {
-          mr_kind = `Migrate;
-          mr_pid = proc.Process.pid;
-          mr_bytes = bytes;
-          mr_pack_s = sf.sf_pack_s;
-          mr_transfer_s = 0.0;
-          mr_compile_s = 0.0;
-          mr_cache_hit = false;
-          mr_delta = false;
-          mr_ok = false;
-        };
-      emit_entry t entry
-        (Obs.Trace.Migrate_done
-           {
-             ok = false;
-             cache_hit = false;
-             bytes;
-             pack_s = sf.sf_pack_s;
-             transfer_s = 0.0;
-             compile_s = 0.0;
-           });
-      Process.migration_failed proc)
-  | Some _ | None ->
-    emit_entry t entry (Obs.Trace.Migrate_start { target = host; bytes = 0 });
+    Ok (new_entry, cache_hit, sr)
+  | Error sf ->
+    if charge then charge_seconds entry.proc (sf.sf_pack_s +. sf.sf_elapsed_s);
+    record_migration t
+      {
+        mr_kind = `Migrate;
+        mr_pid = entry.proc.Process.pid;
+        mr_bytes = bytes;
+        mr_pack_s = sf.sf_pack_s;
+        mr_transfer_s = 0.0;
+        mr_compile_s = 0.0;
+        mr_cache_hit = false;
+        mr_delta = false;
+        mr_ok = false;
+      };
     emit_entry t entry
       (Obs.Trace.Migrate_done
-         {
-           ok = false;
-           cache_hit = false;
-           bytes = 0;
-           pack_s = 0.0;
-           transfer_s = 0.0;
-           compile_s = 0.0;
-         });
-    Process.migration_failed proc
+         { ok = false; cache_hit = false; bytes; pack_s = sf.sf_pack_s;
+           transfer_s = 0.0; compile_s = 0.0 });
+    Error sf
+
+(* The program's [migrate("mcc://host")].  On failure — the target
+   stayed unreachable or its daemon rejected the image — the process
+   resumes locally instead of wedging. *)
+let handle_migrate t (entry : entry) host =
+  if is_stale t entry then fence t entry ~what:"migrate"
+  else
+    match Array.find_opt (fun n -> String.equal n.node_name host) t.nodes with
+    | Some target when target.alive && target.node_id <> entry.node_id -> (
+      match
+        ship_and_install t entry target ~pack:Migrate.Pack.pack_request
+          ~charge:true ~terminate:(fun () ->
+            Process.migration_completed entry.proc)
+      with
+      | Ok _ -> ()
+      | Error _ -> Process.migration_failed entry.proc)
+    | Some _ | None -> refuse_hop t entry ~target:host
 
 (* Host-initiated live migration of a RUNNING process (the [Move.Running]
-   subject): validate, pack mid-execution, ship under [retry], and
-   commit through [install_successor].  Failure is invisible to the
-   subject — it keeps running where it was. *)
-let move_running t ~pid ~node_id ~retry =
+   subject): validate, then pack mid-execution and ship.  Failure is
+   invisible to the subject — it keeps running where it was. *)
+let move_running t ~pid ~node_id =
   match entry_of_pid t pid with
   | None -> Error (No_such_process pid)
   | Some entry -> (
@@ -2307,56 +2189,27 @@ let move_running t ~pid ~node_id ~retry =
       let src = node t entry.node_id in
       let target = node t node_id in
       if is_stale t entry then begin
-        let current =
-          match entry.rank with Some r -> rank_epoch t r | None -> 0
-        in
+        (* only a ranked entry can be stale *)
+        let rank = entry_rank entry in
         fence t entry ~what:"migrate";
-        Error (Fenced { rank = entry_rank entry; stale = entry.epoch;
-                        current })
+        Error
+          (Fenced { rank; stale = entry.epoch; current = rank_epoch t rank })
       end
       else if not target.alive then Error Target_down
       else if target.node_id = src.node_id then Error Already_there
-      else begin
-        let with_binary =
-          t.trusted && Arch.equal src.node_arch target.node_arch
-        in
-        let prev_baseline = entry.baseline in
-        let packed =
-          Migrate.Pack.pack_running ~with_binary ~epoch:entry.epoch
-            ?dspec:(dspec_ctx_of t entry) entry.proc
-        in
-        let baseline_digest = rebase_baseline src entry packed in
-        let sh =
-          choose_shipment t ~baseline:prev_baseline entry target packed
-        in
-        let bytes = String.length sh.sh_bytes in
-        emit_entry t entry
-          (Obs.Trace.Migrate_start { target = target.node_name; bytes });
-        match ship_shipment t ~retry entry src target packed sh with
+      else
+        match
+          ship_and_install t entry target ~pack:Migrate.Pack.pack_running
+            ~charge:false ~terminate:(fun () ->
+              entry.proc.Process.status <- Process.Exited 0)
+        with
         | Error sf ->
-          (* failure is invisible: the process keeps running where it is *)
-          record_migration t
-            { mr_kind = `Migrate; mr_pid = pid; mr_bytes = bytes;
-              mr_pack_s = sf.sf_pack_s; mr_transfer_s = 0.0;
-              mr_compile_s = 0.0; mr_cache_hit = false; mr_ok = false;
-              mr_delta = false };
-          emit_entry t entry
-            (Obs.Trace.Migrate_done
-               { ok = false; cache_hit = false; bytes;
-                 pack_s = sf.sf_pack_s; transfer_s = 0.0;
-                 compile_s = 0.0 });
           Error
             (match sf.sf_kind with
             | `Unreachable ->
-              Unreachable
-                { attempts = sf.sf_attempts; reason = sf.sf_reason }
+              Unreachable { attempts = sf.sf_attempts; reason = sf.sf_reason }
             | `Rejected -> Rejected sf.sf_reason)
-        | Ok sr ->
-          let new_entry, cache_hit =
-            install_successor t entry src target packed ~baseline_digest sr
-              ~terminate:(fun () ->
-                entry.proc.Process.status <- Process.Exited 0)
-          in
+        | Ok (new_entry, cache_hit, sr) ->
           Ok
             {
               rep_pid = new_entry.proc.Process.pid;
@@ -2367,15 +2220,11 @@ let move_running t ~pid ~node_id ~retry =
               rep_bytes = sr.sr_bytes;
               rep_cache_hit = cache_hit;
               rep_delta = sr.sr_delta;
-            }
-      end))
+            }))
 
-let handle_to_storage t (entry : entry) req path ~kind =
+let handle_to_storage t (entry : entry) path ~kind =
   let proc = entry.proc in
-  if is_stale t entry then begin
-    fence t entry ~what:"checkpoint";
-    ignore req
-  end
+  if is_stale t entry then fence t entry ~what:"checkpoint"
   else begin
   (* images on the cluster's own reliable store carry the binary payload:
      "the checkpoints are formatted as executable files and the
@@ -2469,27 +2318,20 @@ let handle_to_storage t (entry : entry) req path ~kind =
   | `Suspend | `Migrate ->
     charge_seconds proc pack_s;
     Process.migration_completed proc);
-  emit_entry t entry (Obs.Trace.Checkpoint { path = stored_path; bytes });
-  ignore req
+  emit_entry t entry (Obs.Trace.Checkpoint { path = stored_path; bytes })
   end
 
 let handle_migration t (entry : entry) =
   match entry.proc.Process.status with
   | Process.Migrating req -> (
     match Migrate.Protocol.parse req.Process.m_target with
-    | Migrate.Protocol.Migrate_to host -> handle_migrate t entry req host
+    | Migrate.Protocol.Migrate_to host -> handle_migrate t entry host
     | Migrate.Protocol.Suspend_to path ->
-      handle_to_storage t entry req path ~kind:`Suspend
+      handle_to_storage t entry path ~kind:`Suspend
     | Migrate.Protocol.Checkpoint_to path ->
-      handle_to_storage t entry req path ~kind:`Checkpoint
+      handle_to_storage t entry path ~kind:`Checkpoint
     | exception Migrate.Protocol.Bad_target _ ->
-      emit_entry t entry
-        (Obs.Trace.Migrate_start { target = req.Process.m_target; bytes = 0 });
-      emit_entry t entry
-        (Obs.Trace.Migrate_done
-           { ok = false; cache_hit = false; bytes = 0; pack_s = 0.0;
-             transfer_s = 0.0; compile_s = 0.0 });
-      Process.migration_failed entry.proc)
+      refuse_hop t entry ~target:req.Process.m_target)
   | Process.Running | Process.Exited _ | Process.Trapped _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -2501,18 +2343,46 @@ let handle_migration t (entry : entry) =
    discard count doubles as the compensation figure). *)
 let abort_dead_coordinator_txns t (e : entry) ~discarded =
   List.iter
-    (fun (txn : Dspec.txn) ->
-      txn.Dspec.x_state <- Dspec.Aborted "coordinator_dead";
-      txn.Dspec.x_compensated <- true;
-      Obs.Metrics.incr (Dspec.c_aborts t.dspec);
-      Obs.Metrics.incr ~by:discarded (Dspec.c_compensated t.dspec);
-      let parts = List.rev_map (fun p -> p.Dspec.p_pid) txn.Dspec.x_parts in
-      emit_entry t e
-        (Obs.Trace.Dspec_abort
-           { txn = txn.Dspec.x_id; parts; reason = "coordinator_dead" });
-      emit_entry t e
-        (Obs.Trace.Dspec_compensate { txn = txn.Dspec.x_id; discarded }))
+    (fun txn ->
+      abort_txn t e txn "coordinator_dead";
+      compensate_txn t e txn ~discarded)
     (Dspec.open_coordinated_by t.dspec ~pid:e.proc.Process.pid)
+
+(* Retire one incarnation of a process: [halt] stops it (a node
+   failure traps it, a superseded incarnation is fenced), everyone who
+   consumed its speculative messages rolls back with it, the
+   transactions it coordinated abort, and survivors polling its rank
+   observe MSG_ROLL. *)
+let retire_incarnation t (e : entry) ~halt =
+  let uids = Spec.Engine.unique_ids e.proc.Process.spec in
+  halt e;
+  let discarded =
+    cascade t ~sender_pid:e.proc.Process.pid ~uids ~code:msg_roll
+  in
+  abort_dead_coordinator_txns t e ~discarded;
+  match e.rank with
+  | None -> ()
+  | Some dead_rank ->
+    List.iter
+      (fun (other : entry) ->
+        if
+          other.proc.Process.pid <> e.proc.Process.pid
+          && not (Process.is_terminated other.proc)
+        then begin
+          Mpi.post_roll_notice other.mailbox ~src_rank:dead_rank;
+          (* only wake a survivor the notice is relevant to: one parked
+             on the dead rank, parked wildcard (src < 0 — a roll notice
+             from anyone is its awaited event), or parked without a
+             recorded source.  Waking a process parked on an UNRELATED
+             rank would violate the parked_on contract — the scheduler
+             would spin it on a poll that still returns nothing *)
+          match other.parked_on with
+          | Some (src, _) when src = dead_rank || src < 0 ->
+            other.proc.Process.waiting <- false
+          | Some _ -> ()
+          | None -> other.proc.Process.waiting <- false
+        end)
+      t.entries
 
 let fail_node t node_id =
   let n = node t node_id in
@@ -2529,77 +2399,22 @@ let fail_node t node_id =
         t.entries
     in
     List.iter
-      (fun (e : entry) ->
-        let uids = Spec.Engine.unique_ids e.proc.Process.spec in
-        e.proc.Process.status <- Process.Trapped "node failure";
-        (* everyone who consumed this process's speculative messages rolls
-           back with it *)
-        let discarded =
-          cascade t ~sender_pid:e.proc.Process.pid ~uids ~code:msg_roll
-        in
-        abort_dead_coordinator_txns t e ~discarded;
-        (* survivors polling this rank observe MSG_ROLL *)
-        match e.rank with
-        | Some dead_rank ->
-          List.iter
-            (fun other ->
-              if
-                other.proc.Process.pid <> e.proc.Process.pid
-                && not (Process.is_terminated other.proc)
-              then begin
-                Mpi.post_roll_notice other.mailbox ~src_rank:dead_rank;
-                (* only wake a survivor the notice is relevant to: one
-                   parked on the dead rank, parked wildcard (src < 0 —
-                   a roll notice from anyone is its awaited event), or
-                   parked without a recorded source.  Waking a process
-                   parked on an UNRELATED rank would violate the
-                   parked_on contract — the scheduler would spin it on
-                   a poll that still returns nothing *)
-                match other.parked_on with
-                | Some (src, _) when src = dead_rank || src < 0 ->
-                  other.proc.Process.waiting <- false
-                | Some _ -> ()
-                | None -> other.proc.Process.waiting <- false
-              end)
-            t.entries
-        | None -> ())
+      (retire_incarnation t ~halt:(fun e ->
+           e.proc.Process.status <- Process.Trapped "node failure"))
       victims
   end
 
 (* Logically terminate a (possibly still executing) old incarnation of
-   [rank] before its successor is created.  The epoch bump must already
-   have happened, making the old holder stale: fence it so it never runs
-   another instruction, cascade its uncommitted speculative sends, and
-   post roll notices so survivors that already consumed its traffic roll
-   back to their last durable point and re-send to the successor.  This
-   mirrors [fail_node]'s per-victim work, but for a single rank on a node
-   that may in fact still be alive (a false suspicion). *)
+   [rank] before its successor is created, on a node that may in fact
+   still be alive (a false suspicion).  The epoch bump must already have
+   happened, making the old holder stale: it is fenced so it never runs
+   another instruction, and survivors that already consumed its traffic
+   roll back to their last durable point and re-send to the successor. *)
 let kill_incarnation t ~rank =
   match entry_of_rank t rank with
-  | None -> ()
-  | Some e ->
-    if not (Process.is_terminated e.proc) then begin
-      let uids = Spec.Engine.unique_ids e.proc.Process.spec in
-      fence t e ~what:"schedule";
-      let discarded =
-        cascade t ~sender_pid:e.proc.Process.pid ~uids ~code:msg_roll
-      in
-      abort_dead_coordinator_txns t e ~discarded;
-      List.iter
-        (fun (other : entry) ->
-          if
-            other.proc.Process.pid <> e.proc.Process.pid
-            && not (Process.is_terminated other.proc)
-          then begin
-            Mpi.post_roll_notice other.mailbox ~src_rank:rank;
-            match other.parked_on with
-            | Some (src, _) when src = rank || src < 0 ->
-              other.proc.Process.waiting <- false
-            | Some _ -> ()
-            | None -> other.proc.Process.waiting <- false
-          end)
-        t.entries
-    end
+  | Some e when not (Process.is_terminated e.proc) ->
+    retire_incarnation t e ~halt:(fun e -> fence t e ~what:"schedule")
+  | Some _ | None -> ()
 
 (* Resurrect a checkpointed process from shared storage on a live node
    (the paper's resurrection daemon executing the saved checkpoint).
@@ -2675,24 +2490,17 @@ let do_resurrect ?rank ?(seed = 11) t ~node_id ~path =
             kill_incarnation t ~rank:r;
             e'
         in
-        let outcome =
-          { Migrate.Server.o_pid = 0; o_costs = costs; o_process = proc0;
-            o_masm = masm; o_compiled = compiled }
-        in
         let pid = t.next_pid in
         t.next_pid <- t.next_pid + 1;
-        let proc = { outcome.Migrate.Server.o_process with Process.pid } in
+        let proc = { proc0 with Process.pid } in
         let compile_s =
-          Arch.seconds n.node_arch
-            outcome.Migrate.Server.o_costs.Migrate.Pack.u_compile_cycles
+          Arch.seconds n.node_arch costs.Migrate.Pack.u_compile_cycles
         in
+        let cache_hit = costs.Migrate.Pack.u_cache_hit in
         let entry =
           {
             proc;
-            engine =
-              Emu_engine
-                (Emulator.create ~compiled:outcome.Migrate.Server.o_compiled
-                   outcome.Migrate.Server.o_masm proc);
+            engine = Emu_engine (Emulator.create ~compiled masm proc);
             node_id;
             mailbox = mailbox_for t rank;
             rank;
@@ -2722,43 +2530,36 @@ let do_resurrect ?rank ?(seed = 11) t ~node_id ~path =
         | Some ctx -> (
           match Dspec.find t.dspec ctx.Migrate.Wire.x_txn with
           | Some txn when txn.Dspec.x_state = Dspec.Open ->
-            txn.Dspec.x_coord_pid <- pid;
-            (match
-               List.nth_opt
-                 (List.rev (Spec.Engine.unique_ids proc.Process.spec))
-                 ctx.Migrate.Wire.x_root
-             with
-            | Some uid -> txn.Dspec.x_root_uid <- uid
-            | None -> ())
+            Dspec.adopt txn ~coord_pid:pid
+              ~root_uid:
+                (List.nth_opt
+                   (List.rev (Spec.Engine.unique_ids proc.Process.spec))
+                   ctx.Migrate.Wire.x_root)
           | Some _ | None -> ()));
         n.busy_seconds <- n.busy_seconds +. compile_s;
         Obs.Metrics.incr t.c_resurrections;
         (* a resurrection is an inbound migration from the store: the
            saved image travels through the same unpack/code-cache path
            as a live migration, so it shows up in the trace as one *)
-        emit t ~time:(now t) ~node:node_id ~pid ~rank:(entry_rank entry)
+        let emit_at time =
+          emit t ~time ~node:node_id ~pid ~rank:(entry_rank entry)
+        in
+        emit_at (now t)
           (Obs.Trace.Migrate_start
              { target = n.node_name; bytes = bytes_len });
-        emit t ~time:entry.start_at ~node:node_id ~pid
-          ~rank:(entry_rank entry)
-          (if outcome.Migrate.Server.o_costs.Migrate.Pack.u_cache_hit then
-             Obs.Trace.Cache_hit
-           else Obs.Trace.Cache_miss);
-        emit t ~time:entry.start_at ~node:node_id ~pid
-          ~rank:(entry_rank entry)
+        emit_at entry.start_at
+          (if cache_hit then Obs.Trace.Cache_hit else Obs.Trace.Cache_miss);
+        emit_at entry.start_at
           (Obs.Trace.Migrate_done
              {
                ok = true;
-               cache_hit =
-                 outcome.Migrate.Server.o_costs.Migrate.Pack.u_cache_hit;
+               cache_hit;
                bytes = bytes_len;
                pack_s = 0.0;
                transfer_s = read_s;
                compile_s;
              });
-        emit t ~time:entry.start_at ~node:node_id ~pid
-          ~rank:(entry_rank entry)
-          (Obs.Trace.Resurrect { path; ok = true });
+        emit_at entry.start_at (Obs.Trace.Resurrect { path; ok = true });
         Ok pid))
 
 (* ------------------------------------------------------------------ *)
@@ -2778,10 +2579,7 @@ let move t (req : Move.request) =
   | Move.Rehome -> Obs.Metrics.incr t.c_move_rehome);
   match req.Move.mv_subject with
   | Move.Running pid -> (
-    let retry =
-      match req.Move.mv_retry with Some r -> r | None -> t.retry
-    in
-    match move_running t ~pid ~node_id:req.Move.mv_dest ~retry with
+    match move_running t ~pid ~node_id:req.Move.mv_dest with
     | Ok rep -> Ok { Move.mv_pid = rep.rep_pid; mv_report = Some rep }
     | Error e -> Error e)
   | Move.Image { path; rank; seed } -> (
@@ -2948,17 +2746,21 @@ let wake_entry (e : entry) ~clock =
     in
     if ready then e.proc.Process.waiting <- false
 
-(* Wake parked processes on [n] whose awaited event is due on the node's
-   local clock.  Indexed mode iterates the node's residents; legacy
-   mode scans every entry (the pre-index behaviour, kept behind
-   Config.legacy_scan_sched for the S1 before/after measurement). *)
-let wake_ready t n =
+(* The entries hosted on [n], newest first: the one place the legacy
+   scan scheduler and the indexed one part ways.  Indexed mode returns
+   the node's resident list; legacy mode scans every entry (the
+   pre-index behaviour, kept as the reference for the
+   scheduler-equivalence suite and the S1 bench).  Both yield the same
+   entries in the same order, terminated ones aside. *)
+let node_entries t n =
   if t.scan_sched then
-    List.iter
-      (fun (e : entry) ->
-        if e.node_id = n.node_id then wake_entry e ~clock:n.clock)
-      t.entries
-  else List.iter (fun e -> wake_entry e ~clock:n.clock) n.residents
+    List.filter (fun (e : entry) -> e.node_id = n.node_id) t.entries
+  else n.residents
+
+(* Wake parked processes on [n] whose awaited event is due on the node's
+   local clock. *)
+let wake_ready t n =
+  List.iter (fun e -> wake_entry e ~clock:n.clock) (node_entries t n)
 
 (* The earliest future event relevant to one entry, folded into [acc]:
    a delayed start, or the delivery a parked process is waiting for. *)
@@ -2992,14 +2794,7 @@ let fold_next_event ~clock acc (e : entry) =
 
 (* The earliest future event relevant to node [n]. *)
 let next_event_on t n =
-  if t.scan_sched then
-    List.fold_left
-      (fun acc (e : entry) ->
-        if e.node_id <> n.node_id then acc
-        else fold_next_event ~clock:n.clock acc e)
-      None t.entries
-  else
-    List.fold_left (fold_next_event ~clock:n.clock) None n.residents
+  List.fold_left (fold_next_event ~clock:n.clock) None (node_entries t n)
 
 (* Emit every heartbeat now due on each alive node's local clock and fan
    it out to every other node through the fault layer: a partitioned or
@@ -3054,15 +2849,9 @@ let round t =
      (the node loses the time); a crash is a full [fail_node] with the
      usual cascade. *)
   let hosts_work n =
-    if t.scan_sched then
-      List.exists
-        (fun (e : entry) ->
-          e.node_id = n.node_id && not (Process.is_terminated e.proc))
-        t.entries
-    else
-      List.exists
-        (fun (e : entry) -> not (Process.is_terminated e.proc))
-        n.residents
+    List.exists
+      (fun (e : entry) -> not (Process.is_terminated e.proc))
+      (node_entries t n)
   in
   let floor_clock =
     let f =
@@ -3106,26 +2895,16 @@ let round t =
         (* purge terminated entries from the per-node index (terminal
            statuses are permanent; the global list keeps them for
            introspection and cascades) *)
-        if not t.scan_sched then
-          n.residents <-
-            List.filter
-              (fun (e : entry) -> not (Process.is_terminated e.proc))
-              n.residents;
+        n.residents <-
+          List.filter
+            (fun (e : entry) -> not (Process.is_terminated e.proc))
+            n.residents;
         wake_ready t n;
         let procs =
-          (* spawn order (oldest first), exactly the order the global
-             scan produced: residents are newest-first like t.entries *)
-          if t.scan_sched then
-            List.filter
-              (fun (e : entry) ->
-                e.node_id = n.node_id && runnable t e
-                && not e.proc.Process.waiting)
-              (List.rev t.entries)
-          else
-            List.filter
-              (fun (e : entry) ->
-                runnable t e && not e.proc.Process.waiting)
-              (List.rev n.residents)
+          (* spawn order (oldest first) *)
+          List.filter
+            (fun (e : entry) -> runnable t e && not e.proc.Process.waiting)
+            (List.rev (node_entries t n))
         in
         let node_cycles = ref 0 in
         let ran = ref 0 in
@@ -3144,7 +2923,7 @@ let round t =
             t.cur_cycles0 <- before;
             t.cur_pid <- e.proc.Process.pid;
             let ext = handler t e in
-            let steps = ref t.quantum in
+            let steps = ref quantum in
             while
               !steps > 0
               && (match e.proc.Process.status with
@@ -3161,7 +2940,7 @@ let round t =
             | Process.Migrating _ -> handle_migration t e
             | _ -> ());
             let delta = e.proc.Process.cycles - before in
-            if delta > 0 || !steps < t.quantum then begin
+            if delta > 0 || !steps < quantum then begin
               progressed := true;
               incr ran;
               Obs.Metrics.incr t.c_quanta
@@ -3204,13 +2983,10 @@ let idle_advance t =
     (fun n ->
       if n.alive then begin
         wake_ready t n;
-        let can_run (e : entry) = runnable t e && not e.proc.Process.waiting in
         let has_work =
-          if t.scan_sched then
-            List.exists
-              (fun (e : entry) -> e.node_id = n.node_id && can_run e)
-              t.entries
-          else List.exists can_run n.residents
+          List.exists
+            (fun (e : entry) -> runnable t e && not e.proc.Process.waiting)
+            (node_entries t n)
         in
         if not has_work then
           match next_event_on t n with
@@ -3285,7 +3061,6 @@ let storage t = t.storage
 let net t = t.net
 let trace t = t.tracer
 let metrics t = t.metrics
-let fault_plan t = Faults.plan t.faults
 let dspec t = t.dspec
 
 (* Aggregate recompilation-cache statistics over every node's daemon. *)
@@ -3312,8 +3087,6 @@ let cache_reports t =
            Some
              (Printf.sprintf "%s: %s" n.node_name
                 (Migrate.Codecache.report c)))
-let alive_count t =
-  Array.fold_left (fun acc n -> if n.alive then acc + 1 else acc) 0 t.nodes
 
 let detection_enabled t = Option.is_some t.detector
 let detector_config t = Option.map Detector.config t.detector
@@ -3333,22 +3106,6 @@ let suspected_nodes t =
       ~on_suspect:(fun ~subject ~false_positive ->
         emit t ~time:(now t) ~node:subject
           (Obs.Trace.Suspect { subject; false_positive }))
-
-(* Public wrapper for host-initiated aborts (tests, recovery drivers):
-   roll [pid] back to [level]; the dependency cascade follows from the
-   engine hook. *)
-let abort_speculation ?(code = msg_roll) t ~pid ~level =
-  match entry_of_pid t pid with
-  | None -> ()
-  | Some entry -> (
-    match entry.proc.Process.status with
-    | Process.Running | Process.Migrating _ ->
-      (match entry.proc.Process.status with
-      | Process.Migrating _ -> Process.migration_failed entry.proc
-      | _ -> ());
-      Process.do_rollback entry.proc ~level ~code;
-      entry.proc.Process.waiting <- false
-    | Process.Exited _ | Process.Trapped _ -> ())
 
 let node_count t = Array.length t.nodes
 

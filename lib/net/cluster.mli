@@ -106,8 +106,11 @@ type migration_error =
 val migration_error_to_string : migration_error -> string
 
 (** Typed cluster configuration: the one record that says everything —
-    topology, trust, scheduling quantum, seed, cache and trace sizing,
-    the migration retry policy and the fault-injection plan. *)
+    topology, trust, seed, cache sizing, the fault-injection plan,
+    delta shipping, failure detection, replication, scheduling mode,
+    forwarding and placement policy.  The scheduling quantum (64 steps),
+    the trace ring (65 536 events) and the migration retry policy
+    ({!default_retry}) are fixed. *)
 module Config : sig
   type retry = {
     max_attempts : int;  (** total transmissions per migration hop *)
@@ -118,19 +121,17 @@ module Config : sig
   }
 
   val default_retry : retry
-  (** 5 attempts, 20 ms hop timeout, 2 ms base backoff doubling. *)
+  (** The retry policy every migration hop runs under: 5 attempts,
+      20 ms hop timeout, 2 ms base backoff doubling. *)
 
   type t = {
     node_count : int;
     arches : Arch.t array;  (** assigned round-robin *)
     trusted : bool;  (** binary fast path for inter-node migration *)
-    quantum : int;
     seed : int;
     code_cache : int;
         (** per-node recompilation-cache capacity; [<= 0] disables *)
     net : Simnet.t option;  (** [None] = default Simnet *)
-    trace_capacity : int option;  (** event-trace ring bound *)
-    retry : retry;
     faults : Faults.plan;
     delta : bool;
         (** ship deltas (and incremental checkpoint segments) when a
@@ -155,8 +156,11 @@ module Config : sig
             resident lists and indexed mailboxes *)
     forward_ttl_s : float;
         (** how long a vacated rank keeps forwarding after a registered
-            service migrates away (default 0.25 simulated seconds); a
-            send arriving later gets the typed {!msg_moved} error *)
+            service migrates away (default 0.25 simulated seconds): long
+            enough for every active sender to learn the new rank from a
+            [Recipient_moved] notice.  A send arriving later gets the
+            typed {!msg_moved} error and must re-resolve through the
+            registry *)
     balance : Balance.Config.t;
         (** the load-aware placement policy engine.  When
             [balance.enabled], the scheduler samples per-node load
@@ -167,10 +171,10 @@ module Config : sig
   }
 
   val default : t
-  (** 4 nodes, cisc32, untrusted, quantum 64, seed 1, 16-entry caches,
-      default net and trace, {!default_retry}, {!Faults.none}, delta
-      shipping on with 4 retained baselines per daemon, no failure
-      detector, unreplicated shared storage, placement policy off. *)
+  (** 4 nodes, cisc32, untrusted, seed 1, 16-entry caches, default
+      net, {!Faults.none}, delta shipping on with 4 retained baselines
+      per daemon, no failure detector, unreplicated shared storage,
+      indexed scheduler, placement policy off. *)
 end
 
 (** The unified migration API.  Every initiator — the explicit CLI/test
@@ -214,7 +218,6 @@ module Move : sig
     mv_subject : subject;
     mv_dest : int;  (** destination node id *)
     mv_reason : reason;
-    mv_retry : Config.retry option;  (** [None] = the cluster's policy *)
   }
 
   type outcome = {
@@ -222,14 +225,10 @@ module Move : sig
     mv_report : migration_report option;  (** [None] for [Image] *)
   }
 
-  val request :
-    ?retry:Config.retry -> reason:reason -> subject -> dest:int -> request
+  val request : reason:reason -> subject -> dest:int -> request
 end
 
 type t
-
-val msg_none : int
-val msg_roll : int
 
 val msg_moved : int
 (** svc_send's typed "recipient moved" code (-3): the cached binding
@@ -243,10 +242,8 @@ val create_cfg : Config.t -> t
 
 val node : t -> int -> node
 val node_count : t -> int
-val node_by_name : t -> string -> node option
 val entry_of_pid : t -> int -> entry option
 val entry_of_rank : t -> int -> entry option
-val alive_count : t -> int
 
 val now : t -> float
 (** Cluster-wide time: the farthest node clock. *)
@@ -334,9 +331,6 @@ val resurrect :
     canonical application never checkpoints inside a speculation that
     other processes depend on. *)
 
-val abort_speculation : ?code:int -> t -> pid:int -> level:int -> unit
-(** Host-initiated rollback; the dependency cascade follows. *)
-
 val detection_enabled : t -> bool
 (** A heartbeat failure detector was configured. *)
 
@@ -355,7 +349,7 @@ val rank_epoch : t -> int -> int
 val move : t -> Move.request -> (Move.outcome, migration_error) result
 (** The one migration entry point (see {!module:Move} for the
     invariants).  A [Running] subject is packed mid-execution, shipped
-    under the request's retry policy (per-hop timeout, bounded retry,
+    under {!Config.default_retry} (per-hop timeout, bounded retry,
     exponential backoff in simulated time) and delivered idempotently
     to the target's daemon; the process cannot observe the move, and on
     any failure — including an exhausted retry budget — it keeps
@@ -371,10 +365,6 @@ val statuses : t -> (int * int option * int * Process.status) list
 val migrations : t -> migration_record list
 val storage : t -> Storage.t
 val net : t -> Simnet.t
-
-val fault_plan : t -> Faults.plan
-(** The fault-injection plan the cluster was built with
-    ({!Faults.none} when faults are off). *)
 
 val trace : t -> Obs.Trace.t
 (** The typed event trace: migrations, failures, resurrections,

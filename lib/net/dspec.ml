@@ -1,9 +1,12 @@
 (* Distributed-speculation transaction table (see dspec.mli).
 
-   Only bookkeeping lives here: the protocol itself — prepare fan-out,
-   epoch fencing, the crash_in_commit draw, distributed rollback and
-   mailbox compensation — is driven by Cluster, which owns the entries,
-   mailboxes and the speculation engines the decisions act on. *)
+   The table and every transition of a transaction's state live here:
+   open, participant registration, commit, abort, compensation and
+   re-keying.  The protocol that decides them — prepare fan-out, epoch
+   fencing, the crash_in_commit draw, distributed rollback and the
+   mailbox discards compensation counts — is driven by Cluster, which
+   owns the entries, mailboxes and speculation engines the decisions
+   act on. *)
 
 type part = {
   mutable p_pid : int;
@@ -17,7 +20,7 @@ type txn = {
   x_id : int;
   mutable x_coord_pid : int;
   mutable x_root_uid : int;
-  mutable x_coord_laddr : int;
+  x_coord_laddr : int;
   mutable x_state : state;
   mutable x_parts : part list;
   mutable x_compensated : bool;
@@ -70,6 +73,24 @@ let open_txn t ~coord_pid ~root_uid ~coord_laddr =
   txn
 
 let find t id = Hashtbl.find_opt t.txns id
+
+let part_pids txn = List.rev_map (fun p -> p.p_pid) txn.x_parts
+
+let commit t txn =
+  txn.x_state <- Committed;
+  Obs.Metrics.incr t.c_commits
+
+let abort t txn reason =
+  txn.x_state <- Aborted reason;
+  Obs.Metrics.incr t.c_aborts
+
+let compensate t txn ~discarded =
+  txn.x_compensated <- true;
+  Obs.Metrics.incr ~by:discarded t.c_compensated
+
+let adopt txn ~coord_pid ~root_uid =
+  txn.x_coord_pid <- coord_pid;
+  match root_uid with Some uid -> txn.x_root_uid <- uid | None -> ()
 
 let register txn ~pid ~rank ~epoch =
   match List.find_opt (fun p -> p.p_pid = pid) txn.x_parts with
@@ -127,10 +148,6 @@ let rebind_pid t ~old_pid ~new_pid ~uid_map ~rank ~epoch =
         txn.x_parts)
     t.txns
 
-let c_opened t = t.c_opened
 let c_prepares t = t.c_prepares
 let c_prepare_acks t = t.c_prepare_acks
-let c_commits t = t.c_commits
-let c_aborts t = t.c_aborts
 let c_fence_rejections t = t.c_fence_rejections
-let c_compensated t = t.c_compensated

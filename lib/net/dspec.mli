@@ -1,6 +1,6 @@
 (** Distributed-speculation transactions: the coordinator-side state of
-    the epoch-fenced two-phase commit over speculative regions (ISSUE
-    10; the paper's Section 6 speculation extended across processes).
+    the epoch-fenced two-phase commit over speculative regions (the
+    paper's Section 6 speculation extended across processes).
 
     A process that opened a speculative region may send messages from
     inside it; every receiver that consumes one JOINS the region (the
@@ -20,9 +20,15 @@
     The table is cluster-global (it lives beside the registry, not
     inside any process image), so transactions survive the migration of
     their coordinator or participants; {!rebind_pid} re-keys the stored
-    identities when a process is re-instantiated under a new pid. *)
+    identities when a process is re-instantiated under a new pid.
 
-type part = {
+    Every transition of a transaction — {!open_txn}, {!register},
+    {!commit}, {!abort}, {!compensate}, {!adopt}, {!rebind_pid} — is a
+    function of this module, which bumps the matching counter.  The
+    records are [private]: the cluster's protocol driver reads them and
+    decides, but never writes a field itself. *)
+
+type part = private {
   mutable p_pid : int;
   mutable p_rank : int;
   mutable p_epoch : int;
@@ -34,16 +40,16 @@ type state =
   | Open
   | Committed
   | Aborted of string
-      (** reason: "fence" | "crash_in_commit" | "coordinator_dead" |
-          "participant_dead" *)
+      (** reason: "fence" | "crash_in_commit" | "participant_dead" |
+          "coordinator_rolled_back" | "coordinator_dead" *)
 
-type txn = {
+type txn = private {
   x_id : int;
   mutable x_coord_pid : int;
   mutable x_root_uid : int;
       (** the coordinator's speculation level whose commit the protocol
           decides (stable unique id, survives migration via re-keying) *)
-  mutable x_coord_laddr : int;
+  x_coord_laddr : int;
       (** logical address of the coordinating service, [-1] when it is
           not a registered service *)
   mutable x_state : state;
@@ -66,6 +72,26 @@ val open_txn : t -> coord_pid:int -> root_uid:int -> coord_laddr:int -> txn
     coordinator's current speculation level. *)
 
 val find : t -> int -> txn option
+
+val part_pids : txn -> int list
+(** Participant pids, oldest joiner first (the order trace events list
+    them in). *)
+
+val commit : t -> txn -> unit
+(** Decide COMMIT ([dspec.commits]). *)
+
+val abort : t -> txn -> string -> unit
+(** Decide ABORT with a reason ([dspec.aborts]); see {!state} for the
+    reasons the cluster uses. *)
+
+val compensate : t -> txn -> discarded:int -> unit
+(** Account an aborted transaction's mailbox compensation once:
+    [discarded] un-delivered messages ([dspec.compensated]). *)
+
+val adopt : txn -> coord_pid:int -> root_uid:int option -> unit
+(** A resurrected coordinator takes over its still-open transaction:
+    [coord_pid] becomes the coordinator and, when the image's snapshot
+    names it, [root_uid] the root level. *)
 
 val register : txn -> pid:int -> rank:int -> epoch:int -> unit
 (** Record [pid] as a participant at its current incarnation epoch.
@@ -97,12 +123,11 @@ val rebind_pid :
     participates, its recorded rank AND epoch are refreshed — a
     deliberate re-home is not a zombie, so its ack stays valid. *)
 
-(** {2 Counters} — bumped by the cluster's protocol driver. *)
+(** {2 Prepare-round counters}
 
-val c_opened : t -> Obs.Metrics.counter
+    The prepare round itself (its fan-out, the acks it collects and the
+    stale pins it rejects) runs in the cluster, which bumps these. *)
+
 val c_prepares : t -> Obs.Metrics.counter
 val c_prepare_acks : t -> Obs.Metrics.counter
-val c_commits : t -> Obs.Metrics.counter
-val c_aborts : t -> Obs.Metrics.counter
 val c_fence_rejections : t -> Obs.Metrics.counter
-val c_compensated : t -> Obs.Metrics.counter

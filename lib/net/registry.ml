@@ -1,6 +1,6 @@
 (* The process registry: stable logical addresses over mobile ranks
-   (ROADMAP item 1; cf. the Milanés et al. survey's "communication
-   redirection" and DCESH's location-transparent computations).
+   (cf. the Milanés et al. survey's "communication redirection" and
+   DCESH's location-transparent computations).
 
    A LOGICAL ADDRESS (laddr) names a long-lived service process
    independently of where it currently runs.  The registry maps each

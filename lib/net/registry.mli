@@ -1,5 +1,5 @@
 (** The process registry: location-transparent logical addresses over
-    mobile ranks (ROADMAP item 1).
+    mobile ranks.
 
     A logical address (laddr) names a long-lived service process
     independently of the rank currently serving it.  When a registered
