@@ -2363,6 +2363,7 @@ type f5_sample = {
   f5_aborts : int;
   f5_fences : int;
   f5_compensated : int;
+  f5_undecided : int;
   f5_audit_ok : bool;
 }
 
@@ -2397,6 +2398,7 @@ let f5_run ~seed ~speculative =
     f5_aborts = c "dspec.aborts";
     f5_fences = c "dspec.fence_rejections";
     f5_compensated = c "dspec.compensated";
+    f5_undecided = Net.Dspec.undecided (Net.Cluster.dspec cluster);
     (* zero partial commits over the trace window (see Obs.Audit) *)
     f5_audit_ok =
       Result.is_ok
@@ -2436,13 +2438,15 @@ let f5_gate samples =
   in
   (* the protocol counters the smoke asserts nonzero, plus exact
      conservation: every opened transaction resolved one way, one
-     commit per unique request *)
+     commit per unique request, and none left undecided (every abort
+     compensated) *)
   let counters_ok =
     List.for_all
       (fun s ->
         s.f5_prepares > 0 && s.f5_commits = total && s.f5_aborts > 0
         && s.f5_fences > 0
-        && s.f5_opened = s.f5_commits + s.f5_aborts)
+        && s.f5_opened = s.f5_commits + s.f5_aborts
+        && s.f5_undecided = 0)
       on_rows
   in
   let audit_ok = List.for_all (fun s -> s.f5_audit_ok) on_rows in
@@ -2477,6 +2481,17 @@ let f5 () =
         s.f5_aborts s.f5_fences s.f5_report.Mcc.Gridapp.Serve.rp_p99_ms
         s.f5_sim s.f5_wall)
     samples;
+  (* the host tax of speculation, informational only: host wall is too
+     noisy to gate (perfcheck gates the simulated ratio).  [f5_results]
+     yields each seed's "off" row, then its "on" row. *)
+  let rec host_tax = function
+    | off :: on :: rest ->
+      Printf.printf "  %s host wall on/off: %.2fx (informational)\n"
+        on.f5_case (on.f5_wall /. off.f5_wall);
+      host_tax rest
+    | _ -> ()
+  in
+  host_tax samples;
   let rows = List.map f5_row samples in
   write_lines "BENCH_f5.json" rows;
   Printf.printf "\n  wrote BENCH_f5.json\n";
@@ -2488,7 +2503,8 @@ let f5 () =
     exact_ok;
   verdict "services re-homed mid-region on every speculative run" moved_ok;
   verdict "protocol counters conserve: prepares/aborts/fences nonzero, \
-           opened = commits + aborts, one commit per unique request"
+           opened = commits + aborts, one commit per unique request, \
+           none left undecided"
     counters_ok;
   verdict "trace audit: zero partial commits (aborts disjoint from \
            commits; every abort rolled back and compensated)"

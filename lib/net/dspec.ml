@@ -26,9 +26,15 @@ type txn = {
   mutable x_compensated : bool;
 }
 
+(* [txns] keeps every transaction ever opened: [find] must still answer
+   for decided ones (a re-commit reads its verdict, tests read final
+   states).  [live] holds only the undecided ones — Open, or Aborted and
+   not yet compensated — which is all the lookups below ever match, so
+   they cost what is still in flight rather than the run's history. *)
 type t = {
   mutable next_id : int;
   txns : (int, txn) Hashtbl.t;
+  live : (int, txn) Hashtbl.t;
   c_opened : Obs.Metrics.counter;
   c_prepares : Obs.Metrics.counter;
   c_prepare_acks : Obs.Metrics.counter;
@@ -45,6 +51,7 @@ let create ?metrics () =
   {
     next_id = 1;
     txns = Hashtbl.create 16;
+    live = Hashtbl.create 16;
     c_opened = Obs.Metrics.counter metrics "dspec.opened";
     c_prepares = Obs.Metrics.counter metrics "dspec.prepares";
     c_prepare_acks = Obs.Metrics.counter metrics "dspec.prepare_acks";
@@ -54,6 +61,13 @@ let create ?metrics () =
       Obs.Metrics.counter metrics "dspec.fence_rejections";
     c_compensated = Obs.Metrics.counter metrics "dspec.compensated";
   }
+
+(* Re-file [txn] in [live] after a transition changed its state. *)
+let track t txn =
+  match txn.x_state with
+  | Open -> Hashtbl.replace t.live txn.x_id txn
+  | Aborted _ when not txn.x_compensated -> Hashtbl.replace t.live txn.x_id txn
+  | Aborted _ | Committed -> Hashtbl.remove t.live txn.x_id
 
 let open_txn t ~coord_pid ~root_uid ~coord_laddr =
   let txn =
@@ -69,23 +83,29 @@ let open_txn t ~coord_pid ~root_uid ~coord_laddr =
   in
   t.next_id <- t.next_id + 1;
   Hashtbl.replace t.txns txn.x_id txn;
+  track t txn;
   Obs.Metrics.incr t.c_opened;
   txn
 
 let find t id = Hashtbl.find_opt t.txns id
 
+let undecided t = Hashtbl.length t.live
+
 let part_pids txn = List.rev_map (fun p -> p.p_pid) txn.x_parts
 
 let commit t txn =
   txn.x_state <- Committed;
+  track t txn;
   Obs.Metrics.incr t.c_commits
 
 let abort t txn reason =
   txn.x_state <- Aborted reason;
+  track t txn;
   Obs.Metrics.incr t.c_aborts
 
 let compensate t txn ~discarded =
   txn.x_compensated <- true;
+  track t txn;
   Obs.Metrics.incr ~by:discarded t.c_compensated
 
 let adopt txn ~coord_pid ~root_uid =
@@ -101,16 +121,16 @@ let register txn ~pid ~rank ~epoch =
     txn.x_parts <- { p_pid = pid; p_rank = rank; p_epoch = epoch }
                    :: txn.x_parts
 
-(* Deterministic iteration: ascending txn id, independent of the
-   hashtable's bucket layout. *)
-let sorted_txns t =
-  Hashtbl.fold (fun _ txn acc -> txn :: acc) t.txns []
+(* Deterministic iteration over the undecided transactions: ascending
+   txn id, independent of the hashtable's bucket layout. *)
+let sorted_live t =
+  Hashtbl.fold (fun _ txn acc -> txn :: acc) t.live []
   |> List.sort (fun a b -> compare a.x_id b.x_id)
 
 let open_coordinated_by t ~pid =
   List.filter
     (fun txn -> txn.x_state = Open && txn.x_coord_pid = pid)
-    (sorted_txns t)
+    (sorted_live t)
 
 let open_with_root t ~coord_pid ~root_uid =
   List.find_opt
@@ -118,7 +138,7 @@ let open_with_root t ~coord_pid ~root_uid =
       txn.x_state = Open
       && txn.x_coord_pid = coord_pid
       && txn.x_root_uid = root_uid)
-    (sorted_txns t)
+    (sorted_live t)
 
 let aborted_with_root t ~coord_pid ~root_uid =
   List.find_opt
@@ -127,7 +147,7 @@ let aborted_with_root t ~coord_pid ~root_uid =
       && (not txn.x_compensated)
       && txn.x_coord_pid = coord_pid
       && txn.x_root_uid = root_uid)
-    (sorted_txns t)
+    (sorted_live t)
 
 let rebind_pid t ~old_pid ~new_pid ~uid_map ~rank ~epoch =
   Hashtbl.iter

@@ -26,7 +26,13 @@
     {!commit}, {!abort}, {!compensate}, {!adopt}, {!rebind_pid} — is a
     function of this module, which bumps the matching counter.  The
     records are [private]: the cluster's protocol driver reads them and
-    decides, but never writes a field itself. *)
+    decides, but never writes a field itself.
+
+    The table keeps every transaction ever opened, so {!find} answers
+    for decided ones too.  The lookups {!open_coordinated_by},
+    {!open_with_root} and {!aborted_with_root} scan only the undecided
+    transactions, in ascending id order: each costs O(undecided), not
+    the size of the table. *)
 
 type part = private {
   mutable p_pid : int;
@@ -72,6 +78,12 @@ val open_txn : t -> coord_pid:int -> root_uid:int -> coord_laddr:int -> txn
     coordinator's current speculation level. *)
 
 val find : t -> int -> txn option
+(** Any transaction ever opened, decided ones included. *)
+
+val undecided : t -> int
+(** How many transactions are still undecided: Open, or Aborted and not
+    yet compensated.  Zero once a run has quiesced — every transaction
+    resolved and every abort compensated.  O(1). *)
 
 val part_pids : txn -> int list
 (** Participant pids, oldest joiner first (the order trace events list

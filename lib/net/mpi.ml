@@ -215,21 +215,38 @@ let rebuild mbox kept =
     kept;
   Hashtbl.iter (fun _ b -> normalize b) mbox.buckets
 
-(* Discard queued messages that originated from any of the given
-   speculation level uids (used when the sender rolls back: its
-   speculative messages must be unsent).  [keep] runs over the global
-   enqueue order, oldest first. *)
-let discard_speculative mbox ~uids ~sender_pid =
+(* The purges below rebuild the index only when some message matches:
+   a rebuild that keeps every message is unobservable ([stamped] sorts
+   by stamp; receives and wake checks do not depend on bucket layout),
+   and the commit and rollback sweeps visit every mailbox in the
+   cluster, nearly all of which hold nothing to purge.  [discard] drops
+   the messages [f] matches, filtering over the global enqueue order,
+   oldest first.  After a match the filter calls [f] on every message
+   again, so a side-effecting [f] still ends having seen them in enqueue
+   order. *)
+let discard mbox f =
   let dropped = ref 0 in
   let keep (_, m) =
-    match m.msg_spec with
-    | Some (pid, uid) when pid = sender_pid && List.mem uid uids ->
+    if f m then begin
       incr dropped;
       false
-    | Some _ | None -> true
+    end
+    else true
   in
-  if mbox.size > 0 then rebuild mbox (List.filter keep (stamped mbox));
+  if exists_message mbox f then rebuild mbox (List.filter keep (stamped mbox));
   !dropped
+
+(* Is [m] stamped by one of [sender_pid]'s speculation levels [uids]? *)
+let from_levels ~uids ~sender_pid m =
+  match m.msg_spec with
+  | Some (pid, uid) -> pid = sender_pid && List.mem uid uids
+  | None -> false
+
+(* Discard queued messages that originated from any of the given
+   speculation level uids (used when the sender rolls back: its
+   speculative messages must be unsent). *)
+let discard_speculative mbox ~uids ~sender_pid =
+  discard mbox (from_levels ~uids ~sender_pid)
 
 (* Strip the speculative stamp from queued messages sent by the given
    speculation levels (a distributed commit decided in favour of the
@@ -237,31 +254,22 @@ let discard_speculative mbox ~uids ~sender_pid =
    consumes one later must NOT join a level that no longer exists). *)
 let settle_speculative mbox ~uids ~sender_pid =
   let settled = ref 0 in
-  let map ((stamp, m) : int * message) =
-    match m.msg_spec with
-    | Some (pid, uid) when pid = sender_pid && List.mem uid uids ->
+  let map ((stamp, m) as sm : int * message) =
+    if from_levels ~uids ~sender_pid m then begin
       incr settled;
       (stamp, { m with msg_spec = None })
-    | Some _ | None -> (stamp, m)
+    end
+    else sm
   in
-  if mbox.size > 0 then rebuild mbox (List.map map (stamped mbox));
+  if exists_message mbox (from_levels ~uids ~sender_pid) then
+    rebuild mbox (List.map map (stamped mbox));
   !settled
 
 (* Drop queued messages whose sender incarnation is stale ([stale m]
    decides, typically by comparing [msg_src_epoch] against the rank's
    current epoch).  Used by epoch fencing: traffic from a superseded
    incarnation must not be consumed by anyone. *)
-let discard_stale mbox ~stale =
-  let dropped = ref 0 in
-  let keep (_, m) =
-    if stale m then begin
-      incr dropped;
-      false
-    end
-    else true
-  in
-  if mbox.size > 0 then rebuild mbox (List.filter keep (stamped mbox));
-  !dropped
+let discard_stale mbox ~stale = discard mbox stale
 
 (* Earliest pending delivery time, for the scheduler's idle-time skip.
    Cached; recomputed only after the minimum's holder was removed. *)

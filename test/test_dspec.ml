@@ -39,6 +39,142 @@ let abort_reasons events =
     events
 
 (* ------------------------------------------------------------------ *)
+(* Transaction table lookups, no cluster                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The lookups as a full scan of every transaction [find] knows, in
+   ascending id order: what they must agree with however few of the
+   transactions are still undecided. *)
+let scan_all t ~opened =
+  List.filter_map (Net.Dspec.find t) (List.init opened (fun i -> i + 1))
+
+let is_open (x : Net.Dspec.txn) = x.Net.Dspec.x_state = Net.Dspec.Open
+
+let is_uncompensated_abort (x : Net.Dspec.txn) =
+  match x.Net.Dspec.x_state with
+  | Net.Dspec.Aborted _ -> not x.Net.Dspec.x_compensated
+  | Net.Dspec.Open | Net.Dspec.Committed -> false
+
+let rooted ~coord_pid ~root_uid (x : Net.Dspec.txn) =
+  x.Net.Dspec.x_coord_pid = coord_pid && x.Net.Dspec.x_root_uid = root_uid
+
+let id (x : Net.Dspec.txn) = x.Net.Dspec.x_id
+
+let pids = 5
+let uids = 4
+
+let check_lookups t ~opened ~step =
+  let all = scan_all t ~opened in
+  let check_id_opt what expect got =
+    Alcotest.(check (option int))
+      (Printf.sprintf "step %d: %s" step what)
+      (Option.map id expect) (Option.map id got)
+  in
+  for coord_pid = 0 to pids - 1 do
+    Alcotest.(check (list int))
+      (Printf.sprintf "step %d: open_coordinated_by %d" step coord_pid)
+      (List.map id
+         (List.filter
+            (fun x -> is_open x && x.Net.Dspec.x_coord_pid = coord_pid)
+            all))
+      (List.map id (Net.Dspec.open_coordinated_by t ~pid:coord_pid));
+    for root_uid = 0 to uids - 1 do
+      let key = rooted ~coord_pid ~root_uid in
+      check_id_opt
+        (Printf.sprintf "open_with_root %d/%d" coord_pid root_uid)
+        (List.find_opt (fun x -> is_open x && key x) all)
+        (Net.Dspec.open_with_root t ~coord_pid ~root_uid);
+      check_id_opt
+        (Printf.sprintf "aborted_with_root %d/%d" coord_pid root_uid)
+        (List.find_opt (fun x -> is_uncompensated_abort x && key x) all)
+        (Net.Dspec.aborted_with_root t ~coord_pid ~root_uid)
+    done
+  done;
+  check_int
+    (Printf.sprintf "step %d: undecided" step)
+    (List.length
+       (List.filter (fun x -> is_open x || is_uncompensated_abort x) all))
+    (Net.Dspec.undecided t)
+
+(* Two open transactions at the same coordinator level: the smaller id
+   answers, and decided transactions stay visible to [find]. *)
+let test_lookup_smallest_id_and_decided () =
+  let t = Net.Dspec.create () in
+  let opn () =
+    Net.Dspec.open_txn t ~coord_pid:1 ~root_uid:5 ~coord_laddr:(-1)
+  in
+  let a = opn () in
+  let b = opn () in
+  let lookup () =
+    Option.map id (Net.Dspec.open_with_root t ~coord_pid:1 ~root_uid:5)
+  in
+  Alcotest.(check (option int)) "smaller id wins" (Some (id a)) (lookup ());
+  check_int "both undecided" 2 (Net.Dspec.undecided t);
+  Net.Dspec.commit t a;
+  Alcotest.(check (option int)) "next open answers" (Some (id b)) (lookup ());
+  Net.Dspec.abort t b "fence";
+  let c = opn () in
+  Net.Dspec.abort t c "fence";
+  let claim () =
+    Option.map id (Net.Dspec.aborted_with_root t ~coord_pid:1 ~root_uid:5)
+  in
+  Alcotest.(check (option int)) "oldest abort claimed first" (Some (id b))
+    (claim ());
+  Net.Dspec.compensate t b ~discarded:0;
+  Alcotest.(check (option int)) "then the next" (Some (id c)) (claim ());
+  Net.Dspec.compensate t c ~discarded:1;
+  check_int "all decided" 0 (Net.Dspec.undecided t);
+  (match Net.Dspec.find t (id a) with
+  | Some x ->
+    check "committed still found" true
+      (x.Net.Dspec.x_state = Net.Dspec.Committed)
+  | None -> Alcotest.fail "committed txn lost");
+  match Net.Dspec.find t (id b) with
+  | Some x -> check "compensated still found" true x.Net.Dspec.x_compensated
+  | None -> Alcotest.fail "compensated txn lost"
+
+(* A seeded random walk over every transition on one table, with the
+   lookups checked against the full scan after each step.  Coordinator
+   pids and root uids come from small ranges, so transactions collide
+   on (coord_pid, root_uid) and re-keying hits live and decided ones. *)
+let test_lookups_match_full_scan () =
+  let rng = Random.State.make [| env_seed; 0xd5 |] in
+  let int n = Random.State.int rng n in
+  let t = Net.Dspec.create () in
+  let opened = ref 0 in
+  let open_one () =
+    ignore
+      (Net.Dspec.open_txn t ~coord_pid:(int pids) ~root_uid:(int uids)
+         ~coord_laddr:(-1));
+    incr opened
+  in
+  let some_txn () =
+    match Net.Dspec.find t (1 + int !opened) with
+    | Some x -> x
+    | None -> Alcotest.fail "opened txn not found"
+  in
+  for step = 1 to 600 do
+    (if !opened = 0 then open_one ()
+     else
+       match int 10 with
+       | 0 | 1 | 2 -> open_one ()
+       | 3 ->
+         Net.Dspec.register (some_txn ()) ~pid:(int pids) ~rank:(int 4)
+           ~epoch:(int 3)
+       | 4 -> Net.Dspec.commit t (some_txn ())
+       | 5 | 6 -> Net.Dspec.abort t (some_txn ()) "fence"
+       | 7 -> Net.Dspec.compensate t (some_txn ()) ~discarded:(int 3)
+       | 8 ->
+         Net.Dspec.adopt (some_txn ()) ~coord_pid:(int pids)
+           ~root_uid:(if int 2 = 0 then None else Some (int uids))
+       | _ ->
+         Net.Dspec.rebind_pid t ~old_pid:(int pids) ~new_pid:(int pids)
+           ~uid_map:[ (int uids, int uids) ] ~rank:(int 4) ~epoch:(int 3));
+    check_lookups t ~opened:!opened ~step
+  done;
+  check "the walk opened many transactions" true (!opened > 100)
+
+(* ------------------------------------------------------------------ *)
 (* Fault-free speculative serving                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -62,6 +198,8 @@ let test_fault_free_speculative_serving () =
     (counter cluster "dspec.commits" + counter cluster "dspec.aborts");
   check_int "one prepare round per txn" (counter cluster "dspec.opened")
     (counter cluster "dspec.prepares");
+  check_int "nothing left undecided" 0
+    (Net.Dspec.undecided (Net.Cluster.dspec cluster));
   audit_no_partial_commits (Obs.Trace.events (Net.Cluster.trace cluster))
 
 (* ------------------------------------------------------------------ *)
@@ -280,6 +418,8 @@ let test_speculative_serving_under_faults () =
     (counter cluster "dspec.fence_rejections" > 0);
   check_int "every opened txn resolved" (counter cluster "dspec.opened")
     (counter cluster "dspec.commits" + counter cluster "dspec.aborts");
+  check_int "every abort compensated, nothing left undecided" 0
+    (Net.Dspec.undecided (Net.Cluster.dspec cluster));
   audit_no_partial_commits (Obs.Trace.events (Net.Cluster.trace cluster))
 
 let test_faulty_serving_reproducible () =
@@ -294,6 +434,10 @@ let suites =
   [
     ( "dspec",
       [
+        Alcotest.test_case "lookups: smallest id, decided still found"
+          `Quick test_lookup_smallest_id_and_decided;
+        Alcotest.test_case "lookups match a full scan (random walk)" `Quick
+          test_lookups_match_full_scan;
         Alcotest.test_case "fault-free speculative serving" `Quick
           test_fault_free_speculative_serving;
         Alcotest.test_case "coordinator rollback compensates mailboxes"

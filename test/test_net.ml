@@ -145,6 +145,122 @@ let test_mailbox_discard_speculative () =
   check_int "one dropped" 1 dropped;
   check_int "two remain" 2 (Net.Mpi.pending mbox)
 
+(* A mailbox whose buckets hold traffic on both sides of the two-list
+   FIFO: the (1, 0) bucket has been received from (its [front] is
+   filled) and enqueued to since; (2, 0) and (1, 1) were never received
+   from (all [back]).  It holds two duplicated copies (the network's
+   dup fault enqueues a message twice), speculative traffic from levels
+   7 and 8 of pid 42 and level 7 of pid 43, and two stale-epoch copies.
+   Jitter makes some newer messages deliverable before older ones, and
+   6 and 8 share a bucket and a delivery time, so only enqueue order
+   tells them apart.  Payloads name the messages; 0 has already been
+   received. *)
+let mixed_mailbox () =
+  let mbox = Net.Mpi.create_mailbox () in
+  let e ?(epoch = 1) ?spec ~src ~tag ~at n =
+    Net.Mpi.enqueue mbox
+      { (msg ~spec ~src ~tag ~at [| n |]) with Net.Mpi.msg_src_epoch = epoch }
+  in
+  e ~src:1 ~tag:0 ~at:0.0 0;
+  e ~spec:(42, 7) ~src:1 ~tag:0 ~at:3.0 1;
+  e ~src:2 ~tag:0 ~at:0.5 2;
+  (match Net.Mpi.try_recv mbox ~now:0.0 ~src_rank:1 ~tag:0 with
+  | Net.Mpi.Received _ -> ()
+  | _ -> Alcotest.fail "expected message 0");
+  e ~spec:(42, 7) ~src:1 ~tag:0 ~at:1.0 3;
+  e ~spec:(42, 7) ~src:1 ~tag:0 ~at:1.0 3;
+  e ~src:1 ~tag:0 ~at:0.2 4;
+  e ~spec:(42, 8) ~src:2 ~tag:0 ~at:0.1 5;
+  e ~spec:(43, 7) ~src:1 ~tag:1 ~at:0.1 6;
+  e ~epoch:0 ~src:2 ~tag:0 ~at:0.1 7;
+  e ~epoch:0 ~src:2 ~tag:0 ~at:0.1 7;
+  e ~src:1 ~tag:1 ~at:0.1 8;
+  mbox
+
+let payloads mbox =
+  List.map
+    (fun m ->
+      match m.Net.Mpi.msg_payload with
+      | [| Value.Vint n |] -> n
+      | _ -> Alcotest.fail "unexpected payload")
+    (Net.Mpi.messages mbox)
+
+(* Everything a reader can observe of a mailbox, consumed as it is
+   drained: [next_delivery] and the order [try_recv] / [try_recv_any]
+   hand messages out, as simulated time advances past the jittered
+   delivery times. *)
+let drain_log mbox =
+  let log = ref [] in
+  List.iter
+    (fun now ->
+      log := `Next (Net.Mpi.next_delivery mbox) :: !log;
+      log := `Any (Net.Mpi.try_recv_any mbox ~now ~tag:0) :: !log;
+      List.iter
+        (fun (src_rank, tag) ->
+          let rec take () =
+            match Net.Mpi.try_recv mbox ~now ~src_rank ~tag with
+            | Net.Mpi.Received m ->
+              log := `Recv m :: !log;
+              take ()
+            | r -> log := `Last r :: !log
+          in
+          take ())
+        [ (1, 0); (1, 1); (2, 0) ])
+    [ 0.0; 0.15; 0.3; 0.6; 1.0; 2.0; 3.0; 4.0; 5.0; 6.0 ];
+  List.rev !log
+
+(* A purge that matches nothing changes nothing observable, and a
+   matching one still takes every duplicate copy. *)
+let test_mailbox_purges () =
+  let untouched = mixed_mailbox () in
+  let before = Net.Mpi.messages untouched in
+  let no_ops =
+    [ ( "discard_speculative",
+        fun mbox ->
+          Net.Mpi.discard_speculative mbox ~uids:[ 9 ] ~sender_pid:42 );
+      ( "settle_speculative",
+        fun mbox ->
+          Net.Mpi.settle_speculative mbox ~uids:[ 7 ] ~sender_pid:99 );
+      ( "discard_stale",
+        fun mbox ->
+          Net.Mpi.discard_stale mbox ~stale:(fun m ->
+              m.Net.Mpi.msg_src_epoch < 0) ) ]
+  in
+  let expected_log = drain_log (mixed_mailbox ()) in
+  List.iter
+    (fun (name, purge) ->
+      let mbox = mixed_mailbox () in
+      check_int (name ^ ": matches nothing") 0 (purge mbox);
+      check (name ^ ": messages unchanged") true
+        (Net.Mpi.messages mbox = before);
+      check_int (name ^ ": pending unchanged") (List.length before)
+        (Net.Mpi.pending mbox);
+      check (name ^ ": same drain") true (drain_log mbox = expected_log))
+    no_ops;
+  let mbox = mixed_mailbox () in
+  check_int "discard drops every copy" 3
+    (Net.Mpi.discard_speculative mbox ~uids:[ 7 ] ~sender_pid:42);
+  Alcotest.(check (list int)) "discard keeps the rest in order"
+    [ 2; 4; 5; 6; 7; 7; 8 ] (payloads mbox);
+  let mbox = mixed_mailbox () in
+  check_int "settle settles every copy" 3
+    (Net.Mpi.settle_speculative mbox ~uids:[ 7 ] ~sender_pid:42);
+  Alcotest.(check (list int)) "settle keeps every message in order"
+    [ 1; 2; 3; 3; 4; 5; 6; 7; 7; 8 ] (payloads mbox);
+  check "no settled stamp left" true
+    (not
+       (Net.Mpi.exists_message mbox (fun m ->
+            m.Net.Mpi.msg_spec = Some (42, 7))));
+  check "other levels keep their stamps" true
+    (Net.Mpi.exists_message mbox (fun m -> m.Net.Mpi.msg_spec = Some (42, 8))
+    && Net.Mpi.exists_message mbox (fun m ->
+           m.Net.Mpi.msg_spec = Some (43, 7)));
+  let mbox = mixed_mailbox () in
+  check_int "stale drops every copy" 2
+    (Net.Mpi.discard_stale mbox ~stale:(fun m -> m.Net.Mpi.msg_src_epoch < 1));
+  Alcotest.(check (list int)) "stale keeps the rest in order"
+    [ 1; 2; 3; 3; 4; 5; 6; 8 ] (payloads mbox)
+
 (* With the two-list FIFO, a 10k-message burst is linear work and
    delivery order stays oldest-first (the old [queue @ [msg]] enqueue
    made a burst O(N^2)). *)
@@ -755,6 +871,8 @@ let suites =
         Alcotest.test_case "roll notices" `Quick test_mailbox_roll_notice;
         Alcotest.test_case "speculative discard" `Quick
           test_mailbox_discard_speculative;
+        Alcotest.test_case "purges: no match is a no-op, every copy matched"
+          `Quick test_mailbox_purges;
         Alcotest.test_case "10k burst stays FIFO" `Quick
           test_mailbox_fifo_burst;
       ] );
