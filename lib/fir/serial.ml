@@ -32,11 +32,7 @@ let put_i64 buf n =
   done
 
 (* Compact 8-byte float encoding (exact bit pattern, little-endian). *)
-let put_f64_bits buf f =
-  let bits = Int64.bits_of_float f in
-  for k = 0 to 7 do
-    put_u8 buf (Int64.to_int (Int64.shift_right_logical bits (8 * k)) land 0xff)
-  done
+let put_f64_bits buf f = Buffer.add_int64_le buf (Int64.bits_of_float f)
 
 (* OCaml ints are 63-bit, so a float's Int64 bit pattern is split across
    two fields to round-trip exactly. *)
@@ -106,15 +102,9 @@ let get_i64 r =
 
 let get_f64_bits r =
   need r 8;
-  let bits = ref 0L in
-  for k = 7 downto 0 do
-    bits :=
-      Int64.logor
-        (Int64.shift_left !bits 8)
-        (Int64.of_int (Char.code r.data.[r.pos + k]))
-  done;
+  let bits = String.get_int64_le r.data r.pos in
   r.pos <- r.pos + 8;
-  Int64.float_of_bits !bits
+  Int64.float_of_bits bits
 
 let get_f64_exact r =
   let lo = get_i64 r in
@@ -164,13 +154,26 @@ let get_varint r =
 (* Adler-32.                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* zlib's NMAX: the most bytes over which both running sums stay below
+   2^32 between reductions.  [mod] distributes over the additions, so
+   reducing once per NMAX bytes instead of once per byte yields the same
+   checksum. *)
+let adler_nmax = 5552
+
 let adler32 s =
+  let n = String.length s in
   let a = ref 1 and b = ref 0 in
-  String.iter
-    (fun c ->
-      a := (!a + Char.code c) mod 65521;
-      b := (!b + !a) mod 65521)
-    s;
+  let start = ref 0 in
+  while !start < n do
+    let stop = min n (!start + adler_nmax) in
+    for i = !start to stop - 1 do
+      a := !a + Char.code (String.unsafe_get s i);
+      b := !b + !a
+    done;
+    a := !a mod 65521;
+    b := !b mod 65521;
+    start := stop
+  done;
   (!b lsl 16) lor !a
 
 (* ------------------------------------------------------------------ *)
@@ -182,15 +185,30 @@ let adler32 s =
    migration server can digest the received payload without decoding it
    first.  Adler-32 stays the per-message transport checksum; the digest
    is the cache/identity key (far better dispersion, stable across
-   transports). *)
+   transports).
+
+   FNV-1a is a stream hash: [fnv_feed] continues a running hash over
+   [s.[off .. off + len - 1]], so a digest over several byte ranges
+   needs no concatenated copy.  The plain [for] loop keeps the
+   accumulator unboxed; a closure over it would box it on every byte. *)
+let fnv_basis = 0xcbf29ce484222325L
+
+let fnv_feed h s ~off ~len =
+  if off < 0 || len < 0 || off + len > String.length s then
+    invalid_arg "Serial.fnv_feed";
+  let h = ref h in
+  for i = off to off + len - 1 do
+    h :=
+      Int64.mul
+        (Int64.logxor !h (Int64.of_int (Char.code (String.unsafe_get s i))))
+        0x100000001b3L
+  done;
+  !h
+
+let fnv_hex h = Printf.sprintf "%016Lx" h
+
 let encoded_digest s =
-  let prime = 0x100000001b3L in
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-    s;
-  Printf.sprintf "%016Lx" !h
+  fnv_hex (fnv_feed fnv_basis s ~off:0 ~len:(String.length s))
 
 (* ------------------------------------------------------------------ *)
 (* Types.                                                              *)

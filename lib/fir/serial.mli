@@ -59,6 +59,19 @@ val encoded_digest : string -> string
     server can digest received bytes without decoding them first; see
     {!Digest} for the program-level API. *)
 
+(** {2 Streaming FNV-1a}
+
+    [encoded_digest s] is
+    [fnv_hex (fnv_feed fnv_basis s ~off:0 ~len:(String.length s))]; a
+    digest over several byte ranges feeds them in order. *)
+
+val fnv_basis : int64
+val fnv_feed : int64 -> string -> off:int -> len:int -> int64
+(** Continue a running hash over [len] bytes of the string from [off].
+    @raise Invalid_argument if the range is not inside the string. *)
+
+val fnv_hex : int64 -> string
+
 (** {2 Shared operator codes} *)
 
 val unop_code : Ast.unop -> int

@@ -32,6 +32,7 @@ exception Unpack_error of string
 type packed = {
   p_image : Wire.image;
   p_bytes : string; (* the encoded image: what actually travels *)
+  p_digest : string; (* Wire.image_digest of p_image, hashed while encoding *)
   p_dirty : (int * int, unit) Hashtbl.t;
       (* (index, page) pairs written since the PREVIOUS pack — the
          change set a delta against that previous image may ship *)
@@ -98,7 +99,8 @@ let pack ?(with_binary = true) ?(epoch = 0) ?dspec proc ~entry ~args ~label =
      that future writes are tracked against. *)
   let p_dirty = Heap.dirty_snapshot heap in
   Heap.clear_dirty heap;
-  { p_image = image; p_bytes = Wire.encode image; p_dirty }
+  let p_bytes, p_digest = Wire.encode_digested image in
+  { p_image = image; p_bytes; p_digest; p_dirty }
 
 (* Encode [packed] as a delta against [baseline] (identified on the wire
    by [base_digest], the baseline's {!Wire.image_digest}).  Returns
@@ -119,7 +121,7 @@ let delta ~baseline ~base_digest packed =
         Wire.d_arch = image.Wire.i_arch;
         d_base = base_digest;
         d_fir_digest = image.Wire.i_digest;
-        d_new_digest = Wire.image_digest image;
+        d_new_digest = packed.p_digest;
         d_ptable = image.Wire.i_ptable;
         d_blocks;
         d_spec = image.Wire.i_spec;

@@ -16,6 +16,9 @@ exception Unpack_error of string
 type packed = {
   p_image : Wire.image;
   p_bytes : string;  (** the encoded full image: what travels cold *)
+  p_digest : string;
+      (** {!Wire.image_digest} of [p_image], computed while encoding
+          [p_bytes] *)
   p_dirty : (int * int, unit) Hashtbl.t;
       (** (pointer-table index, page) pairs written since the PREVIOUS
           pack of this process — the change set {!delta} may ship *)

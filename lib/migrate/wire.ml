@@ -155,16 +155,31 @@ let cell_equal a b =
 (* Run-length heap segments: uvarint run count, then the cell once.
    Initialised arrays and freshly-zeroed pages collapse to a few bytes;
    the worst case (no two adjacent cells equal) costs one extra byte per
-   cell, which the varint integer encoding more than buys back. *)
+   cell, which the varint integer encoding more than buys back.  A float
+   run takes its bit pattern once, not once per comparison: float-heavy
+   heaps are the largest images. *)
 let put_cells buf cells lo len =
   let i = ref lo in
   let hi = lo + len in
   while !i < hi do
     let v = cells.(!i) in
     let j = ref (!i + 1) in
-    while !j < hi && cell_equal cells.(!j) v do
-      incr j
-    done;
+    (match v with
+    | Value.Vfloat x ->
+      let bits = Int64.bits_of_float x in
+      while
+        !j < hi
+        &&
+        match cells.(!j) with
+        | Value.Vfloat y -> Int64.equal (Int64.bits_of_float y) bits
+        | _ -> false
+      do
+        incr j
+      done
+    | _ ->
+      while !j < hi && cell_equal cells.(!j) v do
+        incr j
+      done);
     put_uvarint buf (!j - !i);
     put_value buf v;
     i := !j
@@ -252,11 +267,22 @@ let get_dspec r =
    (the digest already names them) and the MASM payload (a delta-
    reconstructed image inherits the baseline's binary, which may differ
    from what the sender would have attached) — so sender and receiver
-   compute identical digests for semantically identical images. *)
-let image_digest image =
-  let buf = Buffer.create 65536 in
+   compute identical digests for semantically identical images.
+
+   The digested fields are two runs of a full packet's body, written by
+   the same two functions: the head (architecture, FIR digest) and the
+   payload (function table through label).  {!encode_digested} hashes
+   those ranges of the body it just wrote instead of serializing twice.
+   i_epoch and i_dspec are deliberately excluded: they are incarnation
+   and transaction METADATA, not semantic payload — two incarnations of
+   the same state must share a baseline digest so delta negotiation
+   still works across a resurrection, and opening a transaction must not
+   invalidate a retained baseline. *)
+let put_digest_head buf image =
   put_string buf image.i_arch;
-  put_string buf image.i_digest;
+  put_string buf image.i_digest
+
+let put_digest_payload buf image =
   put_list buf put_string image.i_ftable;
   put_ptable buf image.i_ptable;
   put_uvarint buf (Array.length image.i_cells);
@@ -264,12 +290,21 @@ let image_digest image =
   put_list buf put_spec_level image.i_spec;
   put_varint buf image.i_menv;
   put_string buf image.i_entry;
-  put_varint buf image.i_label;
-  (* i_epoch and i_dspec are deliberately excluded: they are incarnation
-     and transaction METADATA, not semantic payload — two incarnations
-     of the same state must share a baseline digest so delta negotiation
-     still works across a resurrection, and opening a transaction must
-     not invalidate a retained baseline *)
+  put_varint buf image.i_label
+
+(* Initial buffer size for the digested fields: ten bytes per cell (a
+   run byte, a tag and eight float bytes — the cost of a float cell, the
+   widest common case), so the largest images are written without
+   regrowing.  {!encode_digested} adds the FIR and MASM strings. *)
+let size_hint image =
+  256
+  + (10 * Array.length image.i_cells)
+  + (2 * Array.length image.i_ptable)
+
+let image_digest image =
+  let buf = Buffer.create (size_hint image) in
+  put_digest_head buf image;
+  put_digest_payload buf image;
   Fir.Serial.encoded_digest (Buffer.contents buf)
 
 (* ------------------------------------------------------------------ *)
@@ -419,57 +454,82 @@ let diff ~baseline ~image ~changed =
    payload and function table are inherited from the baseline; the
    rebuilt image's content digest must match [d_new_digest] — a mismatch
    means the sender's dirty tracking and our baseline disagree, and the
-   caller must fall back to requesting a full image. *)
+   caller must fall back to requesting a full image.  The receiver
+   recomputes that digest itself: the sender's value is only what the
+   reconstruction is checked against.
+
+   Two passes over the block list: the first resolves every block
+   against the baseline (rejecting absent indices and bad tags) and sums
+   the new heap's size, the second blits baseline blocks and patch
+   ranges straight into an array of exactly that size. *)
 let apply_delta ~baseline delta =
   if not (String.equal delta.d_arch baseline.i_arch) then
     raise (Corrupt "delta architecture does not match baseline");
   if not (String.equal delta.d_fir_digest baseline.i_digest) then
     raise (Corrupt "delta FIR digest does not match baseline");
   let base = block_map baseline in
-  let buf = ref [] in
-  let n = ref 0 in
-  let push v =
-    buf := v :: !buf;
-    incr n
+  let resolve what idx =
+    match Hashtbl.find_opt base idx with
+    | Some found -> found
+    | None ->
+      raise (Corrupt ("delta " ^ what ^ " a block absent from baseline"))
   in
+  let block_cells = function
+    | Dcopy idx ->
+      let _, _, size = resolve "copies" idx in
+      size
+    | Dpatch { idx; _ } ->
+      let _, _, size = resolve "patches" idx in
+      size
+    | Dlit { tag; cells; _ } ->
+      (match Heap.tag_of_code tag with
+      | _ -> ()
+      | exception Heap.Runtime_error _ ->
+        raise (Corrupt (Printf.sprintf "delta block has bad tag %d" tag)));
+      Array.length cells
+  in
+  let ncells =
+    List.fold_left
+      (fun n db -> n + Heap.header_cells + block_cells db)
+      0 delta.d_blocks
+  in
+  let i_cells = Array.make ncells Value.Vunit in
+  let pos = ref 0 in
+  (* collector flags are always clear in an image *)
   let header idx tag size =
-    push (Value.Vint idx);
-    push (Value.Vint tag);
-    push (Value.Vint size);
-    push (Value.Vint 0) (* collector flags are always clear in an image *)
+    let at = !pos in
+    i_cells.(at + Heap.h_index) <- Value.Vint idx;
+    i_cells.(at + Heap.h_tag) <- Value.Vint tag;
+    i_cells.(at + Heap.h_size) <- Value.Vint size;
+    i_cells.(at + Heap.h_flags) <- Value.Vint 0;
+    pos := at + Heap.header_cells
+  in
+  let base_block idx =
+    let addr, tag, size = Hashtbl.find base idx in
+    header idx tag size;
+    Array.blit baseline.i_cells (addr + Heap.header_cells) i_cells !pos size;
+    size
   in
   List.iter
     (fun db ->
       match db with
-      | Dcopy idx ->
-        (match Hashtbl.find_opt base idx with
-        | None -> raise (Corrupt "delta copies a block absent from baseline")
-        | Some (addr, tag, size) ->
-          header idx tag size;
-          for k = 0 to size - 1 do
-            push baseline.i_cells.(addr + Heap.header_cells + k)
-          done)
+      | Dcopy idx -> pos := !pos + base_block idx
       | Dlit { idx; tag; cells } ->
-        ignore (Heap.tag_of_code tag);
-        header idx tag (Array.length cells);
-        Array.iter push cells
+        let size = Array.length cells in
+        header idx tag size;
+        Array.blit cells 0 i_cells !pos size;
+        pos := !pos + size
       | Dpatch { idx; ranges } ->
-        (match Hashtbl.find_opt base idx with
-        | None -> raise (Corrupt "delta patches a block absent from baseline")
-        | Some (addr, tag, size) ->
-          header idx tag size;
-          let data = Array.sub baseline.i_cells (addr + Heap.header_cells) size in
-          List.iter
-            (fun (off, cells) ->
-              let len = Array.length cells in
-              if off < 0 || len < 0 || off + len > size then
-                raise (Corrupt "delta patch range overruns block");
-              Array.blit cells 0 data off len)
-            ranges;
-          Array.iter push data))
+        let size = base_block idx in
+        List.iter
+          (fun (off, cells) ->
+            let len = Array.length cells in
+            if off < 0 || off + len > size then
+              raise (Corrupt "delta patch range overruns block");
+            Array.blit cells 0 i_cells (!pos + off) len)
+          ranges;
+        pos := !pos + size)
     delta.d_blocks;
-  let i_cells = Array.make !n Value.Vunit in
-  List.iteri (fun k v -> i_cells.(!n - 1 - k) <- v) !buf;
   let image =
     {
       baseline with
@@ -492,13 +552,12 @@ let apply_delta ~baseline delta =
 (* ------------------------------------------------------------------ *)
 
 let frame body =
-  let buf = Buffer.create (String.length body + 32) in
-  Buffer.add_string buf magic;
-  put_i64 buf version;
-  put_i64 buf (Fir.Serial.adler32 body);
-  put_i64 buf (String.length body);
-  Buffer.add_string buf body;
-  Buffer.contents buf
+  let header = Buffer.create 28 in
+  Buffer.add_string header magic;
+  put_i64 header version;
+  put_i64 header (Fir.Serial.adler32 body);
+  put_i64 header (String.length body);
+  Buffer.contents header ^ body
 
 let unframe s =
   if String.length s < 4 || not (String.equal (String.sub s 0 4) magic) then
@@ -515,28 +574,36 @@ let unframe s =
     raise (Corrupt "process-image checksum mismatch");
   body
 
-let encode image =
-  let body = Buffer.create 65536 in
+let encode_digested image =
+  let masm_len =
+    match image.i_masm with Some m -> String.length m | None -> 0
+  in
+  let body =
+    Buffer.create (size_hint image + String.length image.i_fir + masm_len)
+  in
   put_u8 body kind_full;
-  put_string body image.i_arch;
-  put_string body image.i_digest;
+  let head_off = Buffer.length body in
+  put_digest_head body image;
+  let head_len = Buffer.length body - head_off in
   put_string body image.i_fir;
   (match image.i_masm with
   | None -> put_u8 body 0
   | Some payload ->
     put_u8 body 1;
     put_string body payload);
-  put_list body put_string image.i_ftable;
-  put_ptable body image.i_ptable;
-  put_uvarint body (Array.length image.i_cells);
-  put_cells body image.i_cells 0 (Array.length image.i_cells);
-  put_list body put_spec_level image.i_spec;
-  put_varint body image.i_menv;
-  put_string body image.i_entry;
-  put_varint body image.i_label;
+  let payload_off = Buffer.length body in
+  put_digest_payload body image;
+  let payload_len = Buffer.length body - payload_off in
   put_varint body image.i_epoch;
   put_dspec body image.i_dspec;
-  frame (Buffer.contents body)
+  let body = Buffer.contents body in
+  let h =
+    Fir.Serial.fnv_feed Fir.Serial.fnv_basis body ~off:head_off ~len:head_len
+  in
+  let h = Fir.Serial.fnv_feed h body ~off:payload_off ~len:payload_len in
+  frame body, Fir.Serial.fnv_hex h
+
+let encode image = fst (encode_digested image)
 
 let get_image r =
   let i_arch = get_string r in
@@ -784,5 +851,3 @@ let verify image =
      || image.i_menv >= Array.length image.i_ptable
      || image.i_ptable.(image.i_menv) = -1
   then raise (Corrupt "migrate_env index is invalid")
-
-let byte_size image = String.length (encode image)

@@ -69,6 +69,11 @@ val encode : image -> string
 (** A full packet: checksummed, versioned, little-endian regardless of
     the source architecture. *)
 
+val encode_digested : image -> string * string
+(** [(encode image, image_digest image)] from one serialization: the
+    digest is hashed over the byte ranges of the packet body that
+    {!image_digest} would write. *)
+
 val decode : string -> image
 (** @raise Corrupt on bad magic/version/checksum/truncation, or if the
     bytes hold a delta packet rather than a full image. *)
@@ -79,8 +84,6 @@ val verify : image -> unit
     cells are in range, speculation records reference valid blocks, and
     migrate_env is live.
     @raise Corrupt on any violation. *)
-
-val byte_size : image -> int
 
 (** {2 Delta images}
 
@@ -145,8 +148,9 @@ val diff :
 
 val apply_delta : baseline:image -> delta -> image
 (** @raise Corrupt if the delta does not match the baseline (arch / FIR
-    digest / block shapes) or the reconstruction's digest disagrees with
-    [d_new_digest]. *)
+    digest / a block absent from it / a patch range overrunning its
+    block), a literal block has a bad tag, or the digest recomputed over
+    the reconstruction disagrees with [d_new_digest]. *)
 
 val encode_delta : delta -> string
 

@@ -1900,7 +1900,7 @@ let ship_shipment t (entry : entry) (src : node) (target : node) packed sh
    be encoded as a delta over it. *)
 let rebase_baseline (n : node) (entry : entry)
     (packed : Migrate.Pack.packed) =
-  let digest = Migrate.Wire.image_digest packed.Migrate.Pack.p_image in
+  let digest = packed.Migrate.Pack.p_digest in
   entry.baseline <- Some (digest, packed.Migrate.Pack.p_image);
   ignore
     (Migrate.Server.remember_baseline ~digest n.daemon

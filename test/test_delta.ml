@@ -67,6 +67,72 @@ let test_cell_equal_float_bits () =
      Migrate.Wire.put_value buf (Value.Vint 3);
      Buffer.length buf = 2)
 
+(* The wire format is pinned, not only self-consistent: a hand-built
+   image (float runs, -0.0, a NaN payload, every cell kind, MASM, spec,
+   epoch and dspec) and a delta over it hash to digests taken from the
+   byte-at-a-time encoder these kernels replaced.  No Hashtbl or Random
+   is involved, so the pins hold on every OCaml version. *)
+let pinned_image =
+  {
+    Migrate.Wire.i_arch = "cisc32";
+    i_digest = "0123456789abcdef";
+    i_fir = "not really FIR";
+    i_masm = Some "not really MASM";
+    i_ftable = [ "f"; "main" ];
+    i_ptable = [| 0; 7 |];
+    i_cells =
+      [| Value.Vint 0; Value.Vint 1; Value.Vint 3; Value.Vint 0;
+         Value.Vfloat (-0.0); Value.Vfloat (-0.0);
+         Value.Vfloat (Int64.float_of_bits 0x7ff80000deadbeefL);
+         Value.Vint 1; Value.Vint 0; Value.Vint 5; Value.Vint 0;
+         Value.Vint 300; Value.Vptr (0, 2); Value.Venum (3, 1); Value.Vfun 1;
+         Value.Vfloat 1.5 |];
+    i_spec =
+      [ { Spec.Engine.s_entry = "f"; s_args = [ Value.Vint (-2) ];
+          s_saved = [ 0, 0 ] } ];
+    i_menv = 1;
+    i_entry = "f";
+    i_label = 2;
+    i_epoch = 7;
+    i_dspec =
+      Some
+        { Migrate.Wire.x_txn = 3; x_root = 0; x_coord_laddr = -1;
+          x_parts = [ 1, 2 ] };
+  }
+
+let test_wire_bytes_pinned () =
+  let im = pinned_image in
+  let packet = Migrate.Wire.encode im in
+  check_int "packet length" 249 (String.length packet);
+  check_str "packet bytes" "9b2be2ebbd5b5a66" (Fir.Digest.of_encoded packet);
+  check_str "image digest" "5d2c6a2c9cfb5cb9" (Migrate.Wire.image_digest im);
+  let delta =
+    Migrate.Wire.encode_delta
+      {
+        Migrate.Wire.d_arch = "cisc32";
+        d_base = "base";
+        d_fir_digest = im.Migrate.Wire.i_digest;
+        d_new_digest = Migrate.Wire.image_digest im;
+        d_ptable = im.Migrate.Wire.i_ptable;
+        d_blocks =
+          [ Migrate.Wire.Dcopy 0;
+            Migrate.Wire.Dpatch
+              { idx = 1;
+                ranges = [ 1, [| Value.Vfloat (-0.0); Value.Vfloat (-0.0) |] ]
+              };
+            Migrate.Wire.Dlit
+              { idx = 2; tag = 1; cells = [| Value.Vfloat infinity |] } ];
+        d_spec = im.Migrate.Wire.i_spec;
+        d_menv = 1;
+        d_entry = "f";
+        d_label = 2;
+        d_epoch = 7;
+        d_dspec = None;
+      }
+  in
+  check_int "delta length" 170 (String.length delta);
+  check_str "delta bytes" "55d75d39439754d7" (Fir.Digest.of_encoded delta)
+
 (* ------------------------------------------------------------------ *)
 (* Property: full vs baseline+delta round-trip over random mutations   *)
 (* ------------------------------------------------------------------ *)
@@ -187,9 +253,85 @@ let test_delta_roundtrip_property () =
             local resumed))
     [ 1; 2; 7; 42; 20260807 ]
 
+(* One serialization, one digest: the digest [encode_digested] hashes
+   out of the packet body must equal [image_digest] on every image a
+   seeded walk packs, and on variants that exercise each field outside
+   the digested ranges (MASM, epoch, dspec context) and the speculation
+   snapshot inside them.  ([encode] is [encode_digested]'s first half;
+   the bytes themselves are pinned by [test_wire_bytes_pinned].) *)
+let digest_variants (im : Migrate.Wire.image) =
+  let open Migrate.Wire in
+  [
+    "as packed", im;
+    "no MASM", { im with i_masm = None };
+    "MASM payload", { im with i_masm = Some "not really masm" };
+    "epoch 7", { im with i_epoch = 7 };
+    ( "dspec context",
+      { im with
+        i_dspec =
+          Some
+            { x_txn = 3; x_root = 0; x_coord_laddr = 5;
+              x_parts = [ 1, 2; 4, 0 ] } } );
+    "empty spec", { im with i_spec = [] };
+    ( "one spec level",
+      { im with
+        i_spec =
+          [ { Spec.Engine.s_entry = "main";
+              s_args = [ Value.Vint 1; Value.Vfloat (-0.0) ];
+              s_saved = [] } ] } );
+  ]
+
+let test_encode_digested_coupling () =
+  List.iter
+    (fun seed ->
+      let rounds = 3 in
+      let fir = mutating_worker ~seed ~cells:2000 ~rounds ~writes:40 in
+      let proc = Vm.Process.create fir in
+      run_to_migration proc;
+      let previous = ref None in
+      for hop = 1 to rounds do
+        (* odd hops carry a MASM payload, even hops ship FIR only *)
+        let packed =
+          Migrate.Pack.pack_request ~with_binary:(hop mod 2 = 1) proc
+        in
+        let im = packed.Migrate.Pack.p_image in
+        check_str
+          (Printf.sprintf "seed %d hop %d: p_digest" seed hop)
+          (Migrate.Wire.image_digest im) packed.Migrate.Pack.p_digest;
+        List.iter
+          (fun (what, v) ->
+            check_str
+              (Printf.sprintf "seed %d hop %d, %s: same digest" seed hop what)
+              (Migrate.Wire.image_digest v)
+              (snd (Migrate.Wire.encode_digested v)))
+          (digest_variants im);
+        (match !previous with
+        | None -> ()
+        | Some (base : Migrate.Pack.packed) -> (
+          match
+            Migrate.Pack.delta ~baseline:base.Migrate.Pack.p_image
+              ~base_digest:base.Migrate.Pack.p_digest packed
+          with
+          | None -> Alcotest.fail "delta encoding impossible"
+          | Some (dbytes, _) -> (
+            match Migrate.Wire.decode_packet dbytes with
+            | Migrate.Wire.Full _ -> Alcotest.fail "delta decoded as full"
+            | Migrate.Wire.Delta d ->
+              check_str
+                (Printf.sprintf "seed %d hop %d: d_new_digest" seed hop)
+                (Migrate.Wire.image_digest im) d.Migrate.Wire.d_new_digest)));
+        previous := Some packed;
+        if hop < rounds then begin
+          Vm.Process.migration_failed proc;
+          run_to_migration proc
+        end
+      done)
+    [ 1; 7; 20260807 ]
+
 (* ------------------------------------------------------------------ *)
 (* Server: baseline cache, negotiation, invalidation                   *)
 (* ------------------------------------------------------------------ *)
+
 
 let pack_pair () =
   let fir = mutating_worker ~seed:9 ~cells:400 ~rounds:2 ~writes:25 in
@@ -273,6 +415,104 @@ let test_server_unknown_baseline () =
        + String.length p2.Migrate.Pack.p_bytes
     && Obs.Metrics.counter_value m "migrate.bytes_delta"
        = String.length dbytes)
+
+(* Every malformed delta is rejected by reconstruction, and through
+   [Server.handle] comes back as the unknown-baseline cue that makes the
+   sender fall back to a full image. *)
+let test_apply_delta_rejects () =
+  let p1, p2 = pack_pair () in
+  let baseline = p1.Migrate.Pack.p_image in
+  let d =
+    match
+      Migrate.Pack.delta ~baseline ~base_digest:p1.Migrate.Pack.p_digest p2
+    with
+    | None -> Alcotest.fail "delta encoding impossible"
+    | Some (dbytes, _) -> (
+      match Migrate.Wire.decode_packet dbytes with
+      | Migrate.Wire.Delta d -> d
+      | Migrate.Wire.Full _ -> Alcotest.fail "delta decoded as full")
+  in
+  (* the untampered delta applies, so each case fails for its own fault *)
+  let rebuilt = Migrate.Wire.apply_delta ~baseline d in
+  (* the digest an unchecked reconstruction would arrive at: with it, the
+     structural checks and not the digest comparison must reject *)
+  let forged cells =
+    Migrate.Wire.image_digest { rebuilt with Migrate.Wire.i_cells = cells }
+  in
+  let absent = Array.length baseline.Migrate.Wire.i_ptable + 100 in
+  let idx =
+    match d.Migrate.Wire.d_blocks with
+    | (Migrate.Wire.Dcopy i | Migrate.Wire.Dpatch { idx = i; _ }) :: _ -> i
+    | _ -> Alcotest.fail "first block is not inherited from the baseline"
+  in
+  let size =
+    match
+      baseline.Migrate.Wire.i_cells.(baseline.Migrate.Wire.i_ptable.(idx)
+                                     + Heap.h_size)
+    with
+    | Value.Vint n -> n
+    | _ -> Alcotest.fail "non-integer size header"
+  in
+  let overrun_cells = Array.copy rebuilt.Migrate.Wire.i_cells in
+  overrun_cells.(rebuilt.Migrate.Wire.i_ptable.(idx) + Heap.header_cells
+                 + size - 1) <- Value.Vint 0;
+  let overrun =
+    List.map
+      (function
+        | Migrate.Wire.Dcopy i | Migrate.Wire.Dpatch { idx = i; _ }
+          when i = idx ->
+          Migrate.Wire.Dpatch
+            { idx; ranges = [ size - 1, [| Value.Vint 0; Value.Vint 0 |] ] }
+        | b -> b)
+      d.Migrate.Wire.d_blocks
+  in
+  let cases =
+    let open Migrate.Wire in
+    [
+      ( "copy of an absent block",
+        { d with d_blocks = Dcopy absent :: d.d_blocks } );
+      ( "patch of an absent block",
+        { d with
+          d_blocks =
+            Dpatch { idx = absent; ranges = [ 0, [| Value.Vint 1 |] ] }
+            :: d.d_blocks } );
+      ( "patch range overruns its block",
+        { d with d_blocks = overrun; d_new_digest = forged overrun_cells } );
+      ( "literal block with a bad tag",
+        { d with
+          d_blocks = Dlit { idx = absent; tag = 9; cells = [||] } :: d.d_blocks;
+          d_new_digest =
+            forged
+              (Array.append
+                 [| Value.Vint absent; Value.Vint 9; Value.Vint 0;
+                    Value.Vint 0 |]
+                 rebuilt.i_cells) } );
+      ( "tampered reconstruction digest",
+        { d with
+          d_new_digest =
+            String.map (fun c -> if c = '0' then '1' else '0') d.d_new_digest
+        } );
+    ]
+  in
+  let server = Migrate.Server.(create_cfg Config.default Vm.Arch.cisc32) in
+  (match Migrate.Server.handle server p1.Migrate.Pack.p_bytes with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "full image rejected: %s" m);
+  List.iter
+    (fun (what, bad) ->
+      check (what ^ ": reconstruction raises Corrupt") true
+        (match Migrate.Wire.apply_delta ~baseline bad with
+        | _ -> false
+        | exception Migrate.Wire.Corrupt _ -> true);
+      match Migrate.Server.handle server (Migrate.Wire.encode_delta bad) with
+      | Ok _ -> Alcotest.failf "%s: server accepted it" what
+      | Error m ->
+        check (what ^ ": server answers unknown baseline") true
+          (Migrate.Server.is_unknown_baseline m))
+    cases;
+  check_int "every rejection counted as a delta miss" (List.length cases)
+    (Obs.Metrics.counter_value (Migrate.Server.metrics server)
+       "migrate.delta_misses")
 
 let test_baseline_lru_bound () =
   let p1, p2 = pack_pair () in
@@ -501,12 +741,16 @@ let suites =
           test_codec_edges;
         Alcotest.test_case "float cells compare by bit pattern" `Quick
           test_cell_equal_float_bits;
+        Alcotest.test_case "wire bytes and digests pinned" `Quick
+          test_wire_bytes_pinned;
       ] );
     ( "delta.roundtrip",
       [
         Alcotest.test_case
           "random mutation sequences: delta == full, resume agrees" `Quick
           test_delta_roundtrip_property;
+        Alcotest.test_case "encode_digested == (encode, image_digest)"
+          `Quick test_encode_digested_coupling;
       ] );
     ( "delta.server",
       [
@@ -514,6 +758,8 @@ let suites =
           `Quick test_server_delta_accept;
         Alcotest.test_case "unknown baseline rejected, full fallback"
           `Quick test_server_unknown_baseline;
+        Alcotest.test_case "malformed deltas rejected as unknown baseline"
+          `Quick test_apply_delta_rejects;
         Alcotest.test_case "baseline cache is LRU-bounded" `Quick
           test_baseline_lru_bound;
       ] );

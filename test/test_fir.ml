@@ -584,6 +584,90 @@ let test_serial_floats () =
   let s = Serial.encode p in
   check_str "NaN canonical" s (Serial.encode (Serial.decode s))
 
+(* Checksum and digest kernels against their byte-at-a-time
+   definitions: the deferred-modulo Adler-32 and the loop FNV-1a must
+   agree with the textbook forms on every length, including both sides
+   of Adler-32's 5552-byte reduction block. *)
+let adler32_oracle s =
+  let a = ref 1 and b = ref 0 in
+  String.iter
+    (fun c ->
+      a := (!a + Char.code c) mod 65521;
+      b := (!b + !a) mod 65521)
+    s;
+  (!b lsl 16) lor !a
+
+let fnv_oracle s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h :=
+        Int64.mul
+          (Int64.logxor !h (Int64.of_int (Char.code c)))
+          0x100000001b3L)
+    s;
+  Printf.sprintf "%016Lx" !h
+
+let test_serial_kernels () =
+  let rng = Random.State.make [| 18 |] in
+  let random_string n =
+    String.init n (fun _ -> Char.chr (Random.State.int rng 256))
+  in
+  let inputs =
+    List.map random_string [ 0; 1; 5551; 5552; 5553; 11105 ]
+    @ [ String.make 1_000_000 '\xff' ]
+  in
+  List.iter
+    (fun s ->
+      let n = String.length s in
+      check_int
+        (Printf.sprintf "adler32 of %d bytes" n)
+        (adler32_oracle s) (Serial.adler32 s);
+      check_str
+        (Printf.sprintf "FNV-1a of %d bytes" n)
+        (fnv_oracle s) (Serial.encoded_digest s);
+      (* streaming: any split point gives the whole-string hash *)
+      let cut = n / 3 in
+      let h = Serial.fnv_feed Serial.fnv_basis s ~off:0 ~len:cut in
+      check_str
+        (Printf.sprintf "FNV-1a of %d bytes fed in two ranges" n)
+        (fnv_oracle s)
+        (Serial.fnv_hex (Serial.fnv_feed h s ~off:cut ~len:(n - cut))))
+    inputs;
+  check_int "Adler-32(\"Wikipedia\")" 0x11E60398 (Serial.adler32 "Wikipedia");
+  check_str "FNV-1a-64 of the empty string" "cbf29ce484222325"
+    (Serial.encoded_digest "");
+  check "fnv_feed rejects a range past the end" true
+    (match Serial.fnv_feed Serial.fnv_basis "abc" ~off:2 ~len:2 with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
+let test_serial_f64_bits () =
+  List.iter
+    (fun bits ->
+      let buf = Buffer.create 8 in
+      Serial.put_f64_bits buf (Int64.float_of_bits bits);
+      check_int "eight bytes" 8 (Buffer.length buf);
+      let r = { Serial.data = Buffer.contents buf; pos = 0 } in
+      let back = Int64.bits_of_float (Serial.get_f64_bits r) in
+      check
+        (Printf.sprintf "float bits %016Lx round-trip exactly" bits)
+        true (Int64.equal bits back);
+      check_int "reader advanced" 8 r.Serial.pos)
+    [
+      Int64.bits_of_float (-0.0);
+      0x7ff80000deadbeefL (* quiet NaN with a payload *);
+      Int64.bits_of_float infinity;
+      Int64.bits_of_float neg_infinity;
+      1L (* smallest subnormal *);
+      Int64.bits_of_float max_float;
+    ];
+  (* the byte order is little-endian, whatever the host's *)
+  let buf = Buffer.create 8 in
+  Serial.put_f64_bits buf 1.0;
+  check_str "1.0 is 3ff0... little-endian"
+    "\x00\x00\x00\x00\x00\x00\xf0\x3f" (Buffer.contents buf)
+
 (* qcheck: random types round-trip through a program embedding *)
 let ty_gen =
   let open QCheck.Gen in
@@ -712,6 +796,10 @@ let suites =
         Alcotest.test_case "canonical encoding" `Quick test_serial_stable;
         Alcotest.test_case "corruption detected" `Quick test_serial_corrupt;
         Alcotest.test_case "float exactness" `Quick test_serial_floats;
+        Alcotest.test_case "checksum and digest kernels" `Quick
+          test_serial_kernels;
+        Alcotest.test_case "f64 bits round-trip exactly" `Quick
+          test_serial_f64_bits;
         QCheck_alcotest.to_alcotest prop_ty_roundtrip;
         QCheck_alcotest.to_alcotest prop_exp_size_positive;
       ] );
