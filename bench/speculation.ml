@@ -1,0 +1,402 @@
+(* The speculation and VM family: E2-E4 (speculation entry, abort and
+   commit cost against heap mutation), E5 (the context-switch baseline),
+   F1 (Figure 1's atomic transfer), the A2 collector ablation and the M1
+   mailbox micro-benchmark. *)
+
+open Runtime
+open Bench
+open Kit
+
+(* ================================================================== *)
+(* E2-E4: speculation cost vs heap mutation (paper Section 5,          *)
+(* paragraph 2: entry ~40 us independent of mutation; abort 120->135   *)
+(* us for 10->100 %; commit 81->87 us; 200 KB heap)                    *)
+(* ================================================================== *)
+
+(* A 200 KB heap: 1600 blocks of 16 cells (8 bytes per cell). *)
+let spec_blocks = 1600
+let spec_block_cells = 16
+
+let make_spec_heap () =
+  let heap = Heap.create ~initial_cells:(spec_blocks * 24 * 2) () in
+  let engine = Spec.Engine.create heap in
+  let idxs =
+    Array.init spec_blocks (fun i ->
+        Heap.alloc heap ~tag:Heap.Array ~size:spec_block_cells
+          ~init:(Value.Vint i))
+  in
+  heap, engine, idxs
+
+let cont0 = { Spec.Engine.entry = "bench"; args = [] }
+
+(* mutate [percent] % of the blocks (one write each: the per-block COW
+   clone is the speculation cost driver) *)
+let mutate heap idxs percent =
+  let n = Array.length idxs * percent / 100 in
+  for i = 0 to n - 1 do
+    Heap.write heap idxs.(i) 0 (Value.Vint (-i))
+  done
+
+let e2_e4 () =
+  section "E2-E4: speculation operations vs heap mutation (200 KB heap)";
+  Printf.printf
+    "paper: entry ~40 us (flat); abort 120 us @10%% -> 135 us @100%%; \
+     commit 81 us @10%% -> 87 us @100%%\n\n";
+  let iters = 400 in
+  (* entry: O(1), measured at various pre-existing mutation levels *)
+  let entry_at percent =
+    let heap, engine, idxs = make_spec_heap () in
+    time_op ~iters (fun () ->
+        (* mutate OUTSIDE the timed region; time the enter alone *)
+        mutate heap idxs percent;
+        let t0 = now_s () in
+        let _ = Spec.Engine.enter engine ~cont:cont0 in
+        let dt = now_s () -. t0 in
+        Spec.Engine.commit engine (Spec.Engine.depth engine);
+        dt)
+  in
+  let abort_at percent =
+    let heap, engine, idxs = make_spec_heap () in
+    time_op ~iters (fun () ->
+        let _ = Spec.Engine.enter engine ~cont:cont0 in
+        mutate heap idxs percent;
+        let t0 = now_s () in
+        let _ = Spec.Engine.rollback engine 1 in
+        let dt = now_s () -. t0 in
+        (* rollback re-enters (retry): drop the retry level *)
+        Spec.Engine.commit engine (Spec.Engine.depth engine);
+        dt)
+  in
+  let commit_at percent =
+    let heap, engine, idxs = make_spec_heap () in
+    time_op ~iters (fun () ->
+        let _ = Spec.Engine.enter engine ~cont:cont0 in
+        mutate heap idxs percent;
+        let t0 = now_s () in
+        Spec.Engine.commit engine 1;
+        now_s () -. t0)
+  in
+  Printf.printf "  %-12s %-12s %-12s %-12s\n" "mutation" "entry(us)"
+    "abort(us)" "commit(us)";
+  let entries = ref [] and aborts = ref [] and commits = ref [] in
+  List.iter
+    (fun percent ->
+      let e = entry_at percent *. 1e6 in
+      let a = abort_at percent *. 1e6 in
+      let c = commit_at percent *. 1e6 in
+      entries := (percent, e) :: !entries;
+      aborts := (percent, a) :: !aborts;
+      commits := (percent, c) :: !commits;
+      Printf.printf "  %-12s %-12.2f %-12.2f %-12.2f\n"
+        (string_of_int percent ^ "%")
+        e a c)
+    [ 0; 10; 25; 50; 75; 100 ];
+  let at l p = List.assoc p !l in
+  print_newline ();
+  verdict "entry flat in mutation (spread < 3x across sweep)"
+    (let es = List.map snd !entries in
+     let mx = List.fold_left max (List.hd es) es
+     and mn = List.fold_left min (List.hd es) es in
+     mx < 3.0 *. mn +. 1.0 (* +1us noise floor *));
+  verdict "abort grows with mutation (10% -> 100%)"
+    (at aborts 100 > at aborts 10);
+  verdict "commit grows with mutation (10% -> 100%)"
+    (at commits 100 > at commits 10);
+  verdict "abort costs more than commit at every mutation level"
+    (List.for_all
+       (fun (p, a) -> a >= at commits p *. 0.8)
+       !aborts);
+  verdict "entry much cheaper than abort at 10%"
+    (at entries 10 *. 2.0 < at aborts 10);
+  (* bechamel cross-checks: full enter+mutate+resolve cycles *)
+  let heap, engine, idxs = make_spec_heap () in
+  let cycle_commit =
+    bechamel_ns "enter+mutate10%+commit" (fun () ->
+        let _ = Spec.Engine.enter engine ~cont:cont0 in
+        mutate heap idxs 10;
+        Spec.Engine.commit engine (Spec.Engine.depth engine))
+  in
+  let heap, engine, idxs = make_spec_heap () in
+  let cycle_abort =
+    bechamel_ns "enter+mutate10%+abort" (fun () ->
+        let _ = Spec.Engine.enter engine ~cont:cont0 in
+        mutate heap idxs 10;
+        let _ = Spec.Engine.rollback engine 1 in
+        Spec.Engine.commit engine (Spec.Engine.depth engine))
+  in
+  Printf.printf
+    "\n  bechamel (full cycles @10%% mutation): commit cycle = %.1f us, \
+     abort cycle = %.1f us\n"
+    (cycle_commit /. 1e3) (cycle_abort /. 1e3)
+
+(* ================================================================== *)
+(* E5: context switch baseline (paper: ~300 us for 2 processes with    *)
+(* 200 KB heaps — speculation entry is an order cheaper)               *)
+(* ================================================================== *)
+
+let e5 () =
+  section "E5: context-switch baseline (paper Section 5)";
+  Printf.printf
+    "paper: context switch ~300 us (2 procs, 200 KB heaps) vs \
+     speculation entry ~40 us\n\n";
+  List.iter
+    (fun arch ->
+      let cycles = Vm.Emulator.context_switch_cycles arch in
+      Printf.printf
+        "  %-8s register-file save/restore: %4d cycles = %6.3f us \
+         simulated\n"
+        arch.Vm.Arch.name cycles
+        (Vm.Arch.seconds arch cycles *. 1e6))
+    Vm.Arch.all;
+  (* speculation entry on the simulated clock for comparison *)
+  let entry_cycles = Vm.Arch.cisc32.Vm.Arch.cycles Vm.Arch.Trap in
+  Printf.printf
+    "  %-8s speculation entry trap:      %4d cycles = %6.3f us \
+     simulated\n"
+    "cisc32" entry_cycles
+    (Vm.Arch.seconds Vm.Arch.cisc32 entry_cycles *. 1e6);
+  print_newline ();
+  verdict "speculation entry cheaper than a context switch"
+    (entry_cycles < Vm.Emulator.context_switch_cycles Vm.Arch.cisc32)
+
+(* ================================================================== *)
+(* F1: Figure 1's atomic transfer under fault injection                *)
+(* ================================================================== *)
+
+let transfer_src speculative =
+  if speculative then
+    {|
+int transfer(int obj1, int obj2, int k) {
+  int *buf1 = alloc_int(k);
+  int *buf2 = alloc_int(k);
+  int specid = speculate();
+  if (specid > 0) {
+    if (obj_read(obj1, buf1, k) != k) abort(specid);
+    if (obj_read(obj2, buf2, k) != k) abort(specid);
+    if (obj_write(obj1, buf2, k) != k) abort(specid);
+    if (obj_write(obj2, buf1, k) != k) abort(specid);
+    commit(specid);
+    return 1;
+  }
+  return 0;
+}
+int main() { return transfer(1, 2, 4); }
+|}
+  else
+    {|
+int transfer(int obj1, int obj2, int k) {
+  int *buf1 = alloc_int(k);
+  int *buf2 = alloc_int(k);
+  if (obj_read(obj1, buf1, k) != k) return 0;
+  if (obj_read(obj2, buf2, k) != k) return 0;
+  if (obj_write(obj1, buf2, k) != k) return 0;
+  if (obj_write(obj2, buf1, k) != k) {
+    int tries = 0;
+    while (obj_write(obj1, buf1, k) != k) {
+      tries = tries + 1;
+      if (tries > 3) { return 0 - 1; }
+    }
+    return 0;
+  }
+  return 1;
+}
+int main() { return transfer(1, 2, 4); }
+|}
+
+let f1 () =
+  section "F1: Figure 1 — atomicity of the speculative transfer";
+  let fir_trad = Minic.Driver.compile_exn (transfer_src false) in
+  let fir_spec = Minic.Driver.compile_exn (transfer_src true) in
+  let runs = 200 in
+  let tally fir p =
+    let ok = ref 0 and clean = ref 0 and bad = ref 0 in
+    for seed = 1 to runs do
+      let cluster = Kit.cluster ~nodes:1 ~seed () in
+      Net.Cluster.set_object cluster 1 "AAAA";
+      Net.Cluster.set_object cluster 2 "BBBB";
+      Net.Cluster.set_object_failure_probability cluster p;
+      let pid = Net.Cluster.spawn cluster ~node_id:0 ~seed fir in
+      let _ = Net.Cluster.run cluster in
+      let status =
+        match Net.Cluster.entry_of_pid cluster pid with
+        | Some e -> e.Net.Cluster.proc.Vm.Process.status
+        | None -> Vm.Process.Trapped "lost"
+      in
+      let o1 = Option.get (Net.Cluster.get_object cluster 1) in
+      let o2 = Option.get (Net.Cluster.get_object cluster 2) in
+      match status with
+      | Vm.Process.Exited 1 when o1 = "BBBB" && o2 = "AAAA" -> incr ok
+      | Vm.Process.Exited 0 when o1 = "AAAA" && o2 = "BBBB" -> incr clean
+      | _ -> incr bad
+    done;
+    !ok, !clean, !bad
+  in
+  Printf.printf "  %-22s %-8s %-9s %-11s %s\n" "version" "p(fail)" "success"
+    "clean fail" "INCONSISTENT";
+  let spec_bad = ref 0 and trad_bad = ref 0 in
+  List.iter
+    (fun p ->
+      let ok, clean, bad = tally fir_trad p in
+      trad_bad := !trad_bad + bad;
+      Printf.printf "  %-22s %-8.2f %-9d %-11d %d\n" "traditional" p ok clean
+        bad;
+      let ok, clean, bad = tally fir_spec p in
+      spec_bad := !spec_bad + bad;
+      Printf.printf "  %-22s %-8.2f %-9d %-11d %d\n" "speculative (Fig. 1)" p
+        ok clean bad)
+    [ 0.1; 0.3; 0.5 ];
+  print_newline ();
+  verdict "speculative transfer never inconsistent" (!spec_bad = 0);
+  verdict "hand-written undo IS sometimes inconsistent" (!trad_bad > 0)
+(* ================================================================== *)
+(* A2 (ablation): the generational design of the collector (paper       *)
+(* Section 4: "a minor collection phase that is fast and eliminates     *)
+(* blocks with short live ranges, and a major collection phase that     *)
+(* sweeps and compacts the entire heap")                                *)
+(* ================================================================== *)
+
+let a2 () =
+  section "A2 (ablation): generational vs major-only collection";
+  (* an allocation-heavy workload over a FRAGMENTED persistent live set
+     (20k small blocks): every major collection must re-mark and re-walk
+     all of them, while minors only look at the young garbage *)
+  let fir =
+    let open Fir in
+    let live_blocks = 20_000 and rounds = 150_000 in
+    Builder.(
+      let fill, _ =
+        for_loop ~name:"fill" ~lo:(int 0) ~hi:(int live_blocks)
+          ~state_tys:[ Types.Tptr (Types.Tptr Types.Tint) ]
+          ~state:[ nil (Types.Tptr (Types.Tptr Types.Tint)) ]
+          ~body:(fun i st continue ->
+            match st with
+            | [ roots ] ->
+              array Types.Tint ~size:(int 4) ~init:i (fun blk ->
+                  store roots i blk (continue [ roots ]))
+            | _ -> assert false)
+          ~after:(fun st ->
+            match st with
+            | [ roots ] -> callf "churn" [ int 0; int 0; roots ]
+            | _ -> assert false)
+      in
+      let churn =
+        func "churn"
+          [ "i", Types.Tint; "acc", Types.Tint;
+            "roots", Types.Tptr (Types.Tptr Types.Tint) ]
+          (fun args ->
+            match args with
+            | [ i; acc; roots ] ->
+              lt i (int rounds) (fun more ->
+                  if_ more
+                    (tuple [ Types.Tint, i; Types.Tint, acc ] (fun junk ->
+                         proj Types.Tint junk 0 (fun x ->
+                             add acc x (fun acc' ->
+                                 rem acc' (int 1000000) (fun acc'' ->
+                                     add i (int 1) (fun i' ->
+                                         callf "churn" [ i'; acc''; roots ]))))))
+                    (exit_ acc))
+            | _ -> assert false)
+      in
+      let main =
+        func "main" [] (fun _ ->
+            array (Types.Tptr Types.Tint) ~size:(int live_blocks)
+              ~init:(nil (Types.Tptr Types.Tint)) (fun roots ->
+                callf "fill" [ int 0; roots ]))
+      in
+      prog [ fill; churn; main ])
+  in
+  let measure ~generational =
+    let proc = Vm.Process.create fir in
+    Heap.set_minor_enabled proc.Vm.Process.heap generational;
+    let t0 = now_s () in
+    (match Vm.Interp.run proc with
+    | Vm.Process.Exited _ -> ()
+    | _ -> failwith "a2 workload failed");
+    let dt = now_s () -. t0 in
+    let st = Heap.stats proc.Vm.Process.heap in
+    dt, st.Heap.minor_collections, st.Heap.major_collections
+  in
+  let gen_s, gen_minor, gen_major = measure ~generational:true in
+  let maj_s, _, maj_major = measure ~generational:false in
+  Printf.printf
+    "  generational: %7.3f s wall  (%d minor + %d major collections)\n"
+    gen_s gen_minor gen_major;
+  Printf.printf "  major-only:   %7.3f s wall  (%d major collections)\n"
+    maj_s maj_major;
+  print_newline ();
+  verdict "generational collection is faster on short-lived garbage"
+    (gen_s < maj_s);
+  verdict "minor collections avoid re-scanning the old generation"
+    (gen_major < maj_major)
+
+(* ================================================================== *)
+(* M1: mailbox enqueue scaling (regression guard for the two-list      *)
+(* FIFO — the old [queue @ [msg]] representation made an N-message     *)
+(* burst cost O(N^2))                                                  *)
+(* ================================================================== *)
+
+let m1 () =
+  section "M1: mailbox enqueue scaling (two-list FIFO)";
+  let mk_msg i =
+    { Net.Mpi.msg_src_rank = 0; msg_src_pid = 1; msg_tag = 0;
+      msg_payload = [| Value.Vint i |]; msg_deliver_at = 0.0;
+      msg_spec = None; msg_src_epoch = 0 }
+  in
+  let recv mb =
+    match Net.Mpi.try_recv mb ~now:0.0 ~src_rank:0 ~tag:0 with
+    | Net.Mpi.Received _ -> ()
+    | Net.Mpi.Roll | Net.Mpi.None_yet -> failwith "m1: FIFO lost a message"
+  in
+  let burst n =
+    (* median over trials: per-burst wall time, drained at the end so
+       the FIFO's lazy reversal is paid inside the measurement too *)
+    time_op ~iters:9 (fun () ->
+        let mb = Net.Mpi.create_mailbox () in
+        let t0 = now_s () in
+        for i = 0 to n - 1 do
+          Net.Mpi.enqueue mb (mk_msg i)
+        done;
+        for _ = 1 to n do recv mb done;
+        now_s () -. t0)
+  in
+  (* interleaved 5-enqueue / 3-drain bursts: the front list is
+     non-empty every time the back list flips, which is the pattern the
+     pre-fix [normalize] handled by appending the reversed back list
+     onto the NON-EMPTY front — O(N^2) across a long run of bursts *)
+  let interleaved n =
+    time_op ~iters:9 (fun () ->
+        let mb = Net.Mpi.create_mailbox () in
+        let t0 = now_s () in
+        let sent = ref 0 and got = ref 0 in
+        let recv_one () = recv mb; incr got in
+        while !sent < n do
+          for _ = 1 to 5 do
+            Net.Mpi.enqueue mb (mk_msg !sent);
+            incr sent
+          done;
+          for _ = 1 to 3 do recv_one () done
+        done;
+        while !got < n do recv_one () done;
+        now_s () -. t0)
+  in
+  Printf.printf "  %-12s %-10s %-12s %s\n" "pattern" "messages" "total(us)"
+    "ns/message";
+  let per_msg pattern f n =
+    let t = f n in
+    let ns = t /. float_of_int n *. 1e9 in
+    Printf.printf "  %-12s %-10d %-12.1f %.1f\n" pattern n (t *. 1e6) ns;
+    ns
+  in
+  let ns_1k = per_msg "burst" burst 1_000 in
+  let ns_10k = per_msg "burst" burst 10_000 in
+  let ns_i1k = per_msg "interleaved" interleaved 1_000 in
+  let ns_i10k = per_msg "interleaved" interleaved 10_000 in
+  print_newline ();
+  (* a quadratic queue would make the per-message cost ~10x worse at
+     10k; linear keeps it flat (generous 4x + noise-floor allowance) *)
+  verdict "enqueue+drain cost per message flat at 10k (linear, not O(N^2))"
+    (ns_10k < 4.0 *. ns_1k +. 50.0);
+  verdict
+    "interleaved bursts stay flat too (normalize never merges a \
+     non-empty front)"
+    (ns_i10k < 4.0 *. ns_i1k +. 50.0)

@@ -1,0 +1,70 @@
+(* The perfcheck ratio gate on synthetic rows, and the ratios the
+   committed baselines hold. *)
+
+open Bench
+
+let meter =
+  { Kit.id = "x";
+    ratio = { Kit.slow = "slow"; fast = "fast"; cost = "wall_s" };
+    run = (fun () -> [], []) }
+
+let row case mode cost =
+  Kit.[ "bench", str "x"; "case", str case; "mode", str mode;
+        "wall_s", num 6 cost ]
+
+(* a case whose fast mode costs 1 s: its ratio is [slow] *)
+let case name slow = [ row name "slow" slow; row name "fast" 1.0 ]
+
+let gate ~committed ~fresh =
+  Perfcheck.gate meter ~committed ~fresh:(List.concat fresh)
+
+let committed = Some (case "a" 1.0 @ case "b" 2.0)
+
+let test_tolerance () =
+  Alcotest.(check bool) "0.71x of committed passes" true
+    (gate ~committed ~fresh:[ case "a" 0.71; case "b" 1.42 ]);
+  Alcotest.(check bool) "0.69x of committed fails" false
+    (gate ~committed ~fresh:[ case "a" 0.69; case "b" 2.0 ])
+
+let test_missing () =
+  Alcotest.(check bool) "missing baseline fails" false
+    (gate ~committed:None ~fresh:[ case "a" 1.0 ]);
+  Alcotest.(check bool) "missing fresh case fails" false
+    (gate ~committed ~fresh:[ case "a" 1.0 ]);
+  Alcotest.(check bool) "uncommitted fresh case fails" false
+    (gate ~committed ~fresh:[ case "a" 1.0; case "b" 2.0; case "c" 1.0 ])
+
+let test_row_round_trip () =
+  let r = List.hd (case "a" 0.5) in
+  Alcotest.(check string) "line"
+    {|{"bench":"x","case":"a","mode":"slow","wall_s":0.500000}|}
+    (Kit.line_of_row r);
+  Alcotest.(check bool) "parse" true (Kit.row_of_line (Kit.line_of_row r) = r)
+
+let test_committed () =
+  let got =
+    List.concat_map
+      (fun (m : Kit.meter) ->
+        match Kit.read_rows ("baselines/BENCH_" ^ m.id ^ ".json") with
+        | None -> Alcotest.failf "no committed baseline for %s" m.id
+        | Some rows ->
+          List.map (fun (case, x) -> Printf.sprintf "%s %s %.2f" m.id case x)
+            (Kit.ratios m.ratio rows))
+      Meters.all
+  in
+  Alcotest.(check (list string)) "11 committed ratios"
+    [ "s1 longtail 21.21"; "s1 pingpong 1.50";
+      "v1 branch 2.37"; "v1 compute 2.25"; "v1 memory 1.84";
+      "t1 serve-s11 0.89"; "t1 serve-s23 0.81";
+      "t2 skew-s11 1.12"; "t2 skew-s23 1.12";
+      "f5 spec-s11 0.70"; "f5 spec-s23 0.61" ]
+    got
+
+let () =
+  Alcotest.run "bench"
+    [ ( "perfcheck",
+        Alcotest.
+          [ test_case "70% tolerance" `Quick test_tolerance;
+            test_case "missing and uncommitted cases fail" `Quick test_missing;
+            test_case "row format round-trips" `Quick test_row_round_trip;
+            test_case "committed baseline ratios" `Quick test_committed ] ) ]
