@@ -2,8 +2,8 @@
    registry for fixed-seed cluster scenarios.  A cluster refactor that
    claims "behaviour unchanged" keeps every digest.  Together the
    scenarios reach every migration, failure, receive and
-   speculation-abort path of [Net.Cluster], and one runs on the legacy
-   scan scheduler.  None reads MCC_FAULT_SEED.
+   speculation-abort path of [Net.Cluster] and the placement-policy
+   tick, and one runs on the legacy scan scheduler.  None reads MCC_FAULT_SEED.
 
    OCaml 5 changed the stdlib [Random] algorithm, so fault draws (and
    hence traces) differ between OCaml 4.14 and 5.x.  The digests are
@@ -219,6 +219,88 @@ int main() {
     (status_of c coord = Vm.Process.Exited 2);
   c
 
+(* the placement policy re-homes services packed onto one node, under
+   duplicated hops and a forwarder TTL shorter than a moved notice's
+   flight: balance ticks, deduplicated hop deliveries, expired
+   forwarders *)
+let balanced_serve () =
+  let c =
+    Net.Cluster.create_cfg
+      { Net.Cluster.Config.default with
+        node_count = 3;
+        seed = 7;
+        net = Some (Net.Simnet.create ~latency_us:5.0 ());
+        faults = { none with f_seed = 7; f_dup = 0.5 };
+        forward_ttl_s = 0.000001;
+        balance = { Net.Balance.Config.default with enabled = true } }
+  in
+  let d =
+    Mcc.Gridapp.Serve.deploy ~engine:`Masm ~placement:(`Pack 1) c
+      { Mcc.Gridapp.Serve.clients = 4; services = 3; requests_per_client = 30;
+        work_us = 100; skew = true; speculative = false }
+  in
+  let r = Mcc.Gridapp.Serve.run ~migrate_every_s:0.0005 ~migrations:2 d in
+  check "exactly once" true (Mcc.Gridapp.Serve.exactly_once d r);
+  c
+
+(* a sender checkpoints to a replicated store, sends, and dies with its
+   node; a wildcard receiver observes the roll, the resurrection's read
+   repairs a lost replica, and the dead incarnation's queued message is
+   purged as stale before the successor's copy is received.  A third
+   rank sends across a link that never heals. *)
+let stale_traffic () =
+  let c =
+    mk_cluster ~nodes:4 ~seed:3 ~replication:3
+      { (cut_link 0 3 3) with f_store_lost = 0.4 }
+  in
+  let receiver =
+    spawn ~rank:0 c 0
+      (compile_c
+         {|
+int main() {
+  float *buf = alloc_float(2);
+  int i; int acc; int got; int rolls;
+  acc = 0;
+  for (i = 0; i < 50000; i = i + 1) { acc = (acc + i) % 1000; }
+  rolls = 0;
+  got = msg_try_recv_any(5, buf, 1);
+  while (got < 0) {
+    if (got == 0 - 2) { rolls = rolls + 1; }
+    got = msg_try_recv_any(5, buf, 1);
+  }
+  msg_send(1, 6, buf, 1);
+  return rolls + (int)buf[0];
+}
+|})
+  in
+  ignore
+    (spawn ~rank:1 c 1
+       (compile_c
+          {|
+int main() {
+  float *buf = alloc_float(2);
+  int got;
+  migrate("checkpoint://stale_p1");
+  buf[0] = 20.0;
+  msg_send(0, 5, buf, 1);
+  got = msg_try_recv(0, 6, buf, 1);
+  while (got < 0) { got = msg_try_recv(0, 6, buf, 1); }
+  return got;
+}
+|}));
+  ignore
+    (spawn ~rank:2 c 3
+       (compile_c "int main() { return msg_send(0, 9, alloc_float(1), 1); }"));
+  run ~max_rounds:200 c;
+  Net.Cluster.fail_node c 1;
+  (match Net.Cluster.resurrect c ~rank:1 ~node_id:2 ~path:"stale_p1" with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail msg);
+  run c;
+  check "one roll, then the successor's message" true
+    (status_of c receiver = Vm.Process.Exited 21);
+  c
+
 (* name, scenario, evidence the trace must contain, trace MD5, metrics MD5 *)
 let golden =
   [
@@ -262,6 +344,13 @@ let golden =
     ( "dspec abort: fence", dspec_fence,
       [ "\"reason\":\"fence\"" ],
       "b1c6dcb5f4ce60f3c171c0fb9d608ba2", "b21320cc42a1dcfdaf33dce5bf646318" );
+    ( "balance ticks, dup hops, expired forwarders", balanced_serve,
+      [ "balance_tick"; "dup_delivery"; "forward_expired" ],
+      "d92f9f9013f29e3e9f2908ff54a55c0b", "ea8e1cc4acb386d71bc1c1d3007e51dd" );
+    ( "stale traffic, wildcard roll, drop, read repair", stale_traffic,
+      [ "msg_drop"; "storage_repair"; "\"what\":\"stale_msg\"";
+        "\"src\":-1" ],
+      "94a91fbd093b0412271104cdc80f4233", "a8e92985c67482d36dea3f539e790737" );
   ]
 
 let md5 s = Digest.to_hex (Digest.string s)
