@@ -343,7 +343,7 @@ let m1 () =
       msg_spec = None; msg_src_epoch = 0 }
   in
   let recv mb =
-    match Net.Mpi.try_recv mb ~now:0.0 ~src_rank:0 ~tag:0 with
+    match Net.Mpi.try_recv mb ~now:0.0 ~src:(Net.Mpi.Rank 0) ~tag:0 with
     | Net.Mpi.Received _ -> ()
     | Net.Mpi.Roll | Net.Mpi.None_yet -> failwith "m1: FIFO lost a message"
   in

@@ -28,8 +28,11 @@ type entry = {
           entry whose epoch falls behind the rank's current epoch is a
           zombie and is fenced at every interaction point *)
   mutable start_at : float;  (** not schedulable before this (node) time *)
-  mutable parked_on : (int * int) option;
-      (** (src rank, tag) of the last unsuccessful poll *)
+  mutable parked_on : (Mpi.source * int) option;
+      (** (source, tag) of the last unsuccessful poll: the scheduler wakes
+          the process only for a matching delivery or a roll notice from
+          that source, so unrelated traffic cannot spin-livelock a parked
+          receiver *)
   mutable baseline : (string * Migrate.Wire.image) option;
       (** ({!Migrate.Wire.image_digest}, image) of this process's most
           recent pack — what its heap dirty set is tracked against, and
@@ -51,7 +54,11 @@ type node = {
   mutable alive : bool;
   daemon : Migrate.Server.t;
   mutable busy_seconds : float;
-  mutable clock : float;  (** local simulated clock (busy + idle) *)
+  mutable clock : float;
+      (** local simulated clock (busy + idle).  Nodes advance
+          independently — a conservative discrete-event simulation — so
+          out-of-phase processes (e.g. a freshly resurrected rank)
+          overlap with their peers instead of serialising. *)
   mutable residents : entry list;
       (** entries registered on this node, newest first; terminated
           entries are purged lazily each round.  Scheduler index only —

@@ -1,0 +1,82 @@
+(* The types every part of the simulated cluster shares: the processes
+   placed on nodes, the nodes, what a migration records and reports, and
+   the unified move request.  [Cluster] re-exports them with one
+   [include]; their fields are documented in cluster.mli. *)
+
+open Vm
+
+type engine = Interp_engine | Emu_engine of Emulator.t
+
+type entry = {
+  proc : Process.t;
+  mutable engine : engine;
+  mutable node_id : int;
+  mailbox : Mpi.mailbox;
+  mutable rank : int option;
+  mutable epoch : int;
+  mutable start_at : float;
+  mutable parked_on : (Mpi.source * int) option;
+  mutable baseline : (string * Migrate.Wire.image) option;
+  bindings : (int, int) Hashtbl.t;
+  mutable notices : (float * int * int) list;
+}
+
+type node = {
+  node_id : int;
+  node_name : string;
+  node_arch : Arch.t;
+  mutable alive : bool;
+  daemon : Migrate.Server.t;
+  mutable busy_seconds : float;
+  mutable clock : float;
+  mutable residents : entry list;
+}
+
+type migration_record = {
+  mr_kind : [ `Migrate | `Suspend | `Checkpoint ];
+  mr_pid : int;
+  mr_bytes : int;
+  mr_pack_s : float;
+  mr_transfer_s : float;
+  mr_compile_s : float;
+  mr_cache_hit : bool;
+  mr_delta : bool;
+  mr_ok : bool;
+}
+
+type migration_report = {
+  rep_pid : int;
+  rep_attempts : int;
+  rep_retries : int;
+  rep_backoff_s : float;
+  rep_elapsed_s : float;
+  rep_bytes : int;
+  rep_cache_hit : bool;
+  rep_delta : bool;
+}
+
+type migration_error =
+  | No_such_process of int
+  | Not_running
+  | Target_down
+  | Already_there
+  | Unreachable of { attempts : int; reason : string }
+  | Rejected of string
+  | Fenced of { rank : int; stale : int; current : int }
+  | Resurrect_failed of string
+
+(* The unified move request (documented in cluster.mli): every
+   initiator builds one and calls [Recovery.move]. *)
+module Move = struct
+  type reason = Explicit | Policy | Resurrect | Rehome
+
+  type subject =
+    | Running of int
+    | Image of { path : string; rank : int option; seed : int }
+
+  type request = { mv_subject : subject; mv_dest : int; mv_reason : reason }
+  type outcome = { mv_pid : int; mv_report : migration_report option }
+
+  let request ~reason subject ~dest =
+    { mv_subject = subject; mv_dest = dest; mv_reason = reason }
+end

@@ -1,0 +1,565 @@
+(* The externs cluster processes call (see externs.mli). *)
+
+open Runtime
+open Vm
+open Cluster_types
+open Cluster_core
+
+type t = {
+  core : Cluster_core.t;
+  graph : Spec_graph.t;
+  mutable obj_fail_prob : float;
+  (* registry counters, plus the request-latency histogram the serving
+     workloads (Gridapp T1) feed through the lat_us extern *)
+  c_svc_forwarded : Obs.Metrics.counter;
+  c_svc_rebinds : Obs.Metrics.counter;
+  c_svc_expired : Obs.Metrics.counter;
+  h_app_latency : Obs.Metrics.histogram;
+}
+
+let create core graph =
+  let counter = Obs.Metrics.counter core.metrics in
+  { core; graph; obj_fail_prob = 0.0;
+    c_svc_forwarded = counter "registry.forwarded";
+    c_svc_rebinds = counter "registry.rebinds";
+    c_svc_expired = counter "registry.expired";
+    h_app_latency = Obs.Metrics.histogram core.metrics "app.latency_seconds" }
+
+let set_object_failure_probability x p = x.obj_fail_prob <- p
+
+let msg_none = Mpi.msg_none
+let msg_roll = Mpi.msg_roll
+
+(* svc_send's typed "recipient moved" code (-3): the cached binding led
+   to a vacated rank whose forwarder TTL has passed.  The message was
+   NOT sent — the caller drops its cache and retries, re-resolving
+   through the registry.  Never a silent drop. *)
+let msg_moved = -3
+
+let extern_signatures_list : (string * (Fir.Types.ty list * Fir.Types.ty)) list
+    =
+  let open Fir.Types in
+  [
+    "msg_send", ([ Tint; Tint; Tptr Tfloat; Tint ], Tint);
+    "msg_try_recv", ([ Tint; Tint; Tptr Tfloat; Tint ], Tint);
+    "msg_send_int", ([ Tint; Tint; Tptr Tint; Tint ], Tint);
+    "msg_try_recv_int", ([ Tint; Tint; Tptr Tint; Tint ], Tint);
+    (* location-transparent messaging: sends by logical address, the
+       wildcard receive a mobile service needs (its clients' ranks are
+       whatever the registry said at their send time), and the
+       request-latency probe the serving benches feed *)
+    "svc_send", ([ Tint; Tint; Tptr Tfloat; Tint ], Tint);
+    "svc_resolve", ([ Tint ], Tint);
+    "msg_try_recv_any", ([ Tint; Tptr Tfloat; Tint ], Tint);
+    "lat_us", ([ Tint ], Tunit);
+    "rank", ([], Tint);
+    "sim_now_us", ([], Tint);
+    "obj_read", ([ Tint; Tptr Tint; Tint ], Tint);
+    "obj_write", ([ Tint; Tptr Tint; Tint ], Tint);
+    (* MojaveFS-lite (the paper's "speculative I/O" future work,
+       Section 7): byte files on the shared store whose writes join the
+       writer's speculation, so "normal file I/O operations" are usable
+       inside a speculation and roll back with it *)
+    "fs_write", ([ Traw; Tptr Tint; Tint ], Tint);
+    "fs_read", ([ Traw; Tptr Tint; Tint ], Tint);
+    "fs_size", ([ Traw ], Tint);
+    (* distributed speculation: open a transaction rooted at the current
+       level, run the epoch-fenced commit protocol over everyone who
+       joined, and test whether anyone still depends on this process's
+       current level (the client's pre-commit barrier) *)
+    "dspec_open", ([], Tint);
+    "dspec_commit", ([ Tint ], Tint);
+    "spec_pending", ([], Tint);
+  ]
+
+let extern_signatures : Fir.Typecheck.extern_lookup =
+ fun name ->
+  match List.assoc_opt name extern_signatures_list with
+  | Some s -> Some s
+  | None -> Extern.signature_lookup [] name
+
+(* A length or buffer size comes from the program: a negative one traps
+   the process instead of reaching the host's array primitives. *)
+let check_length name n =
+  if n < 0 then
+    raise (Process.Extern_failure (name ^ ": negative length"))
+
+(* Consume every moved notice now due on the sender's clock, rebinding
+   its cached laddr bindings (oldest first, so the newest notice wins a
+   double migration).  This is how "forwarding chains collapse as
+   notices propagate": once a sender rebinds, its traffic goes direct
+   and the forwarder stops relaying for it. *)
+let consume_notices x (entry : entry) ~now =
+  match entry.notices with
+  | [] -> ()
+  | notices ->
+    let due, pending = List.partition (fun (at, _, _) -> at <= now) notices in
+    if due <> [] then begin
+      entry.notices <- pending;
+      List.iter
+        (fun (_, laddr, new_rank) ->
+          match Hashtbl.find_opt entry.bindings laddr with
+          | Some r when r = new_rank -> ()
+          | Some _ | None ->
+            Hashtbl.replace entry.bindings laddr new_rank;
+            Obs.Metrics.incr x.c_svc_rebinds;
+            emit_entry x.core entry
+              (Obs.Trace.Recipient_moved { laddr; new_rank }))
+        (List.rev due)
+    end
+
+(* The shared send path: enqueue [read_payload ()] to [dst_rank]'s
+   mailbox under the fault plan.  [extra_delay_s] is the relay cost a
+   forwarded send pays on top of the direct link time (one
+   store-and-forward traversal per chain hop). *)
+let send_payload x (entry : entry) (proc : Process.t) ~dst_rank ~tag
+    ~read_payload ~extra_delay_s =
+  let core = x.core in
+  match Hashtbl.find_opt core.rank_mailboxes dst_rank with
+  | None -> Value.Vint (-1)
+  | Some dst_mailbox ->
+    let payload = read_payload () in
+    let len = Array.length payload in
+    let bytes = 8 * len in
+    Simnet.record_message core.net bytes;
+    let send_at = effective_now core proc in
+    (* the rank's current holder: the fault draw's destination node, the
+       transaction recruit and the wake below *)
+    let dst = entry_of_rank core dst_rank in
+    (* fault decision for this delivery: loss surfaces as link-level
+       retransmission delay (never a silent drop — receivers poll),
+       partitions delay to their heal time, jitter adds spread, and a
+       duplicate enqueues a second copy *)
+    let fault =
+      Faults.on_message core.faults ~now:send_at ~src:entry.node_id
+        ~dst:(match dst with Some d -> d.node_id | None -> -1)
+    in
+    let msg =
+      {
+        Mpi.msg_src_rank = entry_rank entry;
+        msg_src_pid = proc.Process.pid;
+        msg_tag = tag;
+        msg_payload = payload;
+        msg_deliver_at =
+          send_at +. Simnet.message_seconds core.net bytes
+          +. fault.Faults.d_delay_s +. extra_delay_s;
+        msg_spec =
+          (match Spec.Engine.current_unique proc.Process.spec with
+          | Some uid -> Some (proc.Process.pid, uid)
+          | None -> None);
+        msg_src_epoch = entry.epoch;
+      }
+    in
+    if fault.Faults.d_dropped then begin
+      (* undeliverable (permanently partitioned link): the sender does
+         not know — exactly the paper's fire-and-forget send *)
+      emit_entry core entry (Obs.Trace.Msg_drop { dst = dst_rank; tag });
+      Value.Vint 0
+    end
+    else begin
+      Mpi.enqueue dst_mailbox msg;
+      (* a message sent from inside an open transaction's root region
+         recruits the rank's current holder as a participant, pinned at
+         the epoch it has NOW (consumption may confirm it later via
+         [add_dependency], but the wire obligation starts here) *)
+      (match msg.Mpi.msg_spec, dst with
+      | Some (spid, suid), Some d when d.proc.Process.pid <> spid -> (
+        match
+          Dspec.open_with_root core.dspec ~coord_pid:spid ~root_uid:suid
+        with
+        | Some txn ->
+          Dspec.register txn ~pid:d.proc.Process.pid ~rank:dst_rank
+            ~epoch:d.epoch
+        | None -> ())
+      | _ -> ());
+      if fault.Faults.d_duplicate then begin
+        Mpi.enqueue dst_mailbox msg;
+        emit_entry core entry (Obs.Trace.Msg_dup { dst = dst_rank; tag })
+      end;
+      emit_entry core entry
+        (Obs.Trace.Msg_send { dst = dst_rank; tag; cells = len });
+      (* affinity piggyback: a delivered send is one unit of attraction
+         from this process toward the destination rank *)
+      (match core.balance with
+      | Some b -> Balance.note_comm b ~pid:proc.Process.pid ~peer_rank:dst_rank
+      | None -> ());
+      (* wake the current holder of the rank, if any *)
+      (match dst with
+      | Some d -> d.proc.Process.waiting <- false
+      | None -> ());
+      Value.Vint 0
+    end
+
+let write_cells heap ptr payload n =
+  let idx, off = Vm.Interp.as_ptr ptr in
+  for k = 0 to n - 1 do
+    Heap.write heap idx (off + k) payload.(k)
+  done
+
+(* One receive for both externs: [src] is [Rank r] for a directed poll,
+   [Any] for the wildcard.  Parking records the polled source (the
+   scheduler wakes a wildcard park for any delivery with the tag), and
+   so does a roll notice's trace event, as -1 for the wildcard. *)
+let recv x (entry : entry) (proc : Process.t) ~src ~tag ptr maxlen =
+  let core = x.core in
+  unless_stale core entry ~what:"recv" @@ fun () ->
+    purge_stale_traffic core entry;
+    let now = effective_now core proc in
+    match Mpi.try_recv entry.mailbox ~now ~src ~tag with
+    | Mpi.Roll ->
+      entry.parked_on <- None;
+      emit_entry core entry
+        (Obs.Trace.Msg_roll
+           { src = (match src with Mpi.Rank r -> r | Mpi.Any -> -1) });
+      Value.Vint msg_roll
+    | Mpi.None_yet ->
+      proc.Process.waiting <- true;
+      entry.parked_on <- Some (src, tag);
+      Value.Vint msg_none
+    | Mpi.Received m ->
+      entry.parked_on <- None;
+      let n = min maxlen (Array.length m.Mpi.msg_payload) in
+      (* a directed poll only matches its own (src, tag) bucket, so the
+         message's source is the polled one there too *)
+      emit_entry core entry
+        (Obs.Trace.Msg_recv { src = m.Mpi.msg_src_rank; tag; cells = n });
+      write_cells proc.Process.heap ptr m.Mpi.msg_payload n;
+      (match m.Mpi.msg_spec with
+      | Some (spid, uid) when spid <> proc.Process.pid ->
+        (* join the sender's speculation *)
+        let ruid =
+          match Spec.Engine.current_unique proc.Process.spec with
+          | Some u -> u
+          | None -> -1
+        in
+        Spec_graph.add_dependency x.graph ~sender:(spid, uid)
+          ~receiver:(proc.Process.pid, ruid)
+      | Some _ | None -> ());
+      Value.Vint n
+
+(* dspec_commit's protocol round for an open transaction [txn] that
+   [entry] coordinates.  Prepare: every participant revalidates its
+   recorded incarnation epoch.  The whole round is decided synchronously
+   here (the simulation's atomicity unit is the quantum) and charged as
+   one RTT per participant plus the decision broadcast. *)
+let commit_round x (entry : entry) (proc : Process.t) txn =
+  let core = x.core in
+  let txn_id = txn.Dspec.x_id in
+  let parts = List.rev txn.Dspec.x_parts in
+  let part_pids = Dspec.part_pids txn in
+  Obs.Metrics.incr (Dspec.c_prepares core.dspec);
+  emit_entry core entry
+    (Obs.Trace.Dspec_prepare { txn = txn_id; parts = part_pids });
+  charge_seconds proc
+    (2.0
+    *. Simnet.message_seconds core.net 64
+    *. float_of_int (max 1 (List.length parts)));
+  let abort reason =
+    abort_txn core entry txn reason;
+    (* the coordinator's own abort(level) follows in the program: its
+       rollback cascade un-delivers the region's in-flight messages and
+       rolls every joined participant back *)
+    Value.Vint msg_roll
+  in
+  (* epoch fencing: an ack is valid only while the participant's rank
+     still runs the incarnation that joined — a resurrected zombie can
+     never speak for a dead one *)
+  let reject (p : Dspec.part) ~current_epoch reason =
+    Obs.Metrics.incr (Dspec.c_fence_rejections core.dspec);
+    emit_entry core entry
+      (Obs.Trace.Dspec_fence
+         { txn = txn_id; part_rank = p.Dspec.p_rank;
+           stale_epoch = p.Dspec.p_epoch; current_epoch });
+    abort reason
+  in
+  let stale =
+    List.find_opt
+      (fun p ->
+        p.Dspec.p_rank >= 0
+        && p.Dspec.p_epoch < rank_epoch core p.Dspec.p_rank)
+      parts
+  in
+  match stale with
+  | Some p ->
+    reject p ~current_epoch:(rank_epoch core p.Dspec.p_rank) "fence"
+  | None ->
+    (* a dead participant never acks (epochs only move on resurrection,
+       so liveness is checked directly) *)
+    if
+      List.exists
+        (fun p ->
+          match entry_of_pid core p.Dspec.p_pid with
+          | None -> true
+          | Some e -> Process.is_terminated e.proc)
+        parts
+    then abort "participant_dead"
+    else begin
+      Obs.Metrics.incr ~by:(List.length parts)
+        (Dspec.c_prepare_acks core.dspec);
+      (* all acks are in.  One fault draw per protocol round: a
+         participant may crash between its ack and the commit receipt.
+         Its rank re-incarnates at a bumped epoch (voiding the ack it
+         gave — same fencing event as a zombie), the live process adopts
+         the new epoch, and the coordinator must treat the round as
+         in-doubt and abort; the abort cascade performs the victim's
+         rollback. *)
+      if parts <> [] && Faults.crash_in_commit core.faults then begin
+        let victim =
+          List.nth parts
+            (Random.State.int (Faults.rng core.faults) (List.length parts))
+        in
+        let rank = victim.Dspec.p_rank in
+        let current_epoch =
+          if rank >= 0 then bump_epoch core rank
+          else victim.Dspec.p_epoch + 1
+        in
+        (match entry_of_pid core victim.Dspec.p_pid with
+        | Some ({ rank = Some r; _ } as e) -> e.epoch <- rank_epoch core r
+        | Some _ | None -> ());
+        reject victim "crash_in_commit" ~current_epoch
+      end
+      else begin
+        (* decision: COMMIT.  The region's in-flight messages stop
+           carrying a join obligation — a receiver that consumes one
+           later must not join a level the commit is about to
+           dissolve. *)
+        Dspec.commit core.dspec txn;
+        emit_entry core entry
+          (Obs.Trace.Dspec_commit { txn = txn_id; parts = part_pids });
+        let uids = [ txn.Dspec.x_root_uid ] in
+        List.iter
+          (fun (e : entry) ->
+            ignore
+              (Mpi.settle_speculative e.mailbox ~uids
+                 ~sender_pid:proc.Process.pid))
+          core.entries;
+        Value.Vint 0
+      end
+    end
+
+let cluster_extern x (entry : entry) : Process.handler =
+ fun proc name args ->
+  let core = x.core in
+  let heap = proc.Process.heap in
+  let read_cells ptr len =
+    let idx, off = Vm.Interp.as_ptr ptr in
+    Array.init len (fun k -> Heap.read heap idx (off + k))
+  in
+  match name, args with
+  | ("msg_send" | "msg_send_int"), [ Value.Vint dst_rank; Value.Vint tag;
+                                     (Value.Vptr _ as ptr); Value.Vint len ]
+    ->
+    check_length "msg_send" len;
+    unless_stale core entry ~what:"send" @@ fun () ->
+      send_payload x entry proc ~dst_rank ~tag
+        ~read_payload:(fun () -> read_cells ptr len)
+        ~extra_delay_s:0.0
+  | "svc_send", [ Value.Vint laddr; Value.Vint tag; (Value.Vptr _ as ptr);
+                  Value.Vint len ] -> (
+    check_length "svc_send" len;
+    (* the registry never weakens fencing: a zombie's sends are rejected
+       exactly as rank-addressed ones are *)
+    unless_stale core entry ~what:"send" @@ fun () ->
+      let now_s = effective_now core proc in
+      (* due moved notices first: rebind before resolving, so a sender
+         that was told about the move goes direct from this call on *)
+      consume_notices x entry ~now:now_s;
+      let bound =
+        match Hashtbl.find_opt entry.bindings laddr with
+        | Some r -> Some r
+        | None -> (
+          match Registry.lookup core.registry laddr with
+          | Some r ->
+            Hashtbl.replace entry.bindings laddr r;
+            Some r
+          | None -> None)
+      in
+      match bound with
+      | None -> Value.Vint (-1) (* unknown laddr: like an unknown rank *)
+      | Some r -> (
+        match Registry.resolve core.registry ~now:now_s r with
+        | Registry.Direct final ->
+          send_payload x entry proc ~dst_rank:final ~tag
+            ~read_payload:(fun () -> read_cells ptr len)
+            ~extra_delay_s:0.0
+        | Registry.Forwarded { final; hops } ->
+          (* relay through the vacated rank(s): the message pays one
+             extra store-and-forward traversal per chain hop, and the
+             forwarder owes the sender a Recipient_moved notice (due
+             one link time from now — the notice travels back) *)
+          let relay_s =
+            float_of_int hops *. Simnet.message_seconds core.net (8 * len)
+          in
+          Obs.Metrics.incr x.c_svc_forwarded;
+          emit_entry core entry
+            (Obs.Trace.Msg_forward
+               { laddr; from_rank = r; to_rank = final; hops });
+          entry.notices <-
+            (now_s +. Simnet.message_seconds core.net 32, laddr, final)
+            :: entry.notices;
+          send_payload x entry proc ~dst_rank:final ~tag
+            ~read_payload:(fun () -> read_cells ptr len)
+            ~extra_delay_s:relay_s
+        | Registry.Expired rank ->
+          (* the forwarder is gone: typed error, never a silent drop.
+             Dropping the cached binding makes the retry re-resolve
+             through the registry's authoritative table *)
+          Hashtbl.remove entry.bindings laddr;
+          Obs.Metrics.incr x.c_svc_expired;
+          emit_entry core entry (Obs.Trace.Forward_expired { laddr; rank });
+          Value.Vint msg_moved))
+  | "svc_resolve", [ Value.Vint laddr ] -> (
+    (* authoritative resolve: refreshes the caller's cached binding *)
+    match Registry.lookup core.registry laddr with
+    | Some r ->
+      Hashtbl.replace entry.bindings laddr r;
+      Value.Vint r
+    | None -> Value.Vint (-1))
+  | "lat_us", [ Value.Vint us ] ->
+    Obs.Metrics.observe x.h_app_latency (float_of_int us /. 1e6);
+    Value.Vunit
+  | ("msg_try_recv" | "msg_try_recv_int"),
+    [ Value.Vint src_rank; Value.Vint tag; (Value.Vptr _ as ptr);
+      Value.Vint maxlen ] ->
+    check_length "msg_try_recv" maxlen;
+    recv x entry proc ~src:(Mpi.Rank src_rank) ~tag ptr maxlen
+  | "msg_try_recv_any", [ Value.Vint tag; (Value.Vptr _ as ptr);
+                          Value.Vint maxlen ] ->
+    (* wildcard receive: a mobile service cannot know its clients'
+       ranks ahead of time (and a client cannot know which rank its
+       reply comes from after the service moved), so it matches on tag
+       alone *)
+    check_length "msg_try_recv_any" maxlen;
+    recv x entry proc ~src:Mpi.Any ~tag ptr maxlen
+  | "rank", [] ->
+    Value.Vint (entry_rank entry)
+  | "sim_now_us", [] ->
+    Value.Vint (int_of_float (effective_now core proc *. 1e6))
+  | "fs_write", [ (Value.Vptr _ as pathp); (Value.Vptr _ as ptr);
+                  Value.Vint k ] ->
+    check_length "fs_write" k;
+    let path = Heap.raw_to_string heap (fst (Vm.Interp.as_ptr pathp)) in
+    Spec_graph.note_file_write x.graph proc path;
+    let cells = read_cells ptr k in
+    let data =
+      String.init k (fun i ->
+          match cells.(i) with
+          | Value.Vint b -> Char.chr (b land 0xff)
+          | _ -> raise (Process.Extern_failure "fs_write: non-byte cell"))
+    in
+    charge_seconds proc (Storage.write core.storage path data);
+    Value.Vint k
+  | "fs_read", [ (Value.Vptr _ as pathp); (Value.Vptr _ as ptr);
+                 Value.Vint k ] -> (
+    check_length "fs_read" k;
+    let path = Heap.raw_to_string heap (fst (Vm.Interp.as_ptr pathp)) in
+    match Storage.read core.storage path with
+    | None -> Value.Vint (-1)
+    | Some (data, dt) ->
+      charge_seconds proc dt;
+      let n = min k (String.length data) in
+      let payload =
+        Array.init n (fun i -> Value.Vint (Char.code data.[i]))
+      in
+      write_cells heap ptr payload n;
+      Value.Vint n)
+  | "fs_size", [ (Value.Vptr _ as pathp) ] -> (
+    let path = Heap.raw_to_string heap (fst (Vm.Interp.as_ptr pathp)) in
+    match Storage.size core.storage path with
+    | Some n -> Value.Vint n
+    | None -> Value.Vint (-1))
+  | "obj_read", [ Value.Vint obj; (Value.Vptr _ as ptr); Value.Vint k ] ->
+    check_length "obj_read" k;
+    (* storage faults draw from the seeded fault-plan RNG, never the
+       global Random state: reproducible under the cluster seed *)
+    if Random.State.float (Faults.rng core.faults) 1.0 < x.obj_fail_prob
+    then Value.Vint (-1)
+    else begin
+      match Hashtbl.find_opt core.obj_store obj with
+      | None -> Value.Vint (-1)
+      | Some data ->
+        let n = min k (Bytes.length data) in
+        let payload =
+          Array.init n (fun i -> Value.Vint (Char.code (Bytes.get data i)))
+        in
+        write_cells heap ptr payload n;
+        Value.Vint n
+    end
+  | "obj_write", [ Value.Vint obj; (Value.Vptr _ as ptr); Value.Vint k ] ->
+    check_length "obj_write" k;
+    if Random.State.float (Faults.rng core.faults) 1.0 < x.obj_fail_prob
+    then Value.Vint (-1)
+    else begin
+      Spec_graph.note_object_write x.graph proc obj;
+      let cells = read_cells ptr k in
+      let data =
+        match Hashtbl.find_opt core.obj_store obj with
+        | Some d when Bytes.length d >= k -> d
+        | _ -> Bytes.make (max k 1) '\000'
+      in
+      Array.iteri
+        (fun i v ->
+          match v with
+          | Value.Vint b -> Bytes.set data i (Char.chr (b land 0xff))
+          | _ -> raise (Process.Extern_failure "obj_write: non-byte cell"))
+        cells;
+      Hashtbl.replace core.obj_store obj data;
+      Value.Vint k
+    end
+  | "dspec_open", [] -> (
+    unless_stale core entry ~what:"dspec" @@ fun () ->
+      match Spec.Engine.current_unique proc.Process.spec with
+      | None ->
+        raise
+          (Process.Extern_failure "dspec_open: no open speculation level")
+      | Some uid ->
+        let laddr =
+          match entry.rank with
+          | None -> -1
+          | Some r -> (
+            match Registry.laddr_of_rank core.registry r with
+            | Some l -> l
+            | None -> -1)
+        in
+        let txn =
+          Dspec.open_txn core.dspec ~coord_pid:proc.Process.pid
+            ~root_uid:uid ~coord_laddr:laddr
+        in
+        emit_entry core entry
+          (Obs.Trace.Dspec_open { txn = txn.Dspec.x_id; uid });
+        Value.Vint txn.Dspec.x_id)
+  | "dspec_commit", [ Value.Vint txn_id ] -> (
+    unless_stale core entry ~what:"dspec" @@ fun () ->
+      match Dspec.find core.dspec txn_id with
+      | None ->
+        raise
+          (Process.Extern_failure
+             (Printf.sprintf "dspec_commit: unknown transaction %d" txn_id))
+      | Some txn -> (
+        if txn.Dspec.x_coord_pid <> proc.Process.pid then
+          raise
+            (Process.Extern_failure "dspec_commit: not the coordinator");
+        match txn.Dspec.x_state with
+        | Dspec.Committed -> Value.Vint 0
+        | Dspec.Aborted _ -> Value.Vint msg_roll
+        | Dspec.Open -> commit_round x entry proc txn))
+  | "spec_pending", [] ->
+    (* is this process's current level still joined to an undecided
+       foreign region?  The participant's pre-commit barrier: committing
+       while the coordinator's fate is open would durably absorb state a
+       distributed abort may yet revoke.  The dependency dissolves when
+       the coordinator's level commits durably and is force-rolled when
+       it aborts — either way the spin ends. *)
+    let pending =
+      match Spec.Engine.current_unique proc.Process.spec with
+      | None -> false
+      | Some uid -> Spec_graph.pending x.graph ~pid:proc.Process.pid ~uid
+    in
+    Value.Vint (if pending then 1 else 0)
+  | _ when List.mem_assoc name extern_signatures_list ->
+    raise
+      (Process.Extern_failure
+         (Printf.sprintf "extern %s: bad arguments" name))
+  | _ -> raise (Process.Extern_failure ("unknown extern " ^ name))
+
+let handler x entry = Extern.combine (cluster_extern x entry) Extern.base

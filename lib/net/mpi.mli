@@ -45,16 +45,25 @@ type mailbox
 
 val create_mailbox : unit -> mailbox
 val enqueue : mailbox -> message -> unit
+
+type source =
+  | Rank of int
+  | Any  (** the wildcard: a message or roll notice from any rank *)
+(** Where a receive, or a receiver parked on it, takes its messages
+    from. *)
+
 val post_roll_notice : mailbox -> src_rank:int -> unit
-val clear_roll_notice : mailbox -> src_rank:int -> unit
-val has_roll_notice : mailbox -> src_rank:int -> bool
-val has_any_roll_notice : mailbox -> bool
+
+val has_roll_notice : mailbox -> src:source -> bool
+(** A roll notice from [src] is pending ([Any]: from any rank). *)
 
 type recv_result = Received of message | Roll | None_yet
 
-val try_recv : mailbox -> now:float -> src_rank:int -> tag:int -> recv_result
-(** First delivered message matching (src, tag); a pending roll notice
-    from that source takes priority and is consumed. *)
+val try_recv : mailbox -> now:float -> src:source -> tag:int -> recv_result
+(** First delivered message with [tag] from [src].  A pending roll
+    notice from [src] takes priority and is consumed; for [Any] that is
+    the lowest rank's notice.  [Any] matches in mailbox enqueue order
+    (deterministic via the per-message stamps). *)
 
 val discard_speculative : mailbox -> uids:int list -> sender_pid:int -> int
 (** Drop queued messages originating from the given speculation levels
@@ -73,26 +82,10 @@ val discard_stale : mailbox -> stale:(message -> bool) -> int
 
 val next_delivery : mailbox -> float option
 
-val next_matching_delivery :
-  mailbox -> src_rank:int -> tag:int -> float option
-(** Earliest pending delivery from a specific (src, tag) — what a parked
-    receiver is actually waiting for. *)
-
-val has_delivered : mailbox -> now:float -> src_rank:int -> tag:int -> bool
-(** Is a matching message already deliverable at [now]? *)
-
-val try_recv_any : mailbox -> now:float -> tag:int -> recv_result
-(** Wildcard receive: first delivered message with [tag] from ANY
-    source, in mailbox enqueue order (deterministic via the per-message
-    stamps).  A pending roll notice from any rank takes priority; the
-    lowest rank's notice is consumed. *)
-
-val next_matching_delivery_any : mailbox -> tag:int -> float option
-(** Earliest pending delivery with [tag] from any source — what a
-    wildcard-parked receiver is waiting for. *)
-
-val has_delivered_any : mailbox -> now:float -> tag:int -> bool
-(** Is any message with [tag] already deliverable at [now]? *)
+val next_matching_delivery : mailbox -> src:source -> tag:int -> float option
+(** Earliest pending delivery with [tag] from [src] — what a receiver
+    parked on that poll is waiting for.  A matching message is already
+    deliverable at [now] iff this is [Some t] with [t <= now]. *)
 
 val take_all : mailbox -> message list
 (** Remove and return everything queued, oldest first (the migration

@@ -881,7 +881,7 @@ int main() {
   (* run until the receiver has consumed and parked on the second poll *)
   let parked () =
     match Net.Cluster.entry_of_pid cluster rpid with
-    | Some e -> e.Net.Cluster.parked_on = Some (0, 1)
+    | Some e -> e.Net.Cluster.parked_on = Some (Net.Mpi.Rank 0, 1)
     | None -> false
   in
   let _ = Net.Cluster.run cluster ~max_rounds:4000 ~stop:parked in
