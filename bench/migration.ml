@@ -374,7 +374,8 @@ let e1d () =
       + stats.Migrate.Wire.ds_shipped_cells)
   in
   let xfer2_s = Net.Simnet.transfer_seconds net dbytes in
-  let compile2_s = compile_s (Migrate.Server.handle recv delta_bytes) in
+  let warm = Migrate.Server.handle recv delta_bytes in
+  let compile2_s = compile_s warm in
   let total2 = pack2_s +. xfer2_s +. compile2_s +. restore_s in
   (* hop 2 against the baseline-less receiver: the delta is rejected as
      unknown-baseline and the sender re-ships the full image *)
@@ -391,6 +392,50 @@ let e1d () =
     pack2_s +. xfer2_s +. fullpack2_s +. xfer2f_s +. compile2f_s
     +. restore_s
   in
+  (* hop 2 of a mixed-arch bounce: hop 1's image resumes on a risc64
+     node, which packs hop 2 against the cisc32 hop-1 baseline; a third
+     cisc32 receiver holding that baseline rebuilds and resumes it *)
+  let recv_mixed = mk_server 4 in
+  ignore (Migrate.Server.handle recv_mixed packed1.Migrate.Pack.p_bytes);
+  let proc_risc =
+    match
+      Migrate.Pack.unpack ~arch:Vm.Arch.risc64 packed1.Migrate.Pack.p_bytes
+    with
+    | Ok (p, _, _, _) -> p
+    | Error m -> failwith ("bench: risc64 resume failed: " ^ m)
+  in
+  (match Vm.Interp.run proc_risc with
+  | Vm.Process.Migrating _ -> ()
+  | _ -> failwith "bench: risc64 migrator did not reach its second hop");
+  let packed2m = Migrate.Pack.pack_request ~with_binary:false proc_risc in
+  let mixed_bytes, mixed_stats =
+    match
+      Migrate.Pack.delta ~baseline:packed1.Migrate.Pack.p_image
+        ~base_digest:digest1 packed2m
+    with
+    | Some r -> r
+    | None -> failwith "bench: cross-architecture delta refused"
+  in
+  let packm_s =
+    Vm.Arch.seconds Vm.Arch.risc64
+      (((mixed_stats.Migrate.Wire.ds_blocks * Heap.header_cells)
+       + mixed_stats.Migrate.Wire.ds_shipped_cells)
+      * Vm.Arch.risc64.Vm.Arch.cycles Vm.Arch.Mem)
+  in
+  let xferm_s =
+    Net.Simnet.transfer_seconds net (String.length mixed_bytes)
+  in
+  let mixed = Migrate.Server.handle recv_mixed mixed_bytes in
+  let totalm = packm_s +. xferm_s +. compile_s mixed +. restore_s in
+  (* both warm hops run to completion on their receivers *)
+  let exit_code = function
+    | Ok o -> (
+      match Vm.Interp.run o.Migrate.Server.o_process with
+      | Vm.Process.Exited n -> Some n
+      | _ -> None)
+    | Error _ -> None
+  in
+  let warm_exit = exit_code warm and mixed_exit = exit_code mixed in
   (* byte columns read back out of the receivers' metrics registries *)
   let c srv name =
     Obs.Metrics.counter_value (Migrate.Server.metrics srv) name
@@ -412,6 +457,10 @@ let e1d () =
     (pack2_s +. fullpack2_s)
     (xfer2_s +. xfer2f_s)
     total3;
+  Printf.printf "  %-22s %-10d %-10.4f %-10.4f %.4f\n"
+    "mixed-arch (delta)"
+    (c recv_mixed "migrate.bytes_delta")
+    packm_s xferm_s totalm;
   Printf.printf
     "\n  delta: %d blocks walked, %d copied, %d patched, %d literal; \
      %d/%d cells shipped\n"
@@ -437,7 +486,11 @@ let e1d () =
   verdict "unknown baseline rejected, full re-ship accepted"
     (c recv_cold "migrate.delta_misses" = 1
     && c recv_cold "server.accepted" = 2);
-  verdict "warm delta hop total < cold hop total" (total2 < total1)
+  verdict "warm delta hop total < cold hop total" (total2 < total1);
+  verdict "risc64 hop over a cisc32 baseline: delta, same exit"
+    (c recv_mixed "migrate.delta_hits" = 1
+    && c recv_mixed "migrate.delta_misses" = 0
+    && mixed_exit <> None && mixed_exit = warm_exit)
 
 (* ================================================================== *)
 (* A1 (ablation): copy-on-write speculation vs migration-based         *)

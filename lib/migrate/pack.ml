@@ -32,7 +32,7 @@ exception Unpack_error of string
 type packed = {
   p_image : Wire.image;
   p_bytes : string; (* the encoded image: what actually travels *)
-  p_digest : string; (* Wire.image_digest of p_image, hashed while encoding *)
+  p_digest : string; (* Wire.image_digest of p_image *)
   p_dirty : (int * int, unit) Hashtbl.t;
       (* (index, page) pairs written since the PREVIOUS pack — the
          change set a delta against that previous image may ship *)
@@ -99,20 +99,22 @@ let pack ?(with_binary = true) ?(epoch = 0) ?dspec proc ~entry ~args ~label =
      that future writes are tracked against. *)
   let p_dirty = Heap.dirty_snapshot heap in
   Heap.clear_dirty heap;
-  let p_bytes, p_digest = Wire.encode_digested image in
-  { p_image = image; p_bytes; p_digest; p_dirty }
+  {
+    p_image = image;
+    p_bytes = Wire.encode image;
+    p_digest = Wire.image_digest image;
+    p_dirty;
+  }
 
 (* Encode [packed] as a delta against [baseline] (identified on the wire
    by [base_digest], the baseline's {!Wire.image_digest}).  Returns
-   [None] when a delta is semantically impossible — different
-   architecture or different FIR payload — rather than merely
-   unprofitable; byte-size policy is the caller's. *)
+   [None] when a delta is semantically impossible — a different FIR
+   payload — rather than merely unprofitable; byte-size policy is the
+   caller's.  The baseline's architecture does not matter: heap cells
+   are architecture-independent, and the delta names its own. *)
 let delta ~baseline ~base_digest packed =
   let image = packed.p_image in
-  if
-    (not (String.equal image.Wire.i_arch baseline.Wire.i_arch))
-    || not (String.equal image.Wire.i_digest baseline.Wire.i_digest)
-  then None
+  if not (String.equal image.Wire.i_digest baseline.Wire.i_digest) then None
   else
     let changed idx page = Hashtbl.mem packed.p_dirty (idx, page) in
     let d_blocks, stats = Wire.diff ~baseline ~image ~changed in

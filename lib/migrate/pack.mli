@@ -17,8 +17,9 @@ type packed = {
   p_image : Wire.image;
   p_bytes : string;  (** the encoded full image: what travels cold *)
   p_digest : string;
-      (** {!Wire.image_digest} of [p_image], computed while encoding
-          [p_bytes] *)
+      (** {!Wire.image_digest} of [p_image], computed at pack time so
+          {!delta} and the sender's baseline bookkeeping need not hash
+          the image again *)
   p_dirty : (int * int, unit) Hashtbl.t;
       (** (pointer-table index, page) pairs written since the PREVIOUS
           pack of this process — the change set {!delta} may ship *)
@@ -69,9 +70,11 @@ val delta :
   (string * Wire.dstats) option
 (** Encode a freshly-packed process as a delta against [baseline]
     (identified on the wire by [base_digest], its {!Wire.image_digest}),
-    shipping only the pages its dirty set marks.  [None] when a delta is
-    impossible (different architecture or FIR payload); whether a
-    possible delta is worth sending is the caller's policy. *)
+    shipping only the pages its dirty set marks.  The baseline may come
+    from another architecture (the heap image is architecture-
+    independent).  [None] when a delta is impossible (different FIR
+    payload); whether a possible delta is worth sending is the caller's
+    policy. *)
 
 val unpack :
   ?pid:int -> ?seed:int -> ?trusted:bool ->

@@ -24,6 +24,13 @@
     rebound process with the cluster's transaction table.  Like the
     epoch, it is metadata excluded from {!image_digest}.
 
+    v10 leaves every packet byte of v9 in place except the version
+    stamp, and redefines {!image_digest} (which deltas carry as
+    [d_base] and [d_new_digest]): heap cells are hashed directly as
+    64-bit words instead of through their serialization.  It also lets
+    a delta cross architectures: {!apply_delta} takes the image's
+    architecture from the delta.
+
     {!verify} applies the structural safety checks a migration target
     runs before trusting a received heap. *)
 
@@ -69,11 +76,6 @@ val encode : image -> string
 (** A full packet: checksummed, versioned, little-endian regardless of
     the source architecture. *)
 
-val encode_digested : image -> string * string
-(** [(encode image, image_digest image)] from one serialization: the
-    digest is hashed over the byte ranges of the packet body that
-    {!image_digest} would write. *)
-
 val decode : string -> image
 (** @raise Corrupt on bad magic/version/checksum/truncation, or if the
     bytes hold a delta packet rather than a full image. *)
@@ -89,7 +91,8 @@ val verify : image -> unit
 
     A delta is valid against exactly one baseline, named by
     {!image_digest}.  Reconstruction ({!apply_delta}) inherits the
-    baseline's FIR, MASM and function table, and is digest-verified
+    baseline's FIR and function table (and its MASM when both were
+    packed on one architecture), and is digest-verified
     against the sender's post-mutation digest — any disagreement (stale
     baseline, corrupt dirty tracking) raises, and the caller falls back
     to a full image. *)
@@ -131,12 +134,25 @@ type dstats = {
 }
 
 val image_digest : image -> string
-(** Content address of the image's semantic payload (excludes the raw
-    FIR bytes — the FIR digest already names them — the MASM payload,
-    which delta reconstruction inherits from the baseline, and the
-    incarnation epoch, which is metadata: two incarnations of the same
-    state share a baseline digest), so sender and receiver agree on
-    digests for reconstructed images. *)
+(** Content address of the image's semantic payload, as 16 hex
+    characters: architecture, FIR digest, function table, pointer
+    table, cell count, every heap cell, speculation snapshot,
+    migrate_env index, entry and label.  It excludes the raw FIR bytes
+    (the FIR digest already names them), the MASM payload (delta
+    reconstruction inherits it from the baseline), the incarnation
+    epoch and the distributed-speculation context (metadata: two
+    incarnations of the same state share a baseline digest), so sender
+    and receiver agree on digests for reconstructed images.
+
+    The fields other than the cells go through the packet writers and
+    FNV-1a.  The cells are hashed as 64-bit words with no intermediate
+    buffer: each cell gives a tag word and then the fixed number of
+    payload words its tag implies (a float gives its IEEE bit pattern,
+    so -0.0 and 0.0 differ and NaNs with one pattern agree, as in
+    {!cell_equal}), folded by a multiply-xor step.  Because the cell
+    count precedes the cells and each tag fixes its cell's length, the
+    word stream is prefix-free: images that differ in a digested field
+    hash different streams. *)
 
 val diff :
   baseline:image -> image:image -> changed:(int -> int -> bool) ->
@@ -147,10 +163,13 @@ val diff :
     baseline). *)
 
 val apply_delta : baseline:image -> delta -> image
-(** @raise Corrupt if the delta does not match the baseline (arch / FIR
-    digest / a block absent from it / a patch range overrunning its
-    block), a literal block has a bad tag, or the digest recomputed over
-    the reconstruction disagrees with [d_new_digest]. *)
+(** Rebuild the image [delta] describes.  Its architecture is
+    [d_arch]; when that differs from the baseline's, the baseline's
+    MASM payload is dropped rather than inherited.
+    @raise Corrupt if the delta does not match the baseline (FIR digest
+    / a block absent from it / a patch range overrunning its block), a
+    literal block has a bad tag, or the digest recomputed over the
+    reconstruction disagrees with [d_new_digest]. *)
 
 val encode_delta : delta -> string
 

@@ -560,6 +560,6 @@ let cluster_extern x (entry : entry) : Process.handler =
     raise
       (Process.Extern_failure
          (Printf.sprintf "extern %s: bad arguments" name))
-  | _ -> raise (Process.Extern_failure ("unknown extern " ^ name))
+  | _ -> raise Extern.Absent
 
 let handler x entry = Extern.combine (cluster_extern x entry) Extern.base

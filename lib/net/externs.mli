@@ -25,4 +25,6 @@ val set_object_failure_probability : t -> float -> unit
 
 val handler : t -> entry -> Process.handler
 (** The handler a quantum of [entry]'s process runs under: these externs,
-    falling back to the base runtime's. *)
+    falling back to the base runtime's for names they do not define
+    ({!Vm.Extern.combine}).  A failure of one of these externs traps
+    with its own message. *)

@@ -236,8 +236,9 @@ let full_shipment (entry : entry) packed =
    PREVIOUS image (what its dirty set is tracked against — the baseline
    as it stood before this pack, not the image just packed) when delta
    shipping is on, the receiver still holds that baseline (the
-   negotiation step), the architecture and FIR permit one, and it
-   actually saves bytes; the full image otherwise. *)
+   negotiation step), the FIR permits one (the architecture need not
+   match: heap images are architecture-independent), and it actually
+   saves bytes; the full image otherwise. *)
 let choose_shipment s ~baseline (entry : entry) (target : node) packed =
   let full = full_shipment entry packed in
   if not s.delta then full

@@ -104,9 +104,11 @@ let base : Process.handler =
   | _ ->
     raise (Process.Extern_failure ("unknown extern " ^ name))
 
-(* Chain two handlers: [first] wins; unknown externs fall through to
-   [fallback]. *)
+exception Absent
+
+(* Chain two handlers: [first] wins; a name [first] does not define
+   ([Absent]) falls through to [fallback].  Any other failure is the
+   call's own and traps with its own message. *)
 let combine first fallback : Process.handler =
   fun proc name args ->
-  try first proc name args
-  with Process.Extern_failure _ -> fallback proc name args
+  try first proc name args with Absent -> fallback proc name args

@@ -17,5 +17,14 @@ val signatures : Fir.Typecheck.extern_lookup
 
 val base : Process.handler
 
+exception Absent
+(** Raised by a handler that does not define the called name, so that
+    {!combine} can try the next one.  It is distinct from
+    {!Process.Extern_failure}, which is a known extern's own failure.
+    The last handler of a chain (such as {!base}) raises
+    [Extern_failure "unknown extern <name>"] instead. *)
+
 val combine : Process.handler -> Process.handler -> Process.handler
-(** [combine first fallback]: [first] wins; unknown externs fall through. *)
+(** [combine first fallback]: [first] wins.  Only {!Absent} from
+    [first] falls through to [fallback]; a failure [first] raises for a
+    name it knows traps with that failure's message. *)

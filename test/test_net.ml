@@ -369,12 +369,13 @@ let test_cluster_send_to_nowhere () =
     (status_of cluster pid = Vm.Process.Exited (-1))
 
 (* A negative length or buffer size from the program traps the process
-   with a typed extern failure.  It must not crash the host run, and a
+   with a typed extern failure, each with its own cause (not the base
+   handler's "unknown extern").  It must not crash the host run, and a
    receive must not consume the queued message (deliverable by then) it
    cannot deliver. *)
 let test_extern_negative_lengths () =
   List.iter
-    (fun call ->
+    (fun (call, cause) ->
       let cluster = mk_cluster ~nodes:1 Net.Faults.none in
       let pid =
         Net.Cluster.spawn cluster ~rank:0 ~node_id:0
@@ -397,19 +398,38 @@ int main() {
                 call))
       in
       ignore (Net.Cluster.run cluster);
-      check (call ^ " traps") true
-        (match status_of cluster pid with
-        | Vm.Process.Trapped msg -> String.starts_with ~prefix:"extern: " msg
-        | _ -> false);
+      check (call ^ " traps with its own cause") true
+        (status_of cluster pid = Vm.Process.Trapped ("extern: " ^ cause));
       match Net.Cluster.entry_of_pid cluster pid with
       | Some e ->
         check_int (call ^ " leaves the message queued") 1
           (Net.Mpi.pending e.Net.Cluster.mailbox)
       | None -> Alcotest.fail "process lost")
-    [ "obj_write(1, b, 0 - 1)"; "fs_write(\"f\", b, 0 - 1)";
-      "fs_read(\"f\", b, 0 - 1)"; "obj_read(1, b, 0 - 1)";
-      "msg_try_recv(0, 5, f, 0 - 1)"; "msg_try_recv(0, 5, f, 0 - 3)";
-      "msg_try_recv_any(5, f, 0 - 1)" ]
+    [
+      "obj_write(1, b, 0 - 1)", "obj_write: negative length";
+      "fs_write(\"f\", b, 0 - 1)", "fs_write: negative length";
+      "fs_read(\"f\", b, 0 - 1)", "fs_read: negative length";
+      "obj_read(1, b, 0 - 1)", "obj_read: negative length";
+      "msg_try_recv(0, 5, f, 0 - 1)", "msg_try_recv: negative length";
+      "msg_try_recv(0, 5, f, 0 - 3)", "msg_try_recv: negative length";
+      "msg_try_recv_any(5, f, 0 - 1)", "msg_try_recv_any: negative length";
+    ]
+
+(* A name neither the cluster's externs nor the base runtime define
+   falls through the whole chain and traps naming itself. *)
+let test_unknown_extern_traps () =
+  let cluster = mk_cluster ~nodes:1 Net.Faults.none in
+  let program =
+    Builder.(
+      prog
+        [ func "main" [] (fun _ ->
+              ext Types.Tint "no_such_extern" [] (fun r -> exit_ r)) ])
+  in
+  let pid = Net.Cluster.spawn cluster ~rank:0 ~node_id:0 program in
+  ignore (Net.Cluster.run cluster);
+  check "traps as unknown extern" true
+    (status_of cluster pid
+    = Vm.Process.Trapped "extern: unknown extern no_such_extern")
 
 let test_cluster_typechecks_against_externs () =
   check "cluster programs typecheck against the extern registry" true
@@ -937,6 +957,8 @@ let suites =
           test_cluster_send_to_nowhere;
         Alcotest.test_case "negative lengths trap the process" `Quick
           test_extern_negative_lengths;
+        Alcotest.test_case "unknown extern traps with its name" `Quick
+          test_unknown_extern_traps;
         Alcotest.test_case "programs typecheck against externs" `Quick
           test_cluster_typechecks_against_externs;
         Alcotest.test_case "migration between nodes" `Quick
