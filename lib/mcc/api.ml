@@ -5,7 +5,7 @@
 
    - compile C or ML source to verified FIR ([compile_c], [compile_ml]);
    - run a program locally on either engine ([run]);
-   - take/restore whole-process images ([checkpoint_bytes], [resume]);
+   - take/restore whole-process images ([image_bytes], [resume]);
    - deploy programs onto the simulated cluster (see Net.Cluster and
      Gridapp for the canonical distributed application).
 
@@ -68,16 +68,7 @@ type outcome = {
   o_process : Vm.Process.t;
 }
 
-let run ?(backend = Reference) ?(arch = Vm.Arch.cisc32) ?seed
-    ?(extern = Vm.Extern.base) ?max_steps program =
-  let proc = Vm.Process.create ~arch ?seed program in
-  let status =
-    match backend with
-    | Reference -> Vm.Interp.run ~extern ?max_steps proc
-    | Native ->
-      let emu = Vm.Emulator.create (Vm.Codegen.compile ~arch program) proc in
-      Vm.Emulator.run ~extern ?max_steps emu
-  in
+let outcome proc status =
   {
     o_status = status;
     o_output = Vm.Process.output proc;
@@ -85,6 +76,18 @@ let run ?(backend = Reference) ?(arch = Vm.Arch.cisc32) ?seed
     o_cycles = proc.Vm.Process.cycles;
     o_process = proc;
   }
+
+let run ?(backend = Reference) ?(arch = Vm.Arch.cisc32) ?seed ?max_steps
+    program =
+  let proc = Vm.Process.create ~arch ?seed program in
+  let status =
+    match backend with
+    | Reference -> Vm.Interp.run ?max_steps proc
+    | Native ->
+      let emu = Vm.Emulator.create (Vm.Codegen.compile ~arch program) proc in
+      Vm.Emulator.run ?max_steps emu
+  in
+  outcome proc status
 
 (* Exit code of an outcome, or an error description. *)
 let exit_code outcome =
@@ -109,17 +112,9 @@ let resume ?(arch = Vm.Arch.cisc32) ?(trusted = false) ?seed bytes =
   Migrate.Pack.unpack ?seed ~trusted ~arch bytes
 
 (* Resume and run to completion on the emulator. *)
-let resume_and_run ?arch ?trusted ?seed ?(extern = Vm.Extern.base) bytes =
+let resume_and_run ?arch ?trusted ?seed bytes =
   match resume ?arch ?trusted ?seed bytes with
   | Error m -> Error m
   | Ok (proc, masm, compiled, _costs) ->
     let emu = Vm.Emulator.create ~compiled masm proc in
-    let status = Vm.Emulator.run ~extern emu in
-    Ok
-      {
-        o_status = status;
-        o_output = Vm.Process.output proc;
-        o_steps = proc.Vm.Process.steps;
-        o_cycles = proc.Vm.Process.cycles;
-        o_process = proc;
-      }
+    Ok (outcome proc (Vm.Emulator.run emu))

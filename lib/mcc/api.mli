@@ -49,8 +49,7 @@ type outcome = {
 }
 
 val run :
-  ?backend:backend -> ?arch:Vm.Arch.t -> ?seed:int ->
-  ?extern:Vm.Process.handler -> ?max_steps:int ->
+  ?backend:backend -> ?arch:Vm.Arch.t -> ?seed:int -> ?max_steps:int ->
   Fir.Ast.program -> outcome
 
 val exit_code : outcome -> (int, string) result
@@ -69,5 +68,5 @@ val resume :
   result
 
 val resume_and_run :
-  ?arch:Vm.Arch.t -> ?trusted:bool -> ?seed:int ->
-  ?extern:Vm.Process.handler -> string -> (outcome, string) result
+  ?arch:Vm.Arch.t -> ?trusted:bool -> ?seed:int -> string ->
+  (outcome, string) result

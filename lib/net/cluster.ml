@@ -109,6 +109,7 @@ type t = {
 
 let msg_moved = Externs.msg_moved
 let extern_signatures = Externs.extern_signatures
+let extern_names = Externs.extern_names
 
 (* The cluster registry renders in registration order, which the golden
    metrics digests pin.  Registration is idempotent, so registering the

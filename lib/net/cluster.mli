@@ -256,9 +256,17 @@ val now : t -> float
 (** Cluster-wide time: the farthest node clock. *)
 
 val extern_signatures : Fir.Typecheck.extern_lookup
-(** The cluster's extern set (messaging, object store) on top of the
-    base runtime's — what cluster programs are strictly typechecked
-    against, including by the migration daemons. *)
+(** The signatures of the cluster's extern table: one entry per name
+    holds its signature and its implementation, the cluster's own
+    (messaging, registry, object store, files, distributed speculation)
+    plus the base runtime's ({!Vm.Extern}).  Cluster programs are
+    strictly typechecked against it, including by the migration
+    daemons, and the scheduler's handler runs the same entries: a name
+    absent here traps as ["unknown extern <name>"], arguments that do
+    not fit an entry as ["extern <name>: bad arguments (<args>)"]. *)
+
+val extern_names : string list
+(** Every name of the cluster's extern table, sorted. *)
 
 (** {2 The fault-injected object store (Figure 1)} *)
 

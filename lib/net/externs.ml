@@ -15,20 +15,21 @@ type t = {
   c_svc_rebinds : Obs.Metrics.counter;
   c_svc_expired : Obs.Metrics.counter;
   h_app_latency : Obs.Metrics.histogram;
+  mutable running : entry option; (* whose quantum the calls belong to *)
 }
 
 let create core graph =
   let counter = Obs.Metrics.counter core.metrics in
-  { core; graph; obj_fail_prob = 0.0;
+  { core; graph; obj_fail_prob = 0.0; running = None;
     c_svc_forwarded = counter "registry.forwarded";
     c_svc_rebinds = counter "registry.rebinds";
     c_svc_expired = counter "registry.expired";
     h_app_latency = Obs.Metrics.histogram core.metrics "app.latency_seconds" }
 
-let set_object_failure_probability x p = x.obj_fail_prob <- p
+let enter x entry = x.running <- Some entry
+let running x = Option.get x.running
 
-let msg_none = Mpi.msg_none
-let msg_roll = Mpi.msg_roll
+let set_object_failure_probability x p = x.obj_fail_prob <- p
 
 (* svc_send's typed "recipient moved" code (-3): the cached binding led
    to a vacated rank whose forwarder TTL has passed.  The message was
@@ -36,53 +37,23 @@ let msg_roll = Mpi.msg_roll
    through the registry.  Never a silent drop. *)
 let msg_moved = -3
 
-let extern_signatures_list : (string * (Fir.Types.ty list * Fir.Types.ty)) list
-    =
-  let open Fir.Types in
-  [
-    "msg_send", ([ Tint; Tint; Tptr Tfloat; Tint ], Tint);
-    "msg_try_recv", ([ Tint; Tint; Tptr Tfloat; Tint ], Tint);
-    "msg_send_int", ([ Tint; Tint; Tptr Tint; Tint ], Tint);
-    "msg_try_recv_int", ([ Tint; Tint; Tptr Tint; Tint ], Tint);
-    (* location-transparent messaging: sends by logical address, the
-       wildcard receive a mobile service needs (its clients' ranks are
-       whatever the registry said at their send time), and the
-       request-latency probe the serving benches feed *)
-    "svc_send", ([ Tint; Tint; Tptr Tfloat; Tint ], Tint);
-    "svc_resolve", ([ Tint ], Tint);
-    "msg_try_recv_any", ([ Tint; Tptr Tfloat; Tint ], Tint);
-    "lat_us", ([ Tint ], Tunit);
-    "rank", ([], Tint);
-    "sim_now_us", ([], Tint);
-    "obj_read", ([ Tint; Tptr Tint; Tint ], Tint);
-    "obj_write", ([ Tint; Tptr Tint; Tint ], Tint);
-    (* MojaveFS-lite (the paper's "speculative I/O" future work,
-       Section 7): byte files on the shared store whose writes join the
-       writer's speculation, so "normal file I/O operations" are usable
-       inside a speculation and roll back with it *)
-    "fs_write", ([ Traw; Tptr Tint; Tint ], Tint);
-    "fs_read", ([ Traw; Tptr Tint; Tint ], Tint);
-    "fs_size", ([ Traw ], Tint);
-    (* distributed speculation: open a transaction rooted at the current
-       level, run the epoch-fenced commit protocol over everyone who
-       joined, and test whether anyone still depends on this process's
-       current level (the client's pre-commit barrier) *)
-    "dspec_open", ([], Tint);
-    "dspec_commit", ([ Tint ], Tint);
-    "spec_pending", ([], Tint);
-  ]
+(* A length or buffer size comes from the program: a negative one, or
+   one past the end of its buffer, traps the process instead of reaching
+   the host's array primitives. *)
+let check_length n = if n < 0 then Extern.fail "negative length"
 
-let extern_signatures : Fir.Typecheck.extern_lookup =
- fun name ->
-  match List.assoc_opt name extern_signatures_list with
-  | Some s -> Some s
-  | None -> Extern.signature_lookup [] name
+let read_cells heap ptr len =
+  let idx, off = Vm.Interp.as_ptr ptr in
+  if len > Heap.block_size heap idx - off then
+    Extern.fail "length exceeds the buffer";
+  Array.init len (fun k -> Heap.read heap idx (off + k))
 
-(* A length or buffer size comes from the program: a negative one traps
-   the process instead of reaching the host's array primitives. *)
-let check_length name n =
-  if n < 0 then
-    raise (Process.Extern_failure (name ^ ": negative length"))
+let read_bytes heap ptr k =
+  let cells = read_cells heap ptr k in
+  Bytes.init k (fun i ->
+      match cells.(i) with
+      | Value.Vint b -> Char.chr (b land 0xff)
+      | _ -> Extern.fail "non-byte cell")
 
 (* Consume every moved notice now due on the sender's clock, rebinding
    its cached laddr bindings (oldest first, so the newest notice wins a
@@ -108,18 +79,17 @@ let consume_notices x (entry : entry) ~now =
         (List.rev due)
     end
 
-(* The shared send path: enqueue [read_payload ()] to [dst_rank]'s
-   mailbox under the fault plan.  [extra_delay_s] is the relay cost a
-   forwarded send pays on top of the direct link time (one
+(* The shared send path: enqueue the [len] cells at [ptr] to
+   [dst_rank]'s mailbox under the fault plan.  [extra_delay_s] is the
+   relay cost a forwarded send pays on top of the direct link time (one
    store-and-forward traversal per chain hop). *)
-let send_payload x (entry : entry) (proc : Process.t) ~dst_rank ~tag
-    ~read_payload ~extra_delay_s =
+let send_payload x (entry : entry) (proc : Process.t) ~dst_rank ~tag ~ptr
+    ~len ~extra_delay_s =
   let core = x.core in
   match Hashtbl.find_opt core.rank_mailboxes dst_rank with
   | None -> Value.Vint (-1)
   | Some dst_mailbox ->
-    let payload = read_payload () in
-    let len = Array.length payload in
+    let payload = read_cells proc.Process.heap ptr len in
     let bytes = 8 * len in
     Simnet.record_message core.net bytes;
     let send_at = effective_now core proc in
@@ -196,6 +166,15 @@ let write_cells heap ptr payload n =
     Heap.write heap idx (off + k) payload.(k)
   done
 
+(* Write up to [k] of the [len] bytes [get] yields into the buffer at
+   [ptr]; the result is the count written. *)
+let write_bytes heap ptr k len get =
+  let n = min k len in
+  write_cells heap ptr
+    (Array.init n (fun i -> Value.Vint (Char.code (get i))))
+    n;
+  Value.Vint n
+
 (* One receive for both externs: [src] is [Rank r] for a directed poll,
    [Any] for the wildcard.  Parking records the polled source (the
    scheduler wakes a wildcard park for any delivery with the tag), and
@@ -211,11 +190,11 @@ let recv x (entry : entry) (proc : Process.t) ~src ~tag ptr maxlen =
       emit_entry core entry
         (Obs.Trace.Msg_roll
            { src = (match src with Mpi.Rank r -> r | Mpi.Any -> -1) });
-      Value.Vint msg_roll
+      Value.Vint Mpi.msg_roll
     | Mpi.None_yet ->
       proc.Process.waiting <- true;
       entry.parked_on <- Some (src, tag);
-      Value.Vint msg_none
+      Value.Vint Mpi.msg_none
     | Mpi.Received m ->
       entry.parked_on <- None;
       let n = min maxlen (Array.length m.Mpi.msg_payload) in
@@ -259,7 +238,7 @@ let commit_round x (entry : entry) (proc : Process.t) txn =
     (* the coordinator's own abort(level) follows in the program: its
        rollback cascade un-delivers the region's in-flight messages and
        rolls every joined participant back *)
-    Value.Vint msg_roll
+    Value.Vint Mpi.msg_roll
   in
   (* epoch fencing: an ack is valid only while the participant's rank
      still runs the incarnation that joined — a resurrected zombie can
@@ -337,229 +316,250 @@ let commit_round x (entry : entry) (proc : Process.t) txn =
       end
     end
 
-let cluster_extern x (entry : entry) : Process.handler =
- fun proc name args ->
-  let core = x.core in
-  let heap = proc.Process.heap in
-  let read_cells ptr len =
-    let idx, off = Vm.Interp.as_ptr ptr in
-    Array.init len (fun k -> Heap.read heap idx (off + k))
-  in
-  match name, args with
-  | ("msg_send" | "msg_send_int"), [ Value.Vint dst_rank; Value.Vint tag;
-                                     (Value.Vptr _ as ptr); Value.Vint len ]
-    ->
-    check_length "msg_send" len;
-    unless_stale core entry ~what:"send" @@ fun () ->
-      send_payload x entry proc ~dst_rank ~tag
-        ~read_payload:(fun () -> read_cells ptr len)
-        ~extra_delay_s:0.0
-  | "svc_send", [ Value.Vint laddr; Value.Vint tag; (Value.Vptr _ as ptr);
-                  Value.Vint len ] -> (
-    check_length "svc_send" len;
-    (* the registry never weakens fencing: a zombie's sends are rejected
-       exactly as rank-addressed ones are *)
-    unless_stale core entry ~what:"send" @@ fun () ->
-      let now_s = effective_now core proc in
-      (* due moved notices first: rebind before resolving, so a sender
-         that was told about the move goes direct from this call on *)
-      consume_notices x entry ~now:now_s;
-      let bound =
-        match Hashtbl.find_opt entry.bindings laddr with
-        | Some r -> Some r
-        | None -> (
-          match Registry.lookup core.registry laddr with
-          | Some r ->
-            Hashtbl.replace entry.bindings laddr r;
-            Some r
-          | None -> None)
-      in
-      match bound with
-      | None -> Value.Vint (-1) (* unknown laddr: like an unknown rank *)
-      | Some r -> (
-        match Registry.resolve core.registry ~now:now_s r with
-        | Registry.Direct final ->
-          send_payload x entry proc ~dst_rank:final ~tag
-            ~read_payload:(fun () -> read_cells ptr len)
-            ~extra_delay_s:0.0
-        | Registry.Forwarded { final; hops } ->
-          (* relay through the vacated rank(s): the message pays one
-             extra store-and-forward traversal per chain hop, and the
-             forwarder owes the sender a Recipient_moved notice (due
-             one link time from now — the notice travels back) *)
-          let relay_s =
-            float_of_int hops *. Simnet.message_seconds core.net (8 * len)
-          in
-          Obs.Metrics.incr x.c_svc_forwarded;
-          emit_entry core entry
-            (Obs.Trace.Msg_forward
-               { laddr; from_rank = r; to_rank = final; hops });
-          entry.notices <-
-            (now_s +. Simnet.message_seconds core.net 32, laddr, final)
-            :: entry.notices;
-          send_payload x entry proc ~dst_rank:final ~tag
-            ~read_payload:(fun () -> read_cells ptr len)
-            ~extra_delay_s:relay_s
-        | Registry.Expired rank ->
-          (* the forwarder is gone: typed error, never a silent drop.
-             Dropping the cached binding makes the retry re-resolve
-             through the registry's authoritative table *)
-          Hashtbl.remove entry.bindings laddr;
-          Obs.Metrics.incr x.c_svc_expired;
-          emit_entry core entry (Obs.Trace.Forward_expired { laddr; rank });
-          Value.Vint msg_moved))
-  | "svc_resolve", [ Value.Vint laddr ] -> (
-    (* authoritative resolve: refreshes the caller's cached binding *)
-    match Registry.lookup core.registry laddr with
-    | Some r ->
-      Hashtbl.replace entry.bindings laddr r;
-      Value.Vint r
-    | None -> Value.Vint (-1))
-  | "lat_us", [ Value.Vint us ] ->
-    Obs.Metrics.observe x.h_app_latency (float_of_int us /. 1e6);
-    Value.Vunit
-  | ("msg_try_recv" | "msg_try_recv_int"),
-    [ Value.Vint src_rank; Value.Vint tag; (Value.Vptr _ as ptr);
-      Value.Vint maxlen ] ->
-    check_length "msg_try_recv" maxlen;
-    recv x entry proc ~src:(Mpi.Rank src_rank) ~tag ptr maxlen
-  | "msg_try_recv_any", [ Value.Vint tag; (Value.Vptr _ as ptr);
-                          Value.Vint maxlen ] ->
-    (* wildcard receive: a mobile service cannot know its clients'
-       ranks ahead of time (and a client cannot know which rank its
-       reply comes from after the service moved), so it matches on tag
-       alone *)
-    check_length "msg_try_recv_any" maxlen;
-    recv x entry proc ~src:Mpi.Any ~tag ptr maxlen
-  | "rank", [] ->
-    Value.Vint (entry_rank entry)
-  | "sim_now_us", [] ->
-    Value.Vint (int_of_float (effective_now core proc *. 1e6))
-  | "fs_write", [ (Value.Vptr _ as pathp); (Value.Vptr _ as ptr);
-                  Value.Vint k ] ->
-    check_length "fs_write" k;
-    let path = Heap.raw_to_string heap (fst (Vm.Interp.as_ptr pathp)) in
-    Spec_graph.note_file_write x.graph proc path;
-    let cells = read_cells ptr k in
-    let data =
-      String.init k (fun i ->
-          match cells.(i) with
-          | Value.Vint b -> Char.chr (b land 0xff)
-          | _ -> raise (Process.Extern_failure "fs_write: non-byte cell"))
-    in
-    charge_seconds proc (Storage.write core.storage path data);
-    Value.Vint k
-  | "fs_read", [ (Value.Vptr _ as pathp); (Value.Vptr _ as ptr);
-                 Value.Vint k ] -> (
-    check_length "fs_read" k;
-    let path = Heap.raw_to_string heap (fst (Vm.Interp.as_ptr pathp)) in
-    match Storage.read core.storage path with
-    | None -> Value.Vint (-1)
-    | Some (data, dt) ->
-      charge_seconds proc dt;
-      let n = min k (String.length data) in
-      let payload =
-        Array.init n (fun i -> Value.Vint (Char.code data.[i]))
-      in
-      write_cells heap ptr payload n;
-      Value.Vint n)
-  | "fs_size", [ (Value.Vptr _ as pathp) ] -> (
-    let path = Heap.raw_to_string heap (fst (Vm.Interp.as_ptr pathp)) in
-    match Storage.size core.storage path with
-    | Some n -> Value.Vint n
-    | None -> Value.Vint (-1))
-  | "obj_read", [ Value.Vint obj; (Value.Vptr _ as ptr); Value.Vint k ] ->
-    check_length "obj_read" k;
-    (* storage faults draw from the seeded fault-plan RNG, never the
-       global Random state: reproducible under the cluster seed *)
-    if Random.State.float (Faults.rng core.faults) 1.0 < x.obj_fail_prob
-    then Value.Vint (-1)
-    else begin
-      match Hashtbl.find_opt core.obj_store obj with
-      | None -> Value.Vint (-1)
-      | Some data ->
-        let n = min k (Bytes.length data) in
-        let payload =
-          Array.init n (fun i -> Value.Vint (Char.code (Bytes.get data i)))
-        in
-        write_cells heap ptr payload n;
-        Value.Vint n
-    end
-  | "obj_write", [ Value.Vint obj; (Value.Vptr _ as ptr); Value.Vint k ] ->
-    check_length "obj_write" k;
-    if Random.State.float (Faults.rng core.faults) 1.0 < x.obj_fail_prob
-    then Value.Vint (-1)
-    else begin
-      Spec_graph.note_object_write x.graph proc obj;
-      let cells = read_cells ptr k in
-      let data =
-        match Hashtbl.find_opt core.obj_store obj with
-        | Some d when Bytes.length d >= k -> d
-        | _ -> Bytes.make (max k 1) '\000'
-      in
-      Array.iteri
-        (fun i v ->
-          match v with
-          | Value.Vint b -> Bytes.set data i (Char.chr (b land 0xff))
-          | _ -> raise (Process.Extern_failure "obj_write: non-byte cell"))
-        cells;
-      Hashtbl.replace core.obj_store obj data;
-      Value.Vint k
-    end
-  | "dspec_open", [] -> (
-    unless_stale core entry ~what:"dspec" @@ fun () ->
-      match Spec.Engine.current_unique proc.Process.spec with
-      | None ->
-        raise
-          (Process.Extern_failure "dspec_open: no open speculation level")
-      | Some uid ->
-        let laddr =
-          match entry.rank with
-          | None -> -1
-          | Some r -> (
-            match Registry.laddr_of_rank core.registry r with
-            | Some l -> l
-            | None -> -1)
-        in
-        let txn =
-          Dspec.open_txn core.dspec ~coord_pid:proc.Process.pid
-            ~root_uid:uid ~coord_laddr:laddr
-        in
-        emit_entry core entry
-          (Obs.Trace.Dspec_open { txn = txn.Dspec.x_id; uid });
-        Value.Vint txn.Dspec.x_id)
-  | "dspec_commit", [ Value.Vint txn_id ] -> (
-    unless_stale core entry ~what:"dspec" @@ fun () ->
-      match Dspec.find core.dspec txn_id with
-      | None ->
-        raise
-          (Process.Extern_failure
-             (Printf.sprintf "dspec_commit: unknown transaction %d" txn_id))
-      | Some txn -> (
-        if txn.Dspec.x_coord_pid <> proc.Process.pid then
-          raise
-            (Process.Extern_failure "dspec_commit: not the coordinator");
-        match txn.Dspec.x_state with
-        | Dspec.Committed -> Value.Vint 0
-        | Dspec.Aborted _ -> Value.Vint msg_roll
-        | Dspec.Open -> commit_round x entry proc txn))
-  | "spec_pending", [] ->
-    (* is this process's current level still joined to an undecided
-       foreign region?  The participant's pre-commit barrier: committing
-       while the coordinator's fate is open would durably absorb state a
-       distributed abort may yet revoke.  The dependency dissolves when
-       the coordinator's level commits durably and is force-rolled when
-       it aborts — either way the spin ends. *)
-    let pending =
-      match Spec.Engine.current_unique proc.Process.spec with
-      | None -> false
-      | Some uid -> Spec_graph.pending x.graph ~pid:proc.Process.pid ~uid
-    in
-    Value.Vint (if pending then 1 else 0)
-  | _ when List.mem_assoc name extern_signatures_list ->
-    raise
-      (Process.Extern_failure
-         (Printf.sprintf "extern %s: bad arguments" name))
-  | _ -> raise Extern.Absent
+(* msg_send and msg_send_int: a rank-addressed send *)
+let msg_send x proc = function
+  | [ Value.Vint dst_rank; Value.Vint tag; (Value.Vptr _ as ptr);
+      Value.Vint len ] ->
+    check_length len;
+    let entry = running x in
+    unless_stale x.core entry ~what:"send" @@ fun () ->
+      send_payload x entry proc ~dst_rank ~tag ~ptr ~len ~extra_delay_s:0.0
+  | _ -> Extern.bad_arguments ()
 
-let handler x entry = Extern.combine (cluster_extern x entry) Extern.base
+(* msg_try_recv and msg_try_recv_int: a directed receive *)
+let msg_try_recv x proc = function
+  | [ Value.Vint src_rank; Value.Vint tag; (Value.Vptr _ as ptr);
+      Value.Vint maxlen ] ->
+    check_length maxlen;
+    recv x (running x) proc ~src:(Mpi.Rank src_rank) ~tag ptr maxlen
+  | _ -> Extern.bad_arguments ()
+
+(* storage faults draw from the seeded fault-plan RNG, never the global
+   Random state: reproducible under the cluster seed *)
+let obj_fails x =
+  Random.State.float (Faults.rng x.core.faults) 1.0 < x.obj_fail_prob
+
+let path_of heap pathp = Heap.raw_to_string heap (fst (Vm.Interp.as_ptr pathp))
+
+let table =
+  let open Fir.Types in
+  let ext = Extern.ext in
+  let buffer ty = [ Tint; Tint; Tptr ty; Tint ] in
+  Extern.table
+  @@ [
+       ext "msg_send" (buffer Tfloat) Tint msg_send;
+       ext "msg_send_int" (buffer Tint) Tint msg_send;
+       ext "msg_try_recv" (buffer Tfloat) Tint msg_try_recv;
+       ext "msg_try_recv_int" (buffer Tint) Tint msg_try_recv;
+       (* location-transparent messaging: sends by logical address, the
+          wildcard receive a mobile service needs (its clients' ranks
+          are whatever the registry said at their send time), and the
+          request-latency probe the serving benches feed *)
+       ext "svc_send" (buffer Tfloat) Tint (fun x proc -> function
+         | [ Value.Vint laddr; Value.Vint tag; (Value.Vptr _ as ptr);
+             Value.Vint len ] -> (
+           check_length len;
+           let core = x.core in
+           let entry = running x in
+           (* the registry never weakens fencing: a zombie's sends are
+              rejected exactly as rank-addressed ones are *)
+           unless_stale core entry ~what:"send" @@ fun () ->
+             let now_s = effective_now core proc in
+             (* due moved notices first: rebind before resolving, so a
+                sender that was told about the move goes direct from
+                this call on *)
+             consume_notices x entry ~now:now_s;
+             let bound =
+               match Hashtbl.find_opt entry.bindings laddr with
+               | Some _ as r -> r
+               | None ->
+                 let r = Registry.lookup core.registry laddr in
+                 Option.iter (Hashtbl.replace entry.bindings laddr) r;
+                 r
+             in
+             match bound with
+             | None -> Value.Vint (-1) (* unknown laddr: like a rank *)
+             | Some r -> (
+               match Registry.resolve core.registry ~now:now_s r with
+               | Registry.Direct final ->
+                 send_payload x entry proc ~dst_rank:final ~tag ~ptr ~len
+                   ~extra_delay_s:0.0
+               | Registry.Forwarded { final; hops } ->
+                 (* relay through the vacated rank(s): the message pays
+                    one extra store-and-forward traversal per chain hop,
+                    and the forwarder owes the sender a Recipient_moved
+                    notice (due one link time from now — the notice
+                    travels back) *)
+                 let relay_s =
+                   float_of_int hops
+                   *. Simnet.message_seconds core.net (8 * len)
+                 in
+                 Obs.Metrics.incr x.c_svc_forwarded;
+                 emit_entry core entry
+                   (Obs.Trace.Msg_forward
+                      { laddr; from_rank = r; to_rank = final; hops });
+                 entry.notices <-
+                   (now_s +. Simnet.message_seconds core.net 32, laddr, final)
+                   :: entry.notices;
+                 send_payload x entry proc ~dst_rank:final ~tag ~ptr ~len
+                   ~extra_delay_s:relay_s
+               | Registry.Expired rank ->
+                 (* the forwarder is gone: typed error, never a silent
+                    drop.  Dropping the cached binding makes the retry
+                    re-resolve through the registry's authoritative
+                    table *)
+                 Hashtbl.remove entry.bindings laddr;
+                 Obs.Metrics.incr x.c_svc_expired;
+                 emit_entry core entry
+                   (Obs.Trace.Forward_expired { laddr; rank });
+                 Value.Vint msg_moved))
+         | _ -> Extern.bad_arguments ());
+       (* authoritative resolve: refreshes the caller's cached binding *)
+       ext "svc_resolve" [ Tint ] Tint (fun x _ -> function
+         | [ Value.Vint laddr ] -> (
+           match Registry.lookup x.core.registry laddr with
+           | Some r ->
+             Hashtbl.replace (running x).bindings laddr r;
+             Value.Vint r
+           | None -> Value.Vint (-1))
+         | _ -> Extern.bad_arguments ());
+       (* wildcard receive: a mobile service cannot know its clients'
+          ranks ahead of time (and a client cannot know which rank its
+          reply comes from after the service moved), so it matches on
+          tag alone *)
+       ext "msg_try_recv_any" [ Tint; Tptr Tfloat; Tint ] Tint
+         (fun x proc -> function
+         | [ Value.Vint tag; (Value.Vptr _ as ptr); Value.Vint maxlen ] ->
+           check_length maxlen;
+           recv x (running x) proc ~src:Mpi.Any ~tag ptr maxlen
+         | _ -> Extern.bad_arguments ());
+       ext "lat_us" [ Tint ] Tunit (fun x _ -> function
+         | [ Value.Vint us ] ->
+           Obs.Metrics.observe x.h_app_latency (float_of_int us /. 1e6);
+           Value.Vunit
+         | _ -> Extern.bad_arguments ());
+       ext "rank" [] Tint (fun x _ -> function
+         | [] -> Value.Vint (entry_rank (running x))
+         | _ -> Extern.bad_arguments ());
+       ext "sim_now_us" [] Tint (fun x proc -> function
+         | [] -> Value.Vint (int_of_float (effective_now x.core proc *. 1e6))
+         | _ -> Extern.bad_arguments ());
+       ext "obj_read" [ Tint; Tptr Tint; Tint ] Tint (fun x proc -> function
+         | [ Value.Vint obj; (Value.Vptr _ as ptr); Value.Vint k ] -> (
+           check_length k;
+           if obj_fails x then Value.Vint (-1)
+           else
+             match Hashtbl.find_opt x.core.obj_store obj with
+             | None -> Value.Vint (-1)
+             | Some data ->
+               write_bytes proc.Process.heap ptr k (Bytes.length data)
+                 (Bytes.get data))
+         | _ -> Extern.bad_arguments ());
+       ext "obj_write" [ Tint; Tptr Tint; Tint ] Tint (fun x proc -> function
+         | [ Value.Vint obj; (Value.Vptr _ as ptr); Value.Vint k ] ->
+           check_length k;
+           if obj_fails x then Value.Vint (-1)
+           else begin
+             Spec_graph.note_object_write x.graph proc obj;
+             let bytes = read_bytes proc.Process.heap ptr k in
+             let data =
+               match Hashtbl.find_opt x.core.obj_store obj with
+               | Some d when Bytes.length d >= k -> d
+               | _ -> Bytes.make (max k 1) '\000'
+             in
+             Bytes.blit bytes 0 data 0 k;
+             Hashtbl.replace x.core.obj_store obj data;
+             Value.Vint k
+           end
+         | _ -> Extern.bad_arguments ());
+       (* MojaveFS-lite (the paper's "speculative I/O" future work,
+          Section 7): byte files on the shared store whose writes join
+          the writer's speculation, so "normal file I/O operations" are
+          usable inside a speculation and roll back with it *)
+       ext "fs_write" [ Traw; Tptr Tint; Tint ] Tint (fun x proc -> function
+         | [ (Value.Vptr _ as pathp); (Value.Vptr _ as ptr); Value.Vint k ] ->
+           check_length k;
+           let heap = proc.Process.heap in
+           let path = path_of heap pathp in
+           Spec_graph.note_file_write x.graph proc path;
+           let data = Bytes.to_string (read_bytes heap ptr k) in
+           charge_seconds proc (Storage.write x.core.storage path data);
+           Value.Vint k
+         | _ -> Extern.bad_arguments ());
+       ext "fs_read" [ Traw; Tptr Tint; Tint ] Tint (fun x proc -> function
+         | [ (Value.Vptr _ as pathp); (Value.Vptr _ as ptr); Value.Vint k ] -> (
+           check_length k;
+           let heap = proc.Process.heap in
+           match Storage.read x.core.storage (path_of heap pathp) with
+           | None -> Value.Vint (-1)
+           | Some (data, dt) ->
+             charge_seconds proc dt;
+             write_bytes heap ptr k (String.length data) (String.get data))
+         | _ -> Extern.bad_arguments ());
+       ext "fs_size" [ Traw ] Tint (fun x proc -> function
+         | [ (Value.Vptr _ as pathp) ] ->
+           let path = path_of proc.Process.heap pathp in
+           Value.Vint
+             (Option.value ~default:(-1) (Storage.size x.core.storage path))
+         | _ -> Extern.bad_arguments ());
+       (* distributed speculation: open a transaction rooted at the
+          current level, run the epoch-fenced commit protocol over
+          everyone who joined, and test whether anyone still depends on
+          this process's current level (the client's pre-commit
+          barrier) *)
+       ext "dspec_open" [] Tint (fun x proc -> function
+         | [] -> (
+           let core = x.core in
+           let entry = running x in
+           unless_stale core entry ~what:"dspec" @@ fun () ->
+             match Spec.Engine.current_unique proc.Process.spec with
+             | None -> Extern.fail "no open speculation level"
+             | Some uid ->
+               let laddr =
+                 Option.bind entry.rank (Registry.laddr_of_rank core.registry)
+                 |> Option.value ~default:(-1)
+               in
+               let txn =
+                 Dspec.open_txn core.dspec ~coord_pid:proc.Process.pid
+                   ~root_uid:uid ~coord_laddr:laddr
+               in
+               emit_entry core entry
+                 (Obs.Trace.Dspec_open { txn = txn.Dspec.x_id; uid });
+               Value.Vint txn.Dspec.x_id)
+         | _ -> Extern.bad_arguments ());
+       ext "dspec_commit" [ Tint ] Tint (fun x proc -> function
+         | [ Value.Vint txn_id ] -> (
+           let entry = running x in
+           unless_stale x.core entry ~what:"dspec" @@ fun () ->
+             match Dspec.find x.core.dspec txn_id with
+             | None ->
+               Extern.fail (Printf.sprintf "unknown transaction %d" txn_id)
+             | Some txn -> (
+               if txn.Dspec.x_coord_pid <> proc.Process.pid then
+                 Extern.fail "not the coordinator";
+               match txn.Dspec.x_state with
+               | Dspec.Committed -> Value.Vint 0
+               | Dspec.Aborted _ -> Value.Vint Mpi.msg_roll
+               | Dspec.Open -> commit_round x entry proc txn))
+         | _ -> Extern.bad_arguments ());
+       (* is this process's current level still joined to an undecided
+          foreign region?  The participant's pre-commit barrier:
+          committing while the coordinator's fate is open would durably
+          absorb state a distributed abort may yet revoke.  The
+          dependency dissolves when the coordinator's level commits
+          durably and is force-rolled when it aborts — either way the
+          spin ends. *)
+       ext "spec_pending" [] Tint (fun x proc -> function
+         | [] ->
+           let pid = proc.Process.pid in
+           Value.Vint
+             (match Spec.Engine.current_unique proc.Process.spec with
+             | Some uid when Spec_graph.pending x.graph ~pid ~uid -> 1
+             | Some _ | None -> 0)
+         | _ -> Extern.bad_arguments ());
+     ]
+  @ Extern.entries ()
+
+let extern_signatures = Extern.lookup table
+let extern_names = Extern.names table
+let handler x = Extern.handler table x

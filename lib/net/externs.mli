@@ -1,12 +1,15 @@
-(** The externs cluster processes call: rank- and laddr-addressed sends,
+(** The cluster's extern table: the base runtime's entries
+    ({!Vm.Extern.entries}) plus rank- and laddr-addressed sends,
     directed and wildcard receives, the registry's resolve and moved
     notices, the fault-injected object store (Figure 1), MojaveFS-lite
     files on the shared store, the request-latency probe, and the
     distributed-speculation commit protocol ([dspec_open],
-    [dspec_commit], [spec_pending]).
+    [dspec_commit], [spec_pending]).  One entry per name, built once;
+    the typechecker hook and the handler read the same table.
 
-    A negative length or buffer size traps the calling process
-    ([Process.Extern_failure]); it never reaches the host. *)
+    A negative length or buffer size, or a length past the end of its
+    buffer, traps the process with the extern's own cause; it never
+    reaches the host. *)
 
 open Vm
 open Cluster_types
@@ -16,15 +19,16 @@ type t
 val create : Cluster_core.t -> Spec_graph.t -> t
 
 val extern_signatures : Fir.Typecheck.extern_lookup
-(** The cluster's extern set on top of the base runtime's. *)
+val extern_names : string list
 
 val msg_moved : int
 (** svc_send's typed "recipient moved" code (-3). *)
 
 val set_object_failure_probability : t -> float -> unit
 
-val handler : t -> entry -> Process.handler
-(** The handler a quantum of [entry]'s process runs under: these externs,
-    falling back to the base runtime's for names they do not define
-    ({!Vm.Extern.combine}).  A failure of one of these externs traps
-    with its own message. *)
+val enter : t -> entry -> unit
+(** Attribute the calls that follow to [entry]'s process (the scheduler
+    enters each entry before its quantum). *)
+
+val handler : t -> Process.handler
+(** The cluster table's handler; build it once per cluster. *)

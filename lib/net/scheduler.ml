@@ -11,6 +11,7 @@ let quantum = 64
 type t = {
   core : Cluster_core.t;
   ext : Externs.t;
+  extern : Process.handler; (* the cluster table's, built once *)
   ship : Shipping.t;
   recovery : Recovery.t;
   tick : Balance_tick.t;
@@ -21,7 +22,7 @@ type t = {
 
 let create core ext ship recovery tick ~scan_sched =
   let m = core.metrics in
-  { core; ext; ship; recovery; tick; scan_sched;
+  { core; ext; extern = Externs.handler ext; ship; recovery; tick; scan_sched;
     c_rounds = Obs.Metrics.counter m "sched.rounds";
     c_quanta = Obs.Metrics.counter m "sched.quanta" }
 
@@ -217,7 +218,7 @@ let round s =
             core.cur_base <- n.clock +. Arch.seconds n.node_arch !node_cycles;
             core.cur_cycles0 <- before;
             core.cur_pid <- e.proc.Process.pid;
-            let ext = Externs.handler s.ext e in
+            Externs.enter s.ext e;
             let steps = ref quantum in
             while
               !steps > 0
@@ -227,8 +228,8 @@ let round s =
               && not e.proc.Process.waiting
             do
               (match e.engine with
-              | Interp_engine -> Interp.step ~extern:ext e.proc
-              | Emu_engine emu -> Emulator.step ~extern:ext emu);
+              | Interp_engine -> Interp.step ~extern:s.extern e.proc
+              | Emu_engine emu -> Emulator.step ~extern:s.extern emu);
               decr steps
             done;
             (match e.proc.Process.status with

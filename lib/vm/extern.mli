@@ -1,30 +1,43 @@
-(** External functions provided by the base runtime: output (to the
-    process's buffer), deterministic randomness, clocks, GC and
-    speculation introspection, and the simulated-work charge.  Host
-    environments extend the set (the simulated cluster adds message
-    passing and the fault-injected object store) and chain handlers with
-    {!combine}. *)
+(** External functions: one table per host environment.
 
-val base_signatures : (string * (Fir.Types.ty list * Fir.Types.ty)) list
+    An entry holds an extern's name, signature and implementation, so
+    the typechecker hook ({!lookup}) and the runtime {!handler} read
+    the same fact.  A call traps ([Process.Extern_failure]) with
+    ["unknown extern <name>"] for a name the table lacks, with
+    ["extern <name>: bad arguments (<args>)"] when the implementation
+    calls {!bad_arguments}, and with ["<name>: <cause>"] when it calls
+    [fail cause].
 
-val signature_lookup :
-  (string * (Fir.Types.ty list * Fir.Types.ty)) list ->
-  Fir.Typecheck.extern_lookup
-(** [signature_lookup extra] resolves [extra] first, then the base set. *)
+    The base entries: output (to the process's buffer), deterministic
+    randomness, clocks, GC and speculation introspection, and the
+    simulated-work charge. *)
 
+open Runtime
+
+type 'h entry = {
+  name : string;
+  args : Fir.Types.ty list;
+  result : Fir.Types.ty;
+  run : 'h -> Process.t -> Value.t list -> Value.t;
+      (** the implementation, given the host's state *)
+}
+
+type 'h table
+
+val bad_arguments : unit -> 'a
+val fail : string -> 'a
+val ext : string -> Fir.Types.ty list -> Fir.Types.ty ->
+  ('h -> Process.t -> Value.t list -> Value.t) -> 'h entry
+
+val table : 'h entry list -> 'h table
+(** @raise Invalid_argument if two entries share a name. *)
+
+val lookup : 'h table -> Fir.Typecheck.extern_lookup
+val handler : 'h table -> 'h -> Process.handler
+val names : 'h table -> string list (* sorted *)
+
+val entries : unit -> 'h entry list
 val signatures : Fir.Typecheck.extern_lookup
-(** The base set only (the default for strict typechecking). *)
-
 val base : Process.handler
-
-exception Absent
-(** Raised by a handler that does not define the called name, so that
-    {!combine} can try the next one.  It is distinct from
-    {!Process.Extern_failure}, which is a known extern's own failure.
-    The last handler of a chain (such as {!base}) raises
-    [Extern_failure "unknown extern <name>"] instead. *)
-
-val combine : Process.handler -> Process.handler -> Process.handler
-(** [combine first fallback]: [first] wins.  Only {!Absent} from
-    [first] falls through to [fallback]; a failure [first] raises for a
-    name it knows traps with that failure's message. *)
+(** The base entries (they ignore the host state), and their table's
+    signatures and handler. *)

@@ -49,33 +49,9 @@ type t = {
 
 exception Process_error of string
 
-let create ?(pid = 0) ?(arch = Arch.cisc32) ?(seed = 42)
-    ?(heap_cells = 4096) program =
-  let heap = Heap.create ~initial_cells:heap_cells () in
-  let spec = Spec.Engine.create heap in
-  let ftable =
-    Function_table.of_program_names (Fir.Ast.fun_names program)
-  in
-  {
-    pid;
-    program;
-    heap;
-    ftable;
-    spec;
-    arch;
-    cont = program.Fir.Ast.p_main, [];
-    status = Running;
-    steps = 0;
-    cycles = 0;
-    waiting = false;
-    on_gc = None;
-    output = Buffer.create 128;
-    rng = Random.State.make [| seed; pid |];
-  }
-
-(* Rebuild a process from unpacked parts (migration, checkpoint resume).
-   The speculation engine is re-created over the restored heap and its
-   levels re-installed from the snapshot. *)
+(* Build a process from its parts (migration, checkpoint resume).  The
+   speculation engine is re-created over the heap and its levels
+   re-installed from the snapshot. *)
 let restore ?(pid = 0) ?(arch = Arch.cisc32) ?(seed = 42) ~program ~heap
     ~spec_snapshot ~cont () =
   let spec = Spec.Engine.create heap in
@@ -99,6 +75,12 @@ let restore ?(pid = 0) ?(arch = Arch.cisc32) ?(seed = 42) ~program ~heap
     output = Buffer.create 128;
     rng = Random.State.make [| seed; pid |];
   }
+
+(* A fresh process: an empty heap, no speculation, about to call main. *)
+let create ?pid ?arch ?seed ?(heap_cells = 4096) program =
+  restore ?pid ?arch ?seed ~program
+    ~heap:(Heap.create ~initial_cells:heap_cells ())
+    ~spec_snapshot:[] ~cont:(program.Fir.Ast.p_main, []) ()
 
 let output t = Buffer.contents t.output
 let is_terminated t =
@@ -209,6 +191,3 @@ let migration_completed t =
 exception Extern_failure of string
 
 type handler = t -> string -> Value.t list -> Value.t
-
-let no_externs : handler =
-  fun _ name _ -> raise (Extern_failure ("no handler for extern " ^ name))

@@ -100,5 +100,3 @@ val migration_completed : t -> unit
 exception Extern_failure of string
 
 type handler = t -> string -> Value.t list -> Value.t
-
-val no_externs : handler

@@ -21,6 +21,22 @@ let test_api_compile_run () =
   | Ok fir ->
     check "ml program" true (Mcc.Api.exit_code (Mcc.Api.run fir) = Ok 42)
 
+(* rand's bound may exceed the host RNG's 2^30 limit for [int]: the draw
+   stays in range on both backends instead of raising out of the
+   engine. *)
+let test_api_rand_large_bound () =
+  let bound = 1099511627776 in
+  let fir =
+    Mcc.Api.compile_exn
+      (Mcc.Api.C (Printf.sprintf "int main() { return rand(%d); }" bound))
+  in
+  List.iter
+    (fun backend ->
+      match Mcc.Api.exit_code (Mcc.Api.run ~backend fir) with
+      | Ok r -> check "draw in range" true (r >= 0 && r < bound)
+      | Error m -> Alcotest.failf "rand(%d): %s" bound m)
+    [ Mcc.Api.Reference; Mcc.Api.Native ]
+
 let test_api_errors () =
   (match Mcc.Api.compile_c "int main() { return x; }" with
   | Error _ -> ()
@@ -217,6 +233,8 @@ let suites =
       [
         Alcotest.test_case "compile and run" `Quick test_api_compile_run;
         Alcotest.test_case "errors surface" `Quick test_api_errors;
+        Alcotest.test_case "rand takes bounds past 2^30" `Quick
+          test_api_rand_large_bound;
         Alcotest.test_case "checkpoint and resume" `Quick
           test_api_checkpoint_resume;
       ] );

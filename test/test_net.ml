@@ -368,12 +368,13 @@ let test_cluster_send_to_nowhere () =
   check "send to unknown rank fails" true
     (status_of cluster pid = Vm.Process.Exited (-1))
 
-(* A negative length or buffer size from the program traps the process
-   with a typed extern failure, each with its own cause (not the base
-   handler's "unknown extern").  It must not crash the host run, and a
-   receive must not consume the queued message (deliverable by then) it
-   cannot deliver. *)
-let test_extern_negative_lengths () =
+(* A negative length or buffer size from the program, or a length past
+   the end of its buffer, traps the process with a typed extern failure,
+   each with its own cause (not "unknown extern").  It must not crash
+   the host run (an oversized length must not reach a host allocation),
+   and a call must not consume or add to the queued message (deliverable
+   by then). *)
+let test_extern_bad_lengths () =
   List.iter
     (fun (call, cause) ->
       let cluster = mk_cluster ~nodes:1 Net.Faults.none in
@@ -413,7 +414,116 @@ int main() {
       "msg_try_recv(0, 5, f, 0 - 1)", "msg_try_recv: negative length";
       "msg_try_recv(0, 5, f, 0 - 3)", "msg_try_recv: negative length";
       "msg_try_recv_any(5, f, 0 - 1)", "msg_try_recv_any: negative length";
+      "msg_send(0, 5, f, 1000000000000000)",
+      "msg_send: length exceeds the buffer";
+      "obj_write(1, b, 1000000000000000)",
+      "obj_write: length exceeds the buffer";
+      "fs_write(\"x\", b, 1000000000000000)",
+      "fs_write: length exceeds the buffer";
     ]
+
+(* One extern program for the tests below: call [name] on the atoms
+   [args] binds, then exit 0.  [Builder.ext] bypasses the front end's
+   typecheck, and [spawn] does not strict-typecheck, so the arguments
+   reach the handler as given. *)
+let extern_call_program name result args =
+  Builder.(
+    prog
+      [ func "main" [] (fun _ ->
+            args (fun atoms -> ext result name atoms (fun _ -> exit_ (int 0))))
+      ])
+
+(* Arguments that do not fit an entry trap with one message naming the
+   extern and the arguments, whichever table defines the name (the base
+   runtime's print_int, the cluster's msg_send) and whichever engine
+   runs the call. *)
+let test_extern_bad_arguments () =
+  let engines =
+    let emu mode program (proc : Vm.Process.t) =
+      Net.Cluster.Emu_engine
+        (Vm.Emulator.create ~mode
+           (Vm.Codegen.compile ~arch:proc.Vm.Process.arch program)
+           proc)
+    in
+    [ "Interp", (fun _ _ -> Net.Cluster.Interp_engine);
+      "Baseline", emu Vm.Emulator.Baseline;
+      "Compiled", emu Vm.Emulator.Compiled ]
+  in
+  List.iter
+    (fun (name, args, cause) ->
+      let program =
+        extern_call_program name Types.Tint (fun k -> k args)
+      in
+      List.iter
+        (fun (engine_name, engine) ->
+          let cluster = mk_cluster ~nodes:1 Net.Faults.none in
+          let pid = Net.Cluster.spawn cluster ~rank:0 ~node_id:0 program in
+          (match Net.Cluster.entry_of_pid cluster pid with
+          | Some e -> e.Net.Cluster.engine <- engine program e.Net.Cluster.proc
+          | None -> Alcotest.fail "process lost");
+          ignore (Net.Cluster.run cluster);
+          check_str
+            (Printf.sprintf "%s under %s" name engine_name)
+            ("extern: " ^ cause)
+            (match status_of cluster pid with
+            | Vm.Process.Trapped m -> m
+            | _ -> "no trap"))
+        engines)
+    [
+      ( "print_int",
+        [ Builder.float 1.5 ],
+        "extern print_int: bad arguments (1.5)" );
+      ( "msg_send",
+        Builder.[ int 0; int 5; int 7; int 1 ],
+        "extern msg_send: bad arguments (0, 5, 7, 1)" );
+    ]
+
+(* Every entry of the cluster table (the base runtime's included) accepts
+   arguments built from its own signature: a call may fail with the
+   extern's own cause (dspec_open outside a speculation), never as
+   "bad arguments" or "unknown extern". *)
+let test_extern_signatures_fit_implementations () =
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  List.iter
+    (fun name ->
+      let args, result =
+        match Net.Cluster.extern_signatures name with
+        | Some s -> s
+        | None -> Alcotest.failf "%s: no signature" name
+      in
+      let rec bind tys k =
+        match tys with
+        | [] -> k []
+        | ty :: rest ->
+          let next a = bind rest (fun atoms -> k (a :: atoms)) in
+          Builder.(
+            match ty with
+            | Types.Tint -> next (int 1)
+            | Types.Tfloat -> next (float 1.0)
+            | Types.Tptr Types.Tfloat ->
+              array Types.Tfloat ~size:(int 4) ~init:(float 0.0) next
+            | Types.Tptr t -> array t ~size:(int 4) ~init:(int 0) next
+            | Types.Traw -> string "x" next
+            | _ -> Alcotest.failf "%s: no test argument for its signature" name)
+      in
+      let cluster = mk_cluster ~nodes:1 Net.Faults.none in
+      let pid =
+        Net.Cluster.spawn cluster ~rank:0 ~node_id:0
+          (extern_call_program name result (bind args))
+      in
+      ignore (Net.Cluster.run cluster);
+      match status_of cluster pid with
+      | Vm.Process.Trapped m
+        when contains m "bad arguments" || contains m "unknown extern" ->
+        Alcotest.failf "%s: %s" name m
+      | _ -> ())
+    Net.Cluster.extern_names
 
 (* A name neither the cluster's externs nor the base runtime define
    falls through the whole chain and traps naming itself. *)
@@ -955,8 +1065,12 @@ let suites =
           test_cluster_message_passing;
         Alcotest.test_case "send to unknown rank" `Quick
           test_cluster_send_to_nowhere;
-        Alcotest.test_case "negative lengths trap the process" `Quick
-          test_extern_negative_lengths;
+        Alcotest.test_case "bad lengths trap the process" `Quick
+          test_extern_bad_lengths;
+        Alcotest.test_case "bad arguments trap alike on every engine" `Quick
+          test_extern_bad_arguments;
+        Alcotest.test_case "every extern accepts its own signature" `Quick
+          test_extern_signatures_fit_implementations;
         Alcotest.test_case "unknown extern traps with its name" `Quick
           test_unknown_extern_traps;
         Alcotest.test_case "programs typecheck against externs" `Quick
