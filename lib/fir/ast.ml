@@ -148,13 +148,6 @@ let fold_funs f p acc = String_map.fold (fun _ fd acc -> f fd acc) p.p_funs acc
 let map_funs f p =
   { p with p_funs = String_map.map f p.p_funs }
 
-let add_fun p fd = { p with p_funs = String_map.add fd.f_name fd p.p_funs }
-
-let remove_fun p name =
-  if String.equal name p.p_main then
-    invalid_arg "Ast.remove_fun: cannot remove main";
-  { p with p_funs = String_map.remove name p.p_funs }
-
 (* Signature of a function: its parameter types. *)
 let signature fd = List.map snd fd.f_params
 

@@ -113,8 +113,6 @@ val fun_count : program -> int
 val iter_funs : (fundef -> unit) -> program -> unit
 val fold_funs : (fundef -> 'a -> 'a) -> program -> 'a -> 'a
 val map_funs : (fundef -> fundef) -> program -> program
-val add_fun : program -> fundef -> program
-val remove_fun : program -> string -> program
 val signature : fundef -> Types.ty list
 
 val exp_size : exp -> int

@@ -364,14 +364,6 @@ let rec has_pseudo = function
 let inlinable ~threshold fd =
   exp_size fd.f_body <= threshold && not (has_pseudo fd.f_body)
 
-(* Count static call sites of each function, to find called-once targets. *)
-let call_counts p =
-  let counts = Hashtbl.create 64 in
-  let bump f = Hashtbl.replace counts f (1 + Option.value ~default:0
-                                           (Hashtbl.find_opt counts f)) in
-  iter_funs (fun fd -> List.iter bump (called_funs fd.f_body)) p;
-  counts
-
 let rec inline_exp p ~threshold ~depth e =
   if depth <= 0 then e
   else
@@ -466,7 +458,3 @@ let optimize_exp ?(threshold = default_inline_threshold) p e =
 let optimize ?(threshold = default_inline_threshold) p =
   let p = map_funs (fun fd -> { fd with f_body = optimize_exp ~threshold p fd.f_body }) p in
   remove_unreachable p
-
-(* Expose call_counts for diagnostics and tests. *)
-let static_call_count p name =
-  Option.value ~default:0 (Hashtbl.find_opt (call_counts p) name)

@@ -27,4 +27,3 @@ val has_pseudo : Ast.exp -> bool
 
 val reachable : Ast.program -> (string, unit) Hashtbl.t
 val remove_unreachable : Ast.program -> Ast.program
-val static_call_count : Ast.program -> string -> int

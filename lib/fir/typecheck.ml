@@ -258,8 +258,3 @@ let check_program ?(strict = false) ?(externs = no_externs) p =
 
 let well_typed ?strict ?externs p =
   match check_program ?strict ?externs p with Ok () -> true | Error _ -> false
-
-let check_exn ?strict ?externs p =
-  match check_program ?strict ?externs p with
-  | Ok () -> ()
-  | Error msg -> raise (Type_error msg)

@@ -21,7 +21,3 @@ val check_program :
 
 val well_typed :
   ?strict:bool -> ?externs:extern_lookup -> Ast.program -> bool
-
-val check_exn :
-  ?strict:bool -> ?externs:extern_lookup -> Ast.program -> unit
-(** @raise Type_error on an ill-typed program. *)

@@ -40,8 +40,6 @@ let parse s =
   | Some _ | None ->
     raise (Bad_target (Printf.sprintf "unparseable migration target %S" s))
 
-let parse_opt s = match parse s with t -> Some t | exception Bad_target _ -> None
-
 let to_string = function
   | Migrate_to host -> "mcc://" ^ host
   | Suspend_to path -> "suspend://" ^ path

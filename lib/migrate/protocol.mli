@@ -18,7 +18,6 @@ exception Bad_target of string
 val parse : string -> t
 (** @raise Bad_target on an unparseable target. *)
 
-val parse_opt : string -> t option
 val to_string : t -> string
 
 val continues_after_success : t -> bool

@@ -39,10 +39,11 @@ let create core recovery ~period_s =
 let tick bt =
   let core = bt.core in
   match core.balance with
-  | None -> ()
+  | None -> false
   | Some b ->
     let now_ = now core in
-    if now_ >= bt.bal_next_at then begin
+    if now_ < bt.bal_next_at then false
+    else begin
       let cfg = Balance.config b in
       Obs.Metrics.incr bt.c_bal_ticks;
       let elapsed = Float.max (now_ -. bt.bal_prev_at) 1e-9 in
@@ -132,5 +133,6 @@ let tick bt =
         core.entries;
       Balance.decay b;
       bt.bal_prev_at <- now_;
-      bt.bal_next_at <- now_ +. cfg.Balance.Config.period_s
+      bt.bal_next_at <- now_ +. cfg.Balance.Config.period_s;
+      !moved > 0
     end

@@ -8,6 +8,7 @@ type t
 
 val create : Cluster_core.t -> Recovery.t -> period_s:float -> t
 
-val tick : t -> unit
+val tick : t -> bool
 (** Called at the end of every scheduling round; a no-op while the
-    engine is disabled or between periods. *)
+    engine is disabled or between periods.  True when it moved a
+    service (new work for the scheduler). *)

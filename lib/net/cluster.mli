@@ -11,7 +11,10 @@
     Scheduling is a conservative discrete-event simulation: each node's
     clock advances with the work its processes do; idle nodes jump to
     their next event; processes sharing a node serialise and pay context
-    switches. *)
+    switches.  The node clocks are the only simulated time ({!now} is
+    the farthest one).  While a quantum executes, its entry is
+    [Cluster_core.running], the one entry every extern call acts for;
+    it is [None] between quanta. *)
 
 open Vm
 
@@ -29,10 +32,13 @@ type entry = {
           zombie and is fenced at every interaction point *)
   mutable start_at : float;  (** not schedulable before this (node) time *)
   mutable parked_on : (Mpi.source * int) option;
-      (** (source, tag) of the last unsuccessful poll: the scheduler wakes
-          the process only for a matching delivery or a roll notice from
-          that source, so unrelated traffic cannot spin-livelock a parked
-          receiver *)
+      (** the park state, and the only one: [Some (source, tag)] while
+          the process is parked on an unsuccessful poll, [None] while it
+          is schedulable.  The scheduler wakes it only for a matching
+          delivery or a roll notice from that source, so unrelated
+          traffic cannot spin-livelock a parked receiver; a send to its
+          rank, a forced rollback, a relevant roll notice and a fence
+          wake it too.  Every wake sets it back to [None]. *)
   mutable baseline : (string * Migrate.Wire.image) option;
       (** ({!Migrate.Wire.image_digest}, image) of this process's most
           recent pack — what its heap dirty set is tracked against, and

@@ -25,18 +25,19 @@ type t = {
   c_fence_rejections : Obs.Metrics.counter;
   mutable cur_base : float;
   mutable cur_cycles0 : int;
-  mutable cur_pid : int;
+  mutable running : entry option;
 }
 
 let create ~nodes ~net ~storage ~faults ~detector ~dspec ~balance ~tracer
     ~metrics =
-  { nodes; net; storage; faults; detector; registry = Registry.create ();
-    dspec; balance; obj_store = Hashtbl.create 8; tracer; metrics;
+  { nodes; net; storage; faults; detector;
+    registry = Registry.create ~metrics (); dspec; balance;
+    obj_store = Hashtbl.create 8; tracer; metrics;
     entries = []; by_pid = Hashtbl.create 32; ranks = Hashtbl.create 32;
     epochs = Hashtbl.create 8; rank_mailboxes = Hashtbl.create 32;
     next_pid = 1;
     c_fence_rejections = Obs.Metrics.counter metrics "fence.rejections";
-    cur_base = 0.0; cur_cycles0 = 0; cur_pid = -1 }
+    cur_base = 0.0; cur_cycles0 = 0; running = None }
 
 let node t id =
   if id < 0 || id >= Array.length t.nodes then
@@ -51,9 +52,9 @@ let entry_of_rank t rank =
   | None -> None
 
 (* cluster-wide time: the farthest local clock (completion time of the
-   whole system when quiescent) *)
-let now t =
-  Array.fold_left (fun acc n -> max acc n.clock) (Simnet.now t.net) t.nodes
+   whole system when quiescent).  Node clocks start at 0 and only grow,
+   so this never goes backwards. *)
+let now t = Array.fold_left (fun acc n -> max acc n.clock) 0.0 t.nodes
 
 let effective_now t (proc : Process.t) =
   t.cur_base
@@ -69,8 +70,10 @@ let charge_seconds (proc : Process.t) s =
    executing, its node's local clock otherwise (cascaded rollbacks,
    host-initiated failure/recovery). *)
 let entry_time t (e : entry) =
-  if e.proc.Process.pid = t.cur_pid then effective_now t e.proc
-  else (node t e.node_id).clock
+  match t.running with
+  | Some r when r.proc.Process.pid = e.proc.Process.pid ->
+    effective_now t e.proc
+  | Some _ | None -> (node t e.node_id).clock
 
 let entry_rank (e : entry) = match e.rank with Some r -> r | None -> -1
 
@@ -168,7 +171,7 @@ let fence t (e : entry) ~what =
       Process.Trapped
         (Printf.sprintf "fenced: stale incarnation epoch %d (current %d)"
            e.epoch current));
-  e.proc.Process.waiting <- false
+  e.parked_on <- None
 
 (* A zombie incarnation's interaction is rejected and the process
    halted; [act] runs for a current one. *)

@@ -46,10 +46,11 @@ type t = {
   c_fence_rejections : Obs.Metrics.counter;
   mutable cur_base : float;
   mutable cur_cycles0 : int;
-  mutable cur_pid : int;
-      (** time base, starting cycles and pid (-1 between quanta) of the
-          quantum the scheduler is running: extern handlers compute the
-          running process's precise local time from them *)
+  mutable running : entry option;
+      (** time base, starting cycles and entry of the quantum the
+          scheduler is running ([running] is [None] between quanta):
+          extern handlers act for [running] and compute its precise
+          local time from the other two *)
 }
 
 val create :

@@ -13,21 +13,18 @@ type t = {
      workloads (Gridapp T1) feed through the lat_us extern *)
   c_svc_forwarded : Obs.Metrics.counter;
   c_svc_rebinds : Obs.Metrics.counter;
-  c_svc_expired : Obs.Metrics.counter;
   h_app_latency : Obs.Metrics.histogram;
-  mutable running : entry option; (* whose quantum the calls belong to *)
 }
 
 let create core graph =
   let counter = Obs.Metrics.counter core.metrics in
-  { core; graph; obj_fail_prob = 0.0; running = None;
+  { core; graph; obj_fail_prob = 0.0;
     c_svc_forwarded = counter "registry.forwarded";
     c_svc_rebinds = counter "registry.rebinds";
-    c_svc_expired = counter "registry.expired";
     h_app_latency = Obs.Metrics.histogram core.metrics "app.latency_seconds" }
 
-let enter x entry = x.running <- Some entry
-let running x = Option.get x.running
+(* the entry whose quantum the calls belong to *)
+let running x = Option.get x.core.running
 
 let set_object_failure_probability x p = x.obj_fail_prob <- p
 
@@ -155,7 +152,7 @@ let send_payload x (entry : entry) (proc : Process.t) ~dst_rank ~tag ~ptr
       | None -> ());
       (* wake the current holder of the rank, if any *)
       (match dst with
-      | Some d -> d.proc.Process.waiting <- false
+      | Some d -> d.parked_on <- None
       | None -> ());
       Value.Vint 0
     end
@@ -192,7 +189,6 @@ let recv x (entry : entry) (proc : Process.t) ~src ~tag ptr maxlen =
            { src = (match src with Mpi.Rank r -> r | Mpi.Any -> -1) });
       Value.Vint Mpi.msg_roll
     | Mpi.None_yet ->
-      proc.Process.waiting <- true;
       entry.parked_on <- Some (src, tag);
       Value.Vint Mpi.msg_none
     | Mpi.Received m ->
@@ -409,7 +405,6 @@ let table =
                     re-resolve through the registry's authoritative
                     table *)
                  Hashtbl.remove entry.bindings laddr;
-                 Obs.Metrics.incr x.c_svc_expired;
                  emit_entry core entry
                    (Obs.Trace.Forward_expired { laddr; rank });
                  Value.Vint msg_moved))

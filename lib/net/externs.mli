@@ -12,7 +12,6 @@
     reaches the host. *)
 
 open Vm
-open Cluster_types
 
 type t
 
@@ -26,9 +25,6 @@ val msg_moved : int
 
 val set_object_failure_probability : t -> float -> unit
 
-val enter : t -> entry -> unit
-(** Attribute the calls that follow to [entry]'s process (the scheduler
-    enters each entry before its quantum). *)
-
 val handler : t -> Process.handler
-(** The cluster table's handler; build it once per cluster. *)
+(** The cluster table's handler; build it once per cluster.  Calls act
+    for {!Cluster_core.t.running}, the entry whose quantum is executing. *)

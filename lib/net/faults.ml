@@ -61,22 +61,27 @@ let is_none p =
   && p.f_crash_in_commit = 0.0 && p.f_store_lost = 0.0
   && p.f_store_torn = 0.0 && p.f_store_flip = 0.0
 
+(* Every range check below is written so that it holds, rather than
+   fails, for the accepted values: NaN compares false with everything,
+   so it fails each of them instead of slipping past a [v < 0.0]. *)
 let validate p =
   let prob name v =
-    if v < 0.0 || v >= 1.0 then
-      Error (Printf.sprintf "%s must be in [0,1), got %g" name v)
-    else Ok ()
+    if v >= 0.0 && v < 1.0 then Ok ()
+    else Error (Printf.sprintf "%s must be in [0,1), got %g" name v)
   in
   let nonneg name v =
-    if v < 0.0 then Error (Printf.sprintf "%s must be >= 0, got %g" name v)
-    else Ok ()
+    if v >= 0.0 then Ok ()
+    else Error (Printf.sprintf "%s must be >= 0, got %g" name v)
   in
   (* storage fates fire at most once per replica write, so unlike loss
      (which feeds a retransmission loop) probability 1.0 is safe — and
      useful for deterministic tests *)
   let store_prob name v =
-    if v < 0.0 || v > 1.0 then
-      Error (Printf.sprintf "%s must be in [0,1], got %g" name v)
+    if v >= 0.0 && v <= 1.0 then Ok ()
+    else Error (Printf.sprintf "%s must be in [0,1], got %g" name v)
+  in
+  let time name v =
+    if Float.is_nan v then Error (Printf.sprintf "%s is not a number" name)
     else Ok ()
   in
   let ( let* ) = Result.bind in
@@ -90,27 +95,28 @@ let validate p =
   let* () = store_prob "store_torn" p.f_store_torn in
   let* () = store_prob "store_flip" p.f_store_flip in
   let* () =
-    if p.f_retransmit_s <= 0.0 then Error "retransmit must be > 0"
-    else Ok ()
+    if p.f_retransmit_s > 0.0 then Ok ()
+    else Error "retransmit must be > 0"
+  in
+  let each xs check =
+    List.fold_left (fun acc x -> let* () = acc in check x) (Ok ()) xs
   in
   let* () =
-    List.fold_left
-      (fun acc w ->
-        let* () = acc in
-        if w.p_until < w.p_from then
+    each p.f_partitions (fun w ->
+        let* () = time "partition start" w.p_from in
+        let* () = time "partition end" w.p_until in
+        if w.p_from <= w.p_until then Ok ()
+        else
           Error
             (Printf.sprintf "partition %d-%d heals before it starts" w.pa
-               w.pb)
-        else Ok ())
-      (Ok ()) p.f_partitions
+               w.pb))
   in
   let* () =
-    List.fold_left
-      (fun acc s ->
-        let* () = acc in
+    each p.f_stalls (fun s ->
+        let* () = time "stall time" s.s_at in
         nonneg "stall duration" s.s_for)
-      (Ok ()) p.f_stalls
   in
+  let* () = each p.f_crashes (fun c -> time "crash time" c.c_at) in
   Ok p
 
 (* ------------------------------------------------------------------ *)
@@ -153,8 +159,10 @@ let parse_plan ?seed text =
     Printf.ksprintf (fun s -> Error (Printf.sprintf "line %d: %s" lineno s))
       fmt
   in
+  (* "nan" parses as a float but is no time, rate or duration *)
   let float_of lineno what s =
     match float_of_string_opt s with
+    | Some v when Float.is_nan v -> err lineno "bad %s %S" what s
     | Some v -> Ok v
     | None ->
       if String.equal s "forever" || String.equal s "inf" then Ok infinity
@@ -168,17 +176,15 @@ let parse_plan ?seed text =
   (* Range checks happen HERE, per directive, so a bad value is reported
      with its line number; [validate] still guards plans built in code. *)
   let prob_at lineno name v =
-    if v < 0.0 || v >= 1.0 then
-      err lineno "%s must be in [0,1), got %g" name v
-    else Ok v
+    if v >= 0.0 && v < 1.0 then Ok v
+    else err lineno "%s must be in [0,1), got %g" name v
   in
   let store_prob_at lineno name v =
-    if v < 0.0 || v > 1.0 then
-      err lineno "%s must be in [0,1], got %g" name v
-    else Ok v
+    if v >= 0.0 && v <= 1.0 then Ok v
+    else err lineno "%s must be in [0,1], got %g" name v
   in
   let nonneg_at lineno name v =
-    if v < 0.0 then err lineno "%s must be >= 0, got %g" name v else Ok v
+    if v >= 0.0 then Ok v else err lineno "%s must be >= 0, got %g" name v
   in
   let lines = String.split_on_char '\n' text in
   let result =
@@ -217,8 +223,8 @@ let parse_plan ?seed text =
           | [ "retransmit"; v ] ->
             let* v = float_of lineno "retransmit" v in
             let* v =
-              if v <= 0.0 then err lineno "retransmit must be > 0, got %g" v
-              else Ok v
+              if v > 0.0 then Ok v
+              else err lineno "retransmit must be > 0, got %g" v
             in
             Ok { p with f_retransmit_s = v }
           | [ "crash_in_commit"; v ] ->
@@ -243,9 +249,8 @@ let parse_plan ?seed text =
             let* f = float_of lineno "time" f in
             let* u = float_of lineno "time" u in
             let* () =
-              if u < f then
-                err lineno "partition %d-%d heals before it starts" a b
-              else Ok ()
+              if f <= u then Ok ()
+              else err lineno "partition %d-%d heals before it starts" a b
             in
             Ok
               {

@@ -65,7 +65,7 @@ let retire_incarnation r (e : entry) ~halt =
              nothing *)
           match other.parked_on with
           | Some (Mpi.Rank src, _) when src <> dead_rank -> ()
-          | Some _ | None -> other.proc.Process.waiting <- false
+          | Some _ | None -> other.parked_on <- None
         end)
       core.entries
 

@@ -39,26 +39,24 @@ type t = {
   by_rank : (int, int) Hashtbl.t; (* current rank -> laddr *)
   forwarders : (int, forwarder) Hashtbl.t; (* vacated rank -> forwarder *)
   mutable next_laddr : int;
-  (* counters (mirrored into the cluster's Obs registry) *)
-  mutable registered : int;
-  mutable moves : int;
+  moves : Obs.Metrics.counter; (* registry.moves *)
+  expired : Obs.Metrics.counter; (* registry.expired *)
   mutable forwarded : int;
-  mutable expired : int;
-  mutable resolves : int;
   mutable compressions : int;
 }
 
-let create () =
+let create ?(metrics = Obs.Metrics.create ()) () =
+  (* registered in this order: a registry renders in registration order *)
+  let moves = Obs.Metrics.counter metrics "registry.moves" in
+  let expired = Obs.Metrics.counter metrics "registry.expired" in
   {
     bindings = Hashtbl.create 8;
     by_rank = Hashtbl.create 8;
     forwarders = Hashtbl.create 8;
     next_laddr = 1;
-    registered = 0;
-    moves = 0;
+    moves;
+    expired;
     forwarded = 0;
-    expired = 0;
-    resolves = 0;
     compressions = 0;
   }
 
@@ -67,12 +65,9 @@ let register t ~rank =
   t.next_laddr <- t.next_laddr + 1;
   Hashtbl.replace t.bindings laddr (ref rank);
   Hashtbl.replace t.by_rank rank laddr;
-  t.registered <- t.registered + 1;
   laddr
 
-let lookup t laddr =
-  t.resolves <- t.resolves + 1;
-  Option.map ( ! ) (Hashtbl.find_opt t.bindings laddr)
+let lookup t laddr = Option.map ( ! ) (Hashtbl.find_opt t.bindings laddr)
 
 let laddr_of_rank t rank = Hashtbl.find_opt t.by_rank rank
 
@@ -101,7 +96,7 @@ let rebind t ~laddr ~new_rank ~now ~ttl =
             t.compressions <- t.compressions + 1
           end)
         t.forwarders;
-      t.moves <- t.moves + 1
+      Obs.Metrics.incr t.moves
     end
 
 type resolution =
@@ -118,7 +113,7 @@ let resolve t ~now rank =
   | None -> Direct rank
   | Some first ->
     if now > first.fw_expires then begin
-      t.expired <- t.expired + 1;
+      Obs.Metrics.incr t.expired;
       Expired rank
     end
     else begin
@@ -149,11 +144,8 @@ let expire t ~now =
   List.iter (Hashtbl.remove t.forwarders) dead;
   List.length dead
 
-let service_count t = Hashtbl.length t.bindings
 let forwarder_count t = Hashtbl.length t.forwarders
-let registered t = t.registered
-let moves t = t.moves
+let moves t = Obs.Metrics.count t.moves
 let forwarded t = t.forwarded
-let expired_count t = t.expired
-let resolves t = t.resolves
+let expired_count t = Obs.Metrics.count t.expired
 let compressions t = t.compressions

@@ -24,7 +24,10 @@ type forwarder = {
 
 type t
 
-val create : unit -> t
+val create : ?metrics:Obs.Metrics.t -> unit -> t
+(** [metrics] (default: a private registry) receives the counters
+    [registry.moves] and [registry.expired], which {!moves} and
+    {!expired_count} read. *)
 
 val register : t -> rank:int -> int
 (** Bind a fresh laddr (sequential from 1) to [rank]. *)
@@ -58,14 +61,19 @@ val resolve : t -> now:float -> int -> resolution
 val expire : t -> now:float -> int
 (** Drop forwarders past their TTL; returns how many. *)
 
-val service_count : t -> int
 val forwarder_count : t -> int
-val registered : t -> int
+
 val moves : t -> int
+(** Rebinds that changed a laddr's rank. *)
 
 val forwarded : t -> int
-(** Total relays performed by every forwarder, ever. *)
+(** Resolves answered {!Forwarded}: one per relayed send, whatever the
+    chain length.  The cluster's [registry.forwarded] metric counts
+    those sends too, plus every message a re-home drains from the
+    vacated rank's queue into its successor's, so the metric is never
+    below this count. *)
 
 val expired_count : t -> int
-val resolves : t -> int
+(** Resolves that hit an expired forwarder. *)
+
 val compressions : t -> int

@@ -10,7 +10,6 @@ let quantum = 64
 
 type t = {
   core : Cluster_core.t;
-  ext : Externs.t;
   extern : Process.handler; (* the cluster table's, built once *)
   ship : Shipping.t;
   recovery : Recovery.t;
@@ -22,7 +21,7 @@ type t = {
 
 let create core ext ship recovery tick ~scan_sched =
   let m = core.metrics in
-  { core; ext; extern = Externs.handler ext; ship; recovery; tick; scan_sched;
+  { core; extern = Externs.handler ext; ship; recovery; tick; scan_sched;
     c_rounds = Obs.Metrics.counter m "sched.rounds";
     c_quanta = Obs.Metrics.counter m "sched.quanta" }
 
@@ -37,17 +36,16 @@ let runnable (n : node) (e : entry) =
    local clock: a roll notice from the polled source, or a matching
    delivery. *)
 let wake_entry (e : entry) ~clock =
-  if e.proc.Process.waiting then
-    match e.parked_on with
-    | Some (src, tag) ->
-      if
-        Mpi.has_roll_notice e.mailbox ~src
-        ||
-        match Mpi.next_matching_delivery e.mailbox ~src ~tag with
-        | Some at -> at <= clock
-        | None -> false
-      then e.proc.Process.waiting <- false
-    | None -> ()
+  match e.parked_on with
+  | Some (src, tag) ->
+    if
+      Mpi.has_roll_notice e.mailbox ~src
+      ||
+      match Mpi.next_matching_delivery e.mailbox ~src ~tag with
+      | Some at -> at <= clock
+      | None -> false
+    then e.parked_on <- None
+  | None -> ()
 
 (* The entries hosted on [n], newest first: the one place the legacy
    scan scheduler and the indexed one part ways.  Indexed mode returns
@@ -77,13 +75,12 @@ let fold_next_event ~clock acc (e : entry) =
       | Some a -> if c < a then best := Some c
     in
     if e.start_at > clock then consider e.start_at;
-    (if e.proc.Process.waiting then
-       match e.parked_on with
-       | Some (src, tag) -> (
-         match Mpi.next_matching_delivery e.mailbox ~src ~tag with
-         | Some at -> consider at
-         | None -> ())
-       | None -> ());
+    (match e.parked_on with
+    | Some (src, tag) -> (
+      match Mpi.next_matching_delivery e.mailbox ~src ~tag with
+      | Some at -> consider at
+      | None -> ())
+    | None -> ());
     !best
   end
 
@@ -165,7 +162,6 @@ let round s =
          with
         | Some stall_s ->
           n.clock <- n.clock +. stall_s;
-          Simnet.advance_to core.net n.clock;
           (* the stalled node emits no heartbeats for the whole window:
              the beats it "would have sent" are skipped, so observers see
              exactly the silence a real freeze produces *)
@@ -199,7 +195,7 @@ let round s =
         let procs =
           (* spawn order (oldest first) *)
           List.filter
-            (fun (e : entry) -> runnable n e && not e.proc.Process.waiting)
+            (fun (e : entry) -> runnable n e && e.parked_on = None)
             (List.rev (node_entries s n))
         in
         let node_cycles = ref 0 in
@@ -217,15 +213,14 @@ let round s =
             (* time base for extern handlers running in this quantum *)
             core.cur_base <- n.clock +. Arch.seconds n.node_arch !node_cycles;
             core.cur_cycles0 <- before;
-            core.cur_pid <- e.proc.Process.pid;
-            Externs.enter s.ext e;
+            core.running <- Some e;
             let steps = ref quantum in
             while
               !steps > 0
               && (match e.proc.Process.status with
                  | Process.Running -> true
                  | _ -> false)
-              && not e.proc.Process.waiting
+              && e.parked_on = None
             do
               (match e.engine with
               | Interp_engine -> Interp.step ~extern:s.extern e.proc
@@ -235,6 +230,7 @@ let round s =
             (match e.proc.Process.status with
             | Process.Migrating _ -> Shipping.handle_migration s.ship e
             | _ -> ());
+            core.running <- None;
             let delta = e.proc.Process.cycles - before in
             if delta > 0 || !steps < quantum then begin
               progressed := true;
@@ -244,7 +240,6 @@ let round s =
             node_cycles := !node_cycles + delta
             end)
           procs;
-        core.cur_pid <- -1;
         (* context switches between the processes that shared the node *)
         if !ran > 1 then
           node_cycles :=
@@ -263,40 +258,13 @@ let round s =
             wake_ready s n;
             progressed := true
           | Some _ | None -> ()
-        end;
-        Simnet.advance_to core.net n.clock
+        end
       end)
     core.nodes;
   pump_heartbeats core;
-  Balance_tick.tick s.tick;
-  !progressed
-
-(* Idle nodes jump their clocks to the next relevant event (a pending
-   delivery or a delayed start).  Returns true if any clock moved. *)
-let idle_advance s =
-  let core = s.core in
-  let advanced = ref false in
-  Array.iter
-    (fun n ->
-      if n.alive then begin
-        wake_ready s n;
-        let has_work =
-          List.exists
-            (fun (e : entry) -> runnable n e && not e.proc.Process.waiting)
-            (node_entries s n)
-        in
-        if not has_work then
-          match next_event_on s n with
-          | Some at when at > n.clock ->
-            n.clock <- at;
-            Simnet.advance_to core.net n.clock;
-            wake_ready s n;
-            advanced := true
-          | Some _ | None -> ()
-      end)
-    core.nodes;
-  pump_heartbeats core;
-  !advanced
+  (* a policy move creates work this round has not seen *)
+  let moved = Balance_tick.tick s.tick in
+  !progressed || moved
 
 (* Advance every alive node's local clock by [dt] even with no runnable
    work: lets a resilience driver pump heartbeat traffic and time out
@@ -314,11 +282,7 @@ let advance_clocks s dt =
   if dt > 0.0 then begin
     let target = now core +. dt in
     Array.iter
-      (fun n ->
-        if n.alive then begin
-          n.clock <- Float.max n.clock target;
-          Simnet.advance_to core.net n.clock
-        end)
+      (fun n -> if n.alive then n.clock <- Float.max n.clock target)
       core.nodes;
     pump_heartbeats core;
     Array.iter (fun n -> if n.alive then wake_ready s n) core.nodes
@@ -331,8 +295,6 @@ let run ?(max_rounds = 1_000_000) ?(stop = fun () -> false) s =
   let continue_ = ref true in
   while !continue_ && !rounds < max_rounds && not (stop ()) do
     incr rounds;
-    let progressed = round s in
-    if not progressed then
-      if not (idle_advance s) then continue_ := false
+    if not (round s) then continue_ := false
   done;
   !rounds

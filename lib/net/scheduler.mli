@@ -13,7 +13,9 @@ val create :
 
 val run : ?max_rounds:int -> ?stop:(unit -> bool) -> t -> int
 (** Schedule until quiescent, stopped, or out of rounds; returns the
-    number of rounds executed. *)
+    number of rounds executed.  Quiescent is a round in which no
+    process runs or is fenced, no idle clock jumps, no scripted fault
+    fires and the balance tick moves no service. *)
 
 val advance_clocks : t -> float -> unit
 (** Advance every alive node's clock to the cluster's now + dt, pumping

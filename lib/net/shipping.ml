@@ -48,7 +48,6 @@ type t = {
   c_delta_misses : Obs.Metrics.counter;
   c_delta_fallbacks : Obs.Metrics.counter;
   g_delta_hit_rate : Obs.Metrics.gauge;
-  c_svc_moves : Obs.Metrics.counter;
   c_svc_forwarded : Obs.Metrics.counter;
   h_backoff_s : Obs.Metrics.histogram;
   h_migrate_bytes : Obs.Metrics.histogram;
@@ -73,7 +72,6 @@ let create core graph ~trusted ~delta ~forward_ttl_s =
     c_delta_misses = counter "migrate.delta_misses";
     c_delta_fallbacks = counter "migrate.delta_fallbacks";
     g_delta_hit_rate = Obs.Metrics.gauge m "migrate.delta_hit_rate";
-    c_svc_moves = counter "registry.moves";
     c_svc_forwarded = counter "registry.forwarded";
     h_backoff_s = histogram "migrate.backoff_seconds";
     h_migrate_bytes = histogram "cluster.migrate_bytes";
@@ -440,7 +438,6 @@ let complete_rehome s (old_entry : entry) (new_entry : entry) =
       let at = new_entry.start_at in
       Registry.rebind core.registry ~laddr ~new_rank ~now:at
         ~ttl:s.forward_ttl_s;
-      Obs.Metrics.incr s.c_svc_moves;
       let emit_new =
         emit core ~time:at ~node:new_entry.node_id
           ~pid:new_entry.proc.Process.pid ~rank:new_rank

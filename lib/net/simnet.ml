@@ -8,8 +8,9 @@
    fractions (~10 % of FIR migration, ~30 % of binary migration) are a
    function of image size and recompilation cost rather than hard-coded.
 
-   The network also owns the simulated clock.  Time is advanced by the
-   cluster scheduler; message deliveries are timestamped against it.
+   The network keeps no clock: simulated time is the nodes' local
+   clocks, which the cluster scheduler advances; the costs below are
+   what callers add to them.
 
    Traffic accounting lives in an Obs.Metrics registry (counters
    net.bytes_sent / net.messages / net.transfers) instead of ad-hoc
@@ -17,7 +18,6 @@
    through the same interface. *)
 
 type t = {
-  mutable now : float; (* simulated seconds *)
   bandwidth_bps : float;
   latency_s : float; (* one-way propagation *)
   connect_s : float; (* connection establishment *)
@@ -38,7 +38,6 @@ let create ?(bandwidth_mbps = 100.0) ?(latency_us = 200.0)
   let messages_sent = Obs.Metrics.counter metrics "net.messages" in
   let transfers = Obs.Metrics.counter metrics "net.transfers" in
   {
-    now = 0.0;
     bandwidth_bps = bandwidth_mbps *. 1e6;
     latency_s = latency_us *. 1e-6;
     connect_s = connect_ms *. 1e-3;
@@ -47,18 +46,6 @@ let create ?(bandwidth_mbps = 100.0) ?(latency_us = 200.0)
     messages_sent;
     transfers;
   }
-
-let now t = t.now
-
-(* A negative charge is always an upstream accounting bug (a cost model
-   returned nonsense or a caller subtracted the wrong way): fail loudly
-   instead of silently freezing the clock. *)
-let advance t dt =
-  if dt < 0.0 then
-    invalid_arg (Printf.sprintf "Simnet.advance: negative dt %g" dt);
-  t.now <- t.now +. dt
-
-let advance_to t time = if time > t.now then t.now <- time
 
 (* Cost of a bulk transfer (new connection): setup + latency + serialization
    onto the wire. *)
@@ -77,8 +64,4 @@ let record_message t bytes =
   Obs.Metrics.incr ~by:bytes t.bytes_sent;
   Obs.Metrics.incr t.messages_sent
 
-(* Thin views over the registry (the historical accessors). *)
 let metrics t = t.metrics
-let bytes_sent t = Obs.Metrics.count t.bytes_sent
-let messages_sent t = Obs.Metrics.count t.messages_sent
-let transfers t = Obs.Metrics.count t.transfers

@@ -1,7 +1,7 @@
 (** The simulated cluster network (paper, Section 5 testbed: 100 Mbps
     Ethernet).  A deterministic cost model — TCP-like connection setup,
-    propagation latency, bandwidth — plus traffic counters and a
-    monotonic event floor used for log timestamps. *)
+    propagation latency, bandwidth — plus traffic counters.  It keeps no
+    clock: simulated time is the nodes' local clocks. *)
 
 type t
 
@@ -9,17 +9,6 @@ val create :
   ?bandwidth_mbps:float -> ?latency_us:float -> ?connect_ms:float ->
   unit -> t
 (** Defaults: 100 Mbps, 200 µs one-way latency, 1 ms connection setup. *)
-
-val now : t -> float
-
-val advance : t -> float -> unit
-(** Move the event floor forward by a delta.
-    @raise Invalid_argument on a negative delta — a negative time charge
-    is always an upstream accounting bug. *)
-
-val advance_to : t -> float -> unit
-(** Move the event floor forward to a time (never backwards; past times
-    are ignored). *)
 
 val transfer_seconds : t -> int -> float
 (** Cost of a bulk transfer on a new connection (migrations,
@@ -34,9 +23,3 @@ val record_message : t -> int -> unit
 val metrics : t -> Obs.Metrics.t
 (** The traffic registry: counters [net.bytes_sent], [net.messages],
     [net.transfers]. *)
-
-val bytes_sent : t -> int
-(** Thin view over the registry. *)
-
-val messages_sent : t -> int
-val transfers : t -> int

@@ -111,7 +111,7 @@ let rec force_rollback g ~pid ~uid ~code =
         (* do_rollback fires the engine's on_rollback hook, which cascades
            to this process's own dependents transitively *)
         Process.do_rollback entry.proc ~level ~code;
-        entry.proc.Process.waiting <- false;
+        entry.parked_on <- None;
         emit_entry g.core entry (Obs.Trace.Forced_rollback { level })))
 
 (* Undo everything that depended on the given (now rolled back or dead)

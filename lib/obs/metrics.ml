@@ -172,9 +172,6 @@ let find_histogram t name =
 let hist_sum_of t name =
   match find_histogram t name with Some h -> h.h_sum | None -> 0.0
 
-let hist_count_of t name =
-  match find_histogram t name with Some h -> h.h_count | None -> 0
-
 (* One human-readable line per metric, in registration order. *)
 let render t =
   let buf = Buffer.create 256 in

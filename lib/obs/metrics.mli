@@ -68,7 +68,6 @@ val counter_value : t -> string -> int
 val gauge_read : t -> string -> float
 val find_histogram : t -> string -> histogram option
 val hist_sum_of : t -> string -> float
-val hist_count_of : t -> string -> int
 
 val render : t -> string
 (** One human-readable line per metric, in registration order. *)

@@ -40,10 +40,6 @@ let pp fmt = function
 
 let to_string v = Format.asprintf "%a" pp v
 
-let is_pointer = function
-  | Vptr _ -> true
-  | Vunit | Vint _ | Vfloat _ | Vbool _ | Venum _ | Vfun _ -> false
-
 (* Pointer-table index of a value, if it is a reference. *)
 let pointer_index = function
   | Vptr (i, _) -> Some i

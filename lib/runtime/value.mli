@@ -21,8 +21,5 @@ val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
-val is_pointer : t -> bool
-(** [is_pointer v] is [true] exactly for {!Vptr} values. *)
-
 val pointer_index : t -> int option
 (** The pointer-table index of a reference value, if any. *)

@@ -250,15 +250,6 @@ let rollback t l =
   | None -> ());
   entered_level.cont
 
-(* Roll back and abandon (no retry); used when a process leaves
-   speculation entirely, e.g. on abnormal termination. *)
-let rollback_abandon t l =
-  let cont = rollback t l in
-  (match t.levels with
-  | _ :: rest -> t.levels <- rest
-  | [] -> ());
-  cont
-
 let set_hooks ?on_enter t ~on_rollback ~on_commit =
   t.on_enter <- on_enter;
   t.on_rollback <- Some on_rollback;

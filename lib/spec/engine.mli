@@ -74,9 +74,6 @@ val rollback : t -> int -> cont
     prepended to the arguments.
     @raise Invalid_level if [l] is not in 1..N. *)
 
-val rollback_abandon : t -> int -> cont
-(** Like {!rollback} but without the retry re-entry. *)
-
 val set_hooks :
   ?on_enter:(uid:int -> depth:int -> unit) ->
   t -> on_rollback:(int list -> unit) ->

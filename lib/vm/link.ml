@@ -310,7 +310,5 @@ let link (image : Masm.image) =
     l_max_spills = max_spills;
   }
 
-let fn_index t name = Hashtbl.find_opt t.l_index name
-
 let instr_count t =
   Array.fold_left (fun acc fn -> acc + Array.length fn.l_code) 0 t.l_fns

@@ -90,5 +90,4 @@ val link : Masm.image -> image
 (** Pure resolution pass; [O(instructions)].
     @raise Invalid_argument if the image names an unknown architecture. *)
 
-val fn_index : image -> string -> int option
 val instr_count : image -> int

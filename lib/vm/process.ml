@@ -40,7 +40,6 @@ type t = {
   mutable status : status;
   mutable steps : int; (* basic blocks executed *)
   mutable cycles : int; (* simulated cycles consumed *)
-  mutable waiting : bool; (* scheduler hint: blocked on input *)
   mutable on_gc : (Gc.result -> unit) option;
       (* host observer, fired after every collection (tracing) *)
   output : Buffer.t;
@@ -70,7 +69,6 @@ let restore ?(pid = 0) ?(arch = Arch.cisc32) ?(seed = 42) ~program ~heap
     status = Running;
     steps = 0;
     cycles = 0;
-    waiting = false;
     on_gc = None;
     output = Buffer.create 128;
     rng = Random.State.make [| seed; pid |];

@@ -37,7 +37,6 @@ type t = {
   mutable status : status;
   mutable steps : int;
   mutable cycles : int;
-  mutable waiting : bool;  (** scheduler hint: parked on input *)
   mutable on_gc : (Gc.result -> unit) option;
       (** host observer, fired after every collection (tracing) *)
   output : Buffer.t;

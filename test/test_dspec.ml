@@ -7,7 +7,9 @@
 
    Cluster-level tests take their fault seed from MCC_FAULT_SEED when
    set (CI rotates it); every faulty scenario runs TWICE under the same
-   seed and the JSONL traces must be byte-identical. *)
+   seed and the JSONL traces must be byte-identical.  The fault-free
+   coordinator-rollback and coordinator-crash runs below are pinned by
+   the golden suite's trace digests instead. *)
 
 open Kit
 
@@ -337,9 +339,9 @@ let run_coord_crash () =
   (* run until the participant is spinning on the barrier (the
      coordinator parks on a tag that never arrives; the budget bounds
      the participant's spin) *)
-  ignore (Net.Cluster.run cluster ~max_rounds:50_000);
+  ignore (Net.Cluster.run cluster ~max_rounds:2_000);
   Net.Cluster.fail_node cluster 0;
-  ignore (Net.Cluster.run cluster ~max_rounds:50_000);
+  ignore (Net.Cluster.run cluster ~max_rounds:2_000);
   cluster, coord, part
 
 let test_coordinator_crash_aborts () =
@@ -366,20 +368,6 @@ let test_coordinator_crash_aborts () =
       (Obs.Trace.events (Net.Cluster.trace cluster))
   in
   check "participant force-rolled" true forced
-
-let trace_of_scenario run_scenario =
-  let cluster, _, _ = run_scenario () in
-  Obs.Trace.to_jsonl (Net.Cluster.trace cluster)
-
-let test_crash_scenarios_reproducible () =
-  Alcotest.(check string)
-    "coordinator-rollback: byte-identical traces"
-    (trace_of_scenario run_coord_rollback)
-    (trace_of_scenario run_coord_rollback);
-  Alcotest.(check string)
-    "coordinator-crash: byte-identical traces"
-    (trace_of_scenario run_coord_crash)
-    (trace_of_scenario run_coord_crash)
 
 (* ------------------------------------------------------------------ *)
 (* Participant crash in the commit round, under full fault plans       *)
@@ -444,8 +432,6 @@ let suites =
           `Quick test_coordinator_rollback_compensates;
         Alcotest.test_case "coordinator crash aborts the txn" `Quick
           test_coordinator_crash_aborts;
-        Alcotest.test_case "crash scenarios: byte-identical traces" `Quick
-          test_crash_scenarios_reproducible;
         Alcotest.test_case "exactly-once under crash_in_commit + migration"
           `Quick test_speculative_serving_under_faults;
         Alcotest.test_case "faulty serving: byte-identical traces" `Quick

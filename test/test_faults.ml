@@ -65,20 +65,20 @@ let test_plan_errors () =
   expect_error "crash_in_commit of 1 (would livelock every commit round)"
     "crash_in_commit 1.0\n"
 
+let expect_line what line text =
+  match Net.Faults.parse_plan text with
+  | Ok _ -> Alcotest.failf "%s was accepted" what
+  | Error m ->
+    let prefix = Printf.sprintf "line %d:" line in
+    check
+      (Printf.sprintf "%s names line %d (got %S)" what line m)
+      true
+      (String.length m >= String.length prefix
+      && String.sub m 0 (String.length prefix) = prefix)
+
 (* every rejection names the offending line, including lines pushed down
    by comments and blanks *)
 let test_plan_errors_report_lines () =
-  let expect_line what line text =
-    match Net.Faults.parse_plan text with
-    | Ok _ -> Alcotest.failf "%s was accepted" what
-    | Error m ->
-      let prefix = Printf.sprintf "line %d:" line in
-      check
-        (Printf.sprintf "%s names line %d (got %S)" what line m)
-        true
-        (String.length m >= String.length prefix
-        && String.sub m 0 (String.length prefix) = prefix)
-  in
   expect_line "bad loss on line 1" 1 "loss 1.5\n";
   expect_line "bad dup after two good lines" 3 "seed 7\nloss 0.1\ndup -0.1\n";
   expect_line "unknown directive on line 2" 2 "loss 0.1\nlose 0.1\n";
@@ -86,6 +86,46 @@ let test_plan_errors_report_lines () =
     "# header\n\nseed 3\ncrash_in_commit 1.0\n";
   expect_line "truncated partition on line 2" 2
     "seed 1\npartition 0 1 from 0.0\n"
+
+(* NaN compares false with every bound, so a range check written as
+   "v < 0.0" lets it through; each numeric field must reject it *)
+let test_plan_rejects_nan () =
+  List.iter
+    (fun directive ->
+      expect_line (directive ^ " with NaN") 2 ("seed 1\n" ^ directive ^ "\n"))
+    [ "loss nan"; "dup nan"; "jitter nan"; "retransmit nan";
+      "crash_in_commit nan"; "store_lost nan"; "store_torn nan";
+      "store_flip nan"; "partition 0 1 from nan until 0.5";
+      "partition 0 1 from 0.1 until nan"; "stall 1 at nan for 0.01";
+      "stall 1 at 0.001 for nan"; "crash 1 at nan" ];
+  let open Net.Faults in
+  List.iter
+    (fun (what, plan) ->
+      match validate plan with
+      | Ok _ -> Alcotest.failf "validate accepted a NaN %s" what
+      | Error _ -> ())
+    [ ("loss", { none with f_loss = nan });
+      ("dup", { none with f_dup = nan });
+      ("jitter", { none with f_jitter_s = nan });
+      ("retransmit", { none with f_retransmit_s = nan });
+      ("crash_in_commit", { none with f_crash_in_commit = nan });
+      ("store_lost", { none with f_store_lost = nan });
+      ("store_torn", { none with f_store_torn = nan });
+      ("store_flip", { none with f_store_flip = nan });
+      ( "partition start",
+        { none with
+          f_partitions = [ { pa = 0; pb = 1; p_from = nan; p_until = 0.5 } ]
+        } );
+      ( "partition end",
+        { none with
+          f_partitions = [ { pa = 0; pb = 1; p_from = 0.1; p_until = nan } ]
+        } );
+      ("stall time",
+       { none with f_stalls = [ { s_node = 1; s_at = nan; s_for = 0.01 } ] });
+      ("stall duration",
+       { none with f_stalls = [ { s_node = 1; s_at = 0.001; s_for = nan } ] });
+      ("crash time", { none with f_crashes = [ { c_node = 1; c_at = nan } ] })
+    ]
 
 let test_plan_seed_override () =
   match Net.Faults.parse_plan ~seed:42 "seed 7\nloss 0.2\n" with
@@ -880,6 +920,8 @@ let suites =
           test_plan_errors;
         Alcotest.test_case "rejections report line numbers" `Quick
           test_plan_errors_report_lines;
+        Alcotest.test_case "NaN is rejected in files and in code" `Quick
+          test_plan_rejects_nan;
         Alcotest.test_case "CLI seed overrides the file" `Quick
           test_plan_seed_override;
       ] );

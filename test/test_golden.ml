@@ -158,14 +158,7 @@ let dspec_crash_in_commit () = fst3 (Test_dspec.run_f5 11)
 
 (* the coordinator's node dies while a joined participant waits on the
    pre-commit barrier: "coordinator_dead" *)
-let dspec_coordinator_dead () =
-  let c = mk_cluster ~nodes:2 none in
-  ignore (spawn ~rank:0 c 0 (compile_c Test_dspec.coord_crash_src));
-  ignore (spawn ~rank:1 c 1 (compile_c Test_dspec.part_join_src));
-  run ~max_rounds:2_000 c;
-  Net.Cluster.fail_node c 0;
-  run ~max_rounds:2_000 c;
-  c
+let dspec_coordinator_dead () = fst3 (Test_dspec.run_coord_crash ())
 
 (* a participant's rank is resurrected between its join and the prepare
    round: "fence"; the retry round commits against the new incarnation *)
