@@ -305,16 +305,22 @@ let a2 () =
       in
       prog [ fill; churn; main ])
   in
+  (* the collector's registry is process-global: read it around the run *)
+  let collections () =
+    let count = Obs.Metrics.counter_value Gc.metrics in
+    count "gc.minor_collections", count "gc.major_collections"
+  in
   let measure ~generational =
     let proc = Vm.Process.create fir in
     Heap.set_minor_enabled proc.Vm.Process.heap generational;
+    let minor0, major0 = collections () in
     let t0 = now_s () in
     (match Vm.Interp.run proc with
     | Vm.Process.Exited _ -> ()
     | _ -> failwith "a2 workload failed");
     let dt = now_s () -. t0 in
-    let st = Heap.stats proc.Vm.Process.heap in
-    dt, st.Heap.minor_collections, st.Heap.major_collections
+    let minor1, major1 = collections () in
+    dt, minor1 - minor0, major1 - major0
   in
   let gen_s, gen_minor, gen_major = measure ~generational:true in
   let maj_s, _, maj_major = measure ~generational:false in

@@ -11,9 +11,10 @@
    [run] services migration requests locally: checkpoint://path and
    suspend://path write resumable image files to disk (the paper's
    "checkpoints formatted as executable files" — `mcc resume FILE` runs
-   them); mcc://host targets are unreachable from the standalone CLI and
-   exercise the paper's failed-migration semantics (the process continues
-   locally, unaware). *)
+   them); mcc://HOST targets are spooled to the directory that
+   --route HOST=DIR names, for `mcc serve DIR` to resume.  A host with no
+   route is unreachable and exercises the paper's failed-migration
+   semantics (the process continues locally, unaware). *)
 
 open Cmdliner
 
@@ -29,34 +30,22 @@ let write_file path data =
   output_string oc data;
   close_out oc
 
-type lang = C | Ml | Pas
-
-let detect_lang ~lang_flag path =
-  match lang_flag with
-  | Some "c" -> C
-  | Some "ml" -> Ml
-  | Some ("pas" | "pascal") -> Pas
-  | Some other -> failwith ("unknown language " ^ other)
-  | None ->
-    if Filename.check_suffix path ".ml" then Ml
-    else if Filename.check_suffix path ".pas" then Pas
-    else C (* .c and everything else *)
-
 let compile_file ~lang_flag ~optimize path =
   let src = read_file path in
-  match detect_lang ~lang_flag path with
-  | C -> (
-    match Minic.Driver.compile ~optimize src with
-    | Ok fir -> fir
-    | Error e -> failwith (Minic.Driver.error_to_string e))
-  | Ml -> (
-    match Miniml.Driver.compile ~optimize src with
-    | Ok fir -> fir
-    | Error e -> failwith (Miniml.Driver.error_to_string e))
-  | Pas -> (
-    match Pascal.Driver.compile ~optimize src with
-    | Ok fir -> fir
-    | Error e -> failwith (Pascal.Driver.error_to_string e))
+  let source : Mcc.Api.source =
+    match lang_flag with
+    | Some "c" -> C src
+    | Some "ml" -> Ml src
+    | Some ("pas" | "pascal") -> Pas src
+    | Some other -> failwith ("unknown language " ^ other)
+    | None ->
+      if Filename.check_suffix path ".ml" then Ml src
+      else if Filename.check_suffix path ".pas" then Pas src
+      else C src (* .c and everything else *)
+  in
+  match Mcc.Api.compile ~optimize source with
+  | Ok fir -> fir
+  | Error m -> failwith m
 
 let arch_of_string = function
   | "cisc32" -> Vm.Arch.cisc32
@@ -298,12 +287,12 @@ let resume_cmd =
     | Error m ->
       Printf.eprintf "mcc: image rejected: %s\n" m;
       1
-    | Ok (proc, masm, _compiled, costs) ->
+    | Ok (proc, masm, compiled, costs) ->
       Printf.eprintf "mcc: image accepted (%d bytes%s)\n"
         costs.Migrate.Pack.u_bytes
         (if costs.Migrate.Pack.u_recompiled then ", recompiled"
          else ", binary fast path");
-      let emu = Vm.Emulator.create masm proc in
+      let emu = Vm.Emulator.create ~compiled masm proc in
       let code = drive (fun () -> Vm.Emulator.step emu) proc in
       print_string (Vm.Process.output proc);
       code
@@ -396,7 +385,8 @@ let serve_cmd =
                else ", binary fast path");
             let proc = outcome.Migrate.Server.o_process in
             let emu =
-              Vm.Emulator.create outcome.Migrate.Server.o_masm proc
+              Vm.Emulator.create ~compiled:outcome.Migrate.Server.o_compiled
+                outcome.Migrate.Server.o_masm proc
             in
             let code = drive (fun () -> Vm.Emulator.step emu) proc in
             print_string (Vm.Process.output proc);
@@ -653,6 +643,14 @@ let grid_cmd =
       Printf.eprintf "mcc grid: bad fault plan: %s\n" m;
       2
     | Ok plan ->
+    (* the cluster rejects a plan that names a node it does not have *)
+    let create_cluster cfg =
+      match Net.Cluster.create_cfg cfg with
+      | cluster -> Ok cluster
+      | exception Invalid_argument m ->
+        Printf.eprintf "mcc grid: %s\n" m;
+        Error 2
+    in
     let write_trace cluster =
       match trace_file with
       | None -> true
@@ -673,8 +671,8 @@ let grid_cmd =
         { Mcc.Gridapp.Serve.clients; services;
           requests_per_client = requests; work_us; skew; speculative }
       in
-      let cluster =
-        Net.Cluster.create_cfg
+      match
+        create_cluster
           { Net.Cluster.Config.default with
             node_count = max ranks 2;
             seed = (match seed with Some s -> s | None -> 1);
@@ -687,7 +685,9 @@ let grid_cmd =
                 tolerance = balance_tolerance;
                 move_budget = balance_budget;
                 affinity_decay = balance_decay } }
-      in
+      with
+      | Error code -> code
+      | Ok cluster ->
       let placement = if pack > 0 then `Pack pack else `Spread in
       let d = Mcc.Gridapp.Serve.deploy ~placement cluster scfg in
       let r =
@@ -749,8 +749,8 @@ let grid_cmd =
     in
     (* faults that can kill a node need somewhere to resurrect to *)
     let nodes = if fail || faulty then ranks + 1 else ranks in
-    let cluster =
-      Net.Cluster.create_cfg
+    match
+      create_cluster
         { Net.Cluster.Config.default with
           node_count = nodes;
           seed = (match seed with Some s -> s | None -> 1);
@@ -759,7 +759,9 @@ let grid_cmd =
           delta;
           detector;
           replication }
-    in
+    with
+    | Error code -> code
+    | Ok cluster ->
     let d = Mcc.Gridapp.deploy ~spare:(fail || faulty) cluster config in
     if fail then begin
       let victims =

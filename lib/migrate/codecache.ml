@@ -24,11 +24,7 @@
    - failed typechecks are cached too (a negative entry), so a repeated
      hostile payload costs one typecheck, not one per delivery.
 
-   Replacement is LRU over a bounded entry count, optionally also
-   bounded by the total cached instruction count (the in-memory footprint
-   proxy).  Eviction scans for the stalest stamp — caches are small
-   (tens of entries), so O(n) eviction is simpler than a linked list and
-   never shows up in a profile. *)
+   Replacement is LRU over a bounded entry count ({!Lru}). *)
 
 open Vm
 
@@ -44,24 +40,10 @@ type entry = {
       (* the typecheck verdict at admission, carrying the code when it
          passed; the compiled image is process-independent, so a warm
          migration hop resumes straight into compiled code *)
-  e_instrs : int;
-  mutable e_tick : int; (* last-use stamp (LRU) *)
-}
-
-type stats = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable insertions : int;
 }
 
 type t = {
-  capacity : int; (* max entries; <= 0 disables the cache *)
-  max_instrs : int option; (* optional bound on total cached instrs *)
-  table : (string * string * verify_mode, entry) Hashtbl.t;
-  mutable total_instrs : int;
-  mutable tick : int;
-  (* counters live in a metrics registry; [stats] is a snapshot view *)
+  entries : (string * string * verify_mode, entry) Lru.t;
   metrics : Obs.Metrics.t;
   c_lookups : Obs.Metrics.counter;
   c_hits : Obs.Metrics.counter;
@@ -70,7 +52,7 @@ type t = {
   c_insertions : Obs.Metrics.counter;
 }
 
-let create ?max_instrs ~capacity () =
+let create ~capacity () =
   let metrics = Obs.Metrics.create () in
   (* register outside the record literal: field expressions evaluate in
      unspecified order, and the registry renders in registration order *)
@@ -80,11 +62,7 @@ let create ?max_instrs ~capacity () =
   let c_evictions = Obs.Metrics.counter metrics "codecache.evictions" in
   let c_insertions = Obs.Metrics.counter metrics "codecache.insertions" in
   {
-    capacity;
-    max_instrs;
-    table = Hashtbl.create (max 16 capacity);
-    total_instrs = 0;
-    tick = 0;
+    entries = Lru.create capacity;
     metrics;
     c_lookups;
     c_hits;
@@ -93,108 +71,48 @@ let create ?max_instrs ~capacity () =
     c_insertions;
   }
 
-let enabled t = t.capacity > 0
 let metrics t = t.metrics
+let length t = Lru.length t.entries
 
-(* Thin view: the historical record, snapshotted from the registry. *)
-let stats t =
-  {
-    hits = Obs.Metrics.count t.c_hits;
-    misses = Obs.Metrics.count t.c_misses;
-    evictions = Obs.Metrics.count t.c_evictions;
-    insertions = Obs.Metrics.count t.c_insertions;
-  }
-
-let lookups t = Obs.Metrics.count t.c_lookups
-let length t = Hashtbl.length t.table
-let total_instrs t = t.total_instrs
-
-let hit_rate t =
-  let hits = Obs.Metrics.count t.c_hits in
-  let total = hits + Obs.Metrics.count t.c_misses in
-  if total = 0 then 0.0 else float_of_int hits /. float_of_int total
+(* capacity <= 0 disables the cache: finds miss and adds are dropped,
+   neither of them counted *)
+let enabled t = Lru.capacity t.entries > 0
 
 let find t ~digest ~arch ~trusted =
   if not (enabled t) then None
   else begin
     Obs.Metrics.incr t.c_lookups;
-    let key = digest, arch, mode_of_trusted trusted in
-    match Hashtbl.find_opt t.table key with
-    | Some e ->
-      t.tick <- t.tick + 1;
-      e.e_tick <- t.tick;
+    match Lru.find t.entries (digest, arch, mode_of_trusted trusted) with
+    | Some _ as hit ->
       Obs.Metrics.incr t.c_hits;
-      Some e
+      hit
     | None ->
       Obs.Metrics.incr t.c_misses;
       None
   end
 
-let remove_key t key =
-  match Hashtbl.find_opt t.table key with
-  | None -> ()
-  | Some e ->
-    Hashtbl.remove t.table key;
-    t.total_instrs <- t.total_instrs - e.e_instrs
-
-let evict_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun key e acc ->
-        match acc with
-        | Some (_, stale) when stale.e_tick <= e.e_tick -> acc
-        | _ -> Some (key, e))
-      t.table None
-  in
-  match victim with
-  | None -> ()
-  | Some (key, _) ->
-    remove_key t key;
-    Obs.Metrics.incr t.c_evictions
-
-let over_budget t =
-  Hashtbl.length t.table > t.capacity
-  ||
-  match t.max_instrs with
-  | Some budget -> t.total_instrs > budget
-  | None -> false
-
 let add t ~digest ~arch ~trusted ~program ~code =
   if enabled t then begin
-    let key = digest, arch, mode_of_trusted trusted in
-    let instrs =
-      match code with Ok c -> Masm.instr_count c.masm | Error _ -> 0
+    let evicted =
+      Lru.add t.entries
+        (digest, arch, mode_of_trusted trusted)
+        { e_program = program; e_code = code }
     in
-    remove_key t key;
-    t.tick <- t.tick + 1;
-    Hashtbl.replace t.table key
-      { e_program = program; e_code = code; e_instrs = instrs;
-        e_tick = t.tick };
-    t.total_instrs <- t.total_instrs + instrs;
     Obs.Metrics.incr t.c_insertions;
-    (* the just-added entry carries the freshest tick, so it survives
-       unless it alone exceeds the instruction budget *)
-    while over_budget t && Hashtbl.length t.table > 0 do
-      evict_lru t
-    done
+    Obs.Metrics.incr ~by:evicted t.c_evictions
   end
 
-let invalidate t ~digest =
-  let doomed =
-    Hashtbl.fold
-      (fun ((d, _, _) as key) _ acc ->
-        if String.equal d digest then key :: acc else acc)
-      t.table []
-  in
-  List.iter (remove_key t) doomed
-
-let clear t =
-  Hashtbl.reset t.table;
-  t.total_instrs <- 0
-
 let report t =
+  let instrs =
+    Lru.fold
+      (fun _ e acc ->
+        match e.e_code with
+        | Ok c -> acc + Masm.instr_count c.masm
+        | Error _ -> acc)
+      t.entries 0
+  in
   Printf.sprintf "%d entries (%d instrs), %d hits / %d misses, %d evictions"
-    (length t) t.total_instrs
+    (length t) instrs
     (Obs.Metrics.count t.c_hits)
     (Obs.Metrics.count t.c_misses)
     (Obs.Metrics.count t.c_evictions)

@@ -13,9 +13,8 @@
     safe by construction; the verify mode keeps entries admitted without
     a typecheck (trusted) from ever serving a verified request.
 
-    Bounded LRU: at most [capacity] entries (0 disables the cache
-    entirely), optionally also bounded by the total cached instruction
-    count. *)
+    Bounded LRU ({!Lru}): at most [capacity] entries (0 disables the
+    cache entirely).  Counters live in the {!metrics} registry. *)
 
 open Vm
 
@@ -34,28 +33,17 @@ type entry = {
   e_code : (code, string) result;
       (** the typecheck verdict at admission: the program's code when it
           passed, the rejection message for a negative entry *)
-  e_instrs : int;
-  mutable e_tick : int;
 }
-
-type stats = {
-  mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
-  mutable insertions : int;
-}
-(** Historical view: a snapshot built from the metrics registry at call
-    time (see {!stats}). *)
 
 type t
 
-val create : ?max_instrs:int -> capacity:int -> unit -> t
-(** [capacity <= 0] disables the cache: finds miss silently, adds are
-    dropped, and no statistics accumulate. *)
+val create : capacity:int -> unit -> t
+(** [capacity <= 0] disables the cache: finds miss without counting and
+    adds are dropped. *)
 
-val enabled : t -> bool
 val find : t -> digest:string -> arch:string -> trusted:bool -> entry option
-(** Records a hit or a miss and refreshes the entry's LRU stamp. *)
+(** Records a lookup and a hit or a miss, and refreshes the entry's LRU
+    stamp. *)
 
 val add :
   t ->
@@ -64,27 +52,15 @@ val add :
   code:(code, string) result ->
   unit
 (** Admit (or replace) an entry, then evict least-recently-used entries
-    until the bounds hold again. *)
-
-val invalidate : t -> digest:string -> unit
-(** Drop every entry for the digest, across architectures and modes. *)
-
-val clear : t -> unit
-
-val stats : t -> stats
-(** A snapshot of the registry counters in the historical record shape;
-    mutating the returned record has no effect on the cache. *)
+    until the capacity holds again. *)
 
 val metrics : t -> Obs.Metrics.t
-(** The live registry: counters [codecache.lookups], [codecache.hits],
-    [codecache.misses], [codecache.evictions], [codecache.insertions]. *)
-
-val lookups : t -> int
-(** Total lookups against an enabled cache; by construction
-    [lookups = hits + misses]. *)
+(** The registry: counters [codecache.lookups] (= hits + misses),
+    [codecache.hits], [codecache.misses], [codecache.evictions],
+    [codecache.insertions]. *)
 
 val length : t -> int
-val total_instrs : t -> int
-val hit_rate : t -> float
+
 val report : t -> string
-(** One-line human-readable summary (entries, hits/misses, evictions). *)
+(** One-line human-readable summary (entries and their instruction
+    total, hits/misses, evictions). *)

@@ -6,8 +6,8 @@
    This module is transport-agnostic: the simulated cluster (lib/net) and
    the CLI daemon (bin/mcc serve) both drive it by handing it received
    image bytes.  The server owns the local trust policy and architecture,
-   assigns fresh pids, and keeps per-request statistics used by the
-   migration benchmarks. *)
+   assigns fresh pids, and counts requests in a metrics registry used by
+   the migration benchmarks. *)
 
 open Vm
 
@@ -21,21 +21,12 @@ type request_outcome = {
          form), ready for an engine *)
 }
 
-type stats = {
-  mutable accepted : int;
-  mutable rejected : int;
-  mutable bytes_received : int;
-  mutable recompilations : int;
-  mutable cache_hits : int;
-}
-
 module Config = struct
   type t = {
     trusted : bool;
     extern_signatures : Fir.Typecheck.extern_lookup;
     first_pid : int;
     cache : Codecache.t option;
-    dedup_window : int;
     baseline_cache : int;
   }
 
@@ -45,16 +36,12 @@ module Config = struct
       extern_signatures = Extern.signatures;
       first_pid = 1000;
       cache = None;
-      dedup_window = 64;
       baseline_cache = 4;
     }
 end
 
-(* A retained baseline: a full image this server has accepted, kept so a
-   later delta packet naming its content digest can be reconstructed
-   locally.  LRU over [baseline_cap] entries (the codecache idiom: a
-   logical clock, evict the stalest). *)
-type baseline_entry = { b_image : Wire.image; mutable b_tick : int }
+(* Accepted requests remembered for idempotent receive. *)
+let dedup_capacity = 64
 
 type t = {
   arch : Arch.t;
@@ -62,18 +49,14 @@ type t = {
   extern_signatures : Fir.Typecheck.extern_lookup;
   cache : Codecache.t option;
   mutable next_pid : int;
-  baseline_cap : int;
-  baselines : (string, baseline_entry) Hashtbl.t; (* image_digest -> *)
-  mutable baseline_tick : int;
+  (* retained full images, by Wire.image_digest, so a later delta packet
+     naming one can be reconstructed locally *)
+  baselines : (string, Wire.image) Lru.t;
   (* idempotent receive: accepted requests remembered by delivery key so
      a duplicated or retried hop returns the original outcome instead of
-     double-spawning.  Bounded FIFO of [dedup_window] entries; 0
-     disables. *)
-  dedup_window : int;
+     double-spawning.  Bounded FIFO of [dedup_capacity] entries. *)
   dedup : (string, request_outcome) Hashtbl.t;
   dedup_order : string Queue.t;
-  (* counters/histograms live in a metrics registry; [stats] is a
-     snapshot view in the historical record shape *)
   metrics : Obs.Metrics.t;
   c_accepted : Obs.Metrics.counter;
   c_rejected : Obs.Metrics.counter;
@@ -117,10 +100,7 @@ let create_cfg (cfg : Config.t) arch =
     extern_signatures = cfg.Config.extern_signatures;
     cache = cfg.Config.cache;
     next_pid = cfg.Config.first_pid;
-    baseline_cap = max 0 cfg.Config.baseline_cache;
-    baselines = Hashtbl.create 8;
-    baseline_tick = 0;
-    dedup_window = max 0 cfg.Config.dedup_window;
+    baselines = Lru.create cfg.Config.baseline_cache;
     dedup = Hashtbl.create 16;
     dedup_order = Queue.create ();
     metrics;
@@ -140,63 +120,28 @@ let create_cfg (cfg : Config.t) arch =
   }
 
 let metrics t = t.metrics
-
-(* Thin view: the historical record, snapshotted from the registry. *)
-let stats t =
-  {
-    accepted = Obs.Metrics.count t.c_accepted;
-    rejected = Obs.Metrics.count t.c_rejected;
-    bytes_received = Obs.Metrics.count t.c_bytes;
-    recompilations = Obs.Metrics.count t.c_recompilations;
-    cache_hits = Obs.Metrics.count t.c_cache_hits;
-  }
-
 let cache t = t.cache
 
 (* ------------------------------------------------------------------ *)
 (* Baseline retention                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let has_baseline t digest = Hashtbl.mem t.baselines digest
-let baseline_count t = Hashtbl.length t.baselines
-let clear_baselines t = Hashtbl.reset t.baselines
-
-let touch_baseline t entry =
-  t.baseline_tick <- t.baseline_tick + 1;
-  entry.b_tick <- t.baseline_tick
-
-let evict_stalest_baseline t =
-  let victim =
-    Hashtbl.fold
-      (fun digest entry acc ->
-        match acc with
-        | Some (_, best) when best.b_tick <= entry.b_tick -> acc
-        | _ -> Some (digest, entry))
-      t.baselines None
-  in
-  match victim with
-  | Some (digest, _) -> Hashtbl.remove t.baselines digest
-  | None -> ()
+let has_baseline t digest = Lru.mem t.baselines digest
+let baseline_count t = Lru.length t.baselines
+let clear_baselines t = Lru.clear t.baselines
 
 (* Retain [image] (digest: its {!Wire.image_digest}) so future deltas
-   against it can be reconstructed; returns the digest.  With
-   [baseline_cache = 0] nothing is retained and every delta misses. *)
+   against it can be reconstructed; returns the digest.  A digest already
+   held keeps its retained image and is only refreshed: the digest
+   excludes the MASM payload, epoch and dspec context, so the two images
+   may differ there.  With [baseline_cache = 0] nothing is retained and
+   every delta misses. *)
 let remember_baseline ?digest t image =
   let digest =
     match digest with Some d -> d | None -> Wire.image_digest image
   in
-  if t.baseline_cap > 0 then begin
-    (match Hashtbl.find_opt t.baselines digest with
-    | Some entry -> touch_baseline t entry
-    | None ->
-      let entry = { b_image = image; b_tick = 0 } in
-      touch_baseline t entry;
-      Hashtbl.replace t.baselines digest entry;
-      while Hashtbl.length t.baselines > t.baseline_cap do
-        evict_stalest_baseline t
-      done);
-    ()
-  end;
+  if Option.is_none (Lru.find t.baselines digest) then
+    ignore (Lru.add t.baselines digest image);
   digest
 
 (* An unknown-baseline rejection is a protocol miss, not a bad image:
@@ -273,15 +218,14 @@ let handle ?seed t bytes =
     result
   | Wire.Delta delta -> (
     Obs.Metrics.incr ~by:(String.length bytes) t.c_bytes_delta;
-    match Hashtbl.find_opt t.baselines delta.Wire.d_base with
+    match Lru.find t.baselines delta.Wire.d_base with
     | None ->
       Obs.Metrics.incr t.c_delta_misses;
       update_delta_hit_rate t;
       Obs.Metrics.incr t.c_rejected;
       Error (unknown_baseline_error delta.Wire.d_base)
-    | Some entry -> (
-      touch_baseline t entry;
-      match Wire.apply_delta ~baseline:entry.b_image delta with
+    | Some baseline -> (
+      match Wire.apply_delta ~baseline delta with
       | exception Wire.Corrupt _ ->
         (* the baseline we hold does not reconstruct what the sender
            meant — count it as a miss so the sender's full-image
@@ -322,12 +266,8 @@ let receive ?seed ?key t bytes =
     match handle ?seed t bytes with
     | Error _ as e -> e
     | Ok outcome ->
-      if t.dedup_window > 0 then begin
-        Hashtbl.replace t.dedup key outcome;
-        Queue.push key t.dedup_order;
-        if Queue.length t.dedup_order > t.dedup_window then begin
-          let oldest = Queue.pop t.dedup_order in
-          Hashtbl.remove t.dedup oldest
-        end
-      end;
+      Hashtbl.replace t.dedup key outcome;
+      Queue.push key t.dedup_order;
+      if Queue.length t.dedup_order > dedup_capacity then
+        Hashtbl.remove t.dedup (Queue.pop t.dedup_order);
       Ok (Fresh outcome))

@@ -17,50 +17,35 @@ type request_outcome = {
           re-compiles *)
 }
 
-type stats = {
-  mutable accepted : int;
-  mutable rejected : int;
-  mutable bytes_received : int;
-  mutable recompilations : int;
-  mutable cache_hits : int;
-}
-(** Historical view: a snapshot built from the metrics registry at call
-    time (see {!stats}). *)
-
 (** Typed server configuration — the one way to say everything about a
     daemon.  [cache] is this node's recompilation cache (shared with
     nobody: the cache is keyed by architecture and verify mode, but each
-    daemon owns its own bounded store).  [dedup_window] bounds the
-    idempotent-receive memory in accepted requests ([0] disables
-    deduplication entirely).  [baseline_cache] bounds the retained
-    delta baselines ([0] disables delta receive: every delta packet is
-    rejected as unknown-baseline and the sender falls back to full
-    images). *)
+    daemon owns its own bounded store).  [first_pid] is the first pid
+    assigned; each resumed process's RNG is seeded with its pid.
+    [baseline_cache] bounds the retained delta baselines ([0] disables
+    delta receive: every delta packet is rejected as unknown-baseline
+    and the sender falls back to full images). *)
 module Config : sig
   type t = {
     trusted : bool;
     extern_signatures : Fir.Typecheck.extern_lookup;
     first_pid : int;
     cache : Codecache.t option;
-    dedup_window : int;
     baseline_cache : int;
   }
 
   val default : t
-  (** untrusted, base externs, pids from 1000, no cache, 64-entry dedup
-      window, 4 retained baselines *)
+  (** untrusted, base externs, pids from 1000, no cache, 4 retained
+      baselines *)
 end
 
 type t
 
 val create_cfg : Config.t -> Arch.t -> t
 
-val stats : t -> stats
-(** A snapshot of the registry counters in the historical record shape;
-    mutating the returned record has no effect on the server. *)
-
 val metrics : t -> Obs.Metrics.t
-(** The live registry: counters [server.accepted], [server.rejected],
+(** The registry: counters [server.accepted], [server.rejected],
+    [server.duplicates],
     [server.bytes_received], [server.recompilations],
     [server.cache_hits], [migrate.bytes_full], [migrate.bytes_delta],
     [migrate.delta_hits], [migrate.delta_misses], the gauge
@@ -72,7 +57,7 @@ val cache : t -> Codecache.t option
 (** {2 Delta baselines}
 
     Accepted full images (and successful delta reconstructions) are
-    retained, LRU-bounded by [Config.baseline_cache], so a later delta
+    retained in an {!Lru} bounded by [Config.baseline_cache], so a later delta
     packet naming one by {!Wire.image_digest} can be rebuilt locally. *)
 
 val has_baseline : t -> string -> bool
@@ -82,7 +67,8 @@ val has_baseline : t -> string -> bool
 val remember_baseline : ?digest:string -> t -> Wire.image -> string
 (** Retain [image] as a delta baseline (LRU, bounded by
     [Config.baseline_cache]; a no-op returning the digest when the bound
-    is [0]).  [digest] defaults to [Wire.image_digest image] — pass it
+    is [0]).  A digest already held keeps its first image and is only
+    refreshed.  [digest] defaults to [Wire.image_digest image] — pass it
     when already computed.  Senders call this on their OWN daemon after
     packing, so a process bouncing back can arrive as a delta. *)
 
@@ -127,6 +113,5 @@ val receive :
     [delivery_key bytes]) identifies the logical delivery; transports
     that can carry an envelope id should append it so retransmissions of
     one hop share a key while distinct migrations of byte-identical
-    images do not collide.  Accepted requests are remembered in a
-    bounded FIFO ([Config.dedup_window]); rejections are not (a retried
-    hop may succeed later). *)
+    images do not collide.  The last 64 accepted requests are remembered
+    (a FIFO); rejections are not (a retried hop may succeed later). *)

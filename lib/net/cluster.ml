@@ -133,7 +133,37 @@ let registry_layout =
     `C "balance.proposals"; `C "balance.moves"; `G "balance.spread";
     `G "balance.last_move_s" ]
 
+(* A fault directive naming a node this cluster does not have would
+   never fire; reject the plan instead, naming the directive. *)
+let check_plan_nodes (plan : Faults.plan) nodes =
+  let check n directive =
+    if n < 0 || n >= nodes then
+      invalid_arg
+        (Printf.sprintf "fault plan: \"%s\" names node %d, but the cluster \
+                         has nodes 0-%d"
+           directive n (nodes - 1))
+  in
+  List.iter
+    (fun (w : Faults.partition) ->
+      let d =
+        Printf.sprintf "partition %d %d from %g until %g" w.pa w.pb w.p_from
+          w.p_until
+      in
+      check w.pa d;
+      check w.pb d)
+    plan.Faults.f_partitions;
+  List.iter
+    (fun (s : Faults.stall) ->
+      check s.s_node
+        (Printf.sprintf "stall %d at %g for %g" s.s_node s.s_at s.s_for))
+    plan.Faults.f_stalls;
+  List.iter
+    (fun (c : Faults.crash) ->
+      check c.c_node (Printf.sprintf "crash %d at %g" c.c_node c.c_at))
+    plan.Faults.f_crashes
+
 let create_cfg (cfg : Config.t) =
+  check_plan_nodes cfg.Config.faults cfg.Config.node_count;
   let net = match cfg.Config.net with Some n -> n | None -> Simnet.create () in
   let nodes =
     Array.init cfg.Config.node_count (fun i ->
@@ -153,8 +183,7 @@ let create_cfg (cfg : Config.t) =
           daemon =
             Migrate.Server.create_cfg
               {
-                Migrate.Server.Config.default with
-                trusted = cfg.Config.trusted;
+                Migrate.Server.Config.trusted = cfg.Config.trusted;
                 extern_signatures;
                 first_pid = 0;
                 cache;
@@ -380,28 +409,3 @@ let net t = t.core.Core.net
 let trace t = t.core.Core.tracer
 let metrics t = t.core.Core.metrics
 let dspec t = t.core.Core.dspec
-
-(* Aggregate recompilation-cache statistics over every node's daemon. *)
-let cache_hit_rate t =
-  let hits = ref 0 and misses = ref 0 in
-  Array.iter
-    (fun n ->
-      match Migrate.Server.cache n.daemon with
-      | None -> ()
-      | Some c ->
-        let s = Migrate.Codecache.stats c in
-        hits := !hits + s.Migrate.Codecache.hits;
-        misses := !misses + s.Migrate.Codecache.misses)
-    t.core.Core.nodes;
-  let total = !hits + !misses in
-  if total = 0 then 0.0 else float_of_int !hits /. float_of_int total
-
-let cache_reports t =
-  Array.to_list t.core.Core.nodes
-  |> List.filter_map (fun n ->
-         match Migrate.Server.cache n.daemon with
-         | None -> None
-         | Some c ->
-           Some
-             (Printf.sprintf "%s: %s" n.node_name
-                (Migrate.Codecache.report c)))

@@ -251,7 +251,9 @@ val msg_moved : int
 
 val create_cfg : Config.t -> t
 (** Build a cluster of [node_count] nodes named [node0..] from a typed
-    configuration. *)
+    configuration.
+    @raise Invalid_argument when a fault-plan directive names a node
+    outside [0, node_count); the message quotes the directive. *)
 
 val node : t -> int -> node
 val node_count : t -> int
@@ -409,10 +411,3 @@ val metrics : t -> Obs.Metrics.t
     ([balance.ticks], [balance.proposals], [balance.moves], gauges
     [balance.spread] and [balance.last_move_s]).  Per-node daemon and
     cache registries live on the daemons themselves. *)
-
-val cache_hit_rate : t -> float
-(** Aggregate recompilation-cache hit rate across every node's daemon
-    (0.0 when caching is disabled or nothing was ever looked up). *)
-
-val cache_reports : t -> string list
-(** One {!Migrate.Codecache.report} line per node with a cache. *)

@@ -61,62 +61,77 @@ let is_none p =
   && p.f_crash_in_commit = 0.0 && p.f_store_lost = 0.0
   && p.f_store_torn = 0.0 && p.f_store_flip = 0.0
 
-(* Every range check below is written so that it holds, rather than
+(* The range checks, shared by [validate] and [parse_plan] (which adds
+   the line number).  Each is written so that it holds, rather than
    fails, for the accepted values: NaN compares false with everything,
    so it fails each of them instead of slipping past a [v < 0.0]. *)
+let prob name v =
+  if v >= 0.0 && v < 1.0 then Ok v
+  else Error (Printf.sprintf "%s must be in [0,1), got %g" name v)
+
+(* storage fates fire at most once per replica write, so unlike loss
+   (which feeds a retransmission loop) probability 1.0 is safe — and
+   useful for deterministic tests *)
+let store_prob name v =
+  if v >= 0.0 && v <= 1.0 then Ok v
+  else Error (Printf.sprintf "%s must be in [0,1], got %g" name v)
+
+let nonneg name v =
+  if v >= 0.0 then Ok v
+  else Error (Printf.sprintf "%s must be >= 0, got %g" name v)
+
+let positive name v =
+  if v > 0.0 then Ok v
+  else Error (Printf.sprintf "%s must be > 0, got %g" name v)
+
+let time name v =
+  if Float.is_nan v then Error (Printf.sprintf "%s is not a number" name)
+  else Ok ()
+
+let node n =
+  if n >= 0 then Ok n else Error (Printf.sprintf "node must be >= 0, got %d" n)
+
+let ordered w =
+  if w.p_from <= w.p_until then Ok ()
+  else
+    Error (Printf.sprintf "partition %d-%d heals before it starts" w.pa w.pb)
+
 let validate p =
-  let prob name v =
-    if v >= 0.0 && v < 1.0 then Ok ()
-    else Error (Printf.sprintf "%s must be in [0,1), got %g" name v)
-  in
-  let nonneg name v =
-    if v >= 0.0 then Ok ()
-    else Error (Printf.sprintf "%s must be >= 0, got %g" name v)
-  in
-  (* storage fates fire at most once per replica write, so unlike loss
-     (which feeds a retransmission loop) probability 1.0 is safe — and
-     useful for deterministic tests *)
-  let store_prob name v =
-    if v >= 0.0 && v <= 1.0 then Ok ()
-    else Error (Printf.sprintf "%s must be in [0,1], got %g" name v)
-  in
-  let time name v =
-    if Float.is_nan v then Error (Printf.sprintf "%s is not a number" name)
-    else Ok ()
-  in
   let ( let* ) = Result.bind in
-  let* () = prob "loss" p.f_loss in
-  let* () = prob "dup" p.f_dup in
+  let* _ = prob "loss" p.f_loss in
+  let* _ = prob "dup" p.f_dup in
   (* 1.0 would abort every commit round forever (the protocol retries),
      the same livelock argument that bounds loss below 1 *)
-  let* () = prob "crash_in_commit" p.f_crash_in_commit in
-  let* () = nonneg "jitter" p.f_jitter_s in
-  let* () = store_prob "store_lost" p.f_store_lost in
-  let* () = store_prob "store_torn" p.f_store_torn in
-  let* () = store_prob "store_flip" p.f_store_flip in
-  let* () =
-    if p.f_retransmit_s > 0.0 then Ok ()
-    else Error "retransmit must be > 0"
-  in
+  let* _ = prob "crash_in_commit" p.f_crash_in_commit in
+  let* _ = nonneg "jitter" p.f_jitter_s in
+  let* _ = store_prob "store_lost" p.f_store_lost in
+  let* _ = store_prob "store_torn" p.f_store_torn in
+  let* _ = store_prob "store_flip" p.f_store_flip in
+  let* _ = positive "retransmit" p.f_retransmit_s in
   let each xs check =
-    List.fold_left (fun acc x -> let* () = acc in check x) (Ok ()) xs
+    List.fold_left
+      (fun acc x -> let* () = acc in Result.map ignore (check x))
+      (Ok ()) xs
   in
   let* () =
     each p.f_partitions (fun w ->
+        let* _ = node w.pa in
+        let* _ = node w.pb in
         let* () = time "partition start" w.p_from in
         let* () = time "partition end" w.p_until in
-        if w.p_from <= w.p_until then Ok ()
-        else
-          Error
-            (Printf.sprintf "partition %d-%d heals before it starts" w.pa
-               w.pb))
+        ordered w)
   in
   let* () =
     each p.f_stalls (fun s ->
+        let* _ = node s.s_node in
         let* () = time "stall time" s.s_at in
         nonneg "stall duration" s.s_for)
   in
-  let* () = each p.f_crashes (fun c -> time "crash time" c.c_at) in
+  let* () =
+    each p.f_crashes (fun c ->
+        let* _ = node c.c_node in
+        time "crash time" c.c_at)
+  in
   Ok p
 
 (* ------------------------------------------------------------------ *)
@@ -175,16 +190,14 @@ let parse_plan ?seed text =
   in
   (* Range checks happen HERE, per directive, so a bad value is reported
      with its line number; [validate] still guards plans built in code. *)
-  let prob_at lineno name v =
-    if v >= 0.0 && v < 1.0 then Ok v
-    else err lineno "%s must be in [0,1), got %g" name v
+  let at lineno r = Result.map_error (Printf.sprintf "line %d: %s" lineno) r in
+  let num lineno check name s =
+    let* v = float_of lineno name s in
+    at lineno (check name v)
   in
-  let store_prob_at lineno name v =
-    if v >= 0.0 && v <= 1.0 then Ok v
-    else err lineno "%s must be in [0,1], got %g" name v
-  in
-  let nonneg_at lineno name v =
-    if v >= 0.0 then Ok v else err lineno "%s must be >= 0, got %g" name v
+  let node_of lineno s =
+    let* n = int_of lineno "node" s in
+    at lineno (node n)
   in
   let lines = String.split_on_char '\n' text in
   let result =
@@ -209,61 +222,42 @@ let parse_plan ?seed text =
             let* n = int_of lineno "seed" n in
             Ok { p with f_seed = n }
           | [ "loss"; v ] ->
-            let* v = float_of lineno "loss" v in
-            let* v = prob_at lineno "loss" v in
+            let* v = num lineno prob "loss" v in
             Ok { p with f_loss = v }
           | [ "dup"; v ] ->
-            let* v = float_of lineno "dup" v in
-            let* v = prob_at lineno "dup" v in
+            let* v = num lineno prob "dup" v in
             Ok { p with f_dup = v }
           | [ "jitter"; v ] ->
-            let* v = float_of lineno "jitter" v in
-            let* v = nonneg_at lineno "jitter" v in
+            let* v = num lineno nonneg "jitter" v in
             Ok { p with f_jitter_s = v }
           | [ "retransmit"; v ] ->
-            let* v = float_of lineno "retransmit" v in
-            let* v =
-              if v > 0.0 then Ok v
-              else err lineno "retransmit must be > 0, got %g" v
-            in
+            let* v = num lineno positive "retransmit" v in
             Ok { p with f_retransmit_s = v }
           | [ "crash_in_commit"; v ] ->
-            let* v = float_of lineno "crash_in_commit" v in
-            let* v = prob_at lineno "crash_in_commit" v in
+            let* v = num lineno prob "crash_in_commit" v in
             Ok { p with f_crash_in_commit = v }
           | [ "store_lost"; v ] ->
-            let* v = float_of lineno "store_lost" v in
-            let* v = store_prob_at lineno "store_lost" v in
+            let* v = num lineno store_prob "store_lost" v in
             Ok { p with f_store_lost = v }
           | [ "store_torn"; v ] ->
-            let* v = float_of lineno "store_torn" v in
-            let* v = store_prob_at lineno "store_torn" v in
+            let* v = num lineno store_prob "store_torn" v in
             Ok { p with f_store_torn = v }
           | [ "store_flip"; v ] ->
-            let* v = float_of lineno "store_flip" v in
-            let* v = store_prob_at lineno "store_flip" v in
+            let* v = num lineno store_prob "store_flip" v in
             Ok { p with f_store_flip = v }
           | [ "partition"; a; b; "from"; f; "until"; u ] ->
-            let* a = int_of lineno "node" a in
-            let* b = int_of lineno "node" b in
+            let* a = node_of lineno a in
+            let* b = node_of lineno b in
             let* f = float_of lineno "time" f in
             let* u = float_of lineno "time" u in
-            let* () =
-              if f <= u then Ok ()
-              else err lineno "partition %d-%d heals before it starts" a b
-            in
-            Ok
-              {
-                p with
-                f_partitions =
-                  { pa = a; pb = b; p_from = f; p_until = u }
-                  :: p.f_partitions;
-              }
+            let w = { pa = a; pb = b; p_from = f; p_until = u } in
+            let* () = at lineno (ordered w) in
+            Ok { p with f_partitions = w :: p.f_partitions }
           | [ "stall"; n; "at"; a; "for"; d ] ->
-            let* n = int_of lineno "node" n in
+            let* n = node_of lineno n in
             let* a = float_of lineno "time" a in
             let* d = float_of lineno "duration" d in
-            let* d = nonneg_at lineno "stall duration" d in
+            let* d = at lineno (nonneg "stall duration" d) in
             Ok
               {
                 p with
@@ -271,7 +265,7 @@ let parse_plan ?seed text =
                   { s_node = n; s_at = a; s_for = d } :: p.f_stalls;
               }
           | [ "crash"; n; "at"; a ] ->
-            let* n = int_of lineno "node" n in
+            let* n = node_of lineno n in
             let* a = float_of lineno "time" a in
             Ok
               {

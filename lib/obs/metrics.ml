@@ -1,12 +1,10 @@
 (* The metrics registry: named counters, gauges and histograms.
 
-   This replaces the hand-rolled per-module stats records (Simnet traffic
-   counters, Codecache / Server hit counters, the speculation engine's
-   operation counts, the collector's totals).  Those modules keep their
-   old [stats] accessors as thin views over a registry, so existing
-   callers are untouched while new consumers — `mcc serve --metrics`, the
-   benchmark harness, the cluster's experiment tables — read everything
-   through one uniform interface.
+   The only counters in the tree: Simnet traffic, Codecache / Server hit
+   counters, the speculation engine's operation counts and the
+   collector's totals all live in registries, and every consumer — the
+   tests, `mcc serve --metrics`, the benchmark harness, the cluster's
+   experiment tables — reads them through one uniform interface.
 
    Design constraints, in order:
    - recording must be cheap: a counter bump is one field update, a

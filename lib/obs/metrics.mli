@@ -1,13 +1,11 @@
 (** The metrics registry: named counters, gauges and bucketed histograms
     with p50/p90/p99 estimates.
 
-    This is the uniform substrate behind the per-module statistics that
-    used to be hand-rolled records ({!Net.Simnet} traffic,
+    The one place modules count: {!Net.Simnet} traffic,
     {!Migrate.Codecache} / {!Migrate.Server} hit counts, the speculation
-    engine's operation counts, the collector's totals).  Those modules
-    keep their historical [stats] accessors as thin views over a
-    registry; new consumers — [mcc serve --metrics], the benchmark
-    tables — query the registry directly.
+    engine's operation counts and the collector's totals each live in a
+    registry, and every consumer — tests, [mcc serve --metrics], the
+    benchmark tables — reads the registry directly.
 
     Registration is idempotent: asking for an existing name returns the
     existing metric.  Asking for an existing name with a different kind

@@ -148,11 +148,6 @@ let collect heap ~kind ~roots ~pinned =
      remembered set can be discarded *)
   heap.Heap.young_start <- !dst;
   Heap.clear_remembered heap;
-  let stats = Heap.stats heap in
-  (match kind with
-  | Minor -> stats.Heap.minor_collections <- stats.Heap.minor_collections + 1
-  | Major -> stats.Heap.major_collections <- stats.Heap.major_collections + 1);
-  stats.Heap.collected_cells <- stats.Heap.collected_cells + !dead_cells;
   (match kind with
   | Minor -> Obs.Metrics.incr c_minor
   | Major -> Obs.Metrics.incr c_major);

@@ -41,16 +41,6 @@ let h_tag = 1
 let h_size = 2
 let h_flags = 3
 
-type stats = {
-  mutable blocks_allocated : int;
-  mutable cells_allocated : int;
-  mutable cow_clones : int;
-  mutable minor_collections : int;
-  mutable major_collections : int;
-  mutable collected_cells : int;
-  mutable barrier_hits : int;
-}
-
 (* Dirty-block tracking for delta migration (incremental pack): every
    mutation marks the touched page of the touched block, keyed by the
    block's pointer-table INDEX — stable across compaction, so a
@@ -81,34 +71,28 @@ type t = {
      into two integer compares instead of two hashtable operations *)
   mutable last_dirty_idx : int;
   mutable last_dirty_page : int;
-  stats : stats;
 }
 
-let create ?(initial_cells = 4096) () =
+(* Everything in [0, alloc_ptr) starts in the old generation, and
+   nothing is dirty: a restored heap IS the image it was restored from. *)
+let make ~store ~alloc_ptr ~ptable =
   {
-    store = Array.make (max 64 initial_cells) Value.Vunit;
-    alloc_ptr = 0;
-    young_start = 0;
-    ptable = Pointer_table.create ();
+    store;
+    alloc_ptr;
+    young_start = alloc_ptr;
+    ptable;
     remembered = Hashtbl.create 64;
     before_write = None;
     minor_enabled = true;
     dirty = Hashtbl.create 64;
     last_dirty_idx = -1;
     last_dirty_page = -1;
-    stats =
-      {
-        blocks_allocated = 0;
-        cells_allocated = 0;
-        cow_clones = 0;
-        minor_collections = 0;
-        major_collections = 0;
-        collected_cells = 0;
-        barrier_hits = 0;
-      };
   }
 
-let stats t = t.stats
+let create ?(initial_cells = 4096) () =
+  make
+    ~store:(Array.make (max 64 initial_cells) Value.Vunit)
+    ~alloc_ptr:0 ~ptable:(Pointer_table.create ())
 
 (* -------------------- dirty-block tracking -------------------- *)
 
@@ -147,12 +131,6 @@ let clear_dirty t =
   Hashtbl.reset t.dirty;
   t.last_dirty_idx <- -1;
   t.last_dirty_page <- -1
-let is_dirty t idx page =
-  match Hashtbl.find_opt t.dirty idx with
-  | Some pages -> Hashtbl.mem pages page
-  | None -> false
-
-let dirty_block_count t = Hashtbl.length t.dirty
 
 (* Flattened copy for the pack layer: the set survives the clear that
    pack performs once the image becomes the new baseline. *)
@@ -201,11 +179,6 @@ let block_tag_at t addr = tag_of_code (header_int t addr h_tag)
 let block_flags_at t addr = header_int t addr h_flags
 let set_block_flags_at t addr f = t.store.(addr + h_flags) <- Value.Vint f
 
-let set_block_index_at t addr idx = t.store.(addr + h_index) <- Value.Vint idx
-
-(* Total footprint of the block at [addr]. *)
-let block_footprint t addr = header_cells + block_size_at t addr
-
 (* ------------------------------------------------------------------ *)
 (* Allocation                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -227,8 +200,6 @@ let alloc t ~tag ~size ~init =
   (* a fresh block is dirty by definition — and the index may be a reused
      slot whose baseline content was something else entirely *)
   mark_dirty_block t idx ~size;
-  t.stats.blocks_allocated <- t.stats.blocks_allocated + 1;
-  t.stats.cells_allocated <- t.stats.cells_allocated + header_cells + size;
   idx
 
 (* Allocate a tuple from an initial cell list. *)
@@ -279,10 +250,7 @@ let barrier t idx addr v =
     | Value.Vptr (j, _) ->
       if Pointer_table.is_valid t.ptable j
          && Pointer_table.get t.ptable j >= t.young_start
-      then begin
-        Hashtbl.replace t.remembered idx ();
-        t.stats.barrier_hits <- t.stats.barrier_hits + 1
-      end
+      then Hashtbl.replace t.remembered idx ()
     | Value.Vunit | Value.Vint _ | Value.Vfloat _ | Value.Vbool _
     | Value.Venum _ | Value.Vfun _ ->
       ()
@@ -336,9 +304,6 @@ let clone_for_cow t idx =
   (* conservatively dirty: the clone will diverge from the original, and
      a later rollback may retarget to content older than the baseline *)
   mark_dirty_block t idx ~size;
-  t.stats.cow_clones <- t.stats.cow_clones + 1;
-  t.stats.blocks_allocated <- t.stats.blocks_allocated + 1;
-  t.stats.cells_allocated <- t.stats.cells_allocated + header_cells + size;
   old_addr
 
 (* Restore an index to a previously saved address (rollback).  The
@@ -363,8 +328,6 @@ let iter_blocks_range t ~lo ~hi f =
     f !addr;
     addr := !addr + header_cells + size
   done
-
-let iter_blocks t f = iter_blocks_range t ~lo:0 ~hi:t.alloc_ptr f
 
 let remembered_indices t =
   Hashtbl.fold (fun idx () acc -> idx :: acc) t.remembered []
@@ -391,33 +354,9 @@ let reserve t cells = ensure_capacity t (max 0 (cells - t.alloc_ptr))
    the old generation. *)
 let restore ~cells ~ptable_snapshot =
   let len = Array.length cells in
-  let capacity = max 64 len in
-  let store = Array.make capacity Value.Vunit in
+  let store = Array.make (max 64 len) Value.Vunit in
   Array.blit cells 0 store 0 len;
-  {
-    store;
-    alloc_ptr = len;
-    young_start = len;
-    ptable = Pointer_table.restore ptable_snapshot;
-    remembered = Hashtbl.create 64;
-    before_write = None;
-    minor_enabled = true;
-    (* a restored heap IS the image it was restored from: nothing is
-       dirty relative to that baseline *)
-    dirty = Hashtbl.create 64;
-    last_dirty_idx = -1;
-    last_dirty_page = -1;
-    stats =
-      {
-        blocks_allocated = 0;
-        cells_allocated = 0;
-        cow_clones = 0;
-        minor_collections = 0;
-        major_collections = 0;
-        collected_cells = 0;
-        barrier_hits = 0;
-      };
-  }
+  make ~store ~alloc_ptr:len ~ptable:(Pointer_table.restore ptable_snapshot)
 
 (* The raw cell dump for the wire codec. *)
 let cells t = Array.sub t.store 0 t.alloc_ptr

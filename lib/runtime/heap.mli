@@ -25,16 +25,6 @@ val h_tag : int
 val h_size : int
 val h_flags : int
 
-type stats = {
-  mutable blocks_allocated : int;
-  mutable cells_allocated : int;
-  mutable cow_clones : int;
-  mutable minor_collections : int;
-  mutable major_collections : int;
-  mutable collected_cells : int;
-  mutable barrier_hits : int;
-}
-
 type t = {
   mutable store : Value.t array;
   mutable alloc_ptr : int;
@@ -48,11 +38,9 @@ type t = {
   mutable last_dirty_idx : int;
       (** one-entry mark cache: last block index marked dirty *)
   mutable last_dirty_page : int;  (** page paired with [last_dirty_idx] *)
-  stats : stats;
 }
 
 val create : ?initial_cells:int -> unit -> t
-val stats : t -> stats
 val pointer_table : t -> Pointer_table.t
 val used_cells : t -> int
 val young_cells : t -> int
@@ -76,8 +64,6 @@ val block_size_at : t -> int -> int
 val block_tag_at : t -> int -> tag
 val block_flags_at : t -> int -> int
 val set_block_flags_at : t -> int -> int -> unit
-val set_block_index_at : t -> int -> int -> unit
-val block_footprint : t -> int -> int
 
 (** {2 Allocation} *)
 
@@ -115,7 +101,6 @@ val retarget : t -> int -> int -> unit
 (** {2 Iteration and GC pacing} *)
 
 val iter_blocks_range : t -> lo:int -> hi:int -> (int -> unit) -> unit
-val iter_blocks : t -> (int -> unit) -> unit
 val remembered_indices : t -> int list
 val clear_remembered : t -> unit
 val live_blocks : t -> int
@@ -142,8 +127,6 @@ val mark_dirty_cell : t -> int -> int -> unit
 val mark_dirty_block : t -> int -> size:int -> unit
 val drop_dirty : t -> int -> unit
 val clear_dirty : t -> unit
-val is_dirty : t -> int -> int -> bool
-val dirty_block_count : t -> int
 
 val dirty_snapshot : t -> (int * int, unit) Hashtbl.t
 (** Flattened (index, page) copy, decoupled from later clears. *)

@@ -4,6 +4,13 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
 (* The fault seed of the randomized cluster scenarios: CI runs the
    suites under several values of MCC_FAULT_SEED; 11 otherwise. *)
 let env_seed =

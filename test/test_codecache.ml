@@ -1,7 +1,8 @@
 (* Tests for the content-addressed recompilation cache: FIR digests, the
-   v6 wire header, hit/miss/eviction accounting, cross-architecture and
-   trust-mode isolation, negative caching of hostile payloads, and the
-   disabled-cache (--code-cache 0) path matching uncached behaviour. *)
+   v6 wire header, hit/miss/eviction accounting, LRU order,
+   cross-architecture and trust-mode isolation, negative caching of
+   hostile payloads, and the disabled-cache (--code-cache 0) path
+   matching uncached behaviour. *)
 
 open Fir
 
@@ -32,6 +33,10 @@ let finish proc masm =
       | Vm.Process.Trapped m -> "trap " ^ m
       | Vm.Process.Migrating _ -> "migrating"
       | _ -> "?")
+
+(* a counter from the cache's registry *)
+let count cache name =
+  Obs.Metrics.counter_value (Migrate.Codecache.metrics cache) name
 
 let unpack ?cache ?(trusted = false) ?(arch = Vm.Arch.cisc32) bytes =
   match Migrate.Pack.unpack ?cache ~trusted ~arch bytes with
@@ -92,14 +97,12 @@ let test_cache_hit () =
   (* the cached code is the real thing: the process finishes correctly *)
   check_int "resumed process computes the right sum"
     (Test_migrate.expected_sum n) (finish proc masm);
-  let s = Migrate.Codecache.stats cache in
-  check_int "one hit recorded" 1 s.Migrate.Codecache.hits;
-  check_int "one miss recorded" 1 s.Migrate.Codecache.misses
+  check_int "one hit recorded" 1 (count cache "codecache.hits");
+  check_int "one miss recorded" 1 (count cache "codecache.misses")
 
 let test_cache_disabled_matches_uncached () =
   let bytes = packed_bytes 26 in
   let cache = Migrate.Codecache.create ~capacity:0 () in
-  check "capacity 0 disables" false (Migrate.Codecache.enabled cache);
   let _, _, _, c1 = unpack ~cache bytes in
   let _, _, _, c2 = unpack ~cache bytes in
   let _, _, _, plain = unpack bytes in
@@ -110,9 +113,9 @@ let test_cache_disabled_matches_uncached () =
       check_int "same cycles as the uncached path"
         plain.Migrate.Pack.u_compile_cycles c.Migrate.Pack.u_compile_cycles)
     [ c1; c2 ];
-  let s = Migrate.Codecache.stats cache in
   check_int "disabled cache records nothing" 0
-    (s.Migrate.Codecache.hits + s.Migrate.Codecache.misses);
+    (count cache "codecache.lookups" + count cache "codecache.hits"
+    + count cache "codecache.misses" + count cache "codecache.insertions");
   check_int "disabled cache stores nothing" 0
     (Migrate.Codecache.length cache)
 
@@ -160,33 +163,27 @@ let test_lru_eviction () =
   check_int "capacity bound holds" 1 (Migrate.Codecache.length cache);
   let _, _, _, ca = unpack ~cache a in
   check "evicted entry misses again" false ca.Migrate.Pack.u_cache_hit;
-  let s = Migrate.Codecache.stats cache in
-  check "evictions recorded" true (s.Migrate.Codecache.evictions >= 2);
+  check "evictions recorded" true (count cache "codecache.evictions" >= 2);
   check_int "no hit ever possible at capacity 1 with alternation" 0
-    s.Migrate.Codecache.hits
+    (count cache "codecache.hits")
 
-let test_instr_budget_and_invalidate () =
-  let bytes = packed_bytes 32 in
-  let im = Migrate.Wire.decode bytes in
-  let digest = im.Migrate.Wire.i_digest in
-  (* an instruction budget smaller than one entry: the entry is admitted
-     then immediately evicted *)
-  let tiny = Migrate.Codecache.create ~max_instrs:1 ~capacity:8 () in
-  let _, _, _, _ = unpack ~cache:tiny bytes in
-  check_int "over-budget entry evicted" 0 (Migrate.Codecache.length tiny);
-  check_int "instruction accounting returns to zero" 0
-    (Migrate.Codecache.total_instrs tiny);
-  (* invalidate drops all modes/arches of a digest *)
-  let cache = Migrate.Codecache.create ~capacity:8 () in
-  let _, _, _, _ = unpack ~cache bytes in
-  let _, _, _, _ = unpack ~cache ~trusted:true bytes in
-  check_int "two modes cached" 2 (Migrate.Codecache.length cache);
-  Migrate.Codecache.invalidate cache ~digest;
-  check_int "invalidate empties both" 0 (Migrate.Codecache.length cache);
-  let _, _, _, c = unpack ~cache bytes in
-  check "post-invalidate delivery misses" false c.Migrate.Pack.u_cache_hit;
-  Migrate.Codecache.clear cache;
-  check_int "clear empties the cache" 0 (Migrate.Codecache.length cache)
+(* A FIFO would pass the capacity-1 test above: at capacity 2, a lookup
+   must save its entry from the next eviction. *)
+let test_lru_order () =
+  let a = packed_bytes 30 and b = packed_bytes 31 and c = packed_bytes 32 in
+  let cache = Migrate.Codecache.create ~capacity:2 () in
+  let hit bytes =
+    let _, _, _, costs = unpack ~cache bytes in
+    costs.Migrate.Pack.u_cache_hit
+  in
+  ignore (hit a);
+  ignore (hit b);
+  check "the lookup of a hits" true (hit a);
+  ignore (hit c);
+  check_int "one eviction" 1 (count cache "codecache.evictions");
+  check "a survives: its lookup made b the stalest" true (hit a);
+  check "b was evicted" false (hit b)
+
 
 (* ------------------------------------------------------------------ *)
 (* Negative caching                                                    *)
@@ -227,10 +224,12 @@ let test_negative_caching () =
   in
   reject ();
   reject ();
-  let s = Migrate.Codecache.stats cache in
   check_int "second rejection served from the negative entry" 1
-    s.Migrate.Codecache.hits;
-  check_int "only one typecheck paid" 1 s.Migrate.Codecache.misses
+    (count cache "codecache.hits");
+  check_int "only one typecheck paid" 1 (count cache "codecache.misses");
+  check_str "a negative entry holds no instructions"
+    "1 entries (0 instrs), 1 hits / 1 misses, 0 evictions"
+    (Migrate.Codecache.report cache)
 
 (* ------------------------------------------------------------------ *)
 (* Accounting consistency                                              *)
@@ -270,56 +269,24 @@ let test_stats_consistency () =
   (match Migrate.Pack.unpack ~cache ~arch:Vm.Arch.cisc32 evil with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "ill-typed FIR accepted");
-  let s = Migrate.Codecache.stats cache in
   check_int "lookups = hits + misses"
-    (Migrate.Codecache.lookups cache)
-    (s.Migrate.Codecache.hits + s.Migrate.Codecache.misses);
-  check_int "one lookup per delivery" 5 (Migrate.Codecache.lookups cache);
-  (* the stats view is a snapshot: mutating it changes nothing *)
-  s.Migrate.Codecache.hits <- 999;
-  let s' = Migrate.Codecache.stats cache in
-  check_int "stats record is a snapshot" 1 s'.Migrate.Codecache.hits
-
-let test_instr_accounting_with_negative_entries () =
-  let a = packed_bytes 35 in
-  let b = packed_bytes 36 in
-  let evil = hostile_bytes () in
-  let digest_of bytes = (Migrate.Wire.decode bytes).Migrate.Wire.i_digest in
-  (* fill a cache with positive AND negative entries, then drop them all
-     by invalidation: the instruction accounting must return to zero *)
-  let cache = Migrate.Codecache.create ~capacity:8 () in
-  let _ = unpack ~cache a in
-  let _ = unpack ~cache b in
-  (match Migrate.Pack.unpack ~cache ~arch:Vm.Arch.cisc32 evil with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "ill-typed FIR accepted");
-  check_int "three entries live" 3 (Migrate.Codecache.length cache);
-  check "positive entries hold instructions" true
-    (Migrate.Codecache.total_instrs cache > 0);
-  List.iter
-    (fun bytes -> Migrate.Codecache.invalidate cache ~digest:(digest_of bytes))
-    [ a; b; evil ];
-  check_int "all entries dropped" 0 (Migrate.Codecache.length cache);
-  check_int "instruction accounting back to zero" 0
-    (Migrate.Codecache.total_instrs cache);
-  (* same via LRU eviction: alternate through a capacity-1 cache *)
-  let tiny = Migrate.Codecache.create ~capacity:1 () in
-  let _ = unpack ~cache:tiny a in
-  let _ = unpack ~cache:tiny b in
-  (match Migrate.Pack.unpack ~cache:tiny ~arch:Vm.Arch.cisc32 evil with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "ill-typed FIR accepted");
-  (* the negative entry (zero instructions) is the sole survivor *)
-  check_int "negative entry survived alone" 1 (Migrate.Codecache.length tiny);
-  check_int "a negative entry holds no instructions" 0
-    (Migrate.Codecache.total_instrs tiny);
-  Migrate.Codecache.invalidate tiny ~digest:(digest_of evil);
-  check_int "eviction path also returns to zero" 0
-    (Migrate.Codecache.total_instrs tiny)
+    (count cache "codecache.lookups")
+    (count cache "codecache.hits" + count cache "codecache.misses");
+  check_int "one lookup per delivery" 5 (count cache "codecache.lookups")
 
 (* ------------------------------------------------------------------ *)
 (* Cluster aggregation                                                 *)
 (* ------------------------------------------------------------------ *)
+
+let caches cl =
+  List.init (Net.Cluster.node_count cl) (fun i ->
+      Migrate.Server.cache (Net.Cluster.node cl i).Net.Cluster.daemon)
+
+(* a codecache counter summed over every node's daemon *)
+let cluster_count cl name =
+  List.fold_left
+    (fun acc c -> match c with Some c -> acc + count c name | None -> acc)
+    0 (caches cl)
 
 let test_cluster_hit_rate () =
   (* resurrect the same checkpoint twice on one node: the second
@@ -333,18 +300,17 @@ let test_cluster_hit_rate () =
   (match Net.Cluster.resurrect cl ~node_id:0 ~path:"ckpt.img" with
   | Ok _ -> ()
   | Error m -> Alcotest.failf "resurrect failed: %s" m);
-  check "cold cluster has no hits" true (Net.Cluster.cache_hit_rate cl = 0.0);
+  check_int "cold cluster has no hits" 0 (cluster_count cl "codecache.hits");
   (match Net.Cluster.resurrect cl ~node_id:0 ~path:"ckpt.img" with
   | Ok _ -> ()
   | Error m -> Alcotest.failf "resurrect failed: %s" m);
   check "second resurrection hits" true
-    (Net.Cluster.cache_hit_rate cl = 0.5);
-  check_int "one report per node" 2
-    (List.length (Net.Cluster.cache_reports cl));
-  (* a cache-disabled cluster reports nothing *)
+    (cluster_count cl "codecache.hits" = 1
+    && cluster_count cl "codecache.misses" = 1);
+  check "every node has a cache" true (List.for_all Option.is_some (caches cl));
   let off = Net.Cluster.create_cfg { Net.Cluster.Config.default with node_count = 2; code_cache = 0 } in
-  check_int "disabled cluster has no reports" 0
-    (List.length (Net.Cluster.cache_reports off))
+  check "a cache-disabled cluster has no caches" true
+    (List.for_all Option.is_none (caches off))
 
 let suites =
   [
@@ -362,13 +328,11 @@ let suites =
         Alcotest.test_case "trust-mode isolation" `Quick
           test_trust_mode_isolation;
         Alcotest.test_case "LRU eviction" `Quick test_lru_eviction;
-        Alcotest.test_case "instr budget + invalidate" `Quick
-          test_instr_budget_and_invalidate;
+        Alcotest.test_case "LRU order: a lookup refreshes" `Quick
+          test_lru_order;
         Alcotest.test_case "negative caching" `Quick test_negative_caching;
         Alcotest.test_case "stats consistency (lookups = hits + misses)"
           `Quick test_stats_consistency;
-        Alcotest.test_case "instr accounting with negative entries" `Quick
-          test_instr_accounting_with_negative_entries;
         Alcotest.test_case "cluster hit rate" `Quick test_cluster_hit_rate;
       ] );
   ]

@@ -691,6 +691,36 @@ let test_baseline_lru_bound () =
   check "cache 0 retains nothing" true
     (Migrate.Server.baseline_count off = 0)
 
+(* A FIFO would pass the capacity-1 test above: at capacity 2,
+   remembering a held baseline again must save it from the next
+   eviction. *)
+let test_baseline_lru_order () =
+  let proc =
+    Vm.Process.create (mutating_worker ~seed:9 ~cells:400 ~rounds:3 ~writes:25)
+  in
+  let next_image () =
+    run_to_migration proc;
+    let p = Migrate.Pack.pack_request ~with_binary:false proc in
+    Vm.Process.migration_failed proc;
+    p.Migrate.Pack.p_image
+  in
+  let a = next_image () in
+  let b = next_image () in
+  let c = next_image () in
+  let server =
+    Migrate.Server.(
+      create_cfg { Config.default with baseline_cache = 2 } Vm.Arch.cisc32)
+  in
+  let remember im = Migrate.Server.remember_baseline server im in
+  let da = remember a in
+  let db = remember b in
+  ignore (remember a);
+  let dc = remember c in
+  check "a survives: remembering it again made b the stalest" true
+    (Migrate.Server.has_baseline server da);
+  check "b was evicted" false (Migrate.Server.has_baseline server db);
+  check "c is held" true (Migrate.Server.has_baseline server dc)
+
 (* ------------------------------------------------------------------ *)
 (* Cluster: delta shipping end-to-end                                  *)
 (* ------------------------------------------------------------------ *)
@@ -935,6 +965,8 @@ let suites =
           `Quick test_server_unknown_baseline;
         Alcotest.test_case "malformed deltas rejected as unknown baseline"
           `Quick test_apply_delta_rejects;
+        Alcotest.test_case "baseline cache LRU order" `Quick
+          test_baseline_lru_order;
         Alcotest.test_case "baseline cache is LRU-bounded" `Quick
           test_baseline_lru_bound;
       ] );

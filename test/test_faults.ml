@@ -127,6 +127,46 @@ let test_plan_rejects_nan () =
       ("crash time", { none with f_crashes = [ { c_node = 1; c_at = nan } ] })
     ]
 
+(* a directive naming a node the cluster lacks would never fire: a
+   negative id is a plan error on its line, one past the cluster's last
+   node is rejected by the cluster, quoting the directive *)
+let test_plan_rejects_missing_nodes () =
+  let negative =
+    [ "crash -1 at 0.001"; "stall -1 at 0.001 for 0.01";
+      "partition -1 0 from 0.0 until 0.5"; "partition 0 -1 from 0.0 until 0.5" ]
+  in
+  List.iter
+    (fun d -> expect_line (d ^ " (negative node)") 2 ("seed 1\n" ^ d ^ "\n"))
+    negative;
+  let open Net.Faults in
+  List.iter
+    (fun (what, plan) ->
+      match validate plan with
+      | Ok _ -> Alcotest.failf "validate accepted a negative %s node" what
+      | Error _ -> ())
+    [ ("crash", { none with f_crashes = [ { c_node = -1; c_at = 0.001 } ] });
+      ("stall",
+       { none with f_stalls = [ { s_node = -1; s_at = 0.001; s_for = 0.01 } ] });
+      ( "partition",
+        { none with
+          f_partitions = [ { pa = 0; pb = -1; p_from = 0.0; p_until = 0.5 } ]
+        } ) ];
+  List.iter
+    (fun d ->
+      match parse_plan d with
+      | Error m -> Alcotest.failf "%S: %s" d m
+      | Ok plan -> (
+        match
+          Net.Cluster.create_cfg
+            { Net.Cluster.Config.default with node_count = 4; faults = plan }
+        with
+        | _ -> Alcotest.failf "a 4-node cluster accepted %S" d
+        | exception Invalid_argument m ->
+          check (Printf.sprintf "%S is quoted (got %S)" d m) true
+            (contains m d)))
+    [ "crash 4 at 0.001"; "stall 9 at 0.001 for 0.01";
+      "partition 0 9 from 0 until 0.5"; "partition 4 0 from 0 until 0.5" ]
+
 let test_plan_seed_override () =
   match Net.Faults.parse_plan ~seed:42 "seed 7\nloss 0.2\n" with
   | Ok p -> check_int "CLI seed overrides the file's" 42 p.Net.Faults.f_seed
@@ -258,11 +298,15 @@ let test_idempotent_receive () =
        (Migrate.Server.metrics server)
        "server.duplicates")
 
-let test_dedup_window_bounded () =
+(* the server remembers its last 64 accepted deliveries *)
+let test_dedup_memory_bounded () =
   let bytes = image_bytes () in
   let server =
     Migrate.Server.(
-      create_cfg { Config.default with dedup_window = 2 } Vm.Arch.cisc32)
+      create_cfg
+        { Config.default with
+          cache = Some (Migrate.Codecache.create ~capacity:1 ()) }
+        Vm.Arch.cisc32)
   in
   let fresh key =
     match Migrate.Server.receive ~key server bytes with
@@ -270,11 +314,14 @@ let test_dedup_window_bounded () =
     | Ok (Migrate.Server.Duplicate _) -> false
     | Error m -> Alcotest.failf "receive: %s" m
   in
-  check "k1 fresh" true (fresh "k1");
-  check "k2 fresh" true (fresh "k2");
-  check "k3 fresh, evicts k1" true (fresh "k3");
+  for k = 1 to 64 do
+    let key = Printf.sprintf "k%d" k in
+    check (key ^ " fresh") true (fresh key)
+  done;
+  check "k2 still remembered" false (fresh "k2");
+  check "k65 fresh, evicts k1" true (fresh "k65");
   check "k1 was forgotten" true (fresh "k1");
-  check "k3 still remembered" false (fresh "k3")
+  check "k65 still remembered" false (fresh "k65")
 
 (* ------------------------------------------------------------------ *)
 (* Resilient migration protocol on the cluster                         *)
@@ -922,6 +969,8 @@ let suites =
           test_plan_errors_report_lines;
         Alcotest.test_case "NaN is rejected in files and in code" `Quick
           test_plan_rejects_nan;
+        Alcotest.test_case "nodes outside the cluster are rejected" `Quick
+          test_plan_rejects_missing_nodes;
         Alcotest.test_case "CLI seed overrides the file" `Quick
           test_plan_seed_override;
       ] );
@@ -941,7 +990,7 @@ let suites =
         Alcotest.test_case "duplicate hops return the original outcome"
           `Quick test_idempotent_receive;
         Alcotest.test_case "dedup memory is a bounded FIFO" `Quick
-          test_dedup_window_bounded;
+          test_dedup_memory_bounded;
       ] );
     ( "faults.migration",
       [

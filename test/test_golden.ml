@@ -348,13 +348,6 @@ let golden =
 
 let md5 s = Digest.to_hex (Digest.string s)
 
-let contains s sub =
-  let n = String.length sub in
-  let rec go i =
-    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-  in
-  go 0
-
 let observe scenario =
   let c = scenario () in
   ( Obs.Trace.to_jsonl (Net.Cluster.trace c),

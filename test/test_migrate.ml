@@ -413,10 +413,10 @@ let test_server () =
   (match Migrate.Server.handle server "garbage" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "server accepted garbage");
-  let s = Migrate.Server.stats server in
-  check_int "accepted" 1 s.Migrate.Server.accepted;
-  check_int "rejected" 1 s.Migrate.Server.rejected;
-  check_int "recompilations" 1 s.Migrate.Server.recompilations
+  let count = Obs.Metrics.counter_value (Migrate.Server.metrics server) in
+  check_int "accepted" 1 (count "server.accepted");
+  check_int "rejected" 1 (count "server.rejected");
+  check_int "recompilations" 1 (count "server.recompilations")
 
 let test_image_size_scales () =
   let size n =
