@@ -5,9 +5,10 @@
    A long-running process starts on a little-endian 32-bit node, migrates
    mid-computation to a big-endian 64-bit node (the image ships FIR and
    is re-typechecked and recompiled on arrival, Section 4.2), finishes
-   there, and the answer is unchanged.  Also shows the suspend and
-   checkpoint protocols against shared storage and the migration cost
-   records the cluster keeps. *)
+   there, and the answer is unchanged.  Also shows the suspend protocol
+   against shared storage, and prints what each hop and each stored
+   image cost from the cluster's trace (its [Migrate_done] and
+   [Checkpoint] events). *)
 
 let worker =
   {|
@@ -29,6 +30,25 @@ int main() {
   return state[1] % 100000;
 }
 |}
+
+(* One line per image shipped or stored, read from the cluster trace. *)
+let print_images cluster =
+  List.iter
+    (fun (ev : Obs.Trace.event) ->
+      match ev.Obs.Trace.kind with
+      | Obs.Trace.Migrate_done { ok; bytes; pack_s; transfer_s; compile_s; _ }
+        ->
+        Printf.printf
+          "  pid %d: migrate%s, %d bytes; pack %.4fs + transfer %.4fs + \
+           recompile %.4fs (simulated)\n"
+          ev.Obs.Trace.pid
+          (if ok then "" else " (failed)")
+          bytes pack_s transfer_s compile_s
+      | Obs.Trace.Checkpoint { path; bytes } ->
+        Printf.printf "  pid %d: stored %s, %d bytes\n" ev.Obs.Trace.pid path
+          bytes
+      | _ -> ())
+    (Obs.Trace.events (Net.Cluster.trace cluster))
 
 let () =
   print_endline "Whole-process migration demo";
@@ -62,20 +82,8 @@ let () =
         | _ -> "?"))
   | None -> print_endline "rank lost!");
 
-  print_endline "\nmigration records:";
-  List.iter
-    (fun mr ->
-      Printf.printf
-        "  pid %d: %s, %d bytes; pack %.4fs + transfer %.4fs + recompile \
-         %.4fs (simulated)\n"
-        mr.Net.Cluster.mr_pid
-        (match mr.Net.Cluster.mr_kind with
-        | `Migrate -> "migrate"
-        | `Suspend -> "suspend"
-        | `Checkpoint -> "checkpoint")
-        mr.Net.Cluster.mr_bytes mr.Net.Cluster.mr_pack_s
-        mr.Net.Cluster.mr_transfer_s mr.Net.Cluster.mr_compile_s)
-    (Net.Cluster.migrations cluster);
+  print_endline "\nimages shipped:";
+  print_images cluster;
 
   (* ---- suspend to storage and resume later ---- *)
   print_endline "\nsuspend / resume from shared storage:";
@@ -101,6 +109,7 @@ int main() {
       | Vm.Process.Exited _ -> "terminated (image written)"
       | _ -> "?")
   | None -> ());
+  print_images cluster;
   Printf.printf "  image on storage: %s (%d bytes)\n"
     (if Net.Storage.exists (Net.Cluster.storage cluster) "frozen.img" then
        "yes"

@@ -10,7 +10,8 @@
    the process identity is reconstructed by each node's migration
    daemon), and migrates on.  The FIR travels, each daemon re-typechecks
    and recompiles for ITS architecture, and the agent's heap follows
-   byte-for-byte. *)
+   byte-for-byte.  Each hop's cost is read from the cluster's trace (its
+   [Migrate_done] events). *)
 
 let agent_source =
   {|
@@ -92,13 +93,14 @@ let () =
 
   print_endline "\nhops (each one verified + recompiled by the target):";
   List.iter
-    (fun mr ->
-      if mr.Net.Cluster.mr_kind = `Migrate then
+    (fun (ev : Obs.Trace.event) ->
+      match ev.Obs.Trace.kind with
+      | Obs.Trace.Migrate_done { bytes; transfer_s; compile_s; _ } ->
         Printf.printf
           "  pid %d: %d bytes, transfer %.4fs + recompile %.4fs (simulated)\n"
-          mr.Net.Cluster.mr_pid mr.Net.Cluster.mr_bytes
-          mr.Net.Cluster.mr_transfer_s mr.Net.Cluster.mr_compile_s)
-    (Net.Cluster.migrations cluster);
+          ev.Obs.Trace.pid bytes transfer_s compile_s
+      | _ -> ())
+    (Obs.Trace.events (Net.Cluster.trace cluster));
 
   (* sanity: the same program run WITHOUT migration gives the same
      result (migration is computationally invisible) *)

@@ -65,13 +65,10 @@ module Config = struct
   type t = {
     node_count : int;
     arches : Arch.t array;
-    trusted : bool;
     seed : int;
-    code_cache : int;
     net : Simnet.t option;
     faults : Faults.plan;
     delta : bool;
-    baseline_cache : int;
     detector : Detector.config option;
     replication : int;
     legacy_scan_sched : bool;
@@ -83,13 +80,10 @@ module Config = struct
     {
       node_count = 4;
       arches = [| Arch.cisc32 |];
-      trusted = false;
       seed = 1;
-      code_cache = 16;
       net = None;
       faults = Faults.none;
       delta = true;
-      baseline_cache = 4;
       detector = None;
       replication = 0;
       legacy_scan_sched = false;
@@ -162,19 +156,18 @@ let check_plan_nodes (plan : Faults.plan) nodes =
       check c.c_node (Printf.sprintf "crash %d at %g" c.c_node c.c_at))
     plan.Faults.f_crashes
 
+(* Every node's daemon: an untrusted server (hops always recompile from
+   the FIR), its own recompilation cache, and room for this many
+   retained delta baselines — none when delta shipping is off. *)
+let code_cache_entries = 16
+let retained_baselines = 4
+
 let create_cfg (cfg : Config.t) =
   check_plan_nodes cfg.Config.faults cfg.Config.node_count;
   let net = match cfg.Config.net with Some n -> n | None -> Simnet.create () in
   let nodes =
     Array.init cfg.Config.node_count (fun i ->
         let arch = cfg.Config.arches.(i mod Array.length cfg.Config.arches) in
-        (* each node's daemon owns its own bounded recompilation cache
-           (code_cache <= 0 disables caching cluster-wide) *)
-        let cache =
-          if cfg.Config.code_cache > 0 then
-            Some (Migrate.Codecache.create ~capacity:cfg.Config.code_cache ())
-          else None
-        in
         {
           node_id = i;
           node_name = Printf.sprintf "node%d" i;
@@ -183,14 +176,14 @@ let create_cfg (cfg : Config.t) =
           daemon =
             Migrate.Server.create_cfg
               {
-                Migrate.Server.Config.trusted = cfg.Config.trusted;
+                Migrate.Server.Config.default with
                 extern_signatures;
                 first_pid = 0;
-                cache;
+                cache =
+                  Some
+                    (Migrate.Codecache.create ~capacity:code_cache_entries ());
                 baseline_cache =
-                  (if cfg.Config.delta then
-                     max 0 cfg.Config.baseline_cache
-                   else 0);
+                  (if cfg.Config.delta then retained_baselines else 0);
               }
               arch;
           busy_seconds = 0.0;
@@ -247,8 +240,8 @@ let create_cfg (cfg : Config.t) =
   let graph = Spec_graph.create core in
   let ext = Externs.create core graph in
   let ship =
-    Shipping.create core graph ~trusted:cfg.Config.trusted
-      ~delta:cfg.Config.delta ~forward_ttl_s:cfg.Config.forward_ttl_s
+    Shipping.create core graph ~delta:cfg.Config.delta
+      ~forward_ttl_s:cfg.Config.forward_ttl_s
   in
   let recovery = Recovery.create core graph ship in
   let tick =
@@ -403,7 +396,6 @@ let statuses t =
         e.proc.Process.status ))
     t.core.Core.entries
 
-let migrations t = Shipping.migrations t.ship
 let storage t = t.core.Core.storage
 let net t = t.core.Core.net
 let trace t = t.core.Core.tracer

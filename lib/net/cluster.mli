@@ -71,20 +71,6 @@ type node = {
           the global entry list remains the source of truth. *)
 }
 
-type migration_record = {
-  mr_kind : [ `Migrate | `Suspend | `Checkpoint ];
-  mr_pid : int;
-  mr_bytes : int;
-  mr_pack_s : float;
-  mr_transfer_s : float;
-  mr_compile_s : float;  (** link-only on a recompilation-cache hit *)
-  mr_cache_hit : bool;
-  mr_delta : bool;
-      (** the accepted shipment was a delta (incremental checkpoint
-          segment or delta migration hop) *)
-  mr_ok : bool;
-}
-
 type migration_report = {
   rep_pid : int;  (** successor pid *)
   rep_attempts : int;  (** hop transmissions, >= 1 *)
@@ -119,11 +105,12 @@ type migration_error =
 val migration_error_to_string : migration_error -> string
 
 (** Typed cluster configuration: the one record that says everything —
-    topology, trust, seed, cache sizing, the fault-injection plan,
-    delta shipping, failure detection, replication, scheduling mode,
-    forwarding and placement policy.  The scheduling quantum (64 steps),
-    the trace ring (65 536 events) and the migration retry policy
-    ({!default_retry}) are fixed. *)
+    topology, seed, the fault-injection plan, delta shipping, failure
+    detection, replication, scheduling mode, forwarding and placement
+    policy.  The scheduling quantum (64 steps), the trace ring (65 536
+    events), the migration retry policy ({!default_retry}) and the
+    daemons (untrusted, a 16-entry recompilation cache, 4 retained
+    delta baselines) are fixed. *)
 module Config : sig
   type retry = {
     max_attempts : int;  (** total transmissions per migration hop *)
@@ -140,19 +127,16 @@ module Config : sig
   type t = {
     node_count : int;
     arches : Arch.t array;  (** assigned round-robin *)
-    trusted : bool;  (** binary fast path for inter-node migration *)
     seed : int;
-    code_cache : int;
-        (** per-node recompilation-cache capacity; [<= 0] disables *)
     net : Simnet.t option;  (** [None] = default Simnet *)
     faults : Faults.plan;
     delta : bool;
         (** ship deltas (and incremental checkpoint segments) when a
             negotiated baseline makes one possible and smaller; [false]
-            forces every image on the wire to be full *)
-    baseline_cache : int;
-        (** per-daemon retained-baseline bound; [<= 0] disables delta
-            RECEIVE on every node (senders then always fall back) *)
+            forces every image on the wire and in the store to be full
+            and retains no baselines on the daemons.  Kept because
+            [mcc grid --no-delta] and the delta tests compare both
+            settings *)
     detector : Detector.config option;
         (** [Some cfg] runs a heartbeat failure detector over the
             cluster; [None] (default) emits no heartbeats and draws no
@@ -164,16 +148,18 @@ module Config : sig
             legacy indestructible shared store *)
     legacy_scan_sched : bool;
         (** [true] schedules by scanning the global entry list every
-            round (the pre-index behaviour, kept for equivalence tests
-            and as the S1 baseline); [false] (default) uses the per-node
-            resident lists and indexed mailboxes *)
+            round (the pre-index behaviour); [false] (default) uses the
+            per-node resident lists and indexed mailboxes.  Kept as the
+            reference the equivalence tests and the S1 meter compare the
+            indexed scheduler against *)
     forward_ttl_s : float;
         (** how long a vacated rank keeps forwarding after a registered
             service migrates away (default 0.25 simulated seconds): long
             enough for every active sender to learn the new rank from a
             [Recipient_moved] notice.  A send arriving later gets the
             typed {!msg_moved} error and must re-resolve through the
-            registry *)
+            registry.  Kept because shortening it is the only way a test
+            reaches forwarder expiry *)
     balance : Balance.Config.t;
         (** the load-aware placement policy engine.  When
             [balance.enabled], the scheduler samples per-node load
@@ -184,10 +170,11 @@ module Config : sig
   }
 
   val default : t
-  (** 4 nodes, cisc32, untrusted, seed 1, 16-entry caches, default
-      net, {!Faults.none}, delta shipping on with 4 retained baselines
-      per daemon, no failure detector, unreplicated shared storage,
-      indexed scheduler, placement policy off. *)
+  (** 4 nodes, cisc32, seed 1, default net, {!Faults.none}, delta
+      shipping on, no failure detector, unreplicated shared storage,
+      indexed scheduler, 0.25 s forwarders, placement policy off.  Every
+      daemon is untrusted with a 16-entry recompilation cache and 4
+      retained baselines. *)
 end
 
 (** The unified migration API.  Every initiator — the explicit CLI/test
@@ -385,7 +372,6 @@ val move : t -> Move.request -> (Move.outcome, migration_error) result
 val statuses : t -> (int * int option * int * Process.status) list
 (** (pid, rank, node, status) for every process ever placed. *)
 
-val migrations : t -> migration_record list
 val storage : t -> Storage.t
 val net : t -> Simnet.t
 

@@ -1,7 +1,7 @@
 (* The types every part of the simulated cluster shares: the processes
-   placed on nodes, the nodes, what a migration records and reports, and
-   the unified move request.  [Cluster] re-exports them with one
-   [include]; their fields are documented in cluster.mli. *)
+   placed on nodes, the nodes, what a migration reports, and the unified
+   move request.  [Cluster] re-exports them with one [include]; their
+   fields are documented in cluster.mli. *)
 
 open Vm
 
@@ -30,18 +30,6 @@ type node = {
   mutable busy_seconds : float;
   mutable clock : float;
   mutable residents : entry list;
-}
-
-type migration_record = {
-  mr_kind : [ `Migrate | `Suspend | `Checkpoint ];
-  mr_pid : int;
-  mr_bytes : int;
-  mr_pack_s : float;
-  mr_transfer_s : float;
-  mr_compile_s : float;
-  mr_cache_hit : bool;
-  mr_delta : bool;
-  mr_ok : bool;
 }
 
 type migration_report = {

@@ -115,43 +115,9 @@ let resurrect ?rank r ~seed ~node_id ~path =
   in
   if not n.alive then failed "resurrection node is down"
   else
-    match Storage.read core.storage path with
-    | None -> failed ("no checkpoint " ^ path)
-    | Some (bytes, read_s) -> (
-      (* replay the checkpoint chain: the base image at [path], then
-         every [path.dN] delta segment in order, each digest-verified
-         against its reconstruction *)
-      let rec replay image total_bytes total_read_s k =
-        match
-          Storage.read core.storage (Printf.sprintf "%s.d%d" path k)
-        with
-        | None -> Ok (image, total_bytes, total_read_s)
-        | Some (seg_bytes, seg_read_s) -> (
-          match Migrate.Wire.decode_packet seg_bytes with
-          | Migrate.Wire.Delta d -> (
-            match Migrate.Wire.apply_delta ~baseline:image d with
-            | image' ->
-              replay image'
-                (total_bytes + String.length seg_bytes)
-                (total_read_s +. seg_read_s) (k + 1)
-            | exception Migrate.Wire.Corrupt msg ->
-              Error (Printf.sprintf "checkpoint segment %d: %s" k msg))
-          | Migrate.Wire.Full _ ->
-            Error
-              (Printf.sprintf
-                 "checkpoint segment %d is not a delta image" k)
-          | exception Migrate.Wire.Corrupt msg ->
-            Error (Printf.sprintf "checkpoint segment %d: %s" k msg))
-      in
-      let replayed =
-        match Migrate.Wire.decode bytes with
-        | image -> replay image (String.length bytes) read_s 1
-        | exception Migrate.Wire.Corrupt msg ->
-          Error ("corrupt image: " ^ msg)
-      in
-      match replayed with
-      | Error msg -> failed msg
-      | Ok (image, bytes_len, read_s) -> (
+    match Shipping.read_checkpoint r.ship path with
+    | Error msg -> failed msg
+    | Ok (image, bytes_len, read_s) -> (
       (* executing a saved checkpoint from the cluster's own store is
          within the trust domain: same-architecture resurrections take
          the binary fast path (link only); cross-architecture ones
@@ -234,7 +200,7 @@ let resurrect ?rank r ~seed ~node_id ~path =
                compile_s;
              });
         emit_at entry.start_at (Obs.Trace.Resurrect { path; ok = true });
-        Ok pid))
+        Ok pid)
 
 (* One entry point for every migration initiator.  The reason is
    accounting only: protocol behaviour (fencing, forwarder install,

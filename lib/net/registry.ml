@@ -28,10 +28,8 @@
    epoch), not a mailbox. *)
 
 type forwarder = {
-  fw_from : int; (* the vacated rank *)
   mutable fw_next : int; (* next hop (path-compressed) *)
   fw_expires : float; (* absolute simulated time *)
-  mutable fw_relayed : int; (* messages this forwarder relayed *)
 }
 
 type t = {
@@ -87,8 +85,7 @@ let rebind t ~laddr ~new_rank ~now ~ttl =
       Hashtbl.remove t.by_rank old_rank;
       Hashtbl.replace t.by_rank new_rank laddr;
       Hashtbl.replace t.forwarders old_rank
-        { fw_from = old_rank; fw_next = new_rank; fw_expires = now +. ttl;
-          fw_relayed = 0 };
+        { fw_next = new_rank; fw_expires = now +. ttl };
       Hashtbl.iter
         (fun _ fw ->
           if fw.fw_next = old_rank then begin
@@ -119,9 +116,7 @@ let resolve t ~now rank =
     else begin
       let rec walk r hops =
         match Hashtbl.find_opt t.forwarders r with
-        | Some fw when now <= fw.fw_expires ->
-          fw.fw_relayed <- fw.fw_relayed + 1;
-          walk fw.fw_next (hops + 1)
+        | Some fw when now <= fw.fw_expires -> walk fw.fw_next (hops + 1)
         | Some _ | None -> (r, hops)
       in
       let final, hops = walk rank 0 in

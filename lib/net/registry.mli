@@ -16,10 +16,8 @@
     still fences stale incarnations at every send. *)
 
 type forwarder = {
-  fw_from : int;  (** the vacated rank *)
   mutable fw_next : int;  (** next hop (path-compressed) *)
   fw_expires : float;  (** absolute simulated time *)
-  mutable fw_relayed : int;  (** messages this forwarder relayed *)
 }
 
 type t

@@ -3,8 +3,11 @@
     policy, deliver it idempotently to the target daemon, and install
     the successor (the move commit every initiator shares).  Also the
     storage side of the same images: suspend files and incremental
-    checkpoint chains.  It owns the checkpoint chains, the hop envelope
-    ids, the migration records and the delta-shipping ledger. *)
+    checkpoint chains.  It owns every decision about a shipped or stored
+    image: the one delta-or-full choice (for hops and checkpoint
+    segments alike), the checkpoint-chain codec (segment names, length
+    bound, full rewrite, replay), the hop envelope ids and the
+    delta-shipping ledger. *)
 
 open Cluster_types
 
@@ -21,11 +24,7 @@ val default_retry : retry
 type t
 
 val create :
-  Cluster_core.t -> Spec_graph.t -> trusted:bool -> delta:bool ->
-  forward_ttl_s:float -> t
-
-val migrations : t -> migration_record list
-(** Every image shipped or stored, oldest first. *)
+  Cluster_core.t -> Spec_graph.t -> delta:bool -> forward_ttl_s:float -> t
 
 val handle_migration : t -> entry -> unit
 (** Serve a process that stopped at a migration point: migrate to a
@@ -35,3 +34,12 @@ val move_running :
   t -> pid:int -> node_id:int -> (migration_report, migration_error) result
 (** Host-initiated live migration of a running process; on failure it
     keeps running where it was. *)
+
+val read_checkpoint :
+  t -> string -> (Migrate.Wire.image * int * float, string) result
+(** Read the checkpoint chain stored at a path: the base image, then
+    every delta segment replayed in order, each digest-verified against
+    its reconstruction.  Returns the image the chain ends at, the bytes
+    read and the simulated read seconds.  Errors: ["no checkpoint
+    <path>"], ["corrupt image: ..."], ["checkpoint segment N: ..."] and
+    ["checkpoint segment N is not a delta image"]. *)

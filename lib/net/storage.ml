@@ -47,9 +47,6 @@ type t = {
   c_repairs : Obs.Metrics.counter;
   c_corrupt : Obs.Metrics.counter;
   mutable on_repair : (path:string -> replicas:int -> unit) option;
-  mutable writes : int;
-  mutable reads : int;
-  mutable bytes_written : int;
 }
 
 let digest_of = Fir.Digest.of_encoded
@@ -87,9 +84,6 @@ let create ?(replication = 0) ?(nodes = 0) ?faults ?metrics net =
     c_repairs;
     c_corrupt;
     on_repair = None;
-    writes = 0;
-    reads = 0;
-    bytes_written = 0;
   }
 
 let set_on_repair t f = t.on_repair <- Some f
@@ -127,8 +121,6 @@ let damage faults data =
 
 (* Returns the simulated seconds the operation took. *)
 let write t path data =
-  t.writes <- t.writes + 1;
-  t.bytes_written <- t.bytes_written + String.length data;
   (match t.mode with
   | Shared files ->
     Hashtbl.replace files path { e_data = data; e_digest = digest_of data };
@@ -161,7 +153,6 @@ let read t path =
   | Shared files -> (
     match Hashtbl.find_opt files path with
     | Some e ->
-      t.reads <- t.reads + 1;
       Simnet.record_transfer t.net (String.length e.e_data);
       Some (e.e_data, Simnet.transfer_seconds t.net (String.length e.e_data))
     | None -> None)
@@ -185,7 +176,6 @@ let read t path =
       if !saw_corrupt then Obs.Metrics.incr t.c_corrupt;
       None
     | Some data ->
-      t.reads <- t.reads + 1;
       Simnet.record_transfer t.net (String.length data);
       let seconds =
         ref (Simnet.transfer_seconds t.net (String.length data))

@@ -31,6 +31,27 @@ let status_of cluster pid =
 let counter cluster name =
   Obs.Metrics.counter_value (Net.Cluster.metrics cluster) name
 
+(* The cluster trace's [Migrate_done] events, oldest first, as
+   (ok, bytes, compile_s). *)
+let migrate_dones cluster =
+  List.filter_map
+    (fun (ev : Obs.Trace.event) ->
+      match ev.Obs.Trace.kind with
+      | Obs.Trace.Migrate_done { ok; bytes; compile_s; _ } ->
+        Some (ok, bytes, compile_s)
+      | _ -> None)
+    (Obs.Trace.events (Net.Cluster.trace cluster))
+
+(* The cluster trace's [Checkpoint] events, oldest first, as (stored
+   path, bytes). *)
+let checkpoints cluster =
+  List.filter_map
+    (fun (ev : Obs.Trace.event) ->
+      match ev.Obs.Trace.kind with
+      | Obs.Trace.Checkpoint { path; bytes } -> Some (path, bytes)
+      | _ -> None)
+    (Obs.Trace.events (Net.Cluster.trace cluster))
+
 (* Explicit test migrations go through the unified move API; unwrap the
    outcome back to the report shape the assertions read. *)
 let move_running cluster ~pid ~node_id =

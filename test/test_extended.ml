@@ -129,9 +129,9 @@ let test_transparent_migration () =
     (match Net.Cluster.entry_of_pid cluster new_pid with
     | Some e -> check_int "runs on node1" 1 e.Net.Cluster.node_id
     | None -> Alcotest.fail "successor lost"));
-  match Net.Cluster.migrations cluster with
-  | [ mr ] -> check "recorded as migration" true (mr.Net.Cluster.mr_ok)
-  | l -> Alcotest.failf "expected 1 migration record, got %d" (List.length l)
+  match migrate_dones cluster with
+  | [ (ok, _, _) ] -> check "recorded as migration" true ok
+  | l -> Alcotest.failf "expected 1 migrate_done event, got %d" (List.length l)
 
 let test_transparent_migration_of_ml () =
   (* language neutrality: an ML process moves the same way *)

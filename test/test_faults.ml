@@ -414,9 +414,12 @@ let test_unreachable_resumes_locally () =
   let _ = Net.Cluster.run cluster in
   check "the process completed locally" true
     (status_of cluster pid = Vm.Process.Exited expected_sum);
-  (match Net.Cluster.migrations cluster with
-  | [ mr ] -> check "recorded as a failed migration" false mr.Net.Cluster.mr_ok
-  | l -> Alcotest.failf "expected 1 migration record, got %d" (List.length l))
+  (match migrate_dones cluster with
+  | [ (ok, _, _) ] -> check "recorded as a failed migration" false ok
+  | l ->
+    Alcotest.failf "expected 1 migrate_done event, got %d" (List.length l));
+  check_int "counted as a failed migration" 1
+    (counter cluster "cluster.migrations_failed")
 
 let test_duplicated_hop_is_deduplicated () =
   (* every migration hop also arrives a second time; the target daemon

@@ -586,13 +586,14 @@ let test_cluster_migrate () =
       (e.Net.Cluster.proc.Vm.Process.status = Vm.Process.Exited 105);
     check_int "runs on node1" 1 e.Net.Cluster.node_id
   | None -> Alcotest.fail "rank lost across migration");
-  match Net.Cluster.migrations cluster with
-  | [ mr ] ->
-    check "migration recorded ok" true mr.Net.Cluster.mr_ok;
-    check "bytes counted" true (mr.Net.Cluster.mr_bytes > 0);
-    check "compile time charged (untrusted target)" true
-      (mr.Net.Cluster.mr_compile_s > 0.0)
-  | l -> Alcotest.failf "expected 1 migration record, got %d" (List.length l)
+  check_int "counted as a migration" 1
+    (counter cluster "cluster.migrations_ok");
+  match migrate_dones cluster with
+  | [ (ok, bytes, compile_s) ] ->
+    check "migration recorded ok" true ok;
+    check "bytes counted" true (bytes > 0);
+    check "compile time charged (untrusted target)" true (compile_s > 0.0)
+  | l -> Alcotest.failf "expected 1 migrate_done event, got %d" (List.length l)
 
 let test_cluster_migrate_to_dead_node () =
   let cluster = Net.Cluster.create_cfg { Net.Cluster.Config.default with node_count = 2 } in
