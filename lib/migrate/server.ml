@@ -244,20 +244,21 @@ let handle ?seed t bytes =
         | Error _ -> ());
         result))
 
-(* Idempotent receive.  [key] identifies one logical delivery: the image
-   digest plus whatever envelope identity the transport has (the cluster
-   appends a per-migration hop id, so a retransmitted hop shares the key
-   while distinct migrations of an identical image never collide).
+(* Idempotent receive.  [key] identifies one logical delivery: the
+   transport's envelope identity when it has one (the cluster keys by a
+   per-migration hop id, so a duplicated hop shares the key while
+   distinct migrations of an identical image never collide), the image
+   digest otherwise.
    Rejections are NOT remembered — a retried hop may legitimately
    succeed later (e.g. the cache warmed, or the reject was transient
    policy). *)
 
 type delivery = Fresh of request_outcome | Duplicate of request_outcome
 
-let delivery_key bytes = Fir.Digest.of_encoded bytes
-
 let receive ?seed ?key t bytes =
-  let key = match key with Some k -> k | None -> delivery_key bytes in
+  let key =
+    match key with Some k -> k | None -> Fir.Digest.of_encoded bytes
+  in
   match Hashtbl.find_opt t.dedup key with
   | Some outcome ->
     Obs.Metrics.incr t.c_duplicates;

@@ -103,15 +103,11 @@ type delivery =
           nothing new was spawned.  Callers must treat this as "already
           delivered" — the embedded process may have run since. *)
 
-val delivery_key : string -> string
-(** The content half of the delivery identity: the digest of the encoded
-    image bytes. *)
-
 val receive :
   ?seed:int -> ?key:string -> t -> string -> (delivery, string) result
-(** Handle one delivery idempotently.  [key] (default
-    [delivery_key bytes]) identifies the logical delivery; transports
-    that can carry an envelope id should append it so retransmissions of
-    one hop share a key while distinct migrations of byte-identical
-    images do not collide.  The last 64 accepted requests are remembered
+(** Handle one delivery idempotently.  [key] (default: the digest of the
+    encoded bytes) identifies the logical delivery; transports that can
+    carry an envelope id should key by it, so retransmissions of one hop
+    share a key while distinct migrations of byte-identical images do
+    not collide.  The last 64 accepted requests are remembered
     (a FIFO); rejections are not (a retried hop may succeed later). *)
