@@ -33,7 +33,7 @@ type packed = {
   p_image : Wire.image;
   p_bytes : string; (* the encoded image: what actually travels *)
   p_digest : string; (* Wire.image_digest of p_image *)
-  p_dirty : (int * int, unit) Hashtbl.t;
+  p_dirty : Heap.dirty_snapshot;
       (* (index, page) pairs written since the PREVIOUS pack — the
          change set a delta against that previous image may ship *)
 }
@@ -116,8 +116,9 @@ let delta ~baseline ~base_digest packed =
   let image = packed.p_image in
   if not (String.equal image.Wire.i_digest baseline.Wire.i_digest) then None
   else
-    let changed idx page = Hashtbl.mem packed.p_dirty (idx, page) in
-    let d_blocks, stats = Wire.diff ~baseline ~image ~changed in
+    let d_blocks, stats =
+      Wire.diff ~baseline ~image ~changed:(Heap.page_dirty packed.p_dirty)
+    in
     let delta =
       {
         Wire.d_arch = image.Wire.i_arch;

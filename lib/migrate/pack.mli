@@ -20,9 +20,10 @@ type packed = {
       (** {!Wire.image_digest} of [p_image], computed at pack time so
           {!delta} and the sender's baseline bookkeeping need not hash
           the image again *)
-  p_dirty : (int * int, unit) Hashtbl.t;
+  p_dirty : Runtime.Heap.dirty_snapshot;
       (** (pointer-table index, page) pairs written since the PREVIOUS
-          pack of this process — the change set {!delta} may ship *)
+          pack of this process — the change set {!delta} may ship, read
+          with {!Runtime.Heap.page_dirty} *)
 }
 
 type unpack_costs = {

@@ -33,11 +33,15 @@ type t = {
   remembered : (int, unit) Hashtbl.t;
   mutable before_write : (int -> unit) option;
   mutable minor_enabled : bool;
-  dirty : (int, (int, unit) Hashtbl.t) Hashtbl.t;
-      (** index -> dirty pages since the last {!clear_dirty} *)
-  mutable last_dirty_idx : int;
-      (** one-entry mark cache: last block index marked dirty *)
-  mutable last_dirty_page : int;  (** page paired with [last_dirty_idx] *)
+  mutable dirty : Bytes.t array;
+      (** pointer-table index -> one byte per {!dirty_page_cells}-cell
+          page, nonzero when the page was written since the last
+          {!clear_dirty}; [Bytes.empty] for an index not in
+          [dirty_listed].  A listed map always has one byte per page of
+          its index's current block. *)
+  mutable dirty_listed : int list;
+      (** the indices whose map in [dirty] is non-empty, each once; a
+          clear resets exactly these *)
 }
 
 val create : ?initial_cells:int -> unit -> t
@@ -115,7 +119,10 @@ val reserve : t -> int -> unit
     compaction).  Allocation, copy-on-write cloning and rollback
     retargeting conservatively mark the whole block, so a clean page is
     guaranteed identical to the last baseline cleared with
-    {!clear_dirty}.  The collector drops freed indices. *)
+    {!clear_dirty}.  The collector drops freed indices; a freed index
+    that is reused comes back with only its new block's pages marked.
+    Marking never hashes: it loads the index's page map from an array
+    and stores a byte. *)
 
 val dirty_page_cells : int
 (** Cells per dirty-tracking page (64). *)
@@ -123,13 +130,23 @@ val dirty_page_cells : int
 val pages_of_size : int -> int
 (** Dirty-tracking pages covering a block of [size] data cells (≥ 1). *)
 
-val mark_dirty_cell : t -> int -> int -> unit
-val mark_dirty_block : t -> int -> size:int -> unit
 val drop_dirty : t -> int -> unit
-val clear_dirty : t -> unit
+(** Forget a freed index's dirty pages (the collector calls this). *)
 
-val dirty_snapshot : t -> (int * int, unit) Hashtbl.t
-(** Flattened (index, page) copy, decoupled from later clears. *)
+val clear_dirty : t -> unit
+(** Make the current heap the baseline: nothing is dirty afterwards.
+    Costs the indices marked since the previous clear. *)
+
+type dirty_snapshot
+(** An immutable copy of the dirty set, decoupled from later marks and
+    clears. *)
+
+val dirty_snapshot : t -> dirty_snapshot
+
+val page_dirty : dirty_snapshot -> int -> int -> bool
+(** [page_dirty snap idx page]: was [page] of the block at index [idx]
+    marked when [snap] was taken?  [false] for any index or page the
+    snapshot does not cover. *)
 
 (** {2 Migration support} *)
 

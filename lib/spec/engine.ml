@@ -33,17 +33,29 @@ exception Invalid_level of string
 
 type cont = { entry : string; args : Value.t list }
 
+(* An int-keyed set: commit merging and [restore] probe it, nothing
+   iterates it. *)
+module Index_set = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash idx = idx
+end)
+
 type level = {
   unique_id : int;
   cont : cont;
   mutable saved : (int * int) list; (* (pointer-table index, original addr) *)
-  saved_set : (int, unit) Hashtbl.t;
+  saved_set : unit Index_set.t;
 }
 
 type t = {
   heap : Heap.t;
   mutable levels : level list; (* newest first *)
   mutable next_id : int;
+  mutable stamp : int array;
+      (* index -> unique id of the newest level known to hold a saved
+         original for it; 0 (no level) when never stamped *)
   (* counters live in a metrics registry *)
   metrics : Obs.Metrics.t;
   c_entered : Obs.Metrics.counter;
@@ -79,6 +91,7 @@ let create heap =
       heap;
       levels = [];
       next_id = 1;
+      stamp = [||];
       metrics;
       c_entered;
       c_committed;
@@ -90,16 +103,35 @@ let create heap =
       on_commit = None;
     }
   in
+  (* Copy-on-write: the first write to a block inside the newest level
+     clones it.  The stamp answers "has the top level saved this index?"
+     without a lookup when it names the top level.  Otherwise the level's
+     set decides, and the stamp is set.  A stamp is only ever set to the
+     top level's id after that level holds the index, levels never give
+     up saved indices while open, and unique ids are never reused — so
+     rollback, commit (of any level) and [restore] merely leave stamps
+     stale, and a stale stamp only costs one set probe. *)
+  let save_original top idx =
+    if not (Index_set.mem top.saved_set idx) then begin
+      let original = Heap.clone_for_cow heap idx in
+      top.saved <- (idx, original) :: top.saved;
+      Index_set.add top.saved_set idx ();
+      Obs.Metrics.incr t.c_blocks_saved
+    end;
+    let n = Array.length t.stamp in
+    if idx >= n then begin
+      let stamp = Array.make (max (2 * n) (idx + 1)) 0 in
+      Array.blit t.stamp 0 stamp 0 n;
+      t.stamp <- stamp
+    end;
+    t.stamp.(idx) <- top.unique_id
+  in
   let hook idx =
     match t.levels with
     | [] -> ()
     | top :: _ ->
-      if not (Hashtbl.mem top.saved_set idx) then begin
-        let original = Heap.clone_for_cow heap idx in
-        top.saved <- (idx, original) :: top.saved;
-        Hashtbl.add top.saved_set idx ();
-        Obs.Metrics.incr t.c_blocks_saved
-      end
+      if idx >= Array.length t.stamp || t.stamp.(idx) <> top.unique_id then
+        save_original top idx
   in
   Heap.set_before_write heap (Some hook);
   t
@@ -144,7 +176,7 @@ let enter t ~cont =
       unique_id = t.next_id;
       cont;
       saved = [];
-      saved_set = Hashtbl.create 16;
+      saved_set = Index_set.create 16;
     }
   in
   t.next_id <- t.next_id + 1;
@@ -187,11 +219,11 @@ let commit t l =
   | parent :: _ ->
     List.iter
       (fun (idx, original) ->
-        if Hashtbl.mem parent.saved_set idx then
+        if Index_set.mem parent.saved_set idx then
           Obs.Metrics.incr t.c_blocks_discarded
         else begin
           parent.saved <- (idx, original) :: parent.saved;
-          Hashtbl.add parent.saved_set idx ()
+          Index_set.add parent.saved_set idx ()
         end)
       lvl.saved
   | [] ->
@@ -309,7 +341,7 @@ let restore t snap =
       match t.levels with
       | top :: _ ->
         top.saved <- List.rev s.s_saved;
-        List.iter (fun (idx, _) -> Hashtbl.replace top.saved_set idx ())
+        List.iter (fun (idx, _) -> Index_set.replace top.saved_set idx ())
           s.s_saved
       | [] -> assert false)
     snap
