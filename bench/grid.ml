@@ -36,8 +36,13 @@ let grid_run ~fail interval =
   in
   let t_fail = Net.Cluster.now cluster in
   let _ = Mcc.Gridapp.run d in
-  if fst (golden_ranks d config) <> config.ranks then
-    failwith "bench: grid run diverged from golden";
+  let completed, wrong = golden_ranks d config in
+  if completed <> config.ranks then
+    failwith
+      (Printf.sprintf
+         "bench: grid run diverged from golden: %d rank(s) wedged, %d \
+          finished with a wrong checksum"
+         (config.ranks - completed - wrong) wrong);
   victims, t_fail, Net.Cluster.now cluster, cluster
 
 (* simulated seconds of a fault-free run *)
@@ -60,7 +65,7 @@ let grid_resilient ?nodes ?(spare = true) ?tweak ~seed faults =
   let d = Mcc.Gridapp.deploy ~spare cluster config in
   let _ = Mcc.Gridapp.run_resilient d in
   let completed, wrong = golden_ranks d config in
-  cluster, completed, wrong, rank_copies cluster config.ranks
+  cluster, completed, wrong > 0, rank_copies cluster config.ranks
 
 let f2 () =
   section "F2: Figure 2 — recovery cost: checkpoint+rollback vs restart";
@@ -286,9 +291,7 @@ int main() {
    heartbeat intervals after true silence, well under a checkpoint
    interval. *)
 let f4_detector =
-  { Net.Detector.hb_interval_s = 0.0005;
-    suspect_timeout_s = 0.002;
-    hb_bytes = 8 }
+  { Net.Detector.hb_interval_s = 0.0005; suspect_timeout_s = 0.002 }
 
 (* heartbeat detection and k=2 replicated checkpoint storage *)
 let f4_store c =
@@ -405,7 +408,7 @@ let f4 () =
     "avail" "badwrites" "repairs" "corrupt" "outcome";
   let any_storage_fault = ref false
   and any_full = ref false
-  and none_wrong = ref true in
+  and typed_only = ref true in
   List.iter
     (fun seed ->
       let plan =
@@ -419,7 +422,23 @@ let f4 () =
       let cluster, completed, wrong, _ =
         grid_resilient ~tweak:f4_store ~seed plan
       in
-      if wrong then none_wrong := false;
+      (* a wedge is typed when the run's trace shows the resurrection
+         that failed; any other wedge counts against the verdict *)
+      let typed =
+        List.exists
+          (fun (e : Obs.Trace.event) ->
+            match e.Obs.Trace.kind with
+            | Obs.Trace.Resurrect { ok = false; _ } -> true
+            | _ -> false)
+          (Obs.Trace.events (Net.Cluster.trace cluster))
+      in
+      let outcome =
+        if wrong then "WRONG DATA"
+        else if completed = ranks then "golden"
+        else if typed then "wedged (typed)"
+        else "wedged (untyped)"
+      in
+      if wrong || (completed < ranks && not typed) then typed_only := false;
       if completed = ranks then any_full := true;
       let m = Net.Cluster.metrics cluster in
       let c n = Obs.Metrics.counter_value m n in
@@ -431,15 +450,13 @@ let f4 () =
         (Net.Cluster.now cluster) completed ranks bad
         (c "storage.repairs")
         (c "storage.corrupt_reads")
-        (if wrong then "WRONG DATA"
-         else if completed = ranks then "golden"
-         else "wedged (typed)"))
+        outcome)
     [ 3; 7; 11; 20260807 ];
   print_newline ();
   verdict "replica writes were actually damaged by the seeded faults"
     !any_storage_fault;
   verdict "no seed ever produced wrong data (golden or typed wedge only)"
-    !none_wrong;
+    !typed_only;
   verdict "at least one seed rode out crash + storage faults to golden"
     !any_full
 

@@ -207,14 +207,20 @@ let cluster ?(nodes = 5) ?(seed = 1) ?(faults = Net.Faults.none)
          faults })
 
 (* A finished grid deployment against the golden model: how many ranks
-   finished golden, and whether any finished with a WRONG checksum (a
-   rank that never finished is a typed wedge, not wrong data). *)
+   finished golden, and how many finished with a WRONG checksum.  The
+   rest never finished: they wedged. *)
 let golden_ranks d config =
   let golden = Mcc.Gridapp.golden_checksums config in
   let sums = Mcc.Gridapp.checksums d in
-  let completed = ref 0 in
-  Array.iteri (fun r s -> if s = Some golden.(r) then incr completed) sums;
-  !completed, Array.exists2 (fun g s -> s <> None && s <> Some g) golden sums
+  let completed = ref 0 and wrong = ref 0 in
+  Array.iteri
+    (fun r s ->
+      match s with
+      | Some n when n = golden.(r) -> incr completed
+      | Some _ -> incr wrong
+      | None -> ())
+    sums;
+  !completed, !wrong
 
 (* terminated copies of each rank: more than one means a zombie also ran
    to completion *)

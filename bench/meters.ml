@@ -336,9 +336,7 @@ let serve_run m ~seed ~on =
   let cluster =
     Kit.cluster ~nodes:m.nodes ~seed
       ~faults:{ m.plan with Net.Faults.f_seed = seed }
-      ~tweak:(fun c ->
-        let enabled = m.balance && on in
-        { c with balance = { Net.Balance.Config.default with enabled } })
+      ~tweak:(fun c -> { c with balance = m.balance && on })
       ()
   in
   let cfg = { m.cfg with speculative = m.cfg.speculative && on } in
@@ -490,7 +488,6 @@ let t2_cfg =
     work_us = 400; skew = true; speculative = false }
 
 let t2 =
-  let b = Net.Balance.Config.default in
   serving
     { id = "t2";
       title = "T2: load-aware rebalancing of a skewed serving workload";
@@ -501,7 +498,7 @@ let t2 =
            duplication.  The \"on\" rows enable the balance engine (period\n\
            %gs, tolerance %g, budget %d/node); every policy move goes\n\
            through Cluster.Move and must preserve exactly-once.\n"
-          b.period_s b.tolerance b.move_budget;
+          Net.Balance.period_s Net.Balance.tolerance Net.Balance.move_budget;
       cfg = t2_cfg;
       nodes = 64;
       seeds = [ 11; 23 ];

@@ -592,43 +592,14 @@ let grid_cmd =
       value & flag
       & info [ "balance" ]
           ~doc:"Enable the load-aware placement policy engine: sample \
-                per-node load gauges every period and automatically \
-                re-home registered services through the unified move \
-                API (serve-bench).")
-  in
-  let balance_period_arg =
-    Arg.(value & opt float Net.Balance.Config.default.Net.Balance.Config.period_s
-         & info [ "balance-period" ] ~docv:"SECONDS"
-             ~doc:"Simulated seconds between load samples (serve-bench).")
-  in
-  let balance_tolerance_arg =
-    Arg.(value
-         & opt float Net.Balance.Config.default.Net.Balance.Config.tolerance
-         & info [ "balance-tolerance" ] ~docv:"FRAC"
-             ~doc:"Load-spread tolerance band as a fraction of mean node \
-                   load; no moves are proposed inside the band \
-                   (serve-bench).")
-  in
-  let balance_budget_arg =
-    Arg.(value
-         & opt int Net.Balance.Config.default.Net.Balance.Config.move_budget
-         & info [ "balance-budget" ] ~docv:"N"
-             ~doc:"Max moves in or out of any node per sampling period \
-                   (serve-bench).")
-  in
-  let balance_decay_arg =
-    Arg.(value
-         & opt float
-             Net.Balance.Config.default.Net.Balance.Config.affinity_decay
-         & info [ "balance-decay" ] ~docv:"FRAC"
-             ~doc:"Per-period decay factor of the communication-affinity \
-                   matrix (serve-bench).")
+                per-node load gauges every 2 ms of simulated time and \
+                automatically re-home registered services through the \
+                unified move API (serve-bench).")
   in
   let action ranks rows_per_rank cols timesteps interval fail trace_file
       fault_plan_file seed delta hb_interval suspect_timeout replication
       serve_bench clients services requests work_us migrations migrate_every
-      skew speculative pack balance balance_period balance_tolerance
-      balance_budget balance_decay =
+      skew speculative pack balance =
     let config =
       { Mcc.Gridapp.ranks; rows_per_rank; cols; timesteps; interval;
         work_us_per_step = 1000 }
@@ -679,12 +650,7 @@ let grid_cmd =
             net = Some (Net.Simnet.create ~latency_us:5.0 ());
             faults = plan;
             delta;
-            balance =
-              { Net.Balance.Config.enabled = balance;
-                period_s = balance_period;
-                tolerance = balance_tolerance;
-                move_budget = balance_budget;
-                affinity_decay = balance_decay } }
+            balance }
       with
       | Error code -> code
       | Ok cluster ->
@@ -743,9 +709,7 @@ let grid_cmd =
         in
         let timeout = match st with Some s -> s | None -> 5.0 *. hb in
         Some
-          { Net.Detector.default with
-            Net.Detector.hb_interval_s = hb;
-            suspect_timeout_s = timeout }
+          { Net.Detector.hb_interval_s = hb; suspect_timeout_s = timeout }
     in
     (* faults that can kill a node need somewhere to resurrect to *)
     let nodes = if fail || faulty then ranks + 1 else ranks in
@@ -842,9 +806,7 @@ let grid_cmd =
       $ suspect_timeout_arg $ replication_arg $ serve_bench_arg $ clients_arg
       $ services_arg $ requests_arg $ work_us_arg $ migrations_arg
       $ migrate_every_arg $ skew_arg $ speculative_arg $ pack_arg
-      $ balance_arg
-      $ balance_period_arg $ balance_tolerance_arg $ balance_budget_arg
-      $ balance_decay_arg)
+      $ balance_arg)
 
 let () =
   let info =

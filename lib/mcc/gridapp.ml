@@ -174,8 +174,8 @@ let source config rank =
   add "}\n";
   Buffer.contents buf
 
-let compile_rank ?(optimize = true) config rank =
-  match Minic.Driver.compile ~optimize (source config rank) with
+let compile_rank config rank =
+  match Minic.Driver.compile (source config rank) with
   | Ok fir -> fir
   | Error e ->
     invalid_arg

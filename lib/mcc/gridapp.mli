@@ -33,8 +33,9 @@ val checkpoint_path : int -> string
 val source : config -> int -> string
 (** The generated mini-C source for one rank. *)
 
-val compile_rank : ?optimize:bool -> config -> int -> Fir.Ast.program
-(** @raise Invalid_argument if the generated source fails to compile
+val compile_rank : config -> int -> Fir.Ast.program
+(** Compile one rank's {!source} with the optimiser on.
+    @raise Invalid_argument if the generated source fails to compile
     (a library bug). *)
 
 val golden_checksums : config -> int array

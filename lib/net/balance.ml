@@ -1,24 +1,11 @@
 (* Placement policy engine: gauges + affinity + InfotonOpt-style
    scorer.  Pure planning; Cluster executes proposals via Move. *)
 
-module Config = struct
-  type t = {
-    enabled : bool;
-    period_s : float;
-    tolerance : float;
-    move_budget : int;
-    affinity_decay : float;
-  }
-
-  let default =
-    {
-      enabled = false;
-      period_s = 0.002;
-      tolerance = 0.25;
-      move_budget = 2;
-      affinity_decay = 0.5;
-    }
-end
+(* The policy's tunables, fixed (documented in balance.mli). *)
+let period_s = 0.002
+let tolerance = 0.25
+let move_budget = 2
+let affinity_decay = 0.5
 
 type node_load = {
   nl_node : int;
@@ -32,13 +19,11 @@ type candidate = { cd_pid : int; cd_node : int; cd_load : float }
 type proposal = { pr_pid : int; pr_from : int; pr_to : int; pr_gain : float }
 
 type t = {
-  cfg : Config.t;
   aff : (int, (int, float) Hashtbl.t) Hashtbl.t;
       (* pid -> peer rank -> decayed message count *)
 }
 
-let create cfg = { cfg; aff = Hashtbl.create 64 }
-let config t = t.cfg
+let create () = { aff = Hashtbl.create 64 }
 
 let w_runnable = 0.05
 let w_mailbox = 0.005
@@ -79,7 +64,7 @@ let decay t =
       let drop = ref [] in
       Hashtbl.iter
         (fun peer v ->
-          let v' = v *. t.cfg.Config.affinity_decay in
+          let v' = v *. affinity_decay in
           if v' < 1e-6 then drop := peer :: !drop
           else Hashtbl.replace r peer v')
         r;
@@ -94,8 +79,6 @@ let rekey t ~old_pid ~new_pid =
   | Some r ->
       Hashtbl.remove t.aff old_pid;
       Hashtbl.replace t.aff new_pid r
-
-let forget t ~pid = Hashtbl.remove t.aff pid
 
 let affinity t ~pid =
   match Hashtbl.find_opt t.aff pid with
@@ -134,7 +117,6 @@ let spread _t ~loads =
       (mx -. mn, mean)
 
 let plan t ~loads ~candidates ~node_of_rank =
-  let cfg = t.cfg in
   let n = Array.length loads in
   if n < 2 then []
   else begin
@@ -145,10 +127,10 @@ let plan t ~loads ~candidates ~node_of_rank =
       (* working copy of node loads, updated as proposals are emitted *)
       let eff = Array.map load_of loads in
       let band_spread, mean = spread t ~loads in
-      if band_spread <= cfg.Config.tolerance *. Float.max mean 1e-9 then []
+      if band_spread <= tolerance *. Float.max mean 1e-9 then []
       else begin
-        let out_budget = Array.make n cfg.Config.move_budget in
-        let in_budget = Array.make n cfg.Config.move_budget in
+        let out_budget = Array.make n move_budget in
+        let in_budget = Array.make n move_budget in
         (* sources: most loaded alive nodes first, node id breaks ties *)
         let sources =
           Array.to_list loads
@@ -178,7 +160,7 @@ let plan t ~loads ~candidates ~node_of_rank =
                     if
                       d <> src && alive.(d)
                       && in_budget.(d) > 0
-                      && eff.(d) +. (c.cd_load *. (1. +. cfg.Config.tolerance))
+                      && eff.(d) +. (c.cd_load *. (1. +. tolerance))
                          <= eff.(src)
                     then dests := d :: !dests
                   done;

@@ -6,7 +6,7 @@
     budget allows it.
 
     The module is pure bookkeeping + planning: it never moves anything
-    itself.  {!Cluster} samples the gauges on [Config.period_s], calls
+    itself.  {!Cluster} samples the gauges every {!period_s}, calls
     {!plan}, and executes the returned proposals through the unified
     [Cluster.Move] API with reason [Policy].
 
@@ -23,25 +23,27 @@
     no proposal fires; two equally loaded nodes can never trade the
     same process back and forth. *)
 
-module Config : sig
-  type t = {
-    enabled : bool;  (** master switch; [false] = engine never runs *)
-    period_s : float;  (** gauge sampling / planning period (sim s) *)
-    tolerance : float;
-        (** relative tolerance band: planning is skipped while
-            [max - min <= tolerance * mean] over alive node loads, and
-            an individual move must clear the destination by a
-            [1 + tolerance] margin (hysteresis) *)
-    move_budget : int;
-        (** max departures AND max arrivals per node per period *)
-    affinity_decay : float;
-        (** per-period multiplier applied to every affinity cell;
-            cells below 1e-6 are dropped *)
-  }
+(** {2 The policy's constants}
 
-  val default : t
-  (** Disabled; period 2 ms, tolerance 0.25, budget 2, decay 0.5. *)
-end
+    Fixed for every cluster; [Cluster.Config.t.balance] only turns the
+    policy on or off. *)
+
+val period_s : float
+(** Gauge sampling and planning period: 2 ms of simulated time. *)
+
+val tolerance : float
+(** Relative tolerance band, 0.25: planning is skipped while
+    [max - min <= tolerance * mean] over alive node loads, and an
+    individual move must clear the destination by a [1 + tolerance]
+    margin (hysteresis).  Positive, so the no-ping-pong argument above
+    holds. *)
+
+val move_budget : int
+(** Max departures AND max arrivals per node per period: 2. *)
+
+val affinity_decay : float
+(** Per-period multiplier applied to every affinity cell, 0.5; cells
+    below 1e-6 are dropped, and a row left empty goes with them. *)
 
 type node_load = {
   nl_node : int;
@@ -70,8 +72,7 @@ type proposal = {
 
 type t
 
-val create : Config.t -> t
-val config : t -> Config.t
+val create : unit -> t
 
 val load_of : node_load -> float
 (** Composite node load: [cycles_per_s + 0.05*runnable +
@@ -93,12 +94,11 @@ val note_comm : t -> pid:int -> peer_rank:int -> unit
     sending process toward the destination rank. *)
 
 val decay : t -> unit
-(** Apply [Config.affinity_decay] once (call once per period). *)
+(** Apply {!affinity_decay} once (call once per period).  This is
+    also what drops the rows of processes that stopped sending. *)
 
 val rekey : t -> old_pid:int -> new_pid:int -> unit
 (** A migration gave the process a fresh pid; carry its affinity row. *)
-
-val forget : t -> pid:int -> unit
 
 val affinity : t -> pid:int -> (int * float) list
 (** Current row for [pid], sorted by peer rank (for tests/inspection). *)
@@ -124,7 +124,7 @@ val plan :
     [d + c*(1+tolerance) <= s] repulsion bound — ties broken by lower
     load, then lower node id.  Working loads are updated as proposals
     are emitted, and both departures and arrivals are capped by
-    [Config.move_budget] per node, so one round's proposals are
+    {!move_budget} per node, so one round's proposals are
     consistent and bounded.  Candidates with zero measured load are
     never moved.  Deterministic: output depends only on the arguments
     and the affinity matrix. *)

@@ -23,9 +23,9 @@ type t = {
   g_bal_last_move : Obs.Metrics.gauge;
 }
 
-let create core recovery ~period_s =
+let create core recovery =
   let m = core.metrics in
-  { core; recovery; bal_prev_at = 0.0; bal_next_at = period_s;
+  { core; recovery; bal_prev_at = 0.0; bal_next_at = Balance.period_s;
     bal_busy0 = Array.make (Array.length core.nodes) 0.0;
     bal_cycles0 = Hashtbl.create 32;
     c_bal_ticks = Obs.Metrics.counter m "balance.ticks";
@@ -44,7 +44,6 @@ let tick bt =
     let now_ = now core in
     if now_ < bt.bal_next_at then false
     else begin
-      let cfg = Balance.config b in
       Obs.Metrics.incr bt.c_bal_ticks;
       let elapsed = Float.max (now_ -. bt.bal_prev_at) 1e-9 in
       let loads =
@@ -133,6 +132,6 @@ let tick bt =
         core.entries;
       Balance.decay b;
       bt.bal_prev_at <- now_;
-      bt.bal_next_at <- now_ +. cfg.Balance.Config.period_s;
+      bt.bal_next_at <- now_ +. Balance.period_s;
       !moved > 0
     end

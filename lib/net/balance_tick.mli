@@ -1,12 +1,12 @@
-(** The placement policy engine's tick: once a period, sample the
-    per-node load gauges and per-process charged cycles, plan with
-    {!Balance}, and execute the proposals as [Policy] moves of running,
-    non-stale registered services.  It owns the sampling baselines and
-    the [balance.*] ledger. *)
+(** The placement policy engine's tick: once every {!Balance.period_s},
+    sample the per-node load gauges and per-process charged cycles,
+    plan with {!Balance}, and execute the proposals as [Policy] moves of
+    running, non-stale registered services.  It owns the sampling
+    baselines and the [balance.*] ledger. *)
 
 type t
 
-val create : Cluster_core.t -> Recovery.t -> period_s:float -> t
+val create : Cluster_core.t -> Recovery.t -> t
 
 val tick : t -> bool
 (** Called at the end of every scheduling round; a no-op while the

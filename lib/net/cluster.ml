@@ -73,7 +73,7 @@ module Config = struct
     replication : int;
     legacy_scan_sched : bool;
     forward_ttl_s : float;
-    balance : Balance.Config.t;
+    balance : bool;
   }
 
   let default =
@@ -88,7 +88,7 @@ module Config = struct
       replication = 0;
       legacy_scan_sched = false;
       forward_ttl_s = 0.25;
-      balance = Balance.Config.default;
+      balance = false;
     }
 end
 
@@ -229,9 +229,7 @@ let create_cfg (cfg : Config.t) =
            }))
     (List.rev cfg.Config.faults.Faults.f_partitions);
   let balance =
-    if cfg.Config.balance.Balance.Config.enabled then
-      Some (Balance.create cfg.Config.balance)
-    else None
+    if cfg.Config.balance then Some (Balance.create ()) else None
   in
   let core =
     Core.create ~nodes ~net ~storage ~faults ~detector ~dspec ~balance
@@ -244,10 +242,7 @@ let create_cfg (cfg : Config.t) =
       ~forward_ttl_s:cfg.Config.forward_ttl_s
   in
   let recovery = Recovery.create core graph ship in
-  let tick =
-    Balance_tick.create core recovery
-      ~period_s:cfg.Config.balance.Balance.Config.period_s
-  in
+  let tick = Balance_tick.create core recovery in
   let sched =
     Scheduler.create core ext ship recovery tick
       ~scan_sched:cfg.Config.legacy_scan_sched
@@ -349,11 +344,10 @@ let rank_epoch t rank = Core.rank_epoch t.core rank
 
 (* Convenience wrapper over [move] with an [Image] subject, preserving
    the historical (pid, string-error) result shape. *)
-let resurrect ?rank ?(seed = 11) t ~node_id ~path =
+let resurrect ?rank t ~node_id ~path =
   match
     move t
-      (Move.request ~reason:Move.Resurrect
-         (Move.Image { path; rank; seed })
+      (Move.request ~reason:Move.Resurrect (Move.Image { path; rank })
          ~dest:node_id)
   with
   | Ok o -> Ok o.Move.mv_pid

@@ -108,9 +108,11 @@ val migration_error_to_string : migration_error -> string
     topology, seed, the fault-injection plan, delta shipping, failure
     detection, replication, scheduling mode, forwarding and placement
     policy.  The scheduling quantum (64 steps), the trace ring (65 536
-    events), the migration retry policy ({!default_retry}) and the
+    events), the migration retry policy ({!default_retry}), the
     daemons (untrusted, a 16-entry recompilation cache, 4 retained
-    delta baselines) are fixed. *)
+    delta baselines), the placement policy's tunables ({!Balance}),
+    the heartbeat size ({!Detector.hb_bytes}) and the seed of every
+    resurrected process are fixed. *)
 module Config : sig
   type retry = {
     max_attempts : int;  (** total transmissions per migration hop *)
@@ -139,8 +141,9 @@ module Config : sig
             settings *)
     detector : Detector.config option;
         (** [Some cfg] runs a heartbeat failure detector over the
-            cluster; [None] (default) emits no heartbeats and draws no
-            extra randomness, keeping legacy traces byte-identical *)
+            cluster ({!create_cfg} rejects non-positive or NaN timings);
+            [None] (default) emits no heartbeats and draws no extra
+            randomness, keeping legacy traces byte-identical *)
     replication : int;
         (** checkpoint replication factor: [k >= 1] places every stored
             file on [k] distinct node-local stores that die with their
@@ -160,13 +163,13 @@ module Config : sig
             typed {!msg_moved} error and must re-resolve through the
             registry.  Kept because shortening it is the only way a test
             reaches forwarder expiry *)
-    balance : Balance.Config.t;
-        (** the load-aware placement policy engine.  When
-            [balance.enabled], the scheduler samples per-node load
-            gauges every [balance.period_s] and migrates hot registered
-            services through {!move} with reason [Policy]; disabled by
-            default (no gauges, no extra trace events, legacy traces
-            byte-identical) *)
+    balance : bool;
+        (** the load-aware placement policy engine.  When [true], the
+            scheduler samples per-node load gauges every
+            {!Balance.period_s} and migrates hot registered services
+            through {!move} with reason [Policy], under the policy's
+            fixed constants ({!Balance}); off by default (no gauges, no
+            extra trace events, legacy traces byte-identical) *)
   }
 
   val default : t
@@ -209,10 +212,11 @@ module Move : sig
     | Running of int
         (** a live process, by pid: packed between basic blocks,
             shipped under the retry policy, resumed on the target *)
-    | Image of { path : string; rank : int option; seed : int }
+    | Image of { path : string; rank : int option }
         (** a checkpoint image on shared storage (the resurrection
             path); [rank] assigns the successor the rank's mailbox and
-            bumps its epoch *)
+            bumps its epoch.  Every resurrected process seeds its
+            random-number state with the same constant *)
 
   type request = {
     mv_subject : subject;
@@ -240,7 +244,9 @@ val create_cfg : Config.t -> t
 (** Build a cluster of [node_count] nodes named [node0..] from a typed
     configuration.
     @raise Invalid_argument when a fault-plan directive names a node
-    outside [0, node_count); the message quotes the directive. *)
+    outside [0, node_count) (the message quotes the directive), or when
+    the detector's [hb_interval_s] or [suspect_timeout_s] is zero,
+    negative or NaN (the message names the field). *)
 
 val node : t -> int -> node
 val node_count : t -> int
@@ -323,13 +329,14 @@ val fail_node : t -> int -> unit
     MSG_ROLL. *)
 
 val resurrect :
-  ?rank:int -> ?seed:int -> t -> node_id:int -> path:string ->
-  (int, string) result
+  ?rank:int -> t -> node_id:int -> path:string -> (int, string) result
 (** Convenience wrapper: {!move} with an [Image] subject and reason
     [Resurrect], flattening the error to its historical string form.
     Executes a checkpoint image from shared storage on a live node (the
     resurrection daemon of Figure 2); same-architecture resurrections
-    take the binary fast path.  Returns the new pid.
+    take the binary fast path.  Returns the new pid.  A chain with a
+    recorded segment the store cannot return fails with ["checkpoint
+    segment K of N unreadable"] rather than resuming an older image.
 
     The epoch-bump-first and mailbox-inheritance guarantees are the
     [Image]-subject invariants stated on {!module:Move}.

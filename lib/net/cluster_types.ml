@@ -60,7 +60,7 @@ module Move = struct
 
   type subject =
     | Running of int
-    | Image of { path : string; rank : int option; seed : int }
+    | Image of { path : string; rank : int option }
 
   type request = { mv_subject : subject; mv_dest : int; mv_reason : reason }
   type outcome = { mv_pid : int; mv_report : migration_report option }

@@ -30,11 +30,12 @@
 type config = {
   hb_interval_s : float;  (* beat period, per-node local clock *)
   suspect_timeout_s : float;  (* unanimous-silence threshold *)
-  hb_bytes : int;  (* on-the-wire beat size, for transfer accounting *)
 }
 
-let default =
-  { hb_interval_s = 0.005; suspect_timeout_s = 0.025; hb_bytes = 8 }
+let default = { hb_interval_s = 0.005; suspect_timeout_s = 0.025 }
+
+(* on-the-wire beat size, for transfer accounting *)
+let hb_bytes = 8
 
 type t = {
   cfg : config;
@@ -50,7 +51,17 @@ type t = {
   c_false : Obs.Metrics.counter;
 }
 
+(* A non-positive interval would make [due] loop forever (the next
+   emission never passes the clock), and a NaN one or a NaN timeout
+   would silently disable detection: reject them up front. *)
 let create ?metrics ~nodes cfg =
+  let check field v =
+    if not (v > 0.0) then
+      invalid_arg
+        (Printf.sprintf "Detector.create: %s must be positive, got %g" field v)
+  in
+  check "hb_interval_s" cfg.hb_interval_s;
+  check "suspect_timeout_s" cfg.suspect_timeout_s;
   let metrics =
     match metrics with Some m -> m | None -> Obs.Metrics.create ()
   in

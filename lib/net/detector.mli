@@ -20,18 +20,22 @@ type config = {
   hb_interval_s : float;  (** beat period, per-node local clock *)
   suspect_timeout_s : float;
       (** unanimous-silence threshold; should be several intervals *)
-  hb_bytes : int;  (** on-the-wire beat size, for transfer accounting *)
 }
 
 val default : config
-(** 5 ms interval, 25 ms timeout, 8-byte beats. *)
+(** 5 ms interval, 25 ms timeout. *)
+
+val hb_bytes : int
+(** On-the-wire beat size, for transfer accounting: 8 bytes. *)
 
 type t
 
 val create : ?metrics:Obs.Metrics.t -> nodes:int -> config -> t
 (** [metrics] receives [detector.heartbeats], [detector.suspicions] and
     [detector.false_suspicions]; a private registry is used when
-    omitted. *)
+    omitted.
+    @raise Invalid_argument naming the field when [hb_interval_s] or
+    [suspect_timeout_s] is not positive (zero, negative or NaN). *)
 
 val config : t -> config
 

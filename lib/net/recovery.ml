@@ -102,10 +102,13 @@ let kill_incarnation r ~rank =
     retire_incarnation r e ~halt:(fun e -> fence r.core e ~what:"schedule")
   | Some _ | None -> ()
 
+(* The seed of every resurrected process's random-number state. *)
+let resurrection_seed = 11
+
 (* Resurrect a checkpointed process from shared storage on a live node
    (the paper's resurrection daemon executing the saved checkpoint).
    Reached through [move] with an [Image] subject. *)
-let resurrect ?rank r ~seed ~node_id ~path =
+let resurrect ?rank r ~node_id ~path =
   let core = r.core in
   let n = node core node_id in
   let failed msg =
@@ -123,7 +126,7 @@ let resurrect ?rank r ~seed ~node_id ~path =
          the binary fast path (link only); cross-architecture ones
          recompile from the FIR *)
       match
-        Migrate.Pack.unpack_image ~seed ~trusted:true
+        Migrate.Pack.unpack_image ~seed:resurrection_seed ~trusted:true
           ~extern_signatures:Externs.extern_signatures
           ?cache:(Migrate.Server.cache n.daemon) ~arch:n.node_arch
           ~bytes_len image
@@ -219,7 +222,7 @@ let move r (req : Move.request) =
     match Shipping.move_running r.ship ~pid ~node_id:req.Move.mv_dest with
     | Ok rep -> Ok { Move.mv_pid = rep.rep_pid; mv_report = Some rep }
     | Error e -> Error e)
-  | Move.Image { path; rank; seed } -> (
-    match resurrect ?rank r ~seed ~node_id:req.Move.mv_dest ~path with
+  | Move.Image { path; rank } -> (
+    match resurrect ?rank r ~node_id:req.Move.mv_dest ~path with
     | Ok pid -> Ok { Move.mv_pid = pid; mv_report = None }
     | Error msg -> Error (Resurrect_failed msg))

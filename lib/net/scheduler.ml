@@ -99,8 +99,7 @@ let pump_heartbeats (core : Cluster_core.t) =
   match core.detector with
   | None -> ()
   | Some det ->
-    let cfg = Detector.config det in
-    let hb_s = Simnet.message_seconds core.net cfg.Detector.hb_bytes in
+    let hb_s = Simnet.message_seconds core.net Detector.hb_bytes in
     Array.iter
       (fun n ->
         if n.alive then
@@ -109,7 +108,7 @@ let pump_heartbeats (core : Cluster_core.t) =
               Array.iter
                 (fun (m : node) ->
                   if m.node_id <> n.node_id then begin
-                    Simnet.record_message core.net cfg.Detector.hb_bytes;
+                    Simnet.record_message core.net Detector.hb_bytes;
                     match
                       Faults.on_heartbeat core.faults ~now:emit_at
                         ~src:n.node_id ~dst:m.node_id

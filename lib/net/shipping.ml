@@ -741,25 +741,36 @@ let handle_to_storage s (entry : entry) path ~kind =
 
 let read_checkpoint s path =
   let storage = s.core.storage in
-  (* every segment in order, each digest-verified against its
-     reconstruction, until the first missing name ends the chain *)
+  (* exactly the segments the chain recorded, in order, each
+     digest-verified against its reconstruction.  [Storage.read] answers
+     [None] for a lost or corrupt segment as for a missing one, so the
+     chain length — not the first unreadable name — ends the replay: a
+     hole must fail the read, never resume the image before it *)
+  let n =
+    match Hashtbl.find_opt s.ckpt_chains path with
+    | Some cc -> cc.cc_len
+    | None -> 0
+  in
   let rec replay image bytes read_s k =
-    match Storage.read storage (segment_path path k) with
-    | None -> Ok (image, bytes, read_s)
-    | Some (seg, seg_read_s) -> (
-      let corrupt msg =
-        Error (Printf.sprintf "checkpoint segment %d: %s" k msg)
-      in
-      match Migrate.Wire.decode_packet seg with
-      | Migrate.Wire.Delta d -> (
-        match Migrate.Wire.apply_delta ~baseline:image d with
-        | image' ->
-          replay image' (bytes + String.length seg) (read_s +. seg_read_s)
-            (k + 1)
+    if k > n then Ok (image, bytes, read_s)
+    else
+      match Storage.read storage (segment_path path k) with
+      | None ->
+        Error (Printf.sprintf "checkpoint segment %d of %d unreadable" k n)
+      | Some (seg, seg_read_s) -> (
+        let corrupt msg =
+          Error (Printf.sprintf "checkpoint segment %d: %s" k msg)
+        in
+        match Migrate.Wire.decode_packet seg with
+        | Migrate.Wire.Delta d -> (
+          match Migrate.Wire.apply_delta ~baseline:image d with
+          | image' ->
+            replay image' (bytes + String.length seg) (read_s +. seg_read_s)
+              (k + 1)
+          | exception Migrate.Wire.Corrupt msg -> corrupt msg)
+        | Migrate.Wire.Full _ ->
+          Error (Printf.sprintf "checkpoint segment %d is not a delta image" k)
         | exception Migrate.Wire.Corrupt msg -> corrupt msg)
-      | Migrate.Wire.Full _ ->
-        Error (Printf.sprintf "checkpoint segment %d is not a delta image" k)
-      | exception Migrate.Wire.Corrupt msg -> corrupt msg)
   in
   match Storage.read storage path with
   | None -> Error ("no checkpoint " ^ path)

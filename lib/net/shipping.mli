@@ -38,8 +38,10 @@ val move_running :
 val read_checkpoint :
   t -> string -> (Migrate.Wire.image * int * float, string) result
 (** Read the checkpoint chain stored at a path: the base image, then
-    every delta segment replayed in order, each digest-verified against
-    its reconstruction.  Returns the image the chain ends at, the bytes
-    read and the simulated read seconds.  Errors: ["no checkpoint
-    <path>"], ["corrupt image: ..."], ["checkpoint segment N: ..."] and
-    ["checkpoint segment N is not a delta image"]. *)
+    exactly the delta segments the chain recorded, replayed in order,
+    each digest-verified against its reconstruction.  Returns the image
+    the chain ends at, the bytes read and the simulated read seconds.
+    Errors: ["no checkpoint <path>"], ["corrupt image: ..."],
+    ["checkpoint segment K of N unreadable"] (missing, or every replica
+    lost or corrupt), ["checkpoint segment K: ..."] and ["checkpoint
+    segment K is not a delta image"]. *)

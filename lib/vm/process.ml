@@ -75,9 +75,8 @@ let restore ?(pid = 0) ?(arch = Arch.cisc32) ?(seed = 42) ~program ~heap
   }
 
 (* A fresh process: an empty heap, no speculation, about to call main. *)
-let create ?pid ?arch ?seed ?(heap_cells = 4096) program =
-  restore ?pid ?arch ?seed ~program
-    ~heap:(Heap.create ~initial_cells:heap_cells ())
+let create ?pid ?arch ?seed program =
+  restore ?pid ?arch ?seed ~program ~heap:(Heap.create ())
     ~spec_snapshot:[] ~cont:(program.Fir.Ast.p_main, []) ()
 
 let output t = Buffer.contents t.output

@@ -46,8 +46,7 @@ type t = {
 exception Process_error of string
 
 val create :
-  ?pid:int -> ?arch:Arch.t -> ?seed:int -> ?heap_cells:int ->
-  Fir.Ast.program -> t
+  ?pid:int -> ?arch:Arch.t -> ?seed:int -> Fir.Ast.program -> t
 
 val restore :
   ?pid:int -> ?arch:Arch.t -> ?seed:int ->

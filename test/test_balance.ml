@@ -21,13 +21,6 @@ open Kit
 (* Planner units                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let cfg_on =
-  { Net.Balance.Config.enabled = true;
-    period_s = 0.002;
-    tolerance = 0.25;
-    move_budget = 2;
-    affinity_decay = 0.5 }
-
 let mk_load ?(alive = true) ?(runnable = 0) ?(mailbox = 0) node cycles =
   { Net.Balance.nl_node = node;
     nl_alive = alive;
@@ -88,7 +81,7 @@ let converge b ~loads ~candidates ~max_periods =
    then goes quiet, within a handful of periods and without a candidate
    ever bouncing. *)
 let test_planner_convergence () =
-  let b = Net.Balance.create cfg_on in
+  let b = Net.Balance.create () in
   let loads = Array.init 8 (fun n -> mk_load n (if n = 0 then 80. else 0.)) in
   let candidates =
     List.init 8 (fun i ->
@@ -104,13 +97,13 @@ let test_planner_convergence () =
     Net.Balance.spread b ~loads
   in
   check "final spread inside the tolerance band" true
-    (gap <= (cfg_on.Net.Balance.Config.tolerance *. mean) +. 1e-9)
+    (gap <= (Net.Balance.tolerance *. mean) +. 1e-9)
 
 (* Out-of-band spread where no individual move clears the hysteresis
    margin: the planner must stay silent rather than oscillate — and the
    mirrored layout must be silent too (no A<->B trade exists). *)
 let test_planner_tolerance_band () =
-  let b = Net.Balance.create cfg_on in
+  let b = Net.Balance.create () in
   let silent loads candidates =
     Net.Balance.plan b ~loads ~candidates ~node_of_rank:no_ranks = []
   in
@@ -137,7 +130,7 @@ let test_planner_tolerance_band () =
        [ { Net.Balance.cd_pid = 1; cd_node = 0; cd_load = 0. } ])
 
 let test_planner_budget () =
-  let b = Net.Balance.create cfg_on in
+  let b = Net.Balance.create () in
   (* two nodes: arrivals at node 1 are capped at move_budget = 2 even
      though six candidates qualify *)
   let candidates =
@@ -163,32 +156,32 @@ let test_planner_budget () =
   check_int "departure budget caps the round" 2 (List.length props)
 
 let test_planner_attraction () =
-  let b = Net.Balance.create cfg_on in
+  let b = Net.Balance.create () in
   (* rank 7 lives on node 2; the candidate talks to rank 7 constantly *)
   for _ = 1 to 5 do
     Net.Balance.note_comm b ~pid:500 ~peer_rank:7
   done;
   let node_of_rank r = if r = 7 then Some 2 else None in
-  let plan () =
+  let plan b =
     Net.Balance.plan b
       ~loads:[| mk_load 0 20.; mk_load 1 0.; mk_load 2 0. |]
       ~candidates:[ { Net.Balance.cd_pid = 500; cd_node = 0; cd_load = 10. } ]
       ~node_of_rank
   in
-  (match plan () with
+  (match plan b with
   | [ p ] ->
     check_int "affinity steers to the partner's node" 2 p.Net.Balance.pr_to
   | l -> Alcotest.failf "expected one proposal, got %d" (List.length l));
-  (* strip the affinity: ties now break toward the lower node id *)
-  Net.Balance.forget b ~pid:500;
-  match plan () with
+  (* a planner with no affinity: ties now break toward the lower node
+     id *)
+  match plan (Net.Balance.create ()) with
   | [ p ] ->
     check_int "without affinity, lower node id wins the tie" 1
       p.Net.Balance.pr_to
   | l -> Alcotest.failf "expected one proposal, got %d" (List.length l)
 
 let test_affinity_decay_rekey () =
-  let b = Net.Balance.create cfg_on in
+  let b = Net.Balance.create () in
   for _ = 1 to 4 do
     Net.Balance.note_comm b ~pid:1 ~peer_rank:3
   done;
@@ -202,8 +195,13 @@ let test_affinity_decay_rekey () =
   check "old pid row gone" true (Net.Balance.affinity b ~pid:1 = []);
   check "successor inherits the row" true
     (Net.Balance.affinity b ~pid:42 = [ (3, 2.); (9, 0.5) ]);
-  Net.Balance.forget b ~pid:42;
-  check "forget clears the row" true (Net.Balance.affinity b ~pid:42 = [])
+  (* no fresh traffic: decay alone drops the row once its cells fall
+     below 1e-6 (2 * 0.5^21 < 1e-6) *)
+  for _ = 1 to 21 do
+    Net.Balance.decay b
+  done;
+  check "decay clears a silent row" true
+    (Net.Balance.affinity b ~pid:42 = [])
 
 (* ------------------------------------------------------------------ *)
 (* Cluster integration: the engine on a 64-node cluster                *)
@@ -215,7 +213,7 @@ let serve_cluster ~nodes ~seed ~balance_on =
       node_count = nodes;
       seed;
       net = Some (Net.Simnet.create ~latency_us:5.0 ());
-      balance = { cfg_on with Net.Balance.Config.enabled = balance_on } }
+      balance = balance_on }
 
 let t2_cfg =
   { Mcc.Gridapp.Serve.clients = 8; services = 6; requests_per_client = 150;
@@ -304,7 +302,7 @@ int main() {
     Net.Cluster.move cluster
       (Net.Cluster.Move.request ~reason:Net.Cluster.Move.Resurrect
          (Net.Cluster.Move.Image
-            { path = "bal_r1"; rank = Some 1; seed = 11 })
+            { path = "bal_r1"; rank = Some 1 })
          ~dest:0)
   with
   | Error e ->
@@ -409,13 +407,12 @@ let image_run ~seed ~wrapper =
     (match status_of cluster pid with Vm.Process.Exited _ -> true | _ -> false);
   let res =
     if wrapper then
-      Net.Cluster.resurrect cluster ~seed:11 ~node_id:1 ~path:"bal_ck"
+      Net.Cluster.resurrect cluster ~node_id:1 ~path:"bal_ck"
     else
       match
         Net.Cluster.move cluster
           (Net.Cluster.Move.request ~reason:Net.Cluster.Move.Resurrect
-             (Net.Cluster.Move.Image
-                { path = "bal_ck"; rank = None; seed = 11 })
+             (Net.Cluster.Move.Image { path = "bal_ck"; rank = None })
              ~dest:1)
       with
       | Ok o -> Ok o.Net.Cluster.Move.mv_pid

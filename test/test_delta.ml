@@ -993,6 +993,50 @@ let test_checkpoint_chain_bound () =
     check "the rewritten chain resumes and finishes identically" true
       (exit_of pid2 = Vm.Process.Exited code)
 
+(* A chain with a hole: three checkpoints write the base and segments
+   ck.d1, ck.d2; with ck.d1 gone, resurrection must fail naming it, not
+   stop at the hole and resume the base image as if it were the last
+   checkpoint. *)
+let three_checkpoint_worker =
+  {|
+int main() {
+  int n = 3000;
+  int *data = alloc_int(n);
+  int i;
+  for (i = 0; i < n; i = i + 1) data[i] = i;
+  int r;
+  for (r = 0; r < 3; r = r + 1) {
+    for (i = 0; i < 40; i = i + 1) data[r * 40 + i] = data[r * 40 + i] + 1;
+    migrate("checkpoint://ck");
+  }
+  return data[0];
+}
+|}
+
+let test_chain_hole_fails_resurrection () =
+  let cluster =
+    Net.Cluster.create_cfg
+      { Net.Cluster.Config.default with node_count = 2; seed = 5 }
+  in
+  let _ =
+    Net.Cluster.spawn cluster ~node_id:0 (compile_c three_checkpoint_worker)
+  in
+  let _ = Net.Cluster.run cluster in
+  let st = Net.Cluster.storage cluster in
+  check "base plus two segments" true
+    (Net.Storage.list st = [ "ck"; "ck.d1"; "ck.d2" ]);
+  Net.Storage.remove st "ck.d1";
+  (match Net.Cluster.resurrect cluster ~node_id:1 ~path:"ck" with
+  | Ok _ -> Alcotest.fail "resurrected across a missing segment"
+  | Error m ->
+    Alcotest.(check string) "the error names the segment"
+      "checkpoint segment 1 of 2 unreadable" m);
+  check "the failed resurrection is traced" true
+    (List.exists
+       (fun (ev : Obs.Trace.event) ->
+         ev.Obs.Trace.kind = Obs.Trace.Resurrect { path = "ck"; ok = false })
+       (Obs.Trace.events (Net.Cluster.trace cluster)))
+
 let suites =
   [
     ( "delta.codec",
@@ -1041,6 +1085,8 @@ let suites =
           test_faulty_delta_hops;
         Alcotest.test_case "incremental checkpoints replay at resurrect"
           `Quick test_incremental_checkpoints;
+        Alcotest.test_case "a chain with a hole fails resurrection" `Quick
+          test_chain_hole_fails_resurrection;
         Alcotest.test_case "a chain at its bound is rewritten in full"
           `Quick test_checkpoint_chain_bound;
       ] );

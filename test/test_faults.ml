@@ -742,9 +742,7 @@ let test_wire_epoch_roundtrip () =
    multiples of the interval — suspicion matures during the quiescent
    pumping after survivors park on the dead rank. *)
 let crash_detector =
-  { Net.Detector.hb_interval_s = 0.0005;
-    suspect_timeout_s = 0.002;
-    hb_bytes = 8 }
+  { Net.Detector.hb_interval_s = 0.0005; suspect_timeout_s = 0.002 }
 
 let work_cfg = { grid_cfg with Mcc.Gridapp.work_us_per_step = 500 }
 
@@ -789,9 +787,7 @@ let test_heartbeat_crash_detection () =
    step's busy time, so survivors' clocks creep past the silence window
    while a stalled peer is merely slow. *)
 let stall_detector =
-  { Net.Detector.hb_interval_s = 0.00005;
-    suspect_timeout_s = 0.0002;
-    hb_bytes = 8 }
+  { Net.Detector.hb_interval_s = 0.00005; suspect_timeout_s = 0.0002 }
 
 let false_suspicion_run seed =
   (* 3 nodes, 3 ranks, NO spare: every observer is busy, so unanimity
@@ -869,6 +865,31 @@ let test_detector_trace_deterministic () =
   and t2 = Obs.Trace.to_jsonl (Net.Cluster.trace c2) in
   check "trace is non-trivial" true (String.length t1 > 1000);
   Alcotest.(check string) "byte-identical detector traces" t1 t2
+
+(* A zero or negative heartbeat interval would never let the next beat
+   pass the clock (the emission loop spins forever), and a NaN timing
+   silently disables detection: the cluster refuses them all up front,
+   naming the field, before any process runs. *)
+let test_detector_rejects_bad_timings () =
+  let ok = Net.Detector.default in
+  List.iter
+    (fun (field, v) ->
+      let det =
+        if field = "hb_interval_s" then
+          { ok with Net.Detector.hb_interval_s = v }
+        else { ok with Net.Detector.suspect_timeout_s = v }
+      in
+      match
+        Net.Cluster.create_cfg
+          { Net.Cluster.Config.default with detector = Some det }
+      with
+      | _ -> Alcotest.failf "accepted %s = %g" field v
+      | exception Invalid_argument m ->
+        check (Printf.sprintf "%s = %g is named (got %S)" field v m) true
+          (contains m field))
+    (List.concat_map
+       (fun field -> [ (field, 0.0); (field, -0.001); (field, Float.nan) ])
+       [ "hb_interval_s"; "suspect_timeout_s" ])
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler equivalence: indexed residents vs the legacy scan          *)
@@ -1048,5 +1069,7 @@ let suites =
           `Quick test_false_suspicion_fencing;
         Alcotest.test_case "same seed, byte-identical detector traces"
           `Quick test_detector_trace_deterministic;
+        Alcotest.test_case "bad heartbeat timings are rejected" `Quick
+          test_detector_rejects_bad_timings;
       ] );
   ]

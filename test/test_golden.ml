@@ -225,7 +225,7 @@ let balanced_serve () =
         net = Some (Net.Simnet.create ~latency_us:5.0 ());
         faults = { none with f_seed = 7; f_dup = 0.5 };
         forward_ttl_s = 0.000001;
-        balance = { Net.Balance.Config.default with enabled = true } }
+        balance = true }
   in
   let d =
     Mcc.Gridapp.Serve.deploy ~engine:`Masm ~placement:(`Pack 1) c

@@ -153,10 +153,13 @@ let failure_config =
   { Mcc.Gridapp.ranks = 3; rows_per_rank = 4; cols = 8; timesteps = 60;
     interval = 10; work_us_per_step = 200 }
 
-let test_grid_recovers_from_failure () =
+(* The three failure cases below take the engine as an input and run on
+   both: MASM's timing reaches recovery windows the interpreter's does
+   not. *)
+let test_grid_recovers_from_failure engine () =
   let golden = Array.to_list (Mcc.Gridapp.golden_checksums failure_config) in
   let cluster = Net.Cluster.create_cfg { Net.Cluster.Config.default with node_count = 4; net = Some (fast_net ()) } in
-  let d = Mcc.Gridapp.deploy ~spare:true cluster failure_config in
+  let d = Mcc.Gridapp.deploy ~engine ~spare:true cluster failure_config in
   let victims =
     Mcc.Gridapp.fail_and_recover ~rounds_before_failure:10 d ~victim_node:1
       ~spare_node:3
@@ -181,12 +184,12 @@ let test_grid_recovers_from_failure () =
       | Obs.Trace.Forced_rollback { level } -> level >= 0
       | _ -> false))
 
-let test_grid_failure_without_checkpoints_is_fatal () =
+let test_grid_failure_without_checkpoints_is_fatal engine () =
   (* without the primitives there is no recovery: the survivors see
      MSG_ROLL and give up (Figure 2's motivation) *)
   let config = { failure_config with Mcc.Gridapp.interval = 0 } in
   let cluster = Net.Cluster.create_cfg { Net.Cluster.Config.default with node_count = 4; net = Some (fast_net ()) } in
-  let d = Mcc.Gridapp.deploy ~spare:true cluster config in
+  let d = Mcc.Gridapp.deploy ~engine ~spare:true cluster config in
   (* let it start, then kill a node *)
   let _ = Net.Cluster.run cluster ~max_rounds:30 in
   Net.Cluster.fail_node cluster 1;
@@ -203,7 +206,7 @@ let test_grid_failure_without_checkpoints_is_fatal () =
   in
   check "at least the victim is lost" true (failed_ranks >= 1)
 
-let test_grid_double_failure () =
+let test_grid_double_failure engine () =
   (* two successive failures with recovery in between: longevity in a
      faulty environment (the paper's stated goal) *)
   let config =
@@ -212,7 +215,7 @@ let test_grid_double_failure () =
   in
   let golden = Array.to_list (Mcc.Gridapp.golden_checksums config) in
   let cluster = Net.Cluster.create_cfg { Net.Cluster.Config.default with node_count = 4; net = Some (fast_net ()) } in
-  let d = Mcc.Gridapp.deploy ~spare:true cluster config in
+  let d = Mcc.Gridapp.deploy ~engine ~spare:true cluster config in
   let v1 =
     Mcc.Gridapp.fail_and_recover ~rounds_before_failure:10 d ~victim_node:0
       ~spare_node:3
@@ -249,11 +252,18 @@ let suites =
         Alcotest.test_case "single rank" `Quick test_grid_single_rank;
         Alcotest.test_case "checkpoints written" `Quick
           test_grid_checkpoints_written;
-        Alcotest.test_case "recovery from node failure" `Quick
-          test_grid_recovers_from_failure;
-        Alcotest.test_case "failure without checkpoints is fatal" `Quick
-          test_grid_failure_without_checkpoints_is_fatal;
-        Alcotest.test_case "survives two failures" `Quick
-          test_grid_double_failure;
-      ] );
+      ]
+      @ List.concat_map
+          (fun (engine, suffix) ->
+            [
+              Alcotest.test_case ("recovery from node failure" ^ suffix)
+                `Quick
+                (test_grid_recovers_from_failure engine);
+              Alcotest.test_case
+                ("failure without checkpoints is fatal" ^ suffix) `Quick
+                (test_grid_failure_without_checkpoints_is_fatal engine);
+              Alcotest.test_case ("survives two failures" ^ suffix) `Quick
+                (test_grid_double_failure engine);
+            ])
+          [ (`Interp, ""); (`Masm, " on MASM") ] );
   ]
