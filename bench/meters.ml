@@ -605,7 +605,7 @@ let f5 =
           @ [ ( "undecided",
                 float_of_int
                   (Net.Dspec.undecided (Net.Cluster.dspec cluster)) );
-              (* zero partial commits over the trace window (see Obs.Audit) *)
+              (* zero partial commits over the whole trace (see Obs.Audit) *)
               ( "audit_ok",
                 if Result.is_ok
                      (Obs.Audit.partial_commits

@@ -604,16 +604,31 @@ let grid_cmd =
       { Mcc.Gridapp.ranks; rows_per_rank; cols; timesteps; interval;
         work_us_per_step = 1000 }
     in
+    (* a switch that only the other mode reads would be silently
+       ignored; refuse it instead *)
+    let other_mode =
+      if serve_bench then
+        [ (fail, "--fail"); (hb_interval <> None, "--hb-interval");
+          (suspect_timeout <> None, "--suspect-timeout");
+          (replication <> 0, "--replication") ]
+      else
+        [ (balance, "--balance"); (skew, "--skew");
+          (speculative, "--speculative"); (pack <> 0, "--pack") ]
+    in
     let plan =
       match fault_plan_file with
       | None -> Ok Net.Faults.none
       | Some path -> Net.Faults.parse_plan ?seed (read_file path)
     in
-    match plan with
-    | Error m ->
+    match (List.find_opt fst other_mode, plan) with
+    | Some (_, flag), _ ->
+      Printf.eprintf "mcc grid: %s %s --serve-bench\n" flag
+        (if serve_bench then "cannot be combined with" else "requires");
+      2
+    | None, Error m ->
       Printf.eprintf "mcc grid: bad fault plan: %s\n" m;
       2
-    | Ok plan ->
+    | None, Ok plan ->
     (* the cluster rejects a plan that names a node it does not have *)
     let create_cluster cfg =
       match Net.Cluster.create_cfg cfg with

@@ -60,8 +60,6 @@ let proj ?(name = "fld") ty a i (k : k) =
   let v = Var.fresh name in
   Let_proj (v, ty, a, i, k (Var v))
 
-let set_proj a i x e = Set_proj (a, i, x, e)
-
 let load ?(name = "elt") ty a i (k : k) =
   let v = Var.fresh name in
   Let_load (v, ty, a, i, k (Var v))

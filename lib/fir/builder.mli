@@ -33,7 +33,6 @@ val tuple : ?name:string -> (Types.ty * atom) list -> k -> exp
 val array : ?name:string -> Types.ty -> size:atom -> init:atom -> k -> exp
 val string : ?name:string -> string -> k -> exp
 val proj : ?name:string -> Types.ty -> atom -> int -> k -> exp
-val set_proj : atom -> int -> atom -> exp -> exp
 val load : ?name:string -> Types.ty -> atom -> atom -> k -> exp
 val store : atom -> atom -> atom -> exp -> exp
 val ext : ?name:string -> Types.ty -> string -> atom list -> k -> exp

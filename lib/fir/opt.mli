@@ -10,11 +10,7 @@
     identities must stay stable — and removal of functions unreachable
     from [main].  All passes preserve well-typedness. *)
 
-val default_inline_threshold : int
-
 val optimize : ?threshold:int -> Ast.program -> Ast.program
-
-val optimize_exp : ?threshold:int -> Ast.program -> Ast.exp -> Ast.exp
 
 val subst_exp : rename:bool -> Ast.atom Var.Map.t -> Ast.exp -> Ast.exp
 (** Capture-avoiding substitution; [rename] refreshes binders (required
@@ -22,8 +18,4 @@ val subst_exp : rename:bool -> Ast.atom Var.Map.t -> Ast.exp -> Ast.exp
 
 val eliminate_common_subexpressions : Ast.exp -> Ast.exp
 
-val has_pseudo : Ast.exp -> bool
-(** Does the expression contain migration/speculation instructions? *)
-
 val reachable : Ast.program -> (string, unit) Hashtbl.t
-val remove_unreachable : Ast.program -> Ast.program

@@ -10,8 +10,6 @@ exception Type_error of string
 
 type extern_lookup = string -> (Types.ty list * Types.ty) option
 
-val no_externs : extern_lookup
-
 val assignable : expected:Types.ty -> Types.ty -> bool
 (** Assignment compatibility: a [Tany] sink accepts any value. *)
 

@@ -107,12 +107,12 @@ val migration_error_to_string : migration_error -> string
 (** Typed cluster configuration: the one record that says everything —
     topology, seed, the fault-injection plan, delta shipping, failure
     detection, replication, scheduling mode, forwarding and placement
-    policy.  The scheduling quantum (64 steps), the trace ring (65 536
-    events), the migration retry policy ({!default_retry}), the
-    daemons (untrusted, a 16-entry recompilation cache, 4 retained
-    delta baselines), the placement policy's tunables ({!Balance}),
-    the heartbeat size ({!Detector.hb_bytes}) and the seed of every
-    resurrected process are fixed. *)
+    policy.  The scheduling quantum (64 steps), the migration retry
+    policy ({!default_retry}), the daemons (untrusted, a 16-entry
+    recompilation cache, 4 retained delta baselines), the placement
+    policy's tunables ({!Balance}), the heartbeat size
+    ({!Detector.hb_bytes}) and the seed of every resurrected process
+    are fixed; the trace keeps every event. *)
 module Config : sig
   type retry = {
     max_attempts : int;  (** total transmissions per migration hop *)

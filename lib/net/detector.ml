@@ -56,9 +56,10 @@ type t = {
    would silently disable detection: reject them up front. *)
 let create ?metrics ~nodes cfg =
   let check field v =
-    if not (v > 0.0) then
+    if not (v > 0.0 && Float.is_finite v) then
       invalid_arg
-        (Printf.sprintf "Detector.create: %s must be positive, got %g" field v)
+        (Printf.sprintf
+           "Detector.create: %s must be finite and positive, got %g" field v)
   in
   check "hb_interval_s" cfg.hb_interval_s;
   check "suspect_timeout_s" cfg.suspect_timeout_s;

@@ -35,7 +35,8 @@ val create : ?metrics:Obs.Metrics.t -> nodes:int -> config -> t
     [detector.false_suspicions]; a private registry is used when
     omitted.
     @raise Invalid_argument naming the field when [hb_interval_s] or
-    [suspect_timeout_s] is not positive (zero, negative or NaN). *)
+    [suspect_timeout_s] is not finite and positive (zero, negative,
+    infinite or NaN). *)
 
 val config : t -> config
 

@@ -64,7 +64,9 @@ let is_none p =
 (* The range checks, shared by [validate] and [parse_plan] (which adds
    the line number).  Each is written so that it holds, rather than
    fails, for the accepted values: NaN compares false with everything,
-   so it fails each of them instead of slipping past a [v < 0.0]. *)
+   so it fails each of them instead of slipping past a [v < 0.0].  A
+   duration must also be finite: an infinite jitter, retransmission
+   timeout or stall pushes the simulated clock to infinity. *)
 let prob name v =
   if v >= 0.0 && v < 1.0 then Ok v
   else Error (Printf.sprintf "%s must be in [0,1), got %g" name v)
@@ -77,12 +79,12 @@ let store_prob name v =
   else Error (Printf.sprintf "%s must be in [0,1], got %g" name v)
 
 let nonneg name v =
-  if v >= 0.0 then Ok v
-  else Error (Printf.sprintf "%s must be >= 0, got %g" name v)
+  if v >= 0.0 && Float.is_finite v then Ok v
+  else Error (Printf.sprintf "%s must be finite and >= 0, got %g" name v)
 
 let positive name v =
-  if v > 0.0 then Ok v
-  else Error (Printf.sprintf "%s must be > 0, got %g" name v)
+  if v > 0.0 && Float.is_finite v then Ok v
+  else Error (Printf.sprintf "%s must be finite and > 0, got %g" name v)
 
 let time name v =
   if Float.is_nan v then Error (Printf.sprintf "%s is not a number" name)

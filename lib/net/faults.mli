@@ -63,7 +63,9 @@ val none : plan
 val is_none : plan -> bool
 
 val validate : plan -> (plan, string) result
-(** Range-check probabilities and times. *)
+(** Range-check probabilities and times.  Durations (jitter,
+    retransmission timeout, stall length) must be finite; only a
+    partition's end may be infinite ([until forever]). *)
 
 (** {2 Plan files}
 

@@ -1,22 +1,23 @@
-(* Checkpoint storage.
-
-   Two modes, selected at construction:
+(* Checkpoint storage: an array of replicas, each a table of files.
 
    - [replication = 0] (the default) is the paper's "NFS mount point
-     visible across the entire cluster": one reliable shared table whose
-     files survive any node failure.  This is the stand-in the original
-     experiments were built on and remains bit-for-bit identical to the
-     pre-replication behaviour.
+     visible across the entire cluster": one replica, at index 0, that
+     never dies ({!fail_node} spares it) and never takes a storage fault
+     (it is built without a fault runtime, so its writes draw nothing).
+     This is the stand-in the original experiments were built on.
 
    - [replication = k >= 1] replaces the infallible mount with k-way
-     replication across node-local stores.  A node-local store dies with
-     its node ({!fail_node}), replica writes are subject to the storage
-     fault classes in {!Faults} (lost file, torn write, bit flip), and
-     every read is digest-verified: a replica whose bytes no longer
-     match the digest recorded at write time is treated as absent.  When
-     a read finds one good copy it repairs the damaged or missing
-     replicas from it (read-repair), so a single surviving replica is
-     enough to restore full redundancy.
+     replication across node-local stores, one replica per node.  A
+     node-local store dies with its node ({!fail_node}), replica writes
+     are subject to the storage fault classes in {!Faults} (lost file,
+     torn write, bit flip).
+
+   Every read is digest-verified: a replica whose bytes no longer match
+   the digest recorded at write time is treated as absent.  When a read
+   finds one good copy it repairs the damaged or missing replicas from
+   it (read-repair), so a single surviving replica is enough to restore
+   full redundancy.  The shared replica is never damaged, so for it the
+   check costs host time only.
 
    Reads and writes are charged network transfer time through the
    simulated network.  Replica writes happen in parallel, so a logical
@@ -35,13 +36,9 @@ type replica = {
   mutable r_alive : bool;
 }
 
-type mode =
-  | Shared of (string, entry) Hashtbl.t
-  | Replicated of replica array
-
 type t = {
-  mode : mode;
-  k : int; (* replication factor; 0 = shared mode *)
+  reps : replica array;
+  k : int; (* replication factor; 0 = the shared mount *)
   net : Simnet.t;
   faults : Faults.t option;
   c_repairs : Obs.Metrics.counter;
@@ -66,38 +63,25 @@ let create ?(replication = 0) ?(nodes = 0) ?faults ?metrics net =
   in
   let c_repairs = Obs.Metrics.counter metrics "storage.repairs" in
   let c_corrupt = Obs.Metrics.counter metrics "storage.corrupt_reads" in
-  let mode =
-    if replication <= 0 then Shared (Hashtbl.create 16)
+  let replica () = { r_files = Hashtbl.create 16; r_alive = true } in
+  let reps, k, faults =
+    if replication <= 0 then ([| replica () |], 0, None)
     else if nodes <= 0 then
       invalid_arg "Storage.create: replication requires nodes > 0"
-    else
-      Replicated
-        (Array.init nodes (fun _ ->
-             { r_files = Hashtbl.create 16; r_alive = true }))
+    else (Array.init nodes (fun _ -> replica ()), min replication nodes, faults)
   in
-  let k = if replication <= 0 then 0 else min replication nodes in
-  {
-    mode;
-    k;
-    net;
-    faults;
-    c_repairs;
-    c_corrupt;
-    on_repair = None;
-  }
+  { reps; k; net; faults; c_repairs; c_corrupt; on_repair = None }
 
 let set_on_repair t f = t.on_repair <- Some f
 
 let replication t = t.k
 
-(* The k distinct nodes a path's replicas live on, in preference order. *)
+(* The distinct replicas a path lives on, in preference order: k nodes,
+   or the one shared replica. *)
 let placement t path =
-  match t.mode with
-  | Shared _ -> []
-  | Replicated reps ->
-    let n = Array.length reps in
-    let base = path_hash path mod n in
-    List.init (min t.k n) (fun i -> (base + i) mod n)
+  let n = Array.length t.reps in
+  let base = path_hash path mod n in
+  List.init (max 1 t.k) (fun i -> (base + i) mod n)
 
 let damage faults data =
   match faults with
@@ -121,27 +105,21 @@ let damage faults data =
 
 (* Returns the simulated seconds the operation took. *)
 let write t path data =
-  (match t.mode with
-  | Shared files ->
-    Hashtbl.replace files path { e_data = data; e_digest = digest_of data };
-    Simnet.record_transfer t.net (String.length data)
-  | Replicated reps ->
-    let digest = digest_of data in
-    List.iter
-      (fun nid ->
-        let r = reps.(nid) in
-        if r.r_alive then begin
-          Simnet.record_transfer t.net (String.length data);
-          match damage t.faults data with
-          | None ->
-            (* lost file: the write was acknowledged but nothing (not
-               even a previous version) remains on this replica *)
-            Hashtbl.remove r.r_files path
-          | Some stored ->
-            Hashtbl.replace r.r_files path
-              { e_data = stored; e_digest = digest }
-        end)
-      (placement t path));
+  let digest = digest_of data in
+  List.iter
+    (fun nid ->
+      let r = t.reps.(nid) in
+      if r.r_alive then begin
+        Simnet.record_transfer t.net (String.length data);
+        match damage t.faults data with
+        | None ->
+          (* lost file: the write was acknowledged but nothing (not
+             even a previous version) remains on this replica *)
+          Hashtbl.remove r.r_files path
+        | Some stored ->
+          Hashtbl.replace r.r_files path { e_data = stored; e_digest = digest }
+      end)
+    (placement t path);
   Simnet.transfer_seconds t.net (String.length data)
 
 let verified e =
@@ -149,127 +127,93 @@ let verified e =
   else None
 
 let read t path =
-  match t.mode with
-  | Shared files -> (
-    match Hashtbl.find_opt files path with
-    | Some e ->
-      Simnet.record_transfer t.net (String.length e.e_data);
-      Some (e.e_data, Simnet.transfer_seconds t.net (String.length e.e_data))
-    | None -> None)
-  | Replicated reps -> (
-    let places = placement t path in
-    let good = ref None in
-    let saw_corrupt = ref false in
+  let places = placement t path in
+  let good = ref None in
+  let saw_corrupt = ref false in
+  List.iter
+    (fun nid ->
+      let r = t.reps.(nid) in
+      if r.r_alive && !good = None then
+        match Hashtbl.find_opt r.r_files path with
+        | None -> ()
+        | Some e -> (
+          match verified e with
+          | Some data -> good := Some data
+          | None -> saw_corrupt := true))
+    places;
+  match !good with
+  | None ->
+    if !saw_corrupt then Obs.Metrics.incr t.c_corrupt;
+    None
+  | Some data ->
+    Simnet.record_transfer t.net (String.length data);
+    let seconds = ref (Simnet.transfer_seconds t.net (String.length data)) in
+    (* read-repair: restore every alive replica that is missing the file
+       or holds a damaged copy (repairs ship verified bytes and are not
+       themselves subject to write faults) *)
+    let digest = digest_of data in
+    let repaired = ref 0 in
     List.iter
       (fun nid ->
-        let r = reps.(nid) in
-        if r.r_alive && !good = None then
-          match Hashtbl.find_opt r.r_files path with
-          | None -> ()
-          | Some e -> (
-            match verified e with
-            | Some data -> good := Some data
-            | None -> saw_corrupt := true))
+        let r = t.reps.(nid) in
+        if r.r_alive then
+          let healthy =
+            match Hashtbl.find_opt r.r_files path with
+            | Some e -> verified e <> None
+            | None -> false
+          in
+          if not healthy then begin
+            Hashtbl.replace r.r_files path { e_data = data; e_digest = digest };
+            Obs.Metrics.incr t.c_repairs;
+            incr repaired;
+            Simnet.record_transfer t.net (String.length data);
+            seconds :=
+              !seconds +. Simnet.transfer_seconds t.net (String.length data)
+          end)
       places;
-    match !good with
-    | None ->
-      if !saw_corrupt then Obs.Metrics.incr t.c_corrupt;
-      None
-    | Some data ->
-      Simnet.record_transfer t.net (String.length data);
-      let seconds =
-        ref (Simnet.transfer_seconds t.net (String.length data))
-      in
-      (* read-repair: restore every alive replica that is missing the
-         file or holds a damaged copy (repairs ship verified bytes and
-         are not themselves subject to write faults) *)
-      let digest = digest_of data in
-      let repaired = ref 0 in
-      List.iter
-        (fun nid ->
-          let r = reps.(nid) in
-          if r.r_alive then
-            let healthy =
-              match Hashtbl.find_opt r.r_files path with
-              | Some e -> verified e <> None
-              | None -> false
-            in
-            if not healthy then begin
-              Hashtbl.replace r.r_files path
-                { e_data = data; e_digest = digest };
-              Obs.Metrics.incr t.c_repairs;
-              incr repaired;
-              Simnet.record_transfer t.net (String.length data);
-              seconds :=
-                !seconds +. Simnet.transfer_seconds t.net (String.length data)
-            end)
-        places;
-      (match t.on_repair with
-      | Some f when !repaired > 0 -> f ~path ~replicas:!repaired
-      | Some _ | None -> ());
-      Some (data, !seconds))
+    (match t.on_repair with
+    | Some f when !repaired > 0 -> f ~path ~replicas:!repaired
+    | Some _ | None -> ());
+    Some (data, !seconds)
 
 let exists t path =
-  match t.mode with
-  | Shared files -> Hashtbl.mem files path
-  | Replicated reps ->
-    List.exists
-      (fun nid ->
-        reps.(nid).r_alive && Hashtbl.mem reps.(nid).r_files path)
-      (placement t path)
+  List.exists
+    (fun nid -> t.reps.(nid).r_alive && Hashtbl.mem t.reps.(nid).r_files path)
+    (placement t path)
 
-let remove t path =
-  match t.mode with
-  | Shared files -> Hashtbl.remove files path
-  | Replicated reps ->
-    Array.iter (fun r -> Hashtbl.remove r.r_files path) reps
+let remove t path = Array.iter (fun r -> Hashtbl.remove r.r_files path) t.reps
 
 (* Sorted: Hashtbl.fold order is unspecified and differs across OCaml
    versions, and callers compare listings across runs. *)
 let list t =
   let keys tbl = Hashtbl.fold (fun path _ acc -> path :: acc) tbl [] in
-  let paths =
-    match t.mode with
-    | Shared files -> keys files
-    | Replicated reps ->
-      Array.to_list reps
-      |> List.concat_map (fun r -> if r.r_alive then keys r.r_files else [])
-      |> List.sort_uniq String.compare
-  in
-  List.sort String.compare paths
+  Array.to_list t.reps
+  |> List.concat_map (fun r -> if r.r_alive then keys r.r_files else [])
+  |> List.sort_uniq String.compare
 
 let size t path =
-  match t.mode with
-  | Shared files ->
-    Option.map (fun e -> String.length e.e_data) (Hashtbl.find_opt files path)
-  | Replicated reps ->
-    List.find_map
-      (fun nid ->
-        let r = reps.(nid) in
-        if r.r_alive then
-          Option.map
-            (fun e -> String.length e.e_data)
-            (Hashtbl.find_opt r.r_files path)
-        else None)
-      (placement t path)
+  List.find_map
+    (fun nid ->
+      let r = t.reps.(nid) in
+      if r.r_alive then
+        Option.map
+          (fun e -> String.length e.e_data)
+          (Hashtbl.find_opt r.r_files path)
+      else None)
+    (placement t path)
 
+(* The shared replica survives every node failure. *)
 let fail_node t node_id =
-  match t.mode with
-  | Shared _ -> ()
-  | Replicated reps ->
-    if node_id >= 0 && node_id < Array.length reps then
-      reps.(node_id).r_alive <- false
+  if t.k > 0 && node_id >= 0 && node_id < Array.length t.reps then
+    t.reps.(node_id).r_alive <- false
 
 (* Alive replicas of [path] whose bytes still verify — the current
    redundancy level, used by tests and the availability bench. *)
 let good_replicas t path =
-  match t.mode with
-  | Shared files -> if Hashtbl.mem files path then 1 else 0
-  | Replicated reps ->
-    List.fold_left
-      (fun acc nid ->
-        let r = reps.(nid) in
-        match Hashtbl.find_opt r.r_files path with
-        | Some e when r.r_alive && verified e <> None -> acc + 1
-        | _ -> acc)
-      0 (placement t path)
+  List.fold_left
+    (fun acc nid ->
+      let r = t.reps.(nid) in
+      match Hashtbl.find_opt r.r_files path with
+      | Some e when r.r_alive && verified e <> None -> acc + 1
+      | _ -> acc)
+    0 (placement t path)

@@ -1,17 +1,18 @@
-(** Checkpoint storage.
+(** Checkpoint storage: an array of replicas.
 
     With [replication = 0] (the default) this is the paper's reliable
-    "NFS mount point visible across the entire cluster": one shared
-    table whose files survive any node failure.
+    "NFS mount point visible across the entire cluster": one replica
+    that survives any node failure and takes no storage fault.
 
     With [replication = k >= 1] the mount is replaced by k-way
     replication across node-local stores: each path lives on k nodes
     chosen by a stable hash, a node-local store dies with its node
-    ({!fail_node}), replica writes are subject to the {!Faults} storage
-    fault classes (lost file, torn write, bit flip), and reads are
-    digest-verified with read-repair — one good surviving replica
-    restores full redundancy, and a read that finds no verifying copy
-    returns [None] rather than corrupt bytes.
+    ({!fail_node}), and replica writes are subject to the {!Faults}
+    storage fault classes (lost file, torn write, bit flip).
+
+    Reads are digest-verified with read-repair — one good surviving
+    replica restores full redundancy, and a read that finds no verifying
+    copy returns [None] rather than corrupt bytes.
 
     Operations are charged network transfer time. *)
 
@@ -24,14 +25,14 @@ val create :
   ?metrics:Obs.Metrics.t ->
   Simnet.t ->
   t
-(** [replication = 0] (default) builds the shared reliable store and
-    ignores [nodes]/[faults].  [replication >= 1] requires [nodes > 0]
+(** [replication = 0] (default) builds the shared reliable store: one
+    replica, ignoring [nodes] and [faults].  [replication >= 1] requires [nodes > 0]
     and builds one node-local store per node; the factor is clamped to
     the node count.  [metrics] receives [storage.repairs] and
     [storage.corrupt_reads]; a private registry is used when omitted. *)
 
 val replication : t -> int
-(** The effective replication factor; [0] in shared mode. *)
+(** The effective replication factor; [0] for the shared mount. *)
 
 val set_on_repair : t -> (path:string -> replicas:int -> unit) -> unit
 (** Install a callback invoked after a read repairs one or more replicas
@@ -39,8 +40,8 @@ val set_on_repair : t -> (path:string -> replicas:int -> unit) -> unit
 
 val write : t -> string -> string -> float
 (** [write t path data] stores [data] and returns the simulated seconds
-    the write took.  In replicated mode the replicas are written in
-    parallel (one transfer time regardless of k) and each replica write
+    the write took.  The replicas are written in parallel (one transfer
+    time regardless of k); with [replication >= 1] each replica write
     independently draws a storage-fault fate. *)
 
 val read : t -> string -> (string * float) option
@@ -65,8 +66,8 @@ val size : t -> string -> int option
 
 val fail_node : t -> int -> unit
 (** Kill the node-local store on the given node: its replicas are gone
-    for good.  No-op in shared mode. *)
+    for good.  No-op for the shared mount ([replication = 0]). *)
 
 val good_replicas : t -> string -> int
-(** Number of alive replicas whose bytes digest-verify; [1]/[0] in
-    shared mode.  The current redundancy level of the path. *)
+(** Number of alive replicas whose bytes digest-verify; [1] or [0] for
+    the shared mount.  The current redundancy level of the path. *)

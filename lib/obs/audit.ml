@@ -2,28 +2,28 @@
 
 open Trace
 
+(* One pass gathers the evidence (committed and compensated
+   transactions, each pid's latest rollback time), a second reports the
+   first violating abort in event order. *)
 let partial_commits events =
   let committed = Hashtbl.create 64 in
+  let compensated = Hashtbl.create 64 in
+  let last_rollback = Hashtbl.create 64 in
   List.iter
     (fun ev ->
       match ev.kind with
       | Dspec_commit { txn; _ } -> Hashtbl.replace committed txn ()
+      | Dspec_compensate { txn; _ } -> Hashtbl.replace compensated txn ()
+      | Spec_rollback _ -> (
+        match Hashtbl.find_opt last_rollback ev.pid with
+        | Some t when t >= ev.time -> ()
+        | Some _ | None -> Hashtbl.replace last_rollback ev.pid ev.time)
       | _ -> ())
     events;
   let rolled_back_after ev =
-    List.exists
-      (fun e2 ->
-        e2.pid = ev.pid && e2.time >= ev.time
-        && match e2.kind with Spec_rollback _ -> true | _ -> false)
-      events
-  in
-  let compensated txn =
-    List.exists
-      (fun e2 ->
-        match e2.kind with
-        | Dspec_compensate { txn = x; _ } -> x = txn
-        | _ -> false)
-      events
+    match Hashtbl.find_opt last_rollback ev.pid with
+    | Some t -> t >= ev.time
+    | None -> false
   in
   let violation ev =
     match ev.kind with
@@ -38,7 +38,7 @@ let partial_commits events =
           (Printf.sprintf
              "txn %d aborted (%s) but coordinator pid %d never rolled back"
              txn reason ev.pid)
-      else if not (compensated txn) then
+      else if not (Hashtbl.mem compensated txn) then
         Some (Printf.sprintf "txn %d aborted without mailbox compensation" txn)
       else None
     | _ -> None

@@ -9,8 +9,4 @@ val partial_commits : Trace.event list -> (unit, string) result
     - every such abort has its mailbox compensation in the trace.
 
     [Error] names the first violating transaction, in event order.
-
-    The trace ring keeps only the newest window; an abort whose evidence
-    predates the window is dropped together with the abort itself, so
-    the audit stays sound under truncation.  Cost is quadratic in the
-    number of events. *)
+    Cost is linear in the number of events. *)

@@ -1,4 +1,4 @@
-(* Typed event tracing: a bounded ring buffer of timestamped events.
+(* Typed event tracing: an append-only log of timestamped events.
 
    Every event carries the SIMULATED time at which it happened (the
    cluster's discrete-event clock, not wall-clock: the reproduction's
@@ -6,10 +6,11 @@
    would vary run to run and host to host), plus the node / pid / rank
    attribution the per-phase analyses need (-1 where not applicable).
 
-   The buffer is a fixed-capacity ring: recording never allocates
-   unboundedly and a long soak run keeps the most recent window.  The
-   number of overwritten events is reported so an exporter can say what
-   it dropped.
+   The log keeps every event of the run.  Every reader (the audit, the
+   timeline, the exporter) needs the whole trace in memory anyway, so a
+   bounded window would save nothing at read time and would only lose
+   the evidence an audit checks.  A list rather than [Dynarray], which
+   OCaml 4.14 lacks.
 
    Export is JSONL — one self-describing JSON object per line — ordered
    by simulated time.  Nodes advance on independent local clocks, so raw
@@ -81,42 +82,17 @@ type event = {
   kind : kind;
 }
 
-type t = {
-  buf : event option array;
-  mutable head : int; (* next write position *)
-  mutable len : int;
-  mutable dropped : int;
-}
+type t = { mutable rev : event list (* newest first *) }
 
-let create ?(capacity = 65536) () =
-  if capacity <= 0 then invalid_arg "Trace.create: capacity must be > 0";
-  { buf = Array.make capacity None; head = 0; len = 0; dropped = 0 }
-
-let capacity t = Array.length t.buf
-let length t = t.len
-let dropped t = t.dropped
+let create () = { rev = [] }
+let length t = List.length t.rev
 
 let record t ~time ?(node = -1) ?(pid = -1) ?(rank = -1) kind =
-  let cap = capacity t in
-  if t.len = cap then t.dropped <- t.dropped + 1 else t.len <- t.len + 1;
-  t.buf.(t.head) <- Some { time; node; pid; rank; kind };
-  t.head <- (t.head + 1) mod cap
-
-let clear t =
-  Array.fill t.buf 0 (capacity t) None;
-  t.head <- 0;
-  t.len <- 0;
-  t.dropped <- 0
+  t.rev <- { time; node; pid; rank; kind } :: t.rev
 
 (* Oldest-recorded first (per-node monotone; see [to_jsonl] for the
    cluster-wide monotone ordering). *)
-let events t =
-  let cap = capacity t in
-  let start = (t.head - t.len + cap) mod cap in
-  List.init t.len (fun i ->
-      match t.buf.((start + i) mod cap) with
-      | Some e -> e
-      | None -> assert false)
+let events t = List.rev t.rev
 
 let kind_label = function
   | Spawn -> "spawn"

@@ -1,11 +1,10 @@
-(** Typed event tracing: a bounded ring buffer of timestamped events
-    with a JSONL exporter.
+(** Typed event tracing: an append-only log of timestamped events with
+    a JSONL exporter.
 
     Events are stamped with SIMULATED time (the cluster's discrete-event
     clock, not wall-clock) plus node / pid / rank attribution, [-1]
-    where not applicable.  The buffer is a fixed-capacity ring — a long
-    run keeps the most recent window and reports how many events it
-    overwrote. *)
+    where not applicable.  The log keeps every event recorded, so an
+    audit or an export covers the whole run. *)
 
 type gc_kind = Minor | Major
 
@@ -114,20 +113,11 @@ type event = {
 
 type t
 
-val create : ?capacity:int -> unit -> t
-(** Default capacity: 65536 events.
-    @raise Invalid_argument when [capacity <= 0]. *)
-
-val capacity : t -> int
+val create : unit -> t
 val length : t -> int
-
-val dropped : t -> int
-(** Events overwritten because the ring was full. *)
 
 val record :
   t -> time:float -> ?node:int -> ?pid:int -> ?rank:int -> kind -> unit
-
-val clear : t -> unit
 
 val events : t -> event list
 (** In recording order, oldest first (monotone per node, not globally). *)

@@ -349,19 +349,8 @@ let retarget t idx addr =
   mark_dirty_block t idx ~size:(block_size_at t addr)
 
 (* ------------------------------------------------------------------ *)
-(* Iteration (used by the collector and the wire codec)                *)
+(* Remembered set and GC pacing (used by the collector)               *)
 (* ------------------------------------------------------------------ *)
-
-(* Iterate over all blocks in [lo, hi) address order, including blocks that
-   are no longer the pointer-table target of their index (speculation
-   originals, garbage). *)
-let iter_blocks_range t ~lo ~hi f =
-  let addr = ref lo in
-  while !addr < hi do
-    let size = block_size_at t !addr in
-    f !addr;
-    addr := !addr + header_cells + size
-  done
 
 let remembered_indices t =
   Hashtbl.fold (fun idx () acc -> idx :: acc) t.remembered []

@@ -14,7 +14,6 @@ exception Runtime_error of string
 
 type tag = Tuple | Array | Raw
 
-val tag_code : tag -> int
 val tag_of_code : int -> tag
 
 val header_cells : int
@@ -47,7 +46,6 @@ type t = {
 val create : ?initial_cells:int -> unit -> t
 val pointer_table : t -> Pointer_table.t
 val used_cells : t -> int
-val young_cells : t -> int
 val capacity : t -> int
 
 val set_minor_enabled : t -> bool -> unit
@@ -59,13 +57,10 @@ val set_before_write : t -> (int -> unit) option -> unit
     every mutation; the speculation engine uses it to clone on first
     write within a level. *)
 
-val ensure_capacity : t -> int -> unit
-
 (** {2 Header access (collector / codec support)} *)
 
 val block_index_at : t -> int -> int
 val block_size_at : t -> int -> int
-val block_tag_at : t -> int -> tag
 val block_flags_at : t -> int -> int
 val set_block_flags_at : t -> int -> int -> unit
 
@@ -102,9 +97,8 @@ val clone_for_cow : t -> int -> int
 val retarget : t -> int -> int -> unit
 (** Point an index back at a saved original (rollback). *)
 
-(** {2 Iteration and GC pacing} *)
+(** {2 Remembered set and GC pacing} *)
 
-val iter_blocks_range : t -> lo:int -> hi:int -> (int -> unit) -> unit
 val remembered_indices : t -> int list
 val clear_remembered : t -> unit
 val live_blocks : t -> int

@@ -9,8 +9,6 @@ exception Codegen_error of string
 
 val compile : ?arch:Arch.t -> Fir.Ast.program -> Masm.image
 
-val compile_fun : Arch.t -> Fir.Ast.fundef -> Masm.fn
-
 (** {2 Simulated compilation costs}
 
     Calibrated against the paper's reported recompilation times; see

@@ -92,17 +92,20 @@ let test_plan_errors_report_lines () =
 let test_plan_rejects_nan () =
   List.iter
     (fun directive ->
-      expect_line (directive ^ " with NaN") 2 ("seed 1\n" ^ directive ^ "\n"))
+      expect_line directive 2 ("seed 1\n" ^ directive ^ "\n"))
     [ "loss nan"; "dup nan"; "jitter nan"; "retransmit nan";
       "crash_in_commit nan"; "store_lost nan"; "store_torn nan";
       "store_flip nan"; "partition 0 1 from nan until 0.5";
       "partition 0 1 from 0.1 until nan"; "stall 1 at nan for 0.01";
-      "stall 1 at 0.001 for nan"; "crash 1 at nan" ];
+      "stall 1 at 0.001 for nan"; "crash 1 at nan";
+      (* durations must also be finite; only a partition may last
+         forever *)
+      "jitter inf"; "retransmit inf"; "stall 1 at 0.001 for inf" ];
   let open Net.Faults in
   List.iter
     (fun (what, plan) ->
       match validate plan with
-      | Ok _ -> Alcotest.failf "validate accepted a NaN %s" what
+      | Ok _ -> Alcotest.failf "validate accepted %s" what
       | Error _ -> ())
     [ ("loss", { none with f_loss = nan });
       ("dup", { none with f_dup = nan });
@@ -124,7 +127,12 @@ let test_plan_rejects_nan () =
        { none with f_stalls = [ { s_node = 1; s_at = nan; s_for = 0.01 } ] });
       ("stall duration",
        { none with f_stalls = [ { s_node = 1; s_at = 0.001; s_for = nan } ] });
-      ("crash time", { none with f_crashes = [ { c_node = 1; c_at = nan } ] })
+      ("crash time", { none with f_crashes = [ { c_node = 1; c_at = nan } ] });
+      ("infinite jitter", { none with f_jitter_s = infinity });
+      ("infinite retransmit", { none with f_retransmit_s = infinity });
+      ("infinite stall duration",
+       { none with
+         f_stalls = [ { s_node = 1; s_at = 0.001; s_for = infinity } ] })
     ]
 
 (* a directive naming a node the cluster lacks would never fire: a
@@ -702,6 +710,37 @@ let test_bit_flip_never_served () =
   check "flips drew from the seeded fault RNG" true
     (Obs.Metrics.counter_value metrics "faults.store_flip" >= 1)
 
+let test_shared_mount_ignores_faults_and_node_loss () =
+  (* the shared mount is one replica that never dies and never draws a
+     storage fault, even under a plan that loses and flips every
+     replicated write *)
+  let plan =
+    {
+      Net.Faults.none with
+      f_seed = env_seed;
+      f_store_lost = 1.0;
+      f_store_flip = 1.0;
+    }
+  in
+  let storage, metrics = mk_storage ~replication:0 ~nodes:3 ~plan () in
+  let data = "shared-checkpoint-0123456789" in
+  ignore (Net.Storage.write storage "ck" data);
+  for n = 0 to 2 do
+    Net.Storage.fail_node storage n
+  done;
+  (match Net.Storage.read storage "ck" with
+  | Some (got, _) -> Alcotest.(check string) "bytes intact" data got
+  | None -> Alcotest.fail "the shared mount lost a file");
+  check_int "one good replica" 1 (Net.Storage.good_replicas storage "ck");
+  List.iter
+    (fun c -> check_int c 0 (Obs.Metrics.counter_value metrics c))
+    [
+      "faults.store_lost";
+      "faults.store_torn";
+      "faults.store_flip";
+      "storage.corrupt_reads";
+    ]
+
 let test_single_replica_loss_is_typed_error () =
   (* k = 1 and the only replica write is lost: resurrection must fail
      with the existing typed error, never resurrect from thin air *)
@@ -888,7 +927,9 @@ let test_detector_rejects_bad_timings () =
         check (Printf.sprintf "%s = %g is named (got %S)" field v m) true
           (contains m field))
     (List.concat_map
-       (fun field -> [ (field, 0.0); (field, -0.001); (field, Float.nan) ])
+       (fun field ->
+         [ (field, 0.0); (field, -0.001); (field, Float.nan);
+           (field, Float.infinity) ])
        [ "hb_interval_s"; "suspect_timeout_s" ])
 
 (* ------------------------------------------------------------------ *)
@@ -1058,6 +1099,8 @@ let suites =
           test_bit_flip_never_served;
         Alcotest.test_case "k=1 lost replica: typed error" `Quick
           test_single_replica_loss_is_typed_error;
+        Alcotest.test_case "shared mount: no faults, survives node loss"
+          `Quick test_shared_mount_ignores_faults_and_node_loss;
         Alcotest.test_case "incarnation epoch rides the wire" `Quick
           test_wire_epoch_roundtrip;
       ] );

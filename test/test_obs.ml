@@ -1,6 +1,6 @@
 (* Tests for the observability layer: the metrics registry (counters,
    gauges, bucketed histograms with quantile estimates) and the typed
-   event trace (bounded ring, simulated-time timeline, JSONL export). *)
+   event trace (append-only log, simulated-time timeline, JSONL export). *)
 
 open Kit
 
@@ -87,26 +87,28 @@ let test_render () =
 (* Trace                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let test_ring_bounds () =
-  (try
-     ignore (Obs.Trace.create ~capacity:0 ());
-     Alcotest.fail "capacity 0 must raise"
-   with Invalid_argument _ -> ());
-  let tr = Obs.Trace.create ~capacity:4 () in
-  check_int "capacity" 4 (Obs.Trace.capacity tr);
-  for i = 1 to 10 do
+let test_keeps_every_event () =
+  (* a commit, more events than any fixed window would hold, then an
+     abort of the same transaction: the log must still hold the commit,
+     so the audit sees the partial commit *)
+  let tr = Obs.Trace.create () in
+  let n = 70_000 in
+  Obs.Trace.record tr ~time:0.0 ~pid:1
+    (Obs.Trace.Dspec_commit { txn = 7; parts = [ 2 ] });
+  for i = 1 to n do
     Obs.Trace.record tr ~time:(float_of_int i) Obs.Trace.Node_fail
   done;
-  check_int "ring keeps the newest window" 4 (Obs.Trace.length tr);
-  check_int "overwrites counted" 6 (Obs.Trace.dropped tr);
-  (match Obs.Trace.events tr with
-  | [ a; _; _; d ] ->
-    check "oldest surviving event" true (a.Obs.Trace.time = 7.0);
-    check "newest event" true (d.Obs.Trace.time = 10.0)
-  | l -> Alcotest.failf "expected 4 events, got %d" (List.length l));
-  Obs.Trace.clear tr;
-  check_int "clear empties" 0 (Obs.Trace.length tr);
-  check_int "clear resets dropped" 0 (Obs.Trace.dropped tr)
+  Obs.Trace.record tr ~time:(float_of_int (n + 1)) ~pid:1
+    (Obs.Trace.Dspec_abort { txn = 7; parts = [ 2 ]; reason = "fence" });
+  check_int "every event kept" (n + 2) (Obs.Trace.length tr);
+  let events = Obs.Trace.events tr in
+  let times = List.map (fun e -> e.Obs.Trace.time) events in
+  check "oldest first" true (times = List.init (n + 2) float_of_int);
+  check_str "the audit sees the commit"
+    "partial commit: txn 7 both committed and aborted"
+    (match Obs.Audit.partial_commits events with
+    | Ok () -> "ok"
+    | Error msg -> msg)
 
 let test_timeline_sorting () =
   let tr = Obs.Trace.create () in
@@ -193,6 +195,12 @@ let test_partial_commit_audit () =
          back" );
       ( "no compensation", [ abort 6 "fence"; rollback 0.2 ],
         "txn 6 aborted without mailbox compensation" );
+      (* node clocks are independent, so recording order is not time
+         order: the latest rollback counts, wherever it was recorded *)
+      ( "a later rollback recorded between earlier ones",
+        [ rollback 0.1; rollback 0.3; rollback 0.1; abort 7 "fence";
+          compensate 7 ],
+        "ok" );
     ]
 
 let suites =
@@ -207,7 +215,7 @@ let suites =
       ] );
     ( "obs.trace",
       [
-        Alcotest.test_case "ring bounds" `Quick test_ring_bounds;
+        Alcotest.test_case "keeps every event" `Quick test_keeps_every_event;
         Alcotest.test_case "timeline sorting" `Quick test_timeline_sorting;
         Alcotest.test_case "JSON export" `Quick test_json_export;
       ] );
