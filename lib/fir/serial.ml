@@ -160,21 +160,96 @@ let get_varint r =
    checksum. *)
 let adler_nmax = 5552
 
-let adler32 s =
-  let n = String.length s in
-  let a = ref 1 and b = ref 0 in
-  let start = ref 0 in
-  while !start < n do
-    let stop = min n (!start + adler_nmax) in
-    for i = !start to stop - 1 do
-      a := !a + Char.code (String.unsafe_get s i);
-      b := !b + !a
+(* Eight bytes x0..x7 at a time: they add their sum to [a] and
+   8a + 8x0 + 7x1 + ... + 1x7 to [s], exactly what eight single-byte
+   steps add, without the chain of dependent additions. *)
+let adler32_range b ~off ~len =
+  if off < 0 || len < 0 || off + len > Bytes.length b then
+    invalid_arg "Serial.adler32_range";
+  let a = ref 1 and s = ref 0 in
+  let start = ref off in
+  let stop_all = off + len in
+  while !start < stop_all do
+    let stop = min stop_all (!start + adler_nmax) in
+    let i = ref !start in
+    while !i + 8 <= stop do
+      let k = !i in
+      let x0 = Char.code (Bytes.unsafe_get b k)
+      and x1 = Char.code (Bytes.unsafe_get b (k + 1))
+      and x2 = Char.code (Bytes.unsafe_get b (k + 2))
+      and x3 = Char.code (Bytes.unsafe_get b (k + 3))
+      and x4 = Char.code (Bytes.unsafe_get b (k + 4))
+      and x5 = Char.code (Bytes.unsafe_get b (k + 5))
+      and x6 = Char.code (Bytes.unsafe_get b (k + 6))
+      and x7 = Char.code (Bytes.unsafe_get b (k + 7)) in
+      s :=
+        !s + (8 * !a) + (8 * x0) + (7 * x1) + (6 * x2) + (5 * x3) + (4 * x4)
+        + (3 * x5) + (2 * x6) + x7;
+      a := !a + x0 + x1 + x2 + x3 + x4 + x5 + x6 + x7;
+      i := k + 8
+    done;
+    for k = !i to stop - 1 do
+      a := !a + Char.code (Bytes.unsafe_get b k);
+      s := !s + !a
     done;
     a := !a mod 65521;
-    b := !b mod 65521;
+    s := !s mod 65521;
     start := stop
   done;
-  (!b lsl 16) lor !a
+  (!s lsl 16) lor !a
+
+let adler32 s =
+  adler32_range (Bytes.unsafe_of_string s) ~off:0 ~len:(String.length s)
+
+(* ------------------------------------------------------------------ *)
+(* Frames.                                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* The three framed formats (FIR, MASM, process images) share one frame:
+   a 4-byte magic, then the version, the body's Adler-32 and the body
+   length as 8-byte little-endian words, then the body.  A frame is the
+   whole input: bytes after the body are rejected, not ignored. *)
+let frame_bytes = 28
+
+let set_word b at n = Bytes.set_int64_le b at (Int64.of_int n)
+
+(* [b]'s bytes [frame_bytes, frame_bytes + len) hold a body: fill in the
+   header in front of it and return the frame, copying only when [b] is
+   longer than the frame. *)
+let seal ~magic ~version b ~len =
+  Bytes.blit_string magic 0 b 0 4;
+  set_word b 4 version;
+  set_word b 12 (adler32_range b ~off:frame_bytes ~len);
+  set_word b 20 len;
+  let n = frame_bytes + len in
+  if n = Bytes.length b then Bytes.unsafe_to_string b
+  else Bytes.sub_string b 0 n
+
+let frame ~magic ~version body =
+  let len = Buffer.length body in
+  let b = Bytes.create (frame_bytes + len) in
+  Buffer.blit body 0 b frame_bytes len;
+  seal ~magic ~version b ~len
+
+let unframe ~magic ~version ~what s =
+  if String.length s < frame_bytes
+     || not (String.equal (String.sub s 0 4) magic)
+  then raise (Corrupt (Printf.sprintf "bad %s magic" what));
+  let word at = Int64.to_int (String.get_int64_le s at) in
+  let v = word 4 in
+  if v <> version then
+    raise
+      (Corrupt
+         (Printf.sprintf "%s version mismatch: got %d, want %d" what v
+            version));
+  let len = word 20 in
+  if len < 0 || len > String.length s - frame_bytes then
+    raise (Corrupt (Printf.sprintf "bad %s body length" what));
+  if frame_bytes + len <> String.length s then
+    raise (Corrupt (Printf.sprintf "bytes after the %s frame" what));
+  if adler32_range (Bytes.unsafe_of_string s) ~off:frame_bytes ~len <> word 12
+  then raise (Corrupt (Printf.sprintf "%s checksum mismatch" what));
+  { data = s; pos = frame_bytes }
 
 (* ------------------------------------------------------------------ *)
 (* Content digest.                                                      *)
@@ -644,47 +719,15 @@ let get_fundef r =
   let f_body = get_exp r in
   { f_name; f_params; f_body }
 
-(* The body buffer is reused across calls — pack re-encodes a program on
-   every migration, and reallocating a multi-hundred-KB buffer each time
-   is visible in pack wall time.  [Buffer.clear] keeps the storage, so
-   after the first encoding the buffer is pre-sized to the previous
-   program's footprint.  (Nothing in this module is reentrant or
-   thread-safe; [encode] never calls itself.) *)
-let encode_body = Buffer.create 4096
-
 let encode p =
-  let body = encode_body in
-  Buffer.clear body;
+  let body = Buffer.create 4096 in
   put_string body p.p_main;
-  put_list body put_fundef
-    (fold_funs (fun fd acc -> fd :: acc) p []);
-  let body = Buffer.contents body in
-  let buf = Buffer.create (String.length body + 32) in
-  Buffer.add_string buf magic;
-  put_i64 buf version;
-  put_i64 buf (adler32 body);
-  put_i64 buf (String.length body);
-  Buffer.add_string buf body;
-  Buffer.contents buf
+  put_list body put_fundef (fold_funs (fun fd acc -> fd :: acc) p []);
+  frame ~magic ~version body
 
 let decode s =
-  let r = { data = s; pos = 0 } in
-  need r 4;
-  let m = String.sub s 0 4 in
-  r.pos <- 4;
-  if not (String.equal m magic) then raise (Corrupt "bad magic");
-  let v = get_i64 r in
-  if v <> version then
-    raise (Corrupt (Printf.sprintf "version mismatch: got %d, want %d" v
-                      version));
-  let sum = get_i64 r in
-  let len = get_i64 r in
-  if len < 0 || r.pos + len > String.length s then
-    raise (Corrupt "bad body length");
-  let body = String.sub s r.pos len in
-  if adler32 body <> sum then raise (Corrupt "checksum mismatch");
-  let r = { data = body; pos = 0 } in
+  let r = unframe ~magic ~version ~what:"FIR" s in
   let main = get_string r in
   let funs = get_list r get_fundef in
-  if r.pos <> String.length body then raise (Corrupt "trailing garbage");
+  if r.pos <> String.length s then raise (Corrupt "trailing garbage");
   program funs ~main

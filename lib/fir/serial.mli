@@ -53,6 +53,35 @@ val get_varint : reader -> int
 
 val adler32 : string -> int
 
+val adler32_range : Bytes.t -> off:int -> len:int -> int
+(** Adler-32 of [len] bytes from [off]; [adler32 s] is the whole string's.
+    @raise Invalid_argument if the range is not inside the bytes. *)
+
+(** {2 Frames}
+
+    FIR, MASM and process images share one frame: a 4-byte magic, the
+    version, the body's Adler-32 and the body length as 8-byte
+    little-endian words ({!frame_bytes} in all), then the body.  A frame
+    is the whole input: {!unframe} rejects bytes after the body. *)
+
+val frame_bytes : int
+
+val seal : magic:string -> version:int -> Bytes.t -> len:int -> string
+(** [seal ~magic ~version b ~len]: [b]'s bytes
+    [\[frame_bytes, frame_bytes + len)] hold a body; fill in the header in
+    front of it and return the frame (a copy only when [b] is longer than
+    the frame — [b] must not be used afterwards). *)
+
+val frame : magic:string -> version:int -> Buffer.t -> string
+(** Frame a body held in a buffer. *)
+
+val unframe : magic:string -> version:int -> what:string -> string -> reader
+(** Check a frame's magic, version, length and checksum and return a
+    reader at the start of its body, which runs to the end of the input.
+    [what] names the format in error messages.
+    @raise Corrupt on a bad magic, version, length or checksum, or on
+    bytes after the body. *)
+
 val encoded_digest : string -> string
 (** 64-bit FNV-1a content digest of already-encoded bytes, as a 16-char
     hex string — the content address of a FIR payload.  A migration
@@ -85,5 +114,5 @@ val get_ty : reader -> Types.ty
 
 val encode : Ast.program -> string
 val decode : string -> Ast.program
-(** @raise Corrupt on bad magic, version, length, checksum or trailing
-    garbage. *)
+(** @raise Corrupt on bad magic, version, length or checksum, bytes after
+    the frame, or trailing garbage inside the body. *)

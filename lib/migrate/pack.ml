@@ -67,20 +67,16 @@ let pack ?(with_binary = true) ?(epoch = 0) ?dspec proc ~entry ~args ~label =
       ~pinned:(Spec.Engine.records proc.Process.spec)
   in
   Spec.Engine.rewrite_after_gc proc.Process.spec res;
-  (* 3. snapshot *)
-  let fir_bytes = Fir.Serial.encode proc.Process.program in
+  (* 3. snapshot; the program's payloads are the process's, encoded at
+     most once in its lifetime *)
+  let fir = Process.fir_payload proc in
   let image =
     {
       Wire.i_arch = proc.Process.arch.Arch.name;
-      i_digest = Fir.Digest.of_encoded fir_bytes;
-      i_fir = fir_bytes;
+      i_digest = fir.Process.fir_digest;
+      i_fir = fir.Process.fir_bytes;
       i_masm =
-        (if with_binary then
-           Some
-             (Masm.encode
-                (Codegen.compile ~arch:proc.Process.arch
-                   proc.Process.program))
-         else None);
+        (if with_binary then Some (Process.masm_payload proc) else None);
       i_ftable = Function_table.names proc.Process.ftable;
       i_ptable = Pointer_table.snapshot (Heap.pointer_table heap);
       i_cells = Heap.cells heap;
@@ -308,6 +304,11 @@ let unpack_image ?(pid = 0) ?(seed = 42) ?(trusted = false)
         ~spec_snapshot:image.Wire.i_spec
         ~cont:(image.Wire.i_entry, []) ()
     in
+    (* the image's FIR bytes are the program's encoding (the program was
+       decoded from them, or cached under their digest), and the digest
+       was recomputed over them on receipt: a later pack re-ships them *)
+    Process.seed_fir_payload proc ~fir_bytes:image.Wire.i_fir
+      ~fir_digest:image.Wire.i_digest;
     (* extract the continuation arguments from migrate_env with the
        standard safety checks applied as they are read (Section 4.2.2) *)
     let entry_fd =

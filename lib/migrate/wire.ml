@@ -79,19 +79,99 @@ type image = {
 }
 
 (* ------------------------------------------------------------------ *)
+(* The packet writer                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Full and delta packets are written by one writer straight into a
+   single [Bytes].  The frame header's {!Fir.Serial.frame_bytes} bytes
+   are reserved at the front and filled in by [Fir.Serial.seal] once the
+   body's Adler-32 is known, so a packet costs one final copy of the
+   written prefix and nothing else.  Every field is written exactly as
+   the {!Fir.Serial} primitives would write it: little-endian words,
+   length-prefixed strings, tagged-stream lists, LEB128 varints. *)
+type writer = { mutable buf : Bytes.t; mutable pos : int }
+
+let writer size =
+  let start = Fir.Serial.frame_bytes in
+  { buf = Bytes.create (start + max 64 size); pos = start }
+
+let grow w n =
+  let need = w.pos + n in
+  let len = ref (2 * Bytes.length w.buf) in
+  while !len < need do
+    len := 2 * !len
+  done;
+  let buf = Bytes.create !len in
+  Bytes.blit w.buf 0 buf 0 w.pos;
+  w.buf <- buf
+
+let[@inline] room w n = if w.pos + n > Bytes.length w.buf then grow w n
+
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+(* Store a little-endian word at [at]; the caller has made [room]. *)
+let[@inline] set_word b at x =
+  if Sys.big_endian then set64u b at (bswap64 x) else set64u b at x
+
+let put_u8 w n =
+  room w 1;
+  Bytes.unsafe_set w.buf w.pos (Char.unsafe_chr (n land 0xff));
+  w.pos <- w.pos + 1
+
+(* At most nine bytes: [lsr] turns the 63-bit pattern of a negative int
+   into nine 7-bit groups. *)
+let put_uvarint w n =
+  room w 9;
+  let b = w.buf in
+  let n = ref n and pos = ref w.pos in
+  while !n lsr 7 <> 0 do
+    Bytes.unsafe_set b !pos (Char.unsafe_chr (!n land 0x7f lor 0x80));
+    n := !n lsr 7;
+    incr pos
+  done;
+  Bytes.unsafe_set b !pos (Char.unsafe_chr !n);
+  w.pos <- !pos + 1
+
+let put_varint w n = put_uvarint w ((n lsl 1) lxor (n asr 62))
+
+let put_i64 w n =
+  room w 8;
+  set_word w.buf w.pos (Int64.of_int n);
+  w.pos <- w.pos + 8
+
+(* A float's IEEE bit pattern, never boxed on the way. *)
+let put_f64 w f =
+  room w 8;
+  set_word w.buf w.pos (Int64.bits_of_float f);
+  w.pos <- w.pos + 8
+
+let put_string w s =
+  let n = String.length s in
+  put_i64 w n;
+  room w n;
+  Bytes.blit_string s 0 w.buf w.pos n;
+  w.pos <- w.pos + n
+
+let put_list w f xs =
+  List.iter
+    (fun x ->
+      put_u8 w 1;
+      f w x)
+    xs;
+  put_u8 w 0
+
+(* The packet: header filled in, one copy of the written prefix. *)
+let finish w =
+  let len = w.pos - Fir.Serial.frame_bytes in
+  Fir.Serial.seal ~magic ~version w.buf ~len
+
+(* ------------------------------------------------------------------ *)
 (* Value cells                                                         *)
 (* ------------------------------------------------------------------ *)
 
 open struct
-  let put_u8 = Fir.Serial.put_u8
-  let put_i64 = Fir.Serial.put_i64
-  let put_uvarint = Fir.Serial.put_uvarint
-  let put_varint = Fir.Serial.put_varint
-  let put_string = Fir.Serial.put_string
-  let put_list = Fir.Serial.put_list
-  let put_f64 = Fir.Serial.put_f64_bits
   let get_u8 = Fir.Serial.get_u8
-  let get_i64 = Fir.Serial.get_i64
   let get_uvarint = Fir.Serial.get_uvarint
   let get_varint = Fir.Serial.get_varint
   let get_string = Fir.Serial.get_string
@@ -102,28 +182,34 @@ end
 (* Integers dominate heap segments (block headers, counters, enum
    payloads), and most are small: zigzag varints where v6 spent fixed
    eight-byte words. *)
-let put_value buf = function
-  | Value.Vunit -> put_u8 buf 0
+let put_value w = function
+  | Value.Vunit -> put_u8 w 0
   | Value.Vint n ->
-    put_u8 buf 1;
-    put_varint buf n
+    put_u8 w 1;
+    put_varint w n
   | Value.Vfloat f ->
-    put_u8 buf 2;
-    put_f64 buf f
+    put_u8 w 2;
+    put_f64 w f
   | Value.Vbool b ->
-    put_u8 buf 3;
-    put_u8 buf (if b then 1 else 0)
+    put_u8 w 3;
+    put_u8 w (if b then 1 else 0)
   | Value.Venum (c, v) ->
-    put_u8 buf 4;
-    put_varint buf c;
-    put_varint buf v
+    put_u8 w 4;
+    put_varint w c;
+    put_varint w v
   | Value.Vptr (i, o) ->
-    put_u8 buf 5;
-    put_varint buf i;
-    put_varint buf o
+    put_u8 w 5;
+    put_varint w i;
+    put_varint w o
   | Value.Vfun f ->
-    put_u8 buf 6;
-    put_varint buf f
+    put_u8 w 6;
+    put_varint w f
+
+let encode_value v =
+  let w = writer 16 in
+  put_value w v;
+  Bytes.sub_string w.buf Fir.Serial.frame_bytes
+    (w.pos - Fir.Serial.frame_bytes)
 
 let get_value r =
   match get_u8 r with
@@ -145,25 +231,22 @@ let get_value r =
 (* Bit-exact cell equality.  Stdlib polymorphic equality is wrong for
    floats here: it conflates -0.0 with 0.0 (distinct bit patterns that
    must survive a round trip byte-identically) and makes NaN unequal to
-   itself (which would break every run containing one).  Compare the
-   transported representation instead. *)
-let cell_equal a b =
-  match a, b with
-  | Value.Vfloat x, Value.Vfloat y ->
-    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-  | _ -> a = b
+   itself (which would break every run containing one).  [Value.equal]
+   compares the transported representation, one constructor at a
+   time. *)
+let cell_equal = Value.equal
 
 (* Run-length heap segments: uvarint run count, then the cell once.
    Initialised arrays and freshly-zeroed pages collapse to a few bytes;
    the worst case (no two adjacent cells equal) costs one extra byte per
-   cell, which the varint integer encoding more than buys back.  A float
-   run takes its bit pattern once, not once per comparison: float-heavy
-   heaps are the largest images. *)
-let put_cells buf cells lo len =
+   cell, which the varint integer encoding more than buys back.  Float
+   and integer runs, the common cells, are scanned with their bit
+   pattern or value held unboxed; the rest go through [cell_equal]. *)
+let put_cells w cells lo len =
   let i = ref lo in
   let hi = lo + len in
   while !i < hi do
-    let v = cells.(!i) in
+    let v = Array.unsafe_get cells !i in
     let j = ref (!i + 1) in
     (match v with
     | Value.Vfloat x ->
@@ -171,18 +254,37 @@ let put_cells buf cells lo len =
       while
         !j < hi
         &&
-        match cells.(!j) with
-        | Value.Vfloat y -> Int64.equal (Int64.bits_of_float y) bits
+        match Array.unsafe_get cells !j with
+        | Value.Vfloat y -> Int64.bits_of_float y = bits
         | _ -> false
       do
         incr j
-      done
-    | _ ->
-      while !j < hi && cell_equal cells.(!j) v do
+      done;
+      put_uvarint w (!j - !i);
+      (* [put_value]'s float cell, with the bits already in hand *)
+      room w 9;
+      Bytes.unsafe_set w.buf w.pos '\002';
+      set_word w.buf (w.pos + 1) bits;
+      w.pos <- w.pos + 9
+    | Value.Vint n ->
+      while
+        !j < hi
+        &&
+        match Array.unsafe_get cells !j with
+        | Value.Vint m -> m = n
+        | _ -> false
+      do
         incr j
-      done);
-    put_uvarint buf (!j - !i);
-    put_value buf v;
+      done;
+      put_uvarint w (!j - !i);
+      put_u8 w 1;
+      put_varint w n
+    | _ ->
+      while !j < hi && cell_equal (Array.unsafe_get cells !j) v do
+        incr j
+      done;
+      put_uvarint w (!j - !i);
+      put_value w v);
     i := !j
   done
 
@@ -198,22 +300,22 @@ let get_cells r dst lo len =
     i := !i + run
   done
 
-let put_ptable buf ptable =
-  put_uvarint buf (Array.length ptable);
-  Array.iter (put_varint buf) ptable
+let put_ptable w ptable =
+  put_uvarint w (Array.length ptable);
+  Array.iter (put_varint w) ptable
 
 let get_ptable r =
   let n = get_uvarint r in
   if n > 100_000_000 then raise (Corrupt "bad pointer-table size");
   Array.init n (fun _ -> get_varint r)
 
-let put_spec_level buf (s : Spec.Engine.snapshot_level) =
-  put_string buf s.Spec.Engine.s_entry;
-  put_list buf put_value s.Spec.Engine.s_args;
-  put_list buf
-    (fun buf (idx, addr) ->
-      put_varint buf idx;
-      put_varint buf addr)
+let put_spec_level w (s : Spec.Engine.snapshot_level) =
+  put_string w s.Spec.Engine.s_entry;
+  put_list w put_value s.Spec.Engine.s_args;
+  put_list w
+    (fun w (idx, addr) ->
+      put_varint w idx;
+      put_varint w addr)
     s.Spec.Engine.s_saved
 
 let get_spec_level r =
@@ -227,17 +329,17 @@ let get_spec_level r =
   in
   { Spec.Engine.s_entry; s_args; s_saved }
 
-let put_dspec buf = function
-  | None -> put_u8 buf 0
+let put_dspec w = function
+  | None -> put_u8 w 0
   | Some c ->
-    put_u8 buf 1;
-    put_varint buf c.x_txn;
-    put_varint buf c.x_root;
-    put_varint buf c.x_coord_laddr;
-    put_list buf
-      (fun buf (r, e) ->
-        put_varint buf r;
-        put_varint buf e)
+    put_u8 w 1;
+    put_varint w c.x_txn;
+    put_varint w c.x_root;
+    put_varint w c.x_coord_laddr;
+    put_list w
+      (fun w (r, e) ->
+        put_varint w r;
+        put_varint w e)
       c.x_parts
 
 let get_dspec r =
@@ -310,20 +412,20 @@ let fold_cells h cells =
   !h
 
 let image_digest image =
-  let buf = Buffer.create (256 + (2 * Array.length image.i_ptable)) in
-  put_string buf image.i_arch;
-  put_string buf image.i_digest;
-  put_list buf put_string image.i_ftable;
-  put_ptable buf image.i_ptable;
-  put_uvarint buf (Array.length image.i_cells);
-  put_list buf put_spec_level image.i_spec;
-  put_varint buf image.i_menv;
-  put_string buf image.i_entry;
-  put_varint buf image.i_label;
-  let meta = Buffer.contents buf in
+  let w = writer (256 + (2 * Array.length image.i_ptable)) in
+  put_string w image.i_arch;
+  put_string w image.i_digest;
+  put_list w put_string image.i_ftable;
+  put_ptable w image.i_ptable;
+  put_uvarint w (Array.length image.i_cells);
+  put_list w put_spec_level image.i_spec;
+  put_varint w image.i_menv;
+  put_string w image.i_entry;
+  put_varint w image.i_label;
+  let off = Fir.Serial.frame_bytes in
   let h =
-    Fir.Serial.fnv_feed Fir.Serial.fnv_basis meta ~off:0
-      ~len:(String.length meta)
+    Fir.Serial.fnv_feed Fir.Serial.fnv_basis
+      (Bytes.unsafe_to_string w.buf) ~off ~len:(w.pos - off)
   in
   Fir.Serial.fnv_hex (fold_cells h image.i_cells)
 
@@ -577,63 +679,40 @@ let apply_delta ~baseline delta =
 (* Packet codec                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let frame body =
-  let header = Buffer.create 28 in
-  Buffer.add_string header magic;
-  put_i64 header version;
-  put_i64 header (Fir.Serial.adler32 body);
-  put_i64 header (String.length body);
-  Buffer.contents header ^ body
-
-let unframe s =
-  if String.length s < 4 || not (String.equal (String.sub s 0 4) magic) then
-    raise (Corrupt "bad process-image magic");
-  let r = { Fir.Serial.data = s; pos = 4 } in
-  let v = get_i64 r in
-  if v <> version then raise (Corrupt "process-image version mismatch");
-  let sum = get_i64 r in
-  let len = get_i64 r in
-  if len < 0 || r.Fir.Serial.pos + len > String.length s then
-    raise (Corrupt "bad process-image length");
-  let body = String.sub s r.Fir.Serial.pos len in
-  if Fir.Serial.adler32 body <> sum then
-    raise (Corrupt "process-image checksum mismatch");
-  body
-
-(* Initial body size: ten bytes per cell (a run byte, a tag and eight
-   float bytes — the cost of a float cell, the widest common case), so the
+(* Initial size: ten bytes per cell (a run byte, a tag and eight float
+   bytes — the cost of a float cell, the widest common case), so the
    largest images are written without regrowing. *)
 let encode image =
   let masm_len =
     match image.i_masm with Some m -> String.length m | None -> 0
   in
-  let body =
-    Buffer.create
+  let w =
+    writer
       (256
       + (10 * Array.length image.i_cells)
       + (2 * Array.length image.i_ptable)
       + String.length image.i_fir + masm_len)
   in
-  put_u8 body kind_full;
-  put_string body image.i_arch;
-  put_string body image.i_digest;
-  put_string body image.i_fir;
+  put_u8 w kind_full;
+  put_string w image.i_arch;
+  put_string w image.i_digest;
+  put_string w image.i_fir;
   (match image.i_masm with
-  | None -> put_u8 body 0
+  | None -> put_u8 w 0
   | Some payload ->
-    put_u8 body 1;
-    put_string body payload);
-  put_list body put_string image.i_ftable;
-  put_ptable body image.i_ptable;
-  put_uvarint body (Array.length image.i_cells);
-  put_cells body image.i_cells 0 (Array.length image.i_cells);
-  put_list body put_spec_level image.i_spec;
-  put_varint body image.i_menv;
-  put_string body image.i_entry;
-  put_varint body image.i_label;
-  put_varint body image.i_epoch;
-  put_dspec body image.i_dspec;
-  frame (Buffer.contents body)
+    put_u8 w 1;
+    put_string w payload);
+  put_list w put_string image.i_ftable;
+  put_ptable w image.i_ptable;
+  put_uvarint w (Array.length image.i_cells);
+  put_cells w image.i_cells 0 (Array.length image.i_cells);
+  put_list w put_spec_level image.i_spec;
+  put_varint w image.i_menv;
+  put_string w image.i_entry;
+  put_varint w image.i_label;
+  put_varint w image.i_epoch;
+  put_dspec w image.i_dspec;
+  finish w
 
 let get_image r =
   let i_arch = get_string r in
@@ -679,25 +758,25 @@ let get_image r =
     i_dspec;
   }
 
-let put_dblock buf = function
+let put_dblock w = function
   | Dcopy idx ->
-    put_u8 buf 0;
-    put_varint buf idx
+    put_u8 w 0;
+    put_varint w idx
   | Dlit { idx; tag; cells } ->
-    put_u8 buf 1;
-    put_varint buf idx;
-    put_u8 buf tag;
-    put_uvarint buf (Array.length cells);
-    put_cells buf cells 0 (Array.length cells)
+    put_u8 w 1;
+    put_varint w idx;
+    put_u8 w tag;
+    put_uvarint w (Array.length cells);
+    put_cells w cells 0 (Array.length cells)
   | Dpatch { idx; ranges } ->
-    put_u8 buf 2;
-    put_varint buf idx;
-    put_uvarint buf (List.length ranges);
+    put_u8 w 2;
+    put_varint w idx;
+    put_uvarint w (List.length ranges);
     List.iter
       (fun (off, cells) ->
-        put_uvarint buf off;
-        put_uvarint buf (Array.length cells);
-        put_cells buf cells 0 (Array.length cells))
+        put_uvarint w off;
+        put_uvarint w (Array.length cells);
+        put_cells w cells 0 (Array.length cells))
       ranges
 
 let get_dblock r =
@@ -728,22 +807,22 @@ let get_dblock r =
   | n -> raise (Corrupt (Printf.sprintf "bad delta block kind %d" n))
 
 let encode_delta delta =
-  let body = Buffer.create 8192 in
-  put_u8 body kind_delta;
-  put_string body delta.d_arch;
-  put_string body delta.d_base;
-  put_string body delta.d_fir_digest;
-  put_string body delta.d_new_digest;
-  put_ptable body delta.d_ptable;
-  put_uvarint body (List.length delta.d_blocks);
-  List.iter (put_dblock body) delta.d_blocks;
-  put_list body put_spec_level delta.d_spec;
-  put_varint body delta.d_menv;
-  put_string body delta.d_entry;
-  put_varint body delta.d_label;
-  put_varint body delta.d_epoch;
-  put_dspec body delta.d_dspec;
-  frame (Buffer.contents body)
+  let w = writer 8192 in
+  put_u8 w kind_delta;
+  put_string w delta.d_arch;
+  put_string w delta.d_base;
+  put_string w delta.d_fir_digest;
+  put_string w delta.d_new_digest;
+  put_ptable w delta.d_ptable;
+  put_uvarint w (List.length delta.d_blocks);
+  List.iter (put_dblock w) delta.d_blocks;
+  put_list w put_spec_level delta.d_spec;
+  put_varint w delta.d_menv;
+  put_string w delta.d_entry;
+  put_varint w delta.d_label;
+  put_varint w delta.d_epoch;
+  put_dspec w delta.d_dspec;
+  finish w
 
 let get_delta r =
   let d_arch = get_string r in
@@ -777,15 +856,14 @@ let get_delta r =
   }
 
 let decode_packet s =
-  let body = unframe s in
-  let r = { Fir.Serial.data = body; pos = 0 } in
+  let r = Fir.Serial.unframe ~magic ~version ~what:"process-image" s in
   let kind = get_u8 r in
   let packet =
     if kind = kind_full then Full (get_image r)
     else if kind = kind_delta then Delta (get_delta r)
     else raise (Corrupt (Printf.sprintf "bad packet kind %d" kind))
   in
-  if r.Fir.Serial.pos <> String.length body then
+  if r.Fir.Serial.pos <> String.length s then
     raise (Corrupt "trailing garbage in process image");
   packet
 

@@ -74,11 +74,14 @@ type image = {
 
 val encode : image -> string
 (** A full packet: checksummed, versioned, little-endian regardless of
-    the source architecture. *)
+    the source architecture.  Full and delta packets share one writer,
+    which fills a single byte buffer (frame header reserved in front,
+    filled in once the body's checksum is known) and copies it once. *)
 
 val decode : string -> image
-(** @raise Corrupt on bad magic/version/checksum/truncation, or if the
-    bytes hold a delta packet rather than a full image. *)
+(** @raise Corrupt on bad magic/version/checksum/truncation, bytes after
+    the frame, or if the bytes hold a delta packet rather than a full
+    image. *)
 
 val verify : image -> unit
 (** Structural verification: the block chain tiles the heap exactly,
@@ -178,7 +181,9 @@ val decode_packet : string -> packet
 
 (** {2 Cell codec (shared with tests)} *)
 
-val put_value : Buffer.t -> Value.t -> unit
+val encode_value : Value.t -> string
+(** One cell as a heap segment writes it (tag, then payload). *)
+
 val get_value : Fir.Serial.reader -> Value.t
 val cell_equal : Value.t -> Value.t -> bool
 (** Bit-exact: floats compare by IEEE bit pattern (-0.0 ≠ 0.0, NaN =

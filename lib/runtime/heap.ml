@@ -65,6 +65,7 @@ let dirty_page_cells = 64
 
 type t = {
   mutable store : Value.t array;
+  mutable cap : int;
   mutable alloc_ptr : int;
   mutable young_start : int;
   ptable : Pointer_table.t;
@@ -82,9 +83,10 @@ type t = {
 
 (* Everything in [0, alloc_ptr) starts in the old generation, and
    nothing is dirty: a restored heap IS the image it was restored from. *)
-let make ~store ~alloc_ptr ~ptable =
+let make ~store ~cap ~alloc_ptr ~ptable =
   {
     store;
+    cap;
     alloc_ptr;
     young_start = alloc_ptr;
     ptable;
@@ -96,9 +98,9 @@ let make ~store ~alloc_ptr ~ptable =
   }
 
 let create ?(initial_cells = 4096) () =
-  make
-    ~store:(Array.make (max 64 initial_cells) Value.Vunit)
-    ~alloc_ptr:0 ~ptable:(Pointer_table.create ())
+  let cap = max 64 initial_cells in
+  make ~store:(Array.make cap Value.Vunit) ~cap ~alloc_ptr:0
+    ~ptable:(Pointer_table.create ())
 
 (* -------------------- dirty-block tracking -------------------- *)
 
@@ -162,17 +164,34 @@ let set_minor_enabled t flag = t.minor_enabled <- flag
 let pointer_table t = t.ptable
 let used_cells t = t.alloc_ptr
 let young_cells t = t.alloc_ptr - t.young_start
-let capacity t = Array.length t.store
 let set_before_write t hook = t.before_write <- hook
 
-let ensure_capacity t extra =
-  let needed = t.alloc_ptr + extra in
-  if needed > Array.length t.store then begin
-    let cap = ref (Array.length t.store) in
+(* Capacity is the GC-pacing number: [needs_major] and the mutator's
+   collection policy (Vm.Process.maybe_collect) read it, and it grows by
+   doubling exactly as an array length would.  The physical store is a
+   separate matter: it grows on demand, by doubling, up to the capacity
+   (a restored heap's store may exceed it by the restore slack), so
+   raising the capacity allocates nothing. *)
+let capacity t = t.cap
+
+let raise_capacity t needed =
+  if needed > t.cap then begin
+    let cap = ref t.cap in
     while !cap < needed do
       cap := !cap * 2
     done;
-    let store = Array.make !cap Value.Vunit in
+    t.cap <- !cap
+  end
+
+let ensure_capacity t extra =
+  let needed = t.alloc_ptr + extra in
+  raise_capacity t needed;
+  if needed > Array.length t.store then begin
+    let len = ref (Array.length t.store) in
+    while !len < needed do
+      len := !len * 2
+    done;
+    let store = Array.make (min !len t.cap) Value.Vunit in
     Array.blit t.store 0 store 0 t.alloc_ptr;
     t.store <- store
   end
@@ -363,23 +382,30 @@ let live_blocks t = Pointer_table.live_count t.ptable
 (* A rough GC-pressure signal for the mutator loop. *)
 let needs_minor t = t.minor_enabled && young_cells t > 32_768
 let needs_major t =
-  t.alloc_ptr > 3 * Array.length t.store / 4
+  t.alloc_ptr > 3 * t.cap / 4
   || ((not t.minor_enabled) && young_cells t > 32_768)
 
-(* Pre-size the store (used after an unproductive major collection: if
+(* Raise the capacity (used after an unproductive major collection: if
    live data fills most of the heap, collecting again soon is wasted
-   work — grow instead). *)
-let reserve t cells = ensure_capacity t (max 0 (cells - t.alloc_ptr))
+   work — pace the next collection later instead).  The store itself
+   grows only when allocation reaches it. *)
+let reserve t cells = raise_capacity t cells
+
+(* Cells of store a restored heap holds beyond its image, so the first
+   allocations after a resume (a migrate_env, a few tuples) do not grow
+   the store. *)
+let restore_slack = 64
 
 (* Rebuild a heap from a migrated image: the raw cell dump and the pointer
    table snapshot (paper, Section 4.2.2 — the heap is reconstructed on the
    target from the transmitted contents).  Everything arrives promoted to
-   the old generation. *)
+   the old generation.  The capacity is the image's size (at least 64),
+   the store the image plus [restore_slack]. *)
 let restore ~cells ~ptable_snapshot =
   let len = Array.length cells in
-  let store = Array.make (max 64 len) Value.Vunit in
-  Array.blit cells 0 store 0 len;
-  make ~store ~alloc_ptr:len ~ptable:(Pointer_table.restore ptable_snapshot)
+  let store = Array.append cells (Array.make restore_slack Value.Vunit) in
+  make ~store ~cap:(max 64 len) ~alloc_ptr:len
+    ~ptable:(Pointer_table.restore ptable_snapshot)
 
 (* The raw cell dump for the wire codec. *)
 let cells t = Array.sub t.store 0 t.alloc_ptr

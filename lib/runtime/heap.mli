@@ -26,6 +26,10 @@ val h_flags : int
 
 type t = {
   mutable store : Value.t array;
+      (** the physical cells; grows on demand, by doubling, up to [cap]
+          (a restored heap's store may exceed it by {!restore_slack}) *)
+  mutable cap : int;
+      (** the logical capacity, see {!capacity} *)
   mutable alloc_ptr : int;
   mutable young_start : int;
   ptable : Pointer_table.t;
@@ -46,7 +50,12 @@ type t = {
 val create : ?initial_cells:int -> unit -> t
 val pointer_table : t -> Pointer_table.t
 val used_cells : t -> int
+
 val capacity : t -> int
+(** The GC-pacing capacity: {!needs_major} fires above three quarters of
+    it, it doubles when an allocation outgrows it, and {!reserve} raises
+    it.  It is not the length of the store, which grows only as far as
+    allocation reaches. *)
 
 val set_minor_enabled : t -> bool -> unit
 (** Ablation knob: disabling minor collections makes every collection a
@@ -104,7 +113,10 @@ val clear_remembered : t -> unit
 val live_blocks : t -> int
 val needs_minor : t -> bool
 val needs_major : t -> bool
+
 val reserve : t -> int -> unit
+(** [reserve t cells] doubles the capacity until it holds [cells];
+    allocates nothing. *)
 
 (** {2 Dirty-block tracking (delta migration)}
 
@@ -144,9 +156,13 @@ val page_dirty : dirty_snapshot -> int -> int -> bool
 
 (** {2 Migration support} *)
 
+val restore_slack : int
+(** Cells of store a restored heap holds beyond its image (64). *)
+
 val restore : cells:Value.t array -> ptable_snapshot:int array -> t
 (** Rebuild a heap from an unpacked image; everything arrives promoted to
-    the old generation. *)
+    the old generation.  The capacity is the image's size (at least 64);
+    the store holds the image plus {!restore_slack} cells. *)
 
 val cells : t -> Value.t array
 (** The raw cell dump [0, alloc_ptr) for the wire codec. *)

@@ -475,28 +475,10 @@ let encode image =
       put_i64 buf (Array.length f.fn_code);
       Array.iter (put_instr buf) f.fn_code)
     fns;
-  let body = Buffer.contents body in
-  let buf = Buffer.create (String.length body + 32) in
-  Buffer.add_string buf magic;
-  put_i64 buf version;
-  put_i64 buf (Fir.Serial.adler32 body);
-  put_i64 buf (String.length body);
-  Buffer.add_string buf body;
-  Buffer.contents buf
+  Fir.Serial.frame ~magic ~version body
 
 let decode s =
-  if String.length s < 4 || not (String.equal (String.sub s 0 4) magic) then
-    raise (Corrupt "bad MASM magic");
-  let r = { Fir.Serial.data = s; pos = 4 } in
-  let v = get_i64 r in
-  if v <> version then raise (Corrupt "MASM version mismatch");
-  let sum = get_i64 r in
-  let len = get_i64 r in
-  if len < 0 || r.Fir.Serial.pos + len > String.length s then
-    raise (Corrupt "bad MASM body length");
-  let body = String.sub s r.Fir.Serial.pos len in
-  if Fir.Serial.adler32 body <> sum then raise (Corrupt "MASM checksum");
-  let r = { Fir.Serial.data = body; pos = 0 } in
+  let r = Fir.Serial.unframe ~magic ~version ~what:"MASM" s in
   let im_arch = get_string r in
   let im_main = get_string r in
   let fns =
@@ -516,4 +498,6 @@ let decode s =
         String_map.add f.fn_name f acc)
       String_map.empty fns
   in
+  if r.Fir.Serial.pos <> String.length s then
+    raise (Corrupt "trailing garbage in MASM body");
   { im_arch; im_main; im_fns }

@@ -91,4 +91,5 @@ exception Corrupt of string
 
 val encode : image -> string
 val decode : string -> image
-(** @raise Corrupt on bad magic/version/checksum/truncation. *)
+(** @raise Corrupt on bad magic/version/checksum/truncation, bytes after
+    the frame, or trailing garbage inside the body. *)

@@ -29,6 +29,10 @@ type status =
   | Trapped of string
   | Migrating of migration_request
 
+(* The program as it travels: its Fir.Serial encoding and that
+   encoding's Fir.Digest. *)
+type fir_payload = { fir_bytes : string; fir_digest : string }
+
 type t = {
   pid : int;
   program : Fir.Ast.program;
@@ -44,6 +48,11 @@ type t = {
       (* host observer, fired after every collection (tracing) *)
   output : Buffer.t;
   rng : Random.State.t;
+  mutable fir_payload : fir_payload option;
+      (* the program never changes, so neither do its encodings: each is
+         computed at most once per process (or seeded from the image the
+         process was restored from) *)
+  mutable masm_payload : string option;
 }
 
 exception Process_error of string
@@ -72,12 +81,34 @@ let restore ?(pid = 0) ?(arch = Arch.cisc32) ?(seed = 42) ~program ~heap
     on_gc = None;
     output = Buffer.create 128;
     rng = Random.State.make [| seed; pid |];
+    fir_payload = None;
+    masm_payload = None;
   }
 
 (* A fresh process: an empty heap, no speculation, about to call main. *)
 let create ?pid ?arch ?seed program =
   restore ?pid ?arch ?seed ~program ~heap:(Heap.create ())
     ~spec_snapshot:[] ~cont:(program.Fir.Ast.p_main, []) ()
+
+let fir_payload t =
+  match t.fir_payload with
+  | Some p -> p
+  | None ->
+    let fir_bytes = Fir.Serial.encode t.program in
+    let p = { fir_bytes; fir_digest = Fir.Digest.of_encoded fir_bytes } in
+    t.fir_payload <- Some p;
+    p
+
+let seed_fir_payload t ~fir_bytes ~fir_digest =
+  t.fir_payload <- Some { fir_bytes; fir_digest }
+
+let masm_payload t =
+  match t.masm_payload with
+  | Some m -> m
+  | None ->
+    let m = Masm.encode (Codegen.compile ~arch:t.arch t.program) in
+    t.masm_payload <- Some m;
+    m
 
 let output t = Buffer.contents t.output
 let is_terminated t =

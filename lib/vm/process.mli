@@ -26,6 +26,11 @@ type status =
   | Trapped of string
   | Migrating of migration_request
 
+type fir_payload = {
+  fir_bytes : string;  (** the {!Fir.Serial} encoding of the program *)
+  fir_digest : string;  (** {!Fir.Digest} of [fir_bytes] *)
+}
+
 type t = {
   pid : int;
   program : Fir.Ast.program;
@@ -41,6 +46,10 @@ type t = {
       (** host observer, fired after every collection (tracing) *)
   output : Buffer.t;
   rng : Random.State.t;
+  mutable fir_payload : fir_payload option;
+      (** memo of {!fir_payload} *)
+  mutable masm_payload : string option;
+      (** memo of {!masm_payload} *)
 }
 
 exception Process_error of string
@@ -55,6 +64,25 @@ val restore :
   cont:string * Value.t list -> unit -> t
 (** Rebuild a process from unpacked parts (migration / checkpoint
     resume). *)
+
+(** {2 Encoded payloads}
+
+    The program never changes, so a process encodes it for the wire at
+    most once: every pack of the process ships the same bytes. *)
+
+val fir_payload : t -> fir_payload
+(** The program's FIR encoding and digest, computed on first use. *)
+
+val seed_fir_payload : t -> fir_bytes:string -> fir_digest:string -> unit
+(** Install the payload the process was restored from, so its next pack
+    re-ships the bytes that arrived.  [fir_bytes] must be the encoding of
+    [program] and [fir_digest] its digest (a decoded image's, which the
+    wire layer recomputed on receipt). *)
+
+val masm_payload : t -> string
+(** The {!Masm} encoding of the program compiled for the process's
+    architecture (the binary fast-path payload), computed on first
+    use. *)
 
 val output : t -> string
 val is_terminated : t -> bool

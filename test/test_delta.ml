@@ -15,11 +15,10 @@ open Kit
 (* ------------------------------------------------------------------ *)
 
 let roundtrip v =
-  let buf = Buffer.create 16 in
-  Migrate.Wire.put_value buf v;
-  let r = { Fir.Serial.data = Buffer.contents buf; pos = 0 } in
+  let bytes = Migrate.Wire.encode_value v in
+  let r = { Fir.Serial.data = bytes; pos = 0 } in
   let v' = Migrate.Wire.get_value r in
-  check "no trailing bytes" true (r.Fir.Serial.pos = Buffer.length buf);
+  check "no trailing bytes" true (r.Fir.Serial.pos = String.length bytes);
   v'
 
 let test_codec_edges () =
@@ -63,9 +62,7 @@ let test_cell_equal_float_bits () =
   | Value.Vfloat f -> check "-0.0 survives the wire" true (1.0 /. f < 0.0)
   | _ -> Alcotest.fail "float decoded as non-float");
   check "small ints are small on the wire" true
-    (let buf = Buffer.create 16 in
-     Migrate.Wire.put_value buf (Value.Vint 3);
-     Buffer.length buf = 2)
+    (String.length (Migrate.Wire.encode_value (Value.Vint 3)) = 2)
 
 (* The wire format is pinned, not only self-consistent: a hand-built
    image (float runs, -0.0, a NaN payload, every cell kind, MASM, spec,
@@ -132,6 +129,287 @@ let test_wire_bytes_pinned () =
   in
   check_int "delta length" 170 (String.length delta);
   check_str "delta bytes" "f5d6cdee3b0b1279" (Fir.Digest.of_encoded delta)
+
+(* ------------------------------------------------------------------ *)
+(* The packet writer against the Buffer oracle                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The wire v10 encoder as it was written on [Buffer] before the
+   single-buffer writer replaced it: the writer must reproduce its bytes
+   exactly, for both packet kinds. *)
+module Oracle = struct
+  open Fir.Serial
+
+  let put_value buf = function
+    | Value.Vunit -> put_u8 buf 0
+    | Value.Vint n ->
+      put_u8 buf 1;
+      put_varint buf n
+    | Value.Vfloat f ->
+      put_u8 buf 2;
+      put_f64_bits buf f
+    | Value.Vbool b ->
+      put_u8 buf 3;
+      put_u8 buf (if b then 1 else 0)
+    | Value.Venum (c, v) ->
+      put_u8 buf 4;
+      put_varint buf c;
+      put_varint buf v
+    | Value.Vptr (i, o) ->
+      put_u8 buf 5;
+      put_varint buf i;
+      put_varint buf o
+    | Value.Vfun f ->
+      put_u8 buf 6;
+      put_varint buf f
+
+  let cell_equal a b =
+    match a, b with
+    | Value.Vfloat x, Value.Vfloat y ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+    | _ -> a = b
+
+  let put_cells buf cells lo len =
+    let i = ref lo in
+    let hi = lo + len in
+    while !i < hi do
+      let v = cells.(!i) in
+      let j = ref (!i + 1) in
+      while !j < hi && cell_equal cells.(!j) v do
+        incr j
+      done;
+      put_uvarint buf (!j - !i);
+      put_value buf v;
+      i := !j
+    done
+
+  let put_ptable buf ptable =
+    put_uvarint buf (Array.length ptable);
+    Array.iter (put_varint buf) ptable
+
+  let put_spec_level buf (s : Spec.Engine.snapshot_level) =
+    put_string buf s.Spec.Engine.s_entry;
+    put_list buf put_value s.Spec.Engine.s_args;
+    put_list buf
+      (fun buf (idx, addr) ->
+        put_varint buf idx;
+        put_varint buf addr)
+      s.Spec.Engine.s_saved
+
+  let put_dspec buf = function
+    | None -> put_u8 buf 0
+    | Some (c : Migrate.Wire.dspec_ctx) ->
+      put_u8 buf 1;
+      put_varint buf c.x_txn;
+      put_varint buf c.x_root;
+      put_varint buf c.x_coord_laddr;
+      put_list buf
+        (fun buf (r, e) ->
+          put_varint buf r;
+          put_varint buf e)
+        c.x_parts
+
+  let frame body =
+    let header = Buffer.create 28 in
+    Buffer.add_string header "MPRC";
+    put_i64 header 10;
+    put_i64 header (adler32 body);
+    put_i64 header (String.length body);
+    Buffer.contents header ^ body
+
+  let encode (im : Migrate.Wire.image) =
+    let body = Buffer.create 256 in
+    put_u8 body 0;
+    put_string body im.i_arch;
+    put_string body im.i_digest;
+    put_string body im.i_fir;
+    (match im.i_masm with
+    | None -> put_u8 body 0
+    | Some payload ->
+      put_u8 body 1;
+      put_string body payload);
+    put_list body put_string im.i_ftable;
+    put_ptable body im.i_ptable;
+    put_uvarint body (Array.length im.i_cells);
+    put_cells body im.i_cells 0 (Array.length im.i_cells);
+    put_list body put_spec_level im.i_spec;
+    put_varint body im.i_menv;
+    put_string body im.i_entry;
+    put_varint body im.i_label;
+    put_varint body im.i_epoch;
+    put_dspec body im.i_dspec;
+    frame (Buffer.contents body)
+
+  let put_dblock buf = function
+    | Migrate.Wire.Dcopy idx ->
+      put_u8 buf 0;
+      put_varint buf idx
+    | Migrate.Wire.Dlit { idx; tag; cells } ->
+      put_u8 buf 1;
+      put_varint buf idx;
+      put_u8 buf tag;
+      put_uvarint buf (Array.length cells);
+      put_cells buf cells 0 (Array.length cells)
+    | Migrate.Wire.Dpatch { idx; ranges } ->
+      put_u8 buf 2;
+      put_varint buf idx;
+      put_uvarint buf (List.length ranges);
+      List.iter
+        (fun (off, cells) ->
+          put_uvarint buf off;
+          put_uvarint buf (Array.length cells);
+          put_cells buf cells 0 (Array.length cells))
+        ranges
+
+  let encode_delta (d : Migrate.Wire.delta) =
+    let body = Buffer.create 256 in
+    put_u8 body 1;
+    put_string body d.d_arch;
+    put_string body d.d_base;
+    put_string body d.d_fir_digest;
+    put_string body d.d_new_digest;
+    put_ptable body d.d_ptable;
+    put_uvarint body (List.length d.d_blocks);
+    List.iter (put_dblock body) d.d_blocks;
+    put_list body put_spec_level d.d_spec;
+    put_varint body d.d_menv;
+    put_string body d.d_entry;
+    put_varint body d.d_label;
+    put_varint body d.d_epoch;
+    put_dspec body d.d_dspec;
+    frame (Buffer.contents body)
+end
+
+(* Cells drawn to stress the run-length and varint paths: few distinct
+   values (so runs form), both zeros, NaNs with two payloads, the int
+   extremes, and every constructor. *)
+let oracle_cell rng =
+  match Random.State.int rng 14 with
+  | 0 -> Value.Vunit
+  | 1 -> Value.Vint 0
+  | 2 -> Value.Vint (Random.State.int rng 300 - 150)
+  | 3 -> Value.Vint (if Random.State.bool rng then max_int else min_int)
+  | 4 -> Value.Vfloat 0.0
+  | 5 -> Value.Vfloat (-0.0)
+  | 6 -> Value.Vfloat (Int64.float_of_bits 0x7ff80000deadbeefL)
+  | 7 -> Value.Vfloat Float.nan
+  | 8 -> Value.Vfloat (float_of_int (Random.State.int rng 4) /. 3.0)
+  | 9 -> Value.Vbool (Random.State.bool rng)
+  | 10 -> Value.Venum (3, Random.State.int rng 3)
+  | 11 -> Value.Vptr (Random.State.int rng 4, Random.State.int rng 2)
+  | 12 -> Value.Vptr (-1, 0)
+  | _ -> Value.Vfun (Random.State.int rng 3)
+
+(* A cell array of [n] cells, each either a fresh draw or a repeat of
+   its left neighbour, so runs of every length occur. *)
+let oracle_cells rng n =
+  let cells = Array.make n Value.Vunit in
+  for i = 0 to n - 1 do
+    cells.(i) <-
+      (if i > 0 && Random.State.int rng 3 = 0 then cells.(i - 1)
+       else oracle_cell rng)
+  done;
+  cells
+
+let oracle_spec rng =
+  List.init (Random.State.int rng 3) (fun k ->
+      { Spec.Engine.s_entry = Printf.sprintf "level%d" k;
+        s_args = Array.to_list (oracle_cells rng (Random.State.int rng 4));
+        s_saved = [ k, -k; max_int, min_int ] })
+
+let oracle_dspec rng =
+  if Random.State.bool rng then None
+  else
+    Some
+      { Migrate.Wire.x_txn = Random.State.int rng 100; x_root = 0;
+        x_coord_laddr = -1; x_parts = [ 0, 1; max_int, 2 ] }
+
+(* A real heap's cells: blocks initialised to 0 end in a zero flags
+   header cell, so their runs cross block headers. *)
+let heap_cells () =
+  let h = Heap.create () in
+  ignore (Heap.alloc h ~tag:Heap.Array ~size:70 ~init:(Value.Vint 0));
+  ignore (Heap.alloc h ~tag:Heap.Array ~size:5 ~init:(Value.Vint 0));
+  ignore (Heap.alloc h ~tag:Heap.Tuple ~size:3 ~init:(Value.Vfloat (-0.0)));
+  ignore (Heap.alloc h ~tag:Heap.Raw ~size:0 ~init:(Value.Vint 0));
+  Heap.cells h
+
+let test_writer_matches_oracle () =
+  let rng = Random.State.make [| 29 |] in
+  let fir = "FIR payload" in
+  let image cells =
+    { pinned_image with
+      Migrate.Wire.i_digest = Fir.Digest.of_encoded fir;
+      i_fir = fir;
+      i_masm = (if Random.State.bool rng then Some "MASM" else None);
+      i_ptable = Array.init (Random.State.int rng 5) (fun k -> k - 1);
+      i_cells = cells;
+      i_spec = oracle_spec rng;
+      i_label = Random.State.int rng 1000 - 500;
+      i_epoch = Random.State.int rng 1000;
+      i_dspec = oracle_dspec rng }
+  in
+  (* besides the random heaps: the empty heap, runs across block
+     headers, the pinned cells, and two heaps that outgrow the writer's
+     first buffer (distinct floats; extreme pointers at twenty bytes a
+     cell) *)
+  let heaps =
+    [ [||];
+      heap_cells ();
+      pinned_image.Migrate.Wire.i_cells;
+      Array.init 5000 (fun i -> Value.Vfloat (float_of_int i));
+      Array.init 2000 (fun i ->
+          if i land 1 = 0 then Value.Vptr (max_int, min_int)
+          else Value.Vptr (min_int, max_int)) ]
+    @ List.init 200 (fun _ -> oracle_cells rng (Random.State.int rng 300))
+  in
+  List.iteri
+    (fun k cells ->
+      let im = image cells in
+      let packet = Migrate.Wire.encode im in
+      check_str (Printf.sprintf "full packet %d" k) (Oracle.encode im) packet;
+      let back = Migrate.Wire.decode packet in
+      check (Printf.sprintf "full packet %d decodes to its cells" k) true
+        (Array.length back.Migrate.Wire.i_cells = Array.length cells
+        && Array.for_all2 Migrate.Wire.cell_equal back.Migrate.Wire.i_cells
+             cells);
+      check_str (Printf.sprintf "full packet %d re-encodes" k) packet
+        (Migrate.Wire.encode back);
+      let slice () =
+        let n = Array.length cells in
+        let off = if n = 0 then 0 else Random.State.int rng n in
+        off, Array.sub cells off (Random.State.int rng (n - off + 1))
+      in
+      let delta =
+        { Migrate.Wire.d_arch = "risc64";
+          d_base = "base";
+          d_fir_digest = im.Migrate.Wire.i_digest;
+          d_new_digest = "new";
+          d_ptable = im.Migrate.Wire.i_ptable;
+          d_blocks =
+            [ Migrate.Wire.Dcopy (Random.State.int rng 10);
+              Migrate.Wire.Dlit
+                { idx = 1;
+                  tag = Random.State.int rng 3;
+                  cells = snd (slice ()) };
+              Migrate.Wire.Dpatch { idx = -2; ranges = [ slice (); slice () ] };
+              Migrate.Wire.Dpatch { idx = 3; ranges = [] } ];
+          d_spec = im.Migrate.Wire.i_spec;
+          d_menv = im.Migrate.Wire.i_menv;
+          d_entry = "resume";
+          d_label = im.Migrate.Wire.i_label;
+          d_epoch = im.Migrate.Wire.i_epoch;
+          d_dspec = im.Migrate.Wire.i_dspec }
+      in
+      let packet = Migrate.Wire.encode_delta delta in
+      check_str (Printf.sprintf "delta packet %d" k)
+        (Oracle.encode_delta delta) packet;
+      match Migrate.Wire.decode_packet packet with
+      | Migrate.Wire.Delta back ->
+        check_str (Printf.sprintf "delta packet %d re-encodes" k) packet
+          (Migrate.Wire.encode_delta back)
+      | Migrate.Wire.Full _ -> Alcotest.fail "delta decoded as a full image")
+    heaps
 
 (* ------------------------------------------------------------------ *)
 (* Image digest: what it hashes and what it ignores                    *)
@@ -1047,6 +1325,8 @@ let suites =
           test_cell_equal_float_bits;
         Alcotest.test_case "wire bytes and digests pinned" `Quick
           test_wire_bytes_pinned;
+        Alcotest.test_case "writer matches the Buffer oracle" `Quick
+          test_writer_matches_oracle;
         Alcotest.test_case "every single-cell mutation moves the digest"
           `Quick test_digest_cell_mutations;
         Alcotest.test_case "NaN images agree; MASM, epoch, dspec ignored"

@@ -245,11 +245,10 @@ let prop_wire_value_roundtrip =
   QCheck.Test.make ~count:500 ~name:"wire cells round-trip exactly"
     (QCheck.make value_gen ~print:Value.to_string)
     (fun v ->
-      let buf = Buffer.create 16 in
-      Migrate.Wire.put_value buf v;
-      let r = { Fir.Serial.data = Buffer.contents buf; pos = 0 } in
+      let bytes = Migrate.Wire.encode_value v in
+      let r = { Fir.Serial.data = bytes; pos = 0 } in
       let v' = Migrate.Wire.get_value r in
-      Value.equal v v' && r.Fir.Serial.pos = Buffer.length buf)
+      Value.equal v v' && r.Fir.Serial.pos = String.length bytes)
 
 (* ------------------------------------------------------------------ *)
 (* Compiler fuzzing: mini-C expressions vs an OCaml evaluator          *)

@@ -634,6 +634,20 @@ let test_serial_kernels () =
         (fnv_oracle s)
         (Serial.fnv_hex (Serial.fnv_feed h s ~off:cut ~len:(n - cut))))
     inputs;
+  (* a range inside a larger buffer, at every alignment of the
+     eight-byte steps *)
+  let big = Bytes.of_string (random_string 12_000) in
+  List.iter
+    (fun (off, len) ->
+      check_int
+        (Printf.sprintf "adler32_range %d+%d" off len)
+        (adler32_oracle (Bytes.sub_string big off len))
+        (Serial.adler32_range big ~off ~len))
+    [ 0, 0; 3, 1; 1, 5560; 7, 11_105; 28, 11_972 ];
+  check "adler32_range rejects a range past the end" true
+    (match Serial.adler32_range big ~off:11_999 ~len:2 with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
   check_int "Adler-32(\"Wikipedia\")" 0x11E60398 (Serial.adler32 "Wikipedia");
   check_str "FNV-1a-64 of the empty string" "cbf29ce484222325"
     (Serial.encoded_digest "");

@@ -393,6 +393,93 @@ let test_reject_forged_heap_ref () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "forged heap reference accepted"
 
+(* A frame is the whole input: each framed decoder rejects bytes after
+   it instead of ignoring them. *)
+let junk = "JUNK"
+
+let rejects_trailing what decode bytes =
+  (match decode bytes with
+  | _ -> ()
+  | exception Fir.Serial.Corrupt msg ->
+    Alcotest.failf "%s: the unpadded frame was rejected: %s" what msg);
+  match decode (bytes ^ junk) with
+  | _ -> Alcotest.failf "%s: bytes after the frame accepted" what
+  | exception Fir.Serial.Corrupt _ -> ()
+
+let test_reject_trailing_image () =
+  let bytes = packed_bytes () in
+  rejects_trailing "Wire.decode" Migrate.Wire.decode bytes;
+  match Migrate.Pack.unpack ~arch:Vm.Arch.cisc32 (bytes ^ junk) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "Pack.unpack accepted a padded image"
+
+let test_reject_trailing_fir () =
+  rejects_trailing "Fir.Serial.decode" Fir.Serial.decode
+    (Fir.Serial.encode (migrating_sum 20))
+
+let test_reject_trailing_masm () =
+  rejects_trailing "Vm.Masm.decode" Vm.Masm.decode
+    (Vm.Masm.encode
+       (Vm.Codegen.compile ~arch:Vm.Arch.cisc32 (migrating_sum 20)))
+
+let test_reject_trailing_server () =
+  let server = Migrate.Server.(create_cfg Config.default Vm.Arch.cisc32) in
+  (match Migrate.Server.handle server (packed_bytes () ^ junk) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "server accepted a padded image");
+  let count = Obs.Metrics.counter_value (Migrate.Server.metrics server) in
+  check_int "rejected" 1 (count "server.rejected");
+  check_int "accepted" 0 (count "server.accepted")
+
+(* ------------------------------------------------------------------ *)
+(* The process's encoded payloads                                      *)
+(* ------------------------------------------------------------------ *)
+
+let test_fir_payload_fresh () =
+  let program = migrating_sum 20 in
+  let proc = Vm.Process.create program in
+  let p = Vm.Process.fir_payload proc in
+  let bytes = Fir.Serial.encode program in
+  check_str "bytes are the program's encoding" bytes p.Vm.Process.fir_bytes;
+  check_str "digest is the encoding's" (Fir.Digest.of_encoded bytes)
+    p.Vm.Process.fir_digest;
+  check "computed once" true (Vm.Process.fir_payload proc == p);
+  let masm = Vm.Process.masm_payload proc in
+  check_str "MASM payload is the compiled program's"
+    (Vm.Masm.encode (Vm.Codegen.compile ~arch:Vm.Arch.cisc32 program))
+    masm;
+  check "MASM payload computed once" true
+    (Vm.Process.masm_payload proc == masm)
+
+(* After an unpack, the next pack re-ships the FIR bytes that arrived
+   (the same string, not an equal re-encoding), and every pack of a
+   process shares one MASM payload. *)
+let test_fir_payload_reused () =
+  let proc, _ = run_to_migration (migrating_sum 20) in
+  let sent = Migrate.Pack.pack_request proc in
+  let received = Migrate.Wire.decode sent.Migrate.Pack.p_bytes in
+  match
+    Migrate.Pack.unpack_image ~arch:Vm.Arch.cisc32
+      ~bytes_len:(String.length sent.Migrate.Pack.p_bytes) received
+  with
+  | Error msg -> Alcotest.failf "unpack failed: %s" msg
+  | Ok (proc', _, _, _) ->
+    let again = Migrate.Pack.pack_running proc' in
+    let im = again.Migrate.Pack.p_image in
+    check "i_fir is the received string" true
+      (im.Migrate.Wire.i_fir == received.Migrate.Wire.i_fir);
+    check_str "i_digest is the received digest"
+      received.Migrate.Wire.i_digest im.Migrate.Wire.i_digest;
+    check_str "and still the program's encoding"
+      (Fir.Serial.encode proc'.Vm.Process.program)
+      im.Migrate.Wire.i_fir;
+    let masm (p : Migrate.Pack.packed) =
+      p.Migrate.Pack.p_image.Migrate.Wire.i_masm
+    in
+    match masm again, masm (Migrate.Pack.pack_running proc') with
+    | Some a, Some b -> check "one MASM payload per process" true (a == b)
+    | _ -> Alcotest.fail "pack without a MASM payload"
+
 (* ------------------------------------------------------------------ *)
 (* Server                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -466,6 +553,21 @@ let suites =
           test_reject_bad_ftable;
         Alcotest.test_case "forged heap reference" `Quick
           test_reject_forged_heap_ref;
+        Alcotest.test_case "bytes after an image frame" `Quick
+          test_reject_trailing_image;
+        Alcotest.test_case "bytes after a FIR frame" `Quick
+          test_reject_trailing_fir;
+        Alcotest.test_case "bytes after a MASM frame" `Quick
+          test_reject_trailing_masm;
+        Alcotest.test_case "server rejects a padded image" `Quick
+          test_reject_trailing_server;
+      ] );
+    ( "migrate.payload",
+      [
+        Alcotest.test_case "fresh process encodes its program once" `Quick
+          test_fir_payload_fresh;
+        Alcotest.test_case "unpacked process re-ships the received FIR"
+          `Quick test_fir_payload_reused;
       ] );
     ( "migrate.server",
       [ Alcotest.test_case "accept/reject statistics" `Quick test_server ] );

@@ -150,6 +150,125 @@ let test_heap_growth () =
         (Value.equal (Heap.read h idx 9) (Value.Vint k)))
     idxs
 
+(* Capacity is the GC-pacing number, kept apart from the store.  Its
+   rule is the one the store's length followed when the two were one: a
+   fresh heap holds [max 64 initial_cells], a restored one [max 64] of
+   its image, and a shortfall doubles it until the need fits. *)
+let doubled_until cap needed =
+  let cap = ref cap in
+  while !cap < needed do
+    cap := 2 * !cap
+  done;
+  !cap
+
+(* A restorable heap of exactly [n] cells (one block). *)
+let image_of n =
+  let h = Heap.create () in
+  ignore (Heap.alloc h ~tag:Heap.Array ~size:(n - Heap.header_cells)
+            ~init:(Value.Vint 7));
+  Heap.cells h, Pointer_table.snapshot (Heap.pointer_table h)
+
+let restored n =
+  let cells, ptable_snapshot = image_of n in
+  Heap.restore ~cells ~ptable_snapshot
+
+let alloc_n h ~blocks ~size =
+  for _ = 1 to blocks do
+    ignore (Heap.alloc h ~tag:Heap.Array ~size ~init:Value.Vunit)
+  done
+
+let test_heap_capacity_table () =
+  List.iter
+    (fun (what, build, expected) ->
+      check_int what expected (Heap.capacity (build ())))
+    [
+      "create, default", (fun () -> Heap.create ()), 4096;
+      "create 10", (fun () -> Heap.create ~initial_cells:10 ()), 64;
+      "create 100", (fun () -> Heap.create ~initial_cells:100 ()), 100;
+      ( "restore empty",
+        (fun () -> Heap.restore ~cells:[||] ~ptable_snapshot:[||]),
+        64 );
+      "restore 1000", (fun () -> restored 1000), 1000;
+      ( "restore 1000, reserve 4000",
+        (fun () ->
+          let h = restored 1000 in
+          Heap.reserve h 4000;
+          h),
+        4000 );
+      ( "restore 1000, reserve 3000",
+        (fun () ->
+          let h = restored 1000 in
+          Heap.reserve h 3000;
+          h),
+        4000 );
+      ( "restore 1000, reserve 500",
+        (fun () ->
+          let h = restored 1000 in
+          Heap.reserve h 500;
+          h),
+        1000 );
+      ( "restore 1000, alloc 100",
+        (fun () ->
+          let h = restored 1000 in
+          alloc_n h ~blocks:1 ~size:96;
+          h),
+        2000 );
+      ( "create 64, alloc 100",
+        (fun () ->
+          let h = Heap.create ~initial_cells:64 () in
+          alloc_n h ~blocks:1 ~size:100;
+          h),
+        doubled_until 64 104 );
+      ( "create 100, twenty 14-cell blocks",
+        (fun () ->
+          let h = Heap.create ~initial_cells:100 () in
+          alloc_n h ~blocks:20 ~size:10;
+          h),
+        400 );
+    ]
+
+(* [needs_major] fires above three quarters of the capacity, at the
+   same allocation pointer as when the capacity was the store length. *)
+let test_heap_needs_major_flip () =
+  let h = Heap.create ~initial_cells:256 () in
+  let cap = ref 256 in
+  let first = ref None in
+  for _ = 1 to 400 do
+    alloc_n h ~blocks:1 ~size:1;
+    cap := doubled_until !cap (Heap.used_cells h);
+    check_int "capacity follows the doubling rule" !cap (Heap.capacity h);
+    let expected = Heap.used_cells h > 3 * !cap / 4 in
+    check
+      (Printf.sprintf "needs_major at %d cells" (Heap.used_cells h))
+      expected (Heap.needs_major h);
+    if expected && !first = None then first := Some (Heap.used_cells h)
+  done;
+  check "first flip just past 3/4 of 256" true (!first = Some 195)
+
+(* Raising the capacity allocates nothing: a restored heap's store stays
+   at the image plus the restore slack until allocation reaches it, and
+   then grows no further than the capacity. *)
+let test_heap_store_on_demand () =
+  let h = restored 1000 in
+  let used = Heap.used_cells h in
+  Heap.reserve h (4 * used);
+  check_int "capacity raised" 4000 (Heap.capacity h);
+  check "store still the image plus slack" true
+    (Array.length h.Heap.store <= used + Heap.restore_slack);
+  let small = Heap.alloc h ~tag:Heap.Tuple ~size:10 ~init:(Value.Vint 1) in
+  check "a small allocation fits the slack" true
+    (Array.length h.Heap.store <= used + Heap.restore_slack);
+  alloc_n h ~blocks:10 ~size:100;
+  check "store grew" true (Array.length h.Heap.store >= Heap.used_cells h);
+  check "store within the capacity" true
+    (Array.length h.Heap.store <= Heap.capacity h);
+  check_int "capacity unmoved by growth below it" 4000 (Heap.capacity h);
+  check "image survives growth" true
+    (Value.equal (Heap.read h 0 0) (Value.Vint 7));
+  check "new block survives growth" true
+    (Value.equal (Heap.read h small 9) (Value.Vint 1));
+  Heap.validate h
+
 (* ------------------------------------------------------------------ *)
 (* GC                                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -590,6 +709,12 @@ let suites =
         Alcotest.test_case "tuples and raw blocks" `Quick test_heap_tuple_raw;
         Alcotest.test_case "copy-on-write clone" `Quick test_heap_cow_clone;
         Alcotest.test_case "store growth" `Quick test_heap_growth;
+        Alcotest.test_case "capacity follows the doubling rule" `Quick
+          test_heap_capacity_table;
+        Alcotest.test_case "needs_major flips where it did" `Quick
+          test_heap_needs_major_flip;
+        Alcotest.test_case "store grows on demand up to capacity" `Quick
+          test_heap_store_on_demand;
         QCheck_alcotest.to_alcotest prop_dirty_matches_model;
       ] );
     ( "runtime.gc",
