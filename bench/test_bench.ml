@@ -54,7 +54,7 @@ let test_committed () =
   in
   Alcotest.(check (list string)) "11 committed ratios"
     [ "s1 longtail 21.21"; "s1 pingpong 1.50";
-      "v1 branch 2.37"; "v1 compute 2.25"; "v1 memory 1.84";
+      "v1 branch 3.33"; "v1 compute 2.99"; "v1 memory 2.43";
       "t1 serve-s11 0.89"; "t1 serve-s23 0.81";
       "t2 skew-s11 1.12"; "t2 skew-s23 1.12";
       "f5 spec-s11 0.70"; "f5 spec-s23 0.61" ]

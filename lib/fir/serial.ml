@@ -154,42 +154,57 @@ let get_varint r =
 (* Adler-32.                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* zlib's NMAX: the most bytes over which both running sums stay below
-   2^32 between reductions.  [mod] distributes over the additions, so
-   reducing once per NMAX bytes instead of once per byte yields the same
-   checksum. *)
-let adler_nmax = 5552
+(* Bytes per reduction: the sums are reduced mod 65521 once per chunk.
+   Every lane and sum below stays far inside a 63-bit int over 8 KB (see
+   [adler32_range]), so one reduction per chunk gives the same checksum
+   as one per byte: [mod] distributes over the additions. *)
+let adler_chunk = 8192
 
-(* Eight bytes x0..x7 at a time: they add their sum to [a] and
-   8a + 8x0 + 7x1 + ... + 1x7 to [s], exactly what eight single-byte
-   steps add, without the chain of dependent additions. *)
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+(* Eight bytes x0..x7 at a time, from one little-endian load.  Four
+   two-lane sums split the word by byte position: [p0] holds x0 in bits
+   0-31 and x4 in bits 32-62, [p1] x1 and x5, [p2] x2 and x6, [p3] x3
+   and x7.  Over a chunk of n words a lane sums at most 1024 * 255 <
+   2^18, and [ps], the running sum of all four before each word, at most
+   4 * 255 * (0 + 1 + ... + 1023) < 2^30 per lane, so no lane carries
+   into the next.  Eight single-byte steps add the word's bytes to [a]
+   and 8a + 8x0 + 7x1 + ... + 1x7 to [s]; over the chunk that is the
+   byte total, and 8na + 8 * (the bytes before each word) plus each
+   byte position's total times its weight. *)
 let adler32_range b ~off ~len =
   if off < 0 || len < 0 || off + len > Bytes.length b then
     invalid_arg "Serial.adler32_range";
+  let m = 0xff_0000_00ff and lo x = x land 0xffff_ffff and hi x = x lsr 32 in
   let a = ref 1 and s = ref 0 in
   let start = ref off in
   let stop_all = off + len in
   while !start < stop_all do
-    let stop = min stop_all (!start + adler_nmax) in
-    let i = ref !start in
-    while !i + 8 <= stop do
-      let k = !i in
-      let x0 = Char.code (Bytes.unsafe_get b k)
-      and x1 = Char.code (Bytes.unsafe_get b (k + 1))
-      and x2 = Char.code (Bytes.unsafe_get b (k + 2))
-      and x3 = Char.code (Bytes.unsafe_get b (k + 3))
-      and x4 = Char.code (Bytes.unsafe_get b (k + 4))
-      and x5 = Char.code (Bytes.unsafe_get b (k + 5))
-      and x6 = Char.code (Bytes.unsafe_get b (k + 6))
-      and x7 = Char.code (Bytes.unsafe_get b (k + 7)) in
-      s :=
-        !s + (8 * !a) + (8 * x0) + (7 * x1) + (6 * x2) + (5 * x3) + (4 * x4)
-        + (3 * x5) + (2 * x6) + x7;
-      a := !a + x0 + x1 + x2 + x3 + x4 + x5 + x6 + x7;
-      i := k + 8
+    let stop = min stop_all (!start + adler_chunk) in
+    let n = (stop - !start) / 8 in
+    let p0 = ref 0 and p1 = ref 0 and p2 = ref 0 and p3 = ref 0 in
+    let ps = ref 0 in
+    let k = ref !start in
+    for _ = 1 to n do
+      let w = get64u b !k in
+      let w = if Sys.big_endian then bswap64 w else w in
+      let x = Int64.to_int w in
+      ps := !ps + !p0 + !p1 + !p2 + !p3;
+      p0 := !p0 + (x land m);
+      p1 := !p1 + ((x lsr 8) land m);
+      p2 := !p2 + ((x lsr 16) land m);
+      p3 := !p3 + (Int64.to_int (Int64.shift_right_logical w 24) land m);
+      k := !k + 8
     done;
-    for k = !i to stop - 1 do
-      a := !a + Char.code (Bytes.unsafe_get b k);
+    let p0 = !p0 and p1 = !p1 and p2 = !p2 and p3 = !p3 in
+    s :=
+      !s + (8 * n * !a) + (8 * (lo !ps + hi !ps))
+      + (8 * lo p0) + (7 * lo p1) + (6 * lo p2) + (5 * lo p3)
+      + (4 * hi p0) + (3 * hi p1) + (2 * hi p2) + hi p3;
+    a := !a + lo p0 + lo p1 + lo p2 + lo p3 + hi p0 + hi p1 + hi p2 + hi p3;
+    for i = !k to stop - 1 do
+      a := !a + Char.code (Bytes.unsafe_get b i);
       s := !s + !a
     done;
     a := !a mod 65521;

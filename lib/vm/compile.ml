@@ -57,6 +57,21 @@
      unobservable because every read still sees either the same [Vunit]
      or a value the function itself stored.
 
+   - {b Pass-through tail calls.}  A CPS loop step tail-calls with every
+     live variable, usually unchanged and in place.  When the callee is
+     static and takes the caller's parameter slots, the operands are
+     exactly those slots in order, and no instruction of the caller
+     writes one of them, the arguments are the block's incoming list
+     value for value and already sit where the callee reads them.  The
+     tail then stores that list itself in [cont] (no fresh list) and
+     marks the state; the emulator's next block entry skips the arity
+     check and the parameter install when the mark is set and [cont]
+     still holds, physically, the name and list the tail stored.  Every
+     other writer of [cont] (rollback, commit, a failed migration, an
+     unpacked image, the interpreter) makes a fresh list, so it always
+     takes the full entry.  Steps, cycle charges and the GC roots (the
+     list in [cont]) are those of the full call.
+
    Observational equivalence with [Baseline] is load-bearing: same
    status, output, retired-instruction count, cycle charges at every
    flush boundary, and same traps with the same messages — the
@@ -90,6 +105,13 @@ type state = {
   mutable acc : int;  (* pending static cycle charges *)
   mutable nins : int;  (* instructions retired this block *)
   mutable pc : int;
+  mutable args_in : Value.t list;
+      (* the argument list the current block was entered with *)
+  mutable pass_name : string;
+      (* the callee name the last pass-through tail stored in [cont] *)
+  mutable pass_idx : int;
+      (* the mark: that callee's linked index, or -1; block entry clears
+         it *)
 }
 
 (* A closure executes one fused segment and returns the next pc, or a
@@ -112,6 +134,7 @@ type image = {
   c_fns : cfn array;  (* parallel to [c_linked.l_fns] *)
   c_instrs : int;  (* instructions compiled *)
   c_super : int;  (* entry closures covering >= 2 instructions *)
+  c_passthrough : int;  (* tail sites compiled as pass-through *)
   c_tmps : int;
       (* scratch sizing for [itmps]/[ftmps]: max code length over the
          image's functions (temp index = producer pc), at least 1 *)
@@ -667,7 +690,7 @@ type part =
 (* Function compilation                                                *)
 (* ------------------------------------------------------------------ *)
 
-let compile_fn (linked : Link.image) (fn : Link.lfn) : cfn * int =
+let compile_fn (linked : Link.image) (fn : Link.lfn) : cfn * int * int =
   let code = fn.Link.l_code and cost = fn.Link.l_cost in
   let len = Array.length code in
   (* slot-space sizing, defensive against indices beyond the declared
@@ -690,6 +713,27 @@ let compile_fn (linked : Link.image) (fn : Link.lfn) : cfn * int =
     code;
   let nregs = !nr in
   let nslots = max (nregs + !ns) 1 in
+  (* a pass-through tail call hands the callee the block's incoming
+     argument list as is: the callee takes the same parameter slots, the
+     operands are those slots in order, and nothing in this function
+     writes one of them *)
+  let params = fn.Link.l_params in
+  let is_param = Array.make nslots false in
+  Array.iter (fun sl -> is_param.(sid nregs sl) <- true) params;
+  let params_written =
+    Array.exists
+      (fun i ->
+        match dest_of i with
+        | Some d -> is_param.(sid nregs d)
+        | None -> false)
+      code
+  in
+  let passes_through j argops =
+    (not params_written)
+    && linked.Link.l_fns.(j).Link.l_params = params
+    && Array.length argops = Array.length params
+    && Array.for_all2 (fun a p -> rop_sid nregs a = sid nregs p) argops params
+  in
   let succs = Array.init len (fun p -> succs_of len p code.(p)) in
   let def_at p =
     match dest_of code.(p) with Some d -> sid nregs d | None -> -1
@@ -799,7 +843,7 @@ let compile_fn (linked : Link.image) (fn : Link.lfn) : cfn * int =
   let live_at q s = live_in.(q).(s) in
   (* --- per-run compilation *)
   let av : avail option array = Array.make nslots None in
-  let super = ref 0 in
+  let super = ref 0 and passthrough = ref 0 in
   let pend_c = ref 0 and pend_n = ref 0 in
   let defer c =
     pend_c := !pend_c + c;
@@ -1102,19 +1146,40 @@ let compile_fn (linked : Link.image) (fn : Link.lfn) : cfn * int =
           st.acc <- st.acc + post;
           set st v;
           next)
-    | Link.Ltail (f, argops) ->
+    | Link.Ltail (f, argops) -> (
       let gf = gget linked nregs av f in
       let ga = args_fn linked nregs av argops in
       let cc, cn = checkpoint c in
-      Pterm
-        (fun st ->
-          st.acc <- st.acc + cc;
-          st.nins <- st.nins + cn;
-          let callee = gf st in
-          let args = ga st in
-          let name = Process.fun_name st.proc callee in
-          st.proc.Process.cont <- name, args;
-          -1)
+      let call st =
+        let callee = gf st in
+        let args = ga st in
+        let name = Process.fun_name st.proc callee in
+        st.proc.Process.cont <- name, args;
+        -1
+      in
+      match f with
+      | Link.Rfun j when passes_through j argops ->
+        (* the arguments are the incoming list, value for value, and
+           already sit in the callee's parameter slots *)
+        incr passthrough;
+        let name = linked.Link.l_fns.(j).Link.l_name in
+        Pterm
+          (fun st ->
+            st.acc <- st.acc + cc;
+            st.nins <- st.nins + cn;
+            match st.fun_values.(j) with
+            | None -> call st
+            | Some _ ->
+              st.proc.Process.cont <- name, st.args_in;
+              st.pass_name <- name;
+              st.pass_idx <- j;
+              -1)
+      | _ ->
+        Pterm
+          (fun st ->
+            st.acc <- st.acc + cc;
+            st.nins <- st.nins + cn;
+            call st))
     | Link.Lexit v ->
       let gi, _ = iget linked nregs av v in
       let cc, cn = checkpoint c in
@@ -1238,15 +1303,16 @@ let compile_fn (linked : Link.image) (fn : Link.lfn) : cfn * int =
       rs := !re + 1
     end
   done;
-  { cf_ops = out; cf_clear_regs; cf_clear_spills }, !super
+  { cf_ops = out; cf_clear_regs; cf_clear_spills }, !super, !passthrough
 
 let compile (linked : Link.image) : image =
-  let super = ref 0 and tmps = ref 1 in
+  let super = ref 0 and passthrough = ref 0 and tmps = ref 1 in
   let c_fns =
     Array.map
       (fun fn ->
-        let cfn, s = compile_fn linked fn in
+        let cfn, s, pt = compile_fn linked fn in
         super := !super + s;
+        passthrough := !passthrough + pt;
         tmps := max !tmps (Array.length fn.Link.l_code);
         cfn)
       linked.Link.l_fns
@@ -1256,6 +1322,7 @@ let compile (linked : Link.image) : image =
     c_fns;
     c_instrs = Link.instr_count linked;
     c_super = !super;
+    c_passthrough = !passthrough;
     c_tmps = !tmps;
   }
 

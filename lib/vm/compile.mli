@@ -26,7 +26,13 @@
       every observable point;
     - {b frame-clear elision}: definite-assignment analysis shrinks the
       per-call register/spill clears to the slots that may actually be
-      read before being written.
+      read before being written;
+    - {b pass-through tail calls}: a tail call to a static callee with
+      the caller's parameter slots, whose operands are exactly those
+      slots in order, in a function that never writes one of them,
+      reuses the block's incoming argument list as the continuation and
+      marks the {!state}; the next block entry then skips the arity
+      check and the parameter install.
 
     Compiled code is observationally identical to the [Baseline]
     reference mode: same results, same retired-instruction counts,
@@ -65,6 +71,16 @@ type state = {
   mutable acc : int;  (** pending static cycle charges *)
   mutable nins : int;  (** instructions retired this block *)
   mutable pc : int;
+  mutable args_in : Value.t list;
+      (** the argument list the current block was entered with *)
+  mutable pass_name : string;
+      (** the callee name the last pass-through tail stored in
+          [proc.cont] *)
+  mutable pass_idx : int;
+      (** the pass-through mark: that callee's linked index, or [-1].
+          Block entry clears it, and skips the parameter install only
+          when it is set and [proc.cont] still holds, physically,
+          [pass_name] and [args_in] *)
 }
 
 type op = state -> int
@@ -88,6 +104,7 @@ type image = {
   c_fns : cfn array;  (** parallel to [c_linked.l_fns] *)
   c_instrs : int;  (** instructions compiled *)
   c_super : int;  (** run entries covering two or more instructions *)
+  c_passthrough : int;  (** tail sites compiled as pass-through *)
   c_tmps : int;  (** scratch-array size every executing state needs *)
 }
 

@@ -120,6 +120,9 @@ let create ?(mode = Compiled) ?compiled image proc =
         acc = 0;
         nins = 0;
         pc = 0;
+        args_in = [];
+        pass_name = "";
+        pass_idx = -1;
       };
     proc;
     frame;
@@ -316,26 +319,35 @@ let flush proc acc =
 
 (* Execute one basic block of the closure-compiled image.  Block entry
    resolves the continuation, checks its arity, clears the frame,
-   installs the parameters and charges the entry cost; the instruction
-   loop is pure dispatch.  The
+   installs the parameters and charges the entry cost; after a
+   pass-through tail (see Compile) it only clears and charges.  The
+   instruction loop is pure dispatch.  The
    [unsafe_get] is safe by construction: Compile only ever emits next
    pcs inside [0, len] (out-of-range static targets are remapped to the
    raising sentinel at [len]), and negative returns exit the loop. *)
 let exec_compiled t (cimg : Compile.image) extern acc nins =
   let proc = t.proc in
+  let st = t.cstate in
   let fname, args = proc.Process.cont in
-  let idx = resolve_idx t cimg fname in
+  (* a pass-through tail left its arguments in the parameter slots; any
+     other writer of [cont] stored a fresh list, which fails the check *)
+  let passed =
+    st.Compile.pass_idx >= 0
+    && fname == st.Compile.pass_name
+    && args == st.Compile.args_in
+  in
+  let pidx = st.Compile.pass_idx in
+  st.Compile.pass_idx <- -1;
+  let idx = if passed then pidx else resolve_idx t cimg fname in
   let fn = cimg.Compile.c_linked.Link.l_fns.(idx) in
   let params = fn.Link.l_params in
-  let nparams = Array.length params in
   let rec count_is l n =
     match l with
     | [] -> n = 0
     | _ :: rest -> n > 0 && count_is rest (n - 1)
   in
-  if not (count_is args nparams) then
+  if (not passed) && not (count_is args (Array.length params)) then
     raise (Emulator_error (Printf.sprintf "arity mismatch calling %s" fname));
-  let st = t.cstate in
   let regs = st.Compile.regs and spills = st.Compile.spills in
   let cfn = cimg.Compile.c_fns.(idx) in
   (* definite-assignment analysis shrank the frame clear to the slots
@@ -356,7 +368,10 @@ let exec_compiled t (cimg : Compile.image) extern acc nins =
       | Masm.Spill s -> spills.(s) <- v);
       install (i + 1) rest
   in
-  install 0 args;
+  if not passed then begin
+    install 0 args;
+    st.Compile.args_in <- args
+  end;
   let code = cfn.Compile.cf_ops in
   if st.Compile.extern != extern then st.Compile.extern <- extern;
   st.Compile.acc <- fn.Link.l_entry_cost;

@@ -585,9 +585,9 @@ let test_serial_floats () =
   check_str "NaN canonical" s (Serial.encode (Serial.decode s))
 
 (* Checksum and digest kernels against their byte-at-a-time
-   definitions: the deferred-modulo Adler-32 and the loop FNV-1a must
+   definitions: the lane-parallel Adler-32 and the loop FNV-1a must
    agree with the textbook forms on every length, including both sides
-   of Adler-32's 5552-byte reduction block. *)
+   of Adler-32's 8 KB reduction chunk. *)
 let adler32_oracle s =
   let a = ref 1 and b = ref 0 in
   String.iter
@@ -614,7 +614,7 @@ let test_serial_kernels () =
     String.init n (fun _ -> Char.chr (Random.State.int rng 256))
   in
   let inputs =
-    List.map random_string [ 0; 1; 5551; 5552; 5553; 11105 ]
+    List.map random_string [ 0; 1; 5551; 5552; 5553; 8191; 8192; 8193; 11105 ]
     @ [ String.make 1_000_000 '\xff' ]
   in
   List.iter
@@ -644,6 +644,24 @@ let test_serial_kernels () =
         (adler32_oracle (Bytes.sub_string big off len))
         (Serial.adler32_range big ~off ~len))
     [ 0, 0; 3, 1; 1, 5560; 7, 11_105; 28, 11_972 ];
+  (* every offset of the word loads, on random bytes and on all-0xFF
+     bytes (the largest lane sums), at lengths on both sides of the 8 KB
+     chunk and of the 8-byte tail *)
+  let ff = Bytes.make 20_000 '\xff' in
+  let rnd = Bytes.of_string (random_string 20_000) in
+  List.iter
+    (fun (what, buf) ->
+      for off = 0 to 7 do
+        List.iter
+          (fun len ->
+            check_int
+              (Printf.sprintf "adler32_range of %s bytes %d+%d" what off len)
+              (adler32_oracle (Bytes.sub_string buf off len))
+              (Serial.adler32_range buf ~off ~len))
+          [ 0; 1; 7; 8; 9; 15; 16; 8183; 8184; 8191; 8192; 8193; 8199;
+            8200; 16_383; 16_384; 16_385; 16_391; 19_990 ]
+      done)
+    [ "random", rnd; "0xff", ff ];
   check "adler32_range rejects a range past the end" true
     (match Serial.adler32_range big ~off:11_999 ~len:2 with
     | _ -> false

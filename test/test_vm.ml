@@ -493,13 +493,13 @@ let boundary_programs =
           ] );
     ]
 
+let status_repr = function
+  | Vm.Process.Exited n -> Printf.sprintf "exited %d" n
+  | Vm.Process.Trapped m -> "trapped: " ^ m
+  | Vm.Process.Migrating r -> "migrating to " ^ r.Vm.Process.m_target
+  | Vm.Process.Running -> "running"
+
 let test_emulator_modes_equivalent () =
-  let status_repr = function
-    | Vm.Process.Exited n -> Printf.sprintf "exited %d" n
-    | Vm.Process.Trapped m -> "trapped: " ^ m
-    | Vm.Process.Migrating r -> "migrating to " ^ r.Vm.Process.m_target
-    | Vm.Process.Running -> "running"
-  in
   let check_program name p =
     List.iter
       (fun arch ->
@@ -620,6 +620,311 @@ let test_context_switch_cost () =
   check "positive cost" true (c32 > 0 && c64 > 0);
   check "more registers cost more to switch" true (c64 > c32)
 
+(* ------------------------------------------------------------------ *)
+(* Pass-through tail calls                                             *)
+(* ------------------------------------------------------------------ *)
+
+let cont_repr (proc : Vm.Process.t) =
+  let name, args = proc.Vm.Process.cont in
+  name ^ "(" ^ String.concat ", " (List.map Value.to_string args) ^ ")"
+
+(* Step a Baseline and a Compiled emulator over [image] in lockstep and
+   hold them to the same continuation after every step, then to the same
+   status, output, instructions, steps and cycles.  [between ~passed n
+   proc] runs on both processes after step [n]; [passed] says whether
+   that step ended the Compiled side in a pass-through tail (the list in
+   [cont] is physically the one the block was entered with). *)
+let lockstep ?(between = fun ~passed:_ _ _ -> ()) name program image =
+  let mk mode =
+    let proc = Vm.Process.create ~seed:5 ~arch:Vm.Arch.cisc32 program in
+    proc, Vm.Emulator.create ~mode image proc
+  in
+  let pb, eb = mk Vm.Emulator.Baseline and pc, ec = mk Vm.Emulator.Compiled in
+  let running (p : Vm.Process.t) = p.Vm.Process.status = Vm.Process.Running in
+  let n = ref 0 in
+  while running pb && running pc && !n < 100_000 do
+    incr n;
+    let before = snd pc.Vm.Process.cont in
+    Vm.Emulator.step eb;
+    Vm.Emulator.step ec;
+    let passed = snd pc.Vm.Process.cont == before in
+    between ~passed !n pb;
+    between ~passed !n pc;
+    check_str
+      (Printf.sprintf "%s: cont after step %d" name !n)
+      (cont_repr pb) (cont_repr pc)
+  done;
+  check_str (name ^ ": status") (status_repr pb.Vm.Process.status)
+    (status_repr pc.Vm.Process.status);
+  check_str (name ^ ": output") (Vm.Process.output pb) (Vm.Process.output pc);
+  check_int (name ^ ": instructions") (Vm.Emulator.instructions eb)
+    (Vm.Emulator.instructions ec);
+  check_int (name ^ ": steps") pb.Vm.Process.steps pc.Vm.Process.steps;
+  check_int (name ^ ": cycles") pb.Vm.Process.cycles pc.Vm.Process.cycles;
+  pc.Vm.Process.status
+
+let passthrough_sites image =
+  (Vm.Compile.compile_masm image).Vm.Compile.c_passthrough
+
+let test_passthrough_minic_loop () =
+  let fir =
+    compile_c
+      {|
+int main() {
+  int *d = alloc_int(16);
+  int i;
+  int j;
+  int s = 0;
+  for (i = 0; i < 16; i = i + 1) d[i] = i * i;
+  for (j = 0; j < 3; j = j + 1) {
+    for (i = 0; i < 16; i = i + 1) s = s + d[i] * (j + 1);
+  }
+  print_int(s);
+  return s % 251;
+}
+|}
+  in
+  let image = Vm.Codegen.compile ~arch:Vm.Arch.cisc32 fir in
+  check "loop tails compile as pass-through" true
+    (passthrough_sites image > 0);
+  let passes = ref 0 in
+  let status =
+    lockstep "minic loop" fir image
+      ~between:(fun ~passed _ _ -> if passed then incr passes)
+  in
+  check "compiled run took the pass-through path" true (!passes > 0);
+  check_str "minic loop result" "exited 161" (status_repr status)
+
+(* Hand-written MASM over a Builder program that supplies the function
+   table: codegen gives every variable its own slot, so it never writes
+   a parameter, and never permutes a self call. *)
+let masm_image fns =
+  {
+    Masm.im_arch = Vm.Arch.cisc32.Vm.Arch.name;
+    im_main = "main";
+    im_fns =
+      List.fold_left
+        (fun m (fn : Masm.fn) -> Masm.String_map.add fn.Masm.fn_name fn m)
+        Masm.String_map.empty fns;
+  }
+
+let masm_fn name params code =
+  { Masm.fn_name = name; fn_params = params; fn_code = code; fn_spills = 0 }
+
+let table_program names =
+  Builder.(
+    prog
+      (List.map
+         (fun (name, arity) ->
+           func name
+             (List.init arity (fun i -> Printf.sprintf "x%d" i, Types.Tint))
+             (fun _ -> exit_ (int 0)))
+         names))
+
+let test_passthrough_rejected () =
+  let open Masm in
+  let r n = Slot (Reg n) and i n = Imm (Iint n) in
+  (* loop(i, acc): acc += i; i -= 1; a tail with exactly the parameter
+     slots in order, but the body wrote both *)
+  let writes_params =
+    masm_image
+      [
+        masm_fn "loop" [ Reg 0; Reg 1 ]
+          [|
+            Binop (Ast.Add, Reg 1, r 1, r 0);
+            Binop (Ast.Sub, Reg 0, r 0, i 1);
+            Binop (Ast.Gt, Reg 2, r 0, i 0);
+            Jz (r 2, 5);
+            Tail_call (Imm (Ifun "loop"), [ r 0; r 1 ]);
+            Exit (r 1);
+          |];
+        masm_fn "main" []
+          [| Tail_call (Imm (Ifun "loop"), [ i 10; i 0 ]) |];
+      ]
+  in
+  (* swap(p, a, b): count p[0] down, swapping a and b on every step; the
+     tail writes no parameter but passes them permuted *)
+  let permutes =
+    masm_image
+      [
+        masm_fn "swap" [ Reg 0; Reg 1; Reg 2 ]
+          [|
+            Load (Reg 3, r 0, i 0, 0);
+            Binop (Ast.Sub, Reg 4, r 3, i 1);
+            Store (r 0, i 0, 0, r 4);
+            Binop (Ast.Gt, Reg 5, r 4, i 0);
+            Jz (r 5, 6);
+            Tail_call (Imm (Ifun "swap"), [ r 0; r 2; r 1 ]);
+            Binop (Ast.Mul, Reg 5, r 1, i 10);
+            Binop (Ast.Add, Reg 5, r 5, r 2);
+            Exit (r 5);
+          |];
+        masm_fn "main" []
+          [|
+            Alloc_array (Reg 0, i 1, i 4);
+            Tail_call (Imm (Ifun "swap"), [ r 0; i 1; i 2 ]);
+          |];
+      ]
+  in
+  List.iter
+    (fun (name, table, image, expect) ->
+      let status = lockstep name (table_program table) image in
+      check_str (name ^ ": result") expect (status_repr status);
+      check_int (name ^ ": no pass-through site") 0 (passthrough_sites image))
+    [
+      "writes a parameter", [ "loop", 2; "main", 0 ], writes_params,
+      "exited 55";
+      "permutes its arguments", [ "swap", 3; "main", 0 ], permutes,
+      "exited 21";
+    ]
+
+(* count(cell, n): bump cell[0] until it reaches n — every step is a
+   pass-through tail *)
+let count_fn =
+  Builder.(
+    func "count"
+      [ "cell", Types.Tptr Types.Tint; "n", Types.Tint ]
+      (fun args ->
+        match args with
+        | [ cell; n ] ->
+          load Types.Tint cell (int 0) (fun v ->
+              add v (int 1) (fun v' ->
+                  store cell (int 0) v'
+                    (lt v' n (fun c ->
+                         if_ c (callf "count" [ cell; n ]) (exit_ v')))))
+        | _ -> assert false))
+
+let counting_program =
+  Builder.(
+    prog
+      [
+        count_fn;
+        (* same parameters as count: a continuation a host can switch to
+           without touching the argument list *)
+        func "report"
+          [ "cell", Types.Tptr Types.Tint; "n", Types.Tint ]
+          (fun args ->
+            match args with
+            | [ cell; _ ] -> load Types.Tint cell (int 0) exit_
+            | _ -> assert false);
+        func "main" [] (fun _ ->
+            array Types.Tint ~size:(int 1) ~init:(int 0) (fun cell ->
+                callf "count" [ cell; int 100 ]));
+      ])
+
+(* the count runs inside a speculation; rolled back, it counts to 40 *)
+let speculative_counting_program =
+  Builder.(
+    prog
+      [
+        count_fn;
+        func "body"
+          [ "code", Types.Tint; "cell", Types.Tptr Types.Tint ]
+          (fun args ->
+            match args with
+            | [ code; cell ] ->
+              eq code (int 0) (fun first ->
+                  if_ first
+                    (callf "count" [ cell; int 100 ])
+                    (callf "count" [ cell; int 40 ]))
+            | _ -> assert false);
+        func "main" [] (fun _ ->
+            array Types.Tint ~size:(int 1) ~init:(int 0) (fun cell ->
+                speculate (fn "body") [ cell ]));
+      ])
+
+(* [cont] rewritten between steps while the pass-through mark is set:
+   every rewrite must force the full block entry *)
+let test_passthrough_cont_rewrites () =
+  let at_step k f ~passed n proc =
+    if n = k then begin
+      check (Printf.sprintf "step %d ended in a pass-through" k) true passed;
+      f proc
+    end
+  in
+  let run name program rewrite expect =
+    let image = Vm.Codegen.compile ~arch:Vm.Arch.cisc32 program in
+    check (name ^ ": the loop is pass-through") true
+      (passthrough_sites image > 0);
+    let status = lockstep name program image ~between:(at_step 12 rewrite) in
+    check_str (name ^ ": result") expect (status_repr status)
+  in
+  run "rollback inside the loop" speculative_counting_program
+    (fun proc -> Vm.Process.do_rollback proc ~level:1 ~code:1)
+    "exited 40";
+  (* a resumed migration stores the same (physical) name with fresh
+     arguments, so only the argument list tells the entries apart *)
+  run "migration_failed resuming mid-loop" counting_program
+    (fun proc ->
+      let name, args = proc.Vm.Process.cont in
+      proc.Vm.Process.status <-
+        Vm.Process.Migrating
+          { Vm.Process.m_label = 1; m_target = "mcc://nowhere";
+            m_entry = name; m_args = [ List.hd args; Value.Vint 30 ] };
+      Vm.Process.migration_failed proc)
+    "exited 30";
+  (* the same (physical) list under another name: only the name tells
+     the entries apart *)
+  run "host switches to another entry" counting_program
+    (fun proc ->
+      proc.Vm.Process.cont <- "report", snd proc.Vm.Process.cont)
+    "exited 11"
+
+(* A looping process moved mid-loop runs on, and its trace is the same
+   whether it started in Baseline or Compiled mode. *)
+let test_passthrough_move_running () =
+  let fir =
+    compile_c
+      {|
+int main() {
+  int i;
+  int s = 0;
+  for (i = 0; i < 3000; i = i + 1) s = (s + i * 7) % 10007;
+  print_int(s);
+  return s % 100;
+}
+|}
+  in
+  let run mode =
+    let cluster = mk_cluster ~nodes:2 Net.Faults.none in
+    let pid = Net.Cluster.spawn cluster ~engine:`Masm ~node_id:0 fir in
+    (match Net.Cluster.entry_of_pid cluster pid with
+    | Some e ->
+      e.Net.Cluster.engine <-
+        Net.Cluster.Emu_engine
+          (Vm.Emulator.create ~mode
+             (Vm.Codegen.compile ~arch:e.Net.Cluster.proc.Vm.Process.arch fir)
+             e.Net.Cluster.proc)
+    | None -> Alcotest.fail "process lost");
+    ignore (Net.Cluster.run cluster ~max_rounds:1);
+    check "still looping before the move" true
+      (status_of cluster pid = Vm.Process.Running);
+    let succ =
+      match move_running cluster ~pid ~node_id:1 with
+      | Ok rep -> rep.Net.Cluster.rep_pid
+      | Error e ->
+        Alcotest.failf "move failed: %s"
+          (Net.Cluster.migration_error_to_string e)
+    in
+    ignore (Net.Cluster.run cluster);
+    let out =
+      match Net.Cluster.entry_of_pid cluster succ with
+      | Some e -> Vm.Process.output e.Net.Cluster.proc
+      | None -> Alcotest.fail "successor lost"
+    in
+    ( status_repr (status_of cluster succ),
+      out,
+      String.concat "\n"
+        (List.map Obs.Trace.event_to_json
+           (Obs.Trace.events (Net.Cluster.trace cluster))) )
+  in
+  let sb, ob, tb = run Vm.Emulator.Baseline in
+  let sc, oc, tc = run Vm.Emulator.Compiled in
+  check_str "moved loop: status" sb sc;
+  check_str "moved loop: output" ob oc;
+  check "moved loop: traces identical" true (String.equal tb tc);
+  check_str "moved loop: result" "exited 78" sc
+
 let suites =
   [
     ( "vm.interp",
@@ -674,6 +979,14 @@ let suites =
         Alcotest.test_case "cycle accounting" `Quick test_cycle_accounting;
         Alcotest.test_case "context switch cost" `Quick
           test_context_switch_cost;
+        Alcotest.test_case "pass-through: minic loop" `Quick
+          test_passthrough_minic_loop;
+        Alcotest.test_case "pass-through: rejected sites" `Quick
+          test_passthrough_rejected;
+        Alcotest.test_case "pass-through: cont rewrites" `Quick
+          test_passthrough_cont_rewrites;
+        Alcotest.test_case "pass-through: move of a running loop" `Quick
+          test_passthrough_move_running;
       ] );
     ( "vm.masm",
       [
