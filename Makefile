@@ -14,7 +14,7 @@ test:
 bench:
 	dune exec bench/main.exe
 
-# Run the S1/V1/T1/T2/F5 meters, apply each meter's shape checks, and
+# Run the V1/T1/T2/F5 meters, apply each meter's shape checks, and
 # fail on any failed check, a >30 % speedup-ratio regression against
 # bench/baselines/, a missing baseline, or a case on only one side (see
 # EXPERIMENTS.md, "Reading S1/V1").

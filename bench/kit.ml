@@ -55,16 +55,11 @@ let median_by key samples =
 let time_op ~iters f =
   median_by Fun.id (Array.to_list (Array.init iters (fun _ -> f ())))
 
-(* One warm-up run of each thunk, then [iters] rounds that run every
-   thunk once in turn, so host drift hits each mode alike; each thunk's
-   timed samples. *)
-let interleaved ?(iters = 3) thunks =
-  List.iter (fun f -> ignore (f ())) thunks;
-  let samples = List.map (fun _ -> ref []) thunks in
-  for _ = 1 to iters do
-    List.iter2 (fun f acc -> acc := f () :: !acc) thunks samples
-  done;
-  List.map (fun acc -> List.rev !acc) samples
+(* the median sample by [key] of [iters] runs of [f] after one warm-up
+   run *)
+let warm_median ?(iters = 3) key f =
+  ignore (f ());
+  median_by key (List.init iters (fun _ -> f ()))
 
 (* ------------------------------------------------------------------ *)
 (* Rows: one flat JSON object per line                                 *)

@@ -31,8 +31,9 @@ let () =
       "a2", "a2", true, Speculation.a2;
       (* mailbox micro-benchmark, not part of the paper reproduction *)
       "m1", "m1", false, Speculation.m1;
+      (* the scheduler's cost, gated by a count *)
+      "s1", "s1", true, Bench.Meters.s1;
       (* perf meters: BENCH_<id>.json rows, gated by perfcheck *)
-      "s1", "s1", true, meter Bench.Meters.s1;
       "v1", "v1", true, meter Bench.Meters.v1;
       "t1", "t1", true, meter Bench.Meters.t1;
       "t2", "t2", true, meter Bench.Meters.t2;

@@ -1,5 +1,5 @@
-(* The perfcheck ratio gate on synthetic rows, and the ratios the
-   committed baselines hold. *)
+(* The perfcheck ratio gate on synthetic rows, the ratios the committed
+   baselines hold, and S1's scheduler visit bound. *)
 
 open Bench
 
@@ -52,13 +52,27 @@ let test_committed () =
             (Kit.ratios m.ratio rows))
       Meters.all
   in
-  Alcotest.(check (list string)) "11 committed ratios"
-    [ "s1 longtail 21.21"; "s1 pingpong 1.50";
-      "v1 branch 3.33"; "v1 compute 2.99"; "v1 memory 2.43";
+  Alcotest.(check (list string)) "9 committed ratios"
+    [ "v1 branch 3.33"; "v1 compute 2.99"; "v1 memory 2.43";
       "t1 serve-s11 0.89"; "t1 serve-s23 0.81";
       "t2 skew-s11 1.12"; "t2 skew-s23 1.12";
       "f5 spec-s11 0.70"; "f5 spec-s23 0.61" ]
-    got
+    got;
+  (* a baseline no meter reads is stale: perfcheck never gates it *)
+  Alcotest.(check (list string)) "every baseline belongs to a meter"
+    (List.sort compare
+       (List.map (fun (m : Kit.meter) -> "BENCH_" ^ m.id ^ ".json") Meters.all))
+    (List.sort compare (Array.to_list (Sys.readdir "baselines")))
+
+(* S1's count gate on a small long tail: 47 short ping-pong pairs and
+   one 300-round pair on 8 nodes, so 94 entries die early *)
+let test_sched_visits () =
+  let row, within_bound =
+    Meters.s1_row
+      { Meters.s1_name = "small"; s1_pairs = 48; s1_nodes = 8;
+        s1_rounds_of_pair = (fun p -> if p = 0 then 300 else 8) }
+  in
+  Alcotest.(check bool) (Kit.line_of_row row) true within_bound
 
 let () =
   Alcotest.run "bench"
@@ -67,4 +81,8 @@ let () =
           [ test_case "70% tolerance" `Quick test_tolerance;
             test_case "missing and uncommitted cases fail" `Quick test_missing;
             test_case "row format round-trips" `Quick test_row_round_trip;
-            test_case "committed baseline ratios" `Quick test_committed ] ) ]
+            test_case "committed baseline ratios" `Quick test_committed ] );
+      ( "scheduler",
+        Alcotest.
+          [ test_case "visits track live entries on a long tail" `Quick
+              test_sched_visits ] ) ]

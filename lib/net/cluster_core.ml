@@ -112,8 +112,8 @@ let make_entry ?baseline ?(bindings = Hashtbl.create 4) ?(notices = [])
   { proc; engine; node_id; mailbox; rank; epoch; start_at; parked_on = None;
     baseline; bindings; notices }
 
-(* An entry never changes node in place, so this is the only insertion
-   point of a node's resident list. *)
+(* An entry's [node_id] is immutable (a move builds a successor), so this
+   is the only insertion point of a node's resident list. *)
 let register t (entry : entry) =
   t.entries <- entry :: t.entries;
   let n = node t entry.node_id in

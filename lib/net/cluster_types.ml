@@ -10,11 +10,11 @@ type engine = Interp_engine | Emu_engine of Emulator.t
 type entry = {
   proc : Process.t;
   mutable engine : engine;
-  mutable node_id : int;
+  node_id : int;
   mailbox : Mpi.mailbox;
-  mutable rank : int option;
+  rank : int option;
   mutable epoch : int;
-  mutable start_at : float;
+  start_at : float;
   mutable parked_on : (Mpi.source * int) option;
   mutable baseline : (string * Migrate.Wire.image) option;
   bindings : (int, int) Hashtbl.t;
