@@ -74,9 +74,10 @@ type image = {
 
 val encode : image -> string
 (** A full packet: checksummed, versioned, little-endian regardless of
-    the source architecture.  Full and delta packets share one writer,
-    which fills a single byte buffer (frame header reserved in front,
-    filled in once the body's checksum is known) and copies it once. *)
+    the source architecture.  Full and delta packets are written by
+    {!Fir.Serial}'s writer, which fills a single byte buffer (frame
+    header reserved in front, filled in once the body's checksum is
+    known) and copies it once. *)
 
 val decode : string -> image
 (** @raise Corrupt on bad magic/version/checksum/truncation, bytes after
@@ -147,7 +148,7 @@ val image_digest : image -> string
     incarnations of the same state share a baseline digest), so sender
     and receiver agree on digests for reconstructed images.
 
-    The fields other than the cells go through the packet writers and
+    The fields other than the cells are encoded as in a packet and fed to
     FNV-1a.  The cells are hashed as 64-bit words with no intermediate
     buffer: each cell gives a tag word and then the fixed number of
     payload words its tag implies (a float gives its IEEE bit pattern,

@@ -136,9 +136,52 @@ let test_wire_bytes_pinned () =
 
 (* The wire v10 encoder as it was written on [Buffer] before the
    single-buffer writer replaced it: the writer must reproduce its bytes
-   exactly, for both packet kinds. *)
+   exactly, for both packet kinds.  Its primitives and checksum are its
+   own, written a byte at a time, so it shares no code with the
+   library's writer. *)
 module Oracle = struct
-  open Fir.Serial
+  let put_u8 buf n = Buffer.add_char buf (Char.chr (n land 0xff))
+
+  let put_i64 buf n =
+    for k = 0 to 7 do
+      put_u8 buf (n asr (8 * k))
+    done
+
+  let put_f64_bits buf f =
+    let bits = Int64.bits_of_float f in
+    for k = 0 to 7 do
+      put_u8 buf (Int64.to_int (Int64.shift_right_logical bits (8 * k)))
+    done
+
+  let put_string buf s =
+    put_i64 buf (String.length s);
+    Buffer.add_string buf s
+
+  let put_list buf f xs =
+    List.iter
+      (fun x ->
+        put_u8 buf 1;
+        f buf x)
+      xs;
+    put_u8 buf 0
+
+  let rec put_uvarint buf n =
+    if n lsr 7 = 0 then put_u8 buf n
+    else begin
+      put_u8 buf (n land 0x7f lor 0x80);
+      put_uvarint buf (n lsr 7)
+    end
+
+  let put_varint buf n = put_uvarint buf ((n lsl 1) lxor (n asr 62))
+
+  let adler32 s =
+    let a = ref 1 and b = ref 0 in
+    String.iter
+      (fun c ->
+        a := (!a + Char.code c) mod 65521;
+        b := (!b + !a) mod 65521)
+      s;
+    (!b lsl 16) lor !a
 
   let put_value buf = function
     | Value.Vunit -> put_u8 buf 0
