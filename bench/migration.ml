@@ -344,6 +344,11 @@ let e1d () =
   let compile1_s =
     compile_s (Migrate.Server.handle recv packed1.Migrate.Pack.p_bytes)
   in
+  (* the receiver holds hop 1's image as its baseline: in a cluster
+     that is the node which packed it, and hop 2 bounces back there *)
+  ignore
+    (Migrate.Server.remember_baseline ~digest:digest1 recv
+       packed1.Migrate.Pack.p_image);
   (* the baseline-less receiver also sees hop 1 (warming its CODE cache
      but retaining no image) *)
   ignore (Migrate.Server.handle recv_cold packed1.Migrate.Pack.p_bytes);
@@ -397,6 +402,9 @@ let e1d () =
      cisc32 receiver holding that baseline rebuilds and resumes it *)
   let recv_mixed = mk_server 4 in
   ignore (Migrate.Server.handle recv_mixed packed1.Migrate.Pack.p_bytes);
+  ignore
+    (Migrate.Server.remember_baseline ~digest:digest1 recv_mixed
+       packed1.Migrate.Pack.p_image);
   let proc_risc =
     match
       Migrate.Pack.unpack ~arch:Vm.Arch.risc64 packed1.Migrate.Pack.p_bytes

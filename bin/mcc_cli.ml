@@ -339,17 +339,7 @@ let serve_cmd =
                 migrate.bytes_full, migrate.bytes_delta, \
                 migrate.delta_hit_rate) after each processed batch.")
   in
-  let baseline_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "baseline-cache" ] ~docv:"N"
-          ~doc:"Retained delta baselines (0 disables delta receive): an \
-                inbound delta image is reconstructed against the cached \
-                full image it names and digest-verified before \
-                verification.")
-  in
-  let action spool arch once trusted cache_capacity baseline_cache
-      show_metrics =
+  let action spool arch once trusted cache_capacity show_metrics =
     let arch = arch_of_string arch in
     let cache =
       if cache_capacity > 0 then
@@ -358,8 +348,7 @@ let serve_cmd =
     in
     let server =
       Migrate.Server.create_cfg
-        { Migrate.Server.Config.default with trusted; cache;
-          baseline_cache }
+        { Migrate.Server.Config.default with trusted; cache }
         arch
     in
     let process_batch () =
@@ -425,7 +414,7 @@ let serve_cmd =
              recompile and execute inbound process images.")
     Term.(
       const action $ dir_arg $ arch_arg $ once_arg $ trusted_arg $ cache_arg
-      $ baseline_arg $ metrics_arg)
+      $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* mcc grid                                                            *)

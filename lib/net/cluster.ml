@@ -115,7 +115,7 @@ let registry_layout =
     `C "cluster.resurrections"; `C "migrate.retries"; `C "fence.rejections";
     `C "migrate.bytes_full"; `C "migrate.bytes_delta";
     `C "migrate.delta_hits"; `C "migrate.delta_misses";
-    `C "migrate.delta_fallbacks"; `G "migrate.delta_hit_rate";
+    `G "migrate.delta_hit_rate";
     `C "registry.moves"; `C "registry.forwarded"; `C "registry.rebinds";
     `C "registry.expired"; `H "app.latency_seconds";
     `H "migrate.backoff_seconds"; `H "cluster.migrate_bytes";

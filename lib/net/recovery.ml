@@ -152,14 +152,15 @@ let resurrect ?rank r ~node_id ~path =
         let cache_hit = costs.Migrate.Pack.u_cache_hit in
         (* the resumed heap is byte-identical to the replayed image (and
            its dirty set is empty), so that image is a valid pack
-           baseline; retain it on the daemon so the first hop away can
-           already be a delta *)
+           baseline.  This daemon does not retain it: a delta over it
+           would have to arrive here, and the process only leaves by
+           packing a newer baseline *)
         let entry =
           make_entry ~proc
             ~engine:(Emu_engine (Emulator.create ~compiled masm proc))
             ~node_id ~mailbox:(mailbox_for core rank) ~rank ~epoch
             ~start_at:(now core +. read_s +. compile_s)
-            ~baseline:(Migrate.Server.remember_baseline n.daemon image, image)
+            ~baseline:(Migrate.Wire.image_digest image, image)
             ()
         in
         Spec_graph.register r.graph entry;

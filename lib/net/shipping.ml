@@ -50,7 +50,6 @@ type t = {
   c_bytes_delta : Obs.Metrics.counter;
   c_delta_hits : Obs.Metrics.counter;
   c_delta_misses : Obs.Metrics.counter;
-  c_delta_fallbacks : Obs.Metrics.counter;
   g_delta_hit_rate : Obs.Metrics.gauge;
   c_svc_forwarded : Obs.Metrics.counter;
   h_backoff_s : Obs.Metrics.histogram;
@@ -74,7 +73,6 @@ let create core graph ~delta ~forward_ttl_s =
     c_bytes_delta = counter "migrate.bytes_delta";
     c_delta_hits = counter "migrate.delta_hits";
     c_delta_misses = counter "migrate.delta_misses";
-    c_delta_fallbacks = counter "migrate.delta_fallbacks";
     g_delta_hit_rate = Obs.Metrics.gauge m "migrate.delta_hit_rate";
     c_svc_forwarded = counter "registry.forwarded";
     h_backoff_s = histogram "migrate.backoff_seconds";
@@ -225,13 +223,6 @@ type shipment = {
   sh_pack_s : float;
 }
 
-let full_shipment (entry : entry) packed =
-  {
-    sh_bytes = packed.Migrate.Pack.p_bytes;
-    sh_delta = false;
-    sh_pack_s = pack_seconds entry.proc;
-  }
-
 (* The one delta choice, for network hops and checkpoint segments
    alike: a delta over [baseline] — the process's PREVIOUS image, what
    its dirty set is tracked against, once the caller has checked the
@@ -239,7 +230,10 @@ let full_shipment (entry : entry) packed =
    not match: heap images are architecture-independent) and it is
    strictly smaller than the full image; the full image otherwise. *)
 let choose_shipment (entry : entry) packed ~baseline =
-  let full = full_shipment entry packed in
+  let full =
+    { sh_bytes = packed.Migrate.Pack.p_bytes; sh_delta = false;
+      sh_pack_s = pack_seconds entry.proc }
+  in
   match baseline with
   | None -> full
   | Some (digest, base_image) -> (
@@ -252,103 +246,35 @@ let choose_shipment (entry : entry) packed ~baseline =
         sh_pack_s = delta_pack_seconds entry.proc stats }
     | Some _ | None -> full)
 
-(* One complete shipment of a packed process to [target]: transmission
-   under the fault plan, idempotent delivery, and — when a delta is
-   rejected because the receiver no longer holds the baseline it had at
-   negotiation time (evicted or restarted in between) — a transparent
-   fallback re-transmission of the full image.  The result aggregates
-   the cost of everything that travelled, fallback included. *)
-type ship_result = {
-  sr_outcome : Migrate.Server.request_outcome;
-  sr_bytes : int; (* total bytes on the wire *)
-  sr_pack_s : float;
-  sr_transfer_s : float;
-  sr_attempts : int;
-  sr_backoff_s : float;
-  sr_delta : bool; (* the ACCEPTED shipment was a delta *)
-}
-
-type ship_failure = {
-  sf_kind : [ `Unreachable | `Rejected ];
-  sf_attempts : int;
-  sf_pack_s : float; (* pack work performed, fallback included *)
-  sf_elapsed_s : float; (* time burned transmitting / timing out *)
-  sf_reason : string;
-}
-
-let ship_shipment s (entry : entry) (src : node) (target : node) packed sh =
+(* One shipment of a packed process to [target]: transmission under the
+   fault plan, then idempotent delivery.  The hop's cost comes back
+   whether or not the image landed; a daemon that refuses the image
+   fails the hop like any other rejection. *)
+let ship_shipment s (entry : entry) (src : node) (target : node) sh =
   let pid = entry.proc.Process.pid and rank = entry_rank entry in
-  (* one leg: a shipment transmitted and, if it landed, delivered *)
-  let leg (sh : shipment) ~send_at =
-    let bytes = String.length sh.sh_bytes in
-    note_shipment s ~as_delta:sh.sh_delta ~bytes;
+  let bytes = String.length sh.sh_bytes in
+  let send_at = src.clock +. sh.sh_pack_s in
+  note_shipment s ~as_delta:sh.sh_delta ~bytes;
+  match
+    transmit_hop s ~send_at ~src_node:src.node_id ~dst_node:target.node_id
+      ~target_name:target.node_name ~bytes ~pid ~rank
+  with
+  | Error (hx, reason) ->
+    hx, Error (Unreachable { attempts = hx.hx_attempts; reason })
+  | Ok hx -> (
     match
-      transmit_hop s ~send_at ~src_node:src.node_id ~dst_node:target.node_id
-        ~target_name:target.node_name ~bytes ~pid ~rank
+      deliver_hop s target ~bytes:sh.sh_bytes ~pid ~rank
+        ~arrive_at:(send_at +. hx.hx_delay_s)
     with
-    | Error (hx, reason) -> sh, hx, Error (`Unreachable, reason)
-    | Ok hx -> (
-      match
-        deliver_hop s target ~bytes:sh.sh_bytes ~pid ~rank
-          ~arrive_at:(send_at +. hx.hx_delay_s)
-      with
-      | Ok outcome -> sh, hx, Ok outcome
-      | Error msg -> sh, hx, Error (`Rejected, msg))
-  in
-  let first = leg sh ~send_at:(src.clock +. sh.sh_pack_s) in
-  let legs =
-    match first with
-    | _, hx, Error (`Rejected, msg)
-      when sh.sh_delta && Migrate.Server.is_unknown_baseline msg ->
-      (* the negotiated baseline evaporated before delivery: pay for the
-         wasted delta hop and re-ship the full image *)
-      Obs.Metrics.incr s.c_delta_fallbacks;
-      let full = full_shipment entry packed in
-      [
-        first;
-        leg full
-          ~send_at:
-            (src.clock +. sh.sh_pack_s +. hx.hx_delay_s +. full.sh_pack_s);
-      ]
-    | _ -> [ first ]
-  in
-  (* the last leg decides; the costs add up over every leg *)
-  let last_sh, _, fate = List.nth legs (List.length legs - 1) in
-  let sum f = List.fold_left (fun acc (sh, hx, _) -> acc +. f sh hx) 0.0 legs in
-  let pack_s = sum (fun sh _ -> sh.sh_pack_s)
-  and delay_s = sum (fun _ hx -> hx.hx_delay_s)
-  and attempts =
-    List.fold_left (fun acc (_, hx, _) -> acc + hx.hx_attempts) 0 legs
-  in
-  match fate with
-  | Ok outcome ->
-    Ok
-      {
-        sr_outcome = outcome;
-        sr_bytes =
-          List.fold_left
-            (fun acc (sh, _, _) -> acc + String.length sh.sh_bytes)
-            0 legs;
-        sr_pack_s = pack_s;
-        sr_transfer_s = delay_s;
-        sr_attempts = attempts;
-        sr_backoff_s = sum (fun _ hx -> hx.hx_backoff_s);
-        sr_delta = last_sh.sh_delta;
-      }
-  | Error (kind, reason) ->
-    Error
-      {
-        sf_kind = kind;
-        sf_attempts = attempts;
-        sf_pack_s = pack_s;
-        sf_elapsed_s = delay_s;
-        sf_reason = reason;
-      }
+    | Ok outcome -> hx, Ok outcome
+    | Error msg -> hx, Error (Rejected msg))
 
 (* Every pack rebases the process's dirty tracking: record the fresh
    image as the entry's baseline (success or failure downstream) and
-   retain it on the node's own daemon, so a later hop ARRIVING here can
-   be encoded as a delta over it. *)
+   retain it on the node's own daemon.  This is the only place a daemon
+   retains a baseline: a process's next delta is taken against its
+   previous pack, so the only node that can receive that delta is the
+   node that packed it. *)
 let rebase_baseline (n : node) (entry : entry) (packed : Migrate.Pack.packed) =
   let digest = packed.Migrate.Pack.p_digest in
   entry.baseline <- Some (digest, packed.Migrate.Pack.p_image);
@@ -465,11 +391,11 @@ let complete_rehome s (old_entry : entry) (new_entry : entry) =
    Because the drain lives here, no initiator can strand stamped
    messages at a vacated rank. *)
 let install_successor s (entry : entry) (src : node) (target : node) packed
-    ~baseline_digest (sr : ship_result) ~terminate =
+    ~baseline_digest sh hx outcome ~terminate =
   let core = s.core in
   let proc = entry.proc in
-  let outcome = sr.sr_outcome in
-  let pack_s = sr.sr_pack_s and transfer_s = sr.sr_transfer_s in
+  let pack_s = sh.sh_pack_s and transfer_s = hx.hx_delay_s in
+  let bytes = String.length sh.sh_bytes in
   let old_uids = Spec.Engine.unique_ids proc.Process.spec in
   let compile_s =
     Arch.seconds target.node_arch
@@ -516,7 +442,7 @@ let install_successor s (entry : entry) (src : node) (target : node) packed
   target.busy_seconds <- target.busy_seconds +. compile_s;
   let cache_hit = outcome.Migrate.Server.o_costs.Migrate.Pack.u_cache_hit in
   record_migration s `Migrated ~cache_hit ~transfer_s ~compile_s
-    ~bytes:sr.sr_bytes ~pack_s ();
+    ~bytes ~pack_s ();
   let emit_new time =
     emit core ~time ~node:target.node_id ~pid:new_pid
       ~rank:(entry_rank new_entry)
@@ -525,7 +451,7 @@ let install_successor s (entry : entry) (src : node) (target : node) packed
     (if cache_hit then Obs.Trace.Cache_hit else Obs.Trace.Cache_miss);
   emit_new new_entry.start_at
     (Obs.Trace.Migrate_done
-       { ok = true; cache_hit; bytes = sr.sr_bytes; pack_s; transfer_s;
+       { ok = true; cache_hit; bytes; pack_s; transfer_s;
          compile_s });
   new_entry, cache_hit
 
@@ -581,22 +507,21 @@ let ship_and_install s (entry : entry) (target : node) ~(pack : packer)
   let bytes = String.length sh.sh_bytes in
   emit_entry s.core entry
     (Obs.Trace.Migrate_start { target = target.node_name; bytes });
-  match ship_shipment s entry src target packed sh with
-  | Ok sr ->
+  match ship_shipment s entry src target sh with
+  | hx, Ok outcome ->
     let new_entry, cache_hit =
-      install_successor s entry src target packed ~baseline_digest sr
-        ~terminate
+      install_successor s entry src target packed ~baseline_digest sh hx
+        outcome ~terminate
     in
-    Ok (new_entry, cache_hit, sr)
-  | Error sf ->
-    if charge then
-      charge_seconds entry.proc (sf.sf_pack_s +. sf.sf_elapsed_s);
-    record_migration s `Failed ~bytes ~pack_s:sf.sf_pack_s ();
+    Ok (new_entry, cache_hit, sh, hx)
+  | hx, Error err ->
+    if charge then charge_seconds entry.proc (sh.sh_pack_s +. hx.hx_delay_s);
+    record_migration s `Failed ~bytes ~pack_s:sh.sh_pack_s ();
     emit_entry s.core entry
       (Obs.Trace.Migrate_done
-         { ok = false; cache_hit = false; bytes; pack_s = sf.sf_pack_s;
+         { ok = false; cache_hit = false; bytes; pack_s = sh.sh_pack_s;
            transfer_s = 0.0; compile_s = 0.0 });
-    Error sf
+    Error err
 
 (* The program's [migrate("mcc://host")].  On failure — the target
    stayed unreachable or its daemon rejected the image — the process
@@ -648,23 +573,18 @@ let move_running s ~pid ~node_id =
             ~charge:false ~terminate:(fun () ->
               entry.proc.Process.status <- Process.Exited 0)
         with
-        | Error sf ->
-          Error
-            (match sf.sf_kind with
-            | `Unreachable ->
-              Unreachable { attempts = sf.sf_attempts; reason = sf.sf_reason }
-            | `Rejected -> Rejected sf.sf_reason)
-        | Ok (new_entry, cache_hit, sr) ->
+        | Error err -> Error err
+        | Ok (new_entry, cache_hit, sh, hx) ->
           Ok
             {
               rep_pid = new_entry.proc.Process.pid;
-              rep_attempts = sr.sr_attempts;
-              rep_retries = sr.sr_attempts - 1;
-              rep_backoff_s = sr.sr_backoff_s;
+              rep_attempts = hx.hx_attempts;
+              rep_retries = hx.hx_attempts - 1;
+              rep_backoff_s = hx.hx_backoff_s;
               rep_elapsed_s = new_entry.start_at -. src.clock;
-              rep_bytes = sr.sr_bytes;
+              rep_bytes = String.length sh.sh_bytes;
               rep_cache_hit = cache_hit;
-              rep_delta = sr.sr_delta;
+              rep_delta = sh.sh_delta;
             }))
 
 (* ------------------------------------------------------------------ *)
