@@ -23,8 +23,6 @@
    mailbox-local enqueue stamp, so global oldest-first order is still
    available for introspection ([messages]) and for the order-sensitive
    purges ([discard_speculative], [discard_stale]).
-   The earliest pending delivery time is cached and invalidated only
-   when the holder of the minimum leaves the queue.
 
    Receive semantics are unchanged: [try_recv] takes the FIRST message
    in enqueue order matching (src, tag) whose delivery time has passed —
@@ -66,11 +64,6 @@ type mailbox = {
   buckets : (int * int, bucket) Hashtbl.t;
   mutable size : int;
   mutable seq : int; (* mailbox-local enqueue stamp generator *)
-  (* cached earliest pending delivery over the whole mailbox; valid
-     only while [min_valid] — removing the minimum invalidates it and
-     the next [next_delivery] recomputes *)
-  mutable min_at : float;
-  mutable min_valid : bool;
   (* ranks whose failure/rollback the owner has not yet observed *)
   roll_notices : (int, unit) Hashtbl.t;
 }
@@ -80,8 +73,6 @@ let create_mailbox () =
     buckets = Hashtbl.create 8;
     size = 0;
     seq = 0;
-    min_at = infinity;
-    min_valid = true;
     roll_notices = Hashtbl.create 4;
   }
 
@@ -98,9 +89,7 @@ let enqueue mbox msg =
   b.back <- (mbox.seq, msg) :: b.back;
   b.count <- b.count + 1;
   mbox.seq <- mbox.seq + 1;
-  mbox.size <- mbox.size + 1;
-  if mbox.min_valid && msg.msg_deliver_at < mbox.min_at then
-    mbox.min_at <- msg.msg_deliver_at
+  mbox.size <- mbox.size + 1
 
 (* Refill a bucket's [front] from [back], oldest first.  Proper
    two-list discipline: [back] is reversed ONLY when [front] is empty,
@@ -155,12 +144,6 @@ let has_roll_notice mbox ~src =
   | Rank r -> Hashtbl.mem mbox.roll_notices r
   | Any -> Hashtbl.length mbox.roll_notices > 0
 
-(* A message left the queue: the cached minimum survives unless that
-   message could have been its holder. *)
-let note_removed mbox (m : message) =
-  mbox.size <- mbox.size - 1;
-  if m.msg_deliver_at <= mbox.min_at then mbox.min_valid <- false
-
 (* Take the first delivered message matching (src_rank, tag).  A pending
    roll notice from that rank takes priority and is consumed. *)
 type recv_result =
@@ -190,7 +173,7 @@ let try_recv_rank mbox ~now ~src_rank ~tag =
       | Some (m, front') ->
         b.front <- front';
         b.count <- b.count - 1;
-        note_removed mbox m;
+        mbox.size <- mbox.size - 1;
         Received m
       | None -> (
         (* Jitter can make a NEWER message deliverable while older
@@ -201,7 +184,7 @@ let try_recv_rank mbox ~now ~src_rank ~tag =
         | Some (m, back_in_order) ->
           b.back <- List.rev back_in_order;
           b.count <- b.count - 1;
-          note_removed mbox m;
+          mbox.size <- mbox.size - 1;
           Received m))
   end
 
@@ -210,7 +193,6 @@ let try_recv_rank mbox ~now ~src_rank ~tag =
 let rebuild mbox kept =
   Hashtbl.reset mbox.buckets;
   mbox.size <- 0;
-  mbox.min_valid <- false;
   List.iter
     (fun ((stamp, m) : int * message) ->
       let b = bucket_for mbox (m.msg_src_rank, m.msg_tag) in
@@ -276,27 +258,6 @@ let settle_speculative mbox ~uids ~sender_pid =
    incarnation must not be consumed by anyone. *)
 let discard_stale mbox ~stale = discard mbox stale
 
-(* Earliest pending delivery time, for the scheduler's idle-time skip.
-   Cached; recomputed only after the minimum's holder was removed. *)
-let next_delivery mbox =
-  if mbox.size = 0 then None
-  else begin
-    if not mbox.min_valid then begin
-      let m = ref infinity in
-      Hashtbl.iter
-        (fun _ b ->
-          let see (_, msg) =
-            if msg.msg_deliver_at < !m then m := msg.msg_deliver_at
-          in
-          List.iter see b.front;
-          List.iter see b.back)
-        mbox.buckets;
-      mbox.min_at <- !m;
-      mbox.min_valid <- true
-    end;
-    Some mbox.min_at
-  end
-
 (* Wildcard receive: first delivered message with [tag] from ANY source,
    in mailbox enqueue order (the per-message stamps make the choice
    deterministic even though bucket iteration is not).  A pending roll
@@ -337,7 +298,7 @@ let try_recv_any mbox ~now ~tag =
       b.front <- drop b.front;
       b.back <- drop b.back;
       b.count <- b.count - 1;
-      note_removed mbox m;
+      mbox.size <- mbox.size - 1;
       Received m)
 
 let try_recv mbox ~now ~src ~tag =
@@ -374,6 +335,4 @@ let take_all mbox =
   let all = messages mbox in
   Hashtbl.reset mbox.buckets;
   mbox.size <- 0;
-  mbox.min_at <- infinity;
-  mbox.min_valid <- true;
   all

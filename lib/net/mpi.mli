@@ -80,8 +80,6 @@ val discard_stale : mailbox -> stale:(message -> bool) -> int
 (** Drop queued messages from superseded sender incarnations (epoch
     fencing).  Returns the number dropped. *)
 
-val next_delivery : mailbox -> float option
-
 val next_matching_delivery : mailbox -> src:source -> tag:int -> float option
 (** Earliest pending delivery with [tag] from [src] — what a receiver
     parked on that poll is waiting for.  A matching message is already

@@ -97,7 +97,9 @@ let test_mailbox_delivery_time () =
   check "not yet delivered" true
     (Net.Mpi.try_recv mbox ~now:1.0 ~src:(Net.Mpi.Rank 1) ~tag:0
     = Net.Mpi.None_yet);
-  check "next delivery known" true (Net.Mpi.next_delivery mbox = Some 5.0);
+  check "next delivery known" true
+    (Net.Mpi.next_matching_delivery mbox ~src:(Net.Mpi.Rank 1) ~tag:0
+    = Some 5.0);
   match Net.Mpi.try_recv mbox ~now:5.0 ~src:(Net.Mpi.Rank 1) ~tag:0 with
   | Net.Mpi.Received _ -> ()
   | _ -> Alcotest.fail "expected delivery at t=5"
@@ -171,14 +173,13 @@ let payloads mbox =
     (Net.Mpi.messages mbox)
 
 (* Everything a reader can observe of a mailbox, consumed as it is
-   drained: [next_delivery] and the order in which wildcard and directed
-   [try_recv] calls hand messages out, as simulated time advances past
-   the jittered delivery times. *)
+   drained: the order in which wildcard and directed [try_recv] calls
+   hand messages out, as simulated time advances past the jittered
+   delivery times. *)
 let drain_log mbox =
   let log = ref [] in
   List.iter
     (fun now ->
-      log := `Next (Net.Mpi.next_delivery mbox) :: !log;
       log := `Any (Net.Mpi.try_recv mbox ~now ~src:Net.Mpi.Any ~tag:0) :: !log;
       List.iter
         (fun (src_rank, tag) ->

@@ -139,7 +139,9 @@ let test_take_all () =
   check "oldest first, regardless of delivery time" true
     (List.map payload_int drained = [ 1; 2; 3 ]);
   check_int "empty afterwards" 0 (Net.Mpi.pending mbox);
-  check "no residual delivery" true (Net.Mpi.next_delivery mbox = None)
+  check "no residual delivery" true
+    (Net.Mpi.next_matching_delivery mbox ~src:(Net.Mpi.Rank 3) ~tag:1 = None
+    && Net.Mpi.next_matching_delivery mbox ~src:Net.Mpi.Any ~tag:2 = None)
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic table re-key                                          *)
