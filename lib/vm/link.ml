@@ -65,8 +65,6 @@ type lfn = {
 }
 
 type image = {
-  l_arch : Arch.t;
-  l_main : string;
   l_fns : lfn array;
   l_index : (string, int) Hashtbl.t;
   l_max_spills : int;
@@ -303,8 +301,6 @@ let link (image : Masm.image) =
     Array.fold_left (fun acc fn -> max acc fn.l_spills) 0 fns
   in
   {
-    l_arch = arch;
-    l_main = image.Masm.im_main;
     l_fns = fns;
     l_index = index;
     l_max_spills = max_spills;

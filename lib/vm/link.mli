@@ -79,8 +79,6 @@ type lfn = {
 }
 
 type image = {
-  l_arch : Arch.t;
-  l_main : string;
   l_fns : lfn array;  (** dense, indexed by linked-function index *)
   l_index : (string, int) Hashtbl.t;
   l_max_spills : int;  (** max [l_spills] over [l_fns] (frame sizing) *)
