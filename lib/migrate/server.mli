@@ -23,8 +23,7 @@ type request_outcome = {
     daemon owns its own bounded store).  [first_pid] is the first pid
     assigned; each resumed process's RNG is seeded with its pid.
     [baseline_cache] bounds the retained delta baselines ([0] disables
-    delta receive: every delta packet is rejected as unknown-baseline
-    and the sender falls back to full images). *)
+    delta receive: every delta packet is rejected as unknown-baseline). *)
 module Config : sig
   type t = {
     trusted : bool;
@@ -56,9 +55,12 @@ val cache : t -> Codecache.t option
 
 (** {2 Delta baselines}
 
-    Accepted full images (and successful delta reconstructions) are
-    retained in an {!Lru} bounded by [Config.baseline_cache], so a later delta
-    packet naming one by {!Wire.image_digest} can be rebuilt locally. *)
+    A server holds only the images handed to {!remember_baseline}, in an
+    {!Lru} bounded by [Config.baseline_cache], so a later delta packet
+    naming one by {!Wire.image_digest} can be rebuilt locally.  Nothing
+    {!handle} receives is retained: a process's next delta is taken
+    against its previous pack, so only the node that packed that image
+    can receive the delta. *)
 
 val has_baseline : t -> string -> bool
 (** Senders negotiate with this before choosing the delta encoding (the
@@ -70,7 +72,8 @@ val remember_baseline : ?digest:string -> t -> Wire.image -> string
     is [0]).  A digest already held keeps its first image and is only
     refreshed.  [digest] defaults to [Wire.image_digest image] — pass it
     when already computed.  Senders call this on their OWN daemon after
-    packing, so a process bouncing back can arrive as a delta. *)
+    packing, so a process bouncing back can arrive as a delta; in the
+    cluster it is the only way a daemon comes to hold a baseline. *)
 
 val baseline_count : t -> int
 
@@ -79,17 +82,17 @@ val clear_baselines : t -> unit
 
 val is_unknown_baseline : string -> bool
 (** Recognizes the rejection [handle] returns for a delta whose baseline
-    this server does not hold (or cannot reconstruct from): the sender's
-    cue to fall back to a full image rather than treat the hop as a
-    hard failure. *)
+    this server does not hold (or cannot reconstruct from), as distinct
+    from a bad image: a sender that shipped without negotiating can
+    re-ship the full image. *)
 
 val handle : ?seed:int -> t -> string -> (request_outcome, string) result
 (** Handle one inbound migration; assigns a fresh pid on success.
-    Accepts either packet kind: a full image is retained as a delta
-    baseline after acceptance; a delta is reconstructed against the
-    baseline it names and digest-verified before the normal
-    verification pipeline runs ({!is_unknown_baseline} rejections when
-    the baseline is missing or stale).  No deduplication: every call is
+    Accepts either packet kind and retains neither: a delta is
+    reconstructed against the held baseline it names and
+    digest-verified before the normal verification pipeline runs
+    ({!is_unknown_baseline} rejections when the baseline is missing or
+    stale).  No deduplication: every call is
     treated as a distinct request (the transport owns delivery
     semantics).  Prefer {!receive} when the transport can retry or
     duplicate. *)

@@ -169,7 +169,7 @@ module Config : sig
   val default : t
   (** 4 nodes, cisc32, seed 1, default net, {!Faults.none}, delta
       shipping on, no failure detector, unreplicated shared storage,
-      indexed scheduler, 0.25 s forwarders, placement policy off.  Every
+      0.25 s forwarders, placement policy off.  Every
       daemon is untrusted with a 16-entry recompilation cache and 4
       retained baselines. *)
 end
@@ -193,9 +193,9 @@ end
       [?rank] inherits the rank's mailbox outright, so queued traffic
       survives resurrection too.
     - {b Baseline reuse}: a [Running] subject ships as a delta over its
-      previous pack when the destination still holds that baseline
-      (transparent full-image fallback otherwise); the successor's
-      baseline is rebased on what was shipped.
+      previous pack when the destination holds that baseline (only the
+      node that packed it does), and as the full image otherwise; the
+      successor's baseline is rebased on what was shipped.
     - {b Reason is accounting only}: it selects a [move.*] counter and
       nothing else — traces are byte-identical across reasons, which
       the equivalence suite asserts. *)
@@ -396,8 +396,8 @@ val metrics : t -> Obs.Metrics.t
     ([cluster.migrations_ok], [cluster.migrate_bytes],
     [cluster.pack_seconds], ...), failure/recovery counters, and the
     delta-shipping ledger ([migrate.bytes_full], [migrate.bytes_delta],
-    [migrate.delta_hits], [migrate.delta_misses],
-    [migrate.delta_fallbacks], gauge [migrate.delta_hit_rate]), the
+    [migrate.delta_hits], [migrate.delta_misses], gauge
+    [migrate.delta_hit_rate]), the
     per-reason move counters ([move.explicit], [move.policy],
     [move.resurrect], [move.rehome]) and the policy-engine ledger
     ([balance.ticks], [balance.proposals], [balance.moves], gauges
