@@ -14,20 +14,15 @@
    transactional Isolation property).  The cluster maintains the
    dependency registry and performs the cascade.
 
-   The mailbox is INDEXED by (src_rank, tag): each key owns a two-list
-   FIFO bucket (enqueue pushes onto [back]; receivers scan [front],
-   refilling it from [back] when needed), so a receive touches only the
-   traffic it can match instead of scanning the whole queue — the
-   scheduler's wake check ([next_matching_delivery]) is what made the
-   flat queue a per-round O(pending) cost.  Every message carries a
-   mailbox-local enqueue stamp, so global oldest-first order is still
-   available for introspection ([messages]) and for the order-sensitive
-   purges ([discard_speculative], [discard_stale]).
+   The mailbox is one two-list FIFO of every queued message, in
+   enqueue order: [enqueue] pushes onto [back], receivers scan [front],
+   refilling it from [back] only when it is empty.  Mailboxes stay
+   shallow (no workload or bench meter queues more than 17 messages),
+   so a receive, a wake check or a purge simply walks the queue.
 
-   Receive semantics are unchanged: [try_recv] takes the FIRST message
-   in enqueue order matching (src, tag) whose delivery time has passed —
-   enqueue order, not delivery order, because network jitter may deliver
-   a later send earlier, and the bucket preserves exactly that order.
+   [try_recv] takes the FIRST message in enqueue order matching (src,
+   tag) whose delivery time has passed — enqueue order, not delivery
+   order, because network jitter may deliver a later send earlier.
 
    Receive results (returned to FIR code from msg_try_recv):
    - n >= 0   : n cells copied into the buffer
@@ -50,178 +45,124 @@ type message = {
   msg_src_epoch : int; (* sender's rank incarnation epoch at send time *)
 }
 
-(* One (src_rank, tag) class of traffic: a two-list FIFO of
-   (enqueue stamp, message).  [front] oldest-first, [back] newest-first;
-   the refill reverses [back] behind [front] (amortized O(1) per
-   message). *)
-type bucket = {
-  mutable front : (int * message) list;
-  mutable back : (int * message) list;
-  mutable count : int;
-}
-
+(* [front] oldest-first, [back] newest-first: the queue is [front]
+   followed by [List.rev back]. *)
 type mailbox = {
-  buckets : (int * int, bucket) Hashtbl.t;
+  mutable front : message list;
+  mutable back : message list;
   mutable size : int;
-  mutable seq : int; (* mailbox-local enqueue stamp generator *)
   (* ranks whose failure/rollback the owner has not yet observed *)
   roll_notices : (int, unit) Hashtbl.t;
 }
 
 let create_mailbox () =
-  {
-    buckets = Hashtbl.create 8;
-    size = 0;
-    seq = 0;
-    roll_notices = Hashtbl.create 4;
-  }
-
-let bucket_for mbox key =
-  match Hashtbl.find_opt mbox.buckets key with
-  | Some b -> b
-  | None ->
-    let b = { front = []; back = []; count = 0 } in
-    Hashtbl.add mbox.buckets key b;
-    b
+  { front = []; back = []; size = 0; roll_notices = Hashtbl.create 4 }
 
 let enqueue mbox msg =
-  let b = bucket_for mbox (msg.msg_src_rank, msg.msg_tag) in
-  b.back <- (mbox.seq, msg) :: b.back;
-  b.count <- b.count + 1;
-  mbox.seq <- mbox.seq + 1;
+  mbox.back <- msg :: mbox.back;
   mbox.size <- mbox.size + 1
 
-(* Refill a bucket's [front] from [back], oldest first.  Proper
-   two-list discipline: [back] is reversed ONLY when [front] is empty,
-   so each message is reversed at most once and an interleaved
-   enqueue/recv workload stays amortized O(1) per operation (appending
-   behind a non-empty [front] re-walked the whole front every call —
-   quadratic under bursts). *)
-let normalize b =
-  if b.front = [] && b.back <> [] then begin
-    b.front <- List.rev b.back;
-    b.back <- []
+(* Refill [front] from [back], oldest first.  Proper two-list
+   discipline: [back] is reversed ONLY into an empty [front], so each
+   message is reversed at most once and an interleaved enqueue/recv
+   workload stays amortized O(1) per operation (appending behind a
+   non-empty [front] re-walked the whole front every call — quadratic
+   under bursts). *)
+let normalize mbox =
+  if mbox.front = [] && mbox.back <> [] then begin
+    mbox.front <- List.rev mbox.back;
+    mbox.back <- []
   end
 
 let pending mbox = mbox.size
 
-(* All queued (stamp, message) pairs, in enqueue order. *)
-let stamped mbox =
-  let all =
-    Hashtbl.fold
-      (fun _ b acc -> List.rev_append b.back (List.rev_append b.front acc))
-      mbox.buckets []
-  in
-  List.sort (fun (a, _) (b, _) -> compare a b) all
+(* Queued messages, oldest first. *)
+let messages mbox =
+  if mbox.back = [] then mbox.front else mbox.front @ List.rev mbox.back
 
-(* Queued messages, oldest first (introspection: tests, rendering). *)
-let messages mbox = List.map snd (stamped mbox)
-
-exception Found
+(* Replace the queue with [l], given oldest first. *)
+let replace mbox l =
+  mbox.front <- l;
+  mbox.back <- [];
+  mbox.size <- List.length l
 
 let exists_message mbox f =
-  let check (_, m) = if f m then raise Found in
-  try
-    Hashtbl.iter
-      (fun _ b ->
-        List.iter check b.front;
-        List.iter check b.back)
-      mbox.buckets;
-    false
-  with Found -> true
+  List.exists f mbox.front || List.exists f mbox.back
 
 (* Where a receive (or a parked receiver) takes its messages from: one
    rank, or any rank (the wildcard a mobile service polls with). *)
 type source = Rank of int | Any
 
+let matches ~src ~tag m =
+  m.msg_tag = tag
+  && match src with Rank r -> m.msg_src_rank = r | Any -> true
+
 let post_roll_notice mbox ~src_rank =
   Hashtbl.replace mbox.roll_notices src_rank ()
-
-let clear_roll_notice mbox ~src_rank = Hashtbl.remove mbox.roll_notices src_rank
 
 let has_roll_notice mbox ~src =
   match src with
   | Rank r -> Hashtbl.mem mbox.roll_notices r
   | Any -> Hashtbl.length mbox.roll_notices > 0
 
-(* Take the first delivered message matching (src_rank, tag).  A pending
-   roll notice from that rank takes priority and is consumed. *)
 type recv_result =
   | Received of message
   | Roll
   | None_yet
 
-let try_recv_rank mbox ~now ~src_rank ~tag =
-  if Hashtbl.mem mbox.roll_notices src_rank then begin
-    clear_roll_notice mbox ~src_rank;
+(* The first message of [l] that [p] accepts, and [l] without it,
+   order preserved. *)
+let take p l =
+  let rec go acc = function
+    | [] -> None
+    | m :: rest ->
+      if p m then Some (m, List.rev_append acc rest) else go (m :: acc) rest
+  in
+  go [] l
+
+(* Take the first delivered message matching (src, tag), in enqueue
+   order.  A pending roll notice from [src] takes priority and is
+   consumed; for [Any], the lowest rank's notice, for determinism. *)
+let try_recv mbox ~now ~src ~tag =
+  let notice =
+    match src with
+    | Rank r -> if Hashtbl.mem mbox.roll_notices r then Some r else None
+    | Any ->
+      Hashtbl.fold
+        (fun r () acc ->
+          match acc with Some r' when r' < r -> acc | _ -> Some r)
+        mbox.roll_notices None
+  in
+  match notice with
+  | Some r ->
+    Hashtbl.remove mbox.roll_notices r;
     Roll
-  end
-  else begin
-    match Hashtbl.find_opt mbox.buckets (src_rank, tag) with
-    | None -> None_yet
-    | Some b ->
-      normalize b;
-      (* First deliverable message of [l] (enqueue order): the message
-         and the remainder with it removed, order preserved. *)
-      let rec split acc = function
-        | [] -> None
-        | ((_, m) as sm) :: rest ->
-          if m.msg_deliver_at <= now then Some (m, List.rev_append acc rest)
-          else split (sm :: acc) rest
-      in
-      (match split [] b.front with
-      | Some (m, front') ->
-        b.front <- front';
-        b.count <- b.count - 1;
+  | None -> (
+    normalize mbox;
+    let due m = m.msg_deliver_at <= now && matches ~src ~tag m in
+    match take due mbox.front with
+    | Some (m, front) ->
+      mbox.front <- front;
+      mbox.size <- mbox.size - 1;
+      Received m
+    | None -> (
+      (* Jitter can make a NEWER message deliverable while older
+         [front] traffic is still in flight; scan [back] in enqueue
+         order without merging it behind a non-empty [front]. *)
+      match take due (List.rev mbox.back) with
+      | Some (m, back_in_order) ->
+        mbox.back <- List.rev back_in_order;
         mbox.size <- mbox.size - 1;
         Received m
-      | None -> (
-        (* Jitter can make a NEWER message deliverable while older
-           [front] traffic is still in flight; scan [back] in enqueue
-           order without merging it behind a non-empty [front]. *)
-        match split [] (List.rev b.back) with
-        | None -> None_yet
-        | Some (m, back_in_order) ->
-          b.back <- List.rev back_in_order;
-          b.count <- b.count - 1;
-          mbox.size <- mbox.size - 1;
-          Received m))
-  end
+      | None -> None_yet))
 
-(* Rebuild the index from a kept (stamp, message) list in enqueue
-   order (the purge operations filter over the global order). *)
-let rebuild mbox kept =
-  Hashtbl.reset mbox.buckets;
-  mbox.size <- 0;
-  List.iter
-    (fun ((stamp, m) : int * message) ->
-      let b = bucket_for mbox (m.msg_src_rank, m.msg_tag) in
-      b.back <- (stamp, m) :: b.back;
-      b.count <- b.count + 1;
-      mbox.size <- mbox.size + 1)
-    kept;
-  Hashtbl.iter (fun _ b -> normalize b) mbox.buckets
-
-(* The purges below rebuild the index only when some message matches:
-   a rebuild that keeps every message is unobservable ([stamped] sorts
-   by stamp; receives and wake checks do not depend on bucket layout),
-   and the commit and rollback sweeps visit every mailbox in the
-   cluster, nearly all of which hold nothing to purge.  [discard] drops
-   the messages [f] matches, filtering over the global enqueue order,
-   oldest first.  After a match the filter calls [f] on every message
-   again, so a side-effecting [f] still ends having seen them in enqueue
-   order. *)
+(* The purges filter or map the queue in enqueue order, oldest first,
+   so a side-effecting predicate sees the messages in that order.
+   [discard] drops the messages [f] matches. *)
 let discard mbox f =
-  let dropped = ref 0 in
-  let keep (_, m) =
-    if f m then begin
-      incr dropped;
-      false
-    end
-    else true
-  in
-  if exists_message mbox f then rebuild mbox (List.filter keep (stamped mbox));
-  !dropped
+  let before = mbox.size in
+  replace mbox (List.filter (fun m -> not (f m)) (messages mbox));
+  before - mbox.size
 
 (* Is [m] stamped by one of [sender_pid]'s speculation levels [uids]? *)
 let from_levels ~uids ~sender_pid m =
@@ -241,15 +182,14 @@ let discard_speculative mbox ~uids ~sender_pid =
    consumes one later must NOT join a level that no longer exists). *)
 let settle_speculative mbox ~uids ~sender_pid =
   let settled = ref 0 in
-  let map ((stamp, m) as sm : int * message) =
+  let settle m =
     if from_levels ~uids ~sender_pid m then begin
       incr settled;
-      (stamp, { m with msg_spec = None })
+      { m with msg_spec = None }
     end
-    else sm
+    else m
   in
-  if exists_message mbox (from_levels ~uids ~sender_pid) then
-    rebuild mbox (List.map map (stamped mbox));
+  replace mbox (List.map settle (messages mbox));
   !settled
 
 (* Drop queued messages whose sender incarnation is stale ([stale m]
@@ -258,81 +198,22 @@ let settle_speculative mbox ~uids ~sender_pid =
    incarnation must not be consumed by anyone. *)
 let discard_stale mbox ~stale = discard mbox stale
 
-(* Wildcard receive: first delivered message with [tag] from ANY source,
-   in mailbox enqueue order (the per-message stamps make the choice
-   deterministic even though bucket iteration is not).  A pending roll
-   notice from any rank takes priority — the lowest rank's notice is
-   consumed, again for determinism. *)
-let try_recv_any mbox ~now ~tag =
-  let notice =
-    Hashtbl.fold
-      (fun r () acc ->
-        match acc with
-        | None -> Some r
-        | Some r' -> Some (min r r'))
-      mbox.roll_notices None
-  in
-  match notice with
-  | Some src_rank ->
-    clear_roll_notice mbox ~src_rank;
-    Roll
-  | None -> (
-    let best = ref None in
-    Hashtbl.iter
-      (fun (_, t) b ->
-        if t = tag then begin
-          let see ((stamp, m) as sm) =
-            if m.msg_deliver_at <= now then
-              match !best with
-              | Some ((s, _), _) when s <= stamp -> ()
-              | _ -> best := Some (sm, b)
-          in
-          List.iter see b.front;
-          List.iter see b.back
-        end)
-      mbox.buckets;
-    match !best with
-    | None -> None_yet
-    | Some ((stamp, m), b) ->
-      let drop l = List.filter (fun (s, _) -> s <> stamp) l in
-      b.front <- drop b.front;
-      b.back <- drop b.back;
-      b.count <- b.count - 1;
-      mbox.size <- mbox.size - 1;
-      Received m)
-
-let try_recv mbox ~now ~src ~tag =
-  match src with
-  | Rank src_rank -> try_recv_rank mbox ~now ~src_rank ~tag
-  | Any -> try_recv_any mbox ~now ~tag
-
 (* Earliest pending delivery with [tag] from [src] — what a parked
    receiver is waiting for, and the one wait query the scheduler asks:
-   the receiver is due at [now] iff this is [<= now].  A directed park
-   touches one bucket, a wildcard one every bucket with the tag. *)
+   the receiver is due at [now] iff this is [<= now]. *)
 let next_matching_delivery mbox ~src ~tag =
-  let earliest acc b =
-    let fold acc (_, m) =
+  let earliest acc m =
+    if not (matches ~src ~tag m) then acc
+    else
       match acc with
       | None -> Some m.msg_deliver_at
       | Some x -> Some (min x m.msg_deliver_at)
-    in
-    List.fold_left fold (List.fold_left fold acc b.front) b.back
   in
-  match src with
-  | Rank src_rank -> (
-    match Hashtbl.find_opt mbox.buckets (src_rank, tag) with
-    | None -> None
-    | Some b -> earliest None b)
-  | Any ->
-    Hashtbl.fold
-      (fun (_, t) b acc -> if t = tag then earliest acc b else acc)
-      mbox.buckets None
+  List.fold_left earliest (List.fold_left earliest None mbox.front) mbox.back
 
 (* Remove and return EVERYTHING queued, oldest first: the migration path
    drains a re-homed service's old mailbox through the forwarder. *)
 let take_all mbox =
   let all = messages mbox in
-  Hashtbl.reset mbox.buckets;
-  mbox.size <- 0;
+  replace mbox [];
   all

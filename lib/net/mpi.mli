@@ -7,12 +7,11 @@
     joins that speculation (the paper's relaxation of Isolation), and the
     cluster rolls them back together.
 
-    The mailbox is indexed by (src_rank, tag): each key owns a two-list
-    FIFO bucket, so receives and the scheduler's wake checks touch only
-    the traffic they can match.  Enqueue is O(1), an N-message burst
-    costs O(N) total, and delivery order within a key stays
-    oldest-first; {!messages} reconstructs the global enqueue order
-    from per-message stamps.
+    The mailbox is one two-list FIFO of every queued message, in
+    enqueue order.  Enqueue is O(1) and an N-message burst costs O(N)
+    total.  Receives, the scheduler's wake checks and the purges walk
+    the queue, which stays shallow: no workload or bench meter queues
+    more than 17 messages.
 
     Receive results surfaced to FIR code: [n >= 0] cells copied,
     {!msg_none} (nothing yet), or {!msg_roll} (the peer failed or rolled
@@ -40,8 +39,9 @@ type message = {
 }
 
 type mailbox
-(** Abstract: the index representation is the mailbox's business.  Use
-    {!messages} / {!exists_message} to inspect pending messages. *)
+(** Abstract: a FIFO of queued messages, oldest first, plus the pending
+    roll notices.  Use {!messages} / {!exists_message} to inspect
+    pending messages. *)
 
 val create_mailbox : unit -> mailbox
 val enqueue : mailbox -> message -> unit
@@ -62,8 +62,8 @@ type recv_result = Received of message | Roll | None_yet
 val try_recv : mailbox -> now:float -> src:source -> tag:int -> recv_result
 (** First delivered message with [tag] from [src].  A pending roll
     notice from [src] takes priority and is consumed; for [Any] that is
-    the lowest rank's notice.  [Any] matches in mailbox enqueue order
-    (deterministic via the per-message stamps). *)
+    the lowest rank's notice.  Messages match in mailbox enqueue order,
+    for [Any] as for a single rank. *)
 
 val discard_speculative : mailbox -> uids:int list -> sender_pid:int -> int
 (** Drop queued messages originating from the given speculation levels
@@ -78,7 +78,8 @@ val settle_speculative : mailbox -> uids:int list -> sender_pid:int -> int
 
 val discard_stale : mailbox -> stale:(message -> bool) -> int
 (** Drop queued messages from superseded sender incarnations (epoch
-    fencing).  Returns the number dropped. *)
+    fencing).  [stale] is called once per queued message, in enqueue
+    order.  Returns the number dropped. *)
 
 val next_matching_delivery : mailbox -> src:source -> tag:int -> float option
 (** Earliest pending delivery with [tag] from [src] — what a receiver
