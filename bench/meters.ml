@@ -20,7 +20,8 @@ module Serve = Mcc.Gridapp.Serve
 
 (* One side of a ping-pong pair: [starts = 1] sends first.  The poll
    loop is the cluster's park/wake path — the receiver parks on
-   (peer, k) and the scheduler wakes it from the mailbox index. *)
+   (peer, k) and the scheduler wakes it once a matching message in
+   its mailbox is due. *)
 let pingpong_source ~rounds ~peer ~starts =
   Printf.sprintf
     {|

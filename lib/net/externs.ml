@@ -194,8 +194,8 @@ let recv x (entry : entry) (proc : Process.t) ~src ~tag ptr maxlen =
     | Mpi.Received m ->
       entry.parked_on <- None;
       let n = min maxlen (Array.length m.Mpi.msg_payload) in
-      (* a directed poll only matches its own (src, tag) bucket, so the
-         message's source is the polled one there too *)
+      (* a directed poll only matches messages from its own source, so
+         the message's source is the polled one there too *)
       emit_entry core entry
         (Obs.Trace.Msg_recv { src = m.Mpi.msg_src_rank; tag; cells = n });
       write_cells proc.Process.heap ptr m.Mpi.msg_payload n;

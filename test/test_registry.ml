@@ -73,7 +73,7 @@ let test_interleaved_fifo () =
 
 (* A not-yet-deliverable head must not block a later message that IS
    deliverable (out-of-order arrival), and order must heal once both
-   are due — on both halves of the two-list bucket. *)
+   are due — on both halves of the two-list FIFO. *)
 let test_fifo_with_delayed_head () =
   let mbox = Net.Mpi.create_mailbox () in
   Net.Mpi.enqueue mbox (msg ~src:2 ~tag:9 ~at:5.0 [| 10 |]);
