@@ -309,7 +309,9 @@ let resume_cmd =
    compiler that will listen for incoming migration requests, recompile
    any inbound processes on the new machine, and reconstruct their state
    before executing them" (paper, Section 4.2.1) — with a filesystem
-   spool standing in for the TCP listener. *)
+   spool standing in for the TCP listener.  Only full images can be
+   served: nothing seeds a delta baseline into this server, so a delta
+   image is rejected as [unknown baseline]. *)
 let serve_cmd =
   let dir_arg =
     Arg.(required & pos 0 (some dir) None & info [] ~docv:"SPOOL_DIR")
@@ -335,9 +337,11 @@ let serve_cmd =
       value & flag
       & info [ "metrics" ]
           ~doc:"Print the server's metrics registry (counters and \
-                histograms, including the delta-migration ledger: \
-                migrate.bytes_full, migrate.bytes_delta, \
-                migrate.delta_hit_rate) after each processed batch.")
+                histograms) after each processed batch.  This server \
+                holds no delta baseline, so migrate.delta_hits and \
+                migrate.delta_hit_rate always read 0: a delta image is \
+                counted in migrate.bytes_delta and \
+                migrate.delta_misses, then rejected.")
   in
   let action spool arch once trusted cache_capacity show_metrics =
     let arch = arch_of_string arch in
@@ -411,7 +415,9 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run a migration server over a spool directory: verify, \
-             recompile and execute inbound process images.")
+             recompile and execute inbound full process images.  It \
+             holds no delta baseline, so it rejects a delta image as \
+             an unknown baseline.")
     Term.(
       const action $ dir_arg $ arch_arg $ once_arg $ trusted_arg $ cache_arg
       $ metrics_arg)
