@@ -21,8 +21,9 @@ exception Corrupt of string
 let magic = "MFIR"
 
 (* v4: lists are tagged streams (one continuation byte per element, no
-   length prefix), so [put_list] emits in a single traversal. *)
-let version = 4
+   length prefix), so [put_list] emits in a single traversal.
+   v5: variables are numbered by first occurrence, not by [Var] id. *)
+let version = 5
 
 (* ------------------------------------------------------------------ *)
 (* The writer.                                                         *)
@@ -379,8 +380,23 @@ let rec get_ty r =
 (* Variables, operators, atoms.                                        *)
 (* ------------------------------------------------------------------ *)
 
-let put_var buf v =
-  put_i64 buf (Var.id v);
+(* The payload does not carry [Var] ids, which come from a process-wide
+   counter: one [encode] call numbers its variables 1, 2, ... in order
+   of first occurrence, through a table that [encode] creates and
+   threads down to here.  The bytes, and so the digest, then depend only
+   on the program's structure and names: the same source compiled twice
+   encodes alike.  [decode] rebuilds each variable with the payload's
+   id, so decoding and re-encoding gives the same bytes back. *)
+let put_var ids buf v =
+  let id =
+    match Var.Table.find_opt ids v with
+    | Some id -> id
+    | None ->
+      let id = Var.Table.length ids + 1 in
+      Var.Table.add ids v id;
+      id
+  in
+  put_i64 buf id;
   put_string buf (Var.name v)
 
 let get_var r =
@@ -472,7 +488,7 @@ let binop_of_code = function
   | 29 -> Peq
   | n -> raise (Corrupt (Printf.sprintf "bad binop code %d" n))
 
-let put_atom buf = function
+let put_atom ids buf = function
   | Unit -> put_u8 buf 0
   | Int n ->
     put_u8 buf 1;
@@ -489,7 +505,7 @@ let put_atom buf = function
     put_i64 buf v
   | Var v ->
     put_u8 buf 5;
-    put_var buf v
+    put_var ids buf v
   | Fun f ->
     put_u8 buf 6;
     put_string buf f
@@ -516,128 +532,128 @@ let get_atom r =
 (* Expressions.                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let rec put_exp buf = function
+let rec put_exp ids buf = function
   | Let_atom (v, t, a, e) ->
     put_u8 buf 0;
-    put_var buf v;
+    put_var ids buf v;
     put_ty buf t;
-    put_atom buf a;
-    put_exp buf e
+    put_atom ids buf a;
+    put_exp ids buf e
   | Let_unop (v, t, op, a, e) ->
     put_u8 buf 1;
-    put_var buf v;
+    put_var ids buf v;
     put_ty buf t;
     put_u8 buf (unop_code op);
-    put_atom buf a;
-    put_exp buf e
+    put_atom ids buf a;
+    put_exp ids buf e
   | Let_binop (v, t, op, a, b, e) ->
     put_u8 buf 2;
-    put_var buf v;
+    put_var ids buf v;
     put_ty buf t;
     put_u8 buf (binop_code op);
-    put_atom buf a;
-    put_atom buf b;
-    put_exp buf e
+    put_atom ids buf a;
+    put_atom ids buf b;
+    put_exp ids buf e
   | Let_tuple (v, fields, e) ->
     put_u8 buf 3;
-    put_var buf v;
+    put_var ids buf v;
     put_list buf
       (fun buf (t, a) ->
         put_ty buf t;
-        put_atom buf a)
+        put_atom ids buf a)
       fields;
-    put_exp buf e
+    put_exp ids buf e
   | Let_array (v, t, size, init, e) ->
     put_u8 buf 4;
-    put_var buf v;
+    put_var ids buf v;
     put_ty buf t;
-    put_atom buf size;
-    put_atom buf init;
-    put_exp buf e
+    put_atom ids buf size;
+    put_atom ids buf init;
+    put_exp ids buf e
   | Let_string (v, s, e) ->
     put_u8 buf 5;
-    put_var buf v;
+    put_var ids buf v;
     put_string buf s;
-    put_exp buf e
+    put_exp ids buf e
   | Let_proj (v, t, a, i, e) ->
     put_u8 buf 6;
-    put_var buf v;
+    put_var ids buf v;
     put_ty buf t;
-    put_atom buf a;
+    put_atom ids buf a;
     put_i64 buf i;
-    put_exp buf e
+    put_exp ids buf e
   | Set_proj (a, i, x, e) ->
     put_u8 buf 7;
-    put_atom buf a;
+    put_atom ids buf a;
     put_i64 buf i;
-    put_atom buf x;
-    put_exp buf e
+    put_atom ids buf x;
+    put_exp ids buf e
   | Let_load (v, t, a, i, e) ->
     put_u8 buf 8;
-    put_var buf v;
+    put_var ids buf v;
     put_ty buf t;
-    put_atom buf a;
-    put_atom buf i;
-    put_exp buf e
+    put_atom ids buf a;
+    put_atom ids buf i;
+    put_exp ids buf e
   | Store (a, i, x, e) ->
     put_u8 buf 9;
-    put_atom buf a;
-    put_atom buf i;
-    put_atom buf x;
-    put_exp buf e
+    put_atom ids buf a;
+    put_atom ids buf i;
+    put_atom ids buf x;
+    put_exp ids buf e
   | Let_ext (v, t, name, args, e) ->
     put_u8 buf 10;
-    put_var buf v;
+    put_var ids buf v;
     put_ty buf t;
     put_string buf name;
-    put_list buf put_atom args;
-    put_exp buf e
+    put_list buf (put_atom ids) args;
+    put_exp ids buf e
   | If (a, e1, e2) ->
     put_u8 buf 11;
-    put_atom buf a;
-    put_exp buf e1;
-    put_exp buf e2
+    put_atom ids buf a;
+    put_exp ids buf e1;
+    put_exp ids buf e2
   | Switch (a, cases, default) ->
     put_u8 buf 12;
-    put_atom buf a;
+    put_atom ids buf a;
     put_list buf
       (fun buf (n, e) ->
         put_i64 buf n;
-        put_exp buf e)
+        put_exp ids buf e)
       cases;
-    put_exp buf default
+    put_exp ids buf default
   | Call (f, args) ->
     put_u8 buf 13;
-    put_atom buf f;
-    put_list buf put_atom args
+    put_atom ids buf f;
+    put_list buf (put_atom ids) args
   | Exit a ->
     put_u8 buf 14;
-    put_atom buf a
+    put_atom ids buf a
   | Migrate (i, dst, f, args) ->
     put_u8 buf 15;
     put_i64 buf i;
-    put_atom buf dst;
-    put_atom buf f;
-    put_list buf put_atom args
+    put_atom ids buf dst;
+    put_atom ids buf f;
+    put_list buf (put_atom ids) args
   | Speculate (f, args) ->
     put_u8 buf 16;
-    put_atom buf f;
-    put_list buf put_atom args
+    put_atom ids buf f;
+    put_list buf (put_atom ids) args
   | Commit (l, f, args) ->
     put_u8 buf 17;
-    put_atom buf l;
-    put_atom buf f;
-    put_list buf put_atom args
+    put_atom ids buf l;
+    put_atom ids buf f;
+    put_list buf (put_atom ids) args
   | Rollback (l, c) ->
     put_u8 buf 18;
-    put_atom buf l;
-    put_atom buf c
+    put_atom ids buf l;
+    put_atom ids buf c
   | Let_cast (v, t, a, e) ->
     put_u8 buf 19;
-    put_var buf v;
+    put_var ids buf v;
     put_ty buf t;
-    put_atom buf a;
-    put_exp buf e
+    put_atom ids buf a;
+    put_exp ids buf e
 
 let rec get_exp r =
   match get_u8 r with
@@ -751,14 +767,14 @@ let rec get_exp r =
 (* Programs.                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let put_fundef buf fd =
+let put_fundef ids buf fd =
   put_string buf fd.f_name;
   put_list buf
     (fun buf (v, t) ->
-      put_var buf v;
+      put_var ids buf v;
       put_ty buf t)
     fd.f_params;
-  put_exp buf fd.f_body
+  put_exp ids buf fd.f_body
 
 let get_fundef r =
   let f_name = get_string r in
@@ -774,7 +790,8 @@ let get_fundef r =
 let encode p =
   let w = writer 4096 in
   put_string w p.p_main;
-  put_list w put_fundef (fold_funs (fun fd acc -> fd :: acc) p []);
+  put_list w (put_fundef (Var.Table.create 64))
+    (fold_funs (fun fd acc -> fd :: acc) p []);
   finish w ~magic ~version
 
 let decode s =
