@@ -309,6 +309,92 @@ let test_cluster_hit_rate () =
     && cluster_count cl "codecache.misses" = 1);
   check "every node has a cache" true (List.for_all Option.is_some (caches cl))
 
+(* Re-homed services hit by content: the perfbench serve shape (8
+   clients, 4 services, 150 requests each, 10 re-homes on 6 nodes under
+   loss and duplication).  Identical service programs share a digest,
+   so a node's cache hits exactly when the node already received a
+   service with the same digest.  The prediction replays the move
+   schedule read from the trace (Migrate_start names the old pid, the
+   successful Migrate_done the successor) against the digests of the
+   services' sources, compiled here; it does not read the cache. *)
+let test_rehome_hits_by_content () =
+  let module Serve = Mcc.Gridapp.Serve in
+  let cfg =
+    { Serve.clients = 8; services = 4; requests_per_client = 150;
+      work_us = 5; skew = false; speculative = false }
+  in
+  let cl =
+    Net.Cluster.create_cfg
+      { Net.Cluster.Config.default with
+        node_count = 6;
+        seed = 1;
+        net = Some (Net.Simnet.create ~latency_us:5.0 ());
+        faults =
+          { Net.Faults.none with
+            f_seed = 1;
+            f_loss = 0.05;
+            f_dup = 0.02;
+            f_crash_in_commit = 0.2 } }
+  in
+  let d = Serve.deploy ~engine:`Masm cl cfg in
+  let programs =
+    Array.init cfg.Serve.services (fun k ->
+        Minic.Driver.compile_exn (Serve.service_source cfg k))
+  in
+  let digests = Array.map Digest.of_program programs in
+  let pids = Array.copy d.Serve.sv_service_pids in
+  let r = Serve.run ~migrate_every_s:0.004 ~migrations:10 d in
+  check "exactly-once" true (Serve.exactly_once d r);
+  check_int "ten re-homes" 10 r.Serve.rp_migrations;
+  let service_of pid =
+    let rec find k =
+      if k = Array.length pids then None
+      else if pids.(k) = pid then Some k
+      else find (k + 1)
+    in
+    find 0
+  in
+  let received = Hashtbl.create 16 in
+  let moving = ref None and predicted = ref 0 and traced = ref 0 in
+  List.iter
+    (fun (ev : Obs.Trace.event) ->
+      match ev.Obs.Trace.kind with
+      | Obs.Trace.Migrate_start _ -> moving := service_of ev.Obs.Trace.pid
+      | Obs.Trace.Migrate_done { ok = true; cache_hit; compile_s; _ } -> (
+        match !moving with
+        | None -> Alcotest.fail "a move of no service"
+        | Some k ->
+          let node = ev.Obs.Trace.node in
+          let hit = Hashtbl.mem received (node, digests.(k)) in
+          check
+            (Printf.sprintf "service %d to node %d: hit %b" k node hit)
+            hit cache_hit;
+          if hit then begin
+            incr predicted;
+            (* a hit skips typecheck and codegen: only the link step of
+               the cached code is charged *)
+            let arch = (Net.Cluster.node cl node).Net.Cluster.node_arch in
+            check
+              (Printf.sprintf "service %d hit on node %d charges the link only"
+                 k node)
+              true
+              (compile_s
+              = Vm.Arch.seconds arch
+                  (Vm.Codegen.simulated_link_cycles
+                     (Vm.Codegen.compile ~arch programs.(k))))
+          end;
+          if cache_hit then incr traced;
+          Hashtbl.replace received (node, digests.(k)) ();
+          pids.(k) <- ev.Obs.Trace.pid;
+          moving := None)
+      | _ -> ())
+    (Obs.Trace.events (Net.Cluster.trace cl));
+  check_int "hits predicted by the schedule" 3 !predicted;
+  check_int "hits traced" !predicted !traced;
+  check_int "cluster.migration_cache_hits" !predicted
+    (Obs.Metrics.counter_value (Net.Cluster.metrics cl)
+       "cluster.migration_cache_hits")
+
 let suites =
   [
     ( "codecache",
@@ -331,5 +417,7 @@ let suites =
         Alcotest.test_case "stats consistency (lookups = hits + misses)"
           `Quick test_stats_consistency;
         Alcotest.test_case "cluster hit rate" `Quick test_cluster_hit_rate;
+        Alcotest.test_case "re-homed services hit by content" `Quick
+          test_rehome_hits_by_content;
       ] );
   ]
