@@ -679,6 +679,11 @@ let grid_cmd =
         "registry: %d migrations, %d forwarded, %d rebinds, %d expired \
          sends\n"
         r.rp_migrations r.rp_forwarded r.rp_rebinds r.rp_expired;
+      (* every landed move, the balance engine's included *)
+      (let m = Net.Cluster.metrics cluster in
+       Printf.printf "code cache: %d of %d landed migrations hit\n"
+         (Obs.Metrics.counter_value m "cluster.migration_cache_hits")
+         (Obs.Metrics.counter_value m "cluster.migrations_ok"));
       (if balance then
          let m = Net.Cluster.metrics cluster in
          Printf.printf
