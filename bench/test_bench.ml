@@ -54,9 +54,9 @@ let test_committed () =
   in
   Alcotest.(check (list string)) "9 committed ratios"
     [ "v1 branch 3.33"; "v1 compute 2.99"; "v1 memory 2.43";
-      "t1 serve-s11 0.89"; "t1 serve-s23 0.81";
+      "t1 serve-s11 0.92"; "t1 serve-s23 0.81";
       "t2 skew-s11 1.12"; "t2 skew-s23 1.12";
-      "f5 spec-s11 0.70"; "f5 spec-s23 0.61" ]
+      "f5 spec-s11 0.68"; "f5 spec-s23 0.64" ]
     got;
   (* a baseline no meter reads is stale: perfcheck never gates it *)
   Alcotest.(check (list string)) "every baseline belongs to a meter"
