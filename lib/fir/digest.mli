@@ -1,7 +1,10 @@
 (** Content digest of a FIR program: 64-bit FNV-1a over the canonical
     {!Serial} encoding, as a 16-char hex string.
 
-    The digest is a content address — the recompilation cache
+    The digest is a content address up to binder renaming: the encoding
+    numbers variables by first occurrence, not by their process-wide
+    {!Var} ids, so it depends only on the program's structure and names,
+    and one source compiled twice digests alike.  The recompilation cache
     ({!Migrate.Codecache}) keys compiled code by it, and process images
     ({!Migrate.Wire} v6) carry it so the receiver can cheaply confirm the
     FIR payload is the one the sender digested.  It is integrity

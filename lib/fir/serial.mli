@@ -126,6 +126,12 @@ val get_ty : reader -> Types.ty
 (** {2 Programs} *)
 
 val encode : Ast.program -> string
+(** The canonical encoding.  Variables are numbered 1, 2, ... in order
+    of first occurrence, not by their {!Var} ids, so the bytes depend
+    only on the program's structure and names. *)
+
 val decode : string -> Ast.program
-(** @raise Corrupt on bad magic, version, length or checksum, bytes after
+(** Variables are rebuilt with the payload's ids, so
+    [encode (decode s) = s] for every [s] that [encode] wrote.
+    @raise Corrupt on bad magic, version, length or checksum, bytes after
     the frame, or trailing garbage inside the body. *)

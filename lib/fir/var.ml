@@ -2,7 +2,9 @@
 
    Variables are immutable and globally unique by integer id; the name is
    kept only for printing.  Uniqueness is what lets the optimizer substitute
-   without capture and the serializer refer to variables by id. *)
+   without capture.  The ids come from one process-wide counter, so they
+   record compile order, not content: [Serial] renumbers them by first
+   occurrence, which keeps them out of the FIR bytes and the digest. *)
 
 type t = { id : int; name : string }
 
