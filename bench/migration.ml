@@ -313,26 +313,23 @@ let e1d () =
   Printf.printf
     "1 MB heap bounces; between hops the program rewrites a %d-cell \
      window\n(~1.6%% of the array).  Warm hops ship a v7 delta over the \
-     receiver's\nretained baseline; a receiver without the baseline \
-     forces a full re-ship.\n\n"
+     receiver's\nretained baseline.\n\n"
     2048;
   let proc =
     run_to_migration
       (Minic.Driver.compile_exn
          (migrator_source ~cells:(1024 * 128) ~delta:(2, 2048) ()))
   in
-  (* two instrumented receivers, both with recompilation caches (the
-     E1c warm path): one retains delta baselines, one cannot *)
-  let mk_server baseline_cache =
+  (* instrumented receivers with recompilation caches (the E1c warm
+     path) *)
+  let mk_server () =
     Migrate.Server.(
       create_cfg
         { Config.default with
-          cache = Some (Migrate.Codecache.create ~capacity:16 ());
-          baseline_cache }
+          cache = Some (Migrate.Codecache.create ~capacity:16 ()) }
         arch)
   in
-  let recv = mk_server 4 in
-  let recv_cold = mk_server 0 in
+  let recv = mk_server () in
   let full_s () = mem_s (Heap.used_cells proc.Vm.Process.heap) in
   (* hop 1: cold — the full image travels and becomes the baseline *)
   let packed1 = Migrate.Pack.pack_request ~with_binary:false proc in
@@ -349,9 +346,6 @@ let e1d () =
   ignore
     (Migrate.Server.remember_baseline ~digest:digest1 recv
        packed1.Migrate.Pack.p_image);
-  (* the baseline-less receiver also sees hop 1 (warming its CODE cache
-     but retaining no image) *)
-  ignore (Migrate.Server.handle recv_cold packed1.Migrate.Pack.p_bytes);
   let total1 = pack1_s +. xfer1_s +. compile1_s +. restore_s in
   (* the source keeps running (failed-migration semantics), mutates its
      window, and reaches the next migration point *)
@@ -360,7 +354,6 @@ let e1d () =
   | Vm.Process.Migrating _ -> ()
   | _ -> failwith "bench: migrator did not reach its second hop");
   let packed2 = Migrate.Pack.pack_request ~with_binary:false proc in
-  let full2 = String.length packed2.Migrate.Pack.p_bytes in
   (* hop 2, warm: the receiver still holds the hop-1 baseline *)
   if not (Migrate.Server.has_baseline recv digest1) then
     failwith "bench: receiver lost the baseline";
@@ -382,25 +375,17 @@ let e1d () =
   let warm = Migrate.Server.handle recv delta_bytes in
   let compile2_s = compile_s warm in
   let total2 = pack2_s +. xfer2_s +. compile2_s +. restore_s in
-  (* hop 2 against the baseline-less receiver: the delta is rejected as
-     unknown-baseline and the sender re-ships the full image *)
-  (match Migrate.Server.handle recv_cold delta_bytes with
-  | Error m when Migrate.Server.is_unknown_baseline m -> ()
-  | Ok _ -> failwith "bench: baseline-less receiver accepted a delta"
-  | Error m -> failwith ("bench: unexpected rejection: " ^ m));
-  let fullpack2_s = full_s () in
-  let xfer2f_s = Net.Simnet.transfer_seconds net full2 in
-  let compile2f_s =
-    compile_s (Migrate.Server.handle recv_cold packed2.Migrate.Pack.p_bytes)
-  in
-  let total3 =
-    pack2_s +. xfer2_s +. fullpack2_s +. xfer2f_s +. compile2f_s
-    +. restore_s
+  (* the same delta handed to a receiver that holds no baseline *)
+  let recv_cold = mk_server () in
+  let refused =
+    match Migrate.Server.handle recv_cold delta_bytes with
+    | Ok _ -> failwith "bench: baseline-less receiver accepted a delta"
+    | Error m -> m
   in
   (* hop 2 of a mixed-arch bounce: hop 1's image resumes on a risc64
      node, which packs hop 2 against the cisc32 hop-1 baseline; a third
      cisc32 receiver holding that baseline rebuilds and resumes it *)
-  let recv_mixed = mk_server 4 in
+  let recv_mixed = mk_server () in
   ignore (Migrate.Server.handle recv_mixed packed1.Migrate.Pack.p_bytes);
   ignore
     (Migrate.Server.remember_baseline ~digest:digest1 recv_mixed
@@ -449,10 +434,6 @@ let e1d () =
     Obs.Metrics.counter_value (Migrate.Server.metrics srv) name
   in
   let warm_bytes = c recv "migrate.bytes_delta" in
-  let fallback_bytes =
-    c recv_cold "migrate.bytes_delta"
-    + (c recv_cold "migrate.bytes_full" - full1)
-  in
   Printf.printf "  %-22s %-10s %-10s %-10s %s\n" "hop" "bytes" "pack(s)"
     "xfer(s)" "total(s)";
   Printf.printf "  %-22s %-10d %-10.4f %-10.4f %.4f\n" "cold (full)"
@@ -460,11 +441,6 @@ let e1d () =
     pack1_s xfer1_s total1;
   Printf.printf "  %-22s %-10d %-10.4f %-10.4f %.4f\n" "warm (delta)"
     warm_bytes pack2_s xfer2_s total2;
-  Printf.printf "  %-22s %-10d %-10.4f %-10.4f %.4f\n"
-    "forced-full fallback" fallback_bytes
-    (pack2_s +. fullpack2_s)
-    (xfer2_s +. xfer2f_s)
-    total3;
   Printf.printf "  %-22s %-10d %-10.4f %-10.4f %.4f\n"
     "mixed-arch (delta)"
     (c recv_mixed "migrate.bytes_delta")
@@ -484,20 +460,26 @@ let e1d () =
     | Migrate.Wire.Full _ -> failwith "bench: delta encoded as full"
   in
   print_newline ();
-  verdict "warm delta image <= 25% of the full image" (dbytes * 4 <= full2);
+  verdict "warm delta image <= 25% of the full image"
+    (dbytes * 4 <= String.length packed2.Migrate.Pack.p_bytes);
   verdict "reconstruction re-encodes byte-identically"
     (String.equal
        (Migrate.Wire.encode reconstructed)
        packed2.Migrate.Pack.p_bytes);
-  verdict "receiver registry: 1 delta hit, 0 misses"
-    (c recv "migrate.delta_hits" = 1 && c recv "migrate.delta_misses" = 0);
-  verdict "unknown baseline rejected, full re-ship accepted"
-    (c recv_cold "migrate.delta_misses" = 1
-    && c recv_cold "server.accepted" = 2);
+  (* cold and warm hop accepted, the warm one as the delta *)
+  let accepted_both srv delta_len =
+    c srv "server.accepted" = 2
+    && c srv "server.rejected" = 0
+    && c srv "migrate.bytes_delta" = delta_len
+  in
+  verdict "receiver: 2 accepted, 0 rejected, delta bytes match"
+    (accepted_both recv dbytes);
+  verdict "no baseline: delta rejected as unknown baseline"
+    (String.equal refused ("unknown baseline " ^ digest1)
+    && c recv_cold "server.rejected" = 1);
   verdict "warm delta hop total < cold hop total" (total2 < total1);
   verdict "risc64 hop over a cisc32 baseline: delta, same exit"
-    (c recv_mixed "migrate.delta_hits" = 1
-    && c recv_mixed "migrate.delta_misses" = 0
+    (accepted_both recv_mixed (String.length mixed_bytes)
     && mixed_exit <> None && mixed_exit = warm_exit)
 
 (* ================================================================== *)

@@ -60,6 +60,7 @@ val metrics : t -> Obs.Metrics.t
     [codecache.insertions]. *)
 
 val length : t -> int
+(** Entries held.  Test introspection. *)
 
 val report : t -> string
 (** One-line human-readable summary (entries and their instruction

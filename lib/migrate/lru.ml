@@ -15,7 +15,6 @@ let create capacity = { capacity; table = Hashtbl.create 16; clock = 0 }
 let capacity t = t.capacity
 let length t = Hashtbl.length t.table
 let mem t key = Hashtbl.mem t.table key
-let clear t = Hashtbl.reset t.table
 
 let stamp t slot =
   t.clock <- t.clock + 1;

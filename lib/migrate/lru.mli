@@ -22,4 +22,3 @@ val add : ('k, 'v) t -> 'k -> 'v -> int
     no-op returning 0 when the capacity is [<= 0]. *)
 
 val fold : ('k -> 'v -> 'a -> 'a) -> ('k, 'v) t -> 'a -> 'a
-val clear : ('k, 'v) t -> unit

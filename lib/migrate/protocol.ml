@@ -44,8 +44,3 @@ let to_string = function
   | Migrate_to host -> "mcc://" ^ host
   | Suspend_to path -> "suspend://" ^ path
   | Checkpoint_to path -> "checkpoint://" ^ path
-
-(* Does the source process keep running after this protocol succeeds? *)
-let continues_after_success = function
-  | Checkpoint_to _ -> true
-  | Migrate_to _ | Suspend_to _ -> false

@@ -19,7 +19,4 @@ val parse : string -> t
 (** @raise Bad_target on an unparseable target. *)
 
 val to_string : t -> string
-
-val continues_after_success : t -> bool
-(** Does the source process keep running when the protocol succeeds?
-    Only checkpoints do. *)
+(** The target string {!parse} reads back.  Test introspection. *)

@@ -66,9 +66,6 @@ type t = {
   c_cache_hits : Obs.Metrics.counter;
   c_bytes_full : Obs.Metrics.counter; (* bytes arriving as full packets *)
   c_bytes_delta : Obs.Metrics.counter; (* bytes arriving as deltas *)
-  c_delta_hits : Obs.Metrics.counter; (* deltas applied to a baseline *)
-  c_delta_misses : Obs.Metrics.counter; (* unknown/failed baseline *)
-  g_delta_hit_rate : Obs.Metrics.gauge;
   h_bytes : Obs.Metrics.histogram; (* image size per request, both kinds *)
   h_compile_cycles : Obs.Metrics.histogram; (* per accepted request *)
 }
@@ -87,9 +84,6 @@ let create_cfg (cfg : Config.t) arch =
   let c_cache_hits = Obs.Metrics.counter metrics "server.cache_hits" in
   let c_bytes_full = Obs.Metrics.counter metrics "migrate.bytes_full" in
   let c_bytes_delta = Obs.Metrics.counter metrics "migrate.bytes_delta" in
-  let c_delta_hits = Obs.Metrics.counter metrics "migrate.delta_hits" in
-  let c_delta_misses = Obs.Metrics.counter metrics "migrate.delta_misses" in
-  let g_delta_hit_rate = Obs.Metrics.gauge metrics "migrate.delta_hit_rate" in
   let h_bytes = Obs.Metrics.histogram metrics "server.image_bytes" in
   let h_compile_cycles =
     Obs.Metrics.histogram metrics "server.compile_cycles"
@@ -112,9 +106,6 @@ let create_cfg (cfg : Config.t) arch =
     c_cache_hits;
     c_bytes_full;
     c_bytes_delta;
-    c_delta_hits;
-    c_delta_misses;
-    g_delta_hit_rate;
     h_bytes;
     h_compile_cycles;
   }
@@ -127,15 +118,13 @@ let cache t = t.cache
 (* ------------------------------------------------------------------ *)
 
 let has_baseline t digest = Lru.mem t.baselines digest
-let baseline_count t = Lru.length t.baselines
-let clear_baselines t = Lru.clear t.baselines
 
 (* Retain [image] (digest: its {!Wire.image_digest}) so future deltas
    against it can be reconstructed; returns the digest.  A digest already
    held keeps its retained image and is only refreshed: the digest
    excludes the MASM payload, epoch and dspec context, so the two images
    may differ there.  With [baseline_cache = 0] nothing is retained and
-   every delta misses. *)
+   every delta is rejected. *)
 let remember_baseline ?digest t image =
   let digest =
     match digest with Some d -> d | None -> Wire.image_digest image
@@ -144,35 +133,16 @@ let remember_baseline ?digest t image =
     ignore (Lru.add t.baselines digest image);
   digest
 
-(* An unknown-baseline rejection is a protocol miss, not a bad image: a
-   sender that shipped a delta without negotiating can tell the two
-   apart and re-ship in full. *)
-let unknown_baseline_prefix = "unknown baseline "
-let unknown_baseline_error digest = unknown_baseline_prefix ^ digest
-
-let is_unknown_baseline msg =
-  String.length msg >= String.length unknown_baseline_prefix
-  && String.equal
-       (String.sub msg 0 (String.length unknown_baseline_prefix))
-       unknown_baseline_prefix
-
 (* ------------------------------------------------------------------ *)
 (* Request handling                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let update_delta_hit_rate t =
-  let hits = Obs.Metrics.count t.c_delta_hits in
-  let misses = Obs.Metrics.count t.c_delta_misses in
-  if hits + misses > 0 then
-    Obs.Metrics.set t.g_delta_hit_rate
-      (float_of_int hits /. float_of_int (hits + misses))
-
 (* The shared tail: [image] is either a decoded full packet or a
    delta reconstruction; [bytes] is what actually travelled. *)
-let finish ?seed t ~bytes image =
+let finish t ~bytes image =
   let pid = t.next_pid in
   match
-    Pack.unpack_image ?seed ~pid ~trusted:t.trusted
+    Pack.unpack_image ~pid ~trusted:t.trusted
       ~extern_signatures:t.extern_signatures ?cache:t.cache ~arch:t.arch
       ~bytes_len:(String.length bytes) image
   with
@@ -199,9 +169,9 @@ let finish ?seed t ~bytes image =
    caller decides what to do with the resulting process (schedule it,
    execute it to completion, ...).  Nothing received is retained: a
    delta packet is reconstructed against the baseline it names, which
-   only [remember_baseline] puts here (rejected with a recognizable
-   {!is_unknown_baseline} error when this server does not hold it). *)
-let handle ?seed t bytes =
+   only [remember_baseline] puts here (rejected as an unknown baseline
+   when this server does not hold it). *)
+let handle t bytes =
   Obs.Metrics.incr ~by:(String.length bytes) t.c_bytes;
   Obs.Metrics.observe t.h_bytes (float_of_int (String.length bytes));
   match Wire.decode_packet bytes with
@@ -210,51 +180,39 @@ let handle ?seed t bytes =
     Error ("corrupt image: " ^ msg)
   | Wire.Full image ->
     Obs.Metrics.incr ~by:(String.length bytes) t.c_bytes_full;
-    finish ?seed t ~bytes image
+    finish t ~bytes image
   | Wire.Delta delta -> (
     Obs.Metrics.incr ~by:(String.length bytes) t.c_bytes_delta;
-    match Lru.find t.baselines delta.Wire.d_base with
-    | None ->
-      Obs.Metrics.incr t.c_delta_misses;
-      update_delta_hit_rate t;
+    let unknown () =
       Obs.Metrics.incr t.c_rejected;
-      Error (unknown_baseline_error delta.Wire.d_base)
+      Error ("unknown baseline " ^ delta.Wire.d_base)
+    in
+    match Lru.find t.baselines delta.Wire.d_base with
+    | None -> unknown ()
     | Some baseline -> (
       match Wire.apply_delta ~baseline delta with
-      | exception Wire.Corrupt _ ->
-        (* the baseline we hold does not reconstruct what the sender
-           meant: to the sender that is the same miss as not holding
-           it *)
-        Obs.Metrics.incr t.c_delta_misses;
-        update_delta_hit_rate t;
-        Obs.Metrics.incr t.c_rejected;
-        Error (unknown_baseline_error delta.Wire.d_base)
-      | image ->
-        Obs.Metrics.incr t.c_delta_hits;
-        update_delta_hit_rate t;
-        finish ?seed t ~bytes image))
+      (* the baseline we hold does not reconstruct what the sender
+         meant: the same refusal as not holding it *)
+      | exception Wire.Corrupt _ -> unknown ()
+      | image -> finish t ~bytes image))
 
 (* Idempotent receive.  [key] identifies one logical delivery: the
-   transport's envelope identity when it has one (the cluster keys by a
-   per-migration hop id, so a duplicated hop shares the key while
-   distinct migrations of an identical image never collide), the image
-   digest otherwise.
+   transport's envelope identity (the cluster keys by a per-migration
+   hop id, so a duplicated hop shares the key while distinct migrations
+   of an identical image never collide).
    Rejections are NOT remembered — a retried hop may legitimately
    succeed later (e.g. the cache warmed, or the reject was transient
    policy). *)
 
 type delivery = Fresh of request_outcome | Duplicate of request_outcome
 
-let receive ?seed ?key t bytes =
-  let key =
-    match key with Some k -> k | None -> Fir.Digest.of_encoded bytes
-  in
+let receive ~key t bytes =
   match Hashtbl.find_opt t.dedup key with
   | Some outcome ->
     Obs.Metrics.incr t.c_duplicates;
     Ok (Duplicate outcome)
   | None -> (
-    match handle ?seed t bytes with
+    match handle t bytes with
     | Error _ as e -> e
     | Ok outcome ->
       Hashtbl.replace t.dedup key outcome;

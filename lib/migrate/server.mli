@@ -23,7 +23,8 @@ type request_outcome = {
     daemon owns its own bounded store).  [first_pid] is the first pid
     assigned; each resumed process's RNG is seeded with its pid.
     [baseline_cache] bounds the retained delta baselines ([0] disables
-    delta receive: every delta packet is rejected as unknown-baseline). *)
+    delta receive: every delta packet is rejected as an unknown
+    baseline). *)
 module Config : sig
   type t = {
     trusted : bool;
@@ -46,10 +47,10 @@ val metrics : t -> Obs.Metrics.t
 (** The registry: counters [server.accepted], [server.rejected],
     [server.duplicates],
     [server.bytes_received], [server.recompilations],
-    [server.cache_hits], [migrate.bytes_full], [migrate.bytes_delta],
-    [migrate.delta_hits], [migrate.delta_misses], the gauge
-    [migrate.delta_hit_rate], and histograms [server.image_bytes]
-    (both packet kinds), [server.compile_cycles]. *)
+    [server.cache_hits], [migrate.bytes_full], [migrate.bytes_delta]
+    (a refused delta is counted there and in [server.rejected]), and
+    histograms [server.image_bytes] (both packet kinds),
+    [server.compile_cycles]. *)
 
 val cache : t -> Codecache.t option
 
@@ -63,8 +64,9 @@ val cache : t -> Codecache.t option
     can receive the delta. *)
 
 val has_baseline : t -> string -> bool
-(** Senders negotiate with this before choosing the delta encoding (the
-    simulated cluster's stand-in for a baseline-offer handshake). *)
+(** Senders ask this before choosing the delta encoding (the simulated
+    cluster's stand-in for a baseline-offer handshake) and ship the full
+    image when it is [false]. *)
 
 val remember_baseline : ?digest:string -> t -> Wire.image -> string
 (** Retain [image] as a delta baseline (LRU, bounded by
@@ -75,27 +77,16 @@ val remember_baseline : ?digest:string -> t -> Wire.image -> string
     packing, so a process bouncing back can arrive as a delta; in the
     cluster it is the only way a daemon comes to hold a baseline. *)
 
-val baseline_count : t -> int
-
-val clear_baselines : t -> unit
-(** Forget every baseline (tests: simulate a receiver restart). *)
-
-val is_unknown_baseline : string -> bool
-(** Recognizes the rejection [handle] returns for a delta whose baseline
-    this server does not hold (or cannot reconstruct from), as distinct
-    from a bad image: a sender that shipped without negotiating can
-    re-ship the full image. *)
-
-val handle : ?seed:int -> t -> string -> (request_outcome, string) result
+val handle : t -> string -> (request_outcome, string) result
 (** Handle one inbound migration; assigns a fresh pid on success.
     Accepts either packet kind and retains neither: a delta is
     reconstructed against the held baseline it names and
-    digest-verified before the normal verification pipeline runs
-    ({!is_unknown_baseline} rejections when the baseline is missing or
-    stale).  No deduplication: every call is
-    treated as a distinct request (the transport owns delivery
-    semantics).  Prefer {!receive} when the transport can retry or
-    duplicate. *)
+    digest-verified before the normal verification pipeline runs.  A
+    delta whose baseline is missing, or does not reconstruct it, is
+    refused with [Error ("unknown baseline " ^ digest)].  No
+    deduplication: every call is treated as a distinct request (the
+    transport owns delivery semantics).  Prefer {!receive} when the
+    transport can retry or duplicate. *)
 
 (** {2 Idempotent receive} *)
 
@@ -106,11 +97,9 @@ type delivery =
           nothing new was spawned.  Callers must treat this as "already
           delivered" — the embedded process may have run since. *)
 
-val receive :
-  ?seed:int -> ?key:string -> t -> string -> (delivery, string) result
-(** Handle one delivery idempotently.  [key] (default: the digest of the
-    encoded bytes) identifies the logical delivery; transports that can
-    carry an envelope id should key by it, so retransmissions of one hop
-    share a key while distinct migrations of byte-identical images do
-    not collide.  The last 64 accepted requests are remembered
-    (a FIFO); rejections are not (a retried hop may succeed later). *)
+val receive : key:string -> t -> string -> (delivery, string) result
+(** Handle one delivery idempotently.  [key] identifies the logical
+    delivery (an envelope id), so retransmissions of one hop share a key
+    while distinct migrations of byte-identical images do not collide.
+    The last 64 accepted requests are remembered (a FIFO); rejections
+    are not (a retried hop may succeed later). *)

@@ -183,7 +183,9 @@ val decode_packet : string -> packet
 (** {2 Cell codec (shared with tests)} *)
 
 val encode_value : Value.t -> string
-(** One cell as a heap segment writes it (tag, then payload). *)
+(** One cell as a heap segment writes it (tag, then payload).  Test
+    introspection, as are {!get_value} and {!cell_equal}: the codec
+    tests pin the cell encoding through them. *)
 
 val get_value : Fir.Serial.reader -> Value.t
 val cell_equal : Value.t -> Value.t -> bool

@@ -41,10 +41,6 @@ val tolerance : float
 val move_budget : int
 (** Max departures AND max arrivals per node per period: 2. *)
 
-val affinity_decay : float
-(** Per-period multiplier applied to every affinity cell, 0.5; cells
-    below 1e-6 are dropped, and a row left empty goes with them. *)
-
 type node_load = {
   nl_node : int;
   nl_alive : bool;
@@ -74,18 +70,15 @@ type t
 
 val create : unit -> t
 
-val load_of : node_load -> float
-(** Composite node load: [cycles_per_s + 0.05*runnable +
-    0.005*mailbox].  Cycles dominate; the queue terms break ties toward
-    draining long mailboxes. *)
-
 val candidate_load : cycles_per_s:float -> mailbox:int -> float
-(** What a movable process contributes to its node's composite load:
-    its charged cycles/sec, its runnable slot, and its own mailbox
-    backlog, weighted as in {!load_of}.  Pricing the full mass into
-    the candidate keeps the [sum(load^2)] potential argument sound — a
-    move can never look profitable merely because load the process
-    drags along with it (its slot, its queue) was invisible. *)
+(** What a movable process contributes to its node's composite load,
+    [cycles_per_s + 0.05*runnable + 0.005*mailbox] (cycles dominate;
+    the queue terms break ties toward draining long mailboxes): its
+    charged cycles/sec, its runnable slot and its own mailbox backlog.
+    Pricing the full mass into the candidate keeps the [sum(load^2)]
+    potential argument sound — a move can never look profitable merely
+    because load the process drags along with it (its slot, its queue)
+    was invisible. *)
 
 (** {2 Affinity matrix} *)
 
@@ -94,20 +87,21 @@ val note_comm : t -> pid:int -> peer_rank:int -> unit
     sending process toward the destination rank. *)
 
 val decay : t -> unit
-(** Apply {!affinity_decay} once (call once per period).  This is
-    also what drops the rows of processes that stopped sending. *)
+(** Multiply every affinity cell by 0.5 (call once per period); cells
+    below 1e-6 are dropped, and a row left empty goes with them.  This
+    is also what drops the rows of processes that stopped sending. *)
 
 val rekey : t -> old_pid:int -> new_pid:int -> unit
 (** A migration gave the process a fresh pid; carry its affinity row. *)
 
 val affinity : t -> pid:int -> (int * float) list
-(** Current row for [pid], sorted by peer rank (for tests/inspection). *)
+(** Current row for [pid], sorted by peer rank.  Test introspection. *)
 
 (** {2 Planning} *)
 
 val spread : t -> loads:node_load array -> float * float
-(** [(max - min, mean)] of {!load_of} over alive nodes; [(0., 0.)] when
-    fewer than two nodes are alive. *)
+(** [(max - min, mean)] of the composite load over alive nodes;
+    [(0., 0.)] when fewer than two nodes are alive. *)
 
 val plan :
   t ->

@@ -258,10 +258,13 @@ val extern_signatures : Fir.Typecheck.extern_lookup
     strictly typechecked against it, including by the migration
     daemons, and the scheduler's handler runs the same entries: a name
     absent here traps as ["unknown extern <name>"], arguments that do
-    not fit an entry as ["extern <name>: bad arguments (<args>)"]. *)
+    not fit an entry as ["extern <name>: bad arguments (<args>)"].
+    Outside the cluster only tests read it, to typecheck cluster
+    programs. *)
 
 val extern_names : string list
-(** Every name of the cluster's extern table, sorted. *)
+(** Every name of the cluster's extern table, sorted.  Test
+    introspection. *)
 
 (** {2 The fault-injected object store (Figure 1)} *)
 
@@ -360,7 +363,8 @@ val suspected_nodes : t -> int list
     Empty when no detector is configured. *)
 
 val rank_epoch : t -> int -> int
-(** The rank's current incarnation epoch (0 until first resurrection). *)
+(** The rank's current incarnation epoch (0 until first resurrection).
+    Test introspection. *)
 
 val move : t -> Move.request -> (Move.outcome, migration_error) result
 (** The one migration entry point (see {!module:Move} for the
@@ -395,9 +399,10 @@ val metrics : t -> Obs.Metrics.t
     [sched.quanta]), migration counters and cost histograms
     ([cluster.migrations_ok], [cluster.migrate_bytes],
     [cluster.pack_seconds], ...), failure/recovery counters, and the
-    delta-shipping ledger ([migrate.bytes_full], [migrate.bytes_delta],
-    [migrate.delta_hits], [migrate.delta_misses], gauge
-    [migrate.delta_hit_rate]), the
+    delta-shipping ledger ([migrate.bytes_full], [migrate.bytes_delta];
+    while delta is on, [migrate.delta_hits] counts hops and checkpoint
+    segments shipped as deltas, [migrate.delta_misses] those shipped
+    full, and the gauge [migrate.delta_hit_rate] is their ratio), the
     per-reason move counters ([move.explicit], [move.policy],
     [move.resurrect], [move.rehome]) and the policy-engine ledger
     ([balance.ticks], [balance.proposals], [balance.moves], gauges

@@ -93,7 +93,8 @@ val parse_plan : ?seed:int -> string -> (plan, string) result
     ["line N: ..."]. *)
 
 val plan_to_string : plan -> string
-(** Render a plan back into the file format ([parse_plan] round-trips). *)
+(** Render a plan back into the file format ([parse_plan] round-trips).
+    Test introspection. *)
 
 (** {2 Runtime} *)
 
@@ -167,6 +168,8 @@ val on_store_write :
     probabilities consume no randomness. *)
 
 val partitioned : t -> now:float -> a:int -> b:int -> bool
+(** Test introspection, as is {!heal_time}: the cluster sees partitions
+    through {!on_message} and {!on_hop}. *)
 
 val heal_time : t -> now:float -> a:int -> b:int -> float option
 (** Latest [p_until] over the partition windows covering (a,b) at [now];

@@ -86,9 +86,6 @@ let replace mbox l =
   mbox.back <- [];
   mbox.size <- List.length l
 
-let exists_message mbox f =
-  List.exists f mbox.front || List.exists f mbox.back
-
 (* Where a receive (or a parked receiver) takes its messages from: one
    rank, or any rank (the wildcard a mobile service polls with). *)
 type source = Rank of int | Any

@@ -40,8 +40,7 @@ type message = {
 
 type mailbox
 (** Abstract: a FIFO of queued messages, oldest first, plus the pending
-    roll notices.  Use {!messages} / {!exists_message} to inspect
-    pending messages. *)
+    roll notices. *)
 
 val create_mailbox : unit -> mailbox
 val enqueue : mailbox -> message -> unit
@@ -94,6 +93,5 @@ val take_all : mailbox -> message list
 val pending : mailbox -> int
 
 val messages : mailbox -> message list
-(** Queued messages, oldest first. *)
-
-val exists_message : mailbox -> (message -> bool) -> bool
+(** Queued messages, oldest first.  Test introspection: the mailbox
+    tests compare it against a reference queue. *)

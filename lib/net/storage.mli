@@ -58,7 +58,7 @@ val remove : t -> string -> unit
 
 val list : t -> string list
 (** All stored paths, sorted — listing order is deterministic across
-    runs and OCaml versions. *)
+    runs and OCaml versions.  Test introspection. *)
 
 val size : t -> string -> int option
 (** Stored byte size on the first alive replica (a torn replica reports
@@ -70,4 +70,5 @@ val fail_node : t -> int -> unit
 
 val good_replicas : t -> string -> int
 (** Number of alive replicas whose bytes digest-verify; [1] or [0] for
-    the shared mount.  The current redundancy level of the path. *)
+    the shared mount.  The current redundancy level of the path.  Test
+    introspection. *)

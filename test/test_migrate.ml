@@ -35,13 +35,7 @@ let test_protocol_parse () =
       match Migrate.Protocol.parse bad with
       | exception Migrate.Protocol.Bad_target _ -> ()
       | _ -> Alcotest.failf "accepted bad target %S" bad)
-    [ ""; "mcc://"; "nonsense"; "http://x"; "mcc:/x" ];
-  check "checkpoint continues" true
-    (Migrate.Protocol.continues_after_success
-       (Migrate.Protocol.Checkpoint_to "x"));
-  check "migrate does not continue" false
-    (Migrate.Protocol.continues_after_success
-       (Migrate.Protocol.Migrate_to "x"))
+    [ ""; "mcc://"; "nonsense"; "http://x"; "mcc:/x" ]
 
 let test_protocol_roundtrip () =
   List.iter
