@@ -302,7 +302,9 @@ val register_service : t -> pid:int -> int
     [Recipient_moved] notices to senders, and in-flight messages are
     relayed — traffic addressed with [svc_send] keeps flowing while the
     process moves.  Registration also makes the process eligible for
-    the placement policy engine ({!Config.t.balance}). *)
+    the placement policy engine ({!Config.t.balance}).  A process is
+    registered once: raises [Invalid_argument] if its rank already
+    serves a laddr. *)
 
 val registry : t -> Registry.t
 (** The registry itself (bindings, forwarders, counters). *)
