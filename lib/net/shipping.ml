@@ -40,7 +40,7 @@ type t = {
   (* fresh ranks for re-homed services, far above user-assigned ones *)
   mutable next_dyn_rank : int;
   ckpt_chains : (string, ckpt_chain) Hashtbl.t;
-  mutable hop_seq : int; (* envelope id generator for migration hops *)
+  mutable hop_seq : int; (* envelope id generator for migrations *)
   c_migrations_ok : Obs.Metrics.counter;
   c_migrations_failed : Obs.Metrics.counter;
   c_migration_cache_hits : Obs.Metrics.counter;
@@ -223,7 +223,7 @@ type shipment = {
   sh_pack_s : float;
 }
 
-(* The one delta choice, for network hops and checkpoint segments
+(* The one delta choice, for network migrations and checkpoint segments
    alike: a delta over [baseline] — the process's PREVIOUS image, what
    its dirty set is tracked against, once the caller has checked the
    other side holds it — when the FIR permits one (the architecture need
@@ -372,7 +372,7 @@ let complete_rehome s (old_entry : entry) (new_entry : entry) =
           Obs.Metrics.incr s.c_svc_forwarded;
           emit_new
             (Obs.Trace.Msg_forward
-               { laddr; from_rank = old_rank; to_rank = new_rank; hops = 1 });
+               { laddr; from_rank = old_rank; to_rank = new_rank });
           match entry_of_rank core m.Mpi.msg_src_rank with
           | Some sender when not (Process.is_terminated sender.proc) ->
             sender.notices <- (at +. hop, laddr, new_rank) :: sender.notices

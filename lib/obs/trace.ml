@@ -58,7 +58,7 @@ type kind =
   | Msg_drop of { dst : int; tag : int }
   | Msg_dup of { dst : int; tag : int }
   | Service_bind of { laddr : int; new_rank : int; old_rank : int }
-  | Msg_forward of { laddr : int; from_rank : int; to_rank : int; hops : int }
+  | Msg_forward of { laddr : int; from_rank : int; to_rank : int }
   | Recipient_moved of { laddr : int; new_rank : int }
   | Forward_expired of { laddr : int; rank : int }
   | Balance_tick of { spread : float; proposed : int; moved : int }
@@ -218,9 +218,9 @@ let kind_fields buf = function
   | Service_bind { laddr; new_rank; old_rank } ->
     Printf.bprintf buf ",\"laddr\":%d,\"new_rank\":%d,\"old_rank\":%d" laddr
       new_rank old_rank
-  | Msg_forward { laddr; from_rank; to_rank; hops } ->
-    Printf.bprintf buf ",\"laddr\":%d,\"from_rank\":%d,\"to_rank\":%d,\"hops\":%d"
-      laddr from_rank to_rank hops
+  | Msg_forward { laddr; from_rank; to_rank } ->
+    Printf.bprintf buf ",\"laddr\":%d,\"from_rank\":%d,\"to_rank\":%d"
+      laddr from_rank to_rank
   | Recipient_moved { laddr; new_rank } ->
     Printf.bprintf buf ",\"laddr\":%d,\"new_rank\":%d" laddr new_rank
   | Forward_expired { laddr; rank } ->

@@ -64,9 +64,9 @@ type kind =
   | Service_bind of { laddr : int; new_rank : int; old_rank : int }
       (** a registered service was re-homed: its logical address now
           resolves to [new_rank]; [old_rank] forwards until its TTL *)
-  | Msg_forward of { laddr : int; from_rank : int; to_rank : int; hops : int }
-      (** a send that resolved to a vacated rank was relayed through a
-          forwarder chain of [hops] links *)
+  | Msg_forward of { laddr : int; from_rank : int; to_rank : int }
+      (** a message for the vacated rank [from_rank] was relayed one
+          hop by its forwarder to [to_rank], [laddr]'s current rank *)
   | Recipient_moved of { laddr : int; new_rank : int }
       (** a sender consumed a moved notice and rebound its cached
           binding for [laddr] to [new_rank] *)
