@@ -85,6 +85,7 @@ let builtins : (string * builtin) list =
         b_kind = Bext "svc_send" } );
     ( "svc_resolve",
       { b_args = [ Cint ]; b_ret = Cint; b_kind = Bext "svc_resolve" } );
+    "svc_self", { b_args = []; b_ret = Cint; b_kind = Bext "svc_self" };
     ( "msg_try_recv_any",
       { b_args = [ Cint; Cptr Cfloat; Cint ]; b_ret = Cint;
         b_kind = Bext "msg_try_recv_any" } );

@@ -307,6 +307,41 @@ let sched_visits t = Scheduler.visits t.sched
 (* The process registry                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* A service is the process a re-home lands elsewhere, so its node's
+   daemon learns its code at registration, keyed by the program's
+   content digest: a later hop of any process running the same program
+   onto this node hits.  The entry holds what a miss would have
+   produced — the daemon's own typecheck verdict (a Verified entry
+   always comes from a local typecheck) and the code the process already
+   runs, the emulator's or, for an interpreted process, compiled here.
+   Deployment work: no simulated time is charged. *)
+let seed_code_cache t (e : entry) =
+  let n = node t e.node_id in
+  match Migrate.Server.cache n.daemon with
+  | None -> ()
+  | Some cache ->
+    let program = e.proc.Process.program in
+    let code =
+      match
+        Fir.Typecheck.check_program ~strict:true ~externs:extern_signatures
+          program
+      with
+      | Error msg -> Error msg
+      | Ok () ->
+        let masm, compiled =
+          match e.engine with
+          | Emu_engine emu -> Emulator.code emu
+          | Interp_engine -> Codegen.compile ~arch:n.node_arch program, None
+        in
+        let compiled =
+          match compiled with Some c -> c | None -> Compile.compile_masm masm
+        in
+        Ok { Migrate.Codecache.masm; compiled }
+    in
+    Migrate.Codecache.add cache
+      ~digest:(Process.fir_payload e.proc).Process.fir_digest
+      ~arch:n.node_arch.Arch.name ~trusted:false ~program ~code
+
 (* Register a ranked process as a SERVICE: allocate it a stable logical
    address (sequential from 1, so a deployment script can predict the
    laddrs its clients are compiled against).  From here on, migrating
@@ -321,6 +356,7 @@ let register_service t ~pid =
       invalid_arg "Cluster.register_service: process has no rank"
     | Some r ->
       let laddr = Registry.register t.core.Core.registry ~rank:r in
+      seed_code_cache t e;
       Core.emit_entry t.core e
         (Obs.Trace.Service_bind { laddr; new_rank = r; old_rank = -1 });
       laddr)

@@ -304,7 +304,14 @@ val register_service : t -> pid:int -> int
     process moves.  Registration also makes the process eligible for
     the placement policy engine ({!Config.t.balance}).  A process is
     registered once: raises [Invalid_argument] if its rank already
-    serves a laddr. *)
+    serves a laddr.
+
+    Registration seeds the node's recompilation cache with the
+    process's program (keyed by its FIR digest, the node's
+    architecture and [Verified]): the daemon's typecheck verdict and
+    the code the process runs, reused from its emulator or compiled for
+    an interpreted one.  A re-home of any process with the same program
+    onto that node then hits.  No simulated time is charged. *)
 
 val registry : t -> Registry.t
 (** The registry itself (bindings, forwarders, counters). *)

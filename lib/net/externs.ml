@@ -413,6 +413,19 @@ let table =
              Value.Vint r
            | None -> Value.Vint (-1))
          | _ -> Extern.bad_arguments ());
+       (* the caller's own laddr, read through its CURRENT rank: a
+          re-home rebinds the laddr to the successor's fresh rank, so
+          the answer survives the move.  A process that serves no laddr
+          traps *)
+       ext "svc_self" [] Tint (fun x _ -> function
+         | [] -> (
+           match
+             Option.bind (running x).rank
+               (Registry.laddr_of_rank x.core.registry)
+           with
+           | Some laddr -> Value.Vint laddr
+           | None -> Extern.fail "not a registered service")
+         | _ -> Extern.bad_arguments ());
        (* wildcard receive: a mobile service cannot know its clients'
           ranks ahead of time (and a client cannot know which rank its
           reply comes from after the service moved), so it matches on

@@ -132,6 +132,7 @@ let create ?(mode = Compiled) ?compiled image proc =
   }
 
 let instructions t = t.instrs
+let code t = t.image, t.compiled
 
 (* ------------------------------------------------------------------ *)
 (* Baseline mode: the pre-optimization loop                            *)

@@ -27,6 +27,11 @@ val create :
     @raise Emulator_error if the image's architecture does not match the
     process's (cross-architecture execution requires recompilation). *)
 
+val code : t -> Masm.image * Compile.image option
+(** The image this emulator executes and its closure-compiled form
+    ([None] exactly in [Baseline] mode) — e.g. to admit them to a
+    recompilation cache without compiling them again. *)
+
 val step : ?extern:Process.handler -> t -> unit
 val run :
   ?extern:Process.handler -> ?max_steps:int -> t -> Process.status

@@ -312,11 +312,12 @@ let test_cluster_hit_rate () =
 (* Re-homed services hit by content: the perfbench serve shape (8
    clients, 4 services, 150 requests each, 10 re-homes on 6 nodes under
    loss and duplication).  Identical service programs share a digest,
-   so a node's cache hits exactly when the node already received a
-   service with the same digest.  The prediction replays the move
-   schedule read from the trace (Migrate_start names the old pid, the
-   successful Migrate_done the successor) against the digests of the
-   services' sources, compiled here; it does not read the cache. *)
+   so a node's cache hits exactly when the node already holds a service
+   with the same digest: it was registered there or received one.  The
+   prediction replays the move schedule read from the trace
+   (Migrate_start names the old pid, the successful Migrate_done the
+   successor) against the digests of the services' sources, compiled
+   here; it does not read the cache. *)
 let test_rehome_hits_by_content () =
   let module Serve = Mcc.Gridapp.Serve in
   let cfg =
@@ -343,6 +344,15 @@ let test_rehome_hits_by_content () =
   in
   let digests = Array.map Digest.of_program programs in
   let pids = Array.copy d.Serve.sv_service_pids in
+  (* registration seeds the service's node with its digest *)
+  let registered =
+    Array.map
+      (fun pid ->
+        match Net.Cluster.entry_of_pid cl pid with
+        | Some e -> e.Net.Cluster.node_id
+        | None -> Alcotest.fail "a service was never spawned")
+      pids
+  in
   let r = Serve.run ~migrate_every_s:0.004 ~migrations:10 d in
   check "exactly-once" true (Serve.exactly_once d r);
   check_int "ten re-homes" 10 r.Serve.rp_migrations;
@@ -355,6 +365,9 @@ let test_rehome_hits_by_content () =
     find 0
   in
   let received = Hashtbl.create 16 in
+  Array.iteri
+    (fun k node -> Hashtbl.replace received (node, digests.(k)) ())
+    registered;
   let moving = ref None and predicted = ref 0 and traced = ref 0 in
   List.iter
     (fun (ev : Obs.Trace.event) ->
@@ -389,11 +402,66 @@ let test_rehome_hits_by_content () =
           moving := None)
       | _ -> ())
     (Obs.Trace.events (Net.Cluster.trace cl));
-  check_int "hits predicted by the schedule" 3 !predicted;
+  check_int "hits predicted by the schedule" 8 !predicted;
   check_int "hits traced" !predicted !traced;
   check_int "cluster.migration_cache_hits" !predicted
     (Obs.Metrics.counter_value (Net.Cluster.metrics cl)
        "cluster.migration_cache_hits")
+
+(* Registration seeds the service's node whatever engine runs it: an
+   emulated service lends the entry its own code, an interpreted one
+   gets code compiled for the node.  Spawning alone seeds nothing, so a
+   grid deployment (ranks, no services) leaves every cache empty. *)
+let test_registration_seeds () =
+  let module Serve = Mcc.Gridapp.Serve in
+  List.iter
+    (fun engine ->
+      let grid = Net.Cluster.create_cfg Net.Cluster.Config.default in
+      ignore (Mcc.Gridapp.deploy ~engine grid Mcc.Gridapp.default_config);
+      check_int "a grid deploy inserts nothing" 0
+        (cluster_count grid "codecache.insertions"))
+    [ `Interp; `Masm ];
+  let cfg =
+    { Serve.clients = 2; services = 2; requests_per_client = 60; work_us = 20;
+      skew = false; speculative = false }
+  in
+  let digest =
+    Digest.of_program (Minic.Driver.compile_exn (Serve.service_source cfg 0))
+  in
+  List.iter
+    (fun (name, engine) ->
+      let cl = Net.Cluster.create_cfg Net.Cluster.Config.default in
+      let d = Serve.deploy ~engine cl cfg in
+      check_int (name ^ ": one insertion per service") cfg.Serve.services
+        (cluster_count cl "codecache.insertions");
+      Array.iter
+        (fun pid ->
+          let e = Option.get (Net.Cluster.entry_of_pid cl pid) in
+          let n = Net.Cluster.node cl e.Net.Cluster.node_id in
+          match
+            Option.bind (Migrate.Server.cache n.Net.Cluster.daemon) (fun c ->
+                Migrate.Codecache.find c ~digest
+                  ~arch:n.Net.Cluster.node_arch.Vm.Arch.name ~trusted:false)
+          with
+          | Some { Migrate.Codecache.e_code = Ok code; _ } -> (
+            match e.Net.Cluster.engine with
+            | Net.Cluster.Emu_engine emu ->
+              check (name ^ ": the entry is the emulator's code") true
+                (fst (Vm.Emulator.code emu) == code.Migrate.Codecache.masm)
+            | Net.Cluster.Interp_engine -> ())
+          | Some { Migrate.Codecache.e_code = Error m; _ } ->
+            Alcotest.failf "%s: seeded a rejection: %s" name m
+          | None -> Alcotest.failf "%s: node %d not seeded" name n.node_id)
+        d.Serve.sv_service_pids;
+      (* services sit on nodes 2 and 3 of 4; the first re-home lands
+         service 0 on node 3, which holds service 1's program *)
+      let r = Serve.run ~migrate_every_s:0.0005 ~migrations:2 d in
+      check (name ^ ": exactly-once") true (Serve.exactly_once d r);
+      check_int (name ^ ": two re-homes") 2 r.Serve.rp_migrations;
+      check_int (name ^ ": the first re-home hits") 1
+        (Obs.Metrics.counter_value (Net.Cluster.metrics cl)
+           "cluster.migration_cache_hits"))
+    [ "Interp", `Interp; "Masm", `Masm ]
 
 let suites =
   [
@@ -419,5 +487,7 @@ let suites =
         Alcotest.test_case "cluster hit rate" `Quick test_cluster_hit_rate;
         Alcotest.test_case "re-homed services hit by content" `Quick
           test_rehome_hits_by_content;
+        Alcotest.test_case "registration seeds, spawning does not" `Quick
+          test_registration_seeds;
       ] );
   ]

@@ -670,6 +670,49 @@ let test_serve_faulty_migrations () =
         && r.Mcc.Gridapp.Serve.rp_p99_ms >= r.Mcc.Gridapp.Serve.rp_p50_ms))
     [ env_seed; env_seed + 1 ]
 
+(* svc_self reads the caller's laddr through its CURRENT rank: the
+   answer is the same before and after a re-home gives the process a
+   fresh rank, and a ranked process that serves no laddr traps.  Two
+   services are registered so the laddr read (2) is not the first. *)
+let test_svc_self_survives_rehome () =
+  let cluster = mk_cluster Net.Faults.none in
+  let src =
+    {|
+int main() {
+  int before; int after; int r0; int i; int x;
+  before = svc_self();
+  r0 = rank();
+  x = 0;
+  for (i = 0; i < 20000; i = i + 1) { x = x + 1; }
+  after = svc_self();
+  if (rank() == r0) { return 0 - 1; }
+  return before * 100 + after;
+}
+|}
+  in
+  let first = Net.Cluster.spawn cluster ~rank:4 ~node_id:0 (compile_c src) in
+  let svc = Net.Cluster.spawn cluster ~rank:5 ~node_id:1 (compile_c src) in
+  let stranger =
+    Net.Cluster.spawn cluster ~rank:6 ~node_id:2 (compile_c src)
+  in
+  check_int "first laddr" 1 (Net.Cluster.register_service cluster ~pid:first);
+  check_int "second laddr" 2 (Net.Cluster.register_service cluster ~pid:svc);
+  ignore (Net.Cluster.run cluster ~max_rounds:5);
+  check "still in its loop" true (status_of cluster svc = Vm.Process.Running);
+  let successor =
+    match move_running cluster ~pid:svc ~node_id:2 with
+    | Ok rep -> rep.Net.Cluster.rep_pid
+    | Error e ->
+      Alcotest.failf "re-home failed: %s"
+        (Net.Cluster.migration_error_to_string e)
+  in
+  ignore (Net.Cluster.run cluster);
+  check "re-homed service reads laddr 2 before and after the move" true
+    (status_of cluster successor = Vm.Process.Exited 202);
+  check "an unregistered process traps" true
+    (status_of cluster stranger
+    = Vm.Process.Trapped "extern: svc_self: not a registered service")
+
 let suites =
   [
     ( "registry-mailbox",
@@ -708,5 +751,7 @@ let suites =
           test_serve_ttl_expiry_typed_error;
         Alcotest.test_case "migrations under faults, two seeds" `Quick
           test_serve_faulty_migrations;
+        Alcotest.test_case "svc_self survives a re-home" `Quick
+          test_svc_self_survives_rehome;
       ] );
   ]
