@@ -301,7 +301,7 @@ let golden =
       "bfb27bae27e715d08284dc68c7de10b5", "85123d04b01cfd02f9d554d57a3f93c7" );
     ( "serve re-homing", serve_rehome,
       [ "msg_forward"; "recipient_moved" ],
-      "5d2495e041c8b9509f40f6f1bf984e31", "bd6f53509b05599a6a877d74e5b81902" );
+      "99e42567c3afb3900990ad482f0194a6", "d2bcb953c21f6110592c9dc2072e5982" );
     ( "grid: crash, checkpoint chain, resurrection",
       grid ~seed:11,
       [ "node_fail"; "checkpoint"; "msg_roll"; "resurrect" ],
@@ -323,13 +323,13 @@ let golden =
       "0f00ba4502c344dea8943271a13b9f52", "f4c2b4e998354711ed9517ea67a27e56" );
     ( "dspec abort: crash_in_commit", dspec_crash_in_commit,
       [ "crash_in_commit" ],
-      "06d5ed0ce0a08a6ad377a3ddd9509f8d", "273bfc25262951f434fe242248b1d901" );
+      "f6d33baf02ba411dd22800d1c7cc1b8a", "e8dbf733dc69150b2d05d3be1922e225" );
     ( "dspec abort: fence", dspec_fence,
       [ "\"reason\":\"fence\"" ],
       "b1c6dcb5f4ce60f3c171c0fb9d608ba2", "c3e0da9f61879555ec94e36c0a0dad02" );
     ( "balance ticks, dup hops, expired forwarders", balanced_serve,
       [ "balance_tick"; "dup_delivery"; "forward_expired" ],
-      "dba319ace613ee5a1f4d965b87801951", "c3981a52c3bb4f26b0f2cb02897f8dca" );
+      "7e585c6be72fbb29518076a7150abeb2", "ad736610efefe9fd512106b14eaad5ca" );
     ( "stale traffic, wildcard roll, drop, read repair", stale_traffic,
       [ "msg_drop"; "storage_repair"; "\"what\":\"stale_msg\"";
         "\"src\":-1" ],
