@@ -138,7 +138,14 @@ module Serve : sig
       deterministic, so the split is exact. *)
 
   val client_source : config -> int -> string
+  (** Client [rank]'s program.  Every client runs the same text: it
+      reads its rank at run time with [rank()]. *)
+
   val service_source : config -> int -> string
+  (** Service [k]'s program.  Without [skew] every service runs the
+      same text and computes its quota from its own laddr with
+      [svc_self()], so it must be registered before it runs; with
+      [skew] each one bakes [expected_served cfg k] into its text. *)
 
   type deployment = {
     sv_config : config;
@@ -153,10 +160,11 @@ module Serve : sig
     ?placement:[ `Spread | `Pack of int ] ->
     Net.Cluster.t -> config -> deployment
   (** Clients on ranks 0..C-1, services on C..C+K-1; every service
-      registered in the process registry.  [`Spread] (default) places
-      both round-robin over the nodes; [`Pack p] crams the services
-      onto the first [p] nodes — the deliberately bad starting point a
-      placement policy is measured against.
+      registered in the process registry, which seeds its node's code
+      cache.  Each distinct source is compiled once.  [`Spread]
+      (default) places both round-robin over the nodes; [`Pack p]
+      crams the services onto the first [p] nodes — the deliberately
+      bad starting point a placement policy is measured against.
       @raise Invalid_argument when a count is < 1 or generated source
       fails to compile (a library bug). *)
 
