@@ -4,7 +4,8 @@
    target machine, and after front-end lowering.  Passes:
 
    - constant folding of unary/binary operators and of [If]/[Switch] on
-     constant scrutinees;
+     constant scrutinees, and of a C-style truth test
+     [int_of_bool b != 0] (to [b]) or [== 0] (to [not b]);
    - copy propagation (a let binding of an atom is substituted away);
    - dead-code elimination of pure, unused lets;
    - inlining of small or called-once functions (the FIR is CPS, so
@@ -142,49 +143,65 @@ let fold_binop op a b =
   | Padd, p, Int 0 -> Some p
   | _ -> None
 
-let rec simplify env e =
+(* A C-style truth value tested against zero: [int_of_bool b != 0] is
+   [b] and [int_of_bool b == 0] is [not b].  [bools] maps each variable
+   bound by [Int_of_bool] to its operand; this returns [b] when one side
+   of the comparison is such a variable and the other is [0]. *)
+let tested_bool bools a b =
+  match a, b with
+  | Var x, Int 0 | Int 0, Var x -> Var.Map.find_opt x bools
+  | _ -> None
+
+let rec simplify env bools e =
   let sa = subst_atom env in
+  let go env e = simplify env bools e in
   match e with
   | Let_atom (v, _, a, e) ->
     (* copy propagation: replace v by (substituted) a everywhere *)
-    simplify (Var.Map.add v (sa a) env) e
-  | Let_cast (v, t, a, e) -> Let_cast (v, t, sa a, simplify env e)
+    go (Var.Map.add v (sa a) env) e
+  | Let_cast (v, t, a, e) -> Let_cast (v, t, sa a, go env e)
   | Let_unop (v, t, op, a, e) -> (
     let a = sa a in
-    match fold_unop op a with
-    | Some a' -> simplify (Var.Map.add v a' env) e
-    | None -> Let_unop (v, t, op, a, simplify env e))
+    match fold_unop op a, op with
+    | Some a', _ -> go (Var.Map.add v a' env) e
+    | None, Int_of_bool ->
+      Let_unop (v, t, op, a, simplify env (Var.Map.add v a bools) e)
+    | None, _ -> Let_unop (v, t, op, a, go env e))
   | Let_binop (v, t, op, a, b, e) -> (
     let a = sa a and b = sa b in
     match fold_binop op a b with
-    | Some a' -> simplify (Var.Map.add v a' env) e
-    | None -> Let_binop (v, t, op, a, b, simplify env e))
+    | Some a' -> go (Var.Map.add v a' env) e
+    | None -> (
+      match op, tested_bool bools a b with
+      | Ne, Some c -> go (Var.Map.add v c env) e
+      | Eq, Some c -> Let_unop (v, t, Not, c, go env e)
+      | _ -> Let_binop (v, t, op, a, b, go env e)))
   | Let_tuple (v, fields, e) ->
-    Let_tuple (v, List.map (fun (t, a) -> t, sa a) fields, simplify env e)
+    Let_tuple (v, List.map (fun (t, a) -> t, sa a) fields, go env e)
   | Let_array (v, t, size, init, e) ->
-    Let_array (v, t, sa size, sa init, simplify env e)
-  | Let_string (v, s, e) -> Let_string (v, s, simplify env e)
-  | Let_proj (v, t, a, i, e) -> Let_proj (v, t, sa a, i, simplify env e)
-  | Set_proj (a, i, x, e) -> Set_proj (sa a, i, sa x, simplify env e)
-  | Let_load (v, t, a, i, e) -> Let_load (v, t, sa a, sa i, simplify env e)
-  | Store (a, i, x, e) -> Store (sa a, sa i, sa x, simplify env e)
+    Let_array (v, t, sa size, sa init, go env e)
+  | Let_string (v, s, e) -> Let_string (v, s, go env e)
+  | Let_proj (v, t, a, i, e) -> Let_proj (v, t, sa a, i, go env e)
+  | Set_proj (a, i, x, e) -> Set_proj (sa a, i, sa x, go env e)
+  | Let_load (v, t, a, i, e) -> Let_load (v, t, sa a, sa i, go env e)
+  | Store (a, i, x, e) -> Store (sa a, sa i, sa x, go env e)
   | Let_ext (v, t, name, args, e) ->
-    Let_ext (v, t, name, List.map sa args, simplify env e)
+    Let_ext (v, t, name, List.map sa args, go env e)
   | If (a, e1, e2) -> (
     match sa a with
-    | Bool true -> simplify env e1
-    | Bool false -> simplify env e2
-    | a -> If (a, simplify env e1, simplify env e2))
+    | Bool true -> go env e1
+    | Bool false -> go env e2
+    | a -> If (a, go env e1, go env e2))
   | Switch (a, cases, default) -> (
     match sa a with
     | Int n | Enum (_, n) -> (
       match List.assoc_opt n cases with
-      | Some e -> simplify env e
-      | None -> simplify env default)
+      | Some e -> go env e
+      | None -> go env default)
     | a ->
       Switch
-        (a, List.map (fun (n, e) -> n, simplify env e) cases,
-         simplify env default))
+        (a, List.map (fun (n, e) -> n, go env e) cases,
+         go env default))
   | Call (f, args) -> Call (sa f, List.map sa args)
   | Exit a -> Exit (sa a)
   | Migrate (i, dst, f, args) -> Migrate (i, sa dst, sa f, List.map sa args)
@@ -449,9 +466,9 @@ let remove_unreachable p =
 (* ------------------------------------------------------------------ *)
 
 let optimize_exp ?(threshold = default_inline_threshold) p e =
-  let e = simplify Var.Map.empty e in
+  let e = simplify Var.Map.empty Var.Map.empty e in
   let e = inline_exp p ~threshold ~depth:3 e in
-  let e = simplify Var.Map.empty e in
+  let e = simplify Var.Map.empty Var.Map.empty e in
   let e = eliminate_common_subexpressions e in
   eliminate_dead e
 

@@ -2,8 +2,9 @@
     process is rebuilt on the target, and the cleanup pass after
     front-end lowering.
 
-    Passes: constant folding (including [If]/[Switch] on constants), copy
-    propagation, common-subexpression elimination of pure operations,
+    Passes: constant folding (including [If]/[Switch] on constants, and
+    a C-style truth test [int_of_bool b != 0] to [b], [== 0] to
+    [not b]), copy propagation, common-subexpression elimination of pure operations,
     dead-code elimination of pure unused lets (trapping operations are
     kept), inlining of small functions — never of bodies containing
     migration or speculation points, whose resume labels and continuation

@@ -465,6 +465,220 @@ let test_differential () =
     differential_programs
 
 (* ------------------------------------------------------------------ *)
+(* Values the lowering keeps in FIR variables                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Within one straight-line segment the lowering reuses the value a
+   local's cell was just given or read instead of loading it again; each
+   program here reads a local after a point where that value must have
+   been dropped (a control transfer, a rollback, a migration).  Every
+   program runs on the interpreter and on MASM with a pinned result. *)
+let both_engines name src want_exit want_out =
+  let ni, oi = run_c src in
+  let ne, oe = run_c_emu src in
+  check_int (name ^ ": interp exit") want_exit ni;
+  check_str (name ^ ": interp output") want_out oi;
+  check_int (name ^ ": MASM exit") want_exit ne;
+  check_str (name ^ ": MASM output") want_out oe
+
+let test_forward_speculation_reentry () =
+  (* the store and its forwarded read happen inside the speculation; the
+     re-entered continuation must load the rolled-back cell *)
+  both_engines "store in an aborted speculation"
+    {|
+int main() {
+  int x = 5;
+  int s = speculate();
+  if (s > 0) {
+    x = x + 4;
+    print_int(x * 10);
+    abort(s);
+  }
+  commit(0 - s);
+  return x;
+}
+|}
+    5 "90"
+
+let test_forward_migrate () =
+  let src =
+    {|
+int main() {
+  int x = 6;
+  x = x * 7;
+  migrate("mcc://other");
+  return x + 1;
+}
+|}
+  in
+  let fir = compile src in
+  (* interpreter source, MASM target; then MASM source, interpreter
+     target *)
+  let hop ~run_source ~run_target =
+    let proc = Vm.Process.create fir in
+    (match run_source proc with
+    | Vm.Process.Migrating _ -> ()
+    | _ -> Alcotest.fail "expected a migration request");
+    let packed = Migrate.Pack.pack_request proc in
+    match
+      Migrate.Pack.unpack ~arch:Vm.Arch.risc64 packed.Migrate.Pack.p_bytes
+    with
+    | Error m -> Alcotest.failf "unpack failed: %s" m
+    | Ok (proc', masm, _linked, _) -> run_target proc' masm
+  in
+  let emu_run proc =
+    Vm.Emulator.run (Vm.Emulator.create (Vm.Codegen.compile fir) proc)
+  in
+  let on_masm proc masm = Vm.Emulator.run (Vm.Emulator.create masm proc) in
+  let on_interp proc _ = Vm.Interp.run proc in
+  check "interp -> MASM: the stored value crosses" true
+    (hop ~run_source:Vm.Interp.run ~run_target:on_masm = Vm.Process.Exited 43);
+  check "MASM -> interp: the stored value crosses" true
+    (hop ~run_source:emu_run ~run_target:on_interp = Vm.Process.Exited 43)
+
+let test_forward_loop_carried () =
+  both_engines "loop-carried local"
+    {|
+int main() {
+  int acc = 1;
+  int sum = 0;
+  int i = 0;
+  while (i < 5) {
+    acc = acc * 2 + i;
+    sum = sum + acc;
+    i = i + 1;
+  }
+  return acc * 1000 + sum;
+}
+|}
+    (* acc 1 -> 2 -> 5 -> 12 -> 27 -> 58; sum 104 *)
+    58104 ""
+
+let test_forward_if_join () =
+  both_engines "written in one arm, read after the join"
+    {|
+int main() {
+  int x = 1;
+  int c = 3;
+  if (c > 2) { x = 10; }
+  int y = x;
+  if (c > 5) { x = 20; } else { c = x + c; }
+  return x * 100 + y + c;
+}
+|}
+    1023 ""
+
+let test_forward_call () =
+  (* the callee's locals live in cells of their own; the caller's value
+     stored before the call is read back after it *)
+  both_engines "survives a non-tail call"
+    {|
+int twice(int x) {
+  x = x * 2;
+  return x;
+}
+int main() {
+  int x = 7;
+  int y = twice(x + 1);
+  return x * 100 + y;
+}
+|}
+    716 ""
+
+let test_forward_extern () =
+  both_engines "store, extern call, read"
+    {|
+int main() {
+  int x = 3;
+  x = x + 4;
+  print_int(x);
+  print_nl();
+  int *a = alloc_int(2);
+  a[0] = x;
+  x = a[0] * 2;
+  print_int(x);
+  return x + a[0];
+}
+|}
+    21 "7\n14"
+
+(* The expressions that follow [e] directly: one for a let or store,
+   the arms of a branch, none for a transfer of control. *)
+let next_exps =
+  let module A = Fir.Ast in
+  function
+  | A.Let_atom (_, _, _, e)
+  | A.Let_cast (_, _, _, e)
+  | A.Let_unop (_, _, _, _, e)
+  | A.Let_binop (_, _, _, _, _, e)
+  | A.Let_tuple (_, _, e)
+  | A.Let_array (_, _, _, _, e)
+  | A.Let_string (_, _, e)
+  | A.Let_proj (_, _, _, _, e)
+  | A.Set_proj (_, _, _, e)
+  | A.Let_load (_, _, _, _, e)
+  | A.Store (_, _, _, e)
+  | A.Let_ext (_, _, _, _, e) ->
+    [ e ]
+  | A.If (_, a, b) -> [ a; b ]
+  | A.Switch (_, cases, d) -> d :: List.map snd cases
+  | A.Call _ | A.Exit _ | A.Migrate _ | A.Speculate _ | A.Commit _
+  | A.Rollback _ ->
+    []
+
+(* The most times any one of [cells] is loaded on a single path through
+   [e] that goes around the loop: one that ends in a tail call to [self].
+   The exit path is left out: it runs once, after the loop's join, which
+   loads afresh. *)
+let max_loads_per_iteration ~self cells e =
+  let rec worst counts most e =
+    let counts, most =
+      match e with
+      | Fir.Ast.Let_load (_, _, Fir.Ast.Var c, _, _)
+        when List.exists (Fir.Var.equal c) cells ->
+        let id = Fir.Var.id c in
+        let n = 1 + Option.value ~default:0 (List.assoc_opt id counts) in
+        (id, n) :: counts, max most n
+      | _ -> counts, most
+    in
+    match e with
+    | Fir.Ast.Call (Fir.Ast.Fun f, _) when String.equal f self -> most
+    | _ ->
+      List.fold_left (fun acc e -> max acc (worst counts most e)) 0
+        (next_exps e)
+  in
+  worst [] 0 e
+
+let rec calls_extern name e =
+  match e with
+  | Fir.Ast.Let_ext (_, _, n, _, _) when String.equal n name -> true
+  | _ -> List.exists (calls_extern name) (next_exps e)
+
+let test_serve_loop_loads () =
+  (* perfbench's serve shape: the service's receive loop is one FIR
+     function whose parameters after [k]/[kenv] are the frame's cells *)
+  let cfg =
+    { Mcc.Gridapp.Serve.clients = 8; services = 4; requests_per_client = 150;
+      work_us = 5; skew = false; speculative = false }
+  in
+  let fir = compile (Mcc.Gridapp.Serve.service_source cfg 0) in
+  let loops =
+    Fir.Ast.fold_funs
+      (fun fd acc ->
+        if calls_extern "msg_try_recv_any" fd.Fir.Ast.f_body then fd :: acc
+        else acc)
+      fir []
+  in
+  match loops with
+  | [ fd ] ->
+    let cells = List.map fst (List.tl (List.tl fd.Fir.Ast.f_params)) in
+    check_int "cells in the receive loop" 8 (List.length cells);
+    check_int "loads of one local per iteration" 1
+      (max_loads_per_iteration ~self:fd.Fir.Ast.f_name cells
+         fd.Fir.Ast.f_body)
+  | l -> Alcotest.failf "%d functions receive, expected 1" (List.length l)
+
+(* ------------------------------------------------------------------ *)
 (* Cluster interop                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -609,6 +823,23 @@ let suites =
       [
         Alcotest.test_case "heterogeneous round-trip" `Quick
           test_migrate_roundtrip_c;
+      ] );
+    ( "minic.forwarding",
+      [
+        Alcotest.test_case "store in an aborted speculation" `Quick
+          test_forward_speculation_reentry;
+        Alcotest.test_case "store, migrate, read on the target" `Quick
+          test_forward_migrate;
+        Alcotest.test_case "loop-carried local" `Quick
+          test_forward_loop_carried;
+        Alcotest.test_case "written in one if arm" `Quick
+          test_forward_if_join;
+        Alcotest.test_case "survives a non-tail call" `Quick
+          test_forward_call;
+        Alcotest.test_case "store, extern call, read" `Quick
+          test_forward_extern;
+        Alcotest.test_case "serve receive loop loads a local once" `Quick
+          test_serve_loop_loads;
       ] );
     ( "minic.engines",
       [ Alcotest.test_case "interp = emulator" `Quick test_differential ] );
