@@ -289,7 +289,7 @@ let golden =
   [
     ( "program migrate: cold + delta hops", program_migrate_ok,
       [ "\"ok\":true" ],
-      "2ad5c843722f3ce1ee7ee09d9382b369", "34cda05d9980bf33866f28c07a7debd5" );
+      "529a1bbcb7c01d8e690f43d081f423ae", "9b02cd49dc6e34efa500428e2ccf4adc" );
     ( "program migrate: retries exhausted", program_migrate_exhausted,
       [ "migrate_retry"; "\"ok\":false" ],
       "765d46b6a25422bda2a8dd081436e5c6", "ec7b6112738e1968d2d95b23038c5f90" );
@@ -298,42 +298,42 @@ let golden =
       "782552ebb8f45f3cbc086c035050a9da", "e1e18ba8b57bd5331e9cf2ad20ba751f" );
     ( "Move.Running: unreachable, ok, delta back", move_running,
       [ "\"ok\":false"; "\"ok\":true" ],
-      "bfb27bae27e715d08284dc68c7de10b5", "85123d04b01cfd02f9d554d57a3f93c7" );
+      "d2e56dd10f9c9f1abe4be3ca4703a763", "2c745075a52d4374438539c596b5a1e5" );
     ( "serve re-homing", serve_rehome,
       [ "msg_forward"; "recipient_moved" ],
-      "99e42567c3afb3900990ad482f0194a6", "d2bcb953c21f6110592c9dc2072e5982" );
+      "84d2dd5eddc8bf9f89b5444b76d0b851", "c4d5b4e9d9955927ef094a3410fffba1" );
     ( "grid: crash, checkpoint chain, resurrection",
       grid ~seed:11,
       [ "node_fail"; "checkpoint"; "msg_roll"; "resurrect" ],
-      "7423c9c21c6db03767c1447b2e2c8411", "73f4eb6685ab264b58c5a5dd77a8a323" );
+      "fb3b920051c06ecf1d9f649887d3d640", "f915bfe3de81b545975b6816116f0cef" );
     ( "grid on seed 23: crash, resurrection", grid ~seed:23,
       [ "node_fail"; "resurrect" ],
-      "0d749659725f5d87097689fed276abe8", "04b06b95c40e38241715f0a25decb649" );
+      "074e679e535abc4d6e8f91b2fd954b98", "797c80d916dd183112c152a6552cd5dc" );
     ( "false suspicion retires the zombie", false_suspicion,
       [ "suspect"; "\"what\":\"schedule\"" ],
-      "c243e747226ce92fe80473cfc475f664", "045b3d44eaa32ffd6bb5713587fa8341" );
+      "55baeb90adaa488ca93c150f6b5e8c89", "6aed6270d217dbd93870f4c75653bf60" );
     ( "obj/fs undo across nested levels", undo_logs,
       [ "spec_rollback" ],
-      "f8b9abb1c2e79d6035915a21c29118ec", "5b99a3cea1cfaad0a36250e54764b59f" );
+      "bb05f44c210f55b036f0f7405075fa19", "5b99a3cea1cfaad0a36250e54764b59f" );
     ( "dspec abort: coordinator_rolled_back", dspec_rolled_back,
       [ "coordinator_rolled_back"; "dspec_compensate" ],
-      "2264357f8b1dde296e555b516ab4431b", "b43ae32bab6b267ac24cd100b5b656b7" );
+      "db0f5d6e96b89082a4d10076ef2cfc41", "b43ae32bab6b267ac24cd100b5b656b7" );
     ( "dspec abort: coordinator_dead", dspec_coordinator_dead,
       [ "coordinator_dead"; "forced_rollback" ],
-      "0f00ba4502c344dea8943271a13b9f52", "f4c2b4e998354711ed9517ea67a27e56" );
+      "a4ca1e16ddc420fc0408f8079919a50d", "f4c2b4e998354711ed9517ea67a27e56" );
     ( "dspec abort: crash_in_commit", dspec_crash_in_commit,
       [ "crash_in_commit" ],
-      "f6d33baf02ba411dd22800d1c7cc1b8a", "e8dbf733dc69150b2d05d3be1922e225" );
+      "8ff10eac6d974fe01bcd2dca0da57fb7", "487c898fcc941d9be98a56a89fc124fe" );
     ( "dspec abort: fence", dspec_fence,
       [ "\"reason\":\"fence\"" ],
-      "b1c6dcb5f4ce60f3c171c0fb9d608ba2", "c3e0da9f61879555ec94e36c0a0dad02" );
+      "9125881fe2bb4d91d30a90bab6e0eca2", "215a2992f52804eabf0f97ebd05cb950" );
     ( "balance ticks, dup hops, expired forwarders", balanced_serve,
       [ "balance_tick"; "dup_delivery"; "forward_expired" ],
-      "7e585c6be72fbb29518076a7150abeb2", "ad736610efefe9fd512106b14eaad5ca" );
+      "f96fb4424a07f639b6b60c6085322dcc", "8e9a9d43808bbc26f0ad1441ee4abfc6" );
     ( "stale traffic, wildcard roll, drop, read repair", stale_traffic,
       [ "msg_drop"; "storage_repair"; "\"what\":\"stale_msg\"";
         "\"src\":-1" ],
-      "94a91fbd093b0412271104cdc80f4233", "c8bec87da78c91162e71bf66e271c4e0" );
+      "3d9c138d8e12d6b11ee2a5a36598c2a7", "d3ce533a51c6dde271f058e1c4a4c8fa" );
   ]
 
 let md5 s = Digest.to_hex (Digest.string s)
