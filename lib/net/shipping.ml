@@ -645,7 +645,9 @@ let handle_to_storage s (entry : entry) path ~kind =
       path
   in
   let bytes = String.length sh.sh_bytes in
-  let write_s = Storage.write core.storage stored_path sh.sh_bytes in
+  let write_s =
+    Storage.write ~writer:entry.node_id core.storage stored_path sh.sh_bytes
+  in
   note_shipment s ~as_delta:sh.sh_delta ~bytes;
   record_migration s kind ~transfer_s:write_s ~bytes ~pack_s:sh.sh_pack_s ();
   (match kind with

@@ -10,7 +10,10 @@
      replication across node-local stores, one replica per node.  A
      node-local store dies with its node ({!fail_node}), replica writes
      are subject to the storage fault classes in {!Faults} (lost file,
-     torn write, bit flip).
+     torn write, bit flip).  A write that names its writer's node puts
+     no replica there while k < nodes: the crash that kills a process
+     would otherwise take one copy of its checkpoint with it.  Each
+     path remembers where its last write placed it, so reads follow.
 
    Every read is digest-verified: a replica whose bytes no longer match
    the digest recorded at write time is treated as absent.  When a read
@@ -44,6 +47,7 @@ type t = {
   c_repairs : Obs.Metrics.counter;
   c_corrupt : Obs.Metrics.counter;
   mutable on_repair : (path:string -> replicas:int -> unit) option;
+  placed : (string, int list) Hashtbl.t; (* path -> its last write's nodes *)
 }
 
 let digest_of = Fir.Digest.of_encoded
@@ -70,18 +74,29 @@ let create ?(replication = 0) ?(nodes = 0) ?faults ?metrics net =
       invalid_arg "Storage.create: replication requires nodes > 0"
     else (Array.init nodes (fun _ -> replica ()), min replication nodes, faults)
   in
-  { reps; k; net; faults; c_repairs; c_corrupt; on_repair = None }
+  { reps; k; net; faults; c_repairs; c_corrupt; on_repair = None;
+    placed = Hashtbl.create 16 }
 
 let set_on_repair t f = t.on_repair <- Some f
 
 let replication t = t.k
 
-(* The distinct replicas a path lives on, in preference order: k nodes,
-   or the one shared replica. *)
-let placement t path =
+(* The distinct replicas a path is placed on, in preference order: k
+   nodes from the path's hash on, skipping [avoid] while there are more
+   than k nodes; or the one shared replica. *)
+let choose ?avoid t path =
   let n = Array.length t.reps in
   let base = path_hash path mod n in
-  List.init (max 1 t.k) (fun i -> (base + i) mod n)
+  let skip nid = t.k > 0 && t.k < n && Some nid = avoid in
+  List.init n (fun i -> (base + i) mod n)
+  |> List.filter (fun nid -> not (skip nid))
+  |> List.filteri (fun i _ -> i < max 1 t.k)
+
+(* Where [path] lives: where its last write put it. *)
+let placement t path =
+  match Hashtbl.find_opt t.placed path with
+  | Some places -> places
+  | None -> choose t path
 
 let damage faults data =
   match faults with
@@ -103,9 +118,22 @@ let damage faults data =
         Some (Bytes.to_string b)
       end)
 
-(* Returns the simulated seconds the operation took. *)
-let write t path data =
+(* Returns the simulated seconds the operation took.  A write without
+   a writer keeps the path where it is. *)
+let write ?writer t path data =
   let digest = digest_of data in
+  let places =
+    match writer with
+    | Some w -> choose ~avoid:w t path
+    | None -> placement t path
+  in
+  (* a replica the path moved off drops its stale copy *)
+  List.iter
+    (fun nid ->
+      if not (List.mem nid places) then
+        Hashtbl.remove t.reps.(nid).r_files path)
+    (placement t path);
+  Hashtbl.replace t.placed path places;
   List.iter
     (fun nid ->
       let r = t.reps.(nid) in
@@ -119,7 +147,7 @@ let write t path data =
         | Some stored ->
           Hashtbl.replace r.r_files path { e_data = stored; e_digest = digest }
       end)
-    (placement t path);
+    places;
   Simnet.transfer_seconds t.net (String.length data)
 
 let verified e =
@@ -181,7 +209,9 @@ let exists t path =
     (fun nid -> t.reps.(nid).r_alive && Hashtbl.mem t.reps.(nid).r_files path)
     (placement t path)
 
-let remove t path = Array.iter (fun r -> Hashtbl.remove r.r_files path) t.reps
+let remove t path =
+  Array.iter (fun r -> Hashtbl.remove r.r_files path) t.reps;
+  Hashtbl.remove t.placed path
 
 (* Sorted: Hashtbl.fold order is unspecified and differs across OCaml
    versions, and callers compare listings across runs. *)
