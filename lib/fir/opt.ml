@@ -353,11 +353,14 @@ let rec eliminate_dead e =
 
 let default_inline_threshold = 24
 
-(* A function is inlinable at a call site if it is small and its body does
-   not contain migration points or speculation operations: those record a
-   resume label / continuation identity, which must stay stable across
-   recompilations (paper, Section 4.2.1 — the label [i] correlates runtime
-   execution points with FIR points). *)
+(* A function is inlinable at a call site if it is small, its body does
+   not contain migration points or speculation operations, and it does
+   not name itself.  Pseudo-instructions record a resume label /
+   continuation identity, which must stay stable across recompilations
+   (paper, Section 4.2.1 — the label [i] correlates runtime execution
+   points with FIR points).  A self-recursive function is a loop:
+   inlining it would only unroll it, growing every call site by copies
+   of the body. *)
 let rec has_pseudo = function
   | Migrate _ | Speculate _ | Commit _ | Rollback _ -> true
   | Let_atom (_, _, _, e)
@@ -379,7 +382,9 @@ let rec has_pseudo = function
   | Call _ | Exit _ -> false
 
 let inlinable ~threshold fd =
-  exp_size fd.f_body <= threshold && not (has_pseudo fd.f_body)
+  exp_size fd.f_body <= threshold
+  && (not (has_pseudo fd.f_body))
+  && not (List.mem fd.f_name (called_funs fd.f_body))
 
 let rec inline_exp p ~threshold ~depth e =
   if depth <= 0 then e

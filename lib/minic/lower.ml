@@ -5,22 +5,24 @@
    tail-calls using continuation passing style; loops are expressed with
    recursive functions".  Concretely:
 
-   - every mutable C local (and parameter, and compiler temporary) becomes
-     a one-cell heap block; reads and writes are checked loads and stores.
-     Nothing lives in FIR variables across a control transfer, which is
-     precisely what makes whole-process state capture trivial;
+   - every C activation gets one heap frame: a tuple with a slot for
+     each parameter, local and compiler temporary, built at function
+     entry.  A read is a projection of the local's slot, a write a
+     set-projection.  Nothing lives in FIR variables across a control
+     transfer, which is precisely what makes whole-process state capture
+     trivial;
 
    - within one straight-line segment (the body of one FIR function, up
-     to its tail call) the lowerer remembers which atom holds each cell's
-     current value: every store (a cell's initialisation included)
-     records the stored atom, every first load records the loaded one,
-     and a later read of the same local reuses it instead of loading
-     again.  Each internal function starts with nothing
+     to its tail call) the lowerer remembers which atom holds each slot's
+     current value: every store (a slot's initialisation included)
+     records the stored atom, every first read records the projected
+     one, and a later read of the same local reuses it instead of
+     projecting again.  Each internal function starts with nothing
      remembered, so no value is carried across a control transfer.  This
-     is sound because Mini-C has no [&]: a local's cell never aliases
-     another cell or an array, and no extern or callee can write it; and
-     every store still writes the cell, so state capture at a migrate,
-     speculate or commit point sees exactly what it saw before;
+     is sound because Mini-C has no [&]: a frame slot is never aliased,
+     and no extern or callee can write it; and every store still writes
+     the frame, so state capture at a migrate, speculate or commit point
+     sees exactly what it saw before;
 
    - a C function [R f(T a)] becomes the FIR function
        f(k : (any ptr, R') -> ., kenv : any ptr, a : T')
@@ -29,7 +31,8 @@
 
    - control-flow joins (after an if, loop back-edges, code following a
      call / speculate() / commit() / migrate()) become fresh internal FIR
-     functions taking (k, kenv, frame cells...);
+     functions taking (k, kenv, frame) after their own extras; a call's
+     return continuation finds the same three in its environment;
 
    - speculate()/commit(id)/abort(id)/migrate(target) lower to the FIR
      pseudo-instructions, with the rest of the C function as the
@@ -72,15 +75,15 @@ type state = {
   labels : int ref; (* program-wide migration label counter *)
   cur_name : string;
   cur_ret : cty;
-  frame : (string * cty) list; (* params then locals, in order *)
+  slots : (string * cty) list; (* the frame: params then locals, in order *)
 }
 
 type env = {
   k : F.atom;
   kenv : F.atom;
-  cells : (string * F.atom) list; (* frame order *)
-  known : (string * F.atom) list;
-      (* cell -> atom holding its current value, this segment only *)
+  frame : F.atom;
+  known : (int * F.atom) list;
+      (* slot -> atom holding its current value, this segment only *)
 }
 
 type loop_ctx = {
@@ -93,72 +96,66 @@ let no_loop = { break_ = None; continue_ = None }
 (* The type of the current function's return continuation. *)
 let cont_ty state = T.Tfun [ T.Tptr T.Tany; lower_ty state.cur_ret ]
 
-let cell env x =
-  match List.assoc_opt x env.cells with
-  | Some a -> a
-  | None -> raise (Error ("internal: no cell for " ^ x))
+(* The type of the current function's frame: one slot per local. *)
+let frame_ty state =
+  T.Ttuple (List.map (fun (_, ty) -> lower_ty ty) state.slots)
 
-(* Store [v] into [x]'s cell and remember it for the rest of the
+let slot state x =
+  let rec find i = function
+    | (y, _) :: _ when String.equal x y -> i
+    | _ :: rest -> find (i + 1) rest
+    | [] -> raise (Error ("internal: no slot for " ^ x))
+  in
+  find 0 state.slots
+
+(* Store [v] into slot [i] and remember it for the rest of the
    segment. *)
-let store_cell env x v (k : env -> F.exp) =
-  F.Store (cell env x, F.Int 0, v, k { env with known = (x, v) :: env.known })
+let store_slot env i v (k : env -> F.exp) =
+  F.Set_proj (env.frame, i, v, k { env with known = (i, v) :: env.known })
 
-(* The current value of [x]: the atom the segment already holds, or a
-   load of its cell, remembered from then on. *)
-let load_cell env x ty (k : env -> F.atom -> F.exp) =
-  match List.assoc_opt x env.known with
+(* The current value of slot [i]: the atom the segment already holds, or
+   a projection of the frame, remembered from then on. *)
+let load_slot env i ty (k : env -> F.atom -> F.exp) =
+  match List.assoc_opt i env.known with
   | Some v -> k env v
   | None ->
-    B.load ty (cell env x) (B.int 0) (fun v ->
-        k { env with known = (x, v) :: env.known } v)
+    B.proj ty env.frame i (fun v ->
+        k { env with known = (i, v) :: env.known } v)
 
-(* The env at the head of an internal function: the frame's cells arrive
-   as parameters, and nothing about their contents is known. *)
-let entry_env state k kenv cell_atoms =
-  { k; kenv; cells = List.map2 (fun (x, _) a -> x, a) state.frame cell_atoms;
-    known = [] }
+(* What every internal function receives after its own extras, and what
+   every control transfer inside the activation passes on. *)
+let live env = [ env.k; env.kenv; env.frame ]
 
 (* ------------------------------------------------------------------ *)
 (* Internal continuation functions                                     *)
 (* ------------------------------------------------------------------ *)
 
-let internal_params state =
-  ("k", cont_ty state)
-  :: ("kenv", T.Tptr T.Tany)
-  :: List.map (fun (x, ty) -> x, T.Tptr (lower_ty ty)) state.frame
-
 let fresh_name state =
   state.counter <- state.counter + 1;
   Printf.sprintf "%s$%d" (fir_name state.cur_name) state.counter
 
-(* Create an internal function [extras..., k, kenv, cells...] and return
-   its name.  [gen] receives the rebuilt env and the extra atoms. *)
-let make_internal state ?(extras = []) gen =
-  let name = fresh_name state in
-  let fd =
-    B.func name
-      (extras @ internal_params state)
-      (fun atoms ->
-        let rec split n l =
-          if n = 0 then [], l
-          else
-            match l with
-            | x :: rest ->
-              let a, b = split (n - 1) rest in
-              x :: a, b
-            | [] -> raise (Error "internal: arity")
-        in
-        let extra_atoms, rest = split (List.length extras) atoms in
-        match rest with
-        | k :: kenv :: cell_atoms ->
-          gen (entry_env state k kenv cell_atoms) extra_atoms
-        | _ -> raise (Error "internal: missing k/kenv"))
+(* Define the internal function [name (extras..., k, kenv, frame)];
+   [gen] receives its env, knowing nothing yet, and the extra atoms. *)
+let define_internal state name ?(extras = []) gen =
+  let params =
+    extras
+    @ [ "k", cont_ty state; "kenv", T.Tptr T.Tany; "frame", frame_ty state ]
   in
-  state.fns <- fd :: state.fns;
+  let fd =
+    B.func name params (fun atoms ->
+        match List.rev atoms with
+        | frame :: kenv :: k :: rev_extras ->
+          gen { k; kenv; frame; known = [] } (List.rev rev_extras)
+        | _ -> raise (Error "internal: missing k/kenv/frame"))
+  in
+  state.fns <- fd :: state.fns
+
+let make_internal state ?extras gen =
+  let name = fresh_name state in
+  define_internal state name ?extras gen;
   name
 
-let call_internal name env =
-  F.Call (F.Fun name, env.k :: env.kenv :: List.map snd env.cells)
+let call_internal name env = F.Call (F.Fun name, live env)
 
 (* ------------------------------------------------------------------ *)
 (* Values that survive continuation splits                             *)
@@ -166,20 +163,21 @@ let call_internal name env =
 
 type value_ref =
   | Direct of F.atom
-  | In_cell of string * T.ty
+  | In_slot of int * T.ty
 
 let fetch env vr (k : env -> F.atom -> F.exp) =
   match vr with
   | Direct a -> k env a
-  | In_cell (tmp, ty) -> load_cell env tmp ty k
+  | In_slot (i, ty) -> load_slot env i ty k
 
-(* After computing [atom] for [te], spill it into its temporary (if the
-   typechecker assigned one) and continue. *)
-let produce env (te : texpr) atom (k : env -> value_ref -> F.exp) =
+(* After computing [atom] for [te], spill it into its temporary's slot
+   (if the typechecker assigned one) and continue. *)
+let produce state env (te : texpr) atom (k : env -> value_ref -> F.exp) =
   match te.ttemp with
   | None -> k env (Direct atom)
   | Some tmp ->
-    store_cell env tmp atom (fun env -> k env (In_cell (tmp, lower_ty te.tty)))
+    let i = slot state tmp in
+    store_slot env i atom (fun env -> k env (In_slot (i, lower_ty te.tty)))
 
 let fetch_all env refs (k : env -> F.atom list -> F.exp) =
   let rec go env acc = function
@@ -201,22 +199,23 @@ let truthy a k = B.ne a (F.Int 0) k
 let rec lower_expr state ctx env (te : texpr)
     (k : env -> value_ref -> F.exp) : F.exp =
   match te.td with
-  | Tint_lit n -> produce env te (F.Int n) k
-  | Tfloat_lit f -> produce env te (F.Float f) k
-  | Tstr_lit s -> B.string s (fun a -> produce env te a k)
+  | Tint_lit n -> produce state env te (F.Int n) k
+  | Tfloat_lit f -> produce state env te (F.Float f) k
+  | Tstr_lit s -> B.string s (fun a -> produce state env te a k)
   | Tvar x ->
-    load_cell env x (lower_ty te.tty) (fun env a -> produce env te a k)
+    load_slot env (slot state x) (lower_ty te.tty) (fun env a ->
+        produce state env te a k)
   | Tindex (base, idx) ->
     lower_expr state ctx env base (fun env rb ->
         lower_expr state ctx env idx (fun env ri ->
             fetch env rb (fun env vb ->
                 fetch env ri (fun env vi ->
                     B.load (lower_ty te.tty) vb vi (fun a ->
-                        produce env te a k)))))
+                        produce state env te a k)))))
   | Tunop (op, a) ->
     lower_expr state ctx env a (fun env ra ->
         fetch env ra (fun env va ->
-            let cont x = produce env te x k in
+            let cont x = produce state env te x k in
             match op, a.tty with
             | Uneg, Cint -> B.unop T.Tint F.Neg va (fun x -> cont x)
             | Uneg, Cfloat -> B.unop T.Tfloat F.Fneg va (fun x -> cont x)
@@ -232,84 +231,50 @@ let rec lower_expr state ctx env (te : texpr)
   | Tcast (ty, a) ->
     lower_expr state ctx env a (fun env ra ->
         fetch env ra (fun env va ->
+            let cont x = produce state env te x k in
             match ty, a.tty with
-            | Cint, Cfloat ->
-              B.unop T.Tint F.Int_of_float va (fun x -> produce env te x k)
-            | Cfloat, Cint ->
-              B.unop T.Tfloat F.Float_of_int va (fun x -> produce env te x k)
-            | _ -> produce env te va k))
+            | Cint, Cfloat -> B.unop T.Tint F.Int_of_float va cont
+            | Cfloat, Cint -> B.unop T.Tfloat F.Float_of_int va cont
+            | _ -> cont va))
   | Tcall_builtin (kind, args) -> lower_builtin state ctx env te kind args k
   | Tcall_user (g, args) ->
     lower_expr_list state ctx env args (fun env refs ->
         fetch_all env refs (fun env arg_atoms ->
-            let g_fir = fir_name g in
-            let ncells = List.length state.frame in
-            (* the receive continuation: unpack the closure environment,
-               then resume with the returned value *)
-            let recv =
-              let name = fresh_name state in
-              let fd =
-                B.func name
-                  [ "env", T.Tptr T.Tany; "r", lower_ty te.tty ]
-                  (fun atoms ->
-                    match atoms with
-                    | [ envp; r ] ->
-                      B.load T.Tany envp (B.int 0) (fun k_any ->
-                          B.cast (cont_ty state) k_any (fun k_val ->
-                              B.load T.Tany envp (B.int 1) (fun kenv_any ->
-                                  B.cast (T.Tptr T.Tany) kenv_any
-                                    (fun kenv_val ->
-                                      let rec unpack i acc = function
-                                        | [] ->
-                                          let env' =
-                                            {
-                                              k = k_val;
-                                              kenv = kenv_val;
-                                              cells = List.rev acc;
-                                              known = [];
-                                            }
-                                          in
-                                          produce env' te r k
-                                        | (x, ty) :: rest ->
-                                          B.load T.Tany envp (B.int (2 + i))
-                                            (fun c_any ->
-                                              B.cast
-                                                (T.Tptr (lower_ty ty))
-                                                c_any
-                                                (fun c ->
-                                                  unpack (i + 1)
-                                                    ((x, c) :: acc)
-                                                    rest))
-                                      in
-                                      unpack 0 [] state.frame))))
-                    | _ -> raise (Error "internal: recv arity"))
-              in
-              state.fns <- fd :: state.fns;
-              name
+            (* the receive continuation: unpack k, kenv and the frame
+               from the closure environment, then resume with the
+               returned value *)
+            let recv = fresh_name state in
+            let field envp i ty k =
+              B.load T.Tany envp (B.int i) (fun x -> B.cast ty x k)
             in
-            (* pack the closure environment *)
-            B.array T.Tany ~size:(B.int (2 + ncells)) ~init:F.Unit
-              (fun envarr ->
-                F.Store
-                  ( envarr, F.Int 0, env.k,
-                    F.Store
-                      ( envarr, F.Int 1, env.kenv,
-                        let rec pack i = function
-                          | [] ->
-                            F.Call
-                              (F.Fun g_fir,
-                               F.Fun recv :: envarr :: arg_atoms)
-                          | (_, c) :: rest ->
-                            F.Store (envarr, F.Int (2 + i), c, pack (i + 1) rest)
-                        in
-                        pack 0 env.cells )))))
+            let fd =
+              B.func recv
+                [ "env", T.Tptr T.Tany; "r", lower_ty te.tty ]
+                (function
+                  | [ envp; r ] ->
+                    field envp 0 (cont_ty state) (fun k_val ->
+                        field envp 1 (T.Tptr T.Tany) (fun kenv ->
+                            field envp 2 (frame_ty state) (fun frame ->
+                                produce state
+                                  { k = k_val; kenv; frame; known = [] }
+                                  te r k)))
+                  | _ -> raise (Error "internal: recv arity"))
+            in
+            state.fns <- fd :: state.fns;
+            B.array T.Tany ~size:(B.int 3) ~init:F.Unit (fun envarr ->
+                let pack i a rest = F.Store (envarr, F.Int i, a, rest) in
+                pack 0 env.k
+                  (pack 1 env.kenv
+                     (pack 2 env.frame
+                        (F.Call
+                           (F.Fun (fir_name g),
+                            F.Fun recv :: envarr :: arg_atoms)))))))
 
 and lower_binop state env te op a b va vb k =
-  let cont x = produce env te x k in
+  let cont x = produce state env te x k in
   let int2 fop = B.binop T.Tint fop va vb (fun x -> cont x) in
   let float2 fop = B.binop T.Tfloat fop va vb (fun x -> cont x) in
   let cmp fop = B.binop T.Tbool fop va vb (fun c -> bool_to_int c cont) in
-  ignore state;
   match op, a.tty, b.tty with
   | Badd, Cint, _ -> int2 F.Add
   | Bsub, Cint, _ -> int2 F.Sub
@@ -377,18 +342,18 @@ and lower_builtin state ctx env te kind args k =
             in
             B.ext ret_ty name atoms (fun r ->
                 match te.tty with
-                | Cvoid -> produce env te (F.Int 0) k
-                | _ -> produce env te r k)))
+                | Cvoid -> produce state env te (F.Int 0) k
+                | _ -> produce state env te r k)))
   | Balloc elt ->
     lower_expr_list state ctx env args (fun env refs ->
         fetch_all env refs (fun env atoms ->
             match atoms with
             | [ n ] ->
               B.array (lower_ty elt) ~size:n ~init:(default_atom elt)
-                (fun a -> produce env te a k)
+                (fun a -> produce state env te a k)
             | _ -> raise (Error "internal: alloc arity")))
   | Bspeculate ->
-    (* speculate f(c, k, kenv, cells...): f computes the C-level return
+    (* speculate f(c, k, kenv, frame): f computes the C-level return
        value (+level fresh, -level on re-entry after abort) *)
     let body =
       make_internal state ~extras:[ "c", T.Tint ] (fun env extras ->
@@ -400,10 +365,10 @@ and lower_builtin state ctx env te kind args k =
                         B.mul (F.Int 2) bi (fun twob ->
                             B.sub twob (F.Int 1) (fun sign ->
                                 B.mul sign lvl (fun specid ->
-                                    produce env te specid k))))))
+                                    produce state env te specid k))))))
           | _ -> raise (Error "internal: speculate extras"))
     in
-    F.Speculate (F.Fun body, env.k :: env.kenv :: List.map snd env.cells)
+    F.Speculate (F.Fun body, live env)
   | Bcommit ->
     lower_expr_list state ctx env args (fun env refs ->
         fetch_all env refs (fun env atoms ->
@@ -411,11 +376,9 @@ and lower_builtin state ctx env te kind args k =
             | [ level ] ->
               let cont =
                 make_internal state (fun env _ ->
-                    produce env te (F.Int 0) k)
+                    produce state env te (F.Int 0) k)
               in
-              F.Commit
-                (level, F.Fun cont,
-                 env.k :: env.kenv :: List.map snd env.cells)
+              F.Commit (level, F.Fun cont, live env)
             | _ -> raise (Error "internal: commit arity")))
   | Babort ->
     (* terminal: control resumes at the speculation entry *)
@@ -431,12 +394,10 @@ and lower_builtin state ctx env te kind args k =
             | [ dst ] ->
               let cont =
                 make_internal state (fun env _ ->
-                    produce env te (F.Int 0) k)
+                    produce state env te (F.Int 0) k)
               in
               incr state.labels;
-              F.Migrate
-                (!(state.labels), dst, F.Fun cont,
-                 env.k :: env.kenv :: List.map snd env.cells)
+              F.Migrate (!(state.labels), dst, F.Fun cont, live env)
             | _ -> raise (Error "internal: migrate arity")))
 
 (* ------------------------------------------------------------------ *)
@@ -447,7 +408,7 @@ let rec lower_stmt state ctx env (s : tstmt) (after : env -> F.exp) : F.exp =
   match s with
   | TSassign (x, te) ->
     lower_expr state ctx env te (fun env r ->
-        fetch env r (fun env v -> store_cell env x v after))
+        fetch env r (fun env v -> store_slot env (slot state x) v after))
   | TSindex_assign (base, idx, value) ->
     lower_expr state ctx env base (fun env rb ->
         lower_expr state ctx env idx (fun env ri ->
@@ -475,22 +436,15 @@ let rec lower_stmt state ctx env (s : tstmt) (after : env -> F.exp) : F.exp =
         continue_ = Some (fun env -> call_internal loop_name env);
       }
     in
-    let fd =
-      B.func loop_name (internal_params state) (fun atoms ->
-          match atoms with
-          | k :: kenv :: cell_atoms ->
-            let env = entry_env state k kenv cell_atoms in
-            lower_expr state ctx env c (fun env rc ->
-                fetch env rc (fun env vc ->
-                    truthy vc (fun cond ->
-                        F.If
-                          ( cond,
-                            lower_stmts state loop_ctx env body (fun env ->
-                                call_internal loop_name env),
-                            call_internal join env ))))
-          | _ -> raise (Error "internal: loop params"))
-    in
-    state.fns <- fd :: state.fns;
+    define_internal state loop_name (fun env _ ->
+        lower_expr state ctx env c (fun env rc ->
+            fetch env rc (fun env vc ->
+                truthy vc (fun cond ->
+                    F.If
+                      ( cond,
+                        lower_stmts state loop_ctx env body (fun env ->
+                            call_internal loop_name env),
+                        call_internal join env )))));
     call_internal loop_name env
   | TSfor_loop (init, cond, inc, body) ->
     let join = make_internal state (fun env _ -> after env) in
@@ -507,24 +461,15 @@ let rec lower_stmt state ctx env (s : tstmt) (after : env -> F.exp) : F.exp =
         continue_ = Some do_inc;
       }
     in
-    let fd =
-      B.func loop_name (internal_params state) (fun atoms ->
-          match atoms with
-          | k :: kenv :: cell_atoms ->
-            let env = entry_env state k kenv cell_atoms in
-            let run_body env =
-              lower_stmts state loop_ctx env body do_inc
-            in
-            (match cond with
-            | None -> run_body env
-            | Some c ->
-              lower_expr state ctx env c (fun env rc ->
-                  fetch env rc (fun env vc ->
-                      truthy vc (fun cd ->
-                          F.If (cd, run_body env, call_internal join env)))))
-          | _ -> raise (Error "internal: loop params"))
-    in
-    state.fns <- fd :: state.fns;
+    define_internal state loop_name (fun env _ ->
+        let run_body env = lower_stmts state loop_ctx env body do_inc in
+        match cond with
+        | None -> run_body env
+        | Some c ->
+          lower_expr state ctx env c (fun env rc ->
+              fetch env rc (fun env vc ->
+                  truthy vc (fun cd ->
+                      F.If (cd, run_body env, call_internal join env)))));
     (match init with
     | None -> call_internal loop_name env
     | Some s ->
@@ -554,10 +499,6 @@ and lower_stmts state ctx env stmts (after : env -> F.exp) : F.exp =
 (* ------------------------------------------------------------------ *)
 
 let lower_fun labels (tf : tfun) : F.fundef list =
-  let frame =
-    List.map (fun (ty, x) -> x, ty) tf.tf_params
-    @ List.map (fun (ty, x) -> x, ty) tf.tf_locals
-  in
   let state =
     {
       fns = [];
@@ -565,7 +506,7 @@ let lower_fun labels (tf : tfun) : F.fundef list =
       labels;
       cur_name = tf.tf_name;
       cur_ret = tf.tf_ret;
-      frame;
+      slots = List.map (fun (ty, x) -> x, ty) (tf.tf_params @ tf.tf_locals);
     }
   in
   let params =
@@ -575,29 +516,22 @@ let lower_fun labels (tf : tfun) : F.fundef list =
   in
   let implicit_return env = F.Call (env.k, [ env.kenv; default_atom tf.tf_ret ]) in
   let fd =
-    B.func (fir_name tf.tf_name) params (fun atoms ->
-        match atoms with
-        | k :: kenv :: param_atoms ->
-          (* allocate one heap cell per frame slot: parameters are
-             initialized from their argument values, locals from their
-             type's default; the entry segment knows every initial value *)
-          let rec alloc_cells frame param_atoms cells known =
-            match frame, param_atoms with
-            | [], _ ->
-              let env = { k; kenv; cells = List.rev cells; known } in
-              lower_stmts state no_loop env tf.tf_body implicit_return
-            | (x, ty) :: frest, p :: prest
-              when List.exists (fun (_, px) -> String.equal px x) tf.tf_params
-              ->
-              B.array (lower_ty ty) ~size:(B.int 1) ~init:p (fun c ->
-                  alloc_cells frest prest ((x, c) :: cells) ((x, p) :: known))
-            | (x, ty) :: frest, ps ->
-              let init = default_atom ty in
-              B.array (lower_ty ty) ~size:(B.int 1) ~init (fun c ->
-                  alloc_cells frest ps ((x, c) :: cells) ((x, init) :: known))
-          in
-          alloc_cells frame param_atoms [] []
-        | _ -> raise (Error "internal: function params"))
+    B.func (fir_name tf.tf_name) params (function
+      | k :: kenv :: param_atoms ->
+        (* one frame for the activation: parameters start as their
+           arguments, locals as their type's default, and the entry
+           segment knows every initial value *)
+        let inits =
+          param_atoms
+          @ List.map (fun (ty, _) -> default_atom ty) tf.tf_locals
+        in
+        B.tuple
+          (List.map2 (fun (_, ty) a -> lower_ty ty, a) state.slots inits)
+          (fun frame ->
+            let known = List.mapi (fun i a -> i, a) inits in
+            lower_stmts state no_loop { k; kenv; frame; known } tf.tf_body
+              implicit_return)
+      | _ -> raise (Error "internal: function params"))
   in
   fd :: state.fns
 

@@ -572,6 +572,36 @@ let test_no_inline_speculate () =
   | e ->
     Alcotest.failf "speculating function was inlined: %s" (Pp.exp_to_string e)
 
+let test_no_inline_self_recursive () =
+  (* a small loop function is under the threshold, but inlining it into
+     itself or its caller would only unroll it *)
+  let p =
+    Builder.(
+      prog
+        [
+          func "count" [ "i", Types.Tint ] (fun args ->
+              match args with
+              | [ i ] ->
+                lt i (int 10) (fun c ->
+                    if_ c
+                      (add i (int 1) (fun j -> callf "count" [ j ]))
+                      (exit_ i))
+              | _ -> assert false);
+          func "main" [] (fun _ -> callf "count" [ int 0 ]);
+        ])
+  in
+  let p = Opt.optimize p in
+  let rec branches = function
+    | Ast.If (_, a, b) -> 1 + branches a + branches b
+    | Ast.Let_binop (_, _, _, _, _, e) -> branches e
+    | _ -> 0
+  in
+  check_int "the loop body is not unrolled" 1
+    (branches (Ast.fun_exn p "count").Ast.f_body);
+  match (Ast.fun_exn p "main").Ast.f_body with
+  | Ast.Call (Ast.Fun "count", [ Ast.Int 0 ]) -> ()
+  | e -> Alcotest.failf "loop inlined into main: %s" (Pp.exp_to_string e)
+
 (* ------------------------------------------------------------------ *)
 (* Serializer                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -1018,6 +1048,8 @@ let suites =
           test_cse_not_loads;
         Alcotest.test_case "speculation never inlined" `Quick
           test_no_inline_speculate;
+        Alcotest.test_case "self-recursive function never inlined" `Quick
+          test_no_inline_self_recursive;
       ] );
     ( "fir.serial",
       [

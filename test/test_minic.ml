@@ -626,19 +626,18 @@ let next_exps =
   | A.Rollback _ ->
     []
 
-(* The most times any one of [cells] is loaded on a single path through
-   [e] that goes around the loop: one that ends in a tail call to [self].
-   The exit path is left out: it runs once, after the loop's join, which
-   loads afresh. *)
-let max_loads_per_iteration ~self cells e =
+(* The most times any one slot of [frame] is projected on a single path
+   through [e] that goes around the loop: one that ends in a tail call
+   to [self].  The exit path is left out: it runs once, after the loop's
+   join, which projects afresh. *)
+let max_projections_per_iteration ~self frame e =
   let rec worst counts most e =
     let counts, most =
       match e with
-      | Fir.Ast.Let_load (_, _, Fir.Ast.Var c, _, _)
-        when List.exists (Fir.Var.equal c) cells ->
-        let id = Fir.Var.id c in
-        let n = 1 + Option.value ~default:0 (List.assoc_opt id counts) in
-        (id, n) :: counts, max most n
+      | Fir.Ast.Let_proj (_, _, Fir.Ast.Var f, i, _)
+        when Fir.Var.equal f frame ->
+        let n = 1 + Option.value ~default:0 (List.assoc_opt i counts) in
+        (i, n) :: counts, max most n
       | _ -> counts, most
     in
     match e with
@@ -654,14 +653,16 @@ let rec calls_extern name e =
   | Fir.Ast.Let_ext (_, _, n, _, _) when String.equal n name -> true
   | _ -> List.exists (calls_extern name) (next_exps e)
 
-let test_serve_loop_loads () =
+let param_names fd = List.map (fun (v, _) -> Fir.Var.name v) fd.Fir.Ast.f_params
+
+let serve_config speculative =
+  { Mcc.Gridapp.Serve.clients = 8; services = 4; requests_per_client = 150;
+    work_us = 5; skew = false; speculative }
+
+let test_serve_loop_projections () =
   (* perfbench's serve shape: the service's receive loop is one FIR
-     function whose parameters after [k]/[kenv] are the frame's cells *)
-  let cfg =
-    { Mcc.Gridapp.Serve.clients = 8; services = 4; requests_per_client = 150;
-      work_us = 5; skew = false; speculative = false }
-  in
-  let fir = compile (Mcc.Gridapp.Serve.service_source cfg 0) in
+     function that takes the activation's frame *)
+  let fir = compile (Mcc.Gridapp.Serve.service_source (serve_config false) 0) in
   let loops =
     Fir.Ast.fold_funs
       (fun fd acc ->
@@ -671,12 +672,76 @@ let test_serve_loop_loads () =
   in
   match loops with
   | [ fd ] ->
-    let cells = List.map fst (List.tl (List.tl fd.Fir.Ast.f_params)) in
-    check_int "cells in the receive loop" 8 (List.length cells);
-    check_int "loads of one local per iteration" 1
-      (max_loads_per_iteration ~self:fd.Fir.Ast.f_name cells
+    check "the receive loop takes k, kenv, frame" true
+      (param_names fd = [ "k"; "kenv"; "frame" ]);
+    let frame = fst (List.nth fd.Fir.Ast.f_params 2) in
+    check_int "projections of one slot per iteration" 1
+      (max_projections_per_iteration ~self:fd.Fir.Ast.f_name frame
          fd.Fir.Ast.f_body)
   | l -> Alcotest.failf "%d functions receive, expected 1" (List.length l)
+
+(* The lowering names its internal functions [<C function>$<n>]: joins,
+   loop heads, call-return and speculate/commit/migrate continuations. *)
+let is_internal name =
+  match String.rindex_opt name '$' with
+  | Some i when i + 1 < String.length name ->
+    String.for_all
+      (fun c -> c >= '0' && c <= '9')
+      (String.sub name (i + 1) (String.length name - i - 1))
+  | Some _ | None -> false
+
+let test_internal_params () =
+  (* every internal function takes k, kenv and the frame after at most
+     one extra of its own (speculate's rollback code), or is a call's
+     return continuation (closure environment, returned value); none
+     carries a parameter per local *)
+  let programs =
+    [
+      "serve service", Mcc.Gridapp.Serve.service_source (serve_config false) 0;
+      "serve client", Mcc.Gridapp.Serve.client_source (serve_config false) 0;
+      "speculative service",
+      Mcc.Gridapp.Serve.service_source (serve_config true) 0;
+      "speculative client",
+      Mcc.Gridapp.Serve.client_source (serve_config true) 0;
+      "grid rank 1", Mcc.Gridapp.source Mcc.Gridapp.default_config 1;
+    ]
+  in
+  List.iter
+    (fun (what, src) ->
+      Fir.Ast.iter_funs
+        (fun fd ->
+          let name = fd.Fir.Ast.f_name in
+          if is_internal name then
+            match List.rev (param_names fd) with
+            | [ "frame"; "kenv"; "k" ] | [ "frame"; "kenv"; "k"; _ ]
+            | [ "r"; "env" ] ->
+              ()
+            | _ ->
+              Alcotest.failf "%s: %s takes (%s)" what name
+                (String.concat ", " (param_names fd)))
+        (compile src))
+    programs
+
+let test_recursive_frames () =
+  (* each activation writes its own [here] after the recursive call
+     returns: a frame shared between activations would see the callee's
+     value *)
+  both_engines "recursive frames"
+    {|
+int depth(int n) {
+  int here = n * 10;
+  int below = 0;
+  if (n > 0) below = depth(n - 1);
+  here = here + below;
+  print_int(here);
+  print_nl();
+  return here;
+}
+int main() {
+  return depth(4) + 1;
+}
+|}
+    101 "0\n10\n30\n60\n100\n"
 
 (* ------------------------------------------------------------------ *)
 (* Cluster interop                                                     *)
@@ -839,7 +904,11 @@ let suites =
         Alcotest.test_case "store, extern call, read" `Quick
           test_forward_extern;
         Alcotest.test_case "serve receive loop loads a local once" `Quick
-          test_serve_loop_loads;
+          test_serve_loop_projections;
+        Alcotest.test_case "internal functions take k, kenv, frame" `Quick
+          test_internal_params;
+        Alcotest.test_case "recursive calls never share a frame" `Quick
+          test_recursive_frames;
       ] );
     ( "minic.engines",
       [ Alcotest.test_case "interp = emulator" `Quick test_differential ] );
