@@ -289,7 +289,7 @@ let golden =
   [
     ( "program migrate: cold + delta hops", program_migrate_ok,
       [ "\"ok\":true" ],
-      "529a1bbcb7c01d8e690f43d081f423ae", "9b02cd49dc6e34efa500428e2ccf4adc" );
+      "82efc6286444f28381e3cfc08aff0af3", "355f460022499f591edfa536eb9ac2a3" );
     ( "program migrate: retries exhausted", program_migrate_exhausted,
       [ "migrate_retry"; "\"ok\":false" ],
       "765d46b6a25422bda2a8dd081436e5c6", "ec7b6112738e1968d2d95b23038c5f90" );
@@ -298,42 +298,42 @@ let golden =
       "782552ebb8f45f3cbc086c035050a9da", "e1e18ba8b57bd5331e9cf2ad20ba751f" );
     ( "Move.Running: unreachable, ok, delta back", move_running,
       [ "\"ok\":false"; "\"ok\":true" ],
-      "d2e56dd10f9c9f1abe4be3ca4703a763", "2c745075a52d4374438539c596b5a1e5" );
+      "0c50d326939632f3ade748e5fb3103b1", "32e829c86a6ef4834142032078732784" );
     ( "serve re-homing", serve_rehome,
       [ "msg_forward"; "recipient_moved" ],
-      "84d2dd5eddc8bf9f89b5444b76d0b851", "c4d5b4e9d9955927ef094a3410fffba1" );
+      "3ec3f5faba0caf61dbc2538faa101472", "593a81e184d85f07da6789aeb4e5b60c" );
     ( "grid: crash, checkpoint chain, resurrection",
       grid ~seed:11,
       [ "node_fail"; "checkpoint"; "msg_roll"; "resurrect" ],
-      "fb3b920051c06ecf1d9f649887d3d640", "f915bfe3de81b545975b6816116f0cef" );
+      "6268006c5195d757d870a4ce682be8a8", "f7c29cfe79cb9626e8c33cb24d141014" );
     ( "grid on seed 23: crash, resurrection", grid ~seed:23,
       [ "node_fail"; "resurrect" ],
-      "074e679e535abc4d6e8f91b2fd954b98", "797c80d916dd183112c152a6552cd5dc" );
+      "bbcbfba105cab45c51b1a7eb3ce73573", "34d8e048f7431477516c8548d06e8e86" );
     ( "false suspicion retires the zombie", false_suspicion,
       [ "suspect"; "\"what\":\"schedule\"" ],
-      "55baeb90adaa488ca93c150f6b5e8c89", "6aed6270d217dbd93870f4c75653bf60" );
+      "11841ae86f681e9a281cc0c4912da9c2", "7ee2bab0961e15072fc40f75bb41534b" );
     ( "obj/fs undo across nested levels", undo_logs,
       [ "spec_rollback" ],
-      "bb05f44c210f55b036f0f7405075fa19", "5b99a3cea1cfaad0a36250e54764b59f" );
+      "19dd6c1c423e67da55dd953db43bcdfa", "5b99a3cea1cfaad0a36250e54764b59f" );
     ( "dspec abort: coordinator_rolled_back", dspec_rolled_back,
       [ "coordinator_rolled_back"; "dspec_compensate" ],
-      "db0f5d6e96b89082a4d10076ef2cfc41", "b43ae32bab6b267ac24cd100b5b656b7" );
+      "ae0627dd181f41fd04fe1278e9bd38d3", "b43ae32bab6b267ac24cd100b5b656b7" );
     ( "dspec abort: coordinator_dead", dspec_coordinator_dead,
       [ "coordinator_dead"; "forced_rollback" ],
-      "a4ca1e16ddc420fc0408f8079919a50d", "f4c2b4e998354711ed9517ea67a27e56" );
+      "6f48d1943a766e8a43d388f7ea8cddb4", "f4c2b4e998354711ed9517ea67a27e56" );
     ( "dspec abort: crash_in_commit", dspec_crash_in_commit,
       [ "crash_in_commit" ],
-      "8ff10eac6d974fe01bcd2dca0da57fb7", "487c898fcc941d9be98a56a89fc124fe" );
+      "523c10d829c495f4d5f53904ef8ccbaf", "e1bcb79d51b80bd3b48b5cc52a1fd3c3" );
     ( "dspec abort: fence", dspec_fence,
       [ "\"reason\":\"fence\"" ],
-      "9125881fe2bb4d91d30a90bab6e0eca2", "215a2992f52804eabf0f97ebd05cb950" );
+      "72e1e1f0a8451eaa3042d578ae4f09a2", "4792356edab6bc90627bc9edacbb6e47" );
     ( "balance ticks, dup hops, expired forwarders", balanced_serve,
       [ "balance_tick"; "dup_delivery"; "forward_expired" ],
-      "f96fb4424a07f639b6b60c6085322dcc", "8e9a9d43808bbc26f0ad1441ee4abfc6" );
+      "95e91360adcec400c6b09a754a485fa9", "9a2d56df35df5b98c8d8c2d72d0b6a1d" );
     ( "stale traffic, wildcard roll, drop, read repair", stale_traffic,
       [ "msg_drop"; "storage_repair"; "\"what\":\"stale_msg\"";
         "\"src\":-1" ],
-      "3d9c138d8e12d6b11ee2a5a36598c2a7", "d3ce533a51c6dde271f058e1c4a4c8fa" );
+      "728e8949c4b1d8bb8b43f36f18e38ade", "64c090f1acd8c124db2406b6d77b7981" );
   ]
 
 let md5 s = Digest.to_hex (Digest.string s)
