@@ -59,10 +59,10 @@ let test_committed () =
       Meters.all
   in
   Alcotest.(check (list string)) "9 committed ratios"
-    [ "v1 branch 2.68"; "v1 compute 3.08"; "v1 memory 2.43";
-      "t1 serve-s11 0.92"; "t1 serve-s23 0.95";
-      "t2 skew-s11 1.14"; "t2 skew-s23 1.14";
-      "f5 spec-s11 0.74"; "f5 spec-s23 0.75" ]
+    [ "v1 branch 2.55"; "v1 compute 3.02"; "v1 memory 2.28";
+      "t1 serve-s11 0.92"; "t1 serve-s23 0.87";
+      "t2 skew-s11 1.17"; "t2 skew-s23 1.17";
+      "f5 spec-s11 0.81"; "f5 spec-s23 0.74" ]
     got;
   (* a baseline no meter reads is stale: perfcheck never gates it *)
   Alcotest.(check (list string)) "every baseline belongs to a meter"
