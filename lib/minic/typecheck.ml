@@ -10,10 +10,10 @@
      old function's scope.
    - [ttemp]: for every value that must survive a later sibling's split,
      the name of a frame temporary (a hidden local) the lowering spills it
-     into.  Temporaries are just extra locals; the lowering allocates one
-     heap cell per local, so spilled values ride in the heap across
-     splits (exactly like the paper's migrate_env discipline: live data in
-     the heap, nothing in registers).
+     into.  Temporaries are just extra locals; the lowering gives every
+     local a slot in the activation's heap frame, so spilled values ride
+     in the heap across splits (exactly like the paper's migrate_env
+     discipline: live data in the heap, nothing in registers).
 
    The pass also collects the function's frame: parameters, declared
    locals (function-scoped, duplicates rejected), and generated
