@@ -91,6 +91,9 @@ let find t ~digest ~arch ~trusted =
       None
   end
 
+let mem t ~digest ~arch ~trusted =
+  enabled t && Lru.mem t.entries (digest, arch, mode_of_trusted trusted)
+
 let add t ~digest ~arch ~trusted ~program ~code =
   if enabled t then begin
     let evicted =

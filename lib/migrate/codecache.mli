@@ -45,6 +45,10 @@ val find : t -> digest:string -> arch:string -> trusted:bool -> entry option
 (** Records a lookup and a hit or a miss, and refreshes the entry's LRU
     stamp. *)
 
+val mem : t -> digest:string -> arch:string -> trusted:bool -> bool
+(** Whether an entry (a negative one included) is held.  Neither
+    counted nor refreshed: the daemon's code offer asks it. *)
+
 val add :
   t ->
   digest:string -> arch:string -> trusted:bool ->

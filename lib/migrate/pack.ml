@@ -186,6 +186,66 @@ let value_matches program ftable_names ty v =
       _ ) ->
     false
 
+(* The admission of one FIR payload at a destination: decode, strict
+   typecheck (unless trusted), codegen — or, trusted and with a binary
+   for this architecture, the binary fast path — then closure-compile,
+   and admit the verdict to [cache], a rejection included (a negative
+   entry).  This is the one compile path: [unpack_image]'s cache miss
+   and a daemon compiling ahead of a cut-over ({!Server.compile_ahead})
+   both run it.  [digest] names [fir], already recomputed over the
+   received bytes by the caller.  Returns the program, its code, whether
+   codegen ran and the cycles charged (codegen and link, or link only). *)
+let admit_exn ~trusted ~extern_signatures ?cache ~arch ~digest ?binary fir =
+  let program =
+    try Fir.Serial.decode fir
+    with Fir.Serial.Corrupt msg ->
+      raise (Unpack_error ("corrupt FIR payload: " ^ msg))
+  in
+  if not trusted then begin
+    match
+      Fir.Typecheck.check_program ~strict:true ~externs:extern_signatures
+        program
+    with
+    | Ok () -> ()
+    | Error msg ->
+      (* negative caching: remember the rejection *)
+      (match cache with
+      | Some c ->
+        Codecache.add c ~digest ~arch:arch.Arch.name ~trusted ~program
+          ~code:(Error msg)
+      | None -> ());
+      raise (Unpack_error ("FIR rejected: " ^ msg))
+  end;
+  (* decide the execution payload *)
+  let masm, recompiled, compile_cycles =
+    match binary with
+    | Some payload when trusted ->
+      let masm = Masm.decode payload in
+      (* no recompilation, but the stub must still be linked *)
+      masm, false, Codegen.simulated_link_cycles masm
+    | Some _ | None ->
+      let masm = Codegen.compile ~arch program in
+      ( masm,
+        true,
+        Codegen.simulated_compile_cycles program
+        + Codegen.simulated_link_cycles masm )
+  in
+  (* pre-resolve and closure-compile once, here, so the returned engine
+     image and any future cache hit share the same translated forms *)
+  let compiled = Compile.compile_masm masm in
+  (match cache with
+  | Some c ->
+    Codecache.add c ~digest ~arch:arch.Arch.name ~trusted ~program
+      ~code:(Ok { Codecache.masm; compiled })
+  | None -> ());
+  program, masm, compiled, recompiled, compile_cycles
+
+let admit ?(trusted = false) ?(extern_signatures = Extern.signatures) ?cache
+    ~arch ~digest fir =
+  match admit_exn ~trusted ~extern_signatures ?cache ~arch ~digest fir with
+  | _, _, _, _, compile_cycles -> Ok compile_cycles
+  | exception Unpack_error msg -> Error msg
+
 (* [extern_signatures] extends the strict typecheck with the host
    environment's externs (e.g. the cluster's message-passing set).
 
@@ -196,8 +256,9 @@ let value_matches program ftable_names ty v =
    verification — Wire.verify checks THIS image's heap and can never be
    skipped.  A hit only elides the program-level work (FIR decode,
    typecheck, codegen), which is a pure function of the FIR bytes; a miss
-   runs the full untrusted-source pipeline and then populates the cache,
-   including negative entries for payloads that fail the typecheck. *)
+   runs the full untrusted-source pipeline ([admit_exn]) and then
+   populates the cache, including negative entries for payloads that
+   fail the typecheck. *)
 (* Reconstruct from an already-decoded image — the shared tail of the
    full-packet path ([unpack]) and the delta path (the server decodes the
    packet, rebuilds the image against its retained baseline, then lands
@@ -235,56 +296,16 @@ let unpack_image ?(pid = 0) ?(seed = 42) ?(trusted = false)
           true,
           Codegen.simulated_link_cycles masm )
       | None ->
-        let program =
-          try Fir.Serial.decode image.Wire.i_fir
-          with Fir.Serial.Corrupt msg ->
-            raise (Unpack_error ("corrupt FIR payload: " ^ msg))
+        (* the binary is only an option for this architecture *)
+        let binary =
+          if String.equal image.Wire.i_arch arch.Arch.name then
+            image.Wire.i_masm
+          else None
         in
-        if verified then begin
-          match
-            Fir.Typecheck.check_program ~strict:true
-              ~externs:extern_signatures program
-          with
-          | Ok () -> ()
-          | Error msg ->
-            (* negative caching: remember the rejection *)
-            (match cache with
-            | Some c ->
-              Codecache.add c ~digest:image.Wire.i_digest
-                ~arch:arch.Arch.name ~trusted ~program ~code:(Error msg)
-            | None -> ());
-            raise (Unpack_error ("FIR rejected: " ^ msg))
-        end;
-        (* decide the execution payload *)
-        let binary_fast_path =
-          trusted
-          && String.equal image.Wire.i_arch arch.Arch.name
-          && image.Wire.i_masm <> None
+        let program, masm, compiled, recompiled, compile_cycles =
+          admit_exn ~trusted ~extern_signatures ?cache ~arch
+            ~digest:image.Wire.i_digest ?binary image.Wire.i_fir
         in
-        let masm, recompiled, compile_cycles =
-          if binary_fast_path then
-            match image.Wire.i_masm with
-            | Some payload ->
-              let masm = Masm.decode payload in
-              (* no recompilation, but the stub must still be linked *)
-              masm, false, Codegen.simulated_link_cycles masm
-            | None -> assert false
-          else
-            let masm = Codegen.compile ~arch program in
-            ( masm,
-              true,
-              Codegen.simulated_compile_cycles program
-              + Codegen.simulated_link_cycles masm )
-        in
-        (* pre-resolve and closure-compile once, here, so the returned
-           engine image and any future cache hit share the same
-           translated forms *)
-        let compiled = Compile.compile_masm masm in
-        (match cache with
-        | Some c ->
-          Codecache.add c ~digest:image.Wire.i_digest ~arch:arch.Arch.name
-            ~trusted ~program ~code:(Ok { Codecache.masm; compiled })
-        | None -> ());
         program, masm, compiled, recompiled, false, compile_cycles
     in
     (* the function table must be exactly the program's functions, in the

@@ -77,6 +77,19 @@ val delta :
     payload); whether a possible delta is worth sending is the caller's
     policy. *)
 
+val admit :
+  ?trusted:bool -> ?extern_signatures:Fir.Typecheck.extern_lookup ->
+  ?cache:Codecache.t -> arch:Arch.t -> digest:string -> string ->
+  (int, string) result
+(** Admit a FIR payload on its own, ahead of any image: decode, strict
+    typecheck unless [trusted], codegen and closure-compile for [arch],
+    and add the verdict to [cache] under [digest] — a rejection as a
+    negative entry.  The same code path as {!unpack_image}'s cache miss
+    (a payload without a binary).  [digest] must be the
+    {!Fir.Digest.of_encoded} of the payload, recomputed by the caller
+    over the bytes it received.  Returns the simulated compile cycles
+    (codegen plus link), or the rejection. *)
+
 val unpack :
   ?pid:int -> ?seed:int -> ?trusted:bool ->
   ?extern_signatures:Fir.Typecheck.extern_lookup ->

@@ -134,6 +134,38 @@ let remember_baseline ?digest t image =
   digest
 
 (* ------------------------------------------------------------------ *)
+(* Code offers                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The code counterpart of [has_baseline]: does this daemon hold the
+   verdict for [digest] on its architecture and verify mode?  A sender
+   asks before moving a running process, and compiles ahead on a
+   miss. *)
+let has_code t digest =
+  match t.cache with
+  | Some c ->
+    Codecache.mem c ~digest ~arch:t.arch.Arch.name ~trusted:t.trusted
+  | None -> false
+
+(* Admit a FIR payload that arrived ahead of its process, through the
+   same admission as an image's cache miss, so the image that follows
+   hits.  The digest is recomputed over what arrived. *)
+let compile_ahead t fir =
+  Obs.Metrics.incr ~by:(String.length fir) t.c_bytes;
+  let digest = Fir.Digest.of_encoded fir in
+  match
+    Pack.admit ~trusted:t.trusted ~extern_signatures:t.extern_signatures
+      ?cache:t.cache ~arch:t.arch ~digest fir
+  with
+  | Ok cycles ->
+    Obs.Metrics.incr t.c_recompilations;
+    Obs.Metrics.observe t.h_compile_cycles (float_of_int cycles);
+    Ok cycles
+  | Error msg ->
+    Obs.Metrics.incr t.c_rejected;
+    Error msg
+
+(* ------------------------------------------------------------------ *)
 (* Request handling                                                    *)
 (* ------------------------------------------------------------------ *)
 

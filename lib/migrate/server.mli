@@ -77,6 +77,27 @@ val remember_baseline : ?digest:string -> t -> Wire.image -> string
     packing, so a process bouncing back can arrive as a delta; in the
     cluster it is the only way a daemon comes to hold a baseline. *)
 
+(** {2 Code offers}
+
+    Before a running process moves, its sender offers the FIR digest.
+    On a miss it ships the FIR alone and the daemon compiles it while
+    the process keeps running at its source; the image that follows
+    then hits the cache. *)
+
+val has_code : t -> string -> bool
+(** Whether this daemon's cache holds a verdict (compiled code or a
+    rejection) for the digest on its architecture and verify mode.
+    Neither counted in the cache's registry nor refreshed.  [false]
+    without a cache. *)
+
+val compile_ahead : t -> string -> (int, string) result
+(** Admit a FIR payload on its own ({!Pack.admit}, under this daemon's
+    trust policy, externs, architecture and cache), keyed by the digest
+    recomputed over the bytes.  Returns the compile cycles to charge, or
+    the rejection (cached as a negative entry).  Counts
+    [server.bytes_received], [server.recompilations] and
+    [server.compile_cycles], or [server.rejected]. *)
+
 val handle : t -> string -> (request_outcome, string) result
 (** Handle one inbound migration; assigns a fresh pid on success.
     Accepts either packet kind and retains neither: a delta is

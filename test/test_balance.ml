@@ -325,6 +325,8 @@ let lossy_plan seed =
     f_jitter_s = 0.00002;
     f_retransmit_s = 0.0001 }
 
+(* Each round charges 1 ms of work: the worker outlasts the compile its
+   destination runs ahead of the move, so the move cuts over. *)
 let crunch_worker =
   compile_c
     {|
@@ -334,6 +336,7 @@ int main() {
   int i;
   for (round = 0; round < 400; round = round + 1) {
     for (i = 0; i < 50; i = i + 1) acc = (acc + i * 7) % 1000000;
+    work_us(1000);
   }
   return acc % 100;
 }
@@ -368,7 +371,7 @@ let test_equivalence_running () =
       check
         (Printf.sprintf "seed %d: Rehome trace == Explicit trace" seed)
         true (rehome = explicit);
-      check "the scenario actually migrated" true
+      check "the scenario actually migrated (a move landed)" true
         (let contains s sub =
            let n = String.length sub in
            let rec go i =
@@ -377,7 +380,7 @@ let test_equivalence_running () =
            in
            go 0
          in
-         contains explicit "migrate_done"))
+         contains explicit "\"ok\":true,\"cache_hit\""))
     [ env_seed; env_seed + 31 ]
 
 (* The resurrect convenience wrapper vs a hand-built Image request:

@@ -78,6 +78,8 @@ int main() {
 (* Transparent migration (load balancing)                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Each round charges 1 ms of work: the worker outlasts the compile its
+   destination runs ahead of the move. *)
 let summing_worker =
   compile_c
     {|
@@ -89,6 +91,7 @@ int main() {
   int round;
   for (round = 0; round < 400; round = round + 1) {
     for (i = 0; i < 50; i = i + 1) acc = (acc + data[i]) % 1000000;
+    work_us(1000);
   }
   return acc;
 }
@@ -119,8 +122,9 @@ let test_transparent_migration () =
       (Net.Cluster.migration_error_to_string e)
   | Ok rep ->
     let new_pid = rep.Net.Cluster.rep_pid in
-    check "reported one attempt, no retries" true
-      (rep.Net.Cluster.rep_attempts = 1 && rep.Net.Cluster.rep_retries = 0);
+    (* node 1 lacked the code: one FIR hop, then one image hop *)
+    check "reported one attempt per hop, no retries" true
+      (rep.Net.Cluster.rep_attempts = 2 && rep.Net.Cluster.rep_retries = 0);
     check "source terminated" true
       (status_of cluster pid = Vm.Process.Exited 0);
     let _ = Net.Cluster.run cluster in
@@ -145,6 +149,9 @@ let test_transparent_migration_of_ml () =
   in
   let cluster = Net.Cluster.create_cfg { Net.Cluster.Config.default with node_count = 2 } in
   let pid = Net.Cluster.spawn cluster ~node_id:0 fir in
+  (* the whole run is shorter than a compile: node 1 holds the code
+     already, so the move lands at once *)
+  seed_code cluster ~node_id:1 fir;
   let _ = Net.Cluster.run cluster ~max_rounds:10 in
   match move_running cluster ~pid ~node_id:1 with
   | Error e ->
@@ -834,7 +841,9 @@ let test_cascade_follows_migration () =
      receiver (rank 1): consumes the speculative message inside its own
      speculation (joining the sender's), then polls a message that never
      comes.  We transparently migrate the receiver to a third node AFTER
-     it consumed; the sender's rollback must still reach the successor. *)
+     it consumed; the sender's rollback must still reach the successor.
+     The sender's spin charges 0.3 s of work, so the receiver's
+     destination finishes compiling it and the cut-over lands first. *)
   let sender =
     compile_c
       {|
@@ -845,7 +854,7 @@ int main() {
     buf[0] = 55;
     msg_send_int(1, 0, buf, 1);
     int i;
-    for (i = 0; i < 30000; i = i + 1) { buf[0] = buf[0]; }
+    for (i = 0; i < 30000; i = i + 1) { buf[0] = buf[0]; work_us(10); }
     abort(specid);
   }
   return 100;

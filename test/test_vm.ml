@@ -871,7 +871,9 @@ let test_passthrough_cont_rewrites () =
     "exited 11"
 
 (* A looping process moved mid-loop runs on, and its trace is the same
-   whether it started in Baseline or Compiled mode. *)
+   whether it started in Baseline or Compiled mode.  The loop's charged
+   work outlasts the destination's compile, so the move cuts over
+   mid-loop. *)
 let test_passthrough_move_running () =
   let fir =
     compile_c
@@ -879,7 +881,7 @@ let test_passthrough_move_running () =
 int main() {
   int i;
   int s = 0;
-  for (i = 0; i < 3000; i = i + 1) s = (s + i * 7) % 10007;
+  for (i = 0; i < 3000; i = i + 1) { s = (s + i * 7) % 10007; work_us(50); }
   print_int(s);
   return s % 100;
 }
