@@ -523,6 +523,8 @@ let crash_in_commit t =
   end
   else false
 
+let node_faults_pending t = t.t_stalls <> [] || t.t_crashes <> []
+
 let take_stall t ~node ~now =
   let due, rest =
     List.partition

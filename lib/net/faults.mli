@@ -175,6 +175,9 @@ val heal_time : t -> now:float -> a:int -> b:int -> float option
 (** Latest [p_until] over the partition windows covering (a,b) at [now];
     [None] when the link is not partitioned or never heals. *)
 
+val node_faults_pending : t -> bool
+(** Some scripted stall or crash has not fired yet. *)
+
 val take_stall : t -> node:int -> now:float -> float option
 (** The duration of a stall scheduled on [node] at or before [now], if
     any; each stall fires exactly once. *)
