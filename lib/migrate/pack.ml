@@ -68,9 +68,12 @@ let pack ?(with_binary = true) ?(epoch = 0) ?dspec proc ~entry ~args ~label =
   in
   Spec.Engine.rewrite_after_gc proc.Process.spec res;
   (* 3. snapshot; the program's payloads are the process's, encoded at
-     most once in its lifetime *)
+     most once in its lifetime.  One walk over the live cells copies
+     them into the image, hashes them and sizes the packet, which is
+     then written at exactly that size. *)
   let fir = Process.fir_payload proc in
-  let image =
+  let image, p_bytes, p_digest =
+    Wire.capture ~store:heap.Heap.store ~ncells:(Heap.used_cells heap)
     {
       Wire.i_arch = proc.Process.arch.Arch.name;
       i_digest = fir.Process.fir_digest;
@@ -79,7 +82,7 @@ let pack ?(with_binary = true) ?(epoch = 0) ?dspec proc ~entry ~args ~label =
         (if with_binary then Some (Process.masm_payload proc) else None);
       i_ftable = Function_table.names proc.Process.ftable;
       i_ptable = Pointer_table.snapshot (Heap.pointer_table heap);
-      i_cells = Heap.cells heap;
+      i_cells = [||];
       i_spec = Spec.Engine.snapshot proc.Process.spec;
       i_menv = menv;
       i_entry = entry;
@@ -95,12 +98,7 @@ let pack ?(with_binary = true) ?(epoch = 0) ?dspec proc ~entry ~args ~label =
      that future writes are tracked against. *)
   let p_dirty = Heap.dirty_snapshot heap in
   Heap.clear_dirty heap;
-  {
-    p_image = image;
-    p_bytes = Wire.encode image;
-    p_digest = Wire.image_digest image;
-    p_dirty;
-  }
+  { p_image = image; p_bytes; p_digest; p_dirty }
 
 (* Encode [packed] as a delta against [baseline] (identified on the wire
    by [base_digest], the baseline's {!Wire.image_digest}).  Returns
@@ -260,15 +258,19 @@ let admit ?(trusted = false) ?(extern_signatures = Extern.signatures) ?cache
    populates the cache, including negative entries for payloads that
    fail the typecheck. *)
 (* Reconstruct from an already-decoded image — the shared tail of the
-   full-packet path ([unpack]) and the delta path (the server decodes the
+   full-packet path ([unpack]), the delta path (the server decodes the
    packet, rebuilds the image against its retained baseline, then lands
-   here).  [bytes_len] is the on-the-wire size, for cost accounting. *)
-let unpack_image ?(pid = 0) ?(seed = 42) ?(trusted = false)
-    ?(extern_signatures = Extern.signatures) ?cache ~arch ~bytes_len image =
+   here) and resurrection.  [verify] runs the structural checks on the
+   image's heap and [heap] builds the process's heap from it: over a
+   received store that nothing else holds ([unpack_landed]), or over a
+   copy of an image the caller keeps ([unpack_image]).  [bytes_len] is
+   the on-the-wire size, for cost accounting. *)
+let reconstruct ~pid ~seed ~trusted ~extern_signatures ?cache ~arch
+    ~bytes_len ~verify ~heap image =
   try
     let verified = not trusted in
     (* structural heap checks are per-image state, never cacheable *)
-    if verified then Wire.verify image;
+    if verified then verify ();
     let cached =
       match cache with
       | Some c ->
@@ -316,10 +318,7 @@ let unpack_image ?(pid = 0) ?(seed = 42) ?(trusted = false)
     in
     if image.Wire.i_ftable <> expected then
       raise (Unpack_error "function table does not match the program");
-    let heap =
-      Heap.restore ~cells:image.Wire.i_cells
-        ~ptable_snapshot:image.Wire.i_ptable
-    in
+    let heap = heap () in
     let proc =
       Process.restore ~pid ~arch ~seed ~program ~heap
         ~spec_snapshot:image.Wire.i_spec
@@ -376,9 +375,32 @@ let unpack_image ?(pid = 0) ?(seed = 42) ?(trusted = false)
     Error ("bad function table: " ^ msg)
   | Spec.Engine.Invalid_level msg -> Error ("bad speculation state: " ^ msg)
 
+let unpack_image ?(pid = 0) ?(seed = 42) ?(trusted = false)
+    ?(extern_signatures = Extern.signatures) ?cache ~arch ~bytes_len image =
+  reconstruct ~pid ~seed ~trusted ~extern_signatures ?cache ~arch ~bytes_len
+    image
+    ~verify:(fun () -> Wire.verify image)
+    ~heap:(fun () ->
+      Heap.restore ~cells:image.Wire.i_cells
+        ~ptable_snapshot:image.Wire.i_ptable)
+
+let unpack_landed ?(pid = 0) ?(seed = 42) ?(trusted = false)
+    ?(extern_signatures = Extern.signatures) ?cache ~arch ~bytes_len
+    (landed : Wire.landed) =
+  let image = landed.Wire.l_image in
+  reconstruct ~pid ~seed ~trusted ~extern_signatures ?cache ~arch ~bytes_len
+    image
+    ~verify:(fun () -> Wire.verify_landed landed)
+    ~heap:(fun () ->
+      Heap.adopt ~store:landed.Wire.l_store ~used:landed.Wire.l_cells
+        ~ptable_snapshot:image.Wire.i_ptable)
+
+(* Nothing keeps a decoded packet, so its heap adopts the store. *)
 let unpack ?pid ?seed ?trusted ?extern_signatures ?cache ~arch bytes =
-  match Wire.decode bytes with
-  | image ->
-    unpack_image ?pid ?seed ?trusted ?extern_signatures ?cache ~arch
-      ~bytes_len:(String.length bytes) image
+  match Wire.decode_arrival bytes with
+  | Wire.Landed landed ->
+    unpack_landed ?pid ?seed ?trusted ?extern_signatures ?cache ~arch
+      ~bytes_len:(String.length bytes) landed
+  | Wire.Patch _ ->
+    Error "corrupt image: delta packet where a full image was expected"
   | exception Wire.Corrupt msg -> Error ("corrupt image: " ^ msg)

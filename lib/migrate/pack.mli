@@ -117,7 +117,19 @@ val unpack_image :
   ?cache:Codecache.t ->
   arch:Arch.t -> bytes_len:int -> Wire.image ->
   (Process.t * Masm.image * Compile.image * unpack_costs, string) result
-(** As {!unpack}, from an already-decoded image — the shared tail of the
-    full path and the delta path (where the image was reconstructed from
-    a retained baseline).  [bytes_len] is the on-the-wire size charged to
-    [u_bytes]. *)
+(** As {!unpack}, from an already-decoded image the caller may keep (a
+    resurrection keeps the replayed checkpoint as its baseline): the
+    heap is a copy of its cells ({!Runtime.Heap.restore}).  [bytes_len]
+    is the on-the-wire size charged to [u_bytes]. *)
+
+val unpack_landed :
+  ?pid:int -> ?seed:int -> ?trusted:bool ->
+  ?extern_signatures:Fir.Typecheck.extern_lookup ->
+  ?cache:Codecache.t ->
+  arch:Arch.t -> bytes_len:int -> Wire.landed ->
+  (Process.t * Masm.image * Compile.image * unpack_costs, string) result
+(** As {!unpack_image}, from an image received straight into a heap
+    store ({!Wire.decode_arrival}, {!Wire.land_delta}): the same checks
+    run over that store, and the heap adopts it without a copy
+    ({!Runtime.Heap.adopt}).  {!unpack} and {!Server.handle} take this
+    path. *)

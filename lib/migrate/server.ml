@@ -169,14 +169,15 @@ let compile_ahead t fir =
 (* Request handling                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The shared tail: [image] is either a decoded full packet or a
-   delta reconstruction; [bytes] is what actually travelled. *)
-let finish t ~bytes image =
+(* The shared tail: [landed] is either a decoded full packet or a
+   delta reconstruction, in the store the new heap adopts; [bytes] is
+   what actually travelled. *)
+let finish t ~bytes landed =
   let pid = t.next_pid in
   match
-    Pack.unpack_image ~pid ~trusted:t.trusted
+    Pack.unpack_landed ~pid ~trusted:t.trusted
       ~extern_signatures:t.extern_signatures ?cache:t.cache ~arch:t.arch
-      ~bytes_len:(String.length bytes) image
+      ~bytes_len:(String.length bytes) landed
   with
   | Ok (proc, masm, compiled, costs) ->
     t.next_pid <- t.next_pid + 1;
@@ -199,21 +200,23 @@ let finish t ~bytes image =
 
 (* Handle one inbound migration: verify, recompile, reconstruct.  The
    caller decides what to do with the resulting process (schedule it,
-   execute it to completion, ...).  Nothing received is retained: a
-   delta packet is reconstructed against the baseline it names, which
-   only [remember_baseline] puts here (rejected as an unknown baseline
-   when this server does not hold it). *)
+   execute it to completion, ...).  Nothing received is retained, so a
+   full packet is decoded, and a delta rebuilt, straight into the store
+   the new heap adopts.  A delta packet is reconstructed against the
+   baseline it names, which only [remember_baseline] puts here
+   (rejected as an unknown baseline when this server does not hold it);
+   the retained baseline is only read. *)
 let handle t bytes =
   Obs.Metrics.incr ~by:(String.length bytes) t.c_bytes;
   Obs.Metrics.observe t.h_bytes (float_of_int (String.length bytes));
-  match Wire.decode_packet bytes with
+  match Wire.decode_arrival bytes with
   | exception Wire.Corrupt msg ->
     Obs.Metrics.incr t.c_rejected;
     Error ("corrupt image: " ^ msg)
-  | Wire.Full image ->
+  | Wire.Landed landed ->
     Obs.Metrics.incr ~by:(String.length bytes) t.c_bytes_full;
-    finish t ~bytes image
-  | Wire.Delta delta -> (
+    finish t ~bytes landed
+  | Wire.Patch delta -> (
     Obs.Metrics.incr ~by:(String.length bytes) t.c_bytes_delta;
     let unknown () =
       Obs.Metrics.incr t.c_rejected;
@@ -222,11 +225,11 @@ let handle t bytes =
     match Lru.find t.baselines delta.Wire.d_base with
     | None -> unknown ()
     | Some baseline -> (
-      match Wire.apply_delta ~baseline delta with
+      match Wire.land_delta ~baseline delta with
       (* the baseline we hold does not reconstruct what the sender
          meant: the same refusal as not holding it *)
       | exception Wire.Corrupt _ -> unknown ()
-      | image -> finish t ~bytes image))
+      | landed -> finish t ~bytes landed))
 
 (* Idempotent receive.  [key] identifies one logical delivery: the
    transport's envelope identity (the cluster keys by a per-migration

@@ -143,56 +143,48 @@ let get_value r =
    time. *)
 let cell_equal = Value.equal
 
-(* Run-length heap segments: uvarint run count, then the cell once.
+(* [cell_equal], with the common unequal floats told apart by a float
+   comparison rather than two bit-pattern loads: IEEE-equal floats have
+   one bit pattern unless they are zeros, and only NaNs are unequal to
+   themselves. *)
+let[@inline] same_cell a b =
+  match a, b with
+  | Value.Vfloat x, Value.Vfloat y ->
+    if x = y then
+      x <> 0.0
+      || Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+    else
+      x <> x && Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Value.Vint x, Value.Vint y -> x = y
+  | _ -> cell_equal a b
+
+(* One run: uvarint count, then the cell once.  Float cells, the common
+   wide case, are stored straight into the buffer. *)
+let put_run w v count =
+  put_uvarint w count;
+  match v with
+  | Value.Vfloat x ->
+    room w 9;
+    Bytes.unsafe_set w.buf w.pos '\002';
+    Bytes.set_int64_le w.buf (w.pos + 1) (Int64.bits_of_float x);
+    w.pos <- w.pos + 9
+  | _ -> put_value w v
+
+(* Run-length heap segments: maximal runs of [cell_equal] cells.
    Initialised arrays and freshly-zeroed pages collapse to a few bytes;
    the worst case (no two adjacent cells equal) costs one extra byte per
-   cell, which the varint integer encoding more than buys back.  Float
-   and integer runs, the common cells, are scanned with their bit
-   pattern or value held unboxed; the rest go through [cell_equal]. *)
+   cell, which the varint integer encoding more than buys back. *)
 let put_cells w cells lo len =
-  let i = ref lo in
   let hi = lo + len in
-  while !i < hi do
-    let v = Array.unsafe_get cells !i in
-    let j = ref (!i + 1) in
-    (match v with
-    | Value.Vfloat x ->
-      let bits = Int64.bits_of_float x in
-      while
-        !j < hi
-        &&
-        match Array.unsafe_get cells !j with
-        | Value.Vfloat y -> Int64.bits_of_float y = bits
-        | _ -> false
-      do
-        incr j
-      done;
-      put_uvarint w (!j - !i);
-      (* [put_value]'s float cell, with the bits already in hand *)
-      room w 9;
-      Bytes.unsafe_set w.buf w.pos '\002';
-      Bytes.set_int64_le w.buf (w.pos + 1) bits;
-      w.pos <- w.pos + 9
-    | Value.Vint n ->
-      while
-        !j < hi
-        &&
-        match Array.unsafe_get cells !j with
-        | Value.Vint m -> m = n
-        | _ -> false
-      do
-        incr j
-      done;
-      put_uvarint w (!j - !i);
-      put_value w v
-    | _ ->
-      while !j < hi && cell_equal (Array.unsafe_get cells !j) v do
-        incr j
-      done;
-      put_uvarint w (!j - !i);
-      put_value w v);
-    i := !j
-  done
+  let start = ref lo in
+  for i = lo + 1 to hi - 1 do
+    if not (same_cell (Array.unsafe_get cells !start) (Array.unsafe_get cells i))
+    then begin
+      put_run w (Array.unsafe_get cells !start) (i - !start);
+      start := i
+    end
+  done;
+  if len > 0 then put_run w (Array.unsafe_get cells !start) (hi - !start)
 
 let get_cells r dst lo len =
   let i = ref lo in
@@ -300,37 +292,40 @@ let[@inline] fold h w =
   let h = Int64.mul (Int64.logxor h w) 0x9e3779b97f4a7c15L in
   Int64.logxor h (Int64.shift_right_logical h 32)
 
-(* The tag words are [put_value]'s tag bytes. *)
-let fold_cells h cells =
-  let h = ref h in
-  for i = 0 to Array.length cells - 1 do
-    match Array.unsafe_get cells i with
-    | Value.Vunit -> h := fold !h 0L
-    | Value.Vint n -> h := fold (fold !h 1L) (Int64.of_int n)
-    | Value.Vfloat f -> h := fold (fold !h 2L) (Int64.bits_of_float f)
-    | Value.Vbool b -> h := fold (fold !h 3L) (if b then 1L else 0L)
-    | Value.Venum (c, v) ->
-      h := fold (fold (fold !h 4L) (Int64.of_int c)) (Int64.of_int v)
-    | Value.Vptr (i, o) ->
-      h := fold (fold (fold !h 5L) (Int64.of_int i)) (Int64.of_int o)
-    | Value.Vfun f -> h := fold (fold !h 6L) (Int64.of_int f)
-  done;
-  !h
+(* One cell's words; the tag words are [put_value]'s tag bytes. *)
+let[@inline] fold_value h = function
+  | Value.Vunit -> fold h 0L
+  | Value.Vint n -> fold (fold h 1L) (Int64.of_int n)
+  | Value.Vfloat f -> fold (fold h 2L) (Int64.bits_of_float f)
+  | Value.Vbool b -> fold (fold h 3L) (if b then 1L else 0L)
+  | Value.Venum (c, v) ->
+    fold (fold (fold h 4L) (Int64.of_int c)) (Int64.of_int v)
+  | Value.Vptr (i, o) ->
+    fold (fold (fold h 5L) (Int64.of_int i)) (Int64.of_int o)
+  | Value.Vfun f -> fold (fold h 6L) (Int64.of_int f)
 
-let image_digest image =
+(* The heap cells are the first [ncells] of [cells]: an image's own
+   array, or a received store with room after them. *)
+let digest_cells image cells ncells =
   let w = writer (256 + (2 * Array.length image.i_ptable)) in
   put_string w image.i_arch;
   put_string w image.i_digest;
   put_list w put_string image.i_ftable;
   put_ptable w image.i_ptable;
-  put_uvarint w (Array.length image.i_cells);
+  put_uvarint w ncells;
   put_list w put_spec_level image.i_spec;
   put_varint w image.i_menv;
   put_string w image.i_entry;
   put_varint w image.i_label;
   let small = contents w in
-  let h = fnv_feed fnv_basis small ~off:0 ~len:(String.length small) in
-  fnv_hex (fold_cells h image.i_cells)
+  let h = ref (fnv_feed fnv_basis small ~off:0 ~len:(String.length small)) in
+  for i = 0 to ncells - 1 do
+    h := fold_value !h (Array.unsafe_get cells i)
+  done;
+  fnv_hex !h
+
+let image_digest image =
+  digest_cells image image.i_cells (Array.length image.i_cells)
 
 (* ------------------------------------------------------------------ *)
 (* Delta images                                                        *)
@@ -475,6 +470,16 @@ let diff ~baseline ~image ~changed =
       ds_total_cells = !total;
     } )
 
+(* An image received into the store of the heap that will run it: the
+   cells are the first [l_cells] of [l_store], which has
+   {!Heap.restore_slack} cells after them ({!Heap.adopt} takes it as
+   is), and [l_image] carries every other field with no cells of its
+   own.  Internally the slack may be 0, and then the store is exactly
+   the image's cell array ([image_of_landed]). *)
+type landed = { l_image : image; l_store : Value.t array; l_cells : int }
+
+let image_of_landed l = { l.l_image with i_cells = l.l_store }
+
 (* Reconstruct the new image from [baseline] and a delta.  The FIR and
    function table are inherited from the baseline, and so is its MASM
    payload when the delta was packed on the baseline's architecture.  A
@@ -491,8 +496,8 @@ let diff ~baseline ~image ~changed =
    Two passes over the block list: the first resolves every block
    against the baseline (rejecting absent indices and bad tags) and sums
    the new heap's size, the second blits baseline blocks and patch
-   ranges straight into an array of exactly that size. *)
-let apply_delta ~baseline delta =
+   ranges straight into a store of exactly that size plus [slack]. *)
+let rebuild ~slack ~baseline delta =
   if not (String.equal delta.d_fir_digest baseline.i_digest) then
     raise (Corrupt "delta FIR digest does not match baseline");
   let base = block_map baseline in
@@ -521,21 +526,21 @@ let apply_delta ~baseline delta =
       (fun n db -> n + Heap.header_cells + block_cells db)
       0 delta.d_blocks
   in
-  let i_cells = Array.make ncells Value.Vunit in
+  let store = Array.make (ncells + slack) Value.Vunit in
   let pos = ref 0 in
   (* collector flags are always clear in an image *)
   let header idx tag size =
     let at = !pos in
-    i_cells.(at + Heap.h_index) <- Value.Vint idx;
-    i_cells.(at + Heap.h_tag) <- Value.Vint tag;
-    i_cells.(at + Heap.h_size) <- Value.Vint size;
-    i_cells.(at + Heap.h_flags) <- Value.Vint 0;
+    store.(at + Heap.h_index) <- Value.Vint idx;
+    store.(at + Heap.h_tag) <- Value.Vint tag;
+    store.(at + Heap.h_size) <- Value.Vint size;
+    store.(at + Heap.h_flags) <- Value.Vint 0;
     pos := at + Heap.header_cells
   in
   let base_block idx =
     let addr, tag, size = Hashtbl.find base idx in
     header idx tag size;
-    Array.blit baseline.i_cells (addr + Heap.header_cells) i_cells !pos size;
+    Array.blit baseline.i_cells (addr + Heap.header_cells) store !pos size;
     size
   in
   List.iter
@@ -545,7 +550,7 @@ let apply_delta ~baseline delta =
       | Dlit { idx; tag; cells } ->
         let size = Array.length cells in
         header idx tag size;
-        Array.blit cells 0 i_cells !pos size;
+        Array.blit cells 0 store !pos size;
         pos := !pos + size
       | Dpatch { idx; ranges } ->
         let size = base_block idx in
@@ -554,7 +559,7 @@ let apply_delta ~baseline delta =
             let len = Array.length cells in
             if off < 0 || off + len > size then
               raise (Corrupt "delta patch range overruns block");
-            Array.blit cells 0 i_cells (!pos + off) len)
+            Array.blit cells 0 store (!pos + off) len)
           ranges;
         pos := !pos + size)
     delta.d_blocks;
@@ -565,7 +570,7 @@ let apply_delta ~baseline delta =
       i_arch = delta.d_arch;
       i_masm = (if same_arch then baseline.i_masm else None);
       i_ptable = delta.d_ptable;
-      i_cells;
+      i_cells = [||];
       i_spec = delta.d_spec;
       i_menv = delta.d_menv;
       i_entry = delta.d_entry;
@@ -574,9 +579,15 @@ let apply_delta ~baseline delta =
       i_dspec = delta.d_dspec;
     }
   in
-  if not (String.equal (image_digest image) delta.d_new_digest) then
-    raise (Corrupt "delta reconstruction digest mismatch");
-  image
+  if not (String.equal (digest_cells image store ncells) delta.d_new_digest)
+  then raise (Corrupt "delta reconstruction digest mismatch");
+  { l_image = image; l_store = store; l_cells = ncells }
+
+let apply_delta ~baseline delta =
+  image_of_landed (rebuild ~slack:0 ~baseline delta)
+
+let land_delta ~baseline delta =
+  rebuild ~slack:Heap.restore_slack ~baseline delta
 
 (* ------------------------------------------------------------------ *)
 (* Packet codec                                                        *)
@@ -617,7 +628,115 @@ let encode image =
   put_dspec w image.i_dspec;
   finish w ~magic ~version
 
-let get_image r =
+(* ------------------------------------------------------------------ *)
+(* Capture: the sender's one walk over a live heap                     *)
+(* ------------------------------------------------------------------ *)
+
+let uvarint_bytes n =
+  let rec go n k = if n lsr 7 = 0 then k else go (n lsr 7) (k + 1) in
+  go n 1
+
+let varint_bytes n = uvarint_bytes ((n lsl 1) lxor (n asr 62))
+
+(* What [put_value] writes for one cell. *)
+let value_bytes = function
+  | Value.Vunit -> 1
+  | Value.Vint n | Value.Vfun n -> 1 + varint_bytes n
+  | Value.Vfloat _ -> 9
+  | Value.Vbool _ -> 2
+  | Value.Venum (a, b) | Value.Vptr (a, b) ->
+    1 + varint_bytes a + varint_bytes b
+
+(* What [put_run] writes for the run [start, stop) of [cells]. *)
+let run_bytes cells start stop =
+  uvarint_bytes (stop - start) + value_bytes (Array.unsafe_get cells start)
+
+(* Copy [store]'s first [n] cells into a fresh array, folding each into
+   the running digest [h] and summing the bytes [put_cells] writes for
+   them, in one walk: runs end where [put_cells] ends them. *)
+let capture_cells h store n =
+  let snap = Array.make n Value.Vunit in
+  let h = ref h and bytes = ref 0 and start = ref 0 in
+  for i = 0 to n - 1 do
+    let v = Array.unsafe_get store i in
+    Array.unsafe_set snap i v;
+    h := fold_value !h v;
+    if i > !start && not (same_cell (Array.unsafe_get store !start) v) then begin
+      bytes := !bytes + run_bytes store !start i;
+      start := i
+    end
+  done;
+  if n > 0 then bytes := !bytes + run_bytes store !start n;
+  snap, !h, !bytes
+
+let put_raw w s =
+  let n = String.length s in
+  room w n;
+  Bytes.blit_string s 0 w.buf w.pos n;
+  w.pos <- w.pos + n
+
+(* [encode] and [image_digest] of [image] with [store]'s first [ncells]
+   cells, from one walk over the store: the walk copies the cells,
+   hashes them and sizes their run-length stream.  The packet then has
+   a known size, so it is written into a buffer of exactly that size
+   ({!Fir.Serial.writer} reserves exactly what it is asked for beyond
+   64 bytes) and framed without a copy; the cells are written from the
+   copy.  The fields around the cells are written once into small
+   writers that feed both the digest and the packet.  [image]'s own
+   cells are ignored; the result holds the copy. *)
+let capture image ~store ~ncells =
+  if ncells < 0 || ncells > Array.length store then
+    invalid_arg "Wire.capture: more cells than the store holds";
+  let head = writer 64 in
+  put_string head image.i_arch;
+  put_string head image.i_digest;
+  let mid = writer (16 + (2 * Array.length image.i_ptable)) in
+  put_list mid put_string image.i_ftable;
+  put_ptable mid image.i_ptable;
+  put_uvarint mid ncells;
+  let tail = writer 64 in
+  let tail0 = tail.pos in
+  put_list tail put_spec_level image.i_spec;
+  put_varint tail image.i_menv;
+  put_string tail image.i_entry;
+  put_varint tail image.i_label;
+  (* the digest stops here: the epoch and dspec are metadata *)
+  let digested = tail.pos - tail0 in
+  put_varint tail image.i_epoch;
+  put_dspec tail image.i_dspec;
+  let head = contents head and mid = contents mid and tail = contents tail in
+  let h = fnv_feed fnv_basis head ~off:0 ~len:(String.length head) in
+  let h = fnv_feed h mid ~off:0 ~len:(String.length mid) in
+  let h = fnv_feed h tail ~off:0 ~len:digested in
+  let cells, h, cell_bytes = capture_cells h store ncells in
+  let masm_bytes =
+    match image.i_masm with Some m -> 9 + String.length m | None -> 1
+  in
+  let size =
+    1 + String.length head + 8
+    + String.length image.i_fir
+    + masm_bytes + String.length mid + cell_bytes + String.length tail
+  in
+  let w = writer size in
+  let body = w.pos in
+  put_u8 w kind_full;
+  put_raw w head;
+  put_string w image.i_fir;
+  (match image.i_masm with
+  | None -> put_u8 w 0
+  | Some payload ->
+    put_u8 w 1;
+    put_string w payload);
+  put_raw w mid;
+  put_cells w cells 0 ncells;
+  put_raw w tail;
+  (* the walk sized the stream [put_cells] wrote *)
+  assert (w.pos - body = size);
+  { image with i_cells = cells }, finish w ~magic ~version, fnv_hex h
+
+(* A full image's body, its cells decoded straight into a store [slack]
+   cells longer than the heap. *)
+let get_landed ~slack r =
   let i_arch = get_string r in
   let i_digest = get_string r in
   let i_fir = get_string r in
@@ -636,8 +755,8 @@ let get_image r =
   let i_ptable = get_ptable r in
   let ncells = get_uvarint r in
   if ncells > 1_000_000_000 then raise (Corrupt "bad heap size");
-  let i_cells = Array.make ncells Value.Vunit in
-  get_cells r i_cells 0 ncells;
+  let store = Array.make (ncells + slack) Value.Vunit in
+  get_cells r store 0 ncells;
   let i_spec = get_list r get_spec_level in
   let i_menv = get_varint r in
   let i_entry = get_string r in
@@ -646,19 +765,24 @@ let get_image r =
   if i_epoch < 0 then raise (Corrupt "negative incarnation epoch");
   let i_dspec = get_dspec r in
   {
-    i_arch;
-    i_digest;
-    i_fir;
-    i_masm;
-    i_ftable;
-    i_ptable;
-    i_cells;
-    i_spec;
-    i_menv;
-    i_entry;
-    i_label;
-    i_epoch;
-    i_dspec;
+    l_image =
+      {
+        i_arch;
+        i_digest;
+        i_fir;
+        i_masm;
+        i_ftable;
+        i_ptable;
+        i_cells = [||];
+        i_spec;
+        i_menv;
+        i_entry;
+        i_label;
+        i_epoch;
+        i_dspec;
+      };
+    l_store = store;
+    l_cells = ncells;
   }
 
 let put_dblock w = function
@@ -758,17 +882,26 @@ let get_delta r =
     d_dspec;
   }
 
-let decode_packet s =
+type arrival = Landed of landed | Patch of delta
+
+let read_packet ~slack s =
   let r = unframe ~magic ~version ~what:"process-image" s in
   let kind = get_u8 r in
   let packet =
-    if kind = kind_full then Full (get_image r)
-    else if kind = kind_delta then Delta (get_delta r)
+    if kind = kind_full then Landed (get_landed ~slack r)
+    else if kind = kind_delta then Patch (get_delta r)
     else raise (Corrupt (Printf.sprintf "bad packet kind %d" kind))
   in
   if r.pos <> String.length s then
     raise (Corrupt "trailing garbage in process image");
   packet
+
+let decode_packet s =
+  match read_packet ~slack:0 s with
+  | Landed l -> Full (image_of_landed l)
+  | Patch d -> Delta d
+
+let decode_arrival s = read_packet ~slack:Heap.restore_slack s
 
 let decode s =
   match decode_packet s with
@@ -786,11 +919,10 @@ let decode s =
    function value must be in the function table, and every speculation
    record must reference a valid block.  Together with the FIR typecheck
    this is what lets mutually untrusting machines exchange processes. *)
-let verify image =
-  let ncells = Array.length image.i_cells in
+let verify_cells image cells ncells =
   let nfuns = List.length image.i_ftable in
   let header_at addr k =
-    match image.i_cells.(addr + k) with
+    match cells.(addr + k) with
     | Value.Vint n -> n
     | _ -> raise (Corrupt "non-integer block header cell")
   in
@@ -837,7 +969,7 @@ let verify image =
     (fun addr _ ->
       let size = header_at addr Heap.h_size in
       for k = 0 to size - 1 do
-        check_value image.i_cells.(addr + Heap.header_cells + k)
+        check_value cells.(addr + Heap.header_cells + k)
       done)
     starts;
   (* speculation records reference valid blocks with matching indices *)
@@ -862,3 +994,6 @@ let verify image =
      || image.i_menv >= Array.length image.i_ptable
      || image.i_ptable.(image.i_menv) = -1
   then raise (Corrupt "migrate_env index is invalid")
+
+let verify image = verify_cells image image.i_cells (Array.length image.i_cells)
+let verify_landed l = verify_cells l.l_image l.l_store l.l_cells

@@ -180,6 +180,46 @@ val encode_delta : delta -> string
 val decode_packet : string -> packet
 (** Either packet kind. @raise Corrupt as {!decode}. *)
 
+(** {2 The warm-hop paths}
+
+    The functions above are the reference codec.  A sender and a
+    migration server use the two below instead, which produce the same
+    bytes, digests and checks with fewer walks and copies of the heap. *)
+
+val capture :
+  image -> store:Value.t array -> ncells:int -> image * string * string
+(** [capture image ~store ~ncells] is [image] with its cells replaced by
+    a fresh copy of [store]'s first [ncells] cells, together with that
+    image's {!encode} bytes and its {!image_digest}.  One walk over
+    [store] copies, hashes and sizes the cells, and the packet is
+    written into a buffer of exactly its length.  [image]'s own
+    [i_cells] is ignored. *)
+
+type landed = {
+  l_image : image;  (** every field but the cells: [i_cells] is empty *)
+  l_store : Value.t array;
+      (** the cells, then {!Runtime.Heap.restore_slack} unit cells: a
+          store {!Runtime.Heap.adopt} takes without copying *)
+  l_cells : int;  (** how many of [l_store]'s cells are the image's *)
+}
+(** An image received straight into the store of the heap that will run
+    it.  Whoever adopts [l_store] owns it: nothing else may keep it. *)
+
+type arrival = Landed of landed | Patch of delta
+
+val decode_arrival : string -> arrival
+(** {!decode_packet}, with a full image's cells decoded into a store
+    with the restore slack.  @raise Corrupt as {!decode}. *)
+
+val land_delta : baseline:image -> delta -> landed
+(** {!apply_delta}, rebuilt straight into a store with the restore
+    slack; the digest is recomputed over the store's image cells.
+    [baseline] is only read.  @raise Corrupt as {!apply_delta}. *)
+
+val verify_landed : landed -> unit
+(** {!verify} of the image in a landed store.  @raise Corrupt as
+    {!verify}. *)
+
 (** {2 Cell codec (shared with tests)} *)
 
 val encode_value : Value.t -> string

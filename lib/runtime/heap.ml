@@ -400,14 +400,23 @@ let restore_slack = 64
    table snapshot (paper, Section 4.2.2 — the heap is reconstructed on the
    target from the transmitted contents).  Everything arrives promoted to
    the old generation.  The capacity is the image's size (at least 64),
-   the store the image plus [restore_slack]. *)
-let restore ~cells ~ptable_snapshot =
-  let len = Array.length cells in
-  let store = Array.append cells (Array.make restore_slack Value.Vunit) in
-  make ~store ~cap:(max 64 len) ~alloc_ptr:len
+   the store the image plus [restore_slack].
+
+   [adopt] takes a store the caller built that way (a migration server
+   decodes or rebuilds a received image straight into it) and gives it
+   up; [restore] copies an image its caller keeps. *)
+let adopt ~store ~used ~ptable_snapshot =
+  if used < 0 || Array.length store <> used + restore_slack then
+    invalid_arg "Heap.adopt: the store is not an image plus the restore slack";
+  make ~store ~cap:(max 64 used) ~alloc_ptr:used
     ~ptable:(Pointer_table.restore ptable_snapshot)
 
-(* The raw cell dump for the wire codec. *)
+let restore ~cells ~ptable_snapshot =
+  adopt
+    ~store:(Array.append cells (Array.make restore_slack Value.Vunit))
+    ~used:(Array.length cells) ~ptable_snapshot
+
+(* The raw cell dump an image of this heap holds. *)
 let cells t = Array.sub t.store 0 t.alloc_ptr
 
 (* Internal consistency check, used by the property tests after random

@@ -162,10 +162,22 @@ val restore_slack : int
 val restore : cells:Value.t array -> ptable_snapshot:int array -> t
 (** Rebuild a heap from an unpacked image; everything arrives promoted to
     the old generation.  The capacity is the image's size (at least 64);
-    the store holds the image plus {!restore_slack} cells. *)
+    the store holds the image plus {!restore_slack} cells.  The cells are
+    copied, so the caller may keep the image. *)
+
+val adopt : store:Value.t array -> used:int -> ptable_snapshot:int array -> t
+(** {!restore} without the copy: [store] is the image's [used] cells
+    followed by {!restore_slack} unit cells, and becomes the heap's
+    store.  The caller gives the array up; only a receiver that built it
+    for this heap (a decoded or delta-rebuilt image nothing retains) may
+    adopt.  The heap equals {!restore} of the same cells, store length
+    and capacity included.
+    @raise Invalid_argument if [store] is not [used + restore_slack]
+    cells long. *)
 
 val cells : t -> Value.t array
-(** The raw cell dump [0, alloc_ptr) for the wire codec. *)
+(** A copy of the raw cells [0, alloc_ptr): what an image of this heap
+    holds.  (A pack reads [store] in place.) *)
 
 val validate : t -> unit
 (** Internal consistency check (block chain, pointer-table/header

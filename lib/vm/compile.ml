@@ -153,7 +153,6 @@ let trap_not fmt v =
 let to_int = function Value.Vint n -> n | v -> trap_not "int" v
 let to_float = function Value.Vfloat f -> f | v -> trap_not "float" v
 let to_bool = function Value.Vbool b -> b | v -> trap_not "bool" v
-let to_ptr = function Value.Vptr (i, o) -> i, o | v -> trap_not "pointer" v
 
 (* ------------------------------------------------------------------ *)
 (* Compile-time slot contents (the forwarding lattice)                 *)
@@ -533,17 +532,21 @@ let binop_rbody linked nregs av (o : Fir.Ast.binop) a b : rbody * bool =
     let ga = gget linked nregs av a and gb = gget linked nregs av b in
     ( Rbool
         (fun st ->
-          let i1, o1 = to_ptr (ga st) in
-          let i2, o2 = to_ptr (gb st) in
-          i1 = i2 && o1 = o2),
+          match ga st with
+          | Value.Vptr (i1, o1) -> (
+            match gb st with
+            | Value.Vptr (i2, o2) -> i1 = i2 && o1 = o2
+            | v -> trap_not "pointer" v)
+          | v -> trap_not "pointer" v),
       false )
   | Fir.Ast.Padd ->
     let ga = gget linked nregs av a in
     let ib, _ = iget linked nregs av b in
     ( Rboxed
         (fun st ->
-          let idx, off = to_ptr (ga st) in
-          Value.Vptr (idx, off + ib st)),
+          match ga st with
+          | Value.Vptr (idx, off) -> Value.Vptr (idx, off + ib st)
+          | v -> trap_not "pointer" v),
       false )
 
 let unop_rbody linked nregs av (o : Fir.Ast.unop) a : rbody * bool =
@@ -1042,15 +1045,18 @@ let compile_fn (linked : Link.image) (fn : Link.lfn) : cfn * int * int =
           let k = k + n in
           Rboxed
             (fun st ->
-              let idx, off = to_ptr (gp st) in
-              Heap.read st.heap idx (off + k))
+              match gp st with
+              | Value.Vptr (idx, off) -> Heap.read st.heap idx (off + k)
+              | v -> trap_not "pointer" v)
         | None ->
           let gd, _ = iget linked nregs av dyn in
           Rboxed
             (fun st ->
-              let idx, off = to_ptr (gp st) in
-              let dn = gd st in
-              Heap.read st.heap idx (off + dn + k))
+              match gp st with
+              | Value.Vptr (idx, off) ->
+                let dn = gd st in
+                Heap.read st.heap idx (off + dn + k)
+              | v -> trap_not "pointer" v)
       in
       compile_def q c d (body, false) re
     | Link.Lstore (p, dyn, k, v) ->
@@ -1061,14 +1067,17 @@ let compile_fn (linked : Link.image) (fn : Link.lfn) : cfn * int * int =
         | Some n ->
           let k = k + n in
           fun st ->
-            let idx, off = to_ptr (gp st) in
-            Heap.write st.heap idx (off + k) (gv st)
+            (match gp st with
+            | Value.Vptr (idx, off) -> Heap.write st.heap idx (off + k) (gv st)
+            | v -> trap_not "pointer" v)
         | None ->
           let gd, _ = iget linked nregs av dyn in
           fun st ->
-            let idx, off = to_ptr (gp st) in
-            let dn = gd st in
-            Heap.write st.heap idx (off + dn + k) (gv st)
+            match gp st with
+            | Value.Vptr (idx, off) ->
+              let dn = gd st in
+              Heap.write st.heap idx (off + dn + k) (gv st)
+            | v -> trap_not "pointer" v
       in
       mk_eff false c e
     | Link.Ljz (cond, t) ->

@@ -495,6 +495,59 @@ let test_equivalence_serve () =
 
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Policy moves that compile ahead, under duplicated hops              *)
+(* ------------------------------------------------------------------ *)
+
+(* The balance engine's moves on nodes that hold no service's code:
+   each policy move offers the FIR, its destination compiles ahead
+   while the service keeps serving, and the cut-over lands later.
+   Every hop is delivered twice (dup 1.0), so each landing must absorb
+   its duplicate: every accepted policy move lands exactly once, binds
+   its service once, and the stream stays exactly-once.  (Golden
+   "balance ticks, dup hops, expired forwarders" seeds every node, so
+   its moves never compile ahead.) *)
+let test_policy_compile_ahead_under_dup () =
+  let services = 3 in
+  let c =
+    Net.Cluster.create_cfg
+      { Net.Cluster.Config.default with
+        node_count = 3;
+        seed = 7;
+        net = Some (Net.Simnet.create ~latency_us:5.0 ());
+        faults = { Net.Faults.none with f_seed = env_seed; f_dup = 1.0 };
+        balance = true }
+  in
+  (* 4 ms a request: the services outlive a compile ahead *)
+  let d =
+    Mcc.Gridapp.Serve.deploy ~engine:`Masm ~placement:(`Pack 1) c
+      { Mcc.Gridapp.Serve.clients = 4; services; requests_per_client = 60;
+        work_us = 4000; skew = true; speculative = false }
+  in
+  let r = Mcc.Gridapp.Serve.run d in
+  check "exactly once" true (Mcc.Gridapp.Serve.exactly_once d r);
+  let m = Net.Cluster.metrics c in
+  let policy = Obs.Metrics.counter_value m "move.policy" in
+  let landed = landed_moves c in
+  let count p =
+    List.length
+      (List.filter
+         (fun (e : Obs.Trace.event) -> p e.Obs.Trace.kind)
+         (Obs.Trace.events (Net.Cluster.trace c)))
+  in
+  check "the engine moved services" true (policy >= 1);
+  check_int "every policy move landed, once" policy landed;
+  check_int "each landing compiled ahead" landed
+    (count (function
+      | Obs.Trace.Migrate_done { ok = true; cache_hit = false; compile_s; _ }
+        ->
+        compile_s > 0.0
+      | _ -> false));
+  check_int "each landing's hop was duplicated" landed
+    (count (function Obs.Trace.Dup_delivery _ -> true | _ -> false));
+  check_int "each landing bound its service once" (services + landed)
+    (count (function Obs.Trace.Service_bind _ -> true | _ -> false))
+
 let suites =
   [
     ( "balance-planner",
@@ -517,6 +570,8 @@ let suites =
           test_policy_off_never_moves;
         Alcotest.test_case "image move inherits the rank mailbox" `Quick
           test_image_move_inherits_mailbox;
+        Alcotest.test_case "policy moves compile ahead under dup hops" `Quick
+          test_policy_compile_ahead_under_dup;
       ] );
     ( "balance-equivalence",
       [
