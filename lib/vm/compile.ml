@@ -102,6 +102,11 @@ type state = {
       (* per-process resolution of the linked image's function names,
          indexed by linked-function index (mirrors Emulator.fun_values) *)
   mutable extern : Process.handler;
+  ext_fns : (Process.t -> Value.t list -> Value.t) array;
+      (* the function [extern] bound for each Lext site of the image,
+         indexed by site; [unbound] until the site's first call, and
+         again after [set_extern] switches handlers.  Kept here, not in
+         the closures, so a shared image pins no host *)
   mutable acc : int;  (* pending static cycle charges *)
   mutable nins : int;  (* instructions retired this block *)
   mutable pc : int;
@@ -135,6 +140,7 @@ type image = {
   c_instrs : int;  (* instructions compiled *)
   c_super : int;  (* entry closures covering >= 2 instructions *)
   c_passthrough : int;  (* tail sites compiled as pass-through *)
+  c_ext_sites : int;  (* Lext sites, numbered across the image *)
   c_tmps : int;
       (* scratch sizing for [itmps]/[ftmps]: max code length over the
          image's functions (temp index = producer pc), at least 1 *)
@@ -588,6 +594,22 @@ let flush st =
     st.acc <- 0
   end
 
+(* The empty extern slot; compared physically, never called. *)
+let unbound : Process.t -> Value.t list -> Value.t =
+ fun _ _ -> raise (Emulator_error "extern site called unbound")
+
+let ext_slots image = Array.make image.c_ext_sites unbound
+
+let set_extern st extern =
+  st.extern <- extern;
+  Array.fill st.ext_fns 0 (Array.length st.ext_fns) unbound
+
+(* A site's first call under the current handler resolves its name. *)
+let bind_site st site name =
+  let f = st.extern.Process.bind name in
+  st.ext_fns.(site) <- f;
+  f
+
 let set_slot (d : Masm.slot) : state -> Value.t -> unit =
   match d with
   | Masm.Reg r -> fun st v -> st.regs.(r) <- v
@@ -693,7 +715,8 @@ type part =
 (* Function compilation                                                *)
 (* ------------------------------------------------------------------ *)
 
-let compile_fn (linked : Link.image) (fn : Link.lfn) : cfn * int * int =
+let compile_fn (linked : Link.image) ~sites (fn : Link.lfn) :
+    cfn * int * int =
   let code = fn.Link.l_code and cost = fn.Link.l_cost in
   let len = Array.length code in
   (* slot-space sizing, defensive against indices beyond the declared
@@ -1143,6 +1166,8 @@ let compile_fn (linked : Link.image) (fn : Link.lfn) : cfn * int * int =
       let set = set_slot d in
       let next = q + 1 in
       let cc, cn = checkpoint c in
+      let site = !sites in
+      incr sites;
       Pterm
         (fun st ->
           st.acc <- st.acc + cc;
@@ -1151,7 +1176,9 @@ let compile_fn (linked : Link.image) (fn : Link.lfn) : cfn * int * int =
           (* the extern observes proc.cycles: flush before the call,
              charge the destination spill after it *)
           flush st;
-          let v = st.extern st.proc name args in
+          let f = st.ext_fns.(site) in
+          let f = if f == unbound then bind_site st site name else f in
+          let v = f st.proc args in
           st.acc <- st.acc + post;
           set st v;
           next)
@@ -1316,10 +1343,11 @@ let compile_fn (linked : Link.image) (fn : Link.lfn) : cfn * int * int =
 
 let compile (linked : Link.image) : image =
   let super = ref 0 and passthrough = ref 0 and tmps = ref 1 in
+  let sites = ref 0 in
   let c_fns =
     Array.map
       (fun fn ->
-        let cfn, s, pt = compile_fn linked fn in
+        let cfn, s, pt = compile_fn linked ~sites fn in
         super := !super + s;
         passthrough := !passthrough + pt;
         tmps := max !tmps (Array.length fn.Link.l_code);
@@ -1332,6 +1360,7 @@ let compile (linked : Link.image) : image =
     c_instrs = Link.instr_count linked;
     c_super = !super;
     c_passthrough = !passthrough;
+    c_ext_sites = !sites;
     c_tmps = !tmps;
   }
 

@@ -68,6 +68,12 @@ type state = {
       (** per-process resolution of the linked image's function names,
           indexed by linked-function index *)
   mutable extern : Process.handler;
+      (** the host's externs; switch it with {!set_extern} only *)
+  ext_fns : (Process.t -> Value.t list -> Value.t) array;
+      (** one slot per [Lext] site of the image ({!ext_slots}): the
+          function [extern] bound for the site, filled on the site's
+          first call.  Per-host state lives here, never in the shared
+          image. *)
   mutable acc : int;  (** pending static cycle charges *)
   mutable nins : int;  (** instructions retired this block *)
   mutable pc : int;
@@ -105,6 +111,7 @@ type image = {
   c_instrs : int;  (** instructions compiled *)
   c_super : int;  (** run entries covering two or more instructions *)
   c_passthrough : int;  (** tail sites compiled as pass-through *)
+  c_ext_sites : int;  (** extern call sites, numbered across the image *)
   c_tmps : int;  (** scratch-array size every executing state needs *)
 }
 
@@ -114,3 +121,10 @@ val compile : Link.image -> image
 
 val compile_masm : Masm.image -> image
 (** [compile] after {!Link.link}. *)
+
+val ext_slots : image -> (Process.t -> Value.t list -> Value.t) array
+(** Fresh, empty [ext_fns] slots for a state executing [image]. *)
+
+val set_extern : state -> Process.handler -> unit
+(** Switch the state's handler and empty every [ext_fns] slot, so each
+    site binds again, under the new handler, on its next call. *)

@@ -117,6 +117,10 @@ let create ?(mode = Compiled) ?compiled image proc =
         heap = proc.Process.heap;
         fun_values;
         extern = Extern.base;
+        ext_fns =
+          (match compiled with
+          | Some c -> Compile.ext_slots c
+          | None -> [||]);
         acc = 0;
         nins = 0;
         pc = 0;
@@ -243,7 +247,7 @@ let exec_baseline t extern nins =
       Heap.write heap idx (off + dyn + k) (operand t v)
     | Masm.Ext (d, name, args) ->
       Process.charge proc Arch.Trap;
-      set_slot t d (extern proc name (List.map (operand t) args))
+      set_slot t d (extern.Process.call proc name (List.map (operand t) args))
     | Masm.Jmp target ->
       Process.charge proc Arch.Branch;
       pc := target
@@ -374,7 +378,7 @@ let exec_compiled t (cimg : Compile.image) extern acc nins =
     st.Compile.args_in <- args
   end;
   let code = cfn.Compile.cf_ops in
-  if st.Compile.extern != extern then st.Compile.extern <- extern;
+  if st.Compile.extern != extern then Compile.set_extern st extern;
   st.Compile.acc <- fn.Link.l_entry_cost;
   st.Compile.nins <- 0;
   st.Compile.pc <- 0;

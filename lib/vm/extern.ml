@@ -37,19 +37,34 @@ let lookup t : Fir.Typecheck.extern_lookup =
 
 let names t = List.sort compare (Hashtbl.fold (fun n _ acc -> n :: acc) t [])
 
+let unknown name = raise (Process.Extern_failure ("unknown extern " ^ name))
+
+(* Run an entry, turning its [Bad_arguments] and [Failed] into the
+   trap messages the interface documents. *)
+let guarded name run host proc args =
+  try run host proc args with
+  | Bad_arguments ->
+    raise
+      (Process.Extern_failure
+         (Printf.sprintf "extern %s: bad arguments (%s)" name
+            (String.concat ", " (List.map Value.to_string args))))
+  | Failed cause -> raise (Process.Extern_failure (name ^ ": " ^ cause))
+
 let handler t host : Process.handler =
- fun proc name args ->
-  match Hashtbl.find t name with
-  | exception Not_found ->
-    raise (Process.Extern_failure ("unknown extern " ^ name))
-  | e -> (
-    try e.run host proc args with
-    | Bad_arguments ->
-      raise
-        (Process.Extern_failure
-           (Printf.sprintf "extern %s: bad arguments (%s)" name
-              (String.concat ", " (List.map Value.to_string args))))
-    | Failed cause -> raise (Process.Extern_failure (name ^ ": " ^ cause)))
+  {
+    call =
+      (fun proc name args ->
+        match Hashtbl.find t name with
+        | exception Not_found -> unknown name
+        | e -> guarded name e.run host proc args);
+    bind =
+      (fun name ->
+        match Hashtbl.find_opt t name with
+        | None -> fun _ _ -> unknown name
+        | Some e ->
+          let run = e.run in
+          fun proc args -> guarded name run host proc args);
+  }
 
 (* Argument decoding shared by the base entries. *)
 let nullary f _ proc = function [] -> f proc | _ -> bad_arguments ()

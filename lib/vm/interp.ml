@@ -195,7 +195,7 @@ let rec exec proc ~extern env e =
     exec proc ~extern env rest
   | Let_ext (v, _, name, args, rest) ->
     Process.charge proc Arch.Trap;
-    bind v (extern proc name (List.map eval args)) rest
+    bind v (extern.Process.call proc name (List.map eval args)) rest
   | If (a, e1, e2) ->
     Process.charge proc Arch.Branch;
     if as_bool (eval a) then exec proc ~extern env e1

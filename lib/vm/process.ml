@@ -218,4 +218,11 @@ let migration_completed t =
 
 exception Extern_failure of string
 
-type handler = t -> string -> Value.t list -> Value.t
+(* A host's externs: [call] dispatches by name on every call (the
+   interpreter and the Baseline tier); [bind] resolves a name once and
+   returns its implementation, which compiled code keeps per call site.
+   Only Extern.handler builds one. *)
+type handler = {
+  call : t -> string -> Value.t list -> Value.t;
+  bind : string -> t -> Value.t list -> Value.t;
+}

@@ -125,4 +125,16 @@ val migration_completed : t -> unit
 
 exception Extern_failure of string
 
-type handler = t -> string -> Value.t list -> Value.t
+type handler = {
+  call : t -> string -> Value.t list -> Value.t;
+      (** [call proc name args] resolves [name] and runs it *)
+  bind : string -> t -> Value.t list -> Value.t;
+      (** [bind name] resolves [name] once and returns the function
+          [call] would run for it: the same result, the same traps with
+          the same messages.  An unknown name binds to a function that
+          traps when it is called. *)
+}
+(** A host's external functions.  Only {!Extern.handler} builds one.
+    The interpreter and the Baseline tier use [call]; compiled code
+    ({!Compile}) binds each extern call site once per emulator and
+    handler. *)

@@ -606,22 +606,46 @@ let extern_call_program name result args =
             args (fun atoms -> ext result name atoms (fun _ -> exit_ (int 0))))
       ])
 
+(* The engines a cluster process can run on.  "Compiled, switched" is a
+   compiled image that already ran once under another host's handler,
+   one whose table accepts [name] with any arguments: its extern sites
+   are bound there, and the cluster's run must bind them again. *)
+let extern_engines name =
+  let emu mode program (proc : Vm.Process.t) =
+    Vm.Emulator.create ~mode
+      (Vm.Codegen.compile ~arch:proc.Vm.Process.arch program)
+      proc
+  in
+  let switched program (proc : Vm.Process.t) =
+    let e = emu Vm.Emulator.Compiled program proc in
+    let other =
+      Vm.Extern.(
+        handler (table [ ext name [] Types.Tint (fun () _ _ -> Value.Vint 0) ]))
+        ()
+    in
+    if Vm.Emulator.run ~extern:other e <> Vm.Process.Exited 0 then
+      Alcotest.fail "the other host's run did not exit";
+    proc.Vm.Process.status <- Vm.Process.Running;
+    proc.Vm.Process.cont <- program.Fir.Ast.p_main, [];
+    Net.Cluster.Emu_engine e
+  in
+  [ "Interp", (fun _ _ -> Net.Cluster.Interp_engine);
+    ( "Baseline",
+      fun p proc -> Net.Cluster.Emu_engine (emu Vm.Emulator.Baseline p proc) );
+    ( "Compiled",
+      fun p proc -> Net.Cluster.Emu_engine (emu Vm.Emulator.Compiled p proc) );
+    "Compiled, switched", switched ]
+
+let set_engine cluster pid engine program =
+  match Net.Cluster.entry_of_pid cluster pid with
+  | Some e -> e.Net.Cluster.engine <- engine program e.Net.Cluster.proc
+  | None -> Alcotest.fail "process lost"
+
 (* Arguments that do not fit an entry trap with one message naming the
    extern and the arguments, whichever table defines the name (the base
    runtime's print_int, the cluster's msg_send) and whichever engine
    runs the call. *)
 let test_extern_bad_arguments () =
-  let engines =
-    let emu mode program (proc : Vm.Process.t) =
-      Net.Cluster.Emu_engine
-        (Vm.Emulator.create ~mode
-           (Vm.Codegen.compile ~arch:proc.Vm.Process.arch program)
-           proc)
-    in
-    [ "Interp", (fun _ _ -> Net.Cluster.Interp_engine);
-      "Baseline", emu Vm.Emulator.Baseline;
-      "Compiled", emu Vm.Emulator.Compiled ]
-  in
   List.iter
     (fun (name, args, cause) ->
       let program =
@@ -631,9 +655,7 @@ let test_extern_bad_arguments () =
         (fun (engine_name, engine) ->
           let cluster = mk_cluster ~nodes:1 Net.Faults.none in
           let pid = Net.Cluster.spawn cluster ~rank:0 ~node_id:0 program in
-          (match Net.Cluster.entry_of_pid cluster pid with
-          | Some e -> e.Net.Cluster.engine <- engine program e.Net.Cluster.proc
-          | None -> Alcotest.fail "process lost");
+          set_engine cluster pid engine program;
           ignore (Net.Cluster.run cluster);
           check_str
             (Printf.sprintf "%s under %s" name engine_name)
@@ -641,7 +663,7 @@ let test_extern_bad_arguments () =
             (match status_of cluster pid with
             | Vm.Process.Trapped m -> m
             | _ -> "no trap"))
-        engines)
+        (extern_engines name))
     [
       ( "print_int",
         [ Builder.float 1.5 ],
@@ -699,20 +721,25 @@ let test_extern_signatures_fit_implementations () =
     Net.Cluster.extern_names
 
 (* A name neither the cluster's externs nor the base runtime define
-   falls through the whole chain and traps naming itself. *)
+   falls through the whole chain and traps naming itself, on every
+   engine. *)
 let test_unknown_extern_traps () =
-  let cluster = mk_cluster ~nodes:1 Net.Faults.none in
   let program =
-    Builder.(
-      prog
-        [ func "main" [] (fun _ ->
-              ext Types.Tint "no_such_extern" [] (fun r -> exit_ r)) ])
+    extern_call_program "no_such_extern" Types.Tint (fun k -> k [])
   in
-  let pid = Net.Cluster.spawn cluster ~rank:0 ~node_id:0 program in
-  ignore (Net.Cluster.run cluster);
-  check "traps as unknown extern" true
-    (status_of cluster pid
-    = Vm.Process.Trapped "extern: unknown extern no_such_extern")
+  List.iter
+    (fun (engine_name, engine) ->
+      let cluster = mk_cluster ~nodes:1 Net.Faults.none in
+      let pid = Net.Cluster.spawn cluster ~rank:0 ~node_id:0 program in
+      set_engine cluster pid engine program;
+      ignore (Net.Cluster.run cluster);
+      check_str
+        ("traps as unknown extern under " ^ engine_name)
+        "extern: unknown extern no_such_extern"
+        (match status_of cluster pid with
+        | Vm.Process.Trapped m -> m
+        | _ -> "no trap"))
+    (extern_engines "no_such_extern")
 
 let test_cluster_typechecks_against_externs () =
   check "cluster programs typecheck against the extern registry" true

@@ -110,6 +110,98 @@ let test_heap_bounds () =
   | exception Pointer_table.Invalid_pointer _ -> ()
   | _ -> Alcotest.fail "invalid index accepted"
 
+(* Every trap of [read] and [write] keeps the exception and the message
+   of the composed path ([Pointer_table.get], then the size check), and
+   a trapping write calls no hook, marks no page and stores nothing. *)
+let test_heap_trap_table () =
+  let h = Heap.create () in
+  let live = Heap.alloc h ~tag:Heap.Array ~size:3 ~init:(Value.Vint 5) in
+  let freed = Heap.alloc h ~tag:Heap.Array ~size:3 ~init:(Value.Vint 6) in
+  Pointer_table.free (Heap.pointer_table h) freed;
+  let high = Pointer_table.size (Heap.pointer_table h) in
+  let ptr msg = Pointer_table.Invalid_pointer msg in
+  let heap msg = Heap.Runtime_error msg in
+  let cases =
+    [
+      "negative index", -1, 0,
+      ptr (Printf.sprintf "index -1 out of table bounds [0,%d)" high);
+      "index at the table size", high, 0,
+      ptr (Printf.sprintf "index %d out of table bounds [0,%d)" high high);
+      "freed index", freed, 0,
+      ptr (Printf.sprintf "index %d refers to a free entry" freed);
+      "negative offset", live, -1,
+      heap "offset -1 out of bounds for block of size 3";
+      "offset at the size", live, 3,
+      heap "offset 3 out of bounds for block of size 3";
+    ]
+  in
+  let hooked = ref 0 in
+  Heap.set_before_write h (Some (fun _ -> incr hooked));
+  Heap.clear_dirty h;
+  let cells = Heap.cells h in
+  let raised name f expected =
+    match f () with
+    | exception e ->
+      check_str name (Printexc.to_string expected) (Printexc.to_string e)
+    | _ -> Alcotest.failf "%s: no trap" name
+  in
+  List.iter
+    (fun (name, idx, off, expected) ->
+      raised ("read, " ^ name)
+        (fun () -> ignore (Heap.read h idx off))
+        expected;
+      raised ("write, " ^ name)
+        (fun () -> Heap.write h idx off (Value.Vint 99))
+        expected)
+    cases;
+  check_int "no hook ran" 0 !hooked;
+  let snap = Heap.dirty_snapshot h in
+  List.iter
+    (fun idx -> check "no page marked" false (Heap.page_dirty snap idx 0))
+    [ live; freed ];
+  check "nothing stored" true (Array.for_all2 Value.equal cells (Heap.cells h))
+
+(* A write under an open speculation level clones the block first: the
+   original keeps the old value, the index targets the clone, which
+   holds the new one, and the clone's page is dirty. *)
+let test_heap_write_under_speculation () =
+  let h = Heap.create () in
+  let idx = Heap.alloc h ~tag:Heap.Array ~size:2 ~init:(Value.Vint 7) in
+  let spec = Spec.Engine.create h in
+  let before = Heap.addr_of h idx in
+  ignore (Spec.Engine.enter spec ~cont:{ Spec.Engine.entry = "k"; args = [] });
+  Heap.clear_dirty h;
+  Heap.write h idx 1 (Value.Vint 8);
+  check "the index targets a clone" true (Heap.addr_of h idx <> before);
+  check "the level saved the original" true
+    (Spec.Engine.records spec = [ idx, before ]);
+  check "the original keeps the old value" true
+    (Value.equal h.Heap.store.(before + Heap.header_cells + 1) (Value.Vint 7));
+  check "the clone holds the new value" true
+    (Value.equal (Heap.read h idx 1) (Value.Vint 8));
+  check "the clone's page is dirty" true
+    (Heap.page_dirty (Heap.dirty_snapshot h) idx 0);
+  (* a second write in the same level writes the clone in place *)
+  let clone = Heap.addr_of h idx in
+  Heap.write h idx 0 (Value.Vint 9);
+  check_int "no second clone" clone (Heap.addr_of h idx)
+
+(* The barrier: a young pointer stored into an old block is remembered
+   by the old block's index; a non-pointer or an old pointer is not. *)
+let test_heap_barrier_remembers () =
+  let h = Heap.create () in
+  let old = Heap.alloc h ~tag:Heap.Array ~size:2 ~init:Value.Vunit in
+  let old2 = Heap.alloc h ~tag:Heap.Array ~size:1 ~init:Value.Vunit in
+  h.Heap.young_start <- Heap.used_cells h;
+  let young = Heap.alloc h ~tag:Heap.Array ~size:1 ~init:Value.Vunit in
+  Heap.write h old 0 (Value.Vint 1);
+  Heap.write h old 1 (Value.Vptr (old2, 0));
+  Heap.write h young 0 (Value.Vptr (young, 0));
+  check "nothing remembered yet" true (Heap.remembered_indices h = []);
+  Heap.write h old 1 (Value.Vptr (young, 0));
+  check "the old block is remembered" true
+    (Heap.remembered_indices h = [ old ])
+
 let test_heap_tuple_raw () =
   let h = Heap.create () in
   let t = Heap.alloc_tuple h [ Value.Vint 1; Value.Vbool true ] in
@@ -706,6 +798,12 @@ let suites =
       [
         Alcotest.test_case "alloc/read/write" `Quick test_heap_alloc_rw;
         Alcotest.test_case "bounds checking" `Quick test_heap_bounds;
+        Alcotest.test_case "traps keep their exception and message" `Quick
+          test_heap_trap_table;
+        Alcotest.test_case "a write under speculation clones first" `Quick
+          test_heap_write_under_speculation;
+        Alcotest.test_case "young into old is remembered" `Quick
+          test_heap_barrier_remembers;
         Alcotest.test_case "tuples and raw blocks" `Quick test_heap_tuple_raw;
         Alcotest.test_case "copy-on-write clone" `Quick test_heap_cow_clone;
         Alcotest.test_case "store growth" `Quick test_heap_growth;

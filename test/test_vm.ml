@@ -927,6 +927,105 @@ int main() {
   check "moved loop: traces identical" true (String.equal tb tc);
   check_str "moved loop: result" "exited 78" sc
 
+(* ------------------------------------------------------------------ *)
+(* Extern binding                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Sum [probe i] for i in [0, n) and exit with the sum. *)
+let probe_loop n =
+  Builder.(
+    let loop, entry =
+      for_loop ~name:"loop" ~lo:(int 0) ~hi:(int n)
+        ~state_tys:[ Types.Tint ] ~state:[ int 0 ]
+        ~body:(fun i st continue ->
+          match st with
+          | [ acc ] ->
+            ext Types.Tint "probe" [ i ] (fun r ->
+                add acc r (fun acc' -> continue [ acc' ]))
+          | _ -> assert false)
+        ~after:(fun st ->
+          match st with [ acc ] -> exit_ acc | _ -> assert false)
+    in
+    prog [ loop; func "main" [] (fun _ -> entry) ])
+
+(* A host whose one extern, [probe], returns its argument times [k]. *)
+let probe_handler k =
+  Vm.Extern.(
+    handler
+      (table
+         [ ext "probe" [ Types.Tint ] Types.Tint (fun () _ -> function
+             | [ Value.Vint n ] -> Value.Vint (k * n)
+             | _ -> bad_arguments ()) ])
+      ())
+
+(* [h] with its calls and binds counted. *)
+let counted (h : Vm.Process.handler) =
+  let calls = ref 0 and binds = ref 0 in
+  ( {
+      Vm.Process.call =
+        (fun proc name args ->
+          incr calls;
+          h.Vm.Process.call proc name args);
+      bind =
+        (fun name ->
+          incr binds;
+          h.Vm.Process.bind name);
+    },
+    calls,
+    binds )
+
+(* Compiled code resolves each extern site once per emulator: a loop
+   that calls [probe] 1000 times binds it once in each of two emulators
+   sharing one compiled image, and never dispatches by name.  The
+   Baseline tier dispatches by name on every call. *)
+let test_extern_bound_once () =
+  let program = probe_loop 1000 in
+  let image = Vm.Codegen.compile ~arch:Vm.Arch.cisc32 program in
+  let compiled = Vm.Compile.compile_masm image in
+  check_int "one extern site" 1 compiled.Vm.Compile.c_ext_sites;
+  let h, calls, binds = counted (probe_handler 1) in
+  let run mode =
+    let proc = Vm.Process.create program in
+    let emu = Vm.Emulator.create ~mode ~compiled image proc in
+    exit_code (Vm.Emulator.run ~extern:h emu)
+  in
+  check_int "first emulator's sum" 499500 (run Vm.Emulator.Compiled);
+  check_int "second emulator's sum" 499500 (run Vm.Emulator.Compiled);
+  check_int "one bind per emulator" 2 !binds;
+  check_int "no call by name" 0 !calls;
+  check_int "Baseline's sum" 499500 (run Vm.Emulator.Baseline);
+  check_int "Baseline calls by name" 1000 !calls;
+  check_int "Baseline binds nothing" 2 !binds
+
+(* Two hosts over different tables share one compiled image, each
+   reaching its own entry; an emulator whose handler switches mid-run
+   binds again under the new one, and ends exactly as the Baseline tier
+   (which resolves every call) does under the same switch. *)
+let test_extern_handlers_share_image () =
+  let program = probe_loop 10 in
+  let image = Vm.Codegen.compile ~arch:Vm.Arch.cisc32 program in
+  let compiled = Vm.Compile.compile_masm image in
+  let run ?(mode = Vm.Emulator.Compiled) ?(switch_after = max_int) first
+      second =
+    let proc = Vm.Process.create program in
+    let emu = Vm.Emulator.create ~mode ~compiled image proc in
+    let n = ref 0 in
+    while proc.Vm.Process.status = Vm.Process.Running && !n < switch_after do
+      Vm.Emulator.step ~extern:first emu;
+      incr n
+    done;
+    exit_code (Vm.Emulator.run ~extern:second emu)
+  in
+  let one = probe_handler 1 and two = probe_handler 2 in
+  check_int "the first host's entry" 45 (run one one);
+  check_int "the second host's entry" 90 (run two two);
+  let two', _, binds = counted two in
+  let switched = run ~switch_after:6 one two' in
+  check_int "the switch binds again" 1 !binds;
+  check "the switch is seen" true (switched > 45 && switched < 90);
+  check_int "as Baseline under the same switch" switched
+    (run ~mode:Vm.Emulator.Baseline ~switch_after:6 one two)
+
 let suites =
   [
     ( "vm.interp",
@@ -989,6 +1088,10 @@ let suites =
           test_passthrough_cont_rewrites;
         Alcotest.test_case "pass-through: move of a running loop" `Quick
           test_passthrough_move_running;
+        Alcotest.test_case "externs bind once per site and emulator" `Quick
+          test_extern_bound_once;
+        Alcotest.test_case "handlers share one compiled image" `Quick
+          test_extern_handlers_share_image;
       ] );
     ( "vm.masm",
       [
