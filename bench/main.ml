@@ -13,6 +13,9 @@
 let meter m () = ignore (Bench.Kit.measure m)
 
 let () =
+  match Array.to_list Sys.argv with
+  | _ :: "sample" :: args -> Sample.main args
+  | _ ->
   Bench.Kit.main
     [
       "e1", "e1", true, Migration.e1;

@@ -817,11 +817,12 @@ int main() {
         | None -> ())
       d.sv_laddrs
 
+  let exited d pid = exit_code d.sv_cluster pid <> None
+
   let all_exited d =
     refresh_service_pids d;
-    let done_ pid = exit_code d.sv_cluster pid <> None in
-    Array.for_all done_ d.sv_client_pids
-    && Array.for_all done_ d.sv_service_pids
+    Array.for_all (exited d) d.sv_client_pids
+    && Array.for_all (exited d) d.sv_service_pids
 
   type report = {
     rp_requests : int;  (* latency observations = completed requests *)
@@ -862,11 +863,15 @@ int main() {
       if budget <= 0 then continue_ := false
       else begin
         let more_moves () = !moved + !skipped < migrations && nodes > 1 in
+        (* the stop predicate runs every round: the clients' exit codes
+           need no refresh, so the services' pids are refreshed only once
+           every client has exited *)
         total :=
           !total
           + Net.Cluster.run cluster ~max_rounds:budget ~stop:(fun () ->
-                all_exited d
+                (Array.for_all (exited d) d.sv_client_pids && all_exited d)
                 || (more_moves () && Net.Cluster.now cluster >= !next_at));
+        (* refreshes [sv_service_pids] for the move pick below *)
         if all_exited d then continue_ := false
         else if more_moves () && Net.Cluster.now cluster >= !next_at then begin
           let k = (!moved + !skipped) mod d.sv_config.services in

@@ -4,6 +4,16 @@ open Runtime
 open Vm
 open Cluster_types
 
+(* The pid and rank tables: an int key hashes to itself, not through
+   the generic [Hashtbl.hash].  None of them is ever iterated, so bucket
+   order cannot reach a trace. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal (a : int) b = a = b
+  let hash (k : int) = k land max_int
+end)
+
 type t = {
   nodes : node array;
   net : Simnet.t;
@@ -17,10 +27,10 @@ type t = {
   tracer : Obs.Trace.t;
   metrics : Obs.Metrics.t;
   mutable entries : entry list;
-  by_pid : (int, entry) Hashtbl.t;
-  ranks : (int, int) Hashtbl.t;
-  epochs : (int, int) Hashtbl.t;
-  rank_mailboxes : (int, Mpi.mailbox) Hashtbl.t;
+  by_pid : entry Int_tbl.t;
+  ranks : int Int_tbl.t;
+  epochs : int Int_tbl.t;
+  rank_mailboxes : Mpi.mailbox Int_tbl.t;
   mutable next_pid : int;
   c_fence_rejections : Obs.Metrics.counter;
   mutable cur_base : float;
@@ -33,8 +43,8 @@ let create ~nodes ~net ~storage ~faults ~detector ~dspec ~balance ~tracer
   { nodes; net; storage; faults; detector;
     registry = Registry.create ~metrics (); dspec; balance;
     obj_store = Hashtbl.create 8; tracer; metrics;
-    entries = []; by_pid = Hashtbl.create 32; ranks = Hashtbl.create 32;
-    epochs = Hashtbl.create 8; rank_mailboxes = Hashtbl.create 32;
+    entries = []; by_pid = Int_tbl.create 32; ranks = Int_tbl.create 32;
+    epochs = Int_tbl.create 8; rank_mailboxes = Int_tbl.create 32;
     next_pid = 1;
     c_fence_rejections = Obs.Metrics.counter metrics "fence.rejections";
     cur_base = 0.0; cur_cycles0 = 0; running = None }
@@ -44,17 +54,20 @@ let node t id =
     invalid_arg (Printf.sprintf "Cluster.node: no node %d" id)
   else t.nodes.(id)
 
-let entry_of_pid t pid = Hashtbl.find_opt t.by_pid pid
+let entry_of_pid t pid = Int_tbl.find_opt t.by_pid pid
 
 let entry_of_rank t rank =
-  match Hashtbl.find_opt t.ranks rank with
+  match Int_tbl.find_opt t.ranks rank with
   | Some pid -> entry_of_pid t pid
   | None -> None
 
 (* cluster-wide time: the farthest local clock (completion time of the
    whole system when quiescent).  Node clocks start at 0 and only grow,
    so this never goes backwards. *)
-let now t = Array.fold_left (fun acc n -> max acc n.clock) 0.0 t.nodes
+let now t =
+  Array.fold_left
+    (fun acc n -> if acc >= n.clock then acc else n.clock)
+    0.0 t.nodes
 
 let effective_now t (proc : Process.t) =
   t.cur_base
@@ -94,11 +107,11 @@ let fresh_pid t =
   pid
 
 let rank_mailbox t rank =
-  match Hashtbl.find_opt t.rank_mailboxes rank with
+  match Int_tbl.find_opt t.rank_mailboxes rank with
   | Some mbox -> mbox
   | None ->
     let mbox = Mpi.create_mailbox () in
-    Hashtbl.add t.rank_mailboxes rank mbox;
+    Int_tbl.add t.rank_mailboxes rank mbox;
     mbox
 
 let mailbox_for t rank =
@@ -118,7 +131,7 @@ let register t (entry : entry) =
   t.entries <- entry :: t.entries;
   let n = node t entry.node_id in
   n.residents <- entry :: n.residents;
-  Hashtbl.replace t.by_pid entry.proc.Process.pid entry;
+  Int_tbl.replace t.by_pid entry.proc.Process.pid entry;
   entry.proc.Process.on_gc <-
     Some
       (fun res ->
@@ -133,7 +146,7 @@ let register t (entry : entry) =
                collected = res.Gc.collected_blocks;
              }));
   match entry.rank with
-  | Some r -> Hashtbl.replace t.ranks r entry.proc.Process.pid
+  | Some r -> Int_tbl.replace t.ranks r entry.proc.Process.pid
   | None -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -141,11 +154,12 @@ let register t (entry : entry) =
 (* ------------------------------------------------------------------ *)
 
 let rank_epoch t rank =
-  match Hashtbl.find_opt t.epochs rank with Some e -> e | None -> 0
+  if Int_tbl.length t.epochs = 0 then 0
+  else match Int_tbl.find_opt t.epochs rank with Some e -> e | None -> 0
 
 let bump_epoch t rank =
   let e = rank_epoch t rank + 1 in
-  Hashtbl.replace t.epochs rank e;
+  Int_tbl.replace t.epochs rank e;
   e
 
 (* An entry is stale when a resurrection has bumped its rank's epoch past
@@ -186,7 +200,7 @@ let unless_stale t (entry : entry) ~what act =
    purge traffic a stale incarnation enqueued before it was fenced, so
    the successor never consumes superseded state. *)
 let purge_stale_traffic t (entry : entry) =
-  if Hashtbl.length t.epochs > 0 then begin
+  if Int_tbl.length t.epochs > 0 then begin
     let stale_seen = ref (-1, -1) in
     let dropped =
       Mpi.discard_stale entry.mailbox ~stale:(fun m ->

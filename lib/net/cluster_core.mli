@@ -8,6 +8,10 @@ open Runtime
 open Vm
 open Cluster_types
 
+module Int_tbl : Hashtbl.S with type key = int
+(** The pid and rank tables below: an int key hashes to itself.  None of
+    them is iterated, so their bucket order never matters. *)
+
 type t = {
   nodes : node array;
   net : Simnet.t;
@@ -30,14 +34,14 @@ type t = {
   metrics : Obs.Metrics.t;  (** the cluster-level registry *)
   mutable entries : entry list;
       (** every entry ever registered, newest first *)
-  by_pid : (int, entry) Hashtbl.t;
-  ranks : (int, int) Hashtbl.t;  (** rank -> pid of its current holder *)
-  epochs : (int, int) Hashtbl.t;
+  by_pid : entry Int_tbl.t;
+  ranks : int Int_tbl.t;  (** rank -> pid of its current holder *)
+  epochs : int Int_tbl.t;
       (** rank -> current incarnation epoch (absent = 0).  Bumped by
           every resurrection under that rank; entries carrying an older
           epoch are fenced.  The ground truth a real system would hold in
           its membership service. *)
-  rank_mailboxes : (int, Mpi.mailbox) Hashtbl.t;
+  rank_mailboxes : Mpi.mailbox Int_tbl.t;
       (** messages are addressed to RANKS, and a rank's queue survives
           the death of its holder: a resurrected or migrated successor
           inherits it (like DEMOS/MP's forwarding stubs).  Unranked

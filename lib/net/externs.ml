@@ -82,7 +82,7 @@ let consume_notices x (entry : entry) ~now =
 let send_payload x (entry : entry) (proc : Process.t) ~dst_rank ~tag ~ptr
     ~len ~extra_delay_s =
   let core = x.core in
-  match Hashtbl.find_opt core.rank_mailboxes dst_rank with
+  match Int_tbl.find_opt core.rank_mailboxes dst_rank with
   | None -> Value.Vint (-1)
   | Some dst_mailbox ->
     let payload = read_cells proc.Process.heap ptr len in

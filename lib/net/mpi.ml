@@ -18,7 +18,11 @@
    enqueue order: [enqueue] pushes onto [back], receivers scan [front],
    refilling it from [back] only when it is empty.  Mailboxes stay
    shallow (no workload or bench meter queues more than 17 messages),
-   so a receive, a wake check or a purge simply walks the queue.
+   so a receive or a purge simply walks the queue.  The scheduler's
+   wake check asks [next_matching_delivery] for every parked receiver
+   every round, mostly of a queue that has not changed: the answer is
+   memoized per mailbox for one (src, tag), and every queue mutation
+   bumps a version that invalidates it.
 
    [try_recv] takes the FIRST message in enqueue order matching (src,
    tag) whose delivery time has passed — enqueue order, not delivery
@@ -45,6 +49,10 @@ type message = {
   msg_src_epoch : int; (* sender's rank incarnation epoch at send time *)
 }
 
+(* Where a receive (or a parked receiver) takes its messages from: one
+   rank, or any rank (the wildcard a mobile service polls with). *)
+type source = Rank of int | Any
+
 (* [front] oldest-first, [back] newest-first: the queue is [front]
    followed by [List.rev back]. *)
 type mailbox = {
@@ -53,14 +61,27 @@ type mailbox = {
   mutable size : int;
   (* ranks whose failure/rollback the owner has not yet observed *)
   roll_notices : (int, unit) Hashtbl.t;
+  (* bumped by every change to the queue's contents *)
+  mutable version : int;
+  (* [next_matching_delivery]'s last answer: for (memo_src, memo_tag),
+     valid while [memo_version] is [version] *)
+  mutable memo_version : int;
+  mutable memo_src : source;
+  mutable memo_tag : int;
+  mutable memo : float option;
 }
 
 let create_mailbox () =
-  { front = []; back = []; size = 0; roll_notices = Hashtbl.create 4 }
+  { front = []; back = []; size = 0; roll_notices = Hashtbl.create 4;
+    version = 0; memo_version = -1; memo_src = Any; memo_tag = 0;
+    memo = None }
+
+let changed mbox = mbox.version <- mbox.version + 1
 
 let enqueue mbox msg =
   mbox.back <- msg :: mbox.back;
-  mbox.size <- mbox.size + 1
+  mbox.size <- mbox.size + 1;
+  changed mbox
 
 (* Refill [front] from [back], oldest first.  Proper two-list
    discipline: [back] is reversed ONLY into an empty [front], so each
@@ -84,11 +105,8 @@ let messages mbox =
 let replace mbox l =
   mbox.front <- l;
   mbox.back <- [];
-  mbox.size <- List.length l
-
-(* Where a receive (or a parked receiver) takes its messages from: one
-   rank, or any rank (the wildcard a mobile service polls with). *)
-type source = Rank of int | Any
+  mbox.size <- List.length l;
+  changed mbox
 
 let matches ~src ~tag m =
   m.msg_tag = tag
@@ -98,9 +116,8 @@ let post_roll_notice mbox ~src_rank =
   Hashtbl.replace mbox.roll_notices src_rank ()
 
 let has_roll_notice mbox ~src =
-  match src with
-  | Rank r -> Hashtbl.mem mbox.roll_notices r
-  | Any -> Hashtbl.length mbox.roll_notices > 0
+  Hashtbl.length mbox.roll_notices > 0
+  && match src with Rank r -> Hashtbl.mem mbox.roll_notices r | Any -> true
 
 type recv_result =
   | Received of message
@@ -125,10 +142,12 @@ let try_recv mbox ~now ~src ~tag =
     match src with
     | Rank r -> if Hashtbl.mem mbox.roll_notices r then Some r else None
     | Any ->
-      Hashtbl.fold
-        (fun r () acc ->
-          match acc with Some r' when r' < r -> acc | _ -> Some r)
-        mbox.roll_notices None
+      if Hashtbl.length mbox.roll_notices = 0 then None
+      else
+        Hashtbl.fold
+          (fun r () acc ->
+            match acc with Some r' when r' < r -> acc | _ -> Some r)
+          mbox.roll_notices None
   in
   match notice with
   | Some r ->
@@ -141,6 +160,7 @@ let try_recv mbox ~now ~src ~tag =
     | Some (m, front) ->
       mbox.front <- front;
       mbox.size <- mbox.size - 1;
+      changed mbox;
       Received m
     | None -> (
       (* Jitter can make a NEWER message deliverable while older
@@ -150,6 +170,7 @@ let try_recv mbox ~now ~src ~tag =
       | Some (m, back_in_order) ->
         mbox.back <- List.rev back_in_order;
         mbox.size <- mbox.size - 1;
+        changed mbox;
         Received m
       | None -> None_yet))
 
@@ -195,18 +216,55 @@ let settle_speculative mbox ~uids ~sender_pid =
    incarnation must not be consumed by anyone. *)
 let discard_stale mbox ~stale = discard mbox stale
 
+(* The earliest delivery among the queued messages matching (src, tag).
+   The loop's refs stay local, so the compiler keeps [best] unboxed: the
+   scan allocates only its answer. *)
+let scan_earliest mbox ~src ~tag =
+  let best = ref infinity and found = ref false in
+  let l = ref mbox.front and in_back = ref false and go = ref true in
+  while !go do
+    match !l with
+    | m :: rest ->
+      if matches ~src ~tag m && ((not !found) || m.msg_deliver_at < !best)
+      then begin
+        best := m.msg_deliver_at;
+        found := true
+      end;
+      l := rest
+    | [] ->
+      if !in_back then go := false
+      else begin
+        in_back := true;
+        l := mbox.back
+      end
+  done;
+  if !found then Some !best else None
+
+let same_source a b =
+  match a, b with
+  | Rank r, Rank r' -> r = r'
+  | Any, Any -> true
+  | Rank _, Any | Any, Rank _ -> false
+
 (* Earliest pending delivery with [tag] from [src] — what a parked
    receiver is waiting for, and the one wait query the scheduler asks:
-   the receiver is due at [now] iff this is [<= now]. *)
+   the receiver is due at [now] iff this is [<= now].  Asked again of an
+   unchanged queue (the common case: a parked receiver is checked every
+   round), it answers from the memo without walking or allocating. *)
 let next_matching_delivery mbox ~src ~tag =
-  let earliest acc m =
-    if not (matches ~src ~tag m) then acc
-    else
-      match acc with
-      | None -> Some m.msg_deliver_at
-      | Some x -> Some (min x m.msg_deliver_at)
-  in
-  List.fold_left earliest (List.fold_left earliest None mbox.front) mbox.back
+  if
+    mbox.memo_version = mbox.version
+    && mbox.memo_tag = tag
+    && same_source mbox.memo_src src
+  then mbox.memo
+  else begin
+    let at = scan_earliest mbox ~src ~tag in
+    mbox.memo_version <- mbox.version;
+    mbox.memo_src <- src;
+    mbox.memo_tag <- tag;
+    mbox.memo <- at;
+    at
+  end
 
 (* Remove and return EVERYTHING queued, oldest first: the migration path
    drains a re-homed service's old mailbox through the forwarder. *)

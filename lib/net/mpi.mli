@@ -9,9 +9,13 @@
 
     The mailbox is one two-list FIFO of every queued message, in
     enqueue order.  Enqueue is O(1) and an N-message burst costs O(N)
-    total.  Receives, the scheduler's wake checks and the purges walk
-    the queue, which stays shallow: no workload or bench meter queues
-    more than 17 messages.
+    total.  Receives and the purges walk the queue, which stays
+    shallow: no workload or bench meter queues more than 17 messages.
+    The scheduler's wake checks ({!next_matching_delivery}) answer from
+    a per-mailbox memo of the last (source, tag) asked, so a parked
+    receiver checked every round walks the queue only after it changed:
+    every mutation (an enqueue, a receive that takes a message, a purge,
+    {!take_all}) bumps a version that invalidates the memo.
 
     Receive results surfaced to FIR code: [n >= 0] cells copied,
     {!msg_none} (nothing yet), or {!msg_roll} (the peer failed or rolled
@@ -83,7 +87,9 @@ val discard_stale : mailbox -> stale:(message -> bool) -> int
 val next_matching_delivery : mailbox -> src:source -> tag:int -> float option
 (** Earliest pending delivery with [tag] from [src] — what a receiver
     parked on that poll is waiting for.  A matching message is already
-    deliverable at [now] iff this is [Some t] with [t <= now]. *)
+    deliverable at [now] iff this is [Some t] with [t <= now].  Asked
+    again for the same (src, tag) of an unchanged queue, it returns the
+    memoized answer without walking or allocating. *)
 
 val take_all : mailbox -> message list
 (** Remove and return everything queued, oldest first (the migration

@@ -64,6 +64,8 @@ type t = {
   (* moves waiting for their cut-over, oldest request first; at most
      one per subject *)
   mutable pending : pending list;
+  (* node id -> how many of [pending] have their subject there *)
+  pending_on : int array;
   (* compiles ahead, by (node id, FIR digest): when the code is ready.
      One its node's clock has passed is forgotten at the next offer to
      or cut-over onto that node *)
@@ -91,6 +93,7 @@ let create core graph ~delta ~forward_ttl_s =
   let counter = Obs.Metrics.counter m and histogram = Obs.Metrics.histogram m in
   { core; graph; delta; forward_ttl_s; next_dyn_rank = 1 lsl 16;
     ckpt_chains = Hashtbl.create 8; hop_seq = 0; pending = [];
+    pending_on = Array.make (Array.length core.nodes) 0;
     compiles = Hashtbl.create 8;
     c_migrations_ok = counter "cluster.migrations_ok";
     c_migrations_failed = counter "cluster.migrations_failed";
@@ -676,6 +679,7 @@ let pend s (entry : entry) (target : node) ~requested ~miss_at ~ready_at
   emit s.core ~time:miss_at ~node:target.node_id ~pid ~rank:(entry_rank entry)
     Obs.Trace.Cache_miss;
   let ticket = ref (Compiling { dest = target.node_id; ready_at }) in
+  s.pending_on.(entry.node_id) <- s.pending_on.(entry.node_id) + 1;
   s.pending <-
     s.pending
     @ [ { pd_entry = entry; pd_target = target; pd_ready_at = ready_at;
@@ -804,8 +808,11 @@ let floor_of_others core (n : node) =
    ahead) waits for the code once every other node with work has passed
    its ready time, since nothing can reach [n] earlier; a node that is
    merely between events does not, or a parked source would stop
-   serving.  Returns whether any cut-over was handled. *)
+   serving.  Returns whether any cut-over was handled.  A node that is
+   the source of no pending move returns at once. *)
 let land_due s (n : node) ~idle =
+  s.pending_on.(n.node_id) > 0
+  &&
   let floor = lazy (floor_of_others s.core n) in
   let due, rest =
     List.partition
@@ -817,6 +824,7 @@ let land_due s (n : node) ~idle =
       s.pending
   in
   s.pending <- rest;
+  s.pending_on.(n.node_id) <- s.pending_on.(n.node_id) - List.length due;
   List.iter
     (fun p ->
       if not (Process.is_terminated p.pd_entry.proc) then
@@ -831,6 +839,7 @@ let land_due s (n : node) ~idle =
 let land_all s =
   let due = s.pending in
   s.pending <- [];
+  Array.fill s.pending_on 0 (Array.length s.pending_on) 0;
   List.fold_left
     (fun landed p ->
       let src = node s.core p.pd_entry.node_id in

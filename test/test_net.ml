@@ -465,6 +465,117 @@ let test_mailbox_random_walk () =
       [ 0; 1; 2 ]
   done
 
+(* The wake check's memo against a fresh scan: random sequences of
+   every queue mutation (enqueue, a receive that takes or does not,
+   the purges, [take_all]) and of roll notices, each followed by a
+   [next_matching_delivery] query on a random (src, tag).  Sources and
+   tags are few, so a query often repeats the memoized pair right after
+   a mutation that changed its answer; times are quarter steps, so a
+   receive often finds a newer message due before an older one. *)
+type memo_op =
+  | Enqueue of int * int * float * (int * int) option * int
+  | Recv of Net.Mpi.source * int * float
+  | Discard_speculative of int
+  | Settle_speculative of int
+  | Discard_stale
+  | Take_all
+  | Roll_notice of int
+
+let source_text = function
+  | Net.Mpi.Rank r -> Printf.sprintf "rank %d" r
+  | Net.Mpi.Any -> "any"
+
+let memo_op_text = function
+  | Enqueue (src, tag, at, spec, epoch) ->
+    Printf.sprintf "enqueue src %d tag %d at %g%s epoch %d" src tag at
+      (match spec with
+      | Some (pid, uid) -> Printf.sprintf " spec (%d, %d)" pid uid
+      | None -> "")
+      epoch
+  | Recv (src, tag, now) ->
+    Printf.sprintf "try_recv %s tag %d now %g" (source_text src) tag now
+  | Discard_speculative uid -> Printf.sprintf "discard_speculative %d" uid
+  | Settle_speculative uid -> Printf.sprintf "settle_speculative %d" uid
+  | Discard_stale -> "discard_stale"
+  | Take_all -> "take_all"
+  | Roll_notice r -> Printf.sprintf "post_roll_notice %d" r
+
+let memo_steps =
+  let open QCheck.Gen in
+  let rank = int_bound 1 and tag = int_bound 1 in
+  let src = oneofl [ Net.Mpi.Rank 0; Net.Mpi.Rank 1; Net.Mpi.Any ] in
+  let time = map (fun k -> 0.25 *. float_of_int k) (int_bound 8) in
+  let uid = oneofl [ 7; 8 ] in
+  let op =
+    frequency
+      [ ( 6,
+          map3
+            (fun (src, tag) (at, spec) epoch ->
+              Enqueue (src, tag, at, spec, epoch))
+            (pair rank tag)
+            (pair time (oneofl [ None; Some (42, 7); Some (42, 8) ]))
+            (int_bound 1) );
+        4, map3 (fun src tag now -> Recv (src, tag, now)) src tag time;
+        1, map (fun u -> Discard_speculative u) uid;
+        1, map (fun u -> Settle_speculative u) uid;
+        1, return Discard_stale;
+        1, return Take_all;
+        1, map (fun r -> Roll_notice r) rank ]
+  in
+  list_size (int_range 1 40) (pair op (pair src tag))
+
+let print_memo_steps steps =
+  String.concat "; "
+    (List.map
+       (fun (op, (src, tag)) ->
+         Printf.sprintf "%s, ask %s tag %d" (memo_op_text op) (source_text src)
+           tag)
+       steps)
+
+let prop_wake_memo =
+  QCheck.Test.make ~count:500
+    ~name:"next_matching_delivery's memo equals a fresh scan"
+    (QCheck.make memo_steps ~print:print_memo_steps)
+    (fun steps ->
+      let mbox = Net.Mpi.create_mailbox () in
+      let fresh ~src ~tag =
+        List.fold_left
+          (fun acc (m : Net.Mpi.message) ->
+            let hit =
+              m.Net.Mpi.msg_tag = tag
+              && match src with
+                 | Net.Mpi.Rank r -> m.msg_src_rank = r
+                 | Any -> true
+            in
+            match acc with
+            | Some t when hit -> Some (Float.min t m.msg_deliver_at)
+            | None when hit -> Some m.msg_deliver_at
+            | _ -> acc)
+          None (Net.Mpi.messages mbox)
+      in
+      List.for_all
+        (fun (op, (src, tag)) ->
+          (match op with
+          | Enqueue (r, t, at, spec, epoch) ->
+            Net.Mpi.enqueue mbox
+              { (msg ~spec ~src:r ~tag:t ~at [| 0 |]) with
+                Net.Mpi.msg_src_epoch = epoch }
+          | Recv (src, tag, now) -> ignore (Net.Mpi.try_recv mbox ~now ~src ~tag)
+          | Discard_speculative uid ->
+            ignore
+              (Net.Mpi.discard_speculative mbox ~uids:[ uid ] ~sender_pid:42)
+          | Settle_speculative uid ->
+            ignore
+              (Net.Mpi.settle_speculative mbox ~uids:[ uid ] ~sender_pid:42)
+          | Discard_stale ->
+            ignore
+              (Net.Mpi.discard_stale mbox ~stale:(fun m ->
+                   m.Net.Mpi.msg_src_epoch < 1))
+          | Take_all -> ignore (Net.Mpi.take_all mbox)
+          | Roll_notice r -> Net.Mpi.post_roll_notice mbox ~src_rank:r);
+          Net.Mpi.next_matching_delivery mbox ~src ~tag = fresh ~src ~tag)
+        steps)
+
 (* ------------------------------------------------------------------ *)
 (* Cluster: basic scheduling and messaging                             *)
 (* ------------------------------------------------------------------ *)
@@ -1256,6 +1367,9 @@ let suites =
           `Quick test_mailbox_random_walk;
         Alcotest.test_case "an emptied mailbox holds no past traffic" `Quick
           test_mailbox_no_leak;
+        QCheck_alcotest.to_alcotest
+          ~rand:(Random.State.make [| 0x6d656d6f; env_seed |])
+          prop_wake_memo;
       ] );
     ( "net.cluster",
       [
