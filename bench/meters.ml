@@ -78,7 +78,7 @@ let s1_run case ~count_live =
     let rounds = case.s1_rounds_of_pair p in
     let spawn_side ~rank ~peer ~starts =
       ignore
-        (Net.Cluster.spawn cluster ~engine:`Masm ~rank
+        (Net.Cluster.spawn cluster ~rank
            ~node_id:(rank mod case.s1_nodes)
            (Minic.Driver.compile_exn (pingpong_source ~rounds ~peer ~starts)))
     in
@@ -330,7 +330,6 @@ type serving = {
   case_prefix : string;
   plan : Net.Faults.plan;  (* reseeded per run *)
   balance : bool;  (* the "on" mode enables the balance engine *)
-  engine : [ `Interp | `Masm ];
   placement : [ `Spread | `Pack of int ];
   migrations : int * int;
       (* re-home requests, off and on; each is armed 4 simulated ms
@@ -356,7 +355,7 @@ let serve_run m ~seed ~on =
       ()
   in
   let cfg = { m.cfg with speculative = m.cfg.speculative && on } in
-  let d = Serve.deploy ~engine:m.engine ~placement:m.placement cluster cfg in
+  let d = Serve.deploy ~placement:m.placement cluster cfg in
   let report, wall =
     Kit.wall (fun () ->
         Serve.run ~migrate_every_s:0.004
@@ -474,7 +473,6 @@ let t1 =
           f_loss = 0.05; f_dup = 0.02; f_jitter_s = 0.000005;
           f_retransmit_s = 0.00005 };
       balance = false;
-      engine = `Masm;
       placement = `Spread;
       migrations = 0, 10;
       modes = "static", "migrate";
@@ -537,7 +535,6 @@ let t2 =
           f_loss = 0.02; f_dup = 0.01; f_jitter_s = 0.000002;
           f_retransmit_s = 0.00005 };
       balance = true;
-      engine = `Interp;
       placement = `Pack 1;
       migrations = 0, 0;
       modes = "off", "on";
@@ -626,7 +623,6 @@ let f5 =
         { Net.Faults.none with
           f_loss = 0.05; f_dup = 0.02; f_crash_in_commit = 0.2 };
       balance = false;
-      engine = `Masm;
       placement = `Spread;
       migrations = 10, 10;
       modes = "off", "on";

@@ -62,7 +62,7 @@ let () =
         arches = [| Vm.Arch.cisc32; Vm.Arch.risc64 |] }
   in
   let fir = Mcc.Api.compile_exn (Mcc.Api.C worker) in
-  let pid = Net.Cluster.spawn cluster ~rank:0 ~node_id:0 ~engine:`Masm fir in
+  let pid = Net.Cluster.spawn cluster ~rank:0 ~node_id:0 fir in
   let _ = Net.Cluster.run cluster in
 
   (* the source process was terminated by the successful migration; its

@@ -68,7 +68,7 @@ let () =
         arches = [| Vm.Arch.cisc32; Vm.Arch.risc64 |] }
   in
   let fir = Mcc.Api.compile_exn (Mcc.Api.C agent_source) in
-  let pid0 = Net.Cluster.spawn cluster ~rank:0 ~node_id:0 ~engine:`Masm fir in
+  let pid0 = Net.Cluster.spawn cluster ~rank:0 ~node_id:0 fir in
   Printf.printf "agent born as pid %d on node0 (cisc32)\n\n" pid0;
   let _ = Net.Cluster.run cluster in
 

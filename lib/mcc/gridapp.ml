@@ -238,13 +238,13 @@ type deployment = {
 
 (* Place rank r on node (r mod usable_nodes); optionally reserve the last
    node as a hot spare for resurrection. *)
-let deploy ?(engine = `Interp) ?(spare = false) cluster config =
+let deploy ?engine ?(spare = false) cluster config =
   let nodes = Net.Cluster.node_count cluster in
   let usable = if spare && nodes > 1 then nodes - 1 else nodes in
   let pids =
     Array.init config.ranks (fun r ->
         let fir = compile_rank config r in
-        Net.Cluster.spawn cluster ~engine ~rank:r ~node_id:(r mod usable) fir)
+        Net.Cluster.spawn cluster ?engine ~rank:r ~node_id:(r mod usable) fir)
   in
   { d_config = config; d_cluster = cluster; d_pids = pids }
 
@@ -752,7 +752,7 @@ int main() {
      onto the first [p] nodes with [`Pack p] — the deliberately bad
      initial placement the policy engine starts from (T2).  Every
      service is registered, so from here on migration re-homes it. *)
-  let deploy ?(engine = `Interp) ?(placement = `Spread) cluster cfg =
+  let deploy ?engine ?(placement = `Spread) cluster cfg =
     if cfg.clients < 1 || cfg.services < 1 then
       invalid_arg "Gridapp.Serve.deploy: clients and services must be >= 1";
     let nodes = Net.Cluster.node_count cluster in
@@ -769,7 +769,7 @@ int main() {
     in
     let client_pids =
       Array.init cfg.clients (fun r ->
-          Net.Cluster.spawn cluster ~engine ~rank:r ~node_id:(r mod nodes)
+          Net.Cluster.spawn cluster ?engine ~rank:r ~node_id:(r mod nodes)
             (compile (client_source cfg r)))
     in
     let service_node k rank =
@@ -780,7 +780,7 @@ int main() {
     let service_pids =
       Array.init cfg.services (fun k ->
           let rank = cfg.clients + k in
-          Net.Cluster.spawn cluster ~engine ~rank
+          Net.Cluster.spawn cluster ?engine ~rank
             ~node_id:(service_node k rank)
             (compile (service_source cfg k)))
     in

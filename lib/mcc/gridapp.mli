@@ -50,10 +50,11 @@ type deployment = {
 }
 
 val deploy :
-  ?engine:[ `Interp | `Masm ] -> ?spare:bool ->
+  ?engine:[ `Masm ] -> ?spare:bool ->
   Net.Cluster.t -> config -> deployment
 (** Place rank [r] on node [r mod usable]; [spare] reserves the last node
-    for resurrection. *)
+    for resurrection.  Every rank runs on a MASM emulator; [engine]
+    selects nothing (see {!Net.Cluster.spawn}). *)
 
 val rank_status : deployment -> int -> Vm.Process.status
 val all_exited : deployment -> bool
@@ -156,7 +157,7 @@ module Serve : sig
   }
 
   val deploy :
-    ?engine:[ `Interp | `Masm ] ->
+    ?engine:[ `Masm ] ->
     ?placement:[ `Spread | `Pack of int ] ->
     Net.Cluster.t -> config -> deployment
   (** Clients on ranks 0..C-1, services on C..C+K-1; every service
@@ -165,6 +166,7 @@ module Serve : sig
       (default) places both round-robin over the nodes; [`Pack p]
       crams the services onto the first [p] nodes — the deliberately
       bad starting point a placement policy is measured against.
+      Every process runs on a MASM emulator; [engine] selects nothing.
       @raise Invalid_argument when a count is < 1 or generated source
       fails to compile (a library bug). *)
 

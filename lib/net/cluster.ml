@@ -277,21 +277,15 @@ let set_object_failure_probability t p =
 (* Placement and execution                                             *)
 (* ------------------------------------------------------------------ *)
 
-let spawn ?rank ?(engine = `Interp) ?(seed = 7) t ~node_id program =
+let spawn ?rank ?engine:(`Masm = `Masm) ?(seed = 7) t ~node_id program =
   let core = t.core in
   let n = Core.node core node_id in
   if not n.alive then invalid_arg "Cluster.spawn: node is down";
   let pid = Core.fresh_pid core in
   let proc = Process.create ~pid ~arch:n.node_arch ~seed program in
-  let engine =
-    match engine with
-    | `Interp -> Interp_engine
-    | `Masm ->
-      Emu_engine
-        (Emulator.create (Codegen.compile ~arch:n.node_arch program) proc)
-  in
+  let emu = Emulator.create (Codegen.compile ~arch:n.node_arch program) proc in
   let entry =
-    Core.make_entry ~proc ~engine ~node_id ~mailbox:(Core.mailbox_for core rank)
+    Core.make_entry ~proc ~emu ~node_id ~mailbox:(Core.mailbox_for core rank)
       ~rank
       ~epoch:(match rank with Some r -> Core.rank_epoch core r | None -> 0)
       ~start_at:n.clock ()
@@ -315,7 +309,7 @@ let sched_visits t = Scheduler.visits t.sched
    onto this node hits.  The entry holds what a miss would have
    produced — the daemon's own typecheck verdict (a Verified entry
    always comes from a local typecheck) and the code the process already
-   runs, the emulator's or, for an interpreted process, compiled here.
+   runs, its emulator's.
    Deployment work: no simulated time is charged. *)
 let seed_code_cache t (e : entry) =
   let n = node t e.node_id in
@@ -330,11 +324,7 @@ let seed_code_cache t (e : entry) =
       with
       | Error msg -> Error msg
       | Ok () ->
-        let masm, compiled =
-          match e.engine with
-          | Emu_engine emu -> Emulator.code emu
-          | Interp_engine -> Codegen.compile ~arch:n.node_arch program, None
-        in
+        let masm, compiled = Emulator.code e.emu in
         let compiled =
           match compiled with Some c -> c | None -> Compile.compile_masm masm
         in

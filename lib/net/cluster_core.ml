@@ -121,8 +121,8 @@ let mailbox_for t rank =
 
 (* Spawn, migration successor and resurrection all build entries here. *)
 let make_entry ?baseline ?(bindings = Hashtbl.create 4) ?(notices = [])
-    ~proc ~engine ~node_id ~mailbox ~rank ~epoch ~start_at () =
-  { proc; engine; node_id; mailbox; rank; epoch; start_at; parked_on = None;
+    ~proc ~emu ~node_id ~mailbox ~rank ~epoch ~start_at () =
+  { proc; emu; node_id; mailbox; rank; epoch; start_at; parked_on = None;
     baseline; bindings; notices }
 
 (* An entry's [node_id] is immutable (a move builds a successor), so this

@@ -102,7 +102,7 @@ val mailbox_for : t -> int option -> Mpi.mailbox
 
 val make_entry :
   ?baseline:string * Migrate.Wire.image -> ?bindings:(int, int) Hashtbl.t ->
-  ?notices:(float * int * int) list -> proc:Process.t -> engine:engine ->
+  ?notices:(float * int * int) list -> proc:Process.t -> emu:Emulator.t ->
   node_id:int -> mailbox:Mpi.mailbox -> rank:int option -> epoch:int ->
   start_at:float -> unit -> entry
 (** The one entry constructor.  A new entry is unparked; it has an empty

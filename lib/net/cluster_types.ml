@@ -5,11 +5,9 @@
 
 open Vm
 
-type engine = Interp_engine | Emu_engine of Emulator.t
-
 type entry = {
   proc : Process.t;
-  mutable engine : engine;
+  mutable emu : Emulator.t;
   node_id : int;
   mailbox : Mpi.mailbox;
   rank : int option;

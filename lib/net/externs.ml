@@ -39,8 +39,13 @@ let msg_moved = -3
    the host's array primitives. *)
 let check_length n = if n < 0 then Extern.fail "negative length"
 
+(* A pointer argument's (block, offset); anything else is a bad call. *)
+let ptr_parts = function
+  | Value.Vptr (idx, off) -> idx, off
+  | _ -> Extern.bad_arguments ()
+
 let read_cells heap ptr len =
-  let idx, off = Vm.Interp.as_ptr ptr in
+  let idx, off = ptr_parts ptr in
   if len > Heap.block_size heap idx - off then
     Extern.fail "length exceeds the buffer";
   Array.init len (fun k -> Heap.read heap idx (off + k))
@@ -157,7 +162,7 @@ let send_payload x (entry : entry) (proc : Process.t) ~dst_rank ~tag ~ptr
     end
 
 let write_cells heap ptr payload n =
-  let idx, off = Vm.Interp.as_ptr ptr in
+  let idx, off = ptr_parts ptr in
   for k = 0 to n - 1 do
     Heap.write heap idx (off + k) payload.(k)
   done
@@ -334,7 +339,7 @@ let msg_try_recv x proc = function
 let obj_fails x =
   Random.State.float (Faults.rng x.core.faults) 1.0 < x.obj_fail_prob
 
-let path_of heap pathp = Heap.raw_to_string heap (fst (Vm.Interp.as_ptr pathp))
+let path_of heap pathp = Heap.raw_to_string heap (fst (ptr_parts pathp))
 
 let table =
   let open Fir.Types in

@@ -157,7 +157,7 @@ let resurrect ?rank r ~node_id ~path =
            packing a newer baseline *)
         let entry =
           make_entry ~proc
-            ~engine:(Emu_engine (Emulator.create ~compiled masm proc))
+            ~emu:(Emulator.create ~compiled masm proc)
             ~node_id ~mailbox:(mailbox_for core rank) ~rank ~epoch
             ~start_at:(now core +. read_s +. compile_s)
             ~baseline:(Migrate.Wire.image_digest image, image)

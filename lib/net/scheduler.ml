@@ -5,7 +5,7 @@ open Vm
 open Cluster_types
 open Cluster_core
 
-(* Interpreter/emulator steps a process runs per scheduling turn. *)
+(* Emulator steps a process runs per scheduling turn. *)
 let quantum = 64
 
 type t = {
@@ -228,9 +228,7 @@ let round s =
                  | _ -> false)
               && e.parked_on = None
             do
-              (match e.engine with
-              | Interp_engine -> Interp.step ~extern:s.extern e.proc
-              | Emu_engine emu -> Emulator.step ~extern:s.extern emu);
+              Emulator.step ~extern:s.extern e.emu;
               decr steps
             done;
             (match e.proc.Process.status with

@@ -461,10 +461,9 @@ let install_successor ?ahead s (entry : entry) (src : node) (target : node)
      just shipped *)
   let new_entry =
     make_entry ~proc:new_proc
-      ~engine:
-        (Emu_engine
-           (Emulator.create ~compiled:outcome.Migrate.Server.o_compiled
-              outcome.Migrate.Server.o_masm new_proc))
+      ~emu:
+        (Emulator.create ~compiled:outcome.Migrate.Server.o_compiled
+           outcome.Migrate.Server.o_masm new_proc)
       ~node_id:target.node_id ~mailbox ~rank ~epoch
       ~start_at:(arrive_at +. wait_s +. link_s)
       ~baseline:(baseline_digest, packed.Migrate.Pack.p_image)

@@ -520,7 +520,7 @@ let test_policy_compile_ahead_under_dup () =
   in
   (* 4 ms a request: the services outlive a compile ahead *)
   let d =
-    Mcc.Gridapp.Serve.deploy ~engine:`Masm ~placement:(`Pack 1) c
+    Mcc.Gridapp.Serve.deploy ~placement:(`Pack 1) c
       { Mcc.Gridapp.Serve.clients = 4; services; requests_per_client = 60;
         work_us = 4000; skew = true; speculative = false }
   in

@@ -340,7 +340,7 @@ let test_rehome_hits_by_content () =
             f_dup = 0.02;
             f_crash_in_commit = 0.2 } }
   in
-  let d = Serve.deploy ~engine:`Masm cl cfg in
+  let d = Serve.deploy cl cfg in
   let programs =
     Array.init cfg.Serve.services (fun k ->
         Minic.Driver.compile_exn (Serve.service_source cfg k))
@@ -453,19 +453,15 @@ let test_rehome_hits_by_content () =
     (Obs.Metrics.counter_value (Net.Cluster.metrics cl)
        "cluster.migration_cache_hits")
 
-(* Registration seeds the service's node whatever engine runs it: an
-   emulated service lends the entry its own code, an interpreted one
-   gets code compiled for the node.  Spawning alone seeds nothing, so a
-   grid deployment (ranks, no services) leaves every cache empty. *)
+(* Registration seeds the service's node with the code its emulator
+   already runs.  Spawning alone seeds nothing, so a grid deployment
+   (ranks, no services) leaves every cache empty. *)
 let test_registration_seeds () =
   let module Serve = Mcc.Gridapp.Serve in
-  List.iter
-    (fun engine ->
-      let grid = Net.Cluster.create_cfg Net.Cluster.Config.default in
-      ignore (Mcc.Gridapp.deploy ~engine grid Mcc.Gridapp.default_config);
-      check_int "a grid deploy inserts nothing" 0
-        (cluster_count grid "codecache.insertions"))
-    [ `Interp; `Masm ];
+  let grid = Net.Cluster.create_cfg Net.Cluster.Config.default in
+  ignore (Mcc.Gridapp.deploy grid Mcc.Gridapp.default_config);
+  check_int "a grid deploy inserts nothing" 0
+    (cluster_count grid "codecache.insertions");
   (* each request charges 2 ms: the services outlast the compile of a
      re-home to a node without their code, so both re-homes land *)
   let cfg =
@@ -475,41 +471,36 @@ let test_registration_seeds () =
   let digest =
     Digest.of_program (Minic.Driver.compile_exn (Serve.service_source cfg 0))
   in
-  List.iter
-    (fun (name, engine) ->
-      let cl = Net.Cluster.create_cfg Net.Cluster.Config.default in
-      let d = Serve.deploy ~engine cl cfg in
-      check_int (name ^ ": one insertion per service") cfg.Serve.services
-        (cluster_count cl "codecache.insertions");
-      Array.iter
-        (fun pid ->
-          let e = Option.get (Net.Cluster.entry_of_pid cl pid) in
-          let n = Net.Cluster.node cl e.Net.Cluster.node_id in
-          match
-            Option.bind (Migrate.Server.cache n.Net.Cluster.daemon) (fun c ->
-                Migrate.Codecache.find c ~digest
-                  ~arch:n.Net.Cluster.node_arch.Vm.Arch.name ~trusted:false)
-          with
-          | Some { Migrate.Codecache.e_code = Ok code; _ } -> (
-            match e.Net.Cluster.engine with
-            | Net.Cluster.Emu_engine emu ->
-              check (name ^ ": the entry is the emulator's code") true
-                (fst (Vm.Emulator.code emu) == code.Migrate.Codecache.masm)
-            | Net.Cluster.Interp_engine -> ())
-          | Some { Migrate.Codecache.e_code = Error m; _ } ->
-            Alcotest.failf "%s: seeded a rejection: %s" name m
-          | None -> Alcotest.failf "%s: node %d not seeded" name n.node_id)
-        d.Serve.sv_service_pids;
-      (* services sit on nodes 2 and 3 of 4; the first re-home lands
-         service 0 on node 3, which holds service 1's program *)
-      let r = Serve.run ~migrate_every_s:0.0005 ~migrations:2 d in
-      check (name ^ ": exactly-once") true (Serve.exactly_once d r);
-      check_int (name ^ ": two re-homes") 2 r.Serve.rp_migrations;
-      check_int (name ^ ": both landed") 2 (landed_moves cl);
-      check_int (name ^ ": the first re-home hits") 1
-        (Obs.Metrics.counter_value (Net.Cluster.metrics cl)
-           "cluster.migration_cache_hits"))
-    [ "Interp", `Interp; "Masm", `Masm ]
+  let cl = Net.Cluster.create_cfg Net.Cluster.Config.default in
+  let d = Serve.deploy cl cfg in
+  check_int "one insertion per service" cfg.Serve.services
+    (cluster_count cl "codecache.insertions");
+  Array.iter
+    (fun pid ->
+      let e = Option.get (Net.Cluster.entry_of_pid cl pid) in
+      let n = Net.Cluster.node cl e.Net.Cluster.node_id in
+      match
+        Option.bind (Migrate.Server.cache n.Net.Cluster.daemon) (fun c ->
+            Migrate.Codecache.find c ~digest
+              ~arch:n.Net.Cluster.node_arch.Vm.Arch.name ~trusted:false)
+      with
+      | Some { Migrate.Codecache.e_code = Ok code; _ } ->
+        check "the entry is the emulator's code" true
+          (fst (Vm.Emulator.code e.Net.Cluster.emu)
+          == code.Migrate.Codecache.masm)
+      | Some { Migrate.Codecache.e_code = Error m; _ } ->
+        Alcotest.failf "seeded a rejection: %s" m
+      | None -> Alcotest.failf "node %d not seeded" n.node_id)
+    d.Serve.sv_service_pids;
+  (* services sit on nodes 2 and 3 of 4; the first re-home lands
+     service 0 on node 3, which holds service 1's program *)
+  let r = Serve.run ~migrate_every_s:0.0005 ~migrations:2 d in
+  check "exactly-once" true (Serve.exactly_once d r);
+  check_int "two re-homes" 2 r.Serve.rp_migrations;
+  check_int "both landed" 2 (landed_moves cl);
+  check_int "the first re-home hits" 1
+    (Obs.Metrics.counter_value (Net.Cluster.metrics cl)
+       "cluster.migration_cache_hits")
 
 (* ------------------------------------------------------------------ *)
 (* Compile ahead of the cut-over                                       *)
@@ -582,7 +573,7 @@ let test_source_serves_during_compile () =
   let module Serve = Mcc.Gridapp.Serve in
   let cl = mk_cluster ~nodes:3 Net.Faults.none in
   let d =
-    Serve.deploy ~engine:`Masm cl
+    Serve.deploy cl
       { Serve.clients = 2; services = 1; requests_per_client = 300;
         work_us = 200; skew = false; speculative = false }
   in

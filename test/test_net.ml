@@ -587,7 +587,7 @@ let test_cluster_runs_to_exit () =
   let cluster = Net.Cluster.create_cfg { Net.Cluster.Config.default with node_count = 2 } in
   let pid1 = Net.Cluster.spawn cluster ~node_id:0 (exit_program 7) in
   let pid2 =
-    Net.Cluster.spawn cluster ~engine:`Masm ~node_id:1 (exit_program 8)
+    Net.Cluster.spawn cluster ~node_id:1 (exit_program 8)
   in
   let _ = Net.Cluster.run cluster in
   check "interp process exited" true
@@ -717,11 +717,12 @@ let extern_call_program name result args =
             args (fun atoms -> ext result name atoms (fun _ -> exit_ (int 0))))
       ])
 
-(* The engines a cluster process can run on.  "Compiled, switched" is a
-   compiled image that already ran once under another host's handler,
-   one whose table accepts [name] with any arguments: its extern sites
-   are bound there, and the cluster's run must bind them again. *)
-let extern_engines name =
+(* The emulator tiers a cluster process can run on.  "Compiled,
+   switched" is a compiled image that already ran once under another
+   host's handler, one whose table accepts [name] with any arguments:
+   its extern sites are bound there, and the cluster's run must bind
+   them again. *)
+let extern_tiers name =
   let emu mode program (proc : Vm.Process.t) =
     Vm.Emulator.create ~mode
       (Vm.Codegen.compile ~arch:proc.Vm.Process.arch program)
@@ -738,24 +739,21 @@ let extern_engines name =
       Alcotest.fail "the other host's run did not exit";
     proc.Vm.Process.status <- Vm.Process.Running;
     proc.Vm.Process.cont <- program.Fir.Ast.p_main, [];
-    Net.Cluster.Emu_engine e
+    e
   in
-  [ "Interp", (fun _ _ -> Net.Cluster.Interp_engine);
-    ( "Baseline",
-      fun p proc -> Net.Cluster.Emu_engine (emu Vm.Emulator.Baseline p proc) );
-    ( "Compiled",
-      fun p proc -> Net.Cluster.Emu_engine (emu Vm.Emulator.Compiled p proc) );
+  [ "Baseline", emu Vm.Emulator.Baseline;
+    "Compiled", emu Vm.Emulator.Compiled;
     "Compiled, switched", switched ]
 
-let set_engine cluster pid engine program =
+let set_tier cluster pid tier program =
   match Net.Cluster.entry_of_pid cluster pid with
-  | Some e -> e.Net.Cluster.engine <- engine program e.Net.Cluster.proc
+  | Some e -> e.Net.Cluster.emu <- tier program e.Net.Cluster.proc
   | None -> Alcotest.fail "process lost"
 
 (* Arguments that do not fit an entry trap with one message naming the
    extern and the arguments, whichever table defines the name (the base
-   runtime's print_int, the cluster's msg_send) and whichever engine
-   runs the call. *)
+   runtime's print_int, the cluster's msg_send) and whichever tier runs
+   the call. *)
 let test_extern_bad_arguments () =
   List.iter
     (fun (name, args, cause) ->
@@ -763,18 +761,18 @@ let test_extern_bad_arguments () =
         extern_call_program name Types.Tint (fun k -> k args)
       in
       List.iter
-        (fun (engine_name, engine) ->
+        (fun (tier_name, tier) ->
           let cluster = mk_cluster ~nodes:1 Net.Faults.none in
           let pid = Net.Cluster.spawn cluster ~rank:0 ~node_id:0 program in
-          set_engine cluster pid engine program;
+          set_tier cluster pid tier program;
           ignore (Net.Cluster.run cluster);
           check_str
-            (Printf.sprintf "%s under %s" name engine_name)
+            (Printf.sprintf "%s under %s" name tier_name)
             ("extern: " ^ cause)
             (match status_of cluster pid with
             | Vm.Process.Trapped m -> m
             | _ -> "no trap"))
-        (extern_engines name))
+        (extern_tiers name))
     [
       ( "print_int",
         [ Builder.float 1.5 ],
@@ -833,24 +831,24 @@ let test_extern_signatures_fit_implementations () =
 
 (* A name neither the cluster's externs nor the base runtime define
    falls through the whole chain and traps naming itself, on every
-   engine. *)
+   tier. *)
 let test_unknown_extern_traps () =
   let program =
     extern_call_program "no_such_extern" Types.Tint (fun k -> k [])
   in
   List.iter
-    (fun (engine_name, engine) ->
+    (fun (tier_name, tier) ->
       let cluster = mk_cluster ~nodes:1 Net.Faults.none in
       let pid = Net.Cluster.spawn cluster ~rank:0 ~node_id:0 program in
-      set_engine cluster pid engine program;
+      set_tier cluster pid tier program;
       ignore (Net.Cluster.run cluster);
       check_str
-        ("traps as unknown extern under " ^ engine_name)
+        ("traps as unknown extern under " ^ tier_name)
         "extern: unknown extern no_such_extern"
         (match status_of cluster pid with
         | Vm.Process.Trapped m -> m
         | _ -> "no trap"))
-    (extern_engines "no_such_extern")
+    (extern_tiers "no_such_extern")
 
 let test_cluster_typechecks_against_externs () =
   check "cluster programs typecheck against the extern registry" true
@@ -1383,7 +1381,7 @@ let suites =
           test_cluster_send_to_nowhere;
         Alcotest.test_case "bad lengths trap the process" `Quick
           test_extern_bad_lengths;
-        Alcotest.test_case "bad arguments trap alike on every engine" `Quick
+        Alcotest.test_case "bad arguments trap alike on every tier" `Quick
           test_extern_bad_arguments;
         Alcotest.test_case "every extern accepts its own signature" `Quick
           test_extern_signatures_fit_implementations;

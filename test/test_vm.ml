@@ -889,14 +889,13 @@ int main() {
   in
   let run mode =
     let cluster = mk_cluster ~nodes:2 Net.Faults.none in
-    let pid = Net.Cluster.spawn cluster ~engine:`Masm ~node_id:0 fir in
+    let pid = Net.Cluster.spawn cluster ~node_id:0 fir in
     (match Net.Cluster.entry_of_pid cluster pid with
     | Some e ->
-      e.Net.Cluster.engine <-
-        Net.Cluster.Emu_engine
-          (Vm.Emulator.create ~mode
-             (Vm.Codegen.compile ~arch:e.Net.Cluster.proc.Vm.Process.arch fir)
-             e.Net.Cluster.proc)
+      e.Net.Cluster.emu <-
+        Vm.Emulator.create ~mode
+          (Vm.Codegen.compile ~arch:e.Net.Cluster.proc.Vm.Process.arch fir)
+          e.Net.Cluster.proc
     | None -> Alcotest.fail "process lost");
     ignore (Net.Cluster.run cluster ~max_rounds:1);
     check "still looping before the move" true
