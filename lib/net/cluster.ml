@@ -92,6 +92,22 @@ module Config = struct
     }
 end
 
+(* What deployment derives from one program, each at most once per
+   cluster: the code compiled for each arch a process of it was spawned
+   on, its FIR payload and its strict typecheck verdict.  Host-only: no
+   simulated time is charged, and moves, resurrections and checkpoint
+   reads never consult it; they go through the daemons' content-keyed
+   Codecache.  Keyed on the program value, not its digest: a
+   [Fir.Ast.program] is immutable, so physical equality is sound, and
+   it costs no FIR encode per spawned program. *)
+type deployed = {
+  d_program : Fir.Ast.program;
+  mutable d_code : (string * (Masm.image * Compile.image)) list;
+      (* by arch name *)
+  mutable d_payload : Process.fir_payload option;
+  mutable d_verdict : (unit, string) result option;
+}
+
 type t = {
   core : Core.t;
   graph : Spec_graph.t;
@@ -99,6 +115,7 @@ type t = {
   ship : Shipping.t;
   recovery : Recovery.t;
   sched : Scheduler.t;
+  mutable deployed : deployed list;  (* the deploy memo, newest first *)
 }
 
 let msg_moved = Externs.msg_moved
@@ -252,7 +269,7 @@ let create_cfg (cfg : Config.t) =
       in
       Obs.Trace.record tracer ~time
         (Obs.Trace.Storage_repair { path; replicas }));
-  { core; graph; ext; ship; recovery; sched }
+  { core; graph; ext; ship; recovery; sched; deployed = [] }
 
 let node t id = Core.node t.core id
 let node_count t = Array.length t.core.Core.nodes
@@ -277,13 +294,33 @@ let set_object_failure_probability t p =
 (* Placement and execution                                             *)
 (* ------------------------------------------------------------------ *)
 
+let deployed t program =
+  match List.find_opt (fun d -> d.d_program == program) t.deployed with
+  | Some d -> d
+  | None ->
+    let d =
+      { d_program = program; d_code = []; d_payload = None; d_verdict = None }
+    in
+    t.deployed <- d :: t.deployed;
+    d
+
+let code_for d (arch : Arch.t) =
+  match List.assoc_opt arch.Arch.name d.d_code with
+  | Some code -> code
+  | None ->
+    let masm = Codegen.compile ~arch d.d_program in
+    let code = masm, Compile.compile_masm masm in
+    d.d_code <- (arch.Arch.name, code) :: d.d_code;
+    code
+
 let spawn ?rank ?engine:(`Masm = `Masm) ?(seed = 7) t ~node_id program =
   let core = t.core in
   let n = Core.node core node_id in
   if not n.alive then invalid_arg "Cluster.spawn: node is down";
   let pid = Core.fresh_pid core in
   let proc = Process.create ~pid ~arch:n.node_arch ~seed program in
-  let emu = Emulator.create (Codegen.compile ~arch:n.node_arch program) proc in
+  let masm, compiled = code_for (deployed t program) n.node_arch in
+  let emu = Emulator.create ~compiled masm proc in
   let entry =
     Core.make_entry ~proc ~emu ~node_id ~mailbox:(Core.mailbox_for core rank)
       ~rank
@@ -309,7 +346,9 @@ let sched_visits t = Scheduler.visits t.sched
    onto this node hits.  The entry holds what a miss would have
    produced — the daemon's own typecheck verdict (a Verified entry
    always comes from a local typecheck) and the code the process already
-   runs, its emulator's.
+   runs, its emulator's.  The verdict and the FIR payload come from the
+   deploy memo, computed once per program: services sharing a program
+   typecheck and encode it once, and each is seeded with the payload.
    Deployment work: no simulated time is charged. *)
 let seed_code_cache t (e : entry) =
   let n = node t e.node_id in
@@ -317,21 +356,42 @@ let seed_code_cache t (e : entry) =
   | None -> ()
   | Some cache ->
     let program = e.proc.Process.program in
-    let code =
-      match
-        Fir.Typecheck.check_program ~strict:true ~externs:extern_signatures
-          program
-      with
-      | Error msg -> Error msg
-      | Ok () ->
-        let masm, compiled = Emulator.code e.emu in
-        let compiled =
-          match compiled with Some c -> c | None -> Compile.compile_masm masm
-        in
-        Ok { Migrate.Codecache.masm; compiled }
+    let d = deployed t program in
+    let payload =
+      match d.d_payload with
+      | Some p ->
+        Process.seed_fir_payload e.proc ~fir_bytes:p.Process.fir_bytes
+          ~fir_digest:p.Process.fir_digest;
+        p
+      | None ->
+        let p = Process.fir_payload e.proc in
+        d.d_payload <- Some p;
+        p
     in
-    Migrate.Codecache.add cache
-      ~digest:(Process.fir_payload e.proc).Process.fir_digest
+    let verdict =
+      match d.d_verdict with
+      | Some v -> v
+      | None ->
+        let v =
+          Fir.Typecheck.check_program ~strict:true ~externs:extern_signatures
+            program
+        in
+        d.d_verdict <- Some v;
+        v
+    in
+    let code =
+      Result.map
+        (fun () ->
+          let masm, compiled = Emulator.code e.emu in
+          let compiled =
+            match compiled with
+            | Some c -> c
+            | None -> Compile.compile_masm masm
+          in
+          { Migrate.Codecache.masm; compiled })
+        verdict
+    in
+    Migrate.Codecache.add cache ~digest:payload.Process.fir_digest
       ~arch:n.node_arch.Arch.name ~trusted:false ~program ~code
 
 (* Register a ranked process as a SERVICE: allocate it a stable logical

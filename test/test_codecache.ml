@@ -503,6 +503,124 @@ let test_registration_seeds () =
        "cluster.migration_cache_hits")
 
 (* ------------------------------------------------------------------ *)
+(* The deploy memo: one compile per program value and arch             *)
+(* ------------------------------------------------------------------ *)
+
+(* The closure-compiled image a spawned process runs *)
+let compiled_of cl pid =
+  let e = Option.get (Net.Cluster.entry_of_pid cl pid) in
+  Option.get (snd (Vm.Emulator.code e.Net.Cluster.emu))
+
+(* [images] with physical duplicates dropped *)
+let distinct images =
+  List.fold_left
+    (fun acc c -> if List.exists (( == ) c) acc then acc else c :: acc)
+    [] images
+
+(* perfbench's serve shape spawns 12 processes from 2 programs: they
+   run on 2 compiled images, one per role, and the 4 services are
+   seeded with one FIR payload *)
+let test_deploy_compiles_once () =
+  let module Serve = Mcc.Gridapp.Serve in
+  let cfg =
+    { Serve.clients = 8; services = 4; requests_per_client = 10;
+      work_us = 5; skew = false; speculative = false }
+  in
+  let cl =
+    Net.Cluster.create_cfg { Net.Cluster.Config.default with node_count = 6 }
+  in
+  let d = Serve.deploy cl cfg in
+  let role pids = Array.to_list (Array.map (compiled_of cl) pids) in
+  let clients = role d.Serve.sv_client_pids
+  and services = role d.Serve.sv_service_pids in
+  check_int "the clients share one image" 1 (List.length (distinct clients));
+  check_int "the services share one image" 1
+    (List.length (distinct services));
+  check_int "two images in all" 2
+    (List.length (distinct (clients @ services)));
+  let payloads =
+    Array.to_list
+      (Array.map
+         (fun pid ->
+           let e = Option.get (Net.Cluster.entry_of_pid cl pid) in
+           (Vm.Process.fir_payload e.Net.Cluster.proc).Vm.Process.fir_bytes)
+         d.Serve.sv_service_pids)
+  in
+  check "the services share one FIR encoding" true
+    (List.for_all (( == ) (List.hd payloads)) payloads);
+  let r = Serve.run ~migrations:0 d in
+  check "exactly-once" true (Serve.exactly_once d r)
+
+let sharing_src =
+  {|
+int main() {
+  int acc = 0;
+  int i;
+  for (i = 0; i < 200; i = i + 1) acc = (acc * 31 + i) % 10007;
+  print_int(acc);
+  return acc % 100;
+}
+|}
+
+(* A two-arch cluster compiles one program once per arch *)
+let test_deploy_once_per_arch () =
+  let cl =
+    Net.Cluster.create_cfg
+      { Net.Cluster.Config.default with
+        arches = [| Vm.Arch.cisc32; Vm.Arch.risc64 |] }
+  in
+  let program = compile_c sharing_src in
+  let pids =
+    List.init 4 (fun node_id -> Net.Cluster.spawn cl ~node_id program)
+  in
+  let images = List.map (compiled_of cl) pids in
+  let arch_of pid =
+    let e = Option.get (Net.Cluster.entry_of_pid cl pid) in
+    (fst (Vm.Emulator.code e.Net.Cluster.emu)).Vm.Masm.im_arch
+  in
+  check_int "one image per arch" 2 (List.length (distinct images));
+  (match images with
+  | [ c0; r1; c2; r3 ] ->
+    check "cisc32 nodes share" true (c0 == c2);
+    check "risc64 nodes share" true (r1 == r3)
+  | _ -> Alcotest.fail "four spawns");
+  check_str "node 0 runs cisc32 code" "cisc32" (arch_of (List.nth pids 0));
+  check_str "node 1 runs risc64 code" "risc64" (arch_of (List.nth pids 1));
+  ignore (Net.Cluster.run cl);
+  List.iter
+    (fun pid ->
+      match status_of cl pid with
+      | Vm.Process.Exited _ -> ()
+      | _ -> Alcotest.failf "pid %d did not exit" pid)
+    pids
+
+(* The memo is keyed on the program value: a content-equal copy
+   compiles its own image, and its process ends exactly as one on the
+   shared image does *)
+let test_deploy_distinct_value () =
+  let cl = Net.Cluster.create_cfg Net.Cluster.Config.default in
+  let program = compile_c sharing_src and copy = compile_c sharing_src in
+  check "two values" true (program != copy);
+  check_str "one content" (Digest.of_program program)
+    (Digest.of_program copy);
+  let shared = Net.Cluster.spawn cl ~node_id:0 program in
+  let sibling = Net.Cluster.spawn cl ~node_id:1 program in
+  let own = Net.Cluster.spawn cl ~node_id:2 copy in
+  check "siblings share" true (compiled_of cl shared == compiled_of cl sibling);
+  check "the copy compiles its own" true
+    (compiled_of cl own != compiled_of cl shared);
+  ignore (Net.Cluster.run cl);
+  let proc pid =
+    (Option.get (Net.Cluster.entry_of_pid cl pid)).Net.Cluster.proc
+  in
+  let a = proc shared and b = proc own in
+  check "exited" true (Vm.Process.is_terminated a);
+  check "same status" true (a.Vm.Process.status = b.Vm.Process.status);
+  check_str "same output" (Vm.Process.output a) (Vm.Process.output b);
+  check_int "same steps" a.Vm.Process.steps b.Vm.Process.steps;
+  check_int "same cycles" a.Vm.Process.cycles b.Vm.Process.cycles
+
+(* ------------------------------------------------------------------ *)
 (* Compile ahead of the cut-over                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -806,6 +924,12 @@ let suites =
           test_rehome_hits_by_content;
         Alcotest.test_case "registration seeds, spawning does not" `Quick
           test_registration_seeds;
+        Alcotest.test_case "a deploy compiles once per role" `Quick
+          test_deploy_compiles_once;
+        Alcotest.test_case "a deploy compiles once per arch" `Quick
+          test_deploy_once_per_arch;
+        Alcotest.test_case "a distinct program value compiles its own" `Quick
+          test_deploy_distinct_value;
       ] );
     ( "compile-ahead",
       [
