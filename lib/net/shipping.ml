@@ -787,41 +787,73 @@ let cut_over s p =
 
 let has_pending s = s.pending <> []
 
-(* The earliest clock among the other alive nodes that host live work:
-   no message can reach [n] from them stamped earlier. *)
-let floor_of_others core (n : node) =
-  Array.fold_left
-    (fun acc (m : node) ->
-      if
-        m.alive && m.node_id <> n.node_id
-        && List.exists
-             (fun (e : entry) -> not (Process.is_terminated e.proc))
-             m.residents
-      then Float.min acc m.clock
-      else acc)
-    infinity core.nodes
+(* Whether every other alive node that hosts live work has reached
+   [time]: no message can then reach [n] stamped earlier.  Loops over
+   locals, so asking allocates nothing. *)
+let others_reached core (n : node) time =
+  let nodes = core.nodes in
+  let reached = ref true and i = ref 0 in
+  while !reached && !i < Array.length nodes do
+    let m = nodes.(!i) in
+    incr i;
+    if
+      m.alive && m.node_id <> n.node_id && m.clock < time
+      && List.exists
+           (fun (e : entry) -> not (Process.is_terminated e.proc))
+           m.residents
+    then reached := false
+  done;
+  !reached
 
-(* Land the cut-overs due on [n] at this quantum boundary: those whose
-   destination's code is ready by [n]'s clock, and those whose subject
-   ended meanwhile (abandoned).  An [idle] node (nothing ran, no event
-   ahead) waits for the code once every other node with work has passed
-   its ready time, since nothing can reach [n] earlier; a node that is
-   merely between events does not, or a parked source would stop
-   serving.  Returns whether any cut-over was handled.  A node that is
-   the source of no pending move returns at once. *)
+(* Whether cut-over [p] is due on [n] at this quantum boundary: its
+   subject is there, and its destination's code is ready by [n]'s clock,
+   or the subject ended meanwhile (abandoned), or [n] is [idle] (nothing
+   ran, no event ahead) and every other node with work has passed the
+   ready time, since nothing can reach [n] earlier.  A node that is
+   merely between events does not wait, or a parked source would stop
+   serving. *)
+let is_due s (n : node) ~idle p =
+  p.pd_entry.node_id = n.node_id
+  && (n.clock >= p.pd_ready_at
+     || Process.is_terminated p.pd_entry.proc
+     || (idle && others_reached s.core n p.pd_ready_at))
+
+(* [List.exists (is_due s n ~idle) s.pending], by a loop over locals
+   that asks [others_reached] at most once, for the earliest waiting
+   cut-over ([wait] is the list cell that holds it): most visits land
+   nothing, and they allocate nothing. *)
+let any_due s (n : node) ~idle =
+  let due = ref false and wait = ref [] and l = ref s.pending in
+  while (not !due) && !l != [] do
+    match !l with
+    | [] -> ()
+    | p :: rest as cell ->
+      if p.pd_entry.node_id = n.node_id then begin
+        if n.clock >= p.pd_ready_at || Process.is_terminated p.pd_entry.proc
+        then due := true
+        else
+          match !wait with
+          | w :: _ when w.pd_ready_at <= p.pd_ready_at -> ()
+          | _ -> wait := cell
+      end;
+      l := rest
+  done;
+  !due
+  || idle
+     &&
+     match !wait with
+     | p :: _ -> others_reached s.core n p.pd_ready_at
+     | [] -> false
+
+(* Land the cut-overs due on [n] at this quantum boundary ([is_due]).
+   Returns whether any cut-over was handled.  A node that is the source
+   of no pending move returns at once, and one with none due returns
+   before the partition. *)
 let land_due s (n : node) ~idle =
   s.pending_on.(n.node_id) > 0
+  && any_due s n ~idle
   &&
-  let floor = lazy (floor_of_others s.core n) in
-  let due, rest =
-    List.partition
-      (fun p ->
-        p.pd_entry.node_id = n.node_id
-        && (n.clock >= p.pd_ready_at
-           || Process.is_terminated p.pd_entry.proc
-           || (idle && p.pd_ready_at <= Lazy.force floor)))
-      s.pending
-  in
+  let due, rest = List.partition (is_due s n ~idle) s.pending in
   s.pending <- rest;
   s.pending_on.(n.node_id) <- s.pending_on.(n.node_id) - List.length due;
   List.iter
