@@ -117,6 +117,8 @@ type state = {
   mutable pass_idx : int;
       (* the mark: that callee's linked index, or -1; block entry clears
          it *)
+  mutable pass_taken : int;
+      (* block entries that found the mark set and skipped the install *)
 }
 
 (* A closure executes one fused segment and returns the next pc, or a

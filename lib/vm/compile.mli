@@ -87,6 +87,10 @@ type state = {
           Block entry clears it, and skips the parameter install only
           when it is set and [proc.cont] still holds, physically,
           [pass_name] and [args_in] *)
+  mutable pass_taken : int;
+      (** block entries that took the pass-through path: the dynamic
+          count, per executing state, of the sites [c_passthrough]
+          counts statically *)
 }
 
 type op = state -> int

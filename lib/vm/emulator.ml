@@ -127,6 +127,7 @@ let create ?(mode = Compiled) ?compiled image proc =
         args_in = [];
         pass_name = "";
         pass_idx = -1;
+        pass_taken = 0;
       };
     proc;
     frame;
@@ -136,6 +137,7 @@ let create ?(mode = Compiled) ?compiled image proc =
   }
 
 let instructions t = t.instrs
+let passthrough_taken t = t.cstate.Compile.pass_taken
 let code t = t.image, t.compiled
 
 (* ------------------------------------------------------------------ *)
@@ -373,7 +375,8 @@ let exec_compiled t (cimg : Compile.image) extern acc nins =
       | Masm.Spill s -> spills.(s) <- v);
       install (i + 1) rest
   in
-  if not passed then begin
+  if passed then st.Compile.pass_taken <- st.Compile.pass_taken + 1
+  else begin
     install 0 args;
     st.Compile.args_in <- args
   end;

@@ -39,6 +39,12 @@ val run :
 val instructions : t -> int
 (** Emulated instructions retired so far (the V1 MIPS meter). *)
 
+val passthrough_taken : t -> int
+(** Blocks entered through a pass-through tail so far, skipping the
+    arity check and the parameter install (see {!Compile}); always 0 in
+    [Baseline] mode.  The count lives in this emulator's own state, not
+    in the compiled image it may share with others. *)
+
 val context_switch_cycles : Arch.t -> int
 (** Save + restore one full register file plus scheduler traps — the
     experiment E5 baseline. *)

@@ -1025,6 +1025,88 @@ let test_extern_handlers_share_image () =
   check_int "as Baseline under the same switch" switched
     (run ~mode:Vm.Emulator.Baseline ~switch_after:6 one two)
 
+(* The branch and compute kernels of the V1 meter, at 1/100 of its
+   iteration counts. *)
+let kernels =
+  [
+    ( "compute",
+      {|
+int main() {
+  float s = 0.0; int i;
+  for (i = 0; i < 3000; i = i + 1) {
+    s = s + (float)(i % 7) * 0.5 - (float)(i % 3) * 0.25;
+    s = s * 0.999 + 1.0;
+  }
+  return (int)s % 101;
+}
+|} );
+    ( "branch",
+      {|
+int main() {
+  int acc = 0; int i;
+  for (i = 0; i < 3000; i = i + 1) {
+    if (i % 2 == 0) { acc = acc + 1; }
+    else { if (i % 3 == 0) { acc = acc + 2; } else { acc = acc - 1; } }
+    if (acc > 1000) { acc = acc - 1000; }
+  }
+  return acc % 101;
+}
+|} );
+  ]
+
+(* A count, not a clock: a fusion regression that loses the
+   pass-through path fails here.  Every loop iteration of the two
+   kernels is one block entered through a pass-through tail; the
+   Baseline tier takes none. *)
+let test_passthrough_taken () =
+  List.iter
+    (fun (name, src) ->
+      let fir = compile_c src in
+      let image = Vm.Codegen.compile ~arch:Vm.Arch.cisc32 fir in
+      let run mode =
+        let proc = Vm.Process.create ~arch:Vm.Arch.cisc32 fir in
+        let emu = Vm.Emulator.create ~mode image proc in
+        ignore (Vm.Emulator.run emu);
+        proc.Vm.Process.steps, Vm.Emulator.passthrough_taken emu
+      in
+      let steps, taken = run Vm.Emulator.Compiled in
+      (* all but the blocks before and after the loop: 3000 of 3003 *)
+      check (name ^ ": pass-through on all but 3 steps") true
+        (taken > 0 && steps - taken <= 3);
+      check_int (name ^ ": Baseline takes none") 0
+        (snd (run Vm.Emulator.Baseline)))
+    kernels
+
+(* The mark and the count live in each emulator's own state: two
+   emulators stepping in turn over one compiled image each take the
+   count a lone emulator takes. *)
+let test_passthrough_taken_shared () =
+  List.iter
+    (fun (name, src) ->
+      let fir = compile_c src in
+      let image = Vm.Codegen.compile ~arch:Vm.Arch.cisc32 fir in
+      let compiled = Vm.Compile.compile_masm image in
+      let mk () =
+        Vm.Emulator.create ~compiled image
+          (Vm.Process.create ~arch:Vm.Arch.cisc32 fir)
+      in
+      let alone = mk () in
+      ignore (Vm.Emulator.run alone);
+      let a = mk () and b = mk () in
+      (* [b] starts a step behind, so the two sit in different blocks *)
+      Vm.Emulator.step a;
+      for _ = 1 to 100_000 do
+        Vm.Emulator.step b;
+        Vm.Emulator.step a
+      done;
+      let taken = Vm.Emulator.passthrough_taken alone in
+      check (name ^ ": the lone run took some") true (taken > 0);
+      check_int (name ^ ": first sharer") taken
+        (Vm.Emulator.passthrough_taken a);
+      check_int (name ^ ": second sharer") taken
+        (Vm.Emulator.passthrough_taken b))
+    kernels
+
 let suites =
   [
     ( "vm.interp",
@@ -1087,6 +1169,10 @@ let suites =
           test_passthrough_cont_rewrites;
         Alcotest.test_case "pass-through: move of a running loop" `Quick
           test_passthrough_move_running;
+        Alcotest.test_case "pass-through: taken on nearly every step" `Quick
+          test_passthrough_taken;
+        Alcotest.test_case "pass-through: counted per sharing emulator"
+          `Quick test_passthrough_taken_shared;
         Alcotest.test_case "externs bind once per site and emulator" `Quick
           test_extern_bound_once;
         Alcotest.test_case "handlers share one compiled image" `Quick
