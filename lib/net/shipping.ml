@@ -818,32 +818,11 @@ let is_due s (n : node) ~idle p =
      || Process.is_terminated p.pd_entry.proc
      || (idle && others_reached s.core n p.pd_ready_at))
 
-(* [List.exists (is_due s n ~idle) s.pending], by a loop over locals
-   that asks [others_reached] at most once, for the earliest waiting
-   cut-over ([wait] is the list cell that holds it): most visits land
-   nothing, and they allocate nothing. *)
-let any_due s (n : node) ~idle =
-  let due = ref false and wait = ref [] and l = ref s.pending in
-  while (not !due) && !l != [] do
-    match !l with
-    | [] -> ()
-    | p :: rest as cell ->
-      if p.pd_entry.node_id = n.node_id then begin
-        if n.clock >= p.pd_ready_at || Process.is_terminated p.pd_entry.proc
-        then due := true
-        else
-          match !wait with
-          | w :: _ when w.pd_ready_at <= p.pd_ready_at -> ()
-          | _ -> wait := cell
-      end;
-      l := rest
-  done;
-  !due
-  || idle
-     &&
-     match !wait with
-     | p :: _ -> others_reached s.core n p.pd_ready_at
-     | [] -> false
+(* [List.exists (is_due s n ~idle)] without building the closure: a
+   visit that lands nothing, the common one, allocates nothing. *)
+let rec any_due s n ~idle = function
+  | [] -> false
+  | p :: rest -> is_due s n ~idle p || any_due s n ~idle rest
 
 (* Land the cut-overs due on [n] at this quantum boundary ([is_due]).
    Returns whether any cut-over was handled.  A node that is the source
@@ -851,7 +830,7 @@ let any_due s (n : node) ~idle =
    before the partition. *)
 let land_due s (n : node) ~idle =
   s.pending_on.(n.node_id) > 0
-  && any_due s n ~idle
+  && any_due s n ~idle s.pending
   &&
   let due, rest = List.partition (is_due s n ~idle) s.pending in
   s.pending <- rest;
