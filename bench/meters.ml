@@ -395,30 +395,29 @@ let serve_row m s =
 let wall_pairs = 5
 
 let seed_samples m seed =
-  let pair () = serve_run m ~seed ~on:false, serve_run m ~seed ~on:true in
-  if m.cost <> "wall_s" then
-    let off, on = pair () in
-    [ off; on ]
-  else
-    let pairs = List.init wall_pairs (fun _ -> pair ()) in
-    let simulated s =
-      List.filter
-        (fun (k, _) -> k <> "wall_s" && k <> "req_per_sec")
-        (serve_row m s)
-    in
-    let first_off, first_on = List.hd pairs in
-    List.iter
-      (fun (off, on) ->
-        if
-          simulated off <> simulated first_off
-          || simulated on <> simulated first_on
-          || off.exact <> first_off.exact || on.exact <> first_on.exact
-        then
-          failwith
-            (Printf.sprintf "%s: timed pairs diverged on %s" m.id off.case))
-      pairs;
-    let off, on = Kit.median_by (fun (off, on) -> off.wall /. on.wall) pairs in
-    [ off; on ]
+  let pairs =
+    List.init
+      (if m.cost = "wall_s" then wall_pairs else 1)
+      (fun _ -> serve_run m ~seed ~on:false, serve_run m ~seed ~on:true)
+  in
+  let simulated s =
+    List.filter
+      (fun (k, _) -> k <> "wall_s" && k <> "req_per_sec")
+      (serve_row m s)
+  in
+  let first_off, first_on = List.hd pairs in
+  List.iter
+    (fun (off, on) ->
+      if
+        simulated off <> simulated first_off
+        || simulated on <> simulated first_on
+        || off.exact <> first_off.exact || on.exact <> first_on.exact
+      then
+        failwith
+          (Printf.sprintf "%s: timed pairs diverged on %s" m.id off.case))
+    pairs;
+  let off, on = Kit.median_by (fun (off, on) -> off.wall /. on.wall) pairs in
+  [ off; on ]
 
 let serving m =
   { Kit.id = m.id;

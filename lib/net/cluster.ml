@@ -105,7 +105,7 @@ type deployed = {
   mutable d_code : (string * (Masm.image * Compile.image)) list;
       (* by arch name *)
   mutable d_payload : Process.fir_payload option;
-  mutable d_verdict : (unit, string) result option;
+  d_verdict : (unit, string) result Lazy.t;  (* strict, cluster externs *)
 }
 
 type t = {
@@ -299,7 +299,11 @@ let deployed t program =
   | Some d -> d
   | None ->
     let d =
-      { d_program = program; d_code = []; d_payload = None; d_verdict = None }
+      { d_program = program; d_code = []; d_payload = None;
+        d_verdict =
+          lazy
+            (Fir.Typecheck.check_program ~strict:true
+               ~externs:extern_signatures program) }
     in
     t.deployed <- d :: t.deployed;
     d
@@ -368,17 +372,6 @@ let seed_code_cache t (e : entry) =
         d.d_payload <- Some p;
         p
     in
-    let verdict =
-      match d.d_verdict with
-      | Some v -> v
-      | None ->
-        let v =
-          Fir.Typecheck.check_program ~strict:true ~externs:extern_signatures
-            program
-        in
-        d.d_verdict <- Some v;
-        v
-    in
     let code =
       Result.map
         (fun () ->
@@ -389,7 +382,7 @@ let seed_code_cache t (e : entry) =
             | None -> Compile.compile_masm masm
           in
           { Migrate.Codecache.masm; compiled })
-        verdict
+        (Lazy.force d.d_verdict)
     in
     Migrate.Codecache.add cache ~digest:payload.Process.fir_digest
       ~arch:n.node_arch.Arch.name ~trusted:false ~program ~code

@@ -335,8 +335,13 @@ val spawn :
   ?rank:int -> ?engine:[ `Masm ] -> ?seed:int ->
   t -> node_id:int -> Fir.Ast.program -> int
 (** Compile for the node's architecture and place a process on a MASM
-    emulator; returns its pid.  [engine] names the one cluster engine
-    and selects nothing. *)
+    emulator; returns its pid.  A program is compiled once per program
+    value and architecture per cluster: every spawn of the same value
+    onto a node of that architecture shares one compiled image, and a
+    content-equal copy, being another value, compiles its own.  This
+    deploy memo is host-only: it charges no simulated time, and moves,
+    resurrections and checkpoint reads never consult it.  [engine] names
+    the one cluster engine and selects nothing. *)
 
 val run : ?max_rounds:int -> ?stop:(unit -> bool) -> t -> int
 (** Schedule until quiescent, stopped, or out of rounds; returns the
@@ -364,9 +369,11 @@ val register_service : t -> pid:int -> int
     Registration seeds the node's recompilation cache with the
     process's program (keyed by its FIR digest, the node's
     architecture and [Verified]): the daemon's typecheck verdict and
-    the code the process runs, reused from its emulator.  A re-home of
-    any process with the same program onto that node then hits.  No
-    simulated time is charged. *)
+    the code the process runs, reused from its emulator.  The verdict
+    and the FIR payload are computed once per program (the deploy memo
+    of {!spawn}), and every service of that program is seeded with the
+    one payload.  A re-home of any process with the same program onto
+    that node then hits.  No simulated time is charged. *)
 
 val registry : t -> Registry.t
 (** The registry itself (bindings, forwarders, counters). *)
