@@ -10,8 +10,9 @@
    HZ=250).  It prints where the samples landed: the
    top self frames (the innermost frame of each sample), the
    self-plus-callers chains, and the inclusive frames (each frame
-   counted once per sample it appears in).  Exits 1 if a batch served
-   a wrong result.
+   counted once per sample it appears in).  It also prints the
+   emulated blocks (emulator steps) per batch and per scheduler
+   quantum.  Exits 1 if a batch served a wrong result.
 
    OCaml 5 runs a signal handler at the next poll point (an allocation
    or a loop back edge), not where the signal arrived.  Time spent in a
@@ -30,20 +31,23 @@ module Wl_grid = Perfbench.Wl_grid
 
 (* The shapes come from perfbench itself, so the sampler cannot drift
    from the benchmark; its [batch] is not called, because [Clock]'s
-   reference computation around each region would show in the samples. *)
+   reference computation around each region would show in the samples.
+   A batch returns its verdict and the cluster it ran on. *)
 let serve ~speculative ~seed =
   let d =
     Serve.deploy (Wl_serve.cluster seed) (Wl_serve.config ~speculative)
   in
-  Wl_serve.check ~speculative d
-    (Serve.run ~migrate_every_s:Wl_serve.migrate_every_s
-       ~migrations:Wl_serve.migrations d)
+  ( Wl_serve.check ~speculative d
+      (Serve.run ~migrate_every_s:Wl_serve.migrate_every_s
+         ~migrations:Wl_serve.migrations d),
+    d.Serve.sv_cluster )
 
 let grid ~seed =
   let d = Mcc.Gridapp.deploy (Wl_grid.cluster seed) Wl_grid.config in
   ignore (Mcc.Gridapp.run d);
-  Mcc.Gridapp.checksums d
-  = Array.map Option.some (Lazy.force Wl_grid.golden)
+  ( Mcc.Gridapp.checksums d
+    = Array.map Option.some (Lazy.force Wl_grid.golden),
+    d.Mcc.Gridapp.d_cluster )
 
 let workloads =
   [ "serve", serve ~speculative:false;
@@ -153,15 +157,27 @@ let main args =
   in
   let t0 = Unix.gettimeofday () and cpu0 = cpu () in
   let batches = ref 0 and wrong = ref 0 in
+  let blocks = ref 0 and quanta = ref 0 in
   timer { Unix.it_interval = interval_s; it_value = interval_s };
   while Unix.gettimeofday () -. t0 < seconds do
     (* batch k runs at seed 1000 + k, as perfbench's batches at seed 1 *)
-    if not (batch ~seed:(1_000 + !batches)) then incr wrong;
+    let ok, cluster = batch ~seed:(1_000 + !batches) in
+    if not ok then incr wrong;
+    blocks := !blocks + Net.Cluster.sched_blocks cluster;
+    quanta :=
+      !quanta
+      + Obs.Metrics.counter_value (Net.Cluster.metrics cluster)
+          "sched.quanta";
     incr batches
   done;
   timer { Unix.it_interval = 0.0; it_value = 0.0 };
   let cpu_s = cpu () -. cpu0 in
   Sys.set_signal Sys.sigprof Sys.Signal_default;
   Printf.printf "%d batches, %d wrong\n" !batches !wrong;
+  (* emulated work: host time per block is what the emulator tiers
+     decide, blocks per quantum what the workload does *)
+  Printf.printf "emulated blocks: %.0f per batch, %.2f per quantum\n"
+    (float_of_int !blocks /. float_of_int (max 1 !batches))
+    (float_of_int !blocks /. float_of_int (max 1 !quanta));
   report !stacks ~cpu_s;
   if !wrong > 0 then exit 1

@@ -339,6 +339,7 @@ let spawn ?rank ?engine:(`Masm = `Masm) ?(seed = 7) t ~node_id program =
 let run ?max_rounds ?stop t = Scheduler.run ?max_rounds ?stop t.sched
 let advance_clocks t dt = Scheduler.advance_clocks t.sched dt
 let sched_visits t = Scheduler.visits t.sched
+let sched_blocks t = Scheduler.blocks t.sched
 
 (* ------------------------------------------------------------------ *)
 (* The process registry                                                *)

@@ -352,6 +352,10 @@ val sched_visits : t -> int
     entries for its turn (not an {!metrics} counter).  It tracks the
     node's live residents, not every entry ever placed. *)
 
+val sched_blocks : t -> int
+(** Emulator steps (basic blocks) the scheduler has run so far, over
+    every process (not an {!metrics} counter either). *)
+
 (** {2 The process registry (location-transparent addressing)} *)
 
 val register_service : t -> pid:int -> int

@@ -29,7 +29,7 @@ type t = {
   mutable entries : entry list;
   by_pid : entry Int_tbl.t;
   ranks : int Int_tbl.t;
-  epochs : int Int_tbl.t;
+  mutable epochs : int array;
   rank_mailboxes : Mpi.mailbox Int_tbl.t;
   mutable next_pid : int;
   c_fence_rejections : Obs.Metrics.counter;
@@ -44,7 +44,7 @@ let create ~nodes ~net ~storage ~faults ~detector ~dspec ~balance ~tracer
     registry = Registry.create ~metrics (); dspec; balance;
     obj_store = Hashtbl.create 8; tracer; metrics;
     entries = []; by_pid = Int_tbl.create 32; ranks = Int_tbl.create 32;
-    epochs = Int_tbl.create 8; rank_mailboxes = Int_tbl.create 32;
+    epochs = [||]; rank_mailboxes = Int_tbl.create 32;
     next_pid = 1;
     c_fence_rejections = Obs.Metrics.counter metrics "fence.rejections";
     cur_base = 0.0; cur_cycles0 = 0; running = None }
@@ -153,14 +153,30 @@ let register t (entry : entry) =
 (* Incarnation epochs and fencing                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* The slot of [rank]'s epoch: user-assigned ranks on even slots,
+   re-homed services' ranks (dense from [dyn_rank_base]) on odd ones, so
+   both ranges stay dense. *)
+let dyn_rank_base = 1 lsl 16
+
+let epoch_slot rank =
+  if rank >= dyn_rank_base then (2 * (rank - dyn_rank_base)) + 1
+  else 2 * rank
+
 let rank_epoch t rank =
-  if Int_tbl.length t.epochs = 0 then 0
-  else match Int_tbl.find_opt t.epochs rank with Some e -> e | None -> 0
+  let slot = epoch_slot rank in
+  if rank >= 0 && slot < Array.length t.epochs then t.epochs.(slot) else 0
 
 let bump_epoch t rank =
-  let e = rank_epoch t rank + 1 in
-  Int_tbl.replace t.epochs rank e;
-  e
+  if rank < 0 then invalid_arg "Cluster_core.bump_epoch: negative rank";
+  let slot = epoch_slot rank in
+  let n = Array.length t.epochs in
+  if slot >= n then begin
+    let epochs = Array.make (max (2 * n) (max 16 (slot + 1))) 0 in
+    Array.blit t.epochs 0 epochs 0 n;
+    t.epochs <- epochs
+  end;
+  t.epochs.(slot) <- t.epochs.(slot) + 1;
+  t.epochs.(slot)
 
 (* An entry is stale when a resurrection has bumped its rank's epoch past
    the one the entry carries: it is a zombie incarnation of a rank whose
@@ -200,7 +216,7 @@ let unless_stale t (entry : entry) ~what act =
    purge traffic a stale incarnation enqueued before it was fenced, so
    the successor never consumes superseded state. *)
 let purge_stale_traffic t (entry : entry) =
-  if Int_tbl.length t.epochs > 0 then begin
+  if Array.length t.epochs > 0 then begin
     let stale_seen = ref (-1, -1) in
     let dropped =
       Mpi.discard_stale entry.mailbox ~stale:(fun m ->

@@ -36,11 +36,12 @@ type t = {
       (** every entry ever registered, newest first *)
   by_pid : entry Int_tbl.t;
   ranks : int Int_tbl.t;  (** rank -> pid of its current holder *)
-  epochs : int Int_tbl.t;
-      (** rank -> current incarnation epoch (absent = 0).  Bumped by
-          every resurrection under that rank; entries carrying an older
-          epoch are fenced.  The ground truth a real system would hold in
-          its membership service. *)
+  mutable epochs : int array;
+      (** rank -> current incarnation epoch, read through
+          {!rank_epoch} (absent = 0; empty until the first bump).
+          Bumped by every resurrection under that rank; entries carrying
+          an older epoch are fenced.  The ground truth a real system
+          would hold in its membership service. *)
   rank_mailboxes : Mpi.mailbox Int_tbl.t;
       (** messages are addressed to RANKS, and a rank's queue survives
           the death of its holder: a resurrected or migrated successor
@@ -114,6 +115,10 @@ val register : t -> entry -> unit
     speculation hooks on top. *)
 
 (** {2 Incarnation epochs and fencing} *)
+
+val dyn_rank_base : int
+(** The first of the fresh ranks a re-homed service gets, far above
+    user-assigned ones. *)
 
 val rank_epoch : t -> int -> int
 

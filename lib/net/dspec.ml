@@ -26,14 +26,16 @@ type txn = {
   mutable x_compensated : bool;
 }
 
-(* [txns] keeps every transaction ever opened: [find] must still answer
-   for decided ones (a re-commit reads its verdict, tests read final
-   states).  [live] holds only the undecided ones — Open, or Aborted and
-   not yet compensated — which is all the lookups below ever match, so
-   they cost what is still in flight rather than the run's history. *)
+(* [txns] keeps every transaction ever opened, at its id: ids are dense
+   from 1, so the table is an array that doubles when full, and [find]
+   must still answer for decided ones (a re-commit reads its verdict,
+   tests read final states).  [live] holds only the undecided ones —
+   Open, or Aborted and not yet compensated — which is all the lookups
+   below ever match, so they cost what is still in flight rather than
+   the run's history. *)
 type t = {
   mutable next_id : int;
-  txns : (int, txn) Hashtbl.t;
+  mutable txns : txn array; (* slot 0 and slots from [next_id] unused *)
   live : (int, txn) Hashtbl.t;
   c_opened : Obs.Metrics.counter;
   c_prepares : Obs.Metrics.counter;
@@ -44,13 +46,18 @@ type t = {
   c_compensated : Obs.Metrics.counter;
 }
 
+(* What the unused slots of [txns] hold. *)
+let vacant =
+  { x_id = 0; x_coord_pid = -1; x_root_uid = -1; x_coord_laddr = -1;
+    x_state = Committed; x_parts = []; x_compensated = false }
+
 let create ?metrics () =
   let metrics =
     match metrics with Some m -> m | None -> Obs.Metrics.create ()
   in
   {
     next_id = 1;
-    txns = Hashtbl.create 16;
+    txns = Array.make 16 vacant;
     live = Hashtbl.create 16;
     c_opened = Obs.Metrics.counter metrics "dspec.opened";
     c_prepares = Obs.Metrics.counter metrics "dspec.prepares";
@@ -81,13 +88,19 @@ let open_txn t ~coord_pid ~root_uid ~coord_laddr =
       x_compensated = false;
     }
   in
+  let n = Array.length t.txns in
+  if txn.x_id >= n then begin
+    let txns = Array.make (2 * n) vacant in
+    Array.blit t.txns 0 txns 0 n;
+    t.txns <- txns
+  end;
+  t.txns.(txn.x_id) <- txn;
   t.next_id <- t.next_id + 1;
-  Hashtbl.replace t.txns txn.x_id txn;
   track t txn;
   Obs.Metrics.incr t.c_opened;
   txn
 
-let find t id = Hashtbl.find_opt t.txns id
+let find t id = if id >= 1 && id < t.next_id then Some t.txns.(id) else None
 
 let undecided t = Hashtbl.length t.live
 
@@ -132,41 +145,47 @@ let open_coordinated_by t ~pid =
     (fun txn -> txn.x_state = Open && txn.x_coord_pid = pid)
     (sorted_live t)
 
+(* The undecided transaction with the lowest id that [p] accepts: one
+   pass over [live], without sorting it. *)
+let lowest_live t p =
+  Hashtbl.fold
+    (fun _ txn best ->
+      match best with
+      | Some b when b.x_id < txn.x_id -> best
+      | Some _ | None -> if p txn then Some txn else best)
+    t.live None
+
 let open_with_root t ~coord_pid ~root_uid =
-  List.find_opt
-    (fun txn ->
+  lowest_live t (fun txn ->
       txn.x_state = Open
       && txn.x_coord_pid = coord_pid
       && txn.x_root_uid = root_uid)
-    (sorted_live t)
 
 let aborted_with_root t ~coord_pid ~root_uid =
-  List.find_opt
-    (fun txn ->
+  lowest_live t (fun txn ->
       (match txn.x_state with Aborted _ -> true | Open | Committed -> false)
       && (not txn.x_compensated)
       && txn.x_coord_pid = coord_pid
       && txn.x_root_uid = root_uid)
-    (sorted_live t)
 
 let rebind_pid t ~old_pid ~new_pid ~uid_map ~rank ~epoch =
-  Hashtbl.iter
-    (fun _ txn ->
-      if txn.x_coord_pid = old_pid then begin
-        txn.x_coord_pid <- new_pid;
-        match List.assoc_opt txn.x_root_uid uid_map with
-        | Some uid -> txn.x_root_uid <- uid
-        | None -> ()
-      end;
-      List.iter
-        (fun p ->
-          if p.p_pid = old_pid then begin
-            p.p_pid <- new_pid;
-            p.p_rank <- rank;
-            p.p_epoch <- epoch
-          end)
-        txn.x_parts)
-    t.txns
+  for id = 1 to t.next_id - 1 do
+    let txn = t.txns.(id) in
+    if txn.x_coord_pid = old_pid then begin
+      txn.x_coord_pid <- new_pid;
+      match List.assoc_opt txn.x_root_uid uid_map with
+      | Some uid -> txn.x_root_uid <- uid
+      | None -> ()
+    end;
+    List.iter
+      (fun p ->
+        if p.p_pid = old_pid then begin
+          p.p_pid <- new_pid;
+          p.p_rank <- rank;
+          p.p_epoch <- epoch
+        end)
+      txn.x_parts
+  done
 
 let c_prepares t = t.c_prepares
 let c_prepare_acks t = t.c_prepare_acks

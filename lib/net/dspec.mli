@@ -28,11 +28,14 @@
     records are [private]: the cluster's protocol driver reads them and
     decides, but never writes a field itself.
 
-    The table keeps every transaction ever opened, so {!find} answers
-    for decided ones too.  The lookups {!open_coordinated_by},
-    {!open_with_root} and {!aborted_with_root} scan only the undecided
-    transactions, in ascending id order: each costs O(undecided), not
-    the size of the table. *)
+    The table keeps every transaction ever opened, in an array indexed
+    by id, so {!find} answers for decided ones too in O(1) and
+    {!rebind_pid} walks it without hashing.  The lookups
+    {!open_coordinated_by}, {!open_with_root} and {!aborted_with_root}
+    look only at the undecided transactions and answer in ascending id
+    order: each costs O(undecided), not the size of the table, and the
+    two single-answer lookups take the lowest matching id in one pass
+    without sorting. *)
 
 type part = private {
   mutable p_pid : int;

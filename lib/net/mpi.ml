@@ -21,8 +21,12 @@
    so a receive or a purge simply walks the queue.  The scheduler's
    wake check asks [next_matching_delivery] for every parked receiver
    every round, mostly of a queue that has not changed: the answer is
-   memoized per mailbox for one (src, tag), and every queue mutation
-   bumps a version that invalidates it.
+   memoized per mailbox for one (src, tag), and every change to the
+   queued (src, tag, delivery) triples bumps a version that invalidates
+   it.  A purge that matches nothing changes nothing: the queue stays
+   physically as it was and the memo stays valid.  The mailbox counts
+   its speculatively stamped messages, so a commit that settles every
+   mailbox in the cluster reads one field of each that holds none.
 
    [try_recv] takes the FIRST message in enqueue order matching (src,
    tag) whose delivery time has passed — enqueue order, not delivery
@@ -59,9 +63,12 @@ type mailbox = {
   mutable front : message list;
   mutable back : message list;
   mutable size : int;
+  (* how many queued messages carry a speculative stamp: the
+     speculative purges return at once when none does *)
+  mutable stamped : int;
   (* ranks whose failure/rollback the owner has not yet observed *)
   roll_notices : (int, unit) Hashtbl.t;
-  (* bumped by every change to the queue's contents *)
+  (* bumped by every change to the queued (src, tag, delivery) triples *)
   mutable version : int;
   (* [next_matching_delivery]'s last answer: for (memo_src, memo_tag),
      valid while [memo_version] is [version] *)
@@ -72,15 +79,25 @@ type mailbox = {
 }
 
 let create_mailbox () =
-  { front = []; back = []; size = 0; roll_notices = Hashtbl.create 4;
+  { front = []; back = []; size = 0; stamped = 0;
+    roll_notices = Hashtbl.create 4;
     version = 0; memo_version = -1; memo_src = Any; memo_tag = 0;
     memo = None }
 
 let changed mbox = mbox.version <- mbox.version + 1
 
+let is_stamped m = match m.msg_spec with Some _ -> true | None -> false
+
 let enqueue mbox msg =
   mbox.back <- msg :: mbox.back;
   mbox.size <- mbox.size + 1;
+  if is_stamped msg then mbox.stamped <- mbox.stamped + 1;
+  changed mbox
+
+(* Account a message [try_recv] took off the queue. *)
+let took mbox m =
+  mbox.size <- mbox.size - 1;
+  if is_stamped m then mbox.stamped <- mbox.stamped - 1;
   changed mbox
 
 (* Refill [front] from [back], oldest first.  Proper two-list
@@ -100,13 +117,6 @@ let pending mbox = mbox.size
 (* Queued messages, oldest first. *)
 let messages mbox =
   if mbox.back = [] then mbox.front else mbox.front @ List.rev mbox.back
-
-(* Replace the queue with [l], given oldest first. *)
-let replace mbox l =
-  mbox.front <- l;
-  mbox.back <- [];
-  mbox.size <- List.length l;
-  changed mbox
 
 let matches ~src ~tag m =
   m.msg_tag = tag
@@ -159,8 +169,7 @@ let try_recv mbox ~now ~src ~tag =
     match take due mbox.front with
     | Some (m, front) ->
       mbox.front <- front;
-      mbox.size <- mbox.size - 1;
-      changed mbox;
+      took mbox m;
       Received m
     | None -> (
       (* Jitter can make a NEWER message deliverable while older
@@ -169,18 +178,75 @@ let try_recv mbox ~now ~src ~tag =
       match take due (List.rev mbox.back) with
       | Some (m, back_in_order) ->
         mbox.back <- List.rev back_in_order;
-        mbox.size <- mbox.size - 1;
-        changed mbox;
+        took mbox m;
         Received m
       | None -> None_yet))
 
-(* The purges filter or map the queue in enqueue order, oldest first,
-   so a side-effecting predicate sees the messages in that order.
-   [discard] drops the messages [f] matches. *)
+(* What a purge does to one queued message. *)
+type edit = Keep | Drop | Replace of message
+
+(* [l] with [f]'s edits applied, order preserved, and how many messages
+   [f] dropped or replaced; [None] when it kept them all.  [f] sees each
+   message once, in order, and nothing is copied before its first
+   edit. *)
+let edit_list f l =
+  let rec finish kept n = function
+    | [] -> List.rev kept, n
+    | m :: rest -> (
+      match f m with
+      | Keep -> finish (m :: kept) n rest
+      | Drop -> finish kept (n + 1) rest
+      | Replace m' -> finish (m' :: kept) (n + 1) rest)
+  in
+  let rec scan kept = function
+    | [] -> None
+    | m :: rest -> (
+      match f m with
+      | Keep -> scan (m :: kept) rest
+      | Drop -> Some (finish kept 1 rest)
+      | Replace m' -> Some (finish (m' :: kept) 1 rest))
+  in
+  scan [] l
+
+(* The purges walk the queue in enqueue order, oldest first, so a
+   side-effecting predicate sees the messages in that order; each half
+   of the queue is rebuilt only when [f] edits one of its messages.
+   Returns the number of edits. *)
+let edit mbox f =
+  let n =
+    match edit_list f mbox.front with
+    | Some (front, n) ->
+      mbox.front <- front;
+      n
+    | None -> 0
+  in
+  if mbox.back = [] then n
+  else
+    match edit_list f (List.rev mbox.back) with
+    | Some (back_in_order, k) ->
+      mbox.back <- List.rev back_in_order;
+      n + k
+    | None -> n
+
+(* [discard] drops the messages [f] matches; an empty queue returns at
+   once. *)
 let discard mbox f =
-  let before = mbox.size in
-  replace mbox (List.filter (fun m -> not (f m)) (messages mbox));
-  before - mbox.size
+  if mbox.size = 0 then 0
+  else begin
+    let dropped =
+      edit mbox (fun m ->
+          if f m then begin
+            if is_stamped m then mbox.stamped <- mbox.stamped - 1;
+            Drop
+          end
+          else Keep)
+    in
+    if dropped > 0 then begin
+      mbox.size <- mbox.size - dropped;
+      changed mbox
+    end;
+    dropped
+  end
 
 (* Is [m] stamped by one of [sender_pid]'s speculation levels [uids]? *)
 let from_levels ~uids ~sender_pid m =
@@ -192,23 +258,26 @@ let from_levels ~uids ~sender_pid m =
    speculation level uids (used when the sender rolls back: its
    speculative messages must be unsent). *)
 let discard_speculative mbox ~uids ~sender_pid =
-  discard mbox (from_levels ~uids ~sender_pid)
+  if mbox.stamped = 0 then 0 else discard mbox (from_levels ~uids ~sender_pid)
 
 (* Strip the speculative stamp from queued messages sent by the given
    speculation levels (a distributed commit decided in favour of the
    sender: its in-flight messages become durable, and a receiver that
-   consumes one later must NOT join a level that no longer exists). *)
+   consumes one later must NOT join a level that no longer exists).
+   The stamp is not part of what the wake memo answers, so settling
+   leaves the memo valid. *)
 let settle_speculative mbox ~uids ~sender_pid =
-  let settled = ref 0 in
-  let settle m =
-    if from_levels ~uids ~sender_pid m then begin
-      incr settled;
-      { m with msg_spec = None }
-    end
-    else m
-  in
-  replace mbox (List.map settle (messages mbox));
-  !settled
+  if mbox.stamped = 0 then 0
+  else begin
+    let settled =
+      edit mbox (fun m ->
+          if from_levels ~uids ~sender_pid m then
+            Replace { m with msg_spec = None }
+          else Keep)
+    in
+    mbox.stamped <- mbox.stamped - settled;
+    settled
+  end
 
 (* Drop queued messages whose sender incarnation is stale ([stale m]
    decides, typically by comparing [msg_src_epoch] against the rank's
@@ -270,5 +339,9 @@ let next_matching_delivery mbox ~src ~tag =
    drains a re-homed service's old mailbox through the forwarder. *)
 let take_all mbox =
   let all = messages mbox in
-  replace mbox [];
+  mbox.front <- [];
+  mbox.back <- [];
+  mbox.size <- 0;
+  mbox.stamped <- 0;
+  changed mbox;
   all

@@ -14,8 +14,11 @@
     The scheduler's wake checks ({!next_matching_delivery}) answer from
     a per-mailbox memo of the last (source, tag) asked, so a parked
     receiver checked every round walks the queue only after it changed:
-    every mutation (an enqueue, a receive that takes a message, a purge,
-    {!take_all}) bumps a version that invalidates the memo.
+    an enqueue, a receive that takes a message, a purge that drops one
+    and {!take_all} bump a version that invalidates the memo.  A purge
+    that matches nothing leaves the queue physically unchanged, and
+    settling rewrites only the speculative stamps, which the memo does
+    not read: neither invalidates it.
 
     Receive results surfaced to FIR code: [n >= 0] cells copied,
     {!msg_none} (nothing yet), or {!msg_roll} (the peer failed or rolled
@@ -77,7 +80,7 @@ val settle_speculative : mailbox -> uids:int list -> sender_pid:int -> int
 (** Strip the speculative stamp from queued messages sent by the given
     levels (a distributed commit made the sender's effects durable, so
     its in-flight messages must stop carrying a join obligation).
-    Returns the number settled. *)
+    Returns the number settled; the memo stays valid. *)
 
 val discard_stale : mailbox -> stale:(message -> bool) -> int
 (** Drop queued messages from superseded sender incarnations (epoch

@@ -18,6 +18,7 @@ type t = {
       (* entries handed out by [node_entries], summed over the run: a
          plain int, not a metrics counter, so rendered registries and
          their golden digests do not carry it *)
+  mutable blocks : int;  (* emulator steps run, a plain int likewise *)
   c_rounds : Obs.Metrics.counter;
   c_quanta : Obs.Metrics.counter;
 }
@@ -25,6 +26,7 @@ type t = {
 let create core ext ship recovery tick =
   let m = core.metrics in
   { core; extern = Externs.handler ext; ship; recovery; tick; visits = 0;
+    blocks = 0;
     c_rounds = Obs.Metrics.counter m "sched.rounds";
     c_quanta = Obs.Metrics.counter m "sched.quanta" }
 
@@ -59,6 +61,7 @@ let node_entries s (n : node) =
   n.residents
 
 let visits s = s.visits
+let blocks s = s.blocks
 
 (* Wake parked processes on [n] whose awaited event is due on the node's
    local clock. *)
@@ -235,6 +238,7 @@ let round s =
             | Process.Migrating _ -> Shipping.handle_migration s.ship e
             | _ -> ());
             core.running <- None;
+            s.blocks <- s.blocks + quantum - !steps;
             let delta = e.proc.Process.cycles - before in
             if delta > 0 || !steps < quantum then begin
               progressed := true;

@@ -21,6 +21,10 @@ val visits : t -> int
 (** Entries the scheduler has visited taking each node's entries, summed
     over the run: what one node's turn costs grows with this count. *)
 
+val blocks : t -> int
+(** Emulator steps (basic blocks) the scheduler has run, summed over the
+    run.  A plain count like {!visits}, outside the metrics registry. *)
+
 val advance_clocks : t -> float -> unit
 (** Advance every alive node's clock to the cluster's now + dt, pumping
     heartbeats, even with nothing runnable. *)

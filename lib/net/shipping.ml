@@ -57,7 +57,7 @@ type t = {
   graph : Spec_graph.t;
   delta : bool;
   forward_ttl_s : float;
-  (* fresh ranks for re-homed services, far above user-assigned ones *)
+  (* fresh ranks for re-homed services, from [dyn_rank_base] *)
   mutable next_dyn_rank : int;
   ckpt_chains : (string, ckpt_chain) Hashtbl.t;
   mutable hop_seq : int; (* envelope id generator for migrations *)
@@ -91,7 +91,7 @@ type t = {
 let create core graph ~delta ~forward_ttl_s =
   let m = core.metrics in
   let counter = Obs.Metrics.counter m and histogram = Obs.Metrics.histogram m in
-  { core; graph; delta; forward_ttl_s; next_dyn_rank = 1 lsl 16;
+  { core; graph; delta; forward_ttl_s; next_dyn_rank = dyn_rank_base;
     ckpt_chains = Hashtbl.create 8; hop_seq = 0; pending = [];
     pending_on = Array.make (Array.length core.nodes) 0;
     compiles = Hashtbl.create 8;

@@ -33,6 +33,12 @@ let log_for tbl key =
     Hashtbl.add tbl key l;
     l
 
+(* The list stored under [key], if any.  The undo logs stay empty in a
+   workload that writes no object or file, and an empty one is not
+   probed: no tuple key is hashed. *)
+let find_log tbl key =
+  if Hashtbl.length tbl = 0 then None else Hashtbl.find_opt tbl key
+
 (* Before [proc]'s first write to [key] inside its current speculation
    level, save the old contents ([old ()]) in that level's undo log, so
    a rollback can restore them ([cascade]). *)
@@ -124,7 +130,7 @@ and cascade g ~sender_pid ~uids ~code =
   (* undo the rolled-back levels' external object and file writes
      (newest level first, so the oldest saved contents win) *)
   let undo table restore uid =
-    match Hashtbl.find_opt table (sender_pid, uid) with
+    match find_log table (sender_pid, uid) with
     | None -> ()
     | Some log ->
       Hashtbl.remove table (sender_pid, uid);
@@ -183,7 +189,7 @@ let rekey_dependencies g ~pid ~uid ~parent =
      records *)
   let fold_undo : 'k 'v. (int * int, ('k * 'v) list ref) Hashtbl.t -> unit =
    fun table ->
-    match Hashtbl.find_opt table (pid, uid) with
+    match find_log table (pid, uid) with
     | None -> ()
     | Some child -> (
       Hashtbl.remove table (pid, uid);

@@ -20,9 +20,34 @@
 
 type kind = Minor | Major
 
+(* Old block address -> new block address.  Compaction slides blocks in
+   address order, so the moved blocks' old addresses arrive ascending:
+   the map is two parallel arrays, [from_] sorted, read by binary
+   search. *)
+type forwarding = {
+  mutable from_ : int array;
+  mutable to_ : int array;
+  mutable moved : int; (* entries in use *)
+}
+
+let add_forward f ~from_ ~to_ =
+  let n = Array.length f.from_ in
+  if f.moved = n then begin
+    let grow a =
+      let a' = Array.make (max 8 (2 * n)) 0 in
+      Array.blit a 0 a' 0 n;
+      a'
+    in
+    f.from_ <- grow f.from_;
+    f.to_ <- grow f.to_
+  end;
+  f.from_.(f.moved) <- from_;
+  f.to_.(f.moved) <- to_;
+  f.moved <- f.moved + 1
+
 type result = {
   kind : kind;
-  forward : (int, int) Hashtbl.t; (* old block address -> new block address *)
+  forward : forwarding;
   live_blocks : int;
   collected_blocks : int;
   collected_cells : int;
@@ -103,7 +128,7 @@ let collect heap ~kind ~roots ~pinned =
   in
   drain ();
   (* sweep and compact [lo, hi) *)
-  let forward = Hashtbl.create 256 in
+  let forward = { from_ = [||]; to_ = [||]; moved = 0 } in
   let dst = ref lo in
   let live = ref 0 and dead = ref 0 and dead_cells = ref 0 in
   let addr = ref lo in
@@ -118,7 +143,7 @@ let collect heap ~kind ~roots ~pinned =
         (Heap.block_flags_at heap !addr land lnot flag_marked);
       if !dst <> !addr then begin
         Array.blit heap.Heap.store !addr heap.Heap.store !dst footprint;
-        Hashtbl.replace forward !addr !dst;
+        add_forward forward ~from_:!addr ~to_:!dst;
         if Pointer_table.is_valid ptable idx
            && Pointer_table.get ptable idx = !addr
         then Pointer_table.set ptable idx !dst
@@ -162,8 +187,18 @@ let collect heap ~kind ~roots ~pinned =
     collected_cells = !dead_cells;
   }
 
+let moved result = result.forward.moved
+
 (* Rewrite a recorded address through the forwarding map. *)
 let forward_addr result addr =
-  match Hashtbl.find_opt result.forward addr with
-  | Some addr' -> addr'
-  | None -> addr
+  let f = result.forward in
+  let rec search lo hi =
+    if lo >= hi then addr
+    else
+      let mid = (lo + hi) / 2 in
+      let a = f.from_.(mid) in
+      if a = addr then f.to_.(mid)
+      else if a < addr then search (mid + 1) hi
+      else search lo mid
+  in
+  search 0 f.moved

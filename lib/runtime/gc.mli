@@ -15,9 +15,14 @@
 
 type kind = Minor | Major
 
+type forwarding
+(** Old block address -> new address, for the blocks a collection
+    moved: two sorted arrays read by binary search, since compaction
+    slides blocks in address order.  Read it with {!forward_addr}. *)
+
 type result = {
   kind : kind;
-  forward : (int, int) Hashtbl.t;  (** old block address -> new address *)
+  forward : forwarding;
   live_blocks : int;
   collected_blocks : int;
   collected_cells : int;
@@ -33,6 +38,9 @@ val collect :
     arguments, speculation continuations) plus [pinned] records, then
     compacts the collected region.  Survivors are promoted; the
     remembered set is reset. *)
+
+val moved : result -> int
+(** How many blocks the collection moved. *)
 
 val forward_addr : result -> int -> int
 (** Map an address through the forwarding table (identity if unmoved). *)

@@ -33,8 +33,8 @@ exception Invalid_level of string
 
 type cont = { entry : string; args : Value.t list }
 
-(* An int-keyed set: commit merging and [restore] probe it, nothing
-   iterates it. *)
+(* An int-keyed set: copy-on-write and commit merging probe it,
+   nothing iterates it. *)
 module Index_set = Hashtbl.Make (struct
   type t = int
 
@@ -46,8 +46,38 @@ type level = {
   unique_id : int;
   cont : cont;
   mutable saved : (int * int) list; (* (pointer-table index, original addr) *)
-  saved_set : unit Index_set.t;
+  mutable n_saved : int; (* the length of [saved] *)
+  mutable saved_set : unit Index_set.t option;
+      (* the indices of [saved], built once the level saves more than
+         [small_level] blocks; until then [saved] itself answers *)
 }
+
+(* Most levels save a handful of blocks: a walk of [saved] answers
+   their membership probes, so entering one allocates no table. *)
+let small_level = 8
+
+let holds lvl idx =
+  match lvl.saved_set with
+  | Some set -> Index_set.mem set idx
+  | None ->
+    let rec mem = function
+      | [] -> false
+      | (i, _) :: rest -> i = idx || mem rest
+    in
+    mem lvl.saved
+
+(* Record [idx]'s original in [lvl], which does not hold [idx] yet. *)
+let add_saved lvl idx original =
+  lvl.saved <- (idx, original) :: lvl.saved;
+  lvl.n_saved <- lvl.n_saved + 1;
+  match lvl.saved_set with
+  | Some set -> Index_set.add set idx ()
+  | None ->
+    if lvl.n_saved > small_level then begin
+      let set = Index_set.create (4 * small_level) in
+      List.iter (fun (i, _) -> Index_set.add set i ()) lvl.saved;
+      lvl.saved_set <- Some set
+    end
 
 type t = {
   heap : Heap.t;
@@ -110,12 +140,10 @@ let create heap =
      top level's id after that level holds the index, levels never give
      up saved indices while open, and unique ids are never reused — so
      rollback, commit (of any level) and [restore] merely leave stamps
-     stale, and a stale stamp only costs one set probe. *)
+     stale, and a stale stamp only costs one membership probe. *)
   let save_original top idx =
-    if not (Index_set.mem top.saved_set idx) then begin
-      let original = Heap.clone_for_cow heap idx in
-      top.saved <- (idx, original) :: top.saved;
-      Index_set.add top.saved_set idx ();
+    if not (holds top idx) then begin
+      add_saved top idx (Heap.clone_for_cow heap idx);
       Obs.Metrics.incr t.c_blocks_saved
     end;
     let n = Array.length t.stamp in
@@ -163,8 +191,7 @@ let level_of_unique t uid =
 let level_saved_count t l =
   let n = depth t in
   if l < 1 || l > n then raise (Invalid_level (Printf.sprintf "level %d" l));
-  let lvl = List.nth t.levels (n - l) in
-  List.length lvl.saved
+  (List.nth t.levels (n - l)).n_saved
 
 (* ------------------------------------------------------------------ *)
 (* speculate                                                           *)
@@ -172,12 +199,7 @@ let level_saved_count t l =
 
 let enter t ~cont =
   let lvl =
-    {
-      unique_id = t.next_id;
-      cont;
-      saved = [];
-      saved_set = Index_set.create 16;
-    }
+    { unique_id = t.next_id; cont; saved = []; n_saved = 0; saved_set = None }
   in
   t.next_id <- t.next_id + 1;
   t.levels <- lvl :: t.levels;
@@ -219,16 +241,12 @@ let commit t l =
   | parent :: _ ->
     List.iter
       (fun (idx, original) ->
-        if Index_set.mem parent.saved_set idx then
-          Obs.Metrics.incr t.c_blocks_discarded
-        else begin
-          parent.saved <- (idx, original) :: parent.saved;
-          Index_set.add parent.saved_set idx ()
-        end)
+        if holds parent idx then Obs.Metrics.incr t.c_blocks_discarded
+        else add_saved parent idx original)
       lvl.saved
   | [] ->
     (* committing to level 0: all originals become unreachable *)
-    Obs.Metrics.incr ~by:(List.length lvl.saved) t.c_blocks_discarded);
+    Obs.Metrics.incr ~by:lvl.n_saved t.c_blocks_discarded);
   t.levels <- newer @ older;
   Obs.Metrics.incr t.c_committed;
   match t.on_commit with
@@ -296,15 +314,19 @@ let set_hooks ?on_enter t ~on_rollback ~on_commit =
 let records t =
   List.concat_map (fun lvl -> lvl.saved) t.levels
 
+let fold_cont_args f acc t =
+  List.fold_right (fun lvl acc -> f acc lvl.cont.args) t.levels acc
+
 (* After a collection, rewrite recorded original addresses through the
-   forwarding map. *)
+   forwarding map (nothing to do when it moved no block). *)
 let rewrite_after_gc t result =
-  List.iter
-    (fun lvl ->
-      lvl.saved <-
-        List.map (fun (idx, addr) -> idx, Gc.forward_addr result addr)
-          lvl.saved)
-    t.levels
+  if Gc.moved result > 0 then
+    List.iter
+      (fun lvl ->
+        lvl.saved <-
+          List.map (fun (idx, addr) -> idx, Gc.forward_addr result addr)
+            lvl.saved)
+      t.levels
 
 (* ------------------------------------------------------------------ *)
 (* Wire-format support                                                 *)
@@ -340,8 +362,6 @@ let restore t snap =
       in
       match t.levels with
       | top :: _ ->
-        top.saved <- List.rev s.s_saved;
-        List.iter (fun (idx, _) -> Index_set.replace top.saved_set idx ())
-          s.s_saved
+        List.iter (fun (idx, original) -> add_saved top idx original) s.s_saved
       | [] -> assert false)
     snap

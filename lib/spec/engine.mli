@@ -17,7 +17,10 @@
       caller to resume with a fresh rollback code.
 
     Entry is O(1); commit and rollback are O(blocks modified) — the
-    source of the mutation-percentile curves in the paper's Section 5. *)
+    source of the mutation-percentile curves in the paper's Section 5.
+    Entry allocates only the level's record: a level that has saved at
+    most eight blocks answers "has this level saved the block?" from its
+    list, and builds a set of its indices only when it saves a ninth. *)
 
 open Runtime
 
@@ -89,6 +92,11 @@ val set_hooks :
 val records : t -> (int * int) list
 (** All (index, original address) pairs across all levels — the
     collector's [pinned] argument. *)
+
+val fold_cont_args : ('a -> Value.t list -> 'a) -> 'a -> t -> 'a
+(** Fold over every level's continuation arguments, oldest level
+    first — the collector's roots besides the process's own
+    continuation. *)
 
 val rewrite_after_gc : t -> Gc.result -> unit
 (** Rewrite recorded original addresses through a collection's forwarding

@@ -41,21 +41,30 @@ type frame = {
   mutable spills : Value.t array;
 }
 
+(* Distinct continuation names the resolution cache keeps (see [t]). *)
+let cache_size = 8
+
 type t = {
   image : Masm.image;
   compiled : Compile.image option;  (* None exactly in Baseline mode *)
   cstate : Compile.state;
   proc : Process.t;
   frame : frame;
-  (* one-entry resolution cache for the dispatch loop, keyed by
-     PHYSICAL string equality: a static tail call re-installs the
-     linked image's own name into the continuation, so the next step
-     hits without hashing.  Physical equality implies name equality,
-     and the name fully determines the linked index, so external
-     continuation rewrites (rollback, migration resume) simply miss
-     into the hashtable. *)
+  (* resolution cache for the dispatch loop, keyed by PHYSICAL string
+     equality: a static tail call re-installs the linked image's own
+     name into the continuation, and speculate, commit and rollback
+     install the function table's, so the next step hits without
+     hashing.  [last_*] is the latest resolution; [names]/[idxs] keep
+     the last [cache_size] distinct ones, replaced round-robin at
+     [next_slot].  Physical equality implies name equality, and the
+     name fully determines the linked index, so a name the cache has
+     not seen (a migration resume's) simply misses into the
+     hashtable. *)
   mutable last_name : string;
   mutable last_idx : int;
+  names : string array;
+  idxs : int array;
+  mutable next_slot : int;
   (* emulated instructions retired (both modes) — the V1 MIPS meter *)
   mutable instrs : int;
 }
@@ -133,6 +142,9 @@ let create ?(mode = Compiled) ?compiled image proc =
     frame;
     last_name = "";
     last_idx = -1;
+    names = Array.make cache_size "";
+    idxs = Array.make cache_size (-1);
+    next_slot = 0;
     instrs = 0;
   }
 
@@ -307,16 +319,30 @@ let exec_baseline t extern nins =
 
 (* Resolve a continuation name to its linked function.  The hot case —
    a static tail call that installed the image's own (physically
-   shared) name — is one pointer comparison. *)
+   shared) name — is one pointer comparison; a name resolved recently
+   costs at most [cache_size] more. *)
 let resolve_idx t (cimg : Compile.image) fname =
   if fname == t.last_name && t.last_idx >= 0 then t.last_idx
-  else
-    match Hashtbl.find_opt cimg.Compile.c_linked.Link.l_index fname with
-    | Some i ->
-      t.last_name <- fname;
-      t.last_idx <- i;
-      i
-    | None -> raise (Emulator_error ("no compiled code for " ^ fname))
+  else begin
+    let slot = ref 0 in
+    while !slot < cache_size && not (fname == t.names.(!slot)) do
+      incr slot
+    done;
+    let i =
+      if !slot < cache_size && t.idxs.(!slot) >= 0 then t.idxs.(!slot)
+      else
+        match Hashtbl.find_opt cimg.Compile.c_linked.Link.l_index fname with
+        | Some i ->
+          t.names.(t.next_slot) <- fname;
+          t.idxs.(t.next_slot) <- i;
+          t.next_slot <- (t.next_slot + 1) mod cache_size;
+          i
+        | None -> raise (Emulator_error ("no compiled code for " ^ fname))
+    in
+    t.last_name <- fname;
+    t.last_idx <- i;
+    i
+  end
 
 let flush proc acc =
   if !acc <> 0 then begin

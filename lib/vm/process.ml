@@ -144,9 +144,9 @@ let fundef t name =
    pinned.  This is the CPS property the whole design leans on. *)
 let roots t =
   let _, args = t.cont in
-  List.fold_left
-    (fun acc s -> List.rev_append s.Spec.Engine.s_args acc)
-    args (Spec.Engine.snapshot t.spec)
+  Spec.Engine.fold_cont_args
+    (fun acc level_args -> List.rev_append level_args acc)
+    args t.spec
 
 let collect t kind =
   let res =

@@ -135,6 +135,61 @@ let test_lookup_smallest_id_and_decided () =
   | Some x -> check "compensated still found" true x.Net.Dspec.x_compensated
   | None -> Alcotest.fail "compensated txn lost"
 
+(* The table past its first allocation (16 slots): [find] answers every
+   id opened, decided or not, and [None] for 0 and the next id; a
+   re-instantiated pid is rewritten in decided and live transactions
+   alike, as coordinator and as participant. *)
+let test_table_growth_and_rebind () =
+  let t = Net.Dspec.create () in
+  let n = 40 in
+  let txns =
+    Array.init n (fun i ->
+        let x =
+          Net.Dspec.open_txn t ~coord_pid:(if i mod 2 = 0 then 7 else 8)
+            ~root_uid:i ~coord_laddr:(-1)
+        in
+        Net.Dspec.register x ~pid:(if i mod 2 = 0 then 8 else 7) ~rank:3
+          ~epoch:0;
+        x)
+  in
+  Array.iteri
+    (fun i x ->
+      match i mod 4 with
+      | 0 -> Net.Dspec.commit t x
+      | 1 -> Net.Dspec.abort t x "fence"
+      | 2 ->
+        Net.Dspec.abort t x "fence";
+        Net.Dspec.compensate t x ~discarded:0
+      | _ -> ())
+    txns;
+  Array.iteri
+    (fun i x ->
+      match Net.Dspec.find t (i + 1) with
+      | Some y when y == x -> ()
+      | Some _ | None -> Alcotest.failf "find %d lost its transaction" (i + 1))
+    txns;
+  check "no transaction 0" true (Net.Dspec.find t 0 = None);
+  check "none past the last id" true (Net.Dspec.find t (n + 1) = None);
+  Net.Dspec.rebind_pid t ~old_pid:7 ~new_pid:17 ~uid_map:[ (4, 104) ]
+    ~rank:5 ~epoch:2;
+  Array.iteri
+    (fun i x ->
+      let part = List.hd x.Net.Dspec.x_parts in
+      if i mod 2 = 0 then begin
+        check_int "coordinator rebound" 17 x.Net.Dspec.x_coord_pid;
+        check_int "root uid translated where mapped"
+          (if i = 4 then 104 else i) x.Net.Dspec.x_root_uid;
+        check_int "participant untouched" 8 part.Net.Dspec.p_pid
+      end
+      else begin
+        check_int "coordinator untouched" 8 x.Net.Dspec.x_coord_pid;
+        check "participant rebound with its rank and epoch" true
+          (part.Net.Dspec.p_pid = 17 && part.Net.Dspec.p_rank = 5
+          && part.Net.Dspec.p_epoch = 2)
+      end)
+    txns;
+  check_int "the live ones still undecided" (n / 2) (Net.Dspec.undecided t)
+
 (* A seeded random walk over every transition on one table, with the
    lookups checked against the full scan after each step.  Coordinator
    pids and root uids come from small ranges, so transactions collide
@@ -424,6 +479,8 @@ let suites =
       [
         Alcotest.test_case "lookups: smallest id, decided still found"
           `Quick test_lookup_smallest_id_and_decided;
+        Alcotest.test_case "table grows past 16, rebind reaches every txn"
+          `Quick test_table_growth_and_rebind;
         Alcotest.test_case "lookups match a full scan (random walk)" `Quick
           test_lookups_match_full_scan;
         Alcotest.test_case "fault-free speculative serving" `Quick

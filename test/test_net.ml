@@ -248,6 +248,34 @@ let test_mailbox_purges () =
   Alcotest.(check (list int)) "stale keeps the rest in order"
     [ 1; 2; 3; 3; 4; 5; 6; 8 ] (payloads mbox)
 
+(* A purge that matches nothing returns 0 and leaves the queue
+   physically as it was, on both sides of the two-list FIFO: no list is
+   rebuilt and no message record is copied. *)
+let test_mailbox_purge_nothing_physical () =
+  let mbox = mixed_mailbox () in
+  let no_match mbox =
+    [ Net.Mpi.discard_speculative mbox ~uids:[ 9 ] ~sender_pid:42;
+      Net.Mpi.settle_speculative mbox ~uids:[ 7 ] ~sender_pid:99;
+      Net.Mpi.discard_stale mbox ~stale:(fun m -> m.Net.Mpi.msg_src_epoch < 0) ]
+  in
+  let before = Net.Mpi.messages mbox in
+  Alcotest.(check (list int)) "each returns 0" [ 0; 0; 0 ] (no_match mbox);
+  check "every record physically kept, in order" true
+    (List.for_all2 ( == ) before (Net.Mpi.messages mbox));
+  (* a receive into an empty [front] refills it from [back]; when it
+     finds nothing due, [messages] is the whole queue itself *)
+  let mbox = Net.Mpi.create_mailbox () in
+  Net.Mpi.enqueue mbox (msg ~spec:(Some (42, 7)) ~src:1 ~tag:0 ~at:1.0 [| 1 |]);
+  Net.Mpi.enqueue mbox (msg ~src:2 ~tag:0 ~at:2.0 [| 2 |]);
+  check "nothing due" true
+    (Net.Mpi.try_recv mbox ~now:0.0 ~src:Net.Mpi.Any ~tag:0
+    = Net.Mpi.None_yet);
+  let queue = Net.Mpi.messages mbox in
+  Alcotest.(check (list int)) "each returns 0 again" [ 0; 0; 0 ]
+    (no_match mbox);
+  check "the queue itself is physically kept" true
+    (Net.Mpi.messages mbox == queue)
+
 (* With the two-list FIFO, a 10k-message burst is linear work and
    delivery order stays oldest-first (the old [queue @ [msg]] enqueue
    made a burst O(N^2)). *)
@@ -480,6 +508,7 @@ type memo_op =
   | Discard_stale
   | Take_all
   | Roll_notice of int
+  | Purge_nothing of int  (* one of three purges that match no message *)
 
 let source_text = function
   | Net.Mpi.Rank r -> Printf.sprintf "rank %d" r
@@ -498,6 +527,7 @@ let memo_op_text = function
   | Settle_speculative uid -> Printf.sprintf "settle_speculative %d" uid
   | Discard_stale -> "discard_stale"
   | Take_all -> "take_all"
+  | Purge_nothing k -> Printf.sprintf "purge_nothing %d" k
   | Roll_notice r -> Printf.sprintf "post_roll_notice %d" r
 
 let memo_steps =
@@ -520,7 +550,8 @@ let memo_steps =
         1, map (fun u -> Settle_speculative u) uid;
         1, return Discard_stale;
         1, return Take_all;
-        1, map (fun r -> Roll_notice r) rank ]
+        1, map (fun r -> Roll_notice r) rank;
+        2, map (fun k -> Purge_nothing k) (int_bound 2) ]
   in
   list_size (int_range 1 40) (pair op (pair src tag))
 
@@ -572,7 +603,20 @@ let prop_wake_memo =
               (Net.Mpi.discard_stale mbox ~stale:(fun m ->
                    m.Net.Mpi.msg_src_epoch < 1))
           | Take_all -> ignore (Net.Mpi.take_all mbox)
-          | Roll_notice r -> Net.Mpi.post_roll_notice mbox ~src_rank:r);
+          | Roll_notice r -> Net.Mpi.post_roll_notice mbox ~src_rank:r
+          | Purge_nothing k ->
+            (* uid 9 and sender 99 never occur, and epochs are >= 0 *)
+            let n =
+              match k with
+              | 0 ->
+                Net.Mpi.discard_speculative mbox ~uids:[ 9 ] ~sender_pid:42
+              | 1 ->
+                Net.Mpi.settle_speculative mbox ~uids:[ 7 ] ~sender_pid:99
+              | _ ->
+                Net.Mpi.discard_stale mbox ~stale:(fun m ->
+                    m.Net.Mpi.msg_src_epoch < 0)
+            in
+            if n <> 0 then failwith "a purge that matches nothing edited");
           Net.Mpi.next_matching_delivery mbox ~src ~tag = fresh ~src ~tag)
         steps)
 
@@ -1359,6 +1403,8 @@ let suites =
           test_mailbox_discard_speculative;
         Alcotest.test_case "purges: no match is a no-op, every copy matched"
           `Quick test_mailbox_purges;
+        Alcotest.test_case "a purge that matches nothing keeps the queue"
+          `Quick test_mailbox_purge_nothing_physical;
         Alcotest.test_case "10k burst stays FIFO" `Quick
           test_mailbox_fifo_burst;
         Alcotest.test_case "mailbox matches a reference list (random walk)"

@@ -407,6 +407,61 @@ let test_gc_compaction_moves () =
   check "contents preserved across move" true
     (Value.equal (Heap.read h live 0) (Value.Vint 9))
 
+(* A collection that slides hundreds of blocks, past the forwarding
+   map's first allocation (8 entries): live blocks interleaved with
+   dead ones, each copied on write, so both the pinned original and its
+   clone move.  Every moved address maps to where its block now starts;
+   an unmoved live block, a collected one and an address past the heap
+   map to themselves. *)
+let test_gc_forwarding_many_moves () =
+  let h = Heap.create () in
+  let cell addr = h.Heap.store.(addr + Heap.header_cells) in
+  let anchor = Heap.alloc h ~tag:Heap.Array ~size:1 ~init:(Value.Vint (-1)) in
+  let anchor_addr = Pointer_table.get (Heap.pointer_table h) anchor in
+  let n = 200 in
+  let dead = Array.make n 0 in
+  let live =
+    Array.init n (fun i ->
+        let d = Heap.alloc h ~tag:Heap.Array ~size:1 ~init:Value.Vunit in
+        dead.(i) <- Pointer_table.get (Heap.pointer_table h) d;
+        Heap.alloc h ~tag:Heap.Array ~size:2 ~init:(Value.Vint i))
+  in
+  let originals = Array.map (Heap.clone_for_cow h) live in
+  Array.iteri (fun i idx -> Heap.write h idx 0 (Value.Vint (1000 + i))) live;
+  let clones = Array.map (Pointer_table.get (Heap.pointer_table h)) live in
+  (* the dead blocks' indices stay unreachable: only [live] and the
+     anchor are roots *)
+  let res =
+    Gc.collect h ~kind:Gc.Major
+      ~roots:
+        (Value.Vptr (anchor, 0)
+        :: Array.to_list (Array.map (fun idx -> Value.Vptr (idx, 0)) live))
+      ~pinned:(Array.to_list (Array.mapi (fun i idx -> idx, originals.(i)) live))
+  in
+  check_int "every dead block collected" n res.Gc.collected_blocks;
+  Array.iteri
+    (fun i idx ->
+      let original' = Gc.forward_addr res originals.(i) in
+      let clone' = Gc.forward_addr res clones.(i) in
+      if
+        not
+          (original' < originals.(i)
+          && clone' < clones.(i)
+          && clone' = Pointer_table.get (Heap.pointer_table h) idx
+          && Heap.block_index_at h original' = idx
+          && Value.equal (cell original') (Value.Vint i)
+          && Value.equal (cell clone') (Value.Vint (1000 + i)))
+      then Alcotest.failf "block %d: forwarding lost a move" i)
+    live;
+  check "an unmoved block maps to itself" true
+    (Gc.forward_addr res anchor_addr = anchor_addr
+    && Pointer_table.get (Heap.pointer_table h) anchor = anchor_addr);
+  check "a collected block's address maps to itself" true
+    (Array.for_all (fun a -> Gc.forward_addr res a = a) dead);
+  let past = h.Heap.alloc_ptr + 1_000 in
+  check "an address past the heap maps to itself" true
+    (Gc.forward_addr res past = past)
+
 let test_gc_minor_remembered_set () =
   let h = Heap.create () in
   (* make an old block *)
@@ -821,6 +876,8 @@ let suites =
         Alcotest.test_case "transitive marking" `Quick test_gc_transitive;
         Alcotest.test_case "compaction relocates" `Quick
           test_gc_compaction_moves;
+        Alcotest.test_case "forwarding maps hundreds of moves" `Quick
+          test_gc_forwarding_many_moves;
         Alcotest.test_case "minor uses remembered set" `Quick
           test_gc_minor_remembered_set;
         Alcotest.test_case "minor leaves old gen alone" `Quick

@@ -383,7 +383,12 @@ let test_restore_then_write_saved () =
    stack of (model copies).  We apply random writes / enters / commits /
    rollbacks to both the real engine and the model and compare. *)
 
-type op = Write of int * int * int | Enter | Commit of int | Rollback of int
+type op =
+  | Write of int * int * int
+  | Enter
+  | Commit of int
+  | Rollback of int
+  | Restore  (* snapshot the engine and restore it into a fresh one *)
 
 let op_gen nblocks =
   let open QCheck.Gen in
@@ -398,87 +403,168 @@ let op_gen nblocks =
       1, map (fun l -> Rollback l) (int_range 1 4);
     ]
 
+(* Enough distinct blocks that levels save more than the engine's
+   small-level bound (eight) and switch to a set: promotion, commits
+   merging into a promoted parent, rollbacks past one, and snapshots
+   that restore one. *)
+let large_op_gen nblocks =
+  let open QCheck.Gen in
+  frequency
+    [
+      ( 14,
+        map3
+          (fun b o v -> Write (b, o, v))
+          (int_bound (nblocks - 1)) (int_range 0 3) small_int );
+      2, return Enter;
+      1, map (fun l -> Commit l) (int_range 1 4);
+      1, map (fun l -> Rollback l) (int_range 1 4);
+      1, return Restore;
+    ]
+
+let print_ops ops =
+  String.concat ";"
+    (List.map
+       (function
+         | Write (b, o, v) -> Printf.sprintf "w%d[%d]=%d" b o v
+         | Enter -> "enter"
+         | Commit l -> Printf.sprintf "commit%d" l
+         | Rollback l -> Printf.sprintf "rollback%d" l
+         | Restore -> "restore")
+       ops)
+
+let spec_matches_model ~nblocks ops =
+  let bsize = 4 in
+  let h = Heap.create () in
+  let e = ref (Spec.Engine.create h) in
+  let idxs =
+    Array.init nblocks (fun _ ->
+        Heap.alloc h ~tag:Heap.Array ~size:bsize ~init:(Value.Vint 0))
+  in
+  (* model: a mutable current state plus one snapshot (deep copy taken
+     at entry) per open level, newest first *)
+  let current = Array.make_matrix nblocks bsize 0 in
+  let stack = ref [] in
+  let deep_copy m = Array.map Array.copy m in
+  let agree () =
+    try
+      for b = 0 to nblocks - 1 do
+        for o = 0 to bsize - 1 do
+          if not (Value.equal (Heap.read h idxs.(b) o)
+                    (Value.Vint current.(b).(o)))
+          then raise Exit
+        done
+      done;
+      true
+    with Exit -> false
+  in
+  let rec drop_nth k = function
+    | [] -> []
+    | x :: rest -> if k = 0 then rest else x :: drop_nth (k - 1) rest
+  in
+  let rec drop k l = if k = 0 then l else
+      match l with [] -> [] | _ :: rest -> drop (k - 1) rest
+  in
+  let ok = ref true in
+  List.iter
+    (fun op ->
+      (match op with
+      | Write (b, o, v) ->
+        Heap.write h idxs.(b) o (Value.Vint v);
+        current.(b).(o) <- v
+      | Enter ->
+        let _ = Spec.Engine.enter !e ~cont:cont0 in
+        stack := deep_copy current :: !stack
+      | Commit l ->
+        let n = Spec.Engine.depth !e in
+        if l <= n then begin
+          Spec.Engine.commit !e l;
+          (* folding level l into l-1: the model forgets the snapshot
+             taken at entry to level l; the current state is unchanged *)
+          stack := drop_nth (n - l) !stack
+        end
+      | Rollback l ->
+        let n = Spec.Engine.depth !e in
+        if l <= n then begin
+          let _ = Spec.Engine.rollback !e l in
+          (* restore level l's entry snapshot, drop levels l..N, then
+             re-enter (retry semantics) *)
+          match drop (n - l) !stack with
+          | entry_snapshot :: rest ->
+            Array.iteri
+              (fun b row -> Array.blit entry_snapshot.(b) 0 row 0 bsize)
+              current;
+            stack := deep_copy current :: rest
+          | [] -> ()
+        end
+      | Restore ->
+        (* the model is unchanged: a restored engine is the same
+           speculation state *)
+        let snap = Spec.Engine.snapshot !e in
+        Heap.set_before_write h None;
+        let e' = Spec.Engine.create h in
+        Spec.Engine.restore e' snap;
+        e := e');
+      if not (agree ()) then ok := false)
+    ops;
+  Heap.validate h;
+  !ok && agree ()
+
 let prop_spec_matches_model =
   QCheck.Test.make ~count:120 ~name:"speculation matches a snapshot model"
     (QCheck.make
        QCheck.Gen.(list_size (int_range 1 60) (op_gen 4))
-       ~print:(fun ops ->
-         String.concat ";"
-           (List.map
-              (function
-                | Write (b, o, v) -> Printf.sprintf "w%d[%d]=%d" b o v
-                | Enter -> "enter"
-                | Commit l -> Printf.sprintf "commit%d" l
-                | Rollback l -> Printf.sprintf "rollback%d" l)
-              ops)))
-    (fun ops ->
-      let nblocks = 4 and bsize = 4 in
-      let h = Heap.create () in
-      let e = Spec.Engine.create h in
-      let idxs =
-        Array.init nblocks (fun _ ->
-            Heap.alloc h ~tag:Heap.Array ~size:bsize ~init:(Value.Vint 0))
-      in
-      (* model: a mutable current state plus one snapshot (deep copy taken
-         at entry) per open level, newest first *)
-      let current = Array.make_matrix nblocks bsize 0 in
-      let stack = ref [] in
-      let deep_copy m = Array.map Array.copy m in
-      let agree () =
-        try
-          for b = 0 to nblocks - 1 do
-            for o = 0 to bsize - 1 do
-              if not (Value.equal (Heap.read h idxs.(b) o)
-                        (Value.Vint current.(b).(o)))
-              then raise Exit
-            done
-          done;
-          true
-        with Exit -> false
-      in
-      let rec drop_nth k = function
-        | [] -> []
-        | x :: rest -> if k = 0 then rest else x :: drop_nth (k - 1) rest
-      in
-      let rec drop k l = if k = 0 then l else
-          match l with [] -> [] | _ :: rest -> drop (k - 1) rest
-      in
-      let ok = ref true in
-      List.iter
-        (fun op ->
-          (match op with
-          | Write (b, o, v) ->
-            Heap.write h idxs.(b) o (Value.Vint v);
-            current.(b).(o) <- v
-          | Enter ->
-            let _ = Spec.Engine.enter e ~cont:cont0 in
-            stack := deep_copy current :: !stack
-          | Commit l ->
-            let n = Spec.Engine.depth e in
-            if l <= n then begin
-              Spec.Engine.commit e l;
-              (* folding level l into l-1: the model forgets the snapshot
-                 taken at entry to level l; the current state is unchanged *)
-              stack := drop_nth (n - l) !stack
-            end
-          | Rollback l ->
-            let n = Spec.Engine.depth e in
-            if l <= n then begin
-              let _ = Spec.Engine.rollback e l in
-              (* restore level l's entry snapshot, drop levels l..N, then
-                 re-enter (retry semantics) *)
-              match drop (n - l) !stack with
-              | entry_snapshot :: rest ->
-                Array.iteri
-                  (fun b row -> Array.blit entry_snapshot.(b) 0 row 0 bsize)
-                  current;
-                stack := deep_copy current :: rest
-              | [] -> ()
-            end);
-          if not (agree ()) then ok := false)
-        ops;
-      Heap.validate h;
-      !ok && agree ())
+       ~print:print_ops)
+    (spec_matches_model ~nblocks:4)
+
+let prop_spec_matches_model_large_levels =
+  QCheck.Test.make ~count:120
+    ~name:"speculation matches a snapshot model (levels past the set bound)"
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 1 200) (large_op_gen 24))
+       ~print:print_ops)
+    (spec_matches_model ~nblocks:24)
+
+(* The same path, step by step: a level that saves twelve blocks builds
+   its set, a child saving twelve (six shared) merges into it, the
+   engine survives a snapshot and restore, and a rollback restores
+   every block. *)
+let test_promoted_levels () =
+  let h, e = make () in
+  let idxs =
+    Array.init 18 (fun _ ->
+        Heap.alloc h ~tag:Heap.Array ~size:1 ~init:(Value.Vint 0))
+  in
+  let write lo hi v =
+    for b = lo to hi do
+      Heap.write h idxs.(b) 0 (Value.Vint v)
+    done
+  in
+  let _ = Spec.Engine.enter e ~cont:cont0 in
+  write 0 11 1;
+  write 0 11 2;
+  check_int "one save per block" 12 (Spec.Engine.level_saved_count e 1);
+  let _ = Spec.Engine.enter e ~cont:cont0 in
+  write 6 17 3;
+  check_int "the child saves its own twelve" 12
+    (Spec.Engine.level_saved_count e 2);
+  Spec.Engine.commit e 2;
+  check_int "the merge keeps the parent's six shared originals" 18
+    (Spec.Engine.level_saved_count e 1);
+  check_int "and discards the child's" 6
+    (spec_count e "spec.blocks_discarded");
+  Heap.set_before_write h None;
+  let e' = Spec.Engine.create h in
+  Spec.Engine.restore e' (Spec.Engine.snapshot e);
+  write 0 17 4;
+  check_int "the restored level saves nothing twice" 18
+    (Spec.Engine.level_saved_count e' 1);
+  check_int "no block cloned after the restore" 0
+    (spec_count e' "spec.blocks_saved");
+  let _ = Spec.Engine.rollback e' 1 in
+  check "every block back to its value at entry" true
+    (Array.for_all
+       (fun idx -> Value.equal (Heap.read h idx 0) (Value.Vint 0))
+       idxs)
 
 let suites =
   [
@@ -519,6 +605,9 @@ let suites =
           test_rollback_then_fresh_level_clones;
         Alcotest.test_case "restore, then write a saved index" `Quick
           test_restore_then_write_saved;
+        Alcotest.test_case "levels past the set bound" `Quick
+          test_promoted_levels;
         QCheck_alcotest.to_alcotest prop_spec_matches_model;
+        QCheck_alcotest.to_alcotest prop_spec_matches_model_large_levels;
       ] );
   ]
