@@ -57,9 +57,9 @@ let pack ?(with_binary = true) ?(epoch = 0) ?dspec proc ~entry ~args ~label =
   let menv = Heap.alloc_tuple heap args in
   (* 2. collect, with migrate_env and speculation state as the roots *)
   let spec_roots =
-    List.concat_map
-      (fun s -> s.Spec.Engine.s_args)
-      (Spec.Engine.snapshot proc.Process.spec)
+    List.rev
+      (Spec.Engine.fold_cont_args (fun acc a -> List.rev_append a acc) []
+         proc.Process.spec)
   in
   let res =
     Gc.collect heap ~kind:Gc.Major

@@ -26,7 +26,8 @@
      fencing, clocks, the trace;
    - Spec_graph: dependency edges and the object/file undo logs;
    - Externs: the calls cluster programs make;
-   - Shipping: hops, deltas, the move commit, checkpoint chains;
+   - Shipping: hops, deltas, the move commit, compile-ahead cut-overs;
+   - Checkpoint: suspend files and checkpoint chains on the store;
    - Recovery: node failure, resurrection, the unified move;
    - Balance_tick: the placement policy's sampling and moves;
    - Scheduler: rounds, wakes, idle advance, heartbeats. *)
@@ -55,15 +56,6 @@ let migration_error_to_string = function
    argument pile that kept growing on [create].  The fields are
    documented in cluster.mli. *)
 module Config = struct
-  type retry = Shipping.retry = {
-    max_attempts : int;
-    hop_timeout_s : float;
-    backoff_base_s : float;
-    backoff_factor : float;
-  }
-
-  let default_retry = Shipping.default_retry
-
   type t = {
     node_count : int;
     arches : Arch.t array;
@@ -118,6 +110,7 @@ type t = {
   mutable deployed : deployed list;  (* the deploy memo, newest first *)
 }
 
+let hop_attempts = Shipping.max_attempts
 let msg_moved = Externs.msg_moved
 let extern_signatures = Externs.extern_signatures
 let extern_names = Externs.extern_names
@@ -258,9 +251,10 @@ let create_cfg (cfg : Config.t) =
     Shipping.create core graph ~delta:cfg.Config.delta
       ~forward_ttl_s:cfg.Config.forward_ttl_s
   in
-  let recovery = Recovery.create core graph ship in
+  let ckpt = Checkpoint.create core ship ~delta:cfg.Config.delta in
+  let recovery = Recovery.create core graph ship ckpt in
   let tick = Balance_tick.create core recovery ship in
-  let sched = Scheduler.create core ext ship recovery tick in
+  let sched = Scheduler.create core ext ship ckpt recovery tick in
   (* read-repair events belong in the cluster trace: stamp them with the
      cluster-wide clock at the moment of the repairing read *)
   Storage.set_on_repair storage (fun ~path ~replicas ->

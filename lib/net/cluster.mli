@@ -128,25 +128,13 @@ val migration_error_to_string : migration_error -> string
 (** Typed cluster configuration: the one record that says everything —
     topology, seed, the fault-injection plan, delta shipping, failure
     detection, replication, forwarding and placement policy.  The
-    scheduling quantum (64 steps), the migration retry
-    policy ({!default_retry}), the daemons (untrusted, a 16-entry
-    recompilation cache, 4 retained delta baselines), the placement
-    policy's tunables ({!Balance}), the heartbeat size
-    ({!Detector.hb_bytes}) and the seed of every resurrected process
-    are fixed; the trace keeps every event. *)
+    scheduling quantum (64 steps), the hop retry policy ({!hop_attempts}
+    attempts, 20 ms timeout, 2 ms backoff doubling), the daemons
+    (untrusted, a 16-entry recompilation cache, 4 retained delta
+    baselines), the placement policy's tunables ({!Balance}), the
+    heartbeat size ({!Detector.hb_bytes}) and the seed of every
+    resurrected process are fixed; the trace keeps every event. *)
 module Config : sig
-  type retry = {
-    max_attempts : int;  (** total transmissions per migration hop *)
-    hop_timeout_s : float;  (** wait before declaring an attempt lost *)
-    backoff_base_s : float;
-    backoff_factor : float;
-        (** sender waits [base * factor^(attempt-1)] between attempts *)
-  }
-
-  val default_retry : retry
-  (** The retry policy every migration hop runs under: 5 attempts,
-      20 ms hop timeout, 2 ms base backoff doubling. *)
-
   type t = {
     node_count : int;
     arches : Arch.t array;  (** assigned round-robin *)
@@ -280,6 +268,9 @@ module Move : sig
 end
 
 type t
+
+val hop_attempts : int
+(** Transmissions of one migration hop before it is given up (5). *)
 
 val msg_moved : int
 (** svc_send's typed "recipient moved" code (-3): the cached binding
@@ -444,7 +435,7 @@ val rank_epoch : t -> int -> int
 val move : t -> Move.request -> (Move.outcome, migration_error) result
 (** The one migration entry point (see {!module:Move} for the
     invariants).  A [Running] subject is packed mid-execution, shipped
-    under {!Config.default_retry} (per-hop timeout, bounded retry,
+    under the retry policy of {!Config} (per-hop timeout, bounded retry,
     exponential backoff in simulated time) and delivered idempotently
     to the target's daemon — at once when the daemon holds its code,
     otherwise at the cut-over after the daemon compiled it ahead (see

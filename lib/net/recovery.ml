@@ -8,6 +8,7 @@ type t = {
   core : Cluster_core.t;
   graph : Spec_graph.t;
   ship : Shipping.t;
+  ckpt : Checkpoint.t;
   c_node_failures : Obs.Metrics.counter;
   c_resurrections : Obs.Metrics.counter;
   (* per-reason accounting for the unified move API *)
@@ -17,9 +18,9 @@ type t = {
   c_move_rehome : Obs.Metrics.counter;
 }
 
-let create core graph ship =
+let create core graph ship ckpt =
   let counter = Obs.Metrics.counter core.metrics in
-  { core; graph; ship;
+  { core; graph; ship; ckpt;
     c_node_failures = counter "cluster.node_failures";
     c_resurrections = counter "cluster.resurrections";
     c_move_explicit = counter "move.explicit";
@@ -118,7 +119,7 @@ let resurrect ?rank r ~node_id ~path =
   in
   if not n.alive then failed "resurrection node is down"
   else
-    match Shipping.read_checkpoint r.ship path with
+    match Checkpoint.read r.ckpt path with
     | Error msg -> failed msg
     | Ok (image, bytes_len, read_s) -> (
       (* executing a saved checkpoint from the cluster's own store is

@@ -9,7 +9,8 @@ open Cluster_types
 
 type t
 
-val create : Cluster_core.t -> Spec_graph.t -> Shipping.t -> t
+val create :
+  Cluster_core.t -> Spec_graph.t -> Shipping.t -> Checkpoint.t -> t
 
 val fail_node : t -> int -> unit
 (** Kill a node: its processes trap, their dependents roll back, the

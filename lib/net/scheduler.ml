@@ -12,6 +12,7 @@ type t = {
   core : Cluster_core.t;
   extern : Process.handler; (* the cluster table's, built once *)
   ship : Shipping.t;
+  ckpt : Checkpoint.t;
   recovery : Recovery.t;
   tick : Balance_tick.t;
   mutable visits : int;
@@ -23,10 +24,10 @@ type t = {
   c_quanta : Obs.Metrics.counter;
 }
 
-let create core ext ship recovery tick =
+let create core ext ship ckpt recovery tick =
   let m = core.metrics in
-  { core; extern = Externs.handler ext; ship; recovery; tick; visits = 0;
-    blocks = 0;
+  { core; extern = Externs.handler ext; ship; ckpt; recovery; tick;
+    visits = 0; blocks = 0;
     c_rounds = Obs.Metrics.counter m "sched.rounds";
     c_quanta = Obs.Metrics.counter m "sched.quanta" }
 
@@ -177,6 +178,17 @@ let fire_node_faults s =
     core.nodes;
   !fired
 
+(* A process parked at a migration point: dispatch on its target. *)
+let migration_point s (e : entry) (req : Process.migration_request) =
+  match Migrate.Protocol.parse req.Process.m_target with
+  | Migrate.Protocol.Migrate_to host -> Shipping.handle_migrate s.ship e host
+  | Migrate.Protocol.Suspend_to path ->
+    Checkpoint.write s.ckpt e path ~kind:`Suspend
+  | Migrate.Protocol.Checkpoint_to path ->
+    Checkpoint.write s.ckpt e path ~kind:`Checkpoint
+  | exception Migrate.Protocol.Bad_target _ ->
+    Shipping.refuse_hop s.ship e ~target:req.Process.m_target
+
 (* Run one scheduling round: each alive node runs its runnable,
    non-parked processes for one quantum and advances its LOCAL clock by
    the work done.  Nodes therefore progress independently and in
@@ -235,7 +247,7 @@ let round s =
               decr steps
             done;
             (match e.proc.Process.status with
-            | Process.Migrating _ -> Shipping.handle_migration s.ship e
+            | Process.Migrating req -> migration_point s e req
             | _ -> ());
             core.running <- None;
             s.blocks <- s.blocks + quantum - !steps;

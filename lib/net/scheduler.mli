@@ -8,8 +8,8 @@
 type t
 
 val create :
-  Cluster_core.t -> Externs.t -> Shipping.t -> Recovery.t -> Balance_tick.t ->
-  t
+  Cluster_core.t -> Externs.t -> Shipping.t -> Checkpoint.t -> Recovery.t ->
+  Balance_tick.t -> t
 
 val run : ?max_rounds:int -> ?stop:(unit -> bool) -> t -> int
 (** Schedule until quiescent, stopped, or out of rounds; returns the

@@ -1,36 +1,18 @@
-(* Migration shipping and checkpoint chains (see shipping.mli). *)
+(* Migration shipping (see shipping.mli). *)
 
 open Runtime
 open Vm
 open Cluster_types
 open Cluster_core
 
-type retry = {
-  max_attempts : int;
-  hop_timeout_s : float;
-  backoff_base_s : float;
-  backoff_factor : float;
-}
-
-let default_retry =
-  { max_attempts = 5; hop_timeout_s = 0.02; backoff_base_s = 0.002;
-    backoff_factor = 2.0 }
-
-(* The checkpoint-chain format: the base image at [path], then delta
-   segments [path.d1 .. path.dN], each over the image the previous one
-   reconstructs.  Written by [handle_to_storage], read back by
-   [read_checkpoint]; nothing else knows the segment names. *)
-let segment_path path k = Printf.sprintf "%s.d%d" path k
-
-(* Incremental-checkpoint chain state for one storage path: the digest
-   of the image the NEXT delta segment would patch (the last one written
-   into the chain) and how many segments exist on the store. *)
-type ckpt_chain = { mutable cc_digest : string; mutable cc_len : int }
-
-(* A chain longer than this is rewritten in full: resurrection replays
-   every segment, so unbounded chains would trade write bytes for
-   unbounded recovery time. *)
-let max_chain_len = 8
+(* The retry policy every hop runs under, in simulated time: a hop is
+   given up after [max_attempts] transmissions, a lost one costs
+   [hop_timeout_s], and the wait before attempt k+1 is
+   [backoff_base_s * backoff_factor^(k-1)]. *)
+let max_attempts = 5
+let hop_timeout_s = 0.02
+let backoff_base_s = 0.002
+let backoff_factor = 2.0
 
 (* What one hop cost (see [transmit_hop]). *)
 type hop = {
@@ -59,7 +41,6 @@ type t = {
   forward_ttl_s : float;
   (* fresh ranks for re-homed services, from [dyn_rank_base] *)
   mutable next_dyn_rank : int;
-  ckpt_chains : (string, ckpt_chain) Hashtbl.t;
   mutable hop_seq : int; (* envelope id generator for migrations *)
   (* moves waiting for their cut-over, oldest request first; at most
      one per subject *)
@@ -73,7 +54,6 @@ type t = {
   c_migrations_ok : Obs.Metrics.counter;
   c_migrations_failed : Obs.Metrics.counter;
   c_migration_cache_hits : Obs.Metrics.counter;
-  c_checkpoints : Obs.Metrics.counter;
   c_migrate_retries : Obs.Metrics.counter;
   c_bytes_full : Obs.Metrics.counter;
   c_bytes_delta : Obs.Metrics.counter;
@@ -92,13 +72,12 @@ let create core graph ~delta ~forward_ttl_s =
   let m = core.metrics in
   let counter = Obs.Metrics.counter m and histogram = Obs.Metrics.histogram m in
   { core; graph; delta; forward_ttl_s; next_dyn_rank = dyn_rank_base;
-    ckpt_chains = Hashtbl.create 8; hop_seq = 0; pending = [];
+    hop_seq = 0; pending = [];
     pending_on = Array.make (Array.length core.nodes) 0;
     compiles = Hashtbl.create 8;
     c_migrations_ok = counter "cluster.migrations_ok";
     c_migrations_failed = counter "cluster.migrations_failed";
     c_migration_cache_hits = counter "cluster.migration_cache_hits";
-    c_checkpoints = counter "cluster.checkpoints";
     c_migrate_retries = counter "migrate.retries";
     c_bytes_full = counter "migrate.bytes_full";
     c_bytes_delta = counter "migrate.bytes_delta";
@@ -148,13 +127,9 @@ let note_shipment s ~as_delta ~bytes =
 (* Registry accounting for one image shipped or stored: its outcome
    counter and its cost histograms.  The per-image detail is in the
    trace ([Migrate_done], [Checkpoint]). *)
-let record_migration s outcome ?(cache_hit = false) ?(transfer_s = 0.0)
+let record_migration s counter ?(cache_hit = false) ?(transfer_s = 0.0)
     ?(compile_s = 0.0) ~bytes ~pack_s () =
-  Obs.Metrics.incr
-    (match outcome with
-    | `Checkpoint -> s.c_checkpoints
-    | `Migrated | `Suspend -> s.c_migrations_ok
-    | `Failed -> s.c_migrations_failed);
+  Obs.Metrics.incr counter;
   if cache_hit then Obs.Metrics.incr s.c_migration_cache_hits;
   Obs.Metrics.observe s.h_migrate_bytes (float_of_int bytes);
   Obs.Metrics.observe s.h_pack_s pack_s;
@@ -166,7 +141,7 @@ let record_migration s outcome ?(cache_hit = false) ?(transfer_s = 0.0)
 (* ------------------------------------------------------------------ *)
 
 (* One migration hop under the fault plan: per-hop timeout, bounded
-   retry, exponential backoff ([default_retry]) — all in simulated
+   retry, exponential backoff (the constants above) — all in simulated
    time.  Every attempt (lost or not) puts the bytes on the wire; a lost
    attempt costs the hop timeout plus the backoff before the next
    transmission.  Either way the result carries what the hop cost: the
@@ -175,7 +150,6 @@ let record_migration s outcome ?(cache_hit = false) ?(transfer_s = 0.0)
 let transmit_hop s ~send_at ~src_node ~dst_node ~target_name ~bytes ~pid
     ~rank =
   let core = s.core in
-  let retry = default_retry in
   let transfer_s = Simnet.transfer_seconds core.net bytes in
   let rec go attempt elapsed backoff_total =
     let hop delay_s =
@@ -192,22 +166,22 @@ let transmit_hop s ~send_at ~src_node ~dst_node ~target_name ~bytes ~pid
       let reason =
         match fate with `Lost -> "lost" | `Partitioned -> "partitioned"
       in
-      if attempt >= retry.max_attempts then
-        Error (hop (elapsed +. retry.hop_timeout_s), reason)
+      if attempt >= max_attempts then
+        Error (hop (elapsed +. hop_timeout_s), reason)
       else begin
         let backoff =
-          retry.backoff_base_s
-          *. (retry.backoff_factor ** float_of_int (attempt - 1))
+          backoff_base_s
+          *. (backoff_factor ** float_of_int (attempt - 1))
         in
         Obs.Metrics.incr s.c_migrate_retries;
         Obs.Metrics.observe s.h_backoff_s backoff;
         emit core
-          ~time:(send_at +. elapsed +. retry.hop_timeout_s)
+          ~time:(send_at +. elapsed +. hop_timeout_s)
           ~node:src_node ~pid ~rank
           (Obs.Trace.Migrate_retry
              { target = target_name; attempt; backoff_s = backoff; reason });
         go (attempt + 1)
-          (elapsed +. retry.hop_timeout_s +. backoff)
+          (elapsed +. hop_timeout_s +. backoff)
           (backoff_total +. backoff)
       end
   in
@@ -242,11 +216,7 @@ let deliver_hop s (target : node) ~bytes ~pid ~rank ~arrive_at =
 (* Shipment choice: full image or delta over a negotiated baseline      *)
 (* ------------------------------------------------------------------ *)
 
-type shipment = {
-  sh_bytes : string;
-  sh_delta : bool;
-  sh_pack_s : float;
-}
+type shipment = { sh_bytes : string; sh_delta : bool; sh_pack_s : float }
 
 (* The one delta choice, for network migrations and checkpoint segments
    alike: a delta over [baseline] — the process's PREVIOUS image, what
@@ -492,7 +462,7 @@ let install_successor ?ahead s (entry : entry) (src : node) (target : node)
     ahead = None && wait_s = 0.0
     && outcome.Migrate.Server.o_costs.Migrate.Pack.u_cache_hit
   in
-  record_migration s `Migrated ~cache_hit ~transfer_s ~compile_s
+  record_migration s s.c_migrations_ok ~cache_hit ~transfer_s ~compile_s
     ~bytes ~pack_s ();
   let emit_new time =
     emit core ~time ~node:target.node_id ~pid:new_pid
@@ -568,7 +538,7 @@ let ship_and_install ?ahead s (entry : entry) (target : node)
     Ok (new_entry, cache_hit, sh, hx)
   | hx, Error err ->
     if charge then charge_seconds entry.proc (sh.sh_pack_s +. hx.hx_delay_s);
-    record_migration s `Failed ~bytes ~pack_s:sh.sh_pack_s ();
+    record_migration s s.c_migrations_failed ~bytes ~pack_s:sh.sh_pack_s ();
     emit_entry s.core entry
       (Obs.Trace.Migrate_done
          { ok = false; cache_hit = false; bytes; pack_s = sh.sh_pack_s;
@@ -661,7 +631,7 @@ let offer s (src : node) (target : node) digest =
 let fail_move s (entry : entry) (target : node) ~bytes err =
   emit_entry s.core entry
     (Obs.Trace.Migrate_start { target = target.node_name; bytes });
-  record_migration s `Failed ~bytes ~pack_s:0.0 ();
+  record_migration s s.c_migrations_failed ~bytes ~pack_s:0.0 ();
   emit_entry s.core entry
     (Obs.Trace.Migrate_done
        { ok = false; cache_hit = false; bytes; pack_s = 0.0;
@@ -857,131 +827,3 @@ let land_all s =
         src.clock <- Float.max src.clock p.pd_ready_at;
       cut_over s p || landed)
     false due
-
-(* ------------------------------------------------------------------ *)
-(* Suspend files and checkpoint chains                                 *)
-(* ------------------------------------------------------------------ *)
-
-let handle_to_storage s (entry : entry) path ~kind =
-  let core = s.core in
-  let proc = entry.proc in
-  if is_stale core entry then fence core entry ~what:"checkpoint"
-  else begin
-  (* images on the cluster's own reliable store carry the binary payload:
-     "the checkpoints are formatted as executable files and the
-     resurrection of processes is done by executing the saved checkpoint"
-     (paper, Section 2) *)
-  let packed =
-    Migrate.Pack.pack_request ~with_binary:true ~epoch:entry.epoch
-      ?dspec:(dspec_ctx_of s entry) proc
-  in
-  let prev_baseline = entry.baseline in
-  let new_digest =
-    rebase_baseline (node core entry.node_id) entry packed
-  in
-  (* A CHECKPOINT may extend the path's existing chain with a delta
-     segment, but only when the chain's last image is exactly what this
-     process's dirty set was tracked against (its previous pack) — the
-     chain is rewritten in full otherwise, and after [max_chain_len]
-     segments (resurrection replays every segment).  SUSPEND images stay
-     full: they are the directly-executable single files of Section 2. *)
-  let chain = Hashtbl.find_opt s.ckpt_chains path in
-  let sh =
-    choose_shipment entry packed
-      ~baseline:
-        (match chain, prev_baseline with
-        | Some cc, Some (digest, _)
-          when kind = `Checkpoint && s.delta
-               && String.equal cc.cc_digest digest
-               && cc.cc_len < max_chain_len ->
-          prev_baseline
-        | (Some _ | None), _ -> None)
-  in
-  let stored_path =
-    match chain with
-    | Some cc when sh.sh_delta ->
-      cc.cc_len <- cc.cc_len + 1;
-      cc.cc_digest <- new_digest;
-      segment_path path cc.cc_len
-    | Some _ | None ->
-      (* full (re)write: replace the base image and drop any now-stale
-         delta segments so a resurrection can never replay them *)
-      Option.iter
-        (fun cc ->
-          for k = 1 to cc.cc_len do
-            Storage.remove core.storage (segment_path path k)
-          done)
-        chain;
-      Hashtbl.replace s.ckpt_chains path { cc_digest = new_digest; cc_len = 0 };
-      path
-  in
-  let bytes = String.length sh.sh_bytes in
-  let write_s =
-    Storage.write ~writer:entry.node_id core.storage stored_path sh.sh_bytes
-  in
-  note_shipment s ~as_delta:sh.sh_delta ~bytes;
-  record_migration s kind ~transfer_s:write_s ~bytes ~pack_s:sh.sh_pack_s ();
-  (match kind with
-  | `Checkpoint ->
-    (* the process pays for its checkpoint and keeps running *)
-    charge_seconds proc (sh.sh_pack_s +. write_s);
-    Process.migration_failed proc (* "failure" = continue locally *)
-  | `Suspend ->
-    charge_seconds proc sh.sh_pack_s;
-    Process.migration_completed proc);
-  emit_entry core entry (Obs.Trace.Checkpoint { path = stored_path; bytes })
-  end
-
-let read_checkpoint s path =
-  let storage = s.core.storage in
-  (* exactly the segments the chain recorded, in order, each
-     digest-verified against its reconstruction.  [Storage.read] answers
-     [None] for a lost or corrupt segment as for a missing one, so the
-     chain length — not the first unreadable name — ends the replay: a
-     hole must fail the read, never resume the image before it *)
-  let n =
-    match Hashtbl.find_opt s.ckpt_chains path with
-    | Some cc -> cc.cc_len
-    | None -> 0
-  in
-  let rec replay image bytes read_s k =
-    if k > n then Ok (image, bytes, read_s)
-    else
-      match Storage.read storage (segment_path path k) with
-      | None ->
-        Error (Printf.sprintf "checkpoint segment %d of %d unreadable" k n)
-      | Some (seg, seg_read_s) -> (
-        let corrupt msg =
-          Error (Printf.sprintf "checkpoint segment %d: %s" k msg)
-        in
-        match Migrate.Wire.decode_packet seg with
-        | Migrate.Wire.Delta d -> (
-          match Migrate.Wire.apply_delta ~baseline:image d with
-          | image' ->
-            replay image' (bytes + String.length seg) (read_s +. seg_read_s)
-              (k + 1)
-          | exception Migrate.Wire.Corrupt msg -> corrupt msg)
-        | Migrate.Wire.Full _ ->
-          Error (Printf.sprintf "checkpoint segment %d is not a delta image" k)
-        | exception Migrate.Wire.Corrupt msg -> corrupt msg)
-  in
-  match Storage.read storage path with
-  | None -> Error ("no checkpoint " ^ path)
-  | Some (bytes, read_s) -> (
-    match Migrate.Wire.decode bytes with
-    | image -> replay image (String.length bytes) read_s 1
-    | exception Migrate.Wire.Corrupt msg -> Error ("corrupt image: " ^ msg))
-
-(* A process parked at a migration point: dispatch on its target. *)
-let handle_migration s (entry : entry) =
-  match entry.proc.Process.status with
-  | Process.Migrating req -> (
-    match Migrate.Protocol.parse req.Process.m_target with
-    | Migrate.Protocol.Migrate_to host -> handle_migrate s entry host
-    | Migrate.Protocol.Suspend_to path ->
-      handle_to_storage s entry path ~kind:`Suspend
-    | Migrate.Protocol.Checkpoint_to path ->
-      handle_to_storage s entry path ~kind:`Checkpoint
-    | exception Migrate.Protocol.Bad_target _ ->
-      refuse_hop s entry ~target:req.Process.m_target)
-  | Process.Running | Process.Exited _ | Process.Trapped _ -> ()

@@ -1,34 +1,28 @@
 (** Migration shipping: pack a process, choose a full image or a delta
     over a negotiated baseline, transmit it hop by hop under the retry
     policy, deliver it idempotently to the target daemon, and install
-    the successor (the move commit every initiator shares).  Also the
-    storage side of the same images: suspend files and incremental
-    checkpoint chains.  It owns every decision about a shipped or stored
-    image: the one delta-or-full choice (for hops and checkpoint
-    segments alike), the checkpoint-chain codec (segment names, length
-    bound, full rewrite, replay), the hop envelope ids and the
-    delta-shipping ledger. *)
+    the successor (the move commit every initiator shares).  It owns
+    the one delta-or-full choice (for hops and {!Checkpoint}'s stored
+    segments alike), the hop envelope ids, the delta-shipping ledger
+    and the compile-ahead cut-overs. *)
 
 open Cluster_types
 
-type retry = {
-  max_attempts : int;
-  hop_timeout_s : float;
-  backoff_base_s : float;
-  backoff_factor : float;
-}
-
-val default_retry : retry
-(** The policy every hop runs under (see [Cluster.Config.default_retry]). *)
+val max_attempts : int
+(** Transmissions of one hop before it is given up. *)
 
 type t
 
 val create :
   Cluster_core.t -> Spec_graph.t -> delta:bool -> forward_ttl_s:float -> t
 
-val handle_migration : t -> entry -> unit
-(** Serve a process that stopped at a migration point: migrate to a
-    node, suspend or checkpoint to the store, or refuse the target. *)
+val handle_migrate : t -> entry -> string -> unit
+(** Serve [migrate("mcc://host")]: ship the process to the named node,
+    or resume it where it was when the hop fails. *)
+
+val refuse_hop : t -> entry -> target:string -> unit
+(** Trace a hop to a target that is down, local or unparsable, and
+    resume the process. *)
 
 val move_running :
   t -> pid:int -> node_id:int -> (Move.outcome, migration_error) result
@@ -59,13 +53,30 @@ val land_all : t -> bool
     destination's ready time: the scheduler's last step when nothing
     else can progress.  Whether any landed. *)
 
-val read_checkpoint :
-  t -> string -> (Migrate.Wire.image * int * float, string) result
-(** Read the checkpoint chain stored at a path: the base image, then
-    exactly the delta segments the chain recorded, replayed in order,
-    each digest-verified against its reconstruction.  Returns the image
-    the chain ends at, the bytes read and the simulated read seconds.
-    Errors: ["no checkpoint <path>"], ["corrupt image: ..."],
-    ["checkpoint segment K of N unreadable"] (missing, or every replica
-    lost or corrupt), ["checkpoint segment K: ..."] and ["checkpoint
-    segment K is not a delta image"]. *)
+(** {2 Shared with {!Checkpoint}} *)
+
+type shipment = { sh_bytes : string; sh_delta : bool; sh_pack_s : float }
+(** An image ready to leave, and its simulated pack (or encode) cost. *)
+
+val choose_shipment :
+  entry -> Migrate.Pack.packed ->
+  baseline:(string * Migrate.Wire.image) option -> shipment
+(** The delta over [baseline] (one the receiver holds) when it is
+    strictly smaller than the full image; the full image otherwise. *)
+
+val rebase_baseline : node -> entry -> Migrate.Pack.packed -> string
+(** Record a fresh pack as the entry's baseline and retain it on the
+    node's daemon; returns its digest. *)
+
+val dspec_ctx_of : t -> entry -> Migrate.Wire.dspec_ctx option
+(** The oldest transaction the process coordinates, as images carry it. *)
+
+val note_shipment : t -> as_delta:bool -> bytes:int -> unit
+(** Count one image into the delta ledger ([migrate.bytes_*] and, with
+    delta shipping on, the hit/miss counters and the hit-rate gauge). *)
+
+val record_migration :
+  t -> Obs.Metrics.counter -> ?cache_hit:bool -> ?transfer_s:float ->
+  ?compile_s:float -> bytes:int -> pack_s:float -> unit -> unit
+(** Count one image shipped or stored under its outcome counter and
+    observe its bytes and costs in the [cluster.*] histograms. *)

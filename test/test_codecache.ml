@@ -806,7 +806,7 @@ let test_unreachable_at_offer () =
   (match request_move cl ~pid ~dest:1 with
   | Error (Net.Cluster.Unreachable { attempts; _ }) ->
     check_int "the FIR hop used the whole retry budget"
-      Net.Cluster.Config.default_retry.Net.Cluster.Config.max_attempts attempts
+      Net.Cluster.hop_attempts attempts
   | Error e ->
     Alcotest.failf "expected Unreachable, got %s"
       (Net.Cluster.migration_error_to_string e)

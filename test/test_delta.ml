@@ -1335,12 +1335,13 @@ let test_checkpoint_chain_bound () =
     check "the rewritten chain resumes and finishes identically" true
       (exit_of pid2 = Vm.Process.Exited code)
 
-(* A chain with a hole: three checkpoints write the base and segments
-   ck.d1, ck.d2; with ck.d1 gone, resurrection must fail naming it, not
-   stop at the hole and resume the base image as if it were the last
-   checkpoint. *)
-let three_checkpoint_worker =
-  {|
+(* Three rounds, each dirtying its own 40 cells and then migrating to
+   one path: the first two checkpoint to [ck], the third goes to [last]
+   (by default a third checkpoint, so the chain is the base image and
+   segments ck.d1, ck.d2). *)
+let three_checkpoint_worker ?(last = "checkpoint://ck") () =
+  Printf.sprintf
+    {|
 int main() {
   int n = 3000;
   int *data = alloc_int(n);
@@ -1349,35 +1350,88 @@ int main() {
   int r;
   for (r = 0; r < 3; r = r + 1) {
     for (i = 0; i < 40; i = i + 1) data[r * 40 + i] = data[r * 40 + i] + 1;
-    migrate("checkpoint://ck");
+    if (r < 2) { migrate("checkpoint://ck"); } else { migrate("%s"); }
   }
   return data[0];
 }
 |}
+    last
 
-let test_chain_hole_fails_resurrection () =
+let run_three_checkpoints ?last () =
   let cluster =
     Net.Cluster.create_cfg
       { Net.Cluster.Config.default with node_count = 2; seed = 5 }
   in
   let _ =
-    Net.Cluster.spawn cluster ~node_id:0 (compile_c three_checkpoint_worker)
+    Net.Cluster.spawn cluster ~node_id:0
+      (compile_c (three_checkpoint_worker ?last ()))
   in
   let _ = Net.Cluster.run cluster in
+  cluster
+
+let resurrect_error cluster =
+  match Net.Cluster.resurrect cluster ~node_id:1 ~path:"ck" with
+  | Ok _ -> Alcotest.fail "resurrected a damaged chain"
+  | Error m -> m
+
+let stored st path =
+  match Net.Storage.read st path with
+  | Some (bytes, _) -> bytes
+  | None -> Alcotest.failf "%s unreadable" path
+
+(* A chain with a hole: with ck.d1 gone, resurrection must fail naming
+   it, not stop at the hole and resume the base image as if it were the
+   last checkpoint. *)
+let test_chain_hole_fails_resurrection () =
+  let cluster = run_three_checkpoints () in
   let st = Net.Cluster.storage cluster in
   check "base plus two segments" true
     (Net.Storage.list st = [ "ck"; "ck.d1"; "ck.d2" ]);
   Net.Storage.remove st "ck.d1";
-  (match Net.Cluster.resurrect cluster ~node_id:1 ~path:"ck" with
-  | Ok _ -> Alcotest.fail "resurrected across a missing segment"
-  | Error m ->
-    Alcotest.(check string) "the error names the segment"
-      "checkpoint segment 1 of 2 unreadable" m);
+  Alcotest.(check string) "the error names the segment"
+    "checkpoint segment 1 of 2 unreadable" (resurrect_error cluster);
   check "the failed resurrection is traced" true
     (List.exists
        (fun (ev : Obs.Trace.event) ->
          ev.Obs.Trace.kind = Obs.Trace.Resurrect { path = "ck"; ok = false })
        (Obs.Trace.events (Net.Cluster.trace cluster)))
+
+(* A full image where the chain expects a delta segment is refused,
+   not resumed in place of the chain's end. *)
+let test_chain_full_segment_fails () =
+  let cluster = run_three_checkpoints () in
+  let st = Net.Cluster.storage cluster in
+  ignore (Net.Storage.write st "ck.d1" (stored st "ck"));
+  Alcotest.(check string) "the error names the segment"
+    "checkpoint segment 1 is not a delta image" (resurrect_error cluster)
+
+(* Segments replayed out of order: ck.d2 does not patch the base image
+   into the digest it claims, so the first replayed segment fails. *)
+let test_chain_swapped_segments_fail () =
+  let cluster = run_three_checkpoints () in
+  let st = Net.Cluster.storage cluster in
+  let d1 = stored st "ck.d1" and d2 = stored st "ck.d2" in
+  ignore (Net.Storage.write st "ck.d1" d2);
+  ignore (Net.Storage.write st "ck.d2" d1);
+  let m = resurrect_error cluster in
+  check ("segment 1 is named: " ^ m) true
+    (String.starts_with ~prefix:"checkpoint segment 1: " m)
+
+(* A suspend to a checkpointed path rewrites it as one full image and
+   drops the chain's segments; resurrection resumes after the suspend,
+   so the revived worker finishes instead of suspending again. *)
+let test_suspend_drops_chain () =
+  let cluster = run_three_checkpoints ~last:"suspend://ck" () in
+  check "one full image, no stale segments" true
+    (Net.Storage.list (Net.Cluster.storage cluster) = [ "ck" ]);
+  match Net.Cluster.resurrect cluster ~node_id:1 ~path:"ck" with
+  | Error m -> Alcotest.failf "resurrect: %s" m
+  | Ok pid ->
+    let _ = Net.Cluster.run cluster in
+    check "the suspended image resumes and finishes" true
+      (match Net.Cluster.entry_of_pid cluster pid with
+      | Some e -> e.Net.Cluster.proc.Vm.Process.status = Vm.Process.Exited 1
+      | None -> false)
 
 let suites =
   [
@@ -1431,6 +1485,12 @@ let suites =
           `Quick test_incremental_checkpoints;
         Alcotest.test_case "a chain with a hole fails resurrection" `Quick
           test_chain_hole_fails_resurrection;
+        Alcotest.test_case "a full image as a segment fails resurrection"
+          `Quick test_chain_full_segment_fails;
+        Alcotest.test_case "swapped segments fail resurrection" `Quick
+          test_chain_swapped_segments_fail;
+        Alcotest.test_case "a suspend drops the chain's segments" `Quick
+          test_suspend_drops_chain;
         Alcotest.test_case "a chain at its bound is rewritten in full"
           `Quick test_checkpoint_chain_bound;
       ] );

@@ -420,8 +420,7 @@ let test_unreachable_resumes_locally () =
   let _ = Net.Cluster.run cluster ~max_rounds:25 in
   (match move_running cluster ~pid ~node_id:1 with
   | Error (Net.Cluster.Unreachable { attempts; reason }) ->
-    check_int "every attempt in the budget was used"
-      Net.Cluster.Config.default_retry.Net.Cluster.Config.max_attempts
+    check_int "every attempt in the budget was used" Net.Cluster.hop_attempts
       attempts;
     check "reason says partitioned" true (reason = "partitioned")
   | Error e ->
