@@ -9,10 +9,10 @@
    visits track the live entries.  V1 runs compute/branch/memory
    kernels to completion on the MASM emulator in [Baseline] and
    [Compiled] modes (plus the FIR interpreter for scale) and reports
-   MIPS.  T1, T2 and F5 are one serving meter over [Gridapp.Serve] in
+   MIPS.  T1, T2 and F5 are one serving meter over [Mcc.Serve] in
    three settings. *)
 
-module Serve = Mcc.Gridapp.Serve
+module Serve = Mcc.Serve
 
 (* ================================================================== *)
 (* S1                                                                  *)

@@ -3,7 +3,7 @@
      dune exec bench/main.exe -- sample serve|serve-spec|grid [--seconds S]
 
    runs the workload's shape (the perfbench workloads of the same name,
-   driven here through the [Gridapp] and [Gridapp.Serve] APIs) batch
+   driven here through the [Gridapp] and [Serve] APIs) batch
    after batch for S seconds of host time (default 5), with an
    ITIMER_PROF timer that records the OCaml call stack every
    millisecond of CPU time, or at the kernel's coarser tick (4 ms at
@@ -21,7 +21,7 @@
    [Emulator.exec_compiled] as about half its self time for that
    reason. *)
 
-module Serve = Mcc.Gridapp.Serve
+module Serve = Mcc.Serve
 module Wl_serve = Perfbench.Wl_serve
 module Wl_grid = Perfbench.Wl_grid
 

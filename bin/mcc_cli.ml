@@ -655,7 +655,7 @@ let grid_cmd =
     in
     if serve_bench then begin
       let scfg =
-        { Mcc.Gridapp.Serve.clients; services;
+        { Mcc.Serve.clients; services;
           requests_per_client = requests; work_us; skew; speculative }
       in
       match
@@ -671,13 +671,13 @@ let grid_cmd =
       | Error code -> code
       | Ok cluster ->
       let placement = if pack > 0 then `Pack pack else `Spread in
-      let d = Mcc.Gridapp.Serve.deploy ~placement cluster scfg in
+      let d = Mcc.Serve.deploy ~placement cluster scfg in
       let r =
-        Mcc.Gridapp.Serve.run ~migrate_every_s:migrate_every ~migrations d
+        Mcc.Serve.run ~migrate_every_s:migrate_every ~migrations d
       in
-      let exact = Mcc.Gridapp.Serve.exactly_once d r in
+      let exact = Mcc.Serve.exactly_once d r in
       Printf.printf "served %d requests (%d clients x %d) at %d services\n"
-        r.Mcc.Gridapp.Serve.rp_requests clients requests services;
+        r.Mcc.Serve.rp_requests clients requests services;
       Printf.printf
         "latency: p50 %.3f ms, p90 %.3f ms, p99 %.3f ms, mean %.3f ms\n"
         r.rp_p50_ms r.rp_p90_ms r.rp_p99_ms r.rp_mean_ms;

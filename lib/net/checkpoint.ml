@@ -25,15 +25,12 @@ type t = {
   ship : Shipping.t;
   delta : bool;
   chains : (string, ckpt_chain) Hashtbl.t;
-  c_checkpoints : Obs.Metrics.counter;
-  c_migrations_ok : Obs.Metrics.counter; (* a suspend completes a move *)
+  c_checkpoints : Obs.Metrics.counter; (* every image written, suspends too *)
 }
 
 let create core ship ~delta =
-  let counter = Obs.Metrics.counter core.metrics in
   { core; ship; delta; chains = Hashtbl.create 8;
-    c_checkpoints = counter "cluster.checkpoints";
-    c_migrations_ok = counter "cluster.migrations_ok" }
+    c_checkpoints = Obs.Metrics.counter core.metrics "cluster.checkpoints" }
 
 let write c (entry : entry) path ~kind =
   let core = c.core and proc = entry.proc in
@@ -93,11 +90,8 @@ let write c (entry : entry) path ~kind =
     Storage.write ~writer:entry.node_id core.storage stored_path sh_bytes
   in
   Shipping.note_shipment c.ship ~as_delta:sh_delta ~bytes;
-  Shipping.record_migration c.ship
-    (match kind with
-    | `Checkpoint -> c.c_checkpoints
-    | `Suspend -> c.c_migrations_ok)
-    ~transfer_s:write_s ~bytes ~pack_s ();
+  Shipping.record_migration c.ship c.c_checkpoints ~transfer_s:write_s
+    ~bytes ~pack_s ();
   (match kind with
   | `Checkpoint ->
     (* the process pays for its checkpoint and keeps running *)

@@ -19,7 +19,10 @@ val write : t -> entry -> string -> kind:[ `Suspend | `Checkpoint ] -> unit
 (** Pack a process parked at a migration point and write it at [path]:
     a full image for [`Suspend] (the process then ends), a full image or
     the chain's next delta segment for [`Checkpoint] (the process pays
-    and keeps running).  A stale incarnation is fenced instead.
+    and keeps running).  A stale incarnation is fenced instead.  Every
+    image written counts once in [cluster.checkpoints], a suspend
+    included: it is stored, not a landed move, so it stays out of
+    [cluster.migrations_ok].
 
     "Written" means stored, not verified: {!Storage.write} has put the
     bytes on every replica, each under its storage-fault draw, and

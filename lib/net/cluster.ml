@@ -269,6 +269,12 @@ let node t id = Core.node t.core id
 let node_count t = Array.length t.core.Core.nodes
 let entry_of_pid t pid = Core.entry_of_pid t.core pid
 let entry_of_rank t rank = Core.entry_of_rank t.core rank
+
+let exit_code t pid =
+  match entry_of_pid t pid with
+  | Some { proc = { Process.status = Process.Exited n; _ }; _ } -> Some n
+  | Some _ | None -> None
+
 let now t = Core.now t.core
 
 (* ------------------------------------------------------------------ *)

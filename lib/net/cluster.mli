@@ -291,6 +291,11 @@ val node_count : t -> int
 val entry_of_pid : t -> int -> entry option
 val entry_of_rank : t -> int -> entry option
 
+val exit_code : t -> int -> int option
+(** [Some n] exactly when the pid's process has exited with [n]; a
+    running, migrating or trapped process, or an unknown pid, gives
+    [None]. *)
+
 val now : t -> float
 (** Cluster-wide time: the farthest node clock. *)
 
@@ -465,9 +470,11 @@ val dspec : t -> Dspec.t
 val metrics : t -> Obs.Metrics.t
 (** The cluster-level registry: scheduler counters ([sched.rounds],
     [sched.quanta]), migration counters and cost histograms
-    ([cluster.migrations_ok], [cluster.migrate_bytes],
-    [cluster.pack_seconds], ...), failure/recovery counters, and the
-    delta-shipping ledger ([migrate.bytes_full], [migrate.bytes_delta];
+    ([cluster.migrations_ok] counts the moves that landed,
+    [cluster.checkpoints] every image written to the store, suspends
+    included; [cluster.migrate_bytes], [cluster.pack_seconds], ...),
+    failure/recovery counters, and the delta-shipping ledger
+    ([migrate.bytes_full], [migrate.bytes_delta];
     while delta is on, [migrate.delta_hits] counts hops and checkpoint
     segments shipped as deltas, [migrate.delta_misses] those shipped
     full, and the gauge [migrate.delta_hit_rate] is their ratio), the

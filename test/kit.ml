@@ -71,7 +71,7 @@ let seed_code cluster ~node_id fir =
 
 (* Seed every node with the code of every service of a serving
    deployment: its re-homes all hit the code cache. *)
-let seed_services cluster (d : Mcc.Gridapp.Serve.deployment) =
+let seed_services cluster (d : Mcc.Serve.deployment) =
   Array.iter
     (fun pid ->
       match Net.Cluster.entry_of_pid cluster pid with
@@ -80,7 +80,7 @@ let seed_services cluster (d : Mcc.Gridapp.Serve.deployment) =
           seed_code cluster ~node_id e.Net.Cluster.proc.Vm.Process.program
         done
       | None -> Alcotest.failf "service pid %d lost" pid)
-    d.Mcc.Gridapp.Serve.sv_service_pids
+    d.Mcc.Serve.sv_service_pids
 
 (* Run the cluster until the compile-ahead move behind [ticket] cuts
    over (the subject keeps running meanwhile), and return how it

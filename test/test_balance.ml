@@ -216,15 +216,15 @@ let serve_cluster ~nodes ~seed ~balance_on =
       balance = balance_on }
 
 let t2_cfg =
-  { Mcc.Gridapp.Serve.clients = 8; services = 6; requests_per_client = 150;
+  { Mcc.Serve.clients = 8; services = 6; requests_per_client = 150;
     work_us = 40; skew = true; speculative = false }
 
 let test_policy_rebalances_64_nodes () =
   let cluster = serve_cluster ~nodes:64 ~seed:env_seed ~balance_on:true in
-  let d = Mcc.Gridapp.Serve.deploy ~placement:(`Pack 2) cluster t2_cfg in
-  let r = Mcc.Gridapp.Serve.run d in
+  let d = Mcc.Serve.deploy ~placement:(`Pack 2) cluster t2_cfg in
+  let r = Mcc.Serve.run d in
   check "exactly-once under policy moves" true
-    (Mcc.Gridapp.Serve.exactly_once d r);
+    (Mcc.Serve.exactly_once d r);
   let m = Net.Cluster.metrics cluster in
   check "the engine sampled" true
     (Obs.Metrics.counter_value m "balance.ticks" >= 2);
@@ -242,14 +242,14 @@ let test_policy_rebalances_64_nodes () =
     <= 0.9 *. Net.Cluster.now cluster);
   (* the workload kept flowing across every policy move *)
   check "requests were forwarded through the moves" true
-    (r.Mcc.Gridapp.Serve.rp_forwarded >= 0)
+    (r.Mcc.Serve.rp_forwarded >= 0)
 
 let test_policy_off_never_moves () =
   let cluster = serve_cluster ~nodes:64 ~seed:env_seed ~balance_on:false in
-  let d = Mcc.Gridapp.Serve.deploy ~placement:(`Pack 2) cluster t2_cfg in
-  let r = Mcc.Gridapp.Serve.run d in
+  let d = Mcc.Serve.deploy ~placement:(`Pack 2) cluster t2_cfg in
+  let r = Mcc.Serve.run d in
   check "exactly-once with the engine off" true
-    (Mcc.Gridapp.Serve.exactly_once d r);
+    (Mcc.Serve.exactly_once d r);
   let m = Net.Cluster.metrics cluster in
   check_int "disabled engine never ticks" 0
     (Obs.Metrics.counter_value m "balance.ticks");
@@ -446,22 +446,22 @@ let test_equivalence_image () =
 let serve_trace ~seed reason =
   let cluster = mk_cluster ~seed (lossy_plan seed) in
   let cfg =
-    { Mcc.Gridapp.Serve.clients = 3; services = 2; requests_per_client = 30;
+    { Mcc.Serve.clients = 3; services = 2; requests_per_client = 30;
       work_us = 20; skew = false; speculative = false }
   in
-  let d = Mcc.Gridapp.Serve.deploy cluster cfg in
+  let d = Mcc.Serve.deploy cluster cfg in
   let moved = ref false in
   let guard = ref 0 in
-  while (not (Mcc.Gridapp.Serve.all_exited d)) && !guard < 40 do
+  while (not (Mcc.Serve.all_exited d)) && !guard < 40 do
     incr guard;
     let _ =
       Net.Cluster.run cluster ~max_rounds:2_000_000 ~stop:(fun () ->
-          Mcc.Gridapp.Serve.all_exited d
+          Mcc.Serve.all_exited d
           || ((not !moved) && Net.Cluster.now cluster >= 0.0004))
     in
     if (not !moved) && Net.Cluster.now cluster >= 0.0004 then begin
       moved := true;
-      let pid = d.Mcc.Gridapp.Serve.sv_service_pids.(0) in
+      let pid = d.Mcc.Serve.sv_service_pids.(0) in
       match Net.Cluster.entry_of_pid cluster pid with
       | Some e when e.Net.Cluster.proc.Vm.Process.status = Vm.Process.Running
         ->
@@ -472,7 +472,7 @@ let serve_trace ~seed reason =
                 (Net.Cluster.Move.Running pid) ~dest)
          with
         | Ok o ->
-          d.Mcc.Gridapp.Serve.sv_service_pids.(0) <-
+          d.Mcc.Serve.sv_service_pids.(0) <-
             o.Net.Cluster.Move.mv_pid
         | Error e ->
           Alcotest.failf "re-home failed: %s"
@@ -480,7 +480,7 @@ let serve_trace ~seed reason =
       | _ -> ()
     end
   done;
-  check "serve run completed" true (Mcc.Gridapp.Serve.all_exited d);
+  check "serve run completed" true (Mcc.Serve.all_exited d);
   Obs.Trace.to_jsonl (Net.Cluster.trace cluster)
 
 let test_equivalence_serve () =
@@ -520,12 +520,12 @@ let test_policy_compile_ahead_under_dup () =
   in
   (* 4 ms a request: the services outlive a compile ahead *)
   let d =
-    Mcc.Gridapp.Serve.deploy ~placement:(`Pack 1) c
-      { Mcc.Gridapp.Serve.clients = 4; services; requests_per_client = 60;
+    Mcc.Serve.deploy ~placement:(`Pack 1) c
+      { Mcc.Serve.clients = 4; services; requests_per_client = 60;
         work_us = 4000; skew = true; speculative = false }
   in
-  let r = Mcc.Gridapp.Serve.run d in
-  check "exactly once" true (Mcc.Gridapp.Serve.exactly_once d r);
+  let r = Mcc.Serve.run d in
+  check "exactly once" true (Mcc.Serve.exactly_once d r);
   let m = Net.Cluster.metrics c in
   let policy = Obs.Metrics.counter_value m "move.policy" in
   let landed = landed_moves c in

@@ -322,7 +322,7 @@ let test_cluster_hit_rate () =
    Migrate_done the successor) against the digests of the services'
    sources, compiled here; it does not read the cache. *)
 let test_rehome_hits_by_content () =
-  let module Serve = Mcc.Gridapp.Serve in
+  let module Serve = Mcc.Serve in
   let cfg =
     { Serve.clients = 8; services = 4; requests_per_client = 150;
       work_us = 5; skew = false; speculative = false }
@@ -457,7 +457,7 @@ let test_rehome_hits_by_content () =
    already runs.  Spawning alone seeds nothing, so a grid deployment
    (ranks, no services) leaves every cache empty. *)
 let test_registration_seeds () =
-  let module Serve = Mcc.Gridapp.Serve in
+  let module Serve = Mcc.Serve in
   let grid = Net.Cluster.create_cfg Net.Cluster.Config.default in
   ignore (Mcc.Gridapp.deploy grid Mcc.Gridapp.default_config);
   check_int "a grid deploy inserts nothing" 0
@@ -521,7 +521,7 @@ let distinct images =
    run on 2 compiled images, one per role, and the 4 services are
    seeded with one FIR payload *)
 let test_deploy_compiles_once () =
-  let module Serve = Mcc.Gridapp.Serve in
+  let module Serve = Mcc.Serve in
   let cfg =
     { Serve.clients = 8; services = 4; requests_per_client = 10;
       work_us = 5; skew = false; speculative = false }
@@ -688,7 +688,7 @@ let landings cl =
    source while the destination compiles, and cuts over once the code
    is ready. *)
 let test_source_serves_during_compile () =
-  let module Serve = Mcc.Gridapp.Serve in
+  let module Serve = Mcc.Serve in
   let cl = mk_cluster ~nodes:3 Net.Faults.none in
   let d =
     Serve.deploy cl

@@ -1232,12 +1232,9 @@ let test_incremental_checkpoints () =
     let pid = Net.Cluster.spawn cluster ~node_id:0 fir in
     let _ = Net.Cluster.run cluster in
     let code =
-      match Net.Cluster.entry_of_pid cluster pid with
-      | Some e -> (
-        match e.Net.Cluster.proc.Vm.Process.status with
-        | Vm.Process.Exited n -> n
-        | _ -> Alcotest.fail "worker did not finish")
-      | None -> Alcotest.fail "worker lost"
+      match Net.Cluster.exit_code cluster pid with
+      | Some n -> n
+      | None -> Alcotest.fail "worker did not finish"
     in
     cluster, code
   in
@@ -1305,15 +1302,10 @@ let test_checkpoint_chain_bound () =
     Net.Cluster.spawn cluster ~node_id:0 (compile_c long_checkpointing_worker)
   in
   let _ = Net.Cluster.run cluster in
-  let exit_of pid =
-    match Net.Cluster.entry_of_pid cluster pid with
-    | Some e -> e.Net.Cluster.proc.Vm.Process.status
-    | None -> Alcotest.fail "pid lost"
-  in
   let code =
-    match exit_of pid with
-    | Vm.Process.Exited n -> n
-    | _ -> Alcotest.fail "worker did not finish"
+    match Net.Cluster.exit_code cluster pid with
+    | Some n -> n
+    | None -> Alcotest.fail "worker did not finish"
   in
   check "base, eight segments, full rewrite, fresh segment" true
     (List.map fst (checkpoints cluster)
@@ -1333,7 +1325,7 @@ let test_checkpoint_chain_bound () =
   | Ok pid2 ->
     let _ = Net.Cluster.run cluster in
     check "the rewritten chain resumes and finishes identically" true
-      (exit_of pid2 = Vm.Process.Exited code)
+      (Net.Cluster.exit_code cluster pid2 = Some code)
 
 (* Three rounds, each dirtying its own 40 cells and then migrating to
    one path: the first two checkpoint to [ck], the third goes to [last]
@@ -1429,9 +1421,7 @@ let test_suspend_drops_chain () =
   | Ok pid ->
     let _ = Net.Cluster.run cluster in
     check "the suspended image resumes and finishes" true
-      (match Net.Cluster.entry_of_pid cluster pid with
-      | Some e -> e.Net.Cluster.proc.Vm.Process.status = Vm.Process.Exited 1
-      | None -> false)
+      (Net.Cluster.exit_code cluster pid = Some 1)
 
 let suites =
   [

@@ -13,14 +13,6 @@
 
 open Kit
 
-let exit_code cluster pid =
-  match Net.Cluster.entry_of_pid cluster pid with
-  | Some e -> (
-    match e.Net.Cluster.proc.Vm.Process.status with
-    | Vm.Process.Exited n -> Some n
-    | _ -> None)
-  | None -> None
-
 (* ------------------------------------------------------------------ *)
 (* Trace audit: zero partial commits                                   *)
 (* ------------------------------------------------------------------ *)
@@ -236,18 +228,18 @@ let test_lookups_match_full_scan () =
 (* ------------------------------------------------------------------ *)
 
 let serve_cfg =
-  { Mcc.Gridapp.Serve.clients = 3; services = 2; requests_per_client = 20;
+  { Mcc.Serve.clients = 3; services = 2; requests_per_client = 20;
     work_us = 20; skew = false; speculative = true }
 
 let test_fault_free_speculative_serving () =
   let cluster = mk_cluster ~nodes:3 Net.Faults.none in
-  let d = Mcc.Gridapp.Serve.deploy cluster serve_cfg in
-  let r = Mcc.Gridapp.Serve.run d in
+  let d = Mcc.Serve.deploy cluster serve_cfg in
+  let r = Mcc.Serve.run d in
   let total =
-    serve_cfg.Mcc.Gridapp.Serve.clients
-    * serve_cfg.Mcc.Gridapp.Serve.requests_per_client
+    serve_cfg.Mcc.Serve.clients
+    * serve_cfg.Mcc.Serve.requests_per_client
   in
-  check "exactly-once" true (Mcc.Gridapp.Serve.exactly_once d r);
+  check "exactly-once" true (Mcc.Serve.exactly_once d r);
   check_int "one commit per unique request" total
     (counter cluster "dspec.commits");
   check_int "no aborts without faults" 0 (counter cluster "dspec.aborts");
@@ -319,9 +311,9 @@ let run_coord_rollback () =
 let test_coordinator_rollback_compensates () =
   let cluster, coord, part = run_coord_rollback () in
   check "coordinator exited with the retry txn" true
-    (exit_code cluster coord = Some 2);
+    (Net.Cluster.exit_code cluster coord = Some 2);
   check "participant saw the retried payload" true
-    (exit_code cluster part = Some 7);
+    (Net.Cluster.exit_code cluster part = Some 7);
   check_int "first txn aborted" 1 (counter cluster "dspec.aborts");
   check_int "retry txn committed" 1 (counter cluster "dspec.commits");
   check_int "the stamped message was un-delivered" 1
@@ -441,19 +433,19 @@ let f5_plan seed =
    dedup state must never double-serve. *)
 let run_f5 seed =
   let cluster = mk_cluster ~nodes:3 (f5_plan seed) in
-  let d = Mcc.Gridapp.Serve.deploy cluster serve_cfg in
+  let d = Mcc.Serve.deploy cluster serve_cfg in
   let r =
-    Mcc.Gridapp.Serve.run ~migrate_every_s:0.002 ~migrations:4 d
+    Mcc.Serve.run ~migrate_every_s:0.002 ~migrations:4 d
   in
   cluster, d, r
 
 let test_speculative_serving_under_faults () =
   let cluster, d, r = run_f5 env_seed in
   let total =
-    serve_cfg.Mcc.Gridapp.Serve.clients
-    * serve_cfg.Mcc.Gridapp.Serve.requests_per_client
+    serve_cfg.Mcc.Serve.clients
+    * serve_cfg.Mcc.Serve.requests_per_client
   in
-  check "exactly-once under faults" true (Mcc.Gridapp.Serve.exactly_once d r);
+  check "exactly-once under faults" true (Mcc.Serve.exactly_once d r);
   check_int "one commit per unique request" total
     (counter cluster "dspec.commits");
   check "commit rounds were crashed" true (counter cluster "dspec.aborts" > 0);

@@ -81,12 +81,12 @@ let serve_rehome () =
         f_retransmit_s = 0.00005 }
   in
   let d =
-    Mcc.Gridapp.Serve.deploy c
-      { Mcc.Gridapp.Serve.clients = 3; services = 2; requests_per_client = 40;
+    Mcc.Serve.deploy c
+      { Mcc.Serve.clients = 3; services = 2; requests_per_client = 40;
         work_us = 20; skew = false; speculative = false }
   in
-  let r = Mcc.Gridapp.Serve.run ~migrate_every_s:0.0005 ~migrations:3 d in
-  check "exactly once" true (Mcc.Gridapp.Serve.exactly_once d r);
+  let r = Mcc.Serve.run ~migrate_every_s:0.0005 ~migrations:3 d in
+  check "exactly once" true (Mcc.Serve.exactly_once d r);
   c
 
 (* checkpoint chains, a node crash with roll notices, resurrection on the
@@ -219,15 +219,15 @@ let balanced_serve () =
         balance = true }
   in
   let d =
-    Mcc.Gridapp.Serve.deploy ~placement:(`Pack 1) c
-      { Mcc.Gridapp.Serve.clients = 4; services = 3; requests_per_client = 30;
+    Mcc.Serve.deploy ~placement:(`Pack 1) c
+      { Mcc.Serve.clients = 4; services = 3; requests_per_client = 30;
         work_us = 100; skew = true; speculative = false }
   in
   (* the run is shorter than a compile: every node holds every service's
      code, so the policy's moves land at once and their hops duplicate *)
   seed_services c d;
-  let r = Mcc.Gridapp.Serve.run ~migrate_every_s:0.0005 ~migrations:2 d in
-  check "exactly once" true (Mcc.Gridapp.Serve.exactly_once d r);
+  let r = Mcc.Serve.run ~migrate_every_s:0.0005 ~migrations:2 d in
+  check "exactly once" true (Mcc.Serve.exactly_once d r);
   c
 
 (* a sender checkpoints to a replicated store, sends, and dies with its

@@ -656,13 +656,13 @@ let rec calls_extern name e =
 let param_names fd = List.map (fun (v, _) -> Fir.Var.name v) fd.Fir.Ast.f_params
 
 let serve_config speculative =
-  { Mcc.Gridapp.Serve.clients = 8; services = 4; requests_per_client = 150;
+  { Mcc.Serve.clients = 8; services = 4; requests_per_client = 150;
     work_us = 5; skew = false; speculative }
 
 let test_serve_loop_projections () =
   (* perfbench's serve shape: the service's receive loop is one FIR
      function that takes the activation's frame *)
-  let fir = compile (Mcc.Gridapp.Serve.service_source (serve_config false) 0) in
+  let fir = compile (Mcc.Serve.service_source (serve_config false) 0) in
   let loops =
     Fir.Ast.fold_funs
       (fun fd acc ->
@@ -697,12 +697,12 @@ let test_internal_params () =
      carries a parameter per local *)
   let programs =
     [
-      "serve service", Mcc.Gridapp.Serve.service_source (serve_config false) 0;
-      "serve client", Mcc.Gridapp.Serve.client_source (serve_config false) 0;
+      "serve service", Mcc.Serve.service_source (serve_config false) 0;
+      "serve client", Mcc.Serve.client_source (serve_config false) 0;
       "speculative service",
-      Mcc.Gridapp.Serve.service_source (serve_config true) 0;
+      Mcc.Serve.service_source (serve_config true) 0;
       "speculative client",
-      Mcc.Gridapp.Serve.client_source (serve_config true) 0;
+      Mcc.Serve.client_source (serve_config true) 0;
       "grid rank 1", Mcc.Gridapp.source Mcc.Gridapp.default_config 1;
     ]
   in
@@ -779,13 +779,8 @@ int main() {
   let spid = Net.Cluster.spawn cluster ~rank:0 ~node_id:0 sender in
   let rpid = Net.Cluster.spawn cluster ~rank:1 ~node_id:1 receiver in
   let _ = Net.Cluster.run cluster in
-  let status pid =
-    match Net.Cluster.entry_of_pid cluster pid with
-    | Some e -> e.Net.Cluster.proc.Vm.Process.status
-    | None -> Alcotest.fail "pid lost"
-  in
-  check "sender ok" true (status spid = Vm.Process.Exited 0);
-  check "receiver summed" true (status rpid = Vm.Process.Exited 110)
+  check "sender ok" true (Net.Cluster.exit_code cluster spid = Some 0);
+  check "receiver summed" true (Net.Cluster.exit_code cluster rpid = Some 110)
 
 let test_figure1_transfer () =
   (* the paper's Figure 1, speculative version, against the fault-injected

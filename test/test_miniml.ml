@@ -224,13 +224,8 @@ let test_ml_on_cluster () =
   let p1 = Net.Cluster.spawn cluster ~node_id:0 ml in
   let p2 = Net.Cluster.spawn cluster ~node_id:1 c in
   let _ = Net.Cluster.run cluster in
-  let status pid =
-    match Net.Cluster.entry_of_pid cluster pid with
-    | Some e -> e.Net.Cluster.proc.Vm.Process.status
-    | None -> Alcotest.fail "pid lost"
-  in
-  check "ML process" true (status p1 = Vm.Process.Exited 55);
-  check "C process" true (status p2 = Vm.Process.Exited 55)
+  check "ML process" true (Net.Cluster.exit_code cluster p1 = Some 55);
+  check "C process" true (Net.Cluster.exit_code cluster p2 = Some 55)
 
 let suites =
   [

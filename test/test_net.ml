@@ -1042,6 +1042,10 @@ let test_cluster_suspend () =
     (status_of cluster pid = Vm.Process.Exited 0);
   check "suspend image written" true
     (Net.Storage.exists (Net.Cluster.storage cluster) "s1");
+  (* a suspend stores an image; it is not a move that landed *)
+  check_int "suspend is no landed migration" 0 (landed_moves cluster);
+  check_int "suspend counts as a stored image" 1
+    (counter cluster "cluster.checkpoints");
   (* the suspended image is resumable *)
   match Net.Cluster.resurrect cluster ~node_id:0 ~path:"s1" with
   | Error msg -> Alcotest.failf "resume failed: %s" msg
@@ -1142,7 +1146,11 @@ let test_fail_node_wakes_only_related_parked () =
   check "unrelated watcher never saw a roll" true
     (match status_of cluster unrelated with
     | Vm.Process.Running -> true
-    | _ -> false)
+    | _ -> false);
+  check "exit codes: trapped, exited, running, never spawned" true
+    (List.map (Net.Cluster.exit_code cluster)
+       [ victim; related; unrelated; unrelated + 100 ]
+    = [ None; Some 222; None; None ])
 
 (* Regression: a migration towards an already-dead node must fail
    cleanly — the source continues locally (migration_failed semantics)

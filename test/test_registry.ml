@@ -386,7 +386,7 @@ let mk_cluster ?(nodes = 3) ?(seed = 1) ?(ttl = 0.25) plan =
       forward_ttl_s = ttl }
 
 let serve_cfg =
-  { Mcc.Gridapp.Serve.clients = 4; services = 2; requests_per_client = 40;
+  { Mcc.Serve.clients = 4; services = 2; requests_per_client = 40;
     work_us = 20; skew = false; speculative = false }
 
 let lossy_plan seed =
@@ -397,55 +397,88 @@ let lossy_plan seed =
     f_jitter_s = 0.00002;
     f_retransmit_s = 0.0001 }
 
-let check_exactly_once name d (r : Mcc.Gridapp.Serve.report) =
-  if not (Mcc.Gridapp.Serve.exactly_once d r) then
+let check_exactly_once name d (r : Mcc.Serve.report) =
+  if not (Mcc.Serve.exactly_once d r) then
     Alcotest.failf
       "%s: exactly-once violated (wedged=%b violations=%d requests=%d \
        served=[%s])"
-      name r.Mcc.Gridapp.Serve.rp_wedged r.Mcc.Gridapp.Serve.rp_violations
-      r.Mcc.Gridapp.Serve.rp_requests
+      name r.Mcc.Serve.rp_wedged r.Mcc.Serve.rp_violations
+      r.Mcc.Serve.rp_requests
       (String.concat ";"
          (Array.to_list
-            (Array.map string_of_int r.Mcc.Gridapp.Serve.rp_served)))
+            (Array.map string_of_int r.Mcc.Serve.rp_served)))
+
+(* The serving schedule has three encodings: [target_service] in OCaml,
+   the generated client's laddr choice, and the service's quota
+   ([expected_served] baked into a skewed service's text, the closed
+   form [C * ((R + K - laddr) / K)] computed by every unskewed one).
+   Over every small shape the quotas must cover each request once, and
+   the closed form must agree with the count. *)
+let test_serve_schedule_encodings_agree () =
+  for clients = 1 to 5 do
+    for services = 1 to 4 do
+      for requests = 1 to 40 do
+        List.iter
+          (fun skew ->
+            let cfg =
+              { serve_cfg with
+                Mcc.Serve.clients; services; requests_per_client = requests;
+                skew }
+            in
+            let owed = List.init services (Mcc.Serve.expected_served cfg) in
+            let name what =
+              Printf.sprintf "%s (C=%d K=%d R=%d skew=%b)" what clients
+                services requests skew
+            in
+            check_int (name "quotas cover every request") (clients * requests)
+              (List.fold_left ( + ) 0 owed);
+            if not skew then
+              Alcotest.(check (list int)) (name "closed-form quotas") owed
+                (List.init services (fun k ->
+                     clients * ((requests + services - (k + 1)) / services))))
+          [ false; true ]
+      done
+    done
+  done
 
 let test_serve_static () =
   let cluster = mk_cluster Net.Faults.none in
-  let d = Mcc.Gridapp.Serve.deploy cluster serve_cfg in
+  let d = Mcc.Serve.deploy cluster serve_cfg in
   check "laddrs 1..K in spawn order" true
-    (d.Mcc.Gridapp.Serve.sv_laddrs = [| 1; 2 |]);
-  let r = Mcc.Gridapp.Serve.run d in
+    (d.Mcc.Serve.sv_laddrs = [| 1; 2 |]);
+  let r = Mcc.Serve.run d in
   check_exactly_once "static" d r;
   check_int "no moves, nothing forwarded" 0
-    r.Mcc.Gridapp.Serve.rp_forwarded;
-  check "latency measured" true (r.Mcc.Gridapp.Serve.rp_p50_ms > 0.0)
+    r.Mcc.Serve.rp_forwarded;
+  check "latency measured" true (r.Mcc.Serve.rp_p50_ms > 0.0)
 
 let test_serve_migrations_faultfree () =
   let cluster = mk_cluster Net.Faults.none in
-  let d = Mcc.Gridapp.Serve.deploy cluster serve_cfg in
+  let d = Mcc.Serve.deploy cluster serve_cfg in
   let r =
-    Mcc.Gridapp.Serve.run d ~migrate_every_s:0.0004 ~migrations:3
+    Mcc.Serve.run d ~migrate_every_s:0.0004 ~migrations:3
   in
   check_exactly_once "migrating" d r;
   check "services actually moved" true (landed_moves cluster >= 1);
   check "stale bindings were forwarded" true
-    (r.Mcc.Gridapp.Serve.rp_forwarded > 0);
+    (r.Mcc.Serve.rp_forwarded > 0);
   check "senders rebound on Recipient_moved" true
-    (r.Mcc.Gridapp.Serve.rp_rebinds > 0);
+    (r.Mcc.Serve.rp_rebinds > 0);
   (* forwarding quiesces: each client relays only until its notice
      lands, so the relay total stays far below the request count *)
   check "forwarding is transient, not the steady state" true
-    (r.Mcc.Gridapp.Serve.rp_forwarded
-    <= 6 * landed_moves cluster * serve_cfg.Mcc.Gridapp.Serve.clients);
+    (r.Mcc.Serve.rp_forwarded
+    <= 6 * landed_moves cluster * serve_cfg.Mcc.Serve.clients);
   (* the authoritative map agrees with where the services ended up *)
   Array.iteri
     (fun k laddr ->
-      let pid = d.Mcc.Gridapp.Serve.sv_service_pids.(k) in
+      let pid = d.Mcc.Serve.sv_service_pids.(k) in
       match Net.Cluster.entry_of_pid cluster pid with
       | Some e ->
         check "registry tracks the successor rank" true
           (Net.Cluster.service_rank cluster ~laddr = e.Net.Cluster.rank)
       | None -> Alcotest.fail "service entry lost")
-    d.Mcc.Gridapp.Serve.sv_laddrs
+    d.Mcc.Serve.sv_laddrs
 
 (* The trace shows the service re-bound A -> B, then B -> C.  A
    resolves to C, and every relay the trace recorded went from a
@@ -495,21 +528,21 @@ let test_serve_double_migration_chain () =
     (fun seed ->
       let cluster = mk_cluster ~nodes:4 (lossy_plan seed) in
       let cfg =
-        { Mcc.Gridapp.Serve.clients = 3; services = 1;
+        { Mcc.Serve.clients = 3; services = 1;
           requests_per_client = 50; work_us = 4000; skew = false;
           speculative = false }
       in
-      let d = Mcc.Gridapp.Serve.deploy cluster cfg in
+      let d = Mcc.Serve.deploy cluster cfg in
       let r =
-        Mcc.Gridapp.Serve.run d ~migrate_every_s:0.15 ~migrations:2
+        Mcc.Serve.run d ~migrate_every_s:0.15 ~migrations:2
       in
       check_exactly_once (Printf.sprintf "chain seed %d" seed) d r;
       check "double migration landed" true (landed_moves cluster = 2);
       check "both destinations compiled the code ahead" true
         (hits cluster = 0);
       check "relays happened while bindings were stale" true
-        (r.Mcc.Gridapp.Serve.rp_forwarded > 0);
-      check "rebinds observed" true (r.Mcc.Gridapp.Serve.rp_rebinds > 0);
+        (r.Mcc.Serve.rp_forwarded > 0);
+      check "rebinds observed" true (r.Mcc.Serve.rp_rebinds > 0);
       check_relays_one_hop cluster;
       check "duplicates injected by the plan" true
         (Obs.Metrics.counter_value (Net.Cluster.metrics cluster)
@@ -578,7 +611,7 @@ int main() {
 |}
   in
   let svc_cfg =
-    { Mcc.Gridapp.Serve.clients = 1; services = 1; requests_per_client = 2;
+    { Mcc.Serve.clients = 1; services = 1; requests_per_client = 2;
       work_us = 10; skew = false; speculative = false }
   in
   let client_pid =
@@ -586,21 +619,13 @@ int main() {
   in
   let service_pid =
     Net.Cluster.spawn cluster ~rank:1 ~node_id:1
-      (compile (Mcc.Gridapp.Serve.service_source svc_cfg 0))
+      (compile (Mcc.Serve.service_source svc_cfg 0))
   in
   let _coordinator_pid =
     Net.Cluster.spawn cluster ~rank:3 ~node_id:0 (compile coordinator_src)
   in
   check_int "service laddr" 1
     (Net.Cluster.register_service cluster ~pid:service_pid);
-  let exit_of pid =
-    match Net.Cluster.entry_of_pid cluster pid with
-    | Some e -> (
-      match e.Net.Cluster.proc.Vm.Process.status with
-      | Vm.Process.Exited n -> Some n
-      | _ -> None)
-    | None -> None
-  in
   (* run until the client has consumed reply 1 (it signals through the
      object store) and is in its long local-work window, then move the
      service while nothing of the client's is in flight *)
@@ -616,7 +641,7 @@ int main() {
     Alcotest.failf "service migration failed: %s"
       (Net.Cluster.migration_error_to_string e));
   let _ = Net.Cluster.run cluster ~max_rounds:4_000_000 in
-  (match exit_of client_pid with
+  (match Net.Cluster.exit_code cluster client_pid with
   | Some 1 -> ()
   | Some n ->
     let reg = Net.Cluster.registry cluster in
@@ -641,8 +666,8 @@ int main() {
         | Vm.Process.Exited _ -> assert false)
       | None -> "lost"));
   (match
-     ( exit_of service_pid,
-       exit_of
+     ( Net.Cluster.exit_code cluster service_pid,
+       Net.Cluster.exit_code cluster
          (match Net.Cluster.service_rank cluster ~laddr:1 with
          | Some r -> (
            match Net.Cluster.entry_of_rank cluster r with
@@ -668,19 +693,19 @@ let test_serve_faulty_migrations () =
     (fun seed ->
       let cluster = mk_cluster ~nodes:4 (lossy_plan seed) in
       let d =
-        Mcc.Gridapp.Serve.deploy cluster
-          { serve_cfg with Mcc.Gridapp.Serve.work_us = 4000 }
+        Mcc.Serve.deploy cluster
+          { serve_cfg with Mcc.Serve.work_us = 4000 }
       in
       let r =
-        Mcc.Gridapp.Serve.run d ~migrate_every_s:0.05 ~migrations:4
+        Mcc.Serve.run d ~migrate_every_s:0.05 ~migrations:4
       in
       check_exactly_once (Printf.sprintf "faulty seed %d" seed) d r;
       check "moves landed" true (landed_moves cluster >= 2);
       check "a destination compiled the code ahead" true
         (hits cluster < landed_moves cluster);
       check "p99 >= p50 > 0" true
-        (r.Mcc.Gridapp.Serve.rp_p50_ms > 0.0
-        && r.Mcc.Gridapp.Serve.rp_p99_ms >= r.Mcc.Gridapp.Serve.rp_p50_ms))
+        (r.Mcc.Serve.rp_p50_ms > 0.0
+        && r.Mcc.Serve.rp_p99_ms >= r.Mcc.Serve.rp_p50_ms))
     [ env_seed; env_seed + 1 ]
 
 (* svc_self reads the caller's laddr through its CURRENT rank: the
@@ -757,6 +782,8 @@ let suites =
       ] );
     ( "registry-serving",
       [
+        Alcotest.test_case "schedule encodings agree" `Quick
+          test_serve_schedule_encodings_agree;
         Alcotest.test_case "static exactly-once" `Quick test_serve_static;
         Alcotest.test_case "migrations, fault-free" `Quick
           test_serve_migrations_faultfree;
